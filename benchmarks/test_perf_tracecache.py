@@ -2,7 +2,7 @@
 
 Not a paper figure: guards the vectorized-synthesis win (generator vs
 columnar engines) and warm trace-cache loads, so sweep-scale setup cost
-stays where BENCH_tracecache.json recorded it.
+stays low (``perfbench``'s ``setup_s`` and ``traces.synth_s`` track it).
 """
 
 import pytest

@@ -1,14 +1,8 @@
-"""Reporting, figure-assembly, and analytical-model helpers."""
+"""Reporting, figure-assembly, and reuse-distance helpers."""
 
 from . import paper_targets
 from .report import bar_chart, distribution_rows, format_table, percent, stacked_bars
-from .reuse import (
-    compute_profile,
-    result_from_profile,
-    reuse_distance_histogram,
-    simulate_analytical,
-    stack_distances,
-)
+from .reuse import stack_distances
 from .venn import VennSummary, classify_benchmarks
 
 __all__ = [
@@ -18,10 +12,6 @@ __all__ = [
     "format_table",
     "percent",
     "stacked_bars",
-    "compute_profile",
-    "result_from_profile",
-    "reuse_distance_histogram",
-    "simulate_analytical",
     "stack_distances",
     "VennSummary",
     "classify_benchmarks",

@@ -1,40 +1,10 @@
-"""Analytical fidelity tier: reuse-distance prediction without a simulator.
+"""Vectorized LRU stack-distance (reuse-distance) kernel.
 
-The exact engines walk every access; this module instead computes the
-trace's LRU **stack distances** (reuse distances) in a handful of
-vectorized numpy passes and predicts the paper machine's behavior
-directly from them:
+:meth:`repro.classify.lru_stack.LRUStack.distance_histogram` runs whole
+block sequences through :func:`stack_distances` instead of its
+O(n)-per-access scalar loop.
 
-- **L1 hit/miss**: the paper L1 is direct-mapped, so an access hits iff
-  the previous access to its set touched the same block — one stable
-  sort by set index, no per-access loop.  This is the "set-conflict
-  correction" on top of the fully-associative stack-distance model: an
-  access with stack distance ``d`` would hit a fully-associative cache
-  of ``C > d`` blocks, and the set decomposition corrects for the
-  mapping conflicts a direct-mapped array adds.
-- **3C classes**: cold misses are first touches; conflict misses have
-  stack distance below the L1's capacity in blocks (they would have hit
-  fully-associative); the rest are capacity misses.  This matches the
-  exact :class:`~repro.classify.three_c.ThreeCClassifier` definition.
-- **L2 hit/miss**: the L1 miss stream, at L2 block granularity, is
-  scored against the L2 capacity with the same stack-distance rule
-  (the L2's 4-way associativity is approximated as fully-associative).
-- **Timing**: misses are charged the machine's uncontended L2/memory
-  latencies through the real :class:`~repro.timing.processor.TimingModel`
-  formula; bus contention is the tier's main modeled-away effect.
-- **Timekeeping metrics**: generations fall out of the same per-set
-  sort (a direct-mapped generation is a same-block run within a set),
-  so live/dead-time, access-interval and reload-interval histograms are
-  predicted against an estimated clock (gap prefix sum + estimated
-  stalls).
-
-Everything expensive is folded into :func:`compute_profile`, whose
-output (a flat dict of numpy arrays) can be cached by
-:class:`~repro.traces.cache.TraceCache`; :func:`result_from_profile`
-turns a profile into a :class:`~repro.sim.results.SimulationResult` with
-pure arithmetic, so warm analytical queries are O(lookup).
-
-The stack-distance kernel is exact (verified against the scalar
+The kernel is exact (verified against the scalar
 :class:`~repro.classify.lru_stack.LRUStack`): ``stack_dist(i) =
 (i - prev_i - 1) - #{k < i : prev_k > prev_i}`` where ``prev`` holds
 last-occurrence indices, and the correction term is an element-wise
@@ -44,47 +14,8 @@ with one batched ``searchsorted`` per round.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
-
 import numpy as np
 
-from ..classify.three_c import MissCounts
-from ..common.config import MachineConfig, paper_machine
-from ..common.errors import SimulationError
-from ..common.stats import Histogram
-from ..common.types import AccessOutcome, AccessType, MissClass
-from ..core.metrics import NUM_BINS, RELOAD_BIN, TIME_BIN, TimekeepingMetrics
-from ..sim.results import SimulationResult
-from ..timing.processor import TimingModel
-
-#: Version stamp carried inside cached reuse profiles; bump on any
-#: change to the profile layout or the prediction pass.
-REUSE_PROFILE_VERSION = 1
-
-#: Bins kept in the exposed reuse-distance histogram (distances at or
-#: above this land in the overflow bucket).
-REUSE_HIST_BINS = 1 << 16
-
-_STORE = int(AccessType.STORE)
-
-#: Histograms packed into a profile: name -> bin width.
-_METRIC_HISTS = (
-    ("live", TIME_BIN),
-    ("dead", TIME_BIN),
-    ("access", TIME_BIN),
-    ("reload", RELOAD_BIN),
-    ("reload_conflict", RELOAD_BIN),
-    ("reload_capacity", RELOAD_BIN),
-    ("dead_conflict", TIME_BIN),
-    ("dead_capacity", TIME_BIN),
-    ("live_conflict", TIME_BIN),
-    ("live_capacity", TIME_BIN),
-)
-
-
-# ---------------------------------------------------------------------------
-# stack-distance kernel
-# ---------------------------------------------------------------------------
 
 def previous_occurrences(blocks: np.ndarray) -> np.ndarray:
     """Index of each element's previous occurrence (-1 for first touches).
@@ -176,466 +107,3 @@ def stack_distances(blocks: np.ndarray) -> np.ndarray:
     dist = np.arange(n, dtype=np.int64) - prev - 1 - repeats
     dist[prev < 0] = -1
     return dist
-
-
-def reuse_distance_histogram(
-    blocks: np.ndarray, *, max_distance: Optional[int] = None
-) -> Dict[Optional[int], int]:
-    """Stack-distance histogram of a block stream (vectorized).
-
-    Returns the same shape as the scalar
-    :meth:`~repro.classify.lru_stack.LRUStack.distance_histogram`:
-    ``None`` keys first touches, integer keys exact distances.  With
-    *max_distance*, distances at or above it are folded into the
-    ``max_distance`` key (an overflow bucket).
-    """
-    dist = stack_distances(blocks)
-    out: Dict[Optional[int], int] = {}
-    first = int((dist < 0).sum())
-    if first:
-        out[None] = first
-    reref = dist[dist >= 0]
-    if reref.size == 0:
-        return out
-    if max_distance is not None:
-        reref = np.minimum(reref, max_distance)
-    values, counts = np.unique(reref, return_counts=True)
-    for value, count in zip(values.tolist(), counts.tolist()):
-        out[value] = count
-    return out
-
-
-# ---------------------------------------------------------------------------
-# profile computation (the one vectorized pass over trace columns)
-# ---------------------------------------------------------------------------
-
-def _pack_hist(profile: Dict[str, np.ndarray], name: str,
-               values: np.ndarray) -> None:
-    """Store histogram state for *values* as one int64 array.
-
-    Layout: ``num_bins`` counts, overflow, total, sum — everything a
-    :class:`Histogram` needs to be rebuilt exactly.
-    """
-    packed = np.zeros(NUM_BINS + 3, dtype=np.int64)
-    values = np.asarray(values, dtype=np.int64)
-    if values.size:
-        bin_width = dict(_METRIC_HISTS)[name]
-        idx = np.minimum(values // bin_width, NUM_BINS)
-        binned = np.bincount(idx, minlength=NUM_BINS + 1)
-        packed[:NUM_BINS] = binned[:NUM_BINS]
-        packed[NUM_BINS] = binned[NUM_BINS]
-        packed[NUM_BINS + 1] = values.size
-        packed[NUM_BINS + 2] = int(values.sum())
-    profile[f"hist_{name}"] = packed
-
-
-def _unpack_hist(profile: Mapping[str, np.ndarray], name: str,
-                 bin_width: int) -> Histogram:
-    packed = np.asarray(profile[f"hist_{name}"], dtype=np.int64)
-    hist = Histogram(bin_width, NUM_BINS)
-    hist.counts = [int(c) for c in packed[:NUM_BINS]]
-    hist.overflow = int(packed[NUM_BINS])
-    hist.total = int(packed[NUM_BINS + 1])
-    hist._sum = float(int(packed[NUM_BINS + 2]))
-    return hist
-
-
-def _uncontended_stalls(machine: MachineConfig) -> tuple:
-    """Per-miss stall estimates (L2 hit, memory) without bus contention."""
-    l1l2_cycles = machine.l1_l2_bus.transfer_cycles(machine.l1d.block_size)
-    mem_cycles = machine.memory_bus.transfer_cycles(machine.l2.block_size)
-    l2_latency = machine.l2.hit_latency + l1l2_cycles
-    mem_latency = (machine.l2.hit_latency + mem_cycles +
-                   machine.memory_latency + l1l2_cycles)
-    mlp = machine.processor.mlp
-    hidden = TimingModel.HIDDEN_LATENCY
-
-    def stall(latency: int) -> int:
-        exposed = latency - hidden
-        return int(exposed / mlp) if exposed > 0 else 0
-
-    return stall(l2_latency), stall(mem_latency)
-
-
-def compute_profile(
-    trace,
-    *,
-    warmup: int = 0,
-    machine: Optional[MachineConfig] = None,
-    distances: Optional[np.ndarray] = None,
-) -> Dict[str, np.ndarray]:
-    """Analyze *trace* into a reuse profile (flat dict of numpy arrays).
-
-    The profile holds every number :func:`result_from_profile` needs:
-    measured-region counters, the reuse-distance histogram, and packed
-    timekeeping histograms.  *warmup* accesses lead the measured region
-    (they warm the modeled caches but produce no counted events), the
-    same split the exact simulator's ``warmup`` applies.  Pass
-    *distances* (from :func:`stack_distances` over the L1 block stream)
-    to skip recomputing the kernel, e.g. when served from the trace
-    cache.
-    """
-    machine = machine if machine is not None else paper_machine()
-    addresses, _, kinds, gaps = trace.to_arrays()
-    addresses = np.ascontiguousarray(addresses, dtype=np.int64)
-    kinds = np.asarray(kinds)
-    gaps = np.ascontiguousarray(gaps, dtype=np.int64)
-    n = addresses.size
-    warmup = min(max(0, warmup), n)
-    measured = n - warmup
-
-    l1 = machine.l1d
-    l2 = machine.l2
-    offset_bits = l1.offset_bits
-    num_sets = l1.num_sets
-    num_blocks = l1.num_blocks
-    l2_shift = l2.offset_bits - l1.offset_bits
-    stall_l2, stall_mem = _uncontended_stalls(machine)
-
-    blocks = addresses >> offset_bits
-    if distances is None:
-        distances = stack_distances(blocks)
-    else:
-        distances = np.ascontiguousarray(distances, dtype=np.int64)
-        if distances.size != n:
-            raise SimulationError(
-                f"reuse distances length {distances.size} does not match "
-                f"trace length {n}"
-            )
-
-    profile: Dict[str, np.ndarray] = {
-        "version": np.int64(REUSE_PROFILE_VERSION),
-        "length": np.int64(n),
-        "warmup": np.int64(warmup),
-        "l1_offset_bits": np.int64(offset_bits),
-        "l1_num_sets": np.int64(num_sets),
-        "l1_num_blocks": np.int64(num_blocks),
-        "l2_num_blocks": np.int64(l2.num_blocks),
-    }
-
-    # Exposed reuse-distance histogram over the measured region.
-    meas_dist = distances[warmup:]
-    hist = np.zeros(REUSE_HIST_BINS + 1, dtype=np.int64)
-    reref = meas_dist[meas_dist >= 0]
-    if reref.size:
-        hist[: REUSE_HIST_BINS + 1] = np.bincount(
-            np.minimum(reref, REUSE_HIST_BINS), minlength=REUSE_HIST_BINS + 1
-        )
-    profile["reuse_hist"] = hist
-    profile["first_touches"] = np.int64(int((meas_dist < 0).sum()))
-
-    if n == 0 or measured <= 0:
-        for name, _ in _METRIC_HISTS:
-            _pack_hist(profile, name, np.zeros(0, dtype=np.int64))
-        for key in ("accesses", "l1_hits", "cold", "conflict", "capacity",
-                    "l2_hits", "memory", "writebacks", "compute",
-                    "stall_l2_total", "stall_mem_total", "generations",
-                    "zero_live"):
-            profile[key] = np.int64(0)
-        profile["first_stall"] = np.int64(-1)
-        return profile
-
-    # ---- direct-mapped L1 via one stable sort by set ----------------------
-    sets = blocks & (num_sets - 1)
-    if num_sets <= 32768:
-        order = np.argsort(sets.astype(np.int16), kind="stable")
-    else:
-        order = np.argsort(sets, kind="stable")
-    ss = sets[order]
-    sb = blocks[order]
-    heads = np.empty(n, dtype=bool)
-    heads[0] = True
-    heads[1:] = ss[1:] != ss[:-1]
-    prev_blk = np.empty(n, dtype=np.int64)
-    prev_blk[1:] = sb[:-1]
-    prev_blk[heads] = -1  # cold caches at trace start
-    hit_sorted = sb == prev_blk
-    hit = np.empty(n, dtype=bool)
-    hit[order] = hit_sorted
-
-    idx = np.arange(n, dtype=np.int64)
-    meas_mask = idx >= warmup
-    l1_hits = int((hit & meas_mask).sum())
-    miss_mask = ~hit
-    miss_meas = miss_mask & meas_mask
-    l1_misses = int(miss_meas.sum())
-
-    # ---- 3C classification from stack distances ---------------------------
-    cold_mask = miss_meas & (distances < 0)
-    conflict_mask = miss_meas & (distances >= 0) & (distances < num_blocks)
-    capacity_mask = miss_meas & (distances >= num_blocks)
-
-    # ---- L2 prediction over the miss stream -------------------------------
-    miss_pos = np.flatnonzero(miss_mask)
-    l2_blocks = blocks[miss_pos] >> l2_shift
-    l2_dist = stack_distances(l2_blocks)
-    l2_hit_stream = (l2_dist >= 0) & (l2_dist < l2.num_blocks)
-    stream_meas = miss_pos >= warmup
-    l2_hits = int((l2_hit_stream & stream_meas).sum())
-    memory = l1_misses - l2_hits
-
-    profile["accesses"] = np.int64(measured)
-    profile["l1_hits"] = np.int64(l1_hits)
-    profile["cold"] = np.int64(int(cold_mask.sum()))
-    profile["conflict"] = np.int64(int(conflict_mask.sum()))
-    profile["capacity"] = np.int64(int(capacity_mask.sum()))
-    profile["l2_hits"] = np.int64(l2_hits)
-    profile["memory"] = np.int64(memory)
-    profile["compute"] = np.int64(int(gaps[warmup:].sum()))
-    profile["stall_l2_total"] = np.int64(l2_hits * stall_l2)
-    profile["stall_mem_total"] = np.int64(memory * stall_mem)
-    first_meas = np.flatnonzero(stream_meas)
-    if first_meas.size:
-        profile["first_stall"] = np.int64(0 if l2_hit_stream[first_meas[0]] else 1)
-    else:
-        profile["first_stall"] = np.int64(-1)
-
-    # ---- estimated clock and generation metrics ---------------------------
-    # now(i) = gap prefix + estimated stall prefix, mirroring the batch
-    # engine's clock recurrence with uncontended per-miss stalls.
-    stall_vec = np.zeros(n, dtype=np.int64)
-    stall_vec[miss_pos] = np.where(l2_hit_stream, stall_l2, stall_mem)
-    t = np.cumsum(gaps + stall_vec)
-    t_sorted = t[order]
-
-    # With cold caches every set head misses, so generations start
-    # exactly at misses (in the sorted-by-set domain).
-    miss_sorted = ~hit_sorted
-    gen_starts = np.flatnonzero(miss_sorted)
-    gen_count = gen_starts.size
-    gen_set = ss[gen_starts]
-    gen_last_pos = np.empty(gen_count, dtype=np.int64)
-    gen_last_pos[:-1] = gen_starts[1:] - 1
-    gen_last_pos[-1] = n - 1
-    gen_fill = t_sorted[gen_starts]
-    gen_hits = gen_last_pos - gen_starts  # run length minus the fill
-    gen_live = np.where(gen_hits > 0, t_sorted[gen_last_pos] - gen_fill, 0)
-    closed = np.zeros(gen_count, dtype=bool)
-    closed[:-1] = gen_set[1:] == gen_set[:-1]
-    # A generation closes when the *next* fill of its set evicts it.
-    evict_t = np.zeros(gen_count, dtype=np.int64)
-    evict_orig = np.zeros(gen_count, dtype=np.int64)
-    closed_pos = np.flatnonzero(closed)
-    evict_t[closed_pos] = gen_fill[closed_pos + 1]
-    evict_orig[closed_pos] = order[gen_starts[closed_pos + 1]]
-    gen_dead = np.where(closed, evict_t - (gen_fill + gen_live), 0)
-    counted = closed & (evict_orig >= warmup)
-
-    stores_sorted = np.asarray(kinds)[order] == _STORE
-    gen_dirty = np.logical_or.reduceat(stores_sorted, gen_starts)
-    profile["writebacks"] = np.int64(int((counted & gen_dirty).sum()))
-    profile["generations"] = np.int64(int(counted.sum()))
-    profile["zero_live"] = np.int64(int((counted & (gen_live == 0)).sum()))
-
-    _pack_hist(profile, "live", gen_live[counted])
-    _pack_hist(profile, "dead", gen_dead[counted])
-
-    # Access intervals: hit-to-predecessor times within a generation.
-    prev_t = np.empty(n, dtype=np.int64)
-    prev_t[1:] = t_sorted[:-1]
-    prev_t[0] = 0
-    intervals = t_sorted - prev_t
-    hit_meas_sorted = hit_sorted & (order >= warmup)
-    _pack_hist(profile, "access", intervals[hit_meas_sorted])
-
-    # Reload intervals and previous-generation correlations: each miss
-    # starts a generation; a non-cold miss's previous generation is the
-    # one its block's previous miss started (every access of a block
-    # that re-misses was evicted in between under direct mapping).
-    nm = miss_pos.size
-    gen_of_missrank = np.empty(gen_count, dtype=np.int64)
-    rank_of = np.empty(n, dtype=np.int64)
-    rank_of[miss_pos] = np.arange(nm, dtype=np.int64)
-    gen_of_missrank[rank_of[order[gen_starts]]] = np.arange(
-        gen_count, dtype=np.int64
-    )
-    prev_missrank = previous_occurrences(blocks[miss_pos])
-    has_prev = prev_missrank >= 0
-    corr = has_prev & stream_meas
-    corr_pos = np.flatnonzero(corr)
-    if corr_pos.size:
-        here = gen_of_missrank[corr_pos]
-        there = gen_of_missrank[prev_missrank[corr_pos]]
-        reload = gen_fill[here] - gen_fill[there]
-        prev_dead = gen_dead[there]
-        prev_live = gen_live[there]
-        is_conflict = conflict_mask[miss_pos[corr_pos]]
-        _pack_hist(profile, "reload", reload)
-        _pack_hist(profile, "reload_conflict", reload[is_conflict])
-        _pack_hist(profile, "reload_capacity", reload[~is_conflict])
-        _pack_hist(profile, "dead_conflict", prev_dead[is_conflict])
-        _pack_hist(profile, "dead_capacity", prev_dead[~is_conflict])
-        _pack_hist(profile, "live_conflict", prev_live[is_conflict])
-        _pack_hist(profile, "live_capacity", prev_live[~is_conflict])
-    else:
-        for name in ("reload", "reload_conflict", "reload_capacity",
-                     "dead_conflict", "dead_capacity", "live_conflict",
-                     "live_capacity"):
-            _pack_hist(profile, name, np.zeros(0, dtype=np.int64))
-    return profile
-
-
-# ---------------------------------------------------------------------------
-# prediction (pure arithmetic over a profile)
-# ---------------------------------------------------------------------------
-
-def _metrics_from_profile(profile: Mapping[str, np.ndarray]) -> TimekeepingMetrics:
-    """Rebuild predicted timekeeping histograms from packed profile state.
-
-    Only distributions are predicted — the per-generation and per-miss
-    record lists the exact tier carries stay empty (they are inherently
-    per-access artifacts the analytical tier does not model).
-    """
-    metrics = TimekeepingMetrics()
-    metrics.live_time = _unpack_hist(profile, "live", TIME_BIN)
-    metrics.dead_time = _unpack_hist(profile, "dead", TIME_BIN)
-    metrics.access_interval = _unpack_hist(profile, "access", TIME_BIN)
-    metrics.reload_interval = _unpack_hist(profile, "reload", RELOAD_BIN)
-    metrics.reload_by_class = {
-        MissClass.CONFLICT: _unpack_hist(profile, "reload_conflict", RELOAD_BIN),
-        MissClass.CAPACITY: _unpack_hist(profile, "reload_capacity", RELOAD_BIN),
-    }
-    metrics.dead_by_class = {
-        MissClass.CONFLICT: _unpack_hist(profile, "dead_conflict", TIME_BIN),
-        MissClass.CAPACITY: _unpack_hist(profile, "dead_capacity", TIME_BIN),
-    }
-    metrics.live_by_class = {
-        MissClass.CONFLICT: _unpack_hist(profile, "live_conflict", TIME_BIN),
-        MissClass.CAPACITY: _unpack_hist(profile, "live_capacity", TIME_BIN),
-    }
-    metrics.total_generations = int(profile["generations"])
-    metrics.zero_live_generations = int(profile["zero_live"])
-    return metrics
-
-
-def result_from_profile(
-    profile: Mapping[str, np.ndarray],
-    *,
-    name: str,
-    ipa: float = 3.0,
-    machine: Optional[MachineConfig] = None,
-    classify: bool = True,
-    collect_metrics: bool = False,
-) -> SimulationResult:
-    """Assemble the analytical :class:`SimulationResult` from a profile."""
-    machine = machine if machine is not None else paper_machine()
-    version = int(profile["version"])
-    if version != REUSE_PROFILE_VERSION:
-        raise SimulationError(
-            f"unsupported reuse profile version {version} "
-            f"(this build reads version {REUSE_PROFILE_VERSION})"
-        )
-    accesses = int(profile["accesses"])
-    l1_hits = int(profile["l1_hits"])
-    l1_misses = accesses - l1_hits
-    l2_hits = int(profile["l2_hits"])
-    memory = int(profile["memory"])
-
-    timing = TimingModel(machine.processor, ipa)
-    timing.compute_cycles = int(profile["compute"])
-    timing._accesses = accesses
-    stall_l2_total = int(profile["stall_l2_total"])
-    stall_mem_total = int(profile["stall_mem_total"])
-    timing.stall_cycles = stall_l2_total + stall_mem_total
-    # Breakdown keys appear in first-event order, as the exact path's
-    # add_stall sequence would produce.
-    if int(profile["first_stall"]) == 1:
-        categories = (("memory", memory, stall_mem_total),
-                      ("l2", l2_hits, stall_l2_total))
-    else:
-        categories = (("l2", l2_hits, stall_l2_total),
-                      ("memory", memory, stall_mem_total))
-    for category, count, amount in categories:
-        if count:
-            timing._breakdown[category] = amount
-
-    outcomes = {outcome: 0 for outcome in AccessOutcome}
-    outcomes[AccessOutcome.L1_HIT] = l1_hits
-    outcomes[AccessOutcome.L2_HIT] = l2_hits
-    outcomes[AccessOutcome.MEMORY] = memory
-
-    miss_counts = None
-    if classify:
-        miss_counts = MissCounts(
-            cold=int(profile["cold"]),
-            conflict=int(profile["conflict"]),
-            capacity=int(profile["capacity"]),
-        )
-
-    return SimulationResult(
-        name=name,
-        accesses=accesses,
-        l1_hits=l1_hits,
-        l1_misses=l1_misses,
-        outcomes=outcomes,
-        timing=timing.result(),
-        miss_counts=miss_counts,
-        metrics=_metrics_from_profile(profile) if collect_metrics else None,
-        l2_hits=l2_hits,
-        l2_misses=memory,
-        memory_accesses=memory,
-        writebacks=int(profile["writebacks"]),
-        fidelity="analytical",
-    )
-
-
-#: Config knobs the analytical model has no equations for; passing any
-#: of them truthy is a hard error rather than a silently wrong answer.
-_UNSUPPORTED = ("victim_filter", "prefetcher", "prefetch_policy",
-                "decay_interval", "perfect_non_cold")
-
-
-def simulate_analytical(
-    trace,
-    *,
-    machine: Optional[MachineConfig] = None,
-    ipa: float = 3.0,
-    warmup: int = 0,
-    classify: bool = True,
-    collect_metrics: bool = False,
-    engine: str = "batch",
-    cache=None,
-    workload: Optional[str] = None,
-    seed: int = 0,
-    **config: Any,
-) -> SimulationResult:
-    """Analytical drop-in for :func:`repro.sim.simulator.simulate`.
-
-    Supports the baseline machine shape only (the same shape the batch
-    engine covers); victim caches, prefetchers, decay and perfect-mode
-    runs raise :class:`SimulationError` — callers wanting those knobs
-    cheaply should use the sampled tier.  *engine* is accepted and
-    ignored (there is no per-access loop to dispatch).  When *cache* is
-    a :class:`~repro.traces.cache.TraceCache` and *workload* names the
-    trace's recipe, the reuse profile is served from / persisted to the
-    cache so repeat queries skip the analysis pass entirely.
-    """
-    del engine  # accepted for signature parity with simulate()
-    unsupported = sorted(k for k in _UNSUPPORTED if config.pop(k, None))
-    config.pop("victim_entries", None)  # meaningless without victim_filter
-    if unsupported:
-        raise SimulationError(
-            "analytical fidelity does not support: " + ", ".join(unsupported)
-            + " (use fidelity=sampled for those configurations)"
-        )
-    if config:
-        raise SimulationError(
-            f"unknown simulate_analytical options: {sorted(config)}"
-        )
-    machine = machine if machine is not None else paper_machine()
-    profile = None
-    if cache is not None and workload is not None:
-        profile = cache.get_or_build_reuse_profile(
-            workload, len(trace), seed, warmup=warmup, machine=machine,
-            trace=trace,
-        )
-    if profile is None:
-        profile = compute_profile(trace, warmup=warmup, machine=machine)
-    return result_from_profile(
-        profile,
-        name=trace.name,
-        ipa=ipa,
-        machine=machine,
-        classify=classify,
-        collect_metrics=collect_metrics,
-    )

@@ -29,7 +29,6 @@ errors exit 2 (argparse convention).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -49,8 +48,7 @@ from .traces.cache import TraceCache, default_cache_root
 from .traces.workloads import SPEC2000, get_workload
 
 #: Named configurations accepted by ``compare --configs`` (re-exported
-#: from :mod:`repro.sim.sweep`, the single source of truth shared with
-#: the service gateway).
+#: from :mod:`repro.sim.sweep`).
 from .sim.sweep import CONFIG_PRESETS
 
 
@@ -227,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_history_arg(obs_check)
     obs_check.add_argument("--source", default=None,
                            help="check the newest run from this source "
-                                "(sweep/paper/bench; default: newest overall)")
+                                "(sweep/paper; default: newest overall)")
     obs_check.add_argument("--window", type=int, default=8,
                            help="baseline runs in the rolling window (default 8)")
     obs_check.add_argument("--tolerance", type=float, default=25.0,
@@ -261,85 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_list = obs_sub.add_parser(
         "list", help="list the recorded runs in the history store")
     _add_history_arg(obs_list)
-
-    serve = sub.add_parser(
-        "serve",
-        help="run the persistent simulation gateway (HTTP/JSON job API)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8423,
-                       help="listen port; 0 picks a free one (printed on "
-                            "startup)")
-    serve.add_argument("--data-dir", default="service-data", metavar="DIR",
-                       help="job journal + per-request checkpoint stores "
-                            "(default: service-data)")
-    serve.add_argument("--slots", type=int, default=2,
-                       help="concurrent job executions (default 2)")
-    serve.add_argument("--sweep-workers", type=int, default=1,
-                       help="run_sweep worker processes per execution")
-    serve.add_argument("--timeout", type=float, default=None,
-                       help="per-cell wall-clock budget in seconds")
-    serve.add_argument("--retries", type=int, default=0,
-                       help="retry transiently-failed cells this many times")
-    serve.add_argument("--hang-grace", type=float, default=None,
-                       help="recycle a worker that stops heartbeating for "
-                            "this many seconds")
-    serve.add_argument("--drain-grace", type=float, default=30.0,
-                       help="seconds SIGTERM waits for in-flight jobs "
-                            "(default 30)")
-    _add_cache_args(serve)
-
-    def _add_url_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--url", default=None, metavar="URL",
-                       help="gateway base URL (default: $REPRO_SERVICE_URL, "
-                            "else http://127.0.0.1:8423)")
-
-    submit = sub.add_parser(
-        "submit",
-        help="submit a job to a running gateway (see `repro serve`)")
-    submit.add_argument("kind", choices=["sweep", "cell", "figures"],
-                        help="job kind (POST /v1/sweeps, /v1/cells, "
-                             "/v1/figures)")
-    _add_url_arg(submit)
-    submit.add_argument("--workloads", default=None,
-                        help="sweep: 'all' or comma-separated names")
-    submit.add_argument("--configs", default=None,
-                        help=f"sweep: presets from: {', '.join(CONFIG_PRESETS)}")
-    submit.add_argument("--workload", default=None,
-                        help="cell: single workload name")
-    submit.add_argument("--config", default=None,
-                        help="cell: single preset name (default base)")
-    submit.add_argument("--figures", default=None,
-                        help="figures: 'all' or comma-separated handles")
-    submit.add_argument("--full", action="store_true",
-                        help="figures: full paper scale (default: smoke)")
-    submit.add_argument("--length", type=int, default=None)
-    submit.add_argument("--warmup", type=int, default=None)
-    submit.add_argument("--seed", type=int, default=None)
-    submit.add_argument("--priority", type=int, default=None,
-                        help="queue priority, higher runs first (default 0)")
-    _add_engine_arg(submit)
-    _add_fidelity_arg(submit)
-    submit.add_argument("--wait", action="store_true",
-                        help="poll until the job is terminal and print the "
-                             "result summary")
-    submit.add_argument("--json", action="store_true", dest="as_json",
-                        help="print the raw JSON response")
-
-    jobs = sub.add_parser(
-        "jobs", help="inspect or cancel jobs on a running gateway")
-    jobs_sub = jobs.add_subparsers(dest="jobs_command", required=True)
-    jobs_list = jobs_sub.add_parser("list", help="list every job")
-    _add_url_arg(jobs_list)
-    jobs_show = jobs_sub.add_parser("show", help="status + live progress")
-    jobs_show.add_argument("job_id")
-    _add_url_arg(jobs_show)
-    jobs_result = jobs_sub.add_parser(
-        "result", help="print a finished job's result JSON")
-    jobs_result.add_argument("job_id")
-    _add_url_arg(jobs_result)
-    jobs_cancel = jobs_sub.add_parser("cancel", help="cancel a job")
-    jobs_cancel.add_argument("job_id")
-    _add_url_arg(jobs_cancel)
 
     trace = sub.add_parser(
         "trace",
@@ -383,12 +302,10 @@ def _add_engine_arg(sub: argparse.ArgumentParser) -> None:
 
 def _add_fidelity_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--fidelity", choices=["exact", "sampled", "analytical"],
-        default="exact",
-        help="fidelity tier: 'exact' (full simulation, default), "
+        "--fidelity", choices=["exact", "sampled"], default="exact",
+        help="fidelity tier: 'exact' (full simulation, default) or "
              "'sampled' (representative-interval extrapolation with "
-             "per-metric confidence intervals) or 'analytical' "
-             "(reuse-distance prediction, baseline configs only)")
+             "per-metric confidence intervals)")
 
 
 def _add_cache_root_arg(sub: argparse.ArgumentParser) -> None:
@@ -736,152 +653,6 @@ def _print_quarantine_summary(load, store, out) -> None:
               file=out)
 
 
-def _cmd_serve(args, out) -> int:
-    from .service import DaemonConfig, ServiceDaemon
-
-    trace_cache: object = True
-    if args.no_trace_cache:
-        trace_cache = False
-    elif args.cache_root:
-        trace_cache = args.cache_root
-    config = DaemonConfig(
-        host=args.host, port=args.port, data_dir=args.data_dir,
-        slots=args.slots, sweep_workers=args.sweep_workers,
-        timeout=args.timeout, retries=args.retries,
-        hang_grace=args.hang_grace, trace_cache=trace_cache,
-        drain_grace=args.drain_grace,
-    )
-    daemon = ServiceDaemon(config)
-
-    def ready(host: str, port: int) -> None:
-        print(f"listening on http://{host}:{port} "
-              f"(data dir: {args.data_dir})", file=out, flush=True)
-        if daemon.requeued:
-            print(f"re-queued {len(daemon.requeued)} job(s) recovered from "
-                  f"the journal", file=out, flush=True)
-
-    daemon.run(ready=ready)
-    print("drained; bye", file=out)
-    return 0
-
-
-def _service_client(args):
-    from .service import ServiceClient
-    from .service.client import DEFAULT_URL, SERVICE_URL_ENV
-
-    url = args.url or os.environ.get(SERVICE_URL_ENV) or DEFAULT_URL
-    return ServiceClient(url)
-
-
-def _submit_body(args) -> dict:
-    body: dict = {}
-    if args.workloads is not None:
-        body["workloads"] = args.workloads
-    if args.configs is not None:
-        body["configs"] = args.configs
-    if args.workload is not None:
-        body["workload"] = args.workload
-    if args.config is not None:
-        body["config"] = args.config
-    if args.figures is not None:
-        body["figures"] = args.figures
-    if args.full:
-        body["smoke"] = False
-    for key in ("length", "warmup", "seed", "priority"):
-        value = getattr(args, key)
-        if value is not None:
-            body[key] = value
-    if args.engine != "batch":
-        body["engine"] = args.engine
-    if args.fidelity != "exact":
-        body["fidelity"] = args.fidelity
-    return body
-
-
-def _print_job_line(job, out) -> None:
-    progress = job.get("progress") or {}
-    done = progress.get("cells_done")
-    total = progress.get("cells_total")
-    cells = f" [{done}/{total} cells]" if total else ""
-    dedupe = " (deduped)" if job.get("deduped") else ""
-    print(f"{job['id']} {job['kind']} {job['state']}{cells}{dedupe}",
-          file=out)
-
-
-def _cmd_submit(args, out) -> int:
-    client = _service_client(args)
-    response = client.submit(args.kind, _submit_body(args))
-    job, outcome = response["job"], response["outcome"]
-    if args.as_json and not args.wait:
-        json.dump(response, out, indent=2, sort_keys=True)
-        out.write("\n")
-        return 0
-    print(f"submitted {job['id']} ({args.kind}, key {job['key']}): {outcome}",
-          file=out)
-    if not args.wait:
-        return 0
-    last = {"line": ""}
-
-    def on_progress(polled: dict) -> None:
-        progress = polled.get("progress") or {}
-        total = progress.get("cells_total")
-        if total:
-            line = (f"{progress.get('cells_done', 0)}/{total} cells "
-                    f"({progress.get('cells_failed', 0)} failed)")
-            if line != last["line"]:
-                print(line, file=sys.stderr)
-                last["line"] = line
-
-    final = client.wait(job["id"], on_progress=on_progress)
-    if args.as_json:
-        json.dump(client.result(job["id"]), out, indent=2, sort_keys=True)
-        out.write("\n")
-    else:
-        result = client.result(job["id"]).get("result") or {}
-        summary = result.get("summary")
-        if summary:
-            print(summary, file=out)
-        _print_job_line(final, out)
-        if final.get("error"):
-            print(f"error: {final['error']}", file=out)
-    return 0 if final["state"] == "done" else 1
-
-
-def _cmd_jobs(args, out) -> int:
-    client = _service_client(args)
-    if args.jobs_command == "list":
-        jobs = client.jobs()
-        if not jobs:
-            print("no jobs", file=out)
-            return 0
-        rows = [
-            [j["id"], j["kind"], j["state"],
-             str(j.get("priority", 0)),
-             "yes" if j.get("deduped") else "-",
-             (j.get("progress") or {}).get("current") or "-"]
-            for j in jobs
-        ]
-        print(format_table(
-            ["id", "kind", "state", "prio", "deduped", "running cell"],
-            rows, title=f"{len(jobs)} job(s)"), file=out)
-        return 0
-    if args.jobs_command == "show":
-        job = client.job(args.job_id)
-        json.dump(job, out, indent=2, sort_keys=True)
-        out.write("\n")
-        return 0
-    if args.jobs_command == "result":
-        job = client.result(args.job_id)
-        json.dump(job, out, indent=2, sort_keys=True)
-        out.write("\n")
-        return 0 if job["state"] == "done" else 1
-    if args.jobs_command == "cancel":
-        job = client.cancel(args.job_id)
-        _print_job_line(job, out)
-        return 0
-    return 2  # pragma: no cover — argparse enforces the choices
-
-
 def _cmd_report(args, out) -> int:
     if not os.path.exists(args.store):
         print(f"error: store not found: {args.store}", file=sys.stderr)
@@ -1141,12 +912,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_obs(args, out)
         if args.command == "trace":
             return _cmd_trace(args, out)
-        if args.command == "serve":
-            return _cmd_serve(args, out)
-        if args.command == "submit":
-            return _cmd_submit(args, out)
-        if args.command == "jobs":
-            return _cmd_jobs(args, out)
     except Exception as exc:  # surfaced as a clean CLI error
         print(f"error: {exc}", file=sys.stderr)
         return 1

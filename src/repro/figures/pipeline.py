@@ -12,8 +12,8 @@
    metric banks are persisted (``store_metrics=True``).
 3. **Derive** every figure's dataset from the store contents alone and
    render ``docs/REPRODUCTION.md`` — paper-target vs measured tables,
-   ASCII figures, pass/fail shape verdicts, and the sweep's phase/time
-   breakdown.
+   ASCII figures and pass/fail shape verdicts.  Wall-clock phase times
+   stay out of the report (``repro report --timing`` shows them).
 
 Because step 3 reads only the store (never the in-memory results of
 step 2), a warm re-run over a complete store regenerates the report
@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..common.config import MachineConfig, config_digest, paper_machine
 from ..obs.history import append_best_effort, paper_run_record, resolve_history
-from ..obs.metrics import PHASES, aggregate_phases
 from ..sim.results import SimulationResult
 from ..sim.runner import FaultHook, run_sweep
 from ..sim.store import RunStore
@@ -156,26 +155,19 @@ def execute_plan(
     fault_hook: Optional[FaultHook] = None,
     engine: str = "batch",
     fidelity: str = "exact",
-    cancel: Any = None,
 ) -> List["Any"]:
     """Execute a :func:`plan_cells` plan into *store*, one sweep per group.
 
     This is the middle layer of the pipeline — no registry lookups, no
-    CLI parsing, no report rendering — so both ``repro paper`` and the
-    service gateway (:mod:`repro.service`) drive the identical
-    execution path.  *store* must be an open-able :class:`RunStore`;
-    later groups always resume into it (they share the campaign).
-    Returns the per-group :class:`~repro.sim.runner.SweepReport` list.
-    A *cancel* probe is forwarded to every ``run_sweep`` call and also
-    checked between groups, so a cancelled campaign stops at the next
-    cell boundary with the store resumable.
+    CLI parsing, no report rendering.  *store* must be an open-able
+    :class:`RunStore`; later groups always resume into it (they share
+    the campaign).  Returns the per-group
+    :class:`~repro.sim.runner.SweepReport` list.
     """
     resolved_warmup = warmup if warmup is not None else length // 2
     reports: List[Any] = []
     first = True
     for names, configs in groups:
-        if cancel is not None and cancel():
-            break
         report = run_sweep(
             configs,
             workloads=list(names),
@@ -202,7 +194,6 @@ def execute_plan(
             # The campaign-level caller appends one aggregated record
             # itself; per-group appends would skew the trajectory.
             obs_history=False,
-            cancel=cancel,
         )
         reports.append(report)
         first = False
@@ -233,7 +224,6 @@ def derive_figures(
         specs=specs,
         artifacts=artifacts,
         suite=suite,
-        store=store,
         length=length,
         seed=seed,
         warmup=resolved_warmup,
@@ -305,9 +295,7 @@ def run_paper(
             see :func:`repro.sim.runner.run_sweep`).  ``"sampled"``
             trades exactness for speed on every figure; shape checks
             calibrated against exact results may legitimately FAIL on
-            extrapolated numbers.  ``"analytical"`` supports only
-            baseline configurations — victim/prefetch/decay figures
-            record per-cell failures under it.
+            extrapolated numbers.
         obs_history: cross-run history (path or
             :class:`~repro.obs.history.ObsStore`) receiving **one**
             aggregated record for the whole campaign under source
@@ -408,7 +396,6 @@ def render_report(
     specs: Sequence[FigureSpec],
     artifacts: Sequence[FigureArtifact],
     suite: Mapping[str, Mapping[str, SimulationResult]],
-    store: RunStore,
     length: int,
     seed: int,
     warmup: int,
@@ -416,10 +403,10 @@ def render_report(
 ) -> str:
     """Render ``REPRODUCTION.md`` from store-derived data only.
 
-    Deliberately excludes anything that varies between an original run
-    and a warm re-run over the same store (timestamps, current wall
-    clock): the report is a pure function of the store contents and the
-    registry, which is what makes regeneration byte-identical.
+    Deliberately excludes wall-clock time of any kind (timestamps, the
+    per-cell phase timings the store also holds): the report is a pure
+    function of the results and the registry, so a warm re-run, the
+    other engine or another machine regenerates it byte-identically.
     """
     lines: List[str] = []
     lines.append("# Paper Reproduction Report")
@@ -479,30 +466,6 @@ def render_report(
         for check in artifact.checks:
             detail = f" — {check.detail}" if check.detail else ""
             lines.append(f"- **{check.verdict()}** {check.name}{detail}")
-        lines.append("")
-
-    lines.append("## Sweep phase breakdown")
-    lines.append("")
-    telemetries = store.telemetries()
-    totals = aggregate_phases(t for t in telemetries.values() if t)
-    if totals:
-        grand = sum(totals.values())
-        lines.append("Aggregated from the per-cell telemetry persisted in the "
-                     "checkpoint store (cells replayed on resume keep their "
-                     "original timings):")
-        lines.append("")
-        lines.append("| phase | total | share |")
-        lines.append("|---|---|---|")
-        for name in PHASES:
-            if name in totals:
-                dur = totals[name]
-                lines.append(f"| {name} | {dur:.3f}s | {dur / grand:.0%} |")
-        for name, dur in totals.items():
-            if name not in PHASES:
-                lines.append(f"| {name} | {dur:.3f}s | {dur / grand:.0%} |")
-        lines.append("")
-    else:
-        lines.append("(no per-cell telemetry in this store)")
         lines.append("")
 
     return "\n".join(lines)

@@ -13,8 +13,8 @@ code pays near-zero cost when nothing is listening:
 - :mod:`~repro.obs.logging` — structured JSONL event log shared by the
   runner, the checkpoint store, and the trace cache;
 - :mod:`~repro.obs.history` — append-only crash-safe run-history store
-  (:class:`ObsStore`) that sweeps, paper campaigns, and benchmark
-  probes record themselves into;
+  (:class:`ObsStore`) that sweeps and paper campaigns record
+  themselves into;
 - :mod:`~repro.obs.sentinel` — regression checks, markdown dashboard,
   and Prometheus export over that history;
 - :mod:`~repro.obs.profiling` — per-cell cProfile/tracemalloc capture

@@ -1,13 +1,13 @@
 """Cross-run observability history: the append-only ``ObsStore``.
 
 PR 4's telemetry evaporates when the process exits; this module makes
-it durable.  Every instrumented entry point — ``run_sweep``,
-``run_paper``, ``tools/bench_compare.py`` — appends **one record per
-run** to a shared history file, keyed by (manifest digest, git rev,
-host fingerprint, UTC timestamp), so trajectories across runs become
-first-class data: the regression sentinel (:mod:`repro.obs.sentinel`)
-compares the newest record against a rolling baseline window, and
-``repro obs report`` renders the trajectory dashboard.
+it durable.  Every instrumented entry point — ``run_sweep`` and
+``run_paper`` — appends **one record per run** to a shared history
+file, keyed by (manifest digest, git rev, host fingerprint, UTC
+timestamp), so trajectories across runs become first-class data: the
+regression sentinel (:mod:`repro.obs.sentinel`) compares the newest
+record against a rolling baseline window, and ``repro obs report``
+renders the trajectory dashboard.
 
 The file format is the same crash-safe JSONL discipline as the sweep
 checkpoint store, built on :class:`~repro.common.jsonl.JsonlJournal`:

@@ -16,7 +16,7 @@ Render surfaces:
 - :func:`render_dashboard` — the markdown observatory
   (``docs/OBSERVATORY.md``) with unicode sparkline trajectories;
 - :func:`to_prometheus` / :func:`validate_prometheus` — the
-  textfile-collector export, the gateway-ready surface for scraping.
+  textfile-collector export for scraping.
 """
 
 from __future__ import annotations
@@ -48,22 +48,16 @@ DEFAULT_MAD_K = 3.0
 #: 30%+ between identical runs; a 27µs "regression" must not page.
 DEFAULT_MIN_ABS = 1e-3
 
-#: Wall-clock families get wider floors (in their own units): smoke-
-#: scale sweeps finish phases in single-digit milliseconds, where
-#: scheduler noise alone exceeds any relative tolerance.
-_ABS_FLOORS: Tuple[Tuple[str, float], ...] = (
-    ("phase_", 0.05),
-    ("probe_ms_", 0.5),
-)
+#: Wall-clock metrics (seconds) get a wider floor: smoke-scale sweeps
+#: finish phases in single-digit milliseconds, where scheduler noise
+#: alone exceeds any relative tolerance.
+_WALL_FLOOR_S = 0.05
 
 
 def _noise_floor(metric: str, min_abs: float) -> float:
     """Absolute worsening below which *metric* is considered noise."""
-    if metric == "wall_time_s":
-        return max(min_abs, 0.05)
-    for prefix, floor in _ABS_FLOORS:
-        if metric.startswith(prefix):
-            return max(min_abs, floor)
+    if metric == "wall_time_s" or metric.startswith("phase_"):
+        return max(min_abs, _WALL_FLOOR_S)
     return min_abs
 
 #: Metrics where larger is better (exact names).
@@ -73,8 +67,8 @@ _HIGHER_BETTER = frozenset({"throughput_aps", "trace_cache_hit_rate"})
 _LOWER_BETTER = frozenset({"wall_time_s", "cells_failed", "retries"})
 
 #: Prefix families where smaller is better: error bars must not widen,
-#: probes and phases must not slow down.
-_LOWER_BETTER_PREFIXES = ("error_bar_", "probe_ms_", "phase_")
+#: phases must not slow down.
+_LOWER_BETTER_PREFIXES = ("error_bar_", "phase_")
 
 
 def metric_direction(name: str) -> Optional[str]:
@@ -104,6 +98,26 @@ def _median(values: Sequence[float]) -> float:
 def _mad(values: Sequence[float], center: float) -> float:
     """Median absolute deviation around *center*."""
     return _median([abs(v - center) for v in values])
+
+
+def _history(metric: str, baseline: Sequence[Mapping[str, Any]]) -> List[float]:
+    """*metric*'s values across the baseline runs that recorded it."""
+    return [r["metrics"][metric] for r in baseline
+            if metric in r.get("metrics", {})]
+
+
+def _phase_moved(phase: str, newest: Mapping[str, Any],
+                 baseline: Sequence[Mapping[str, Any]], min_abs: float) -> bool:
+    """Whether *phase* moved off its baseline median by more than its floor.
+
+    True when either side lacks the phase: with no scale to judge a
+    derived rate by, the rate's own gates decide alone.
+    """
+    value = newest.get("metrics", {}).get(phase)
+    history = _history(phase, baseline)
+    if value is None or not history:
+        return True
+    return abs(value - _median(history)) > _noise_floor(phase, min_abs)
 
 
 @dataclass(frozen=True)
@@ -168,7 +182,9 @@ def check_records(
 
     A metric is flagged only when it clears all three gates: the
     relative shift exceeds *tolerance_pct*, the absolute shift exceeds
-    both ``mad_k`` baseline MADs and *min_abs*.
+    both ``mad_k`` baseline MADs and *min_abs*.  A rate derived from a
+    timed phase (``throughput_aps``) must also see that phase move by
+    more than the phase floor.
     """
     newest = records[-1]
     report = SentinelReport(
@@ -185,8 +201,7 @@ def check_records(
         direction = metric_direction(metric)
         if direction is None:
             continue
-        history = [r["metrics"][metric] for r in baseline
-                   if metric in r.get("metrics", {})]
+        history = _history(metric, baseline)
         if not history:
             report.notes.append(f"{metric}: new metric, no baseline")
             continue
@@ -201,6 +216,12 @@ def check_records(
             delta_pct = float("inf") if worse > 0 else 0.0
         flagged = (delta_pct > tolerance_pct and worse > mad_k * mad
                    and worse > _noise_floor(metric, min_abs))
+        if flagged and metric == "throughput_aps":
+            # A rate has no absolute scale of its own — accesses/s over a
+            # 1,600-access sweep swings 35% on a millisecond of jitter —
+            # so it is judged by the phase it is derived from.
+            flagged = _phase_moved("phase_simulate_s", newest, baseline,
+                                   min_abs)
         report.rows.append({
             "metric": metric, "value": value, "median": med, "mad": mad,
             "delta_pct": delta_pct, "direction": direction,
@@ -368,32 +389,6 @@ def to_prometheus(records: Sequence[Mapping[str, Any]]) -> str:
         lines.append(f"# HELP {name} repro run-history metric {name}")
         lines.append(f"# TYPE {name} gauge")
         lines.extend(by_name[name])
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def live_exposition(metrics: Mapping[str, float],
-                    labels: Optional[Mapping[str, str]] = None) -> str:
-    """Exposition of a live flat ``{metric: value}`` mapping.
-
-    :func:`to_prometheus` renders the *history* (latest record per
-    sweep source); this renders the *present* — a process's own
-    counters and gauges, e.g. the service gateway's ``/v1/metrics``
-    endpoint.  Names are sanitized with the same rules, every family
-    is a gauge, and optional *labels* are attached to every sample.
-    The output passes :func:`validate_prometheus`.
-    """
-    label_str = ""
-    if labels:
-        rendered = ",".join(
-            f'{key}="{_prom_label(str(value))}"'
-            for key, value in sorted(labels.items()))
-        label_str = f"{{{rendered}}}"
-    lines: List[str] = []
-    for metric in sorted(metrics):
-        name = _prom_name(metric)
-        lines.append(f"# HELP {name} repro live metric {metric}")
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name}{label_str} {float(metrics[metric]):g}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -16,11 +16,11 @@ from ..timing.processor import TimingResult
 #: Serialization schema version written by :meth:`SimulationResult.to_dict`.
 RESULT_SCHEMA_VERSION = 1
 
-#: The fidelity tiers a result can carry, cheapest last.  ``exact`` runs
-#: the full simulator; ``sampled`` extrapolates from representative
-#: intervals (``repro.sim.sampling``); ``analytical`` predicts from
-#: reuse-distance histograms (``repro.analysis.reuse``).
-FIDELITIES = ("exact", "sampled", "analytical")
+#: The fidelity tiers a sweep can run at.  ``exact`` runs the full
+#: simulator; ``sampled`` extrapolates from representative intervals
+#: (``repro.sim.sampling``).  :meth:`SimulationResult.from_dict` still
+#: loads any stored tier name, so older stores keep loading.
+FIDELITIES = ("exact", "sampled")
 
 
 @dataclass
@@ -96,13 +96,12 @@ class SimulationResult:
     memory_accesses: int = 0
     decay: Optional[DecayStats] = None
     writebacks: int = 0
-    #: Which tier produced this result ("exact", "sampled" or
-    #: "analytical").  Exact results neither set nor serialize the
-    #: field, so pre-fidelity stores and byte-level comparisons of
-    #: exact runs are unaffected.
+    #: Which tier produced this result ("exact" or "sampled").  Exact
+    #: results neither set nor serialize the field, so pre-fidelity
+    #: stores and byte-level comparisons of exact runs are unaffected.
     fidelity: str = "exact"
     #: Per-metric uncertainty attached by the sampled tier (confidence
-    #: intervals over the measured windows); None for exact/analytical.
+    #: intervals over the measured windows); None for exact results.
     error_bars: Optional[Dict[str, Any]] = None
 
     @property

@@ -120,9 +120,9 @@ class CellSpec:
     #: with it checkpoint-store identity — is engine-independent, as
     #: results are bitwise-identical between engines.
     engine: str = "batch"
-    #: Fidelity tier ("exact", "sampled" or "analytical").  Unlike
-    #: ``engine`` this *does* change results, so it enters the sweep
-    #: manifest (stores refuse to resume across tiers).
+    #: Fidelity tier ("exact" or "sampled").  Unlike ``engine`` this
+    #: *does* change results, so it enters the sweep manifest (stores
+    #: refuse to resume across tiers).
     fidelity: str = "exact"
     #: Deep-profiling mode armed in the worker around the simulate
     #: phase ("cpu" = cProfile, "mem" = tracemalloc), or None.  Like
@@ -362,10 +362,9 @@ def _execute_cell(
     workload = get_workload(spec.workload)
     total = spec.length + spec.warmup
     if cell_telemetry is None:
-        cache = None
         if spec.trace_cache is not None:
-            cache = TraceCache(root=spec.trace_cache)
-            trace = cache.get_or_build(spec.workload, total, spec.seed)
+            trace = TraceCache(root=spec.trace_cache).get_or_build(
+                spec.workload, total, spec.seed)
         else:
             trace = workload.build(length=total, seed=spec.seed)
         if fault_hook is not None:
@@ -377,7 +376,7 @@ def _execute_cell(
         kwargs.setdefault("engine", spec.engine)
         if spec.machine is not None:
             kwargs.setdefault("machine", spec.machine)
-        return _simulate_spec(spec, trace, kwargs, cache)
+        return _simulate_spec(spec, trace, kwargs)
 
     phases = cell_telemetry.setdefault("phases", {})
 
@@ -396,11 +395,10 @@ def _execute_cell(
 
     with Telemetry() as tele:
         try:
-            cache = None
             with timed("synthesis"):
                 if spec.trace_cache is not None:
-                    cache = TraceCache(root=spec.trace_cache)
-                    trace = cache.get_or_build(spec.workload, total, spec.seed)
+                    trace = TraceCache(root=spec.trace_cache).get_or_build(
+                        spec.workload, total, spec.seed)
                 else:
                     trace = workload.build(length=total, seed=spec.seed)
             if fault_hook is not None:
@@ -418,10 +416,10 @@ def _execute_cell(
                     from ..obs.profiling import profile_block
 
                     with profile_block(spec.profile) as prof:
-                        result = _simulate_spec(spec, trace, kwargs, cache)
+                        result = _simulate_spec(spec, trace, kwargs)
                     cell_telemetry["profile"] = prof.stats()
                 else:
-                    result = _simulate_spec(spec, trace, kwargs, cache)
+                    result = _simulate_spec(spec, trace, kwargs)
             with timed("serialize"):
                 result.to_dict()
         finally:
@@ -432,23 +430,19 @@ def _execute_cell(
     return result
 
 
-def _simulate_spec(spec: CellSpec, trace, kwargs: Dict[str, Any], cache) -> SimulationResult:
+def _simulate_spec(spec: CellSpec, trace, kwargs: Dict[str, Any]) -> SimulationResult:
     """Run one cell's trace at the spec's fidelity tier.
 
     Exact cells call :func:`simulate` directly — the pre-fidelity code
-    path, byte-for-byte.  Cheap tiers go through
+    path, byte-for-byte.  Sampled cells go through
     :func:`~repro.sim.sampling.simulate_with_fidelity`, with the sweep
-    seed driving the sampled tier's interval selection and the trace
-    cache serving the analytical tier's reuse profiles.
+    seed driving the interval selection.
     """
     if spec.fidelity == "exact":
         return simulate(trace, **kwargs)  # type: ignore[arg-type]
     from .sampling import simulate_with_fidelity
 
-    return simulate_with_fidelity(
-        trace, spec.fidelity, seed=spec.seed, cache=cache,
-        workload=spec.workload, **kwargs,
-    )
+    return simulate_with_fidelity(trace, spec.fidelity, seed=spec.seed, **kwargs)
 
 
 def _fire_mid_cell(spec: CellSpec, attempt: int) -> None:
@@ -952,7 +946,6 @@ def run_sweep(
     fidelity: str = "exact",
     profile: Optional[str] = None,
     obs_history: Union[None, bool, str, "os.PathLike[str]", "ObsStore"] = None,
-    cancel: Optional[Callable[[], bool]] = None,
 ) -> SweepReport:
     """Run a workload×config sweep fault-tolerantly.
 
@@ -1032,10 +1025,9 @@ def run_sweep(
             results are bitwise-identical between engines, so stores
             written under either engine resume interchangeably.
         fidelity: fidelity tier for every cell — ``"exact"`` (default,
-            the full simulator), ``"sampled"`` (representative-interval
-            extrapolation with confidence intervals, ~10-20× faster) or
-            ``"analytical"`` (reuse-distance prediction, no per-access
-            loop).  Unlike *engine* this changes results, so it is
+            the full simulator) or ``"sampled"`` (representative-interval
+            extrapolation with confidence intervals, ~10-20× faster).
+            Unlike *engine* this changes results, so it is
             recorded in the store manifest (a store refuses to resume
             under a different tier) along with the sampled tier's
             deterministic window selection, which depends only on
@@ -1056,14 +1048,6 @@ def run_sweep(
             variable is set.  Appends are best-effort: a locked or
             unwritable history warns on stderr instead of failing a
             completed sweep.  Implies telemetry collection.
-        cancel: cooperative cancellation probe, polled at every cell
-            boundary.  When it returns True the sweep stops scheduling
-            work, kills in-flight workers, and returns with
-            ``report.aborted`` set (reason ``"cancelled"``) — exactly
-            the circuit-breaker shutdown path, so completed cells stay
-            recorded and a later resume finishes the campaign.  This is
-            what lets a long-lived service (``repro serve``) cancel a
-            running job without losing its partial results.
 
     Returns:
         A :class:`SweepReport`; failed cells appear in ``report.failures``
@@ -1269,9 +1253,6 @@ def run_sweep(
 
         execute_start = time.time()
         t0 = time.monotonic()
-        cancelled_early = cancel is not None and cancel()
-        if cancelled_early:
-            to_run = []  # cancelled before any cell was scheduled
         if not to_run:
             engine: Iterator[_CellDone] = iter(())
         elif timeout is not None or hang_grace is not None:
@@ -1288,8 +1269,8 @@ def run_sweep(
         completed: Dict[CellKey, SimulationResult] = dict(replayed)
         failures: List[CellFailure] = list(poisoned)
         fresh_failures = 0
-        aborted = cancelled_early
-        abort_reason = "cancelled before any cell was scheduled" if cancelled_early else ""
+        aborted = False
+        abort_reason = ""
         attempts: Dict[CellKey, int] = {}
         cell_telemetry: Dict[CellKey, Dict[str, Any]] = {}
         for spec, outcome, cell_attempts, elapsed in engine:
@@ -1337,23 +1318,6 @@ def run_sweep(
                     elapsed,
                     counters=(cell_telemetry.get(spec.key) or {}).get("counters"),
                 )
-            if cancel is not None and cancel():
-                aborted = True
-                abort_reason = (
-                    f"cancelled after {len(completed) - len(replayed)} of "
-                    f"{len(to_run)} scheduled cells"
-                )
-                parent_tele.count("sweep.cancelled")
-                logger.event(
-                    "sweep.cancelled", done=len(completed) - len(replayed),
-                    to_run=len(to_run),
-                )
-                # Same shutdown path as the circuit breaker: close the
-                # engine generator so in-flight workers are killed and
-                # nothing else is scheduled; completed cells are already
-                # in the store, so a resume finishes the campaign.
-                engine.close()
-                break
             if (
                 max_failure_rate is not None
                 and fresh_failures > max_failure_rate * len(cells)

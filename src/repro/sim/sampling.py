@@ -829,8 +829,6 @@ def simulate_with_fidelity(
     fidelity: str = "exact",
     *,
     seed: int = 0,
-    cache=None,
-    workload: Optional[str] = None,
     **kwargs: Any,
 ) -> SimulationResult:
     """Run *trace* at the requested fidelity tier.
@@ -838,10 +836,7 @@ def simulate_with_fidelity(
     ``exact`` forwards to :func:`~repro.sim.simulator.simulate`
     unchanged (bit-for-bit the pre-fidelity behavior); ``sampled``
     forwards to :func:`simulate_sampled` with *seed* driving interval
-    selection; ``analytical`` forwards to
-    :func:`repro.analysis.reuse.simulate_analytical`, passing *cache*
-    and *workload* through so warm profiles are served from the trace
-    cache.
+    selection.
     """
     if fidelity not in FIDELITIES:
         raise SimulationError(
@@ -851,10 +846,4 @@ def simulate_with_fidelity(
         from .simulator import simulate
 
         return simulate(trace, **kwargs)
-    if fidelity == "sampled":
-        return simulate_sampled(trace, seed=seed, **kwargs)
-    from ..analysis.reuse import simulate_analytical
-
-    return simulate_analytical(
-        trace, cache=cache, workload=workload, seed=seed, **kwargs
-    )
+    return simulate_sampled(trace, seed=seed, **kwargs)

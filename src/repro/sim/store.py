@@ -222,9 +222,8 @@ class RunStore(JsonlJournal):
 
         Looks in the right place for each cell status — ok cells carry
         telemetry at the record top level, failed cells inside their
-        failure record — so multiple consumers (``repro report
-        --timing``, the ``repro paper`` phase breakdown) share one
-        extraction path.  Keys follow the store's sorted cell order.
+        failure record — for ``repro report --timing``.  Keys follow the
+        store's sorted cell order.
         """
         _, cells = self.load()
         return {

@@ -24,10 +24,9 @@ from .store import RunStore
 #: (e.g. ``{"victim_filter": "timekeeping"}``).
 SimConfig = Mapping[str, object]
 
-#: Named configuration presets shared by every front end (``repro
-#: sweep``/``compare`` and the service gateway), so a sweep submitted
-#: over HTTP resolves to exactly the same simulator arguments as the
-#: same sweep run from the CLI.
+#: Named configuration presets accepted by ``repro sweep``/``compare``
+#: (the paper's seven figure configs live in
+#: :data:`repro.figures.registry.CONFIGS`).
 CONFIG_PRESETS: Dict[str, Dict[str, object]] = {
     "base": {},
     "perfect": {"perfect_non_cold": True},
@@ -66,10 +65,8 @@ def run_workload(
     scalar fallback, or ``"scalar"``; results are engine-independent);
     a configuration's own ``"engine"`` key wins over it.  *fidelity*
     selects the tier every configuration runs at — ``"exact"``
-    (default), ``"sampled"`` (interval extrapolation with confidence
-    intervals, *seed* drives the deterministic window selection) or
-    ``"analytical"`` (reuse-distance prediction; warm profiles are
-    served from *trace_cache* when one is configured).
+    (default) or ``"sampled"`` (interval extrapolation with confidence
+    intervals, *seed* drives the deterministic window selection).
     """
     spec = get_workload(name)
     if warmup is None:
@@ -93,8 +90,7 @@ def run_workload(
             from .sampling import simulate_with_fidelity
 
             results[config_name] = simulate_with_fidelity(
-                trace, fidelity, seed=seed, cache=cache, workload=name,
-                **kwargs,  # type: ignore[arg-type]
+                trace, fidelity, seed=seed, **kwargs,  # type: ignore[arg-type]
             )
     return results
 
@@ -152,11 +148,10 @@ def run_suite(
     computes — only how fast.
 
     ``fidelity`` selects the tier every cell runs at: ``"exact"``
-    (default), ``"sampled"`` or ``"analytical"`` — see
-    :func:`run_workload`.  Unlike ``engine``, the cheap tiers *do*
-    change results (they carry ``result.fidelity`` and, for sampled,
-    ``result.error_bars``), so checkpoint stores record the tier and
-    refuse to resume across tiers.
+    (default) or ``"sampled"`` — see :func:`run_workload`.  Unlike
+    ``engine``, the sampled tier *does* change results (it carries
+    ``result.fidelity`` and ``result.error_bars``), so checkpoint
+    stores record the tier and refuse to resume across tiers.
 
     On the delegated path every remaining cell still completes when
     some cells fail, and the failures are raised *at the end* as one

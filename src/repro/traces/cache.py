@@ -35,7 +35,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -86,36 +86,6 @@ def _file_digest(path: Path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _machine_signature(machine) -> str:
-    """Flatten the machine parameters a reuse profile depends on.
-
-    The analytical tier's profile bakes in cache geometry and the
-    uncontended stall model, so two machines that differ in any of
-    these must never share a cached profile.
-    """
-    parts = (
-        machine.l1d.size_bytes, machine.l1d.associativity,
-        machine.l1d.block_size, machine.l1d.hit_latency,
-        machine.l2.size_bytes, machine.l2.associativity,
-        machine.l2.block_size, machine.l2.hit_latency,
-        machine.l1_l2_bus.width_bytes, machine.l1_l2_bus.cpu_to_bus_ratio,
-        machine.memory_bus.width_bytes, machine.memory_bus.cpu_to_bus_ratio,
-        machine.memory_latency, machine.processor.mlp,
-    )
-    return ":".join(str(p) for p in parts)
-
-
-def reuse_profile_key(warmup: int, machine, profile_version: int) -> str:
-    """Content address of one reuse profile *within* a trace entry.
-
-    The trace recipe itself is addressed by the entry directory
-    (:func:`trace_key`); this key covers the remaining inputs — the
-    warmup split, the machine shape, and the profile format version.
-    """
-    recipe = f"reuse:{profile_version}:{warmup}:{_machine_signature(machine)}"
-    return hashlib.sha256(recipe.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -366,178 +336,6 @@ class TraceCache:
             return False
         self.get_or_build(workload, length, seed)
         return True
-
-    # -- reuse profiles (analytical tier) -------------------------------------
-
-    def _reuse_paths(self, workload: str, length: int, seed: int,
-                     warmup: int, machine) -> Tuple[Path, Path, str]:
-        """(npz path, json sidecar path, profile key) for one profile."""
-        from ..analysis.reuse import REUSE_PROFILE_VERSION
-
-        pkey = reuse_profile_key(warmup, machine, REUSE_PROFILE_VERSION)
-        entry = self.root / trace_key(workload, length, seed)
-        return entry / f"reuse_{pkey}.npz", entry / f"reuse_{pkey}.json", pkey
-
-    def get_reuse_profile(self, workload: str, length: int, seed: int, *,
-                          warmup: int, machine) -> Optional[Dict[str, np.ndarray]]:
-        """Load a cached reuse profile, or None if absent/invalid (a miss).
-
-        Integrity mirrors trace columns: the json sidecar is the commit
-        point and records a sha256 of the ``.npz`` payload; any defect —
-        recipe mismatch, digest mismatch, truncated or unloadable
-        payload — makes the lookup a miss, never a corrupt profile.
-        """
-        from ..analysis.reuse import REUSE_PROFILE_VERSION
-
-        npz_path, json_path, pkey = self._reuse_paths(
-            workload, length, seed, warmup, machine)
-        tele = current_telemetry()
-        profile, reason = self._load_reuse(
-            npz_path, json_path, workload, length, seed, warmup, machine,
-            REUSE_PROFILE_VERSION,
-        )
-        if profile is not None:
-            self.hits += 1
-            tele.count("trace_cache.reuse_hit")
-            return profile
-        self.misses += 1
-        tele.count("trace_cache.reuse_miss")
-        if reason is not None and json_path.exists():
-            self.integrity_failures += 1
-            tele.count("trace_cache.integrity_failure")
-            current_logger().event(
-                "trace_cache.reuse_integrity_failure",
-                workload=workload, length=length, seed=seed,
-                profile_key=pkey, reason=reason,
-            )
-        return None
-
-    def _load_reuse(
-        self, npz_path: Path, json_path: Path, workload: str, length: int,
-        seed: int, warmup: int, machine, profile_version: int,
-    ) -> Tuple[Optional[Dict[str, np.ndarray]], Optional[str]]:
-        """(profile, None) on success; (None, reason) on any failure."""
-        try:
-            with open(json_path, "r", encoding="utf-8") as f:
-                meta = json.load(f)
-        except (OSError, ValueError):
-            return None, "missing or invalid profile sidecar"
-        if (
-            not isinstance(meta, dict)
-            or meta.get("kind") != "reuse_profile"
-            or meta.get("format") != CACHE_FORMAT
-            or meta.get("profile_version") != profile_version
-            or meta.get("workload") != workload
-            or meta.get("length") != length
-            or meta.get("seed") != seed
-            or meta.get("warmup") != warmup
-            or meta.get("machine") != _machine_signature(machine)
-            or not isinstance(meta.get("digest"), str)
-        ):
-            return None, "profile sidecar recipe mismatch"
-        if self.verify:
-            try:
-                if _file_digest(npz_path) != meta["digest"]:
-                    return None, "profile payload digest mismatch"
-            except OSError:
-                return None, "unreadable profile payload"
-        try:
-            with np.load(npz_path, allow_pickle=False) as archive:
-                profile = {name: archive[name] for name in archive.files}
-        except (OSError, ValueError):
-            return None, "unloadable profile payload"
-        if int(profile.get("version", -1)) != profile_version:
-            return None, "profile payload version mismatch"
-        return profile, None
-
-    def put_reuse_profile(self, profile: Dict[str, np.ndarray], workload: str,
-                          length: int, seed: int, *, warmup: int,
-                          machine) -> Path:
-        """Persist a reuse profile beside its trace entry; returns the npz path.
-
-        Safe against concurrent writers and crashes the same way
-        :meth:`put` is: both files are staged in a temp directory,
-        fsynced, and renamed with the json sidecar (the commit point,
-        carrying the payload digest) last.
-        """
-        from ..analysis.reuse import REUSE_PROFILE_VERSION
-
-        npz_path, json_path, _ = self._reuse_paths(
-            workload, length, seed, warmup, machine)
-        entry = npz_path.parent
-        entry.mkdir(parents=True, exist_ok=True)
-        tmpdir = Path(tempfile.mkdtemp(dir=self.root, prefix=f".{entry.name}."))
-        try:
-            tmp_npz = tmpdir / npz_path.name
-            with open(tmp_npz, "wb") as f:
-                np.savez(f, **profile)
-                f.flush()
-                os.fsync(f.fileno())
-            meta = {
-                "kind": "reuse_profile",
-                "format": CACHE_FORMAT,
-                "profile_version": REUSE_PROFILE_VERSION,
-                "workload": workload,
-                "length": length,
-                "seed": seed,
-                "warmup": warmup,
-                "machine": _machine_signature(machine),
-                "digest": _file_digest(tmp_npz),
-            }
-            tmp_json = tmpdir / json_path.name
-            with open(tmp_json, "wb") as f:
-                f.write(json.dumps(meta, indent=1).encode("utf-8"))
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp_npz, npz_path)
-            os.replace(tmp_json, json_path)  # sidecar last: the commit point
-        finally:
-            _rmtree_quiet(tmpdir)
-        return npz_path
-
-    def get_or_build_reuse_profile(
-        self, workload: str, length: int, seed: int, *, warmup: int,
-        machine=None, trace: Optional[Trace] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Cached reuse profile, or compute + persist + return.
-
-        *trace* skips re-materializing the columns when the caller
-        already holds them; otherwise the trace itself is served through
-        :meth:`get_or_build`.  An unusable cache root degrades to
-        computing without persisting, like trace builds.
-        """
-        from ..analysis.reuse import compute_profile
-        from ..common.config import paper_machine
-
-        machine = machine if machine is not None else paper_machine()
-        profile = self.get_reuse_profile(
-            workload, length, seed, warmup=warmup, machine=machine)
-        if profile is not None:
-            return profile
-        _, _, pkey = self._reuse_paths(workload, length, seed, warmup, machine)
-        with self._build_lock(f"{trace_key(workload, length, seed)}.{pkey}") as waited:
-            if waited:
-                profile = self.get_reuse_profile(
-                    workload, length, seed, warmup=warmup, machine=machine)
-                if profile is not None:
-                    return profile
-            if trace is None:
-                trace = self.get_or_build(workload, length, seed)
-            self.rebuilds += 1
-            current_telemetry().count("trace_cache.reuse_rebuild")
-            with current_telemetry().timer("trace_cache.reuse_build_seconds"):
-                profile = compute_profile(trace, warmup=warmup, machine=machine)
-            current_logger().event(
-                "trace_cache.reuse_rebuild",
-                workload=workload, length=length, seed=seed, warmup=warmup,
-            )
-            try:
-                self.put_reuse_profile(
-                    profile, workload, length, seed, warmup=warmup,
-                    machine=machine)
-            except OSError:
-                pass
-        return profile
 
     # -- maintenance --------------------------------------------------------
 

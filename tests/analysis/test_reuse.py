@@ -1,30 +1,14 @@
-"""Tests for the analytical fidelity tier (repro.analysis.reuse).
+"""Tests for the vectorized LRU stack-distance kernel (repro.analysis.reuse).
 
-The tier's kernel is the vectorized exact LRU stack distance; these
-tests pin it against the scalar :class:`LRUStack` reference, then
-check that profiles round-trip and that the assembled result agrees
-with the exact simulator on the hit/miss counts the reuse-distance
-model predicts exactly for plain LRU configurations.
+The kernel is pinned against the scalar :class:`LRUStack` reference.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.reuse import (
-    compute_profile,
-    result_from_profile,
-    reuse_distance_histogram,
-    simulate_analytical,
-    stack_distances,
-)
+from repro.analysis.reuse import stack_distances
 from repro.classify.lru_stack import LRUStack
-from repro.common.errors import SimulationError
-from repro.sim.simulator import simulate
 from repro.traces.workloads import build_workload
-
-LENGTH = 12_000
-WARMUP = 4_000
 
 
 def _scalar_distances(blocks):
@@ -53,91 +37,3 @@ class TestStackDistances:
         blocks = (np.asarray(trace.addresses, dtype=np.int64) >> 5)[:2_000]
         assert stack_distances(blocks).tolist() == _scalar_distances(
             blocks.tolist())
-
-
-class TestReuseDistanceHistogram:
-    def test_matches_lru_stack_histogram(self):
-        blocks = [1, 2, 1, 2, 1, 3, 4, 3]
-        assert (reuse_distance_histogram(np.array(blocks)) ==
-                LRUStack().distance_histogram(blocks))
-
-    def test_max_distance_folds_overflow(self):
-        blocks = np.array([1, 2, 3, 4, 1])  # distance 3 re-reference
-        hist = reuse_distance_histogram(blocks, max_distance=2)
-        assert hist[2] == 1
-        assert 3 not in hist
-
-    def test_all_first_touches(self):
-        hist = reuse_distance_histogram(np.arange(5))
-        assert hist == {None: 5}
-
-
-class TestProfiles:
-    def test_profile_roundtrips_through_result(self):
-        trace = build_workload("swim", length=LENGTH)
-        profile = compute_profile(trace, warmup=WARMUP)
-        a = result_from_profile(profile, name="swim", ipa=3.0)
-        b = result_from_profile(profile, name="swim", ipa=3.0)
-        assert a.to_dict() == b.to_dict()
-
-    def test_profile_survives_npz_roundtrip(self, tmp_path):
-        # The trace-cache sidecar stores the profile as an .npz; 0-d
-        # arrays coming back from np.load must assemble identically.
-        trace = build_workload("gzip", length=LENGTH)
-        profile = compute_profile(trace, warmup=WARMUP)
-        path = tmp_path / "profile.npz"
-        np.savez(path, **profile)
-        with np.load(path, allow_pickle=False) as archive:
-            loaded = {name: archive[name] for name in archive.files}
-        direct = result_from_profile(profile, name="gzip", ipa=3.0)
-        reloaded = result_from_profile(loaded, name="gzip", ipa=3.0)
-        assert direct.to_dict() == reloaded.to_dict()
-
-
-class TestSimulateAnalytical:
-    def test_hit_miss_counts_match_exact(self):
-        # For plain LRU set-associative caches the per-set stack
-        # distance predicts hits exactly — the analytical tier's
-        # approximation lies in timing, not in hit/miss accounting.
-        trace = build_workload("gcc", length=LENGTH)
-        exact = simulate(trace, warmup=WARMUP)
-        analytical = simulate_analytical(trace, warmup=WARMUP)
-        assert analytical.l1_misses == exact.l1_misses
-        assert analytical.l1_hits == exact.l1_hits
-        assert analytical.l2_misses == exact.l2_misses
-        assert analytical.accesses == exact.accesses
-
-    def test_fidelity_stamped(self):
-        trace = build_workload("gzip", length=LENGTH)
-        result = simulate_analytical(trace, warmup=WARMUP)
-        assert result.fidelity == "analytical"
-        assert result.to_dict()["fidelity"] == "analytical"
-
-    def test_deterministic(self):
-        trace = build_workload("eon", length=LENGTH)
-        a = simulate_analytical(trace, warmup=WARMUP)
-        b = simulate_analytical(trace, warmup=WARMUP)
-        assert a.to_dict() == b.to_dict()
-
-    @pytest.mark.parametrize("kwargs", [
-        {"victim_filter": "timekeeping"},
-        {"prefetcher": "timekeeping"},
-        {"decay_interval": 10_000},
-        {"perfect_non_cold": True},
-    ])
-    def test_unsupported_configs_rejected(self, kwargs):
-        trace = build_workload("gzip", length=2_000)
-        with pytest.raises(SimulationError):
-            simulate_analytical(trace, **kwargs)
-
-    def test_cache_roundtrip_identical(self, tmp_path):
-        from repro.traces.cache import TraceCache
-
-        cache = TraceCache(root=tmp_path)
-        trace = build_workload("vpr", length=LENGTH)
-        cold = simulate_analytical(trace, warmup=WARMUP, cache=cache,
-                                   workload="vpr", seed=0)
-        warm = simulate_analytical(trace, warmup=WARMUP, cache=cache,
-                                   workload="vpr", seed=0)
-        assert cold.to_dict() == warm.to_dict()
-        assert cache.hits >= 1  # the warm call served the cached profile

@@ -75,6 +75,24 @@ class TestCheckRecords:
                    + [_run(phase_simulate_s=0.005)])  # +66%, but only 2ms
         assert check_records(records).passed
 
+    def test_throughput_drop_within_simulate_phase_floor_ignored(self):
+        # A 1,600-access sweep: 743,677 -> 480,162 accesses/s is a 35%
+        # drop, but the simulate phase it is derived from moved ~1.2ms.
+        records = [_run(throughput_aps=743_677.0,
+                        phase_simulate_s=1_600 / 743_677.0),
+                   _run(throughput_aps=480_162.0,
+                        phase_simulate_s=1_600 / 480_162.0)]
+        report = check_records(records)
+        assert report.passed, [f.message() for f in report.findings]
+
+    def test_throughput_drop_with_slower_simulate_phase_flagged(self):
+        # The same 35% drop over a simulate phase that grew by 110ms is
+        # a real slowdown.
+        records = [_run(throughput_aps=743_677.0, phase_simulate_s=0.20),
+                   _run(throughput_aps=480_162.0, phase_simulate_s=0.31)]
+        report = check_records(records)
+        assert "throughput_aps" in [f.metric for f in report.findings]
+
     def test_window_limits_the_baseline_pool(self):
         old = [_run(throughput_aps=500_000.0) for _ in range(10)]
         recent = [_run(throughput_aps=100_000.0) for _ in range(8)]
@@ -99,7 +117,6 @@ class TestDirectionRegistry:
         ("cells_failed", "lower"),
         ("retries", "lower"),
         ("error_bar_ipc", "lower"),
-        ("probe_ms_simulator_throughput_batch", "lower"),
         ("phase_simulate_s", "lower"),
         ("cells_ok", None),
         ("engine_batch", None),

@@ -149,6 +149,12 @@ class TestSerialization:
         # report regeneration from a checkpoint store.
         assert back.to_dict(include_metrics=True) == r.to_dict(include_metrics=True)
 
+    def test_retired_fidelity_tier_still_loads(self):
+        # Stores written by a tier that no longer runs ("analytical")
+        # must keep loading, e.g. for `repro report`.
+        r = result(fidelity="analytical")
+        assert self.roundtrip(r) == r
+
     def test_unsupported_version_rejected(self):
         from repro.common.errors import SimulationError
 

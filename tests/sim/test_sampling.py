@@ -130,7 +130,7 @@ class TestSimulateWithFidelity:
             simulate_with_fidelity(_trace(length=2_000), "psychic")
 
     def test_fidelities_registry(self):
-        assert set(FIDELITIES) == {"exact", "sampled", "analytical"}
+        assert set(FIDELITIES) == {"exact", "sampled"}
 
 
 CONFIGS = {"base": {}, "decay": {"decay_interval": 2_000}}

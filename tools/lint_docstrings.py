@@ -39,7 +39,6 @@ DEFAULT_PACKAGES = [
     ROOT / "src" / "repro" / "figures",
     ROOT / "src" / "repro" / "sim",
     ROOT / "src" / "repro" / "obs",
-    ROOT / "src" / "repro" / "service",
 ]
 
 FuncDef = (ast.FunctionDef, ast.AsyncFunctionDef)

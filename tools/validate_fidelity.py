@@ -1,25 +1,21 @@
-"""Validate the cheap fidelity tiers against the exact simulator.
+"""Validate the sampled fidelity tier against the exact simulator.
 
-Runs every SPEC2000 stand-in workload through all three tiers —
-``exact`` (the full simulator), ``sampled`` (representative-interval
-extrapolation, :mod:`repro.sim.sampling`) and ``analytical``
-(reuse-distance prediction, :mod:`repro.analysis.reuse`) — and reports
-each cheap tier's error distribution and wall-clock speedup.
+Runs every SPEC2000 stand-in workload through ``exact`` (the full
+simulator) and ``sampled`` (representative-interval extrapolation,
+:mod:`repro.sim.sampling`) and reports the sampled tier's error
+distribution and wall-clock speedup.
 
 Gates (full runs; ``--smoke`` checks error only, timing on tiny traces
 is all fixed overhead):
 
-- sampled: aggregate wall-clock speedup >= 10x over exact AND absolute
-  L1 miss-rate error <= 0.02 on all but at most two workloads;
-- analytical: aggregate *warm* speedup (profile served from the trace
-  cache) >= 100x; its error is reported, not gated — the model's
-  simplifications (no per-set replay) are the documented trade.
+- ``sampled_error``: absolute L1 miss-rate error <= 0.02 on all but at
+  most two workloads;
+- ``sampled_speedup``: aggregate wall-clock speedup >= 10x over exact.
 
 Usage::
 
     PYTHONPATH=src python tools/validate_fidelity.py            # full gate
     PYTHONPATH=src python tools/validate_fidelity.py --smoke    # CI-sized
-    PYTHONPATH=src python tools/validate_fidelity.py --bench-out BENCH_fidelity.json
 """
 
 from __future__ import annotations
@@ -32,18 +28,17 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.reuse import simulate_analytical
 from repro.sim.sampling import simulate_sampled
 from repro.sim.simulator import simulate
 from repro.traces.cache import TraceCache
-from repro.traces.workloads import SPEC2000, build_workload, get_workload
+from repro.traces.workloads import SPEC2000, get_workload
 
 #: Full-scale validation: total trace accesses and warmup prefix.
 #: Sampling's fixed reconstruction cost amortizes at this scale — it is
 #: the tier's honest use case (interactive queries over *long* traces).
 FULL_LENGTH = 1_920_000
 
-#: --smoke scale: exercises every tier end to end in seconds.
+#: --smoke scale: exercises both tiers end to end in seconds.
 SMOKE_LENGTH = 60_000
 
 #: Sampled-tier absolute L1 miss-rate error ceiling (full runs).
@@ -57,12 +52,6 @@ ALLOWED_OUTLIERS = 2
 SMOKE_TOLERANCE = 0.05
 
 SAMPLED_SPEEDUP_GATE = 10.0
-ANALYTICAL_SPEEDUP_GATE = 100.0
-
-#: Probe scale for BENCH_fidelity.json / tools/bench_compare.py: small
-#: enough to re-measure in CI, large enough to be above timer noise.
-PROBE_LENGTH = 60_000
-PROBE_WORKLOAD = "gcc"
 
 
 def _timed(fn) -> tuple:
@@ -74,7 +63,7 @@ def _timed(fn) -> tuple:
 def validate_workload(
     name: str, length: int, warmup: int, seed: int, cache: TraceCache,
 ) -> Dict[str, Any]:
-    """Run one workload through all three tiers; returns the comparison row."""
+    """Run one workload through both tiers; returns the comparison row."""
     spec = get_workload(name)
     trace = cache.get_or_build(name, length, seed)
     ipa = spec.ipa
@@ -83,65 +72,19 @@ def validate_workload(
         lambda: simulate(trace, ipa=ipa, warmup=warmup))
     sampled, sampled_ms = _timed(
         lambda: simulate_sampled(trace, ipa=ipa, warmup=warmup, seed=seed))
-    cold, analytical_cold_ms = _timed(
-        lambda: simulate_analytical(trace, ipa=ipa, warmup=warmup,
-                                    cache=cache, workload=name, seed=seed))
-    # Warm: the reuse profile is now cached — this is the steady-state
-    # cost of an analytical query (sha-verified npz load + assembly).
-    warm, analytical_warm_ms = _timed(
-        lambda: simulate_analytical(trace, ipa=ipa, warmup=warmup,
-                                    cache=cache, workload=name, seed=seed))
-    assert warm.to_dict() == cold.to_dict()
 
     return {
         "exact_ms": round(exact_ms, 2),
         "sampled_ms": round(sampled_ms, 2),
-        "analytical_cold_ms": round(analytical_cold_ms, 2),
-        "analytical_warm_ms": round(analytical_warm_ms, 2),
         "exact_miss_rate": round(exact.l1_miss_rate, 6),
         "sampled_miss_rate": round(sampled.l1_miss_rate, 6),
-        "analytical_miss_rate": round(warm.l1_miss_rate, 6),
         "sampled_abs_err": round(abs(sampled.l1_miss_rate - exact.l1_miss_rate), 6),
-        "analytical_abs_err": round(abs(warm.l1_miss_rate - exact.l1_miss_rate), 6),
         "sampled_ipc_rel_err": round(
             abs(sampled.ipc - exact.ipc) / exact.ipc if exact.ipc else 0.0, 4),
-        "analytical_ipc_rel_err": round(
-            abs(warm.ipc - exact.ipc) / exact.ipc if exact.ipc else 0.0, 4),
         "sampled_speedup": round(exact_ms / sampled_ms, 1) if sampled_ms else 0.0,
-        "analytical_speedup": round(
-            exact_ms / analytical_warm_ms, 1) if analytical_warm_ms else 0.0,
         "sampled_ci95_miss_rate": round(
             (sampled.error_bars or {}).get("l1_miss_rate", {}).get("ci95", 0.0), 6),
     }
-
-
-def measure_probes(seed: int = 0) -> Dict[str, Dict[str, float]]:
-    """Probe-scale timings recorded into BENCH_fidelity.json.
-
-    ``tools/bench_compare.py`` re-measures exactly these bodies against
-    the committed numbers, so the cheap tiers get the same regression
-    guard as the exact hot path.
-    """
-    trace = build_workload(PROBE_WORKLOAD, length=PROBE_LENGTH, seed=seed)
-    warmup = PROBE_LENGTH // 3
-    probes: Dict[str, Dict[str, float]] = {}
-
-    best = float("inf")
-    for _ in range(3):
-        _, ms = _timed(lambda: simulate_sampled(
-            trace, ipa=6.0, warmup=warmup, seed=seed))
-        best = min(best, ms)
-    probes[f"sampled_{PROBE_WORKLOAD}_{PROBE_LENGTH // 1000}k"] = {
-        "min_ms": round(best, 2)}
-
-    best = float("inf")
-    for _ in range(3):
-        _, ms = _timed(lambda: simulate_analytical(
-            trace, ipa=6.0, warmup=warmup))  # cold: no cache, deterministic cost
-        best = min(best, ms)
-    probes[f"analytical_{PROBE_WORKLOAD}_{PROBE_LENGTH // 1000}k"] = {
-        "min_ms": round(best, 2)}
-    return probes
 
 
 def run_validation(
@@ -171,7 +114,6 @@ def run_validation(
 
     exact_total = sum(r["exact_ms"] for r in rows.values())
     sampled_total = sum(r["sampled_ms"] for r in rows.values())
-    warm_total = sum(r["analytical_warm_ms"] for r in rows.values())
     tolerance = SMOKE_TOLERANCE if smoke else MISS_RATE_TOLERANCE
     within = [n for n, r in rows.items() if r["sampled_abs_err"] <= tolerance]
     outliers = [n for n in rows if n not in within]
@@ -180,18 +122,11 @@ def run_validation(
         "workloads": len(rows),
         "sampled_speedup": round(exact_total / sampled_total, 1)
         if sampled_total else 0.0,
-        "analytical_warm_speedup": round(exact_total / warm_total, 1)
-        if warm_total else 0.0,
         "sampled_within_tolerance": len(within),
         "sampled_tolerance": tolerance,
         "sampled_outliers": sorted(outliers),
         "sampled_worst_abs_err": max(
             (r["sampled_abs_err"] for r in rows.values()), default=0.0),
-        "analytical_worst_abs_err": max(
-            (r["analytical_abs_err"] for r in rows.values()), default=0.0),
-        "analytical_median_abs_err": sorted(
-            r["analytical_abs_err"] for r in rows.values()
-        )[len(rows) // 2] if rows else 0.0,
     }
 
     gates: Dict[str, bool] = {
@@ -200,8 +135,6 @@ def run_validation(
     if not smoke:
         gates["sampled_speedup"] = (
             aggregate["sampled_speedup"] >= SAMPLED_SPEEDUP_GATE)
-        gates["analytical_speedup"] = (
-            aggregate["analytical_warm_speedup"] >= ANALYTICAL_SPEEDUP_GATE)
 
     return {
         "name": "fidelity-tiers",
@@ -219,16 +152,14 @@ def run_validation(
 def render(report: Dict[str, Any], out=sys.stdout) -> None:
     rows = report["workloads"]
     width = max((len(n) for n in rows), default=8)
-    print(f"{'workload':<{width}}  {'exact':>9}  {'sampled':>9}  {'analyt':>9}  "
-          f"{'s-err':>7}  {'a-err':>7}  {'s-spd':>6}  {'a-spd':>7}", file=out)
+    print(f"{'workload':<{width}}  {'exact':>9}  {'sampled':>9}  "
+          f"{'s-err':>7}  {'s-spd':>6}", file=out)
     for name, r in rows.items():
         print(f"{name:<{width}}  {r['exact_ms']:>7.0f}ms  {r['sampled_ms']:>7.0f}ms  "
-              f"{r['analytical_warm_ms']:>7.1f}ms  {r['sampled_abs_err']:>7.4f}  "
-              f"{r['analytical_abs_err']:>7.4f}  {r['sampled_speedup']:>5.1f}x  "
-              f"{r['analytical_speedup']:>6.1f}x", file=out)
+              f"{r['sampled_abs_err']:>7.4f}  {r['sampled_speedup']:>5.1f}x",
+              file=out)
     agg = report["aggregate"]
-    print(f"\naggregate: sampled {agg['sampled_speedup']:g}x, analytical (warm) "
-          f"{agg['analytical_warm_speedup']:g}x; "
+    print(f"\naggregate: sampled {agg['sampled_speedup']:g}x; "
           f"{agg['sampled_within_tolerance']}/{agg['workloads']} workloads within "
           f"{agg['sampled_tolerance']:g} abs miss-rate error "
           f"(worst {agg['sampled_worst_abs_err']:g})", file=out)
@@ -240,7 +171,7 @@ def render(report: Dict[str, Any], out=sys.stdout) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="validate sampled/analytical tiers against exact")
+        description="validate the sampled tier against exact")
     parser.add_argument("--workloads", default=None,
                         help="comma-separated subset (default: all 22)")
     parser.add_argument("--length", type=int, default=None,
@@ -255,9 +186,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="trace-cache root (default: fresh temp dir)")
     parser.add_argument("--json", type=Path, default=None, metavar="FILE",
                         help="write the full report as JSON")
-    parser.add_argument("--bench-out", type=Path, default=None, metavar="FILE",
-                        help="write BENCH_fidelity.json (report + probe "
-                             "timings for tools/bench_compare.py)")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -283,14 +211,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
-    if args.bench_out:
-        payload = dict(report)
-        payload["date"] = time.strftime("%Y-%m-%d")
-        payload["probes"] = measure_probes(seed=args.seed)
-        with open(args.bench_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {args.bench_out}", file=sys.stderr)
     return 0 if report["passed"] else 1
 
 
