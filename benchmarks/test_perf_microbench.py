@@ -23,7 +23,8 @@ def test_perf_simulator_throughput(benchmark):
 
 def test_perf_simulator_throughput_scalar(benchmark):
     """The forced-scalar loop — the fallback path every non-batchable
-    configuration (prefetch, victim, decay) still runs through."""
+    configuration (prefetch, decay, adaptive victim admission) still
+    runs through."""
     trace = build_workload("gcc", length=20_000)
 
     def run():
@@ -33,6 +34,21 @@ def test_perf_simulator_throughput_scalar(benchmark):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.accesses == 20_000
+
+
+def test_perf_simulator_victim(benchmark):
+    """The paper's timekeeping victim filter on the batch engine."""
+    trace = build_workload("gcc", length=20_000)
+
+    def run():
+        sim = MemorySimulator(
+            ipa=6.0, collect_metrics=True, victim_filter="timekeeping"
+        )
+        return sim, sim.run(trace)
+
+    sim, result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert sim.engine_used == "batch", sim.batch_fallback
+    assert result.victim.probes > 0
 
 
 def test_perf_simulator_with_prefetch(benchmark):

@@ -1,16 +1,18 @@
 """Vectorized batch-dispatch engine for :class:`MemorySimulator`.
 
 The scalar simulator walks the trace one access at a time; for the
-paper's dominant configuration — direct-mapped L1, LRU L2, no victim
-cache, no prefetcher, no decay — nothing an access does depends on
-*future* accesses, and almost nothing it does needs the full machine.
-This module exploits that: it scans an array-backed trace's columns
-once with numpy (set decomposition, hit/miss detection, generation
-segmentation), runs two lean Python passes for the genuinely
-sequential state (the 3C shadow stack and the bus/stall recurrence
-over misses only), and reconstructs every observable — counters,
-histograms, generation records, miss correlations, timing breakdown,
-and final cache contents — bitwise-identically to the scalar loop.
+paper's dominant configurations — direct-mapped L1, LRU L2, no
+prefetcher, no decay, and either no victim cache or one behind the
+unfiltered, Collins or timekeeping admission filter — nothing an
+access does depends on *future* accesses, and almost nothing it does
+needs the full machine.  This module exploits that: it scans an
+array-backed trace's columns once with numpy (set decomposition,
+hit/miss detection, generation segmentation), runs two lean Python
+passes for the genuinely sequential state (the 3C shadow stack and the
+bus/stall/victim-cache recurrence over misses only), and reconstructs
+every observable — counters, histograms, generation records, miss
+correlations, timing breakdown, and final cache contents —
+bitwise-identically to the scalar loop.
 
 Exactness is the contract, not an aspiration: the equivalence harness
 (`tools/equivalence.py`) compares full result dictionaries between the
@@ -27,7 +29,18 @@ two engines cell by cell.  The invariants the reconstruction leans on:
 - buses serve demand requests in request order, which is miss order,
   so bus occupancy is a short recurrence over misses;
 - the core clock is ``gap prefix-sum + stall prefix-sum``, and stalls
-  depend only on bus/L2 state, never on L1 frame metadata.
+  depend only on bus/L2/victim-cache state, never on L1 frame metadata;
+- a victim cache never changes L1 contents: the direct-mapped L1
+  installs the missing block whether it comes from the victim cache or
+  from L2, so hit/miss, generations and 3C classes are those of the
+  plain machine, and only latency and traffic change.  Probes,
+  admissions and the buffer's LRU order therefore ride the bus/stall
+  recurrence as one more per-miss step;
+- with a victim cache a miss stalls the clock in two components: the
+  demand stall, then the quarter-cycle ``victim-fill`` penalty of an
+  admission.  Correlations and L2 events see the clock before both,
+  the evicted generation closes (and is admitted) between them, and
+  the new block fills after both.
 
 The L2 would be the one expensive reconstruction (tens of thousands of
 :class:`Frame` objects), and nothing observable reads L2 frame fields
@@ -38,6 +51,7 @@ someone actually looks (`SetAssociativeCache.defer_contents`).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -45,6 +59,13 @@ import numpy as np
 from ..cache.block import Frame
 from ..cache.replacement import LRUPolicy
 from ..common.types import AccessOutcome, AccessType, MissClass
+from ..core.tick import VICTIM_FILTER_COUNTER_BITS
+from ..core.victim import (
+    AdaptiveTimekeepingAdmission,
+    CollinsAdmission,
+    TimekeepingAdmission,
+    UnfilteredAdmission,
+)
 
 #: MissClass int values, hoisted for the hot classification pass.
 _COLD = int(MissClass.COLD)
@@ -52,14 +73,20 @@ _CONFLICT = int(MissClass.CONFLICT)
 _CAPACITY = int(MissClass.CAPACITY)
 _STORE = int(AccessType.STORE)
 
+#: Admission filters whose decision the batch engine reproduces.
+_BATCH_FILTERS = (UnfilteredAdmission, CollinsAdmission, TimekeepingAdmission)
+
 
 def batch_fallback_reason(sim, trace) -> Optional[str]:
     """Why *sim* cannot run *trace* through the batch engine, or None.
 
-    The batch engine covers the paper's baseline machine shape; any
-    feature that makes an access's behavior depend on frame metadata
-    or asynchronous events (prefetch timers, victim swaps, decay)
-    falls back to the scalar loop.  The returned string is surfaced in
+    The batch engine covers the paper's baseline machine shape and its
+    three victim-cache configurations (unfiltered, Collins and
+    timekeeping admission, threshold variants included); any feature
+    that makes an access's behavior depend on frame metadata or
+    asynchronous events (prefetch timers, decay) or on per-eviction
+    filter state (adaptive admission, custom filters) falls back to
+    the scalar loop.  The returned string is surfaced in
     results/telemetry so a silent fallback is still observable.
     """
     if not getattr(sim, "_batch_capable", False):
@@ -74,7 +101,13 @@ def batch_fallback_reason(sim, trace) -> Optional[str]:
     if sim.policy is not None:
         return "prefetch policy configured"
     if sim.victim_cache is not None:
-        return "victim cache configured"
+        admission = sim.admission
+        if type(admission) is AdaptiveTimekeepingAdmission:
+            return "adaptive victim admission (threshold moves per eviction)"
+        if type(admission) not in _BATCH_FILTERS:
+            return "custom victim admission filter"
+        if sim.perfect_non_cold:
+            return "victim cache with perfect_non_cold"
     if sim.decay is not None:
         return "decay policy configured"
     if sim._assoc != 1:
@@ -329,6 +362,11 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         gen_is_entry & entry_dirty[gen_set]
     )
     gen_hits_total = gen_batch_hits + np.where(gen_is_entry, entry_hits[gen_set], 0)
+    # Last access of each generation: the position just before the next
+    # generation start (or the batch end).
+    gen_last_pos = np.empty(gen_starts.size, dtype=np.int64)
+    gen_last_pos[:-1] = gen_starts[1:] - 1
+    gen_last_pos[-1] = n - 1
 
     # Per-miss victim identity (sorted-miss order). Non-timing fields
     # only — timing-dependent victim fields wait for the stall pass.
@@ -473,6 +511,11 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     n_fill = 0
     n_l2_evict = 0
     n_wb = 0
+    victim_cache = sim.victim_cache
+    # cum[k]: clock stall (demand + victim-fill) through the first k misses.
+    cum: List[int] = [0]
+    vc_fills = 0
+    vc_lru_evictions = 0
 
     if nm:
         l2b_arr = blocks[miss_pos] >> l2_shift
@@ -548,6 +591,134 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
                     s1 = wnow if wnow > l1l2_free else l1l2_free
                     l1l2_wait += s1 - wnow
                     l1l2_free = s1 + c32
+        elif victim_cache is not None:
+            # Victim-cache batches: the common loop's L2 step (keep them
+            # in sync) behind a victim-cache probe, plus the eviction's
+            # admission, LRU insert and quarter-cycle fill penalty.
+            admission = sim.admission
+            vv_l = v_valid[perm].tolist()
+            vb_l = v_block[perm].tolist()
+            blk_l = blocks[miss_pos].tolist()
+            adm_col = repeat(True)
+            lbase_col = lk_col = repeat(0)
+            timekeeping = type(admission) is TimekeepingAdmission
+            if type(admission) is CollinsAdmission:
+                # The victim frame's prev_tag: the entry frame's when
+                # the victim is the set's entry resident or entry
+                # generation, else the tag of the previous same-set
+                # miss's victim (sorted-miss index m - 1).
+                entry_prev = np.full(num_sets, -1, dtype=np.int64)
+                for s, frame in entry_frame.items():
+                    entry_prev[s] = frame.prev_tag
+                from_entry = m_is_head | gen_is_entry[g_prev]
+                prev = np.arange(nm) - 1  # -1 only where from_entry
+                chained = np.where(
+                    v_valid[prev], v_block[prev] >> l1_index_bits, -1
+                )
+                prev_tag = np.where(from_entry, entry_prev[m_set], chained)
+                adm_col = (
+                    prev_tag[perm] == blocks[miss_pos] >> admission._index_bits
+                ).tolist()
+            elif timekeeping:
+                # The victim's last access happened at lbase + cum[lk]:
+                # the entry frame's time for set-head victims (lk = 0),
+                # else base_now at its generation's last position plus
+                # the stall of the lk misses at or before it.
+                last_pos = order[gen_last_pos[g_prev]]
+                lbase_col = np.where(
+                    m_is_head, entry_last[m_set], base_now[last_pos]
+                )[perm].tolist()
+                lk_col = np.where(
+                    m_is_head, 0, np.searchsorted(miss_pos, last_pos, side="right")
+                )[perm].tolist()
+                tick = admission.ticker.tick_cycles
+                max_counter = admission.max_counter
+                saturated = (1 << VICTIM_FILTER_COUNTER_BITS) - 1
+            vcb = victim_cache._blocks
+            vcb_pop_lru = vcb.popitem
+            vc_entries = victim_cache.entries
+            vc_latency = victim_cache.hit_latency
+            penalty_q = sim.victim_insert_quarter_cycles
+            penalty_acc = sim._victim_penalty_acc
+            cum_append = cum.append
+            rows = zip(
+                mb_l, ms_l, mbase_l, vd_l, blk_l, vv_l, vb_l, adm_col,
+                lbase_col, lk_col,
+            )
+            for lb, s, base, vd, blk, vv, vb, admit, lbase, lk in rows:
+                now = base + stall_acc
+                if blk in vcb:
+                    # Victim hit: the block swaps back into the L1; no
+                    # L2 or bus traffic.  Marked -1 in the event log.
+                    del vcb[blk]
+                    ev_packed_append(-1)
+                    latency = vc_latency
+                else:
+                    if lb in way_of:
+                        lst = set_lists[s]
+                        if lst[-1] != lb:
+                            lst.remove(lb)
+                            lst.append(lb)
+                        ev_packed_append(1)
+                        data_at = now + l2_hit_latency
+                    else:
+                        lst = sl_get(s)
+                        if lst is None:
+                            lst = set_lists[s] = []
+                            free = free_ways[s] = list(default_ways)
+                        else:
+                            free = free_ways[s]
+                        if free:
+                            w = free.pop()
+                            packed = 0
+                        else:
+                            old = lst.pop(0)
+                            w = way_pop(old)
+                            packed = (old + 1) << 1
+                        way_of[lb] = w
+                        lst.append(lb)
+                        ev_packed_append(packed)
+                        l2_ready = now + l2_hit_latency
+                        s0 = l2_ready if l2_ready > mem_free else mem_free
+                        mem_wait += s0 - l2_ready
+                        mem_free = s0 + c64
+                        data_at = mem_free + memory_latency
+                    s1 = data_at if data_at > l1l2_free else l1l2_free
+                    l1l2_wait += s1 - data_at
+                    l1l2_free = s1 + c32
+                    latency = l1l2_free - now
+                exposed = latency - hidden_latency
+                stall = int(exposed / mlp) if exposed > 0 else 0
+                stall_acc += stall
+                stall_append(stall)
+                if vv:
+                    # Eviction at the post-demand-stall clock: write-back,
+                    # admission, LRU insert, then the fill penalty.
+                    wnow = now + stall
+                    if vd:
+                        s1 = wnow if wnow > l1l2_free else l1l2_free
+                        l1l2_wait += s1 - wnow
+                        l1l2_free = s1 + c32
+                    if timekeeping:
+                        ticks = wnow // tick - (lbase + cum[lk]) // tick
+                        admit = (
+                            ticks if ticks < saturated else saturated
+                        ) <= max_counter
+                    if admit:
+                        if vb in vcb:
+                            del vcb[vb]
+                        elif len(vcb) >= vc_entries:
+                            vcb_pop_lru(False)
+                            vc_lru_evictions += 1
+                        vcb[vb] = wnow
+                        vc_fills += 1
+                        penalty_acc += penalty_q
+                        if penalty_acc >= 4:
+                            whole = penalty_acc // 4
+                            penalty_acc -= 4 * whole
+                            stall_acc += whole
+                cum_append(stall_acc)
+            sim._victim_penalty_acc = penalty_acc
         else:
             for lb, s, base, vd in zip(mb_l, ms_l, mbase_l, vd_l):
                 now = base + stall_acc
@@ -602,7 +773,20 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     # packed values carry an evicted block, every dirty victim crossed
     # the L1/L2 bus once, and every reaching miss requested one fetch.
     packed_arr = np.array(ev_packed, dtype=np.int64)
-    n_reach = len(ev_packed)
+    # Per-miss stalls: the demand stall (the breakdown's l2/memory
+    # share) and the clock stall, which adds any victim-fill penalty.
+    demand_stalls = np.array(stall_list, dtype=np.int64)
+    stalls_np = demand_stalls
+    vhit_mask = None
+    n_vhit = 0
+    if victim_cache is not None and nm:
+        packed_all = packed_arr
+        vhit_mask = packed_all < 0
+        n_vhit = int(vhit_mask.sum())
+        packed_arr = packed_all[~vhit_mask]
+        stalls_np = np.diff(np.array(cum, dtype=np.int64))
+        penalties = stalls_np - demand_stalls
+    n_reach = int(packed_arr.size)
     if n_reach:
         n_l2h = int((packed_arr & 1).sum())
         n_fill = n_reach - n_l2h
@@ -613,7 +797,6 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         l1l2_transfers = n_reach + n_wb
 
     # ---- PASS D: clocks and intervals -------------------------------------
-    stalls_np = np.array(stall_list, dtype=np.int64)
     stall_full = np.zeros(n, dtype=np.int64)
     if nm:
         stall_full[miss_pos] = stalls_np
@@ -631,11 +814,6 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     gen_max = np.where(
         gen_is_entry, np.maximum(gen_max, entry_maxiv[gen_set]), gen_max
     )
-    # Last access time of each generation: the position just before the
-    # next generation start (or the batch end).
-    gen_last_pos = np.empty(gen_starts.size, dtype=np.int64)
-    gen_last_pos[:-1] = gen_starts[1:] - 1
-    gen_last_pos[-1] = n - 1
     gen_last_now = now_s[gen_last_pos]
     gen_fill = np.where(gen_is_entry, entry_fill[gen_set], now_s[gen_starts])
     gen_lt = np.where(
@@ -649,6 +827,9 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     if nm:
         pre_now = base_now[miss_pos] + incl[miss_pos] - stalls_np
         close_now = now_s[mpos_sorted]
+        if vhit_mask is not None:
+            # The evicted generation closes before the fill penalty.
+            close_now = close_now - penalties[rank_of[m_orig]]
         entry_live = np.where(entry_hits > 0, entry_lt, 0)
         v_start = np.where(m_is_head, entry_fill[m_set], gen_fill[g_prev])
         v_live = np.where(m_is_head, entry_live[m_set], gen_live[g_prev])
@@ -837,23 +1018,26 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     # ---- L2 final state (deferred) and counters ---------------------------
     # The event columns the deferred-state replay needs are rebuilt from
     # the precomputed miss columns (reaching misses only — charged ones
-    # touched no L2 state), rather than appended inside the hot loop.
+    # and victim hits touched no L2 state), rather than appended inside
+    # the hot loop.
     if nm:
         if n_charged:
             reach_mask = ~charged_arr
+        elif vhit_mask is not None:
+            reach_mask = ~vhit_mask
+        else:
+            reach_mask = None
+        if reach_mask is not None:
             ev_block_arr = l2b_arr[reach_mask]
             ev_now_arr = pre_now[reach_mask]
             ev_store_arr = stores_arr[miss_pos][reach_mask]
-            reach_stalls = stalls_np[reach_mask]
         else:
             ev_block_arr = l2b_arr
             ev_now_arr = pre_now
             ev_store_arr = stores_arr[miss_pos]
-            reach_stalls = stalls_np
     else:
         ev_block_arr = ev_now_arr = packed_arr
         ev_store_arr = np.zeros(0, dtype=bool)
-        reach_stalls = packed_arr
     if l2_had_state or n_l2h or n_fill:
         l2.defer_contents(
             _DeferredL2State(
@@ -886,22 +1070,36 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     timing._accesses += n
     if nm:
         timing.stall_cycles += int(stalls_np.sum())
-        if ev_packed:
-            # Low bit of each packed event distinguishes L2 hits from
-            # memory fills (charged misses never reach here).
+        # Breakdown keys are inserted in order of first occurrence, a
+        # miss's demand category before its penalty, as the scalar
+        # add_stall/add_fixed_stall sequence would.  The low bit of a
+        # packed event distinguishes L2 hits from memory fills; with a
+        # victim cache the masks run over all misses (victim hits, -1
+        # in the log, charge "l2" unless their latency is zero).
+        if vhit_mask is None:
             hit_mask = (packed_arr & 1).astype(bool)
-            l2_stall = int(reach_stalls[hit_mask].sum())
-            mem_stall = int(reach_stalls.sum()) - l2_stall
-            breakdown = timing._breakdown
-            # Key insertion order follows the first reaching miss's
-            # category, as the scalar add_stall sequence would.
-            if ev_packed[0] & 1:
-                cat_order = (("l2", n_l2h, l2_stall), ("memory", n_fill, mem_stall))
-            else:
-                cat_order = (("memory", n_fill, mem_stall), ("l2", n_l2h, l2_stall))
-            for name, count, amount in cat_order:
-                if count:
-                    breakdown[name] = breakdown.get(name, 0) + amount
+            reach_stalls = stalls_np if reach_mask is None else stalls_np[reach_mask]
+            categories = [
+                ("l2", hit_mask, reach_stalls), ("memory", ~hit_mask, reach_stalls),
+            ]
+        else:
+            l2_mask = packed_all == 1
+            if victim_cache.hit_latency:
+                l2_mask |= vhit_mask
+            categories = [
+                ("l2", l2_mask, demand_stalls),
+                ("memory", (packed_all & 1) == 0, demand_stalls),
+                ("victim-fill", penalties > 0, penalties),
+            ]
+        firsts = []
+        for name, mask, amounts in categories:
+            where = np.flatnonzero(mask)
+            if where.size:
+                order_key = 2 * int(where[0]) + (name == "victim-fill")
+                firsts.append((order_key, name, int(amounts[where].sum())))
+        breakdown = timing._breakdown
+        for _, name, amount in sorted(firsts):
+            breakdown[name] = breakdown.get(name, 0) + amount
 
     # Charged (perfect_non_cold) misses count as L1 hits in both the
     # outcome tally and the mechanism counters; see the accounting note
@@ -913,5 +1111,12 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     sim._accesses += n
     outcomes = sim._outcomes
     outcomes[AccessOutcome.L1_HIT] += n_hit + n_charged
+    outcomes[AccessOutcome.VICTIM_HIT] += n_vhit
     outcomes[AccessOutcome.L2_HIT] += n_l2h
     outcomes[AccessOutcome.MEMORY] += n_fill
+    if victim_cache is not None:
+        victim_cache.probes += nm
+        victim_cache.hits += n_vhit
+        victim_cache.fills += vc_fills
+        victim_cache.rejected += n_evictions - vc_fills
+        victim_cache.lru_evictions += vc_lru_evictions

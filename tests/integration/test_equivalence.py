@@ -7,9 +7,10 @@ hierarchy fetch, and main loop in the plain call-everything style;
 this suite asserts that the production simulator under *both* dispatch
 engines and the reference produce bitwise-identical
 ``SimulationResult.to_dict()`` output (plus a metrics digest) for
-every workload in the suite — under the default, victim-cache,
-prefetch, decay, warmup, and perfect-mode configurations, and on
-seeded random traces with stores.
+every workload in the suite — under the default, victim-cache (all
+three admission filters), prefetch, decay, warmup, and perfect-mode
+configurations, and on seeded random traces with stores — and that
+every victim-cache run keeps the victim accounting invariants.
 """
 
 import sys
@@ -66,8 +67,9 @@ def random_trace(n=3_000, seed=0xC0FFEE):
         (0, {}),
         (900, {}),
         (900, {"perfect_non_cold": True}),
+        (900, {"victim_filter": "timekeeping"}),
     ],
-    ids=["plain", "warmup", "perfect-warmup"],
+    ids=["plain", "warmup", "perfect-warmup", "victim-warmup"],
 )
 def test_randomized_trace_engines_agree(warmup, kwargs):
     """Seeded random traces (stores included) hit eviction/writeback
@@ -78,6 +80,7 @@ def test_randomized_trace_engines_agree(warmup, kwargs):
         sim = MemorySimulator(collect_metrics=True, **kwargs)
         result = sim.run(trace, warmup=warmup, engine=engine)
         assert sim.engine_used == engine, sim.batch_fallback
+        assert not equivalence.victim_invariant_violations(sim, result)
         digests[engine] = {
             "result": result.to_dict(),
             "metrics": equivalence.metrics_digest(sim),
@@ -88,6 +91,25 @@ def test_randomized_trace_engines_agree(warmup, kwargs):
         )
     )
     assert not diffs, "\n".join(diffs)
+
+
+def test_victim_invariant_violation_is_a_diff_line():
+    sim = MemorySimulator(victim_filter="timekeeping")
+    result = sim.run(equivalence.build_workload("gcc", length=1_000))
+    assert equivalence.victim_invariant_violations(sim, result) == []
+    sim.l1.evictions += 1  # an eviction neither admitted nor rejected
+    violations = equivalence.victim_invariant_violations(sim, result)
+    assert len(violations) == 1
+    assert violations[0].startswith(
+        "victim.fills + victim.rejected == l1.evictions"
+    )
+    cell = {
+        label: {"result": {}, "metrics": None, "invariant_violations": []}
+        for label, _, _ in equivalence.RUNS
+    }
+    cell["batch"]["invariant_violations"] = violations
+    lines = equivalence.cell_diffs(cell)
+    assert f"[batch] invariant violated: {violations[0]}" in lines
 
 
 def test_iter_mismatches_empty_on_identical_runs():

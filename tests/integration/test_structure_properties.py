@@ -5,6 +5,7 @@ from collections import OrderedDict
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import SetAssociativeCache
+from repro.classify.lru_stack import LRUStack
 from repro.common.config import CacheConfig
 from repro.common.stats import Histogram
 from repro.core.generations import GenerationTracker
@@ -96,15 +97,32 @@ class TestHistogramProperties:
 class TestCacheInclusionProperties:
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=300))
     def test_higher_associativity_never_more_misses_same_capacity(self, blocks):
-        """With LRU and equal capacity, a fully-associative cache never
-        misses more than a direct-mapped one on the same stream (LRU
-        stack inclusion)."""
+        """With LRU and equal capacity, a fully-associative cache misses
+        more than a direct-mapped one only on references whose stack
+        distance reaches the capacity: it hits exactly the re-references
+        with distance < 16 (LRU stack inclusion), so every direct-mapped
+        hit below that distance is a fully-associative hit too."""
         dm = SetAssociativeCache(CacheConfig(16 * 32, 1, 32))
         fa = SetAssociativeCache(CacheConfig(16 * 32, 16, 32))
+        stack = LRUStack()
+        far_dm_hits = 0
         for i, b in enumerate(blocks):
+            d = stack.reference(b)
+            dm_hit = dm.access(b, i)
+            assert fa.access(b, i) == (d is not None and d < 16)
+            far_dm_hits += dm_hit and d >= 16
+        assert fa.misses <= dm.misses + far_dm_hits
+
+    def test_direct_mapped_can_miss_less_at_same_capacity(self):
+        """The stack-distance term above is needed: 17 blocks cycling
+        through 16 lines evict block 4 from the fully-associative cache,
+        while the direct-mapped cache keeps it in its own set."""
+        dm = SetAssociativeCache(CacheConfig(16 * 32, 1, 32))
+        fa = SetAssociativeCache(CacheConfig(16 * 32, 16, 32))
+        for i, b in enumerate([4, 0, 1, 2, 3, *range(5, 17), 4]):
             dm.access(b, i)
             fa.access(b, i)
-        assert fa.misses <= dm.misses
+        assert (dm.misses, fa.misses) == (17, 18)
 
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=300))
     def test_resident_set_bounded_by_capacity(self, blocks):

@@ -4,9 +4,11 @@ The batch engine (``repro.sim.batch``) vectorizes the paper's baseline
 machine shape and must be bitwise-interchangeable with the scalar
 loop.  These tests pin the selection plumbing (``engine=`` argument,
 ``engine_used``/``batch_fallback`` recording), every fallback reason,
-and scalar-vs-batch equality of results, cache state, and metrics on
-small traces — including warmup and perfect-mode runs, which exercise
-the deferred-state thaw across and after batch dispatch.
+that the paper's victim-cache configurations stay on the batch engine,
+and scalar-vs-batch equality of results, cache state, victim-cache
+contents and metrics on small traces — including warmup and
+perfect-mode runs, which exercise the deferred-state thaw across and
+after batch dispatch.
 """
 
 import numpy as np
@@ -16,9 +18,16 @@ from repro.common.config import paper_machine
 from repro.common.errors import SimulationError
 from repro.core.decay import DecayPolicy
 from repro.core.prefetch.stride import StridePrefetchPolicy
+from repro.core.victim import AdmissionFilter
+from repro.figures.registry import CONFIGS as FIGURE_CONFIGS
 from repro.sim.batch import batch_fallback_reason
-from repro.sim.simulator import MemorySimulator
+from repro.sim.simulator import MemorySimulator, make_simulator
+from repro.sim.sweep import CONFIG_PRESETS
 from repro.traces.trace import Trace
+from repro.traces.workloads import build_workload
+
+#: The admission filters of the paper's three victim-cache configs.
+PAPER_FILTERS = ("unfiltered", "collins", "timekeeping")
 
 
 def small_trace(n=400, seed=7):
@@ -29,6 +38,20 @@ def small_trace(n=400, seed=7):
         rng.integers(0, 2, n).astype(np.int8),  # loads and stores
         rng.integers(0, 6, n).astype(np.int32),
         name="rand-small",
+    )
+
+
+def conflict_trace(n=400, seed=3):
+    """Six tags over eight L1 sets, with stores: victim hits, Collins
+    A-B-A admissions, buffer LRU evictions and dirty victims."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.integers(0, 6, n) * 1024 + rng.integers(0, 8, n)
+    return Trace(
+        (blocks * 32 + rng.integers(0, 8, n) * 4).astype(np.int64),
+        (rng.integers(0, 1 << 10, n) * 4).astype(np.int64),
+        rng.integers(0, 2, n).astype(np.int8),
+        rng.integers(0, 400, n).astype(np.int32),
+        name="conflict-small",
     )
 
 
@@ -43,8 +66,14 @@ def digest(sim, result):
                     f.block_addr, f.dirty, f.lru_stamp, f.fill_time,
                     f.last_access_time, f.hit_count,
                 )
+    victim = sim.victim_cache
     return {
         "result": result.to_dict(),
+        "stall_breakdown_keys": list(result.timing.stall_breakdown),
+        "victim_contents": (
+            None if victim is None else list(victim._blocks.items())
+        ),
+        "victim_penalty_acc": sim._victim_penalty_acc,
         "now": sim.now,
         "l1": (l1.hits, l1.misses, l1.evictions),
         "l2": (l2.hits, l2.misses, l2.evictions),
@@ -99,8 +128,25 @@ class TestFallbackReasons:
         assert "prefetch policy" in batch_fallback_reason(sim, small_trace())
 
     def test_victim_cache(self):
-        sim = MemorySimulator(victim_filter="timekeeping")
-        assert "victim cache" in batch_fallback_reason(sim, small_trace())
+        """The paper's three admission filters run batched; victim
+        caches the batch engine cannot reproduce each fall back with
+        their own reason."""
+        class KeepEverything(AdmissionFilter):
+            def admit(self, frame, incoming_block_addr, now):
+                return True
+
+        trace = small_trace()
+        for victim_filter in PAPER_FILTERS:
+            sim = MemorySimulator(victim_filter=victim_filter)
+            assert batch_fallback_reason(sim, trace) is None, victim_filter
+        adaptive = MemorySimulator(victim_filter="adaptive")
+        assert "adaptive" in batch_fallback_reason(adaptive, trace)
+        custom = MemorySimulator(victim_filter=KeepEverything())
+        assert "custom" in batch_fallback_reason(custom, trace)
+        perfect = MemorySimulator(
+            victim_filter="timekeeping", perfect_non_cold=True
+        )
+        assert "perfect_non_cold" in batch_fallback_reason(perfect, trace)
 
     def test_decay(self):
         sim = MemorySimulator(decay=DecayPolicy(8192))
@@ -128,13 +174,59 @@ class TestFallbackReasons:
         assert "not batch-capable" in sim.batch_fallback
 
     def test_fallback_still_runs_to_completion(self):
-        sim = MemorySimulator(victim_filter="timekeeping")
+        sim = MemorySimulator(decay=DecayPolicy(8192))
         result = sim.run(small_trace())
         assert sim.engine_used == "scalar"
         assert result.accesses == len(small_trace())
 
 
+class TestPaperConfigsSelectBatch:
+    """Every victim configuration the paper campaign and the sweep
+    presets run stays on the batch engine; only adaptive admission
+    falls back.  Guards against a change silently sending the paper's
+    victim cells back to the scalar loop."""
+
+    VICTIM_CONFIGS = sorted(
+        {
+            (name, tuple(sorted(config.items())))
+            for table in (FIGURE_CONFIGS, CONFIG_PRESETS)
+            for name, config in table.items()
+            if "victim_filter" in config
+        }
+    )
+
+    @pytest.mark.parametrize(
+        "name,items", VICTIM_CONFIGS, ids=[n for n, _ in VICTIM_CONFIGS]
+    )
+    def test_victim_config_engine(self, name, items):
+        sim = make_simulator(**dict(items))
+        result = sim.run(build_workload("gcc", length=2_000), warmup=500)
+        assert result.victim.probes > 0
+        if name == "victim_adaptive":
+            assert sim.engine_used == "scalar"
+            assert "adaptive" in sim.batch_fallback
+        else:
+            assert sim.engine_used == "batch", sim.batch_fallback
+
+    def test_paper_victim_configs_are_covered(self):
+        names = {name for name, _ in self.VICTIM_CONFIGS}
+        assert {"victim", "victim_collins", "victim_tk"} <= names
+
+
 class TestBitwiseEquivalence:
+    @pytest.mark.parametrize("warmup", [0, 150])
+    @pytest.mark.parametrize("victim_filter", PAPER_FILTERS)
+    def test_batch_matches_scalar_victim(self, victim_filter, warmup):
+        d_scalar, d_batch = run_both(
+            lambda: MemorySimulator(
+                collect_metrics=True, victim_filter=victim_filter
+            ),
+            conflict_trace(),
+            warmup=warmup,
+        )
+        assert d_scalar["result"]["victim"]["hits"] > 0
+        assert d_scalar == d_batch
+
     @pytest.mark.parametrize("warmup", [0, 150])
     def test_batch_matches_scalar(self, warmup):
         d_scalar, d_batch = run_both(

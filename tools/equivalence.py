@@ -23,7 +23,11 @@ Each cell is a three-way comparison: the production simulator under
 the batch engine, the production simulator under the scalar engine,
 and the reference — all pairs must be bitwise-identical.  Cells cover
 warmup > 0 and perfect-mode configurations in addition to the
-mechanism axes (victim cache, prefetch, decay).
+mechanism axes (victim cache under each of the paper's three admission
+filters, prefetch, decay).  Every run of a victim-cache cell must also
+satisfy the victim accounting invariants
+(:func:`victim_invariant_violations`); a violation is reported as one
+more diff line of the cell.
 
 Run directly::
 
@@ -56,12 +60,15 @@ from repro.traces.workloads import build_workload
 CONFIGS: Dict[str, Dict[str, Any]] = {
     "default": {},
     "victim": {"victim_filter": "timekeeping"},
+    "victim_unfiltered": {"victim_filter": "unfiltered"},
+    "victim_collins": {"victim_filter": "collins"},
     "prefetch": {"prefetcher": "timekeeping"},
     "decay": {"decay_interval": 8192},
     # ``warmup_frac`` is harness-level, not a simulator kwarg: the cell
     # runs with warmup = int(length * frac) extra accesses, exercising
     # the batch engine's deferred-state chaining across run() calls.
     "warmup": {"warmup_frac": 0.33},
+    "victim_warmup": {"victim_filter": "timekeeping", "warmup_frac": 0.33},
     "perfect": {"perfect_non_cold": True},
     "perfect_warmup": {"perfect_non_cold": True, "warmup_frac": 0.33},
 }
@@ -385,14 +392,45 @@ def metrics_digest(sim: MemorySimulator) -> Optional[Dict[str, Any]]:
     }
 
 
+def victim_invariant_violations(sim: MemorySimulator, result) -> List[str]:
+    """Victim-cache accounting identities that *result* breaks.
+
+    Admissions and rejections partition the L1 evictions (so
+    admissions never exceed evictions), every L1 miss probes the
+    buffer once, its hits are exactly the victim-hit outcomes, and it
+    can only LRU-evict blocks it admitted.  Empty for runs without a
+    victim cache.
+    """
+    v = result.victim
+    if v is None:
+        return []
+    evictions = sim.l1.evictions
+    victim_hits = result.outcomes[AccessOutcome.VICTIM_HIT]
+    checks = (
+        (v.fills + v.rejected == evictions,
+         f"victim.fills + victim.rejected == l1.evictions "
+         f"({v.fills} + {v.rejected} vs {evictions})"),
+        (v.hits <= v.probes,
+         f"victim.hits <= victim.probes ({v.hits} vs {v.probes})"),
+        (v.probes == result.l1_misses,
+         f"victim.probes == l1_misses ({v.probes} vs {result.l1_misses})"),
+        (victim_hits == v.hits,
+         f"outcomes[VICTIM_HIT] == victim.hits ({victim_hits} vs {v.hits})"),
+        (v.lru_evictions <= v.fills,
+         f"victim.lru_evictions <= victim.fills ({v.lru_evictions} vs {v.fills})"),
+    )
+    return [text for holds, text in checks if not holds]
+
+
 def run_cell(workload: str, length: int, config_name: str) -> Dict[str, Dict]:
     """Run every simulator variant on one (workload, config) cell.
 
     Returns ``{label: comparable_dict}`` for the labels in :data:`RUNS`
     — production/batch, production/scalar, and the reference — where
-    each comparable dict is the result ``to_dict`` plus the metrics
-    digest.  A ``warmup_frac`` entry in the config adds that fraction
-    of *length* as extra leading accesses consumed as warmup.
+    each comparable dict is the result ``to_dict``, the metrics digest
+    and the run's victim accounting violations.  A ``warmup_frac``
+    entry in the config adds that fraction of *length* as extra
+    leading accesses consumed as warmup.
     """
     config = dict(CONFIGS[config_name])
     warmup = int(length * config.pop("warmup_frac", 0.0))
@@ -406,7 +444,11 @@ def run_cell(workload: str, length: int, config_name: str) -> Dict[str, Dict]:
             raise AssertionError(
                 "reference simulator must opt out of the batch engine"
             )
-        out[label] = {"result": result.to_dict(), "metrics": metrics_digest(sim)}
+        out[label] = {
+            "result": result.to_dict(),
+            "metrics": metrics_digest(sim),
+            "invariant_violations": victim_invariant_violations(sim, result),
+        }
     return out
 
 
@@ -429,8 +471,12 @@ def _diff_keys(fast: Dict, ref: Dict, prefix: str = "",
 
 
 def cell_diffs(cell: Dict[str, Dict]) -> List[str]:
-    """Diff lines across every label pair of one :func:`run_cell` output."""
+    """Diff lines across every label pair of one :func:`run_cell` output,
+    plus one line per accounting invariant a run violated."""
     lines: List[str] = []
+    for label, _, _ in RUNS:
+        for violation in cell[label]["invariant_violations"]:
+            lines.append(f"[{label}] invariant violated: {violation}")
     for a, b in PAIRS:
         for line in _diff_keys(cell[a], cell[b], labels=(a, b)):
             lines.append(f"[{a} vs {b}] {line}")
