@@ -41,21 +41,19 @@ from ..core.predictors.deadblock import (
     LiveTimeDeadBlockPredictor,
     decay_curve,
 )
-from ..sim.sweep import speedups
+from ..sim.sweep import CONFIG_PRESETS, speedups
 from ..traces.workloads import BEST_PERFORMERS, SPEC2000
 from .spec import Checks, FigureArtifact, FigureSpec, Suite
 
-#: Unified simulator configurations used across all specs.  One name ->
-#: one digest, so the checkpoint store shares cells between figures.
+#: Unified simulator configurations used across all specs: seven of the
+#: sweep presets, with ``base`` also collecting the metric banks.  One
+#: name -> one digest, so the checkpoint store shares cells between figures.
 CONFIGS: Dict[str, Dict[str, object]] = {
-    "base": {"collect_metrics": True},
-    "perfect": {"perfect_non_cold": True},
-    "victim": {"victim_filter": "unfiltered"},
-    "victim_collins": {"victim_filter": "collins"},
-    "victim_tk": {"victim_filter": "timekeeping"},
-    "pf_tk": {"prefetcher": "timekeeping"},
-    "pf_dbcp": {"prefetcher": "dbcp"},
+    name: dict(CONFIG_PRESETS[name])
+    for name in ("base", "perfect", "victim", "victim_collins", "victim_tk",
+                 "pf_tk", "pf_dbcp")
 }
+CONFIGS["base"]["collect_metrics"] = True
 
 #: Figure 15's cumulative-ratio breakpoints (live/prev_live).
 RATIO_BREAKPOINTS = (0.25, 0.5, 1.0, 2.0, 4.0, 16.0)

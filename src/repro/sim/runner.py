@@ -7,7 +7,7 @@ does not have:
 
 - **isolation**: one cell raising, hanging, or crashing its process must
   not discard the other cells' completed work;
-- **parallelism**: independent cells run concurrently on a process pool;
+- **parallelism**: independent cells run concurrently on worker processes;
 - **timeouts**: a pathological configuration is killed after a wall-clock
   budget and recorded, instead of wedging the campaign;
 - **retries**: transient failures (a crashed worker, an injected flake)
@@ -19,31 +19,37 @@ does not have:
 whose ``results`` mapping matches :func:`repro.sim.sweep.run_suite` and
 whose ``failures`` list records every cell that did not produce a result.
 
-Execution engines
------------------
+Executors
+---------
 
-Three engines share the same scheduling/bookkeeping loop:
+Two executors share the same scheduling/bookkeeping loop:
 
-- ``workers == 1`` and no timeout: serial **in-process** execution (the
-  fast, debuggable fallback — exceptions are still caught per-cell);
-- ``workers > 1`` and no timeout: a :class:`concurrent.futures.
-  ProcessPoolExecutor` with ``workers`` processes;
-- any ``workers`` with a timeout: one dedicated ``multiprocessing``
-  process per cell attempt (at most ``workers`` concurrent), because
-  enforcing a wall-clock budget requires the ability to *terminate* a
-  running worker, which a pool executor cannot do without poisoning its
-  sibling tasks.
+- ``workers == 1`` with neither *timeout* nor *hang_grace*: serial
+  **in-process** execution (the fast, debuggable path; exceptions are
+  still caught per cell);
+- every other sweep: the **supervised pool**, at most ``workers``
+  long-lived worker processes, each running one cell at a time.  The
+  parent supervises every busy worker: a finished cell's outcome is
+  read first, then process death, a stale heartbeat (with
+  *hang_grace*) and a passed deadline (with *timeout*).  A worker that
+  is killed or found dead is replaced, so enforcing a wall-clock
+  budget never poisons its siblings.
 
-Processes are forked where the platform allows (so closures and test
+Workers are forked where the platform allows (so closures and test
 fixtures work as fault hooks); on spawn-only platforms every spec and
-hook must be picklable by reference.  Cell results cross the process
-boundary by pickling, so ``collect_metrics=True`` works under all
-engines — only results *replayed from a store* lose their ``metrics``
-(see :meth:`SimulationResult.to_dict`).
+hook must be picklable by reference.  A forked worker inherits the
+parent's armed :class:`~repro.faults.injector.FaultInjector`: its hit
+counters carry over from one cell to the next within that worker, and
+a replacement worker restarts from the parent's counters.  Cell
+results cross the process boundary by pickling, so
+``collect_metrics=True`` works under both executors; only results
+*replayed from a store* lose their ``metrics`` (see
+:meth:`SimulationResult.to_dict`).
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
 import random
@@ -51,12 +57,13 @@ import sys
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, CancelledError, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from multiprocessing import connection
+from typing import (
+    Any, Callable, Dict, Generator, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..common.config import MachineConfig, config_digest, paper_machine
 from ..common.errors import CellTimeoutError, ReproError, SimulationError
@@ -71,7 +78,7 @@ from ..obs.history import (
 from ..obs.logging import current_logger
 from ..obs.metrics import Telemetry
 from ..obs.metrics import current as current_telemetry
-from ..obs.profiling import PROFILE_MODES
+from ..obs.profiling import PROFILE_MODES, profile_block
 from ..obs.progress import SweepObserver
 from ..traces.cache import TraceCache, resolve_cache
 from ..traces.workloads import SPEC2000, get_workload
@@ -86,7 +93,7 @@ CellProgress = Callable[[str, str], None]
 #: ``(workload, config_name, attempt)``; raising makes the attempt fail.
 FaultHook = Callable[[str, str, int], None]
 
-#: Scheduler poll interval (seconds) for the subprocess engines.
+#: Longest wait (seconds) between supervision passes over the pool.
 _POLL_INTERVAL = 0.02
 
 #: Grace period between SIGTERM and SIGKILL for a timed-out worker.
@@ -94,6 +101,9 @@ _KILL_GRACE = 5.0
 
 #: How often a supervised worker writes its heartbeat timestamp.
 _HEARTBEAT_INTERVAL = 0.2
+
+#: How often (seconds) an idle pool worker checks that its parent lives.
+_ORPHAN_CHECK = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +336,26 @@ class SweepReport:
 def _new_cell_telemetry(attempt: int, submitted_at: Optional[float]) -> Dict[str, Any]:
     """Fresh per-cell telemetry dict, with the spawn phase when known.
 
-    ``spawn`` measures parent-submit to worker-entry (process start
-    cost); it only exists on the subprocess engines.  Timestamps are
-    wall-clock epoch seconds so phases recorded by different processes
-    land on one timeline.
+    ``spawn`` measures parent-submit to worker-entry: the hand-over to a
+    pool worker, plus its start-up when the worker is fresh.  It only
+    exists on the supervised pool.  Timestamps are wall-clock epoch
+    seconds so phases recorded by different processes land on one
+    timeline.
     """
     tele: Dict[str, Any] = {"pid": os.getpid(), "attempt": attempt, "phases": {}}
     if submitted_at is not None:
         tele["phases"]["spawn"] = [submitted_at, max(0.0, time.time() - submitted_at)]
     return tele
+
+
+@contextmanager
+def _timed_phase(phases: Dict[str, List[float]], name: str) -> Iterator[None]:
+    """Record the block as ``phases[name] = [epoch_start, duration]``."""
+    start, t0 = time.time(), time.perf_counter()
+    try:
+        yield
+    finally:
+        phases[name] = [start, time.perf_counter() - t0]
 
 
 def _execute_cell(
@@ -348,7 +369,7 @@ def _execute_cell(
     With a trace cache configured the trace is served mmap-backed from
     the parent's prewarmed entry — retries and sibling cells share one
     materialization.  Without one (``trace_cache=False``) it is
-    synthesized here, once per cell attempt, as before.
+    synthesized here, once per cell attempt.
 
     When *cell_telemetry* is given, the three worker phases are timed
     into it (``synthesis``, ``simulate``, ``serialize`` — the last is
@@ -356,44 +377,18 @@ def _execute_cell(
     write and report pays) and an ambient :class:`Telemetry` captures
     the cell's counters (trace-cache outcomes, simulator throughput).
     The dict is filled in place so a raising phase still leaves the
-    completed phases for failure records.  ``cell_telemetry=None`` is
-    the untimed original path.
+    completed phases for failure records.  With ``cell_telemetry=None``
+    the phase timers and the telemetry scope are no-ops.
     """
+    if cell_telemetry is None:
+        scope: Any = nullcontext()
+        timed: Callable[[str], Any] = lambda _name: nullcontext()
+    else:
+        scope = Telemetry()
+        timed = functools.partial(_timed_phase, cell_telemetry.setdefault("phases", {}))
     workload = get_workload(spec.workload)
     total = spec.length + spec.warmup
-    if cell_telemetry is None:
-        if spec.trace_cache is not None:
-            trace = TraceCache(root=spec.trace_cache).get_or_build(
-                spec.workload, total, spec.seed)
-        else:
-            trace = workload.build(length=total, seed=spec.seed)
-        if fault_hook is not None:
-            fault_hook(spec.workload, spec.config_name, attempt)
-        _fire_mid_cell(spec, attempt)
-        kwargs = dict(spec.config)
-        kwargs.setdefault("ipa", workload.ipa)
-        kwargs.setdefault("warmup", spec.warmup)
-        kwargs.setdefault("engine", spec.engine)
-        if spec.machine is not None:
-            kwargs.setdefault("machine", spec.machine)
-        return _simulate_spec(spec, trace, kwargs)
-
-    phases = cell_telemetry.setdefault("phases", {})
-
-    def timed(name):  # records [epoch_start, duration] under *name*
-        class _Phase:
-            def __enter__(self_inner):
-                self_inner.start = time.time()
-                self_inner.t0 = time.perf_counter()
-                return self_inner
-
-            def __exit__(self_inner, *exc):
-                phases[name] = [self_inner.start,
-                                time.perf_counter() - self_inner.t0]
-
-        return _Phase()
-
-    with Telemetry() as tele:
+    with scope as tele:
         try:
             with timed("synthesis"):
                 if spec.trace_cache is not None:
@@ -404,45 +399,60 @@ def _execute_cell(
             if fault_hook is not None:
                 fault_hook(spec.workload, spec.config_name, attempt)
             _fire_mid_cell(spec, attempt)
-            kwargs = dict(spec.config)
-            kwargs.setdefault("ipa", workload.ipa)
-            kwargs.setdefault("warmup", spec.warmup)
-            kwargs.setdefault("engine", spec.engine)
-            if spec.machine is not None:
-                kwargs.setdefault("machine", spec.machine)
-            tele.count("sweep.fidelity." + spec.fidelity)
-            with timed("simulate"):
-                if spec.profile is not None:
-                    from ..obs.profiling import profile_block
-
-                    with profile_block(spec.profile) as prof:
-                        result = _simulate_spec(spec, trace, kwargs)
-                    cell_telemetry["profile"] = prof.stats()
-                else:
-                    result = _simulate_spec(spec, trace, kwargs)
-            with timed("serialize"):
-                result.to_dict()
+            if tele is not None:
+                tele.count("sweep.fidelity." + spec.fidelity)
+            profiler = (profile_block(spec.profile) if spec.profile is not None
+                        else nullcontext())
+            with timed("simulate"), profiler as prof:
+                result = simulate_config(
+                    trace, spec.config, ipa=workload.ipa, warmup=spec.warmup,
+                    engine=spec.engine, machine=spec.machine,
+                    fidelity=spec.fidelity, seed=spec.seed,
+                )
+            if prof is not None:
+                cell_telemetry["profile"] = prof.stats()
+            if tele is not None:
+                with timed("serialize"):
+                    result.to_dict()
         finally:
-            snapshot = tele.snapshot()
-            cell_telemetry["counters"] = snapshot["counters"]
-            cell_telemetry["gauges"] = snapshot["gauges"]
-            cell_telemetry["timers"] = snapshot["timers"]
+            if tele is not None:
+                snapshot = tele.snapshot()
+                for key in ("counters", "gauges", "timers"):
+                    cell_telemetry[key] = snapshot[key]
     return result
 
 
-def _simulate_spec(spec: CellSpec, trace, kwargs: Dict[str, Any]) -> SimulationResult:
-    """Run one cell's trace at the spec's fidelity tier.
+def simulate_config(
+    trace: Any,
+    config: Mapping[str, Any],
+    *,
+    ipa: float,
+    warmup: int,
+    engine: str = "batch",
+    machine: Optional[MachineConfig] = None,
+    fidelity: str = "exact",
+    seed: int = 0,
+) -> SimulationResult:
+    """Simulate *trace* under one configuration of a suite or sweep.
 
-    Exact cells call :func:`simulate` directly — the pre-fidelity code
-    path, byte-for-byte.  Sampled cells go through
-    :func:`~repro.sim.sampling.simulate_with_fidelity`, with the sweep
-    seed driving the interval selection.
+    *config* holds :func:`simulate` keyword arguments; *ipa*, *warmup*,
+    *engine* and (when given) *machine* are the suite-wide defaults it
+    may override.  Exact cells call :func:`simulate` directly; the
+    sampled tier goes through
+    :func:`~repro.sim.sampling.simulate_with_fidelity`, with *seed*
+    driving the interval selection.
     """
-    if spec.fidelity == "exact":
-        return simulate(trace, **kwargs)  # type: ignore[arg-type]
+    kwargs = dict(config)
+    kwargs.setdefault("ipa", ipa)
+    kwargs.setdefault("warmup", warmup)
+    kwargs.setdefault("engine", engine)
+    if machine is not None:
+        kwargs.setdefault("machine", machine)
+    if fidelity == "exact":
+        return simulate(trace, **kwargs)
     from .sampling import simulate_with_fidelity
 
-    return simulate_with_fidelity(trace, spec.fidelity, seed=spec.seed, **kwargs)
+    return simulate_with_fidelity(trace, fidelity, seed=seed, **kwargs)
 
 
 def _fire_mid_cell(spec: CellSpec, attempt: int) -> None:
@@ -465,14 +475,15 @@ def _run_attempt(
 ) -> _Outcome:
     """Execute one attempt and fold the result/exception into an outcome.
 
-    Shared by all three engines (it is the function the pool engine
-    submits), so the outcome shape — including the trailing telemetry
-    slot — is identical everywhere.
+    Both executors call it (a pool worker once per cell it is handed),
+    so the outcome shape — including the trailing telemetry slot — is
+    identical everywhere.
 
     *plan* re-arms the parent's fault plan in the executing process
-    when no ambient injector is active there — the spawn-engine path;
-    forked workers usually inherit the parent's armed injector instead
-    and keep it (so its hit counters carry over the fork).
+    when no ambient injector is active there — the spawn-platform path;
+    forked workers inherit the parent's armed injector instead and keep
+    it, so its hit counters carry over the fork and from one of that
+    worker's cells to the next.
     """
     scope = None
     if plan is not None and not current_injector().armed:
@@ -515,18 +526,34 @@ def _heartbeat_loop(heartbeat) -> None:  # pragma: no cover — worker thread
         time.sleep(_HEARTBEAT_INTERVAL)
 
 
-def _cell_worker(spec, fault_hook, attempt, conn, submitted_at,
-                 collect, plan=None, heartbeat=None) -> None:  # pragma: no cover — child
-    """Dedicated-process entry point: send outcome over *conn* and exit."""
+def _worker_main(conn, fault_hook, collect, plan,
+                 heartbeat) -> None:  # pragma: no cover — child
+    """Supervised-pool worker: run the cells handed over *conn* until stopped.
+
+    Each message is ``(spec, attempt, submitted_at)`` and is answered
+    with that attempt's outcome tuple; ``None`` asks the worker to exit.
+    An idle worker also exits once its parent is gone: this worker and
+    every sibling forked after it hold copies of the parent's end of
+    the pipe, so the parent's death alone never reads as EOF here.
+    """
     if heartbeat is not None:
         threading.Thread(
             target=_heartbeat_loop, args=(heartbeat,), daemon=True
         ).start()
+    parent = multiprocessing.parent_process().pid
     try:
-        conn.send(_run_attempt(spec, fault_hook, attempt, submitted_at,
-                               collect, plan))
-    finally:
-        conn.close()
+        while True:
+            while not conn.poll(_ORPHAN_CHECK):
+                if os.getppid() != parent:
+                    return
+            message = conn.recv()
+            if message is None:
+                return
+            spec, attempt, submitted_at = message
+            conn.send(_run_attempt(spec, fault_hook, attempt, submitted_at,
+                                   collect, plan))
+    except (EOFError, OSError):
+        return  # the parent's end of the pipe is gone
 
 
 def _is_transient(exc: BaseException) -> bool:
@@ -559,7 +586,7 @@ def _backoff_delay(backoff: float, attempt: int, rng: random.Random) -> float:
 # when collection is off; crashed/timed-out/hung workers never report one.
 _Outcome = Tuple[Any, ...]
 
-# Engine yield: (spec, outcome, attempts, elapsed_seconds)
+# Executor yield: (spec, outcome, attempts, elapsed_seconds)
 _CellDone = Tuple[CellSpec, _Outcome, int, float]
 
 
@@ -635,7 +662,7 @@ def _failure_from_outcome(spec: CellSpec, outcome: _Outcome, attempts: int) -> C
 
 
 # ---------------------------------------------------------------------------
-# Engines
+# Executors
 # ---------------------------------------------------------------------------
 
 
@@ -649,8 +676,8 @@ def _run_serial(
     fault_hook: Optional[FaultHook],
     notify: Optional[_Notify],
     collect: bool,
-) -> Iterator[_CellDone]:
-    """In-process serial engine (``workers == 1``, no timeout/supervision)."""
+) -> Generator[_CellDone, None, None]:
+    """In-process serial executor (``workers == 1``, no timeout/supervision)."""
     for spec in cells:
         attempt = 1
         started = time.monotonic()
@@ -669,143 +696,66 @@ def _run_serial(
             break
 
 
-def _run_pool(
-    cells: Sequence[CellSpec],
-    workers: int,
-    retry: _RetryTracker,
-    fault_hook: Optional[FaultHook],
-    notify: Optional[_Notify],
-    collect: bool,
-    plan: Optional[FaultPlan] = None,
-) -> Iterator[_CellDone]:
-    """ProcessPoolExecutor engine (``workers > 1``, no timeout).
+class _Worker:
+    """One long-lived process of the supervised pool.
 
-    Retries are rescheduled through a ready-time queue so the backoff
-    never blocks sibling cells.  A :class:`BrokenProcessPool` (a worker
-    hard-crashed, e.g. OOM-killed) fails every in-flight future, so the
-    executor is rebuilt and the affected cells are treated as crashed
-    attempts of their own.
-    """
-    ctx = _mp_context()
-    executor = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-    queue: List[_Pending] = [_Pending(spec, 1, 0.0) for spec in cells]
-    in_flight: Dict[Any, _Pending] = {}
-    broken = False
-    try:
-        while queue or in_flight:
-            now = time.monotonic()
-            if broken:
-                executor.shutdown(wait=False, cancel_futures=True)
-                executor = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-                broken = False
-            ready = [p for p in queue if p.ready_at <= now]
-            for pending in ready:
-                queue.remove(pending)
-                if notify is not None:
-                    notify(pending.spec, pending.attempt)
-                if pending.started_at == 0.0:
-                    pending.started_at = now
-                fut = executor.submit(
-                    _run_attempt, pending.spec, fault_hook, pending.attempt,
-                    time.time() if collect else None, collect, plan,
-                )
-                in_flight[fut] = pending
-            if not in_flight:
-                time.sleep(_POLL_INTERVAL)
-                continue
-            done, _ = futures_wait(in_flight, timeout=_POLL_INTERVAL, return_when=FIRST_COMPLETED)
-            for fut in done:
-                pending = in_flight.pop(fut)
-                try:
-                    # _run_attempt returns a full outcome tuple ("ok" or
-                    # "error"); only pool-infrastructure failures raise.
-                    outcome: _Outcome = fut.result()
-                except BrokenProcessPool:
-                    outcome = ("crash", "unknown (process pool broke)")
-                    broken = True
-                except CancelledError:
-                    # Pending in a pool that broke before this task started.
-                    outcome = ("crash", "unknown (cancelled by broken pool)")
-                except Exception as exc:  # e.g. result unpickling failure
-                    outcome = (
-                        "error", type(exc).__name__, str(exc),
-                        traceback.format_exc(), _is_transient(exc), None,
-                    )
-                if outcome[0] != "ok" and retry.should_retry(outcome, pending.attempt):
-                    delay = retry.next_delay(pending.attempt)
-                    queue.append(
-                        _Pending(
-                            pending.spec,
-                            pending.attempt + 1,
-                            time.monotonic() + delay,
-                            pending.started_at,
-                        )
-                    )
-                    continue
-                yield (
-                    pending.spec,
-                    outcome,
-                    pending.attempt,
-                    time.monotonic() - pending.started_at,
-                )
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-
-
-class _WorkerProc:
-    """One dedicated worker process executing one cell attempt.
-
-    With *hang_grace* set the worker carries a shared heartbeat slot
-    (a lock-free ``RawValue`` — a plain 8-byte read, safe even when the
-    child is SIGSTOPped holding no lock) that a daemon thread in the
-    child stamps every :data:`_HEARTBEAT_INTERVAL` seconds; a stale
-    stamp marks the worker *hung* — distinct from a timeout, which a
-    busy-but-healthy cell can also hit.
+    The parent hands it one cell attempt at a time over a duplex pipe
+    and reads the outcome back.  With *hang_grace* set the worker
+    carries a shared heartbeat slot (a lock-free ``RawValue`` — a plain
+    8-byte read, safe even when the child is SIGSTOPped holding no
+    lock) that a daemon thread in the child stamps every
+    :data:`_HEARTBEAT_INTERVAL` seconds; a stale stamp marks the worker
+    *hung* — distinct from a timeout, which a busy-but-healthy cell can
+    also hit.
     """
 
-    def __init__(self, ctx, pending: _Pending, fault_hook,
-                 timeout: Optional[float], collect: bool = False,
-                 plan: Optional[FaultPlan] = None,
-                 hang_grace: Optional[float] = None) -> None:
-        self.pending = pending
+    def __init__(self, ctx, fault_hook: Optional[FaultHook], collect: bool,
+                 plan: Optional[FaultPlan], timeout: Optional[float],
+                 hang_grace: Optional[float]) -> None:
+        self.collect = collect
         self.timeout = timeout
         self.hang_grace = hang_grace
         self.heartbeat = (
             ctx.RawValue("d", time.monotonic()) if hang_grace is not None else None
         )
-        self.recv_conn, send_conn = ctx.Pipe(duplex=False)
+        self.conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
-            target=_cell_worker,
-            args=(pending.spec, fault_hook, pending.attempt, send_conn,
-                  time.time() if collect else None, collect, plan,
-                  self.heartbeat),
+            target=_worker_main,
+            args=(child_conn, fault_hook, collect, plan, self.heartbeat),
             daemon=True,
         )
         self.process.start()
-        send_conn.close()  # keep only the child's handle on the write end
+        child_conn.close()  # only the child holds its end: its death reads as EOF
+        #: The attempt this worker is running, or None while idle.
+        self.pending: Optional[_Pending] = None
+        self.deadline: Optional[float] = None
+
+    def submit(self, pending: _Pending) -> None:
+        """Hand *pending* to this idle worker and start its budget."""
+        self.pending = pending
         self.deadline = (
-            time.monotonic() + timeout if timeout is not None else None
+            time.monotonic() + self.timeout if self.timeout is not None else None
         )
+        try:
+            self.conn.send((pending.spec, pending.attempt,
+                            time.time() if self.collect else None))
+        except OSError:
+            pass  # died since its liveness check: poll() reports the crash
 
     def poll(self) -> Optional[_Outcome]:
-        """Outcome if the attempt finished/expired/hung, else None."""
+        """The running attempt's outcome once it finished, died, hung or expired."""
         # Sample liveness *before* draining the pipe: a worker that sends
-        # its result and exits between the two checks is then caught by
-        # the message branch now or on the next poll, never misreported
-        # as a crash.
+        # its outcome and then dies between the two checks is caught by
+        # the message branch, never misreported as a crash.
         alive = self.process.is_alive()
-        if self.recv_conn.poll():
+        if self.conn.poll():
             try:
-                message = self.recv_conn.recv()
-            except EOFError:  # closed write end without a message
-                message = None
-            self._finish()
-            if message is None:
+                return self.conn.recv()  # ("ok", ...) | ("error", ...)
+            except (EOFError, OSError):  # died without a whole message
+                self.reap()
                 return ("crash", self.process.exitcode)
-            return message  # ("ok", result, tele) | ("error", type, msg, tb, transient, tele)
         if not alive:
-            # Exited without a message in the pipe: a hard crash.
-            self._finish()
+            self.reap()
             return ("crash", self.process.exitcode)
         now = time.monotonic()
         if (
@@ -814,35 +764,42 @@ class _WorkerProc:
         ):
             # A stopped/wedged process ignores SIGTERM; go straight to
             # SIGKILL instead of wasting the graceful-shutdown window.
-            self.kill(hard=True)
+            self.process.kill()
+            self.reap()
             return ("hung", self.hang_grace)
         if self.deadline is not None and now >= self.deadline:
-            self.kill()
+            self.process.terminate()
+            self.reap()
             return ("timeout", self.timeout)
         return None
 
-    def kill(self, hard: bool = False) -> None:
+    def stop(self) -> None:
+        """Ask an idle worker to exit (SIGKILL a busy one), then reap it."""
+        if self.pending is not None:
+            self.process.kill()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass  # already dead: reap() collects it
+        self.reap()
+
+    def reap(self) -> None:
+        """Join the exiting process (SIGKILL past a grace) and close the pipe."""
+        self.process.join(_KILL_GRACE)
         if self.process.is_alive():
-            if not hard:
-                self.process.terminate()
-                self.process.join(_KILL_GRACE)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join()
-        self.recv_conn.close()
-
-    def _finish(self) -> None:
-        self.process.join()
-        self.recv_conn.close()
+            self.process.kill()
+            self.process.join()
+        self.conn.close()
 
 
-#: Hang notification from the dedicated-process engine:
+#: Hang notification from the supervised pool:
 #: ``(spec, attempt, pid, grace)``, fired before the retry decision so
 #: recycled-and-retried hangs are observable too.
 _OnHang = Callable[[CellSpec, int, Optional[int], float], None]
 
 
-def _run_processes(
+def _run_supervised(
     cells: Sequence[CellSpec],
     workers: int,
     timeout: Optional[float],
@@ -853,43 +810,57 @@ def _run_processes(
     plan: Optional[FaultPlan] = None,
     hang_grace: Optional[float] = None,
     on_hang: Optional[_OnHang] = None,
-) -> Iterator[_CellDone]:
-    """Dedicated-process engine: kill-capable, used for timeout/supervision.
+) -> Generator[_CellDone, None, None]:
+    """Supervised pool: at most *workers* long-lived, killable processes.
 
-    At most *workers* cells run concurrently, each in its own process so
-    a cell that exceeds its wall-clock budget — or stops heartbeating
-    for *hang_grace* seconds — is killed and recycled without disturbing
-    its siblings.
+    Workers start lazily and run one cell attempt at a time.  Retries
+    are rescheduled through a ready-time queue so the backoff never
+    blocks sibling cells.  A worker that crashes, stops heartbeating
+    for *hang_grace* seconds, or overruns its *timeout* budget is
+    killed if need be and replaced on demand; one found dead while idle
+    is replaced before it is handed a cell, so its death is never
+    charged to one.  Every worker is stopped and reaped when the
+    generator finishes or is closed.
     """
     ctx = _mp_context()
     queue: List[_Pending] = [_Pending(spec, 1, 0.0) for spec in cells]
-    running: List[_WorkerProc] = []
+    pool: List[_Worker] = []
     try:
-        while queue or running:
+        while queue or any(w.pending is not None for w in pool):
+            for worker in [w for w in pool if w.pending is None]:
+                if not worker.process.is_alive():
+                    worker.reap()
+                    pool.remove(worker)
             now = time.monotonic()
-            ready = [p for p in queue if p.ready_at <= now]
-            while ready and len(running) < workers:
-                pending = ready.pop(0)
+            for pending in [p for p in queue if p.ready_at <= now]:
+                worker = next((w for w in pool if w.pending is None), None)
+                if worker is None:
+                    if len(pool) == workers:
+                        break
+                    worker = _Worker(ctx, fault_hook, collect, plan, timeout,
+                                     hang_grace)
+                    pool.append(worker)
                 queue.remove(pending)
                 if notify is not None:
                     notify(pending.spec, pending.attempt)
                 if pending.started_at == 0.0:
                     pending.started_at = now
-                running.append(
-                    _WorkerProc(ctx, pending, fault_hook, timeout, collect,
-                                plan, hang_grace)
-                )
-            made_progress = False
-            for worker in list(running):
-                pid = worker.process.pid
+                worker.submit(pending)
+            busy = [w for w in pool if w.pending is not None]
+            # Sleeps at most one poll interval; wakes early on an outcome or
+            # a death.  Heartbeats and deadlines are checked at that pace.
+            connection.wait([w.conn for w in busy]
+                            + [w.process.sentinel for w in busy], _POLL_INTERVAL)
+            for worker in busy:
                 outcome = worker.poll()
                 if outcome is None:
                     continue
-                made_progress = True
-                running.remove(worker)
-                pending = worker.pending
+                pending, worker.pending = worker.pending, None
+                if worker.conn.closed:  # reaped: replaced on demand
+                    pool.remove(worker)
                 if outcome[0] == "hung" and on_hang is not None:
-                    on_hang(pending.spec, pending.attempt, pid, outcome[1])
+                    on_hang(pending.spec, pending.attempt, worker.process.pid,
+                            outcome[1])
                 if outcome[0] != "ok" and retry.should_retry(outcome, pending.attempt):
                     delay = retry.next_delay(pending.attempt)
                     queue.append(
@@ -907,11 +878,9 @@ def _run_processes(
                     pending.attempt,
                     time.monotonic() - pending.started_at,
                 )
-            if not made_progress:
-                time.sleep(_POLL_INTERVAL)
     finally:
-        for worker in running:  # interrupted/aborted: don't leak children
-            worker.kill(hard=True)
+        for worker in pool:  # finished, interrupted or aborted: no leaked children
+            worker.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -956,7 +925,9 @@ def run_sweep(
             defaults to ``length // 3``.
         progress: called with ``(workload, config_name)`` as each cell
             starts (each retry attempt re-reports).
-        workers: concurrent cells; 1 selects the in-process serial path.
+        workers: concurrent cells.  1 with neither *timeout* nor
+            *hang_grace* runs in-process; anything else runs on the
+            supervised pool of at most *workers* worker processes.
         timeout: per-cell wall-clock budget in seconds.  Requires child
             processes, so even ``workers=1`` runs cells out-of-process
             when a timeout is set.
@@ -970,7 +941,7 @@ def run_sweep(
             SIGSTOPped, deadlocked, stuck in a syscall — which a
             wall-clock *timeout* only notices after the full budget.
             Like *timeout*, requires child processes, so setting it
-            selects the dedicated-process engine.  Every hang lands in
+            selects the supervised pool.  Every hang lands in
             ``report.telemetry["hangs"]`` and the Chrome trace.
         max_failure_rate: circuit breaker — abort the sweep when
             freshly-failed cells exceed this fraction of the campaign
@@ -1158,6 +1129,7 @@ def run_sweep(
 
     run_store: Optional[RunStore] = None
     owns_store = False
+    executor: Optional[Generator[_CellDone, None, None]] = None
     replayed: Dict[CellKey, SimulationResult] = {}
     poisoned: List[CellFailure] = []
     retry = _RetryTracker(retries, backoff)
@@ -1234,7 +1206,7 @@ def run_sweep(
             workloads=names, configs=list(configs),
         )
 
-        # Hang observations (engine fires these before the retry
+        # Hang observations (the pool fires these before the retry
         # decision, so recycled-and-retried hangs are recorded too).
         hangs: List[Dict[str, Any]] = []
 
@@ -1253,18 +1225,13 @@ def run_sweep(
 
         execute_start = time.time()
         t0 = time.monotonic()
-        if not to_run:
-            engine: Iterator[_CellDone] = iter(())
-        elif timeout is not None or hang_grace is not None:
-            engine = _run_processes(
+        if workers == 1 and timeout is None and hang_grace is None:
+            executor = _run_serial(to_run, retry, fault_hook, notify, collect)
+        else:
+            executor = _run_supervised(
                 to_run, workers, timeout, retry, fault_hook, notify, collect,
                 plan, hang_grace, on_hang,
             )
-        elif workers > 1:
-            engine = _run_pool(to_run, workers, retry, fault_hook, notify,
-                               collect, plan)
-        else:
-            engine = _run_serial(to_run, retry, fault_hook, notify, collect)
 
         completed: Dict[CellKey, SimulationResult] = dict(replayed)
         failures: List[CellFailure] = list(poisoned)
@@ -1273,7 +1240,7 @@ def run_sweep(
         abort_reason = ""
         attempts: Dict[CellKey, int] = {}
         cell_telemetry: Dict[CellKey, Dict[str, Any]] = {}
-        for spec, outcome, cell_attempts, elapsed in engine:
+        for spec, outcome, cell_attempts, elapsed in executor:
             attempts[spec.key] = cell_attempts
             if outcome[0] == "ok":
                 completed[spec.key] = outcome[1]
@@ -1332,13 +1299,14 @@ def run_sweep(
                     "sweep.aborted", reason=abort_reason,
                     failed=fresh_failures, cells=len(cells),
                 )
-                # Closing the generator runs the engine's finally block:
-                # in-flight workers are killed, nothing else is scheduled.
-                engine.close()
                 break
         if collect:
             sweep_phases["execute"] = [execute_start, time.monotonic() - t0]
     finally:
+        if executor is not None:
+            # Runs the executor's finally block after an abort or an error
+            # too: busy workers are killed, idle ones stopped and reaped.
+            executor.close()
         if run_store is not None and owns_store:
             run_store.close()
 

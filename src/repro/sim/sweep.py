@@ -9,15 +9,14 @@ and run every configuration over it.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Mapping, Optional, Sequence, Union
 
 from ..common.config import MachineConfig
 from ..common.errors import SimulationError
 from ..traces.cache import TraceCache, resolve_cache
-from ..traces.trace import Trace
-from ..traces.workloads import SPEC2000, get_workload
+from ..traces.workloads import get_workload
 from .results import SimulationResult
-from .simulator import simulate
+from .runner import run_sweep, simulate_config
 from .store import RunStore
 
 #: A configuration is a dict of keyword arguments for :func:`simulate`
@@ -25,8 +24,7 @@ from .store import RunStore
 SimConfig = Mapping[str, object]
 
 #: Named configuration presets accepted by ``repro sweep``/``compare``
-#: (the paper's seven figure configs live in
-#: :data:`repro.figures.registry.CONFIGS`).
+#: (:data:`repro.figures.registry.CONFIGS` selects the paper's seven).
 CONFIG_PRESETS: Dict[str, Dict[str, object]] = {
     "base": {},
     "perfect": {"perfect_non_cold": True},
@@ -76,23 +74,13 @@ def run_workload(
         trace = cache.get_or_build(name, length + warmup, seed)
     else:
         trace = spec.build(length=length + warmup, seed=seed)
-    results: Dict[str, SimulationResult] = {}
-    for config_name, config in configs.items():
-        kwargs = dict(config)
-        kwargs.setdefault("ipa", spec.ipa)
-        kwargs.setdefault("warmup", warmup)
-        kwargs.setdefault("engine", engine)
-        if machine is not None:
-            kwargs.setdefault("machine", machine)
-        if fidelity == "exact":
-            results[config_name] = simulate(trace, **kwargs)  # type: ignore[arg-type]
-        else:
-            from .sampling import simulate_with_fidelity
-
-            results[config_name] = simulate_with_fidelity(
-                trace, fidelity, seed=seed, **kwargs,  # type: ignore[arg-type]
-            )
-    return results
+    return {
+        config_name: simulate_config(
+            trace, config, ipa=spec.ipa, warmup=warmup, engine=engine,
+            machine=machine, fidelity=fidelity, seed=seed,
+        )
+        for config_name, config in configs.items()
+    }
 
 
 def run_suite(
@@ -120,10 +108,9 @@ def run_suite(
 
     Returns ``{workload: {config_name: result}}`` in workload order.
 
-    With the default keyword arguments this runs serially in-process
-    exactly as it always has (one trace built per workload, exceptions
-    propagating immediately).  Passing any of the fault-tolerance
-    options delegates to :func:`repro.sim.runner.run_sweep`:
+    Every cell runs through :func:`repro.sim.runner.run_sweep` — with
+    the default keyword arguments serially in-process — and these
+    fault-tolerance options pass straight through:
 
     - ``workers``: execute cells on that many worker processes;
     - ``timeout``: per-cell wall-clock budget in seconds (a cell over
@@ -140,7 +127,7 @@ def run_suite(
     ``trace_cache`` (default on) shares one content-addressed, on-disk
     materialization of each workload trace across configurations,
     worker processes, retries, and repeated sweeps; pass ``False`` to
-    re-synthesize per workload as before.
+    re-synthesize every cell's trace.
 
     ``engine`` selects the dispatch engine for every cell (``"batch"``
     with automatic scalar fallback, or ``"scalar"``); results are
@@ -153,30 +140,11 @@ def run_suite(
     ``result.fidelity`` and ``result.error_bars``), so checkpoint
     stores record the tier and refuse to resume across tiers.
 
-    On the delegated path every remaining cell still completes when
-    some cells fail, and the failures are raised *at the end* as one
-    :class:`SimulationError` (after checkpointing).  Use ``run_sweep``
-    directly to get partial results plus structured failures without
-    the raise.
+    Every cell still runs when some cells fail, and the failures are
+    then raised as one :class:`SimulationError` (after checkpointing).
+    Use ``run_sweep`` directly to get partial results plus structured
+    failures without the raise.
     """
-    if (
-        workers == 1 and timeout is None and retries == 0 and store is None
-        and hang_grace is None and max_failure_rate is None
-    ):
-        names = list(workloads) if workloads is not None else list(SPEC2000)
-        out: Dict[str, Dict[str, SimulationResult]] = {}
-        for name in names:
-            if progress is not None:
-                progress(name)
-            out[name] = run_workload(
-                name, configs, length=length, seed=seed, machine=machine,
-                warmup=warmup, trace_cache=trace_cache, engine=engine,
-                fidelity=fidelity,
-            )
-        return out
-
-    from .runner import run_sweep  # local import: runner imports this module's siblings
-
     cell_progress = None
     if progress is not None:
         seen: set = set()
