@@ -143,7 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="append a run-history record to this observatory "
                             "store (default: $REPRO_OBS_HISTORY when set)")
     _add_engine_arg(sweep)
-    _add_fidelity_arg(sweep)
     _add_cache_args(sweep)
 
     paper = sub.add_parser(
@@ -192,7 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "campaign to this observatory store (default: "
                             "$REPRO_OBS_HISTORY when set)")
     _add_engine_arg(paper)
-    _add_fidelity_arg(paper)
     _add_cache_args(paper)
 
     report = sub.add_parser(
@@ -298,14 +296,6 @@ def _add_engine_arg(sub: argparse.ArgumentParser) -> None:
         help="dispatch engine: 'batch' (vectorized, automatic scalar "
              "fallback for unsupported configs) or 'scalar' (per-access "
              "loop); results are bitwise-identical either way")
-
-
-def _add_fidelity_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--fidelity", choices=["exact", "sampled"], default="exact",
-        help="fidelity tier: 'exact' (full simulation, default) or "
-             "'sampled' (representative-interval extrapolation with "
-             "per-metric confidence intervals)")
 
 
 def _add_cache_root_arg(sub: argparse.ArgumentParser) -> None:
@@ -488,7 +478,6 @@ def _cmd_sweep(args, out) -> int:
             observer=observer,
             telemetry=telemetry,
             engine=args.engine,
-            fidelity=args.fidelity,
             profile=args.profile,
             obs_history=args.obs_history,
         )
@@ -572,7 +561,6 @@ def _cmd_paper(args, out) -> int:
         trace_cache=trace_cache,
         observer=observer,
         engine=args.engine,
-        fidelity=args.fidelity,
         obs_history=args.obs_history,
     )
     for artifact in run.artifacts:
@@ -600,10 +588,10 @@ def _format_seconds(seconds) -> str:
 def _print_fidelity_summary(manifest, ok_cells, out) -> None:
     """Per-fidelity cell counts and worst-case error bars for a store.
 
-    Silent for plain exact stores (nothing to report); a store holding
-    cheap-tier results shows how many cells each tier produced and the
-    widest 95% confidence interval per sampled metric, so a reader can
-    judge whether the extrapolation is trustworthy at a glance.
+    Silent for plain exact stores (nothing to report); a store written
+    by an earlier build's cheap tier shows how many cells each tier
+    produced and the widest 95% confidence interval per sampled metric,
+    so its extrapolated numbers are never mistaken for exact ones.
     """
     counts: Dict[str, int] = {}
     worst: Dict[str, Dict[str, object]] = {}

@@ -154,7 +154,6 @@ def execute_plan(
     progress: Any = None,
     fault_hook: Optional[FaultHook] = None,
     engine: str = "batch",
-    fidelity: str = "exact",
 ) -> List["Any"]:
     """Execute a :func:`plan_cells` plan into *store*, one sweep per group.
 
@@ -190,7 +189,6 @@ def execute_plan(
             telemetry=True,
             store_metrics=True,
             engine=engine,
-            fidelity=fidelity,
             # The campaign-level caller appends one aggregated record
             # itself; per-group appends would skew the trajectory.
             obs_history=False,
@@ -255,7 +253,6 @@ def run_paper(
     fault_hook: Optional[FaultHook] = None,
     write_report: bool = True,
     engine: str = "batch",
-    fidelity: str = "exact",
     obs_history: Any = None,
 ) -> PaperRun:
     """Reproduce the paper's evaluation end to end.
@@ -291,11 +288,6 @@ def run_paper(
             automatic scalar fallback, or ``"scalar"``).  Results, the
             store, and the report are bitwise-identical either way —
             the CI smoke leg runs both to prove it.
-        fidelity: fidelity tier for every cell (``"exact"`` default;
-            see :func:`repro.sim.runner.run_sweep`).  ``"sampled"``
-            trades exactness for speed on every figure; shape checks
-            calibrated against exact results may legitimately FAIL on
-            extrapolated numbers.
         obs_history: cross-run history (path or
             :class:`~repro.obs.history.ObsStore`) receiving **one**
             aggregated record for the whole campaign under source
@@ -344,7 +336,6 @@ def run_paper(
             progress=progress,
             fault_hook=fault_hook,
             engine=engine,
-            fidelity=fidelity,
         )
         executed = sum(r.executed for r in group_reports)
         replayed = sum(r.replayed for r in group_reports)
@@ -370,7 +361,6 @@ def run_paper(
             "machine": config_digest(
                 machine if machine is not None else paper_machine()),
             "workloads": sorted(workloads) if workloads is not None else None,
-            "fidelity": fidelity,
         })
         warning = append_best_effort(
             history,

@@ -285,9 +285,8 @@ def _reports_metrics(reports: Iterable["Any"]) -> Dict[str, float]:
     """Fold one or more SweepReports into a flat metrics mapping.
 
     The trajectory-worthy signals: wall time, cell outcomes, mean
-    per-cell simulator throughput, trace-cache hit rate, phase totals,
-    engine and fidelity tallies, and the sampled tier's worst error
-    bars (worst across all reports).
+    per-cell simulator throughput, trace-cache hit rate, phase totals
+    and the engine tally.
     """
     from .metrics import aggregate_phases
 
@@ -298,7 +297,6 @@ def _reports_metrics(reports: Iterable["Any"]) -> Dict[str, float]:
     hits = lookups = 0
     aps: List[float] = []
     all_cell_teles: List[Mapping[str, Any]] = []
-    error_bars: Dict[str, float] = {}
     for report in reports:
         metrics["wall_time_s"] += float(report.wall_time)
         metrics["cells_ok"] += float(report.ok_cells)
@@ -316,24 +314,16 @@ def _reports_metrics(reports: Iterable["Any"]) -> Dict[str, float]:
         aps.extend(a for a in (ct.get("gauges", {})
                                .get("simulator.accesses_per_sec")
                                for ct in cell_teles) if a)
-        for tier, count in report.fidelity_counts().items():
-            key = f"fidelity_{tier}"
-            metrics[key] = metrics.get(key, 0.0) + float(count)
         for name, value in counters.items():
             if name.startswith("sim.engine_used."):
                 key = "engine_" + name.rsplit(".", 1)[1]
                 metrics[key] = metrics.get(key, 0.0) + float(value)
-        for metric, info in report.worst_error_bars().items():
-            key = f"error_bar_{metric}"
-            error_bars[key] = max(error_bars.get(key, 0.0),
-                                  float(info["ci95"]))
     if lookups:
         metrics["trace_cache_hit_rate"] = hits / lookups
     if aps:
         metrics["throughput_aps"] = sum(aps) / len(aps)
     for phase, total in aggregate_phases(all_cell_teles).items():
         metrics[f"phase_{phase}_s"] = total
-    metrics.update(error_bars)
     return metrics
 
 

@@ -85,7 +85,6 @@ class SweepProgress(SweepObserver):
         self.cache_hits = 0.0
         self.cache_lookups = 0.0
         self.engine_counts: Dict[str, int] = {}
-        self.fidelity_counts: Dict[str, int] = {}
         self._elapsed_sum = 0.0
         self._started = 0.0
         self._last_paint = 0.0
@@ -136,10 +135,6 @@ class SweepProgress(SweepObserver):
                     engine = name.rsplit(".", 1)[1]
                     self.engine_counts[engine] = (
                         self.engine_counts.get(engine, 0) + int(value))
-                elif name.startswith("sweep.fidelity."):
-                    tier = name.rsplit(".", 1)[1]
-                    self.fidelity_counts[tier] = (
-                        self.fidelity_counts.get(tier, 0) + int(value))
         self._paint()
 
     def on_sweep_end(self, report: Any) -> None:
@@ -166,8 +161,8 @@ class SweepProgress(SweepObserver):
         return remaining * per_cell / self.workers
 
     def status_line(self) -> str:
-        """Render the one-line status: counts, ETA, cache hit rate,
-        engine and fidelity tallies."""
+        """Render the one-line status: counts, ETA, cache hit rate and
+        engine tally."""
         width = len(str(self.total))
         parts = [
             f"[{self.done:>{width}}/{self.total}]",
@@ -183,10 +178,6 @@ class SweepProgress(SweepObserver):
             tally = "+".join(f"{count} {name}" for name, count
                              in sorted(self.engine_counts.items()))
             parts.append(f"engine {tally}")
-        if self.fidelity_counts:
-            tally = "+".join(f"{count} {name}" for name, count
-                             in sorted(self.fidelity_counts.items()))
-            parts.append(f"fidelity {tally}")
         return " | ".join(parts)
 
     def _paint(self, force: bool = False) -> None:

@@ -66,16 +66,15 @@ _HIGHER_BETTER = frozenset({"throughput_aps", "trace_cache_hit_rate"})
 #: Metrics where smaller is better (exact names).
 _LOWER_BETTER = frozenset({"wall_time_s", "cells_failed", "retries"})
 
-#: Prefix families where smaller is better: error bars must not widen,
-#: phases must not slow down.
-_LOWER_BETTER_PREFIXES = ("error_bar_", "phase_")
+#: Prefix families where smaller is better: phases must not slow down.
+_LOWER_BETTER_PREFIXES = ("phase_",)
 
 
 def metric_direction(name: str) -> Optional[str]:
     """``"higher"``/``"lower"`` = which way is *better*; None = unmonitored.
 
-    Bookkeeping tallies (cell counts, engine/fidelity splits) have no
-    better direction, so the sentinel skips them.
+    Bookkeeping tallies (cell counts, engine splits) have no better
+    direction, so the sentinel skips them.
     """
     if name in _HIGHER_BETTER:
         return "higher"

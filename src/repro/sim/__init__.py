@@ -1,19 +1,12 @@
 """Simulation driver: the memory simulator, results, and suite sweeps."""
 
-from .results import FIDELITIES, PrefetchStats, SimulationResult, VictimStats
+from .results import PrefetchStats, SimulationResult, VictimStats
 from .runner import CellFailure, CellSpec, SweepReport, run_sweep
-from .sampling import (
-    SamplingPlan,
-    make_sampling_plan,
-    simulate_sampled,
-    simulate_with_fidelity,
-)
 from .simulator import MemorySimulator, make_prefetch_policy, simulate
 from .store import RunStore
 from .sweep import run_suite, run_workload, speedups
 
 __all__ = [
-    "FIDELITIES",
     "PrefetchStats",
     "SimulationResult",
     "VictimStats",
@@ -21,10 +14,6 @@ __all__ = [
     "CellSpec",
     "SweepReport",
     "run_sweep",
-    "SamplingPlan",
-    "make_sampling_plan",
-    "simulate_sampled",
-    "simulate_with_fidelity",
     "MemorySimulator",
     "make_prefetch_policy",
     "simulate",

@@ -16,12 +16,6 @@ from ..timing.processor import TimingResult
 #: Serialization schema version written by :meth:`SimulationResult.to_dict`.
 RESULT_SCHEMA_VERSION = 1
 
-#: The fidelity tiers a sweep can run at.  ``exact`` runs the full
-#: simulator; ``sampled`` extrapolates from representative intervals
-#: (``repro.sim.sampling``).  :meth:`SimulationResult.from_dict` still
-#: loads any stored tier name, so older stores keep loading.
-FIDELITIES = ("exact", "sampled")
-
 
 @dataclass
 class VictimStats:
@@ -96,12 +90,12 @@ class SimulationResult:
     memory_accesses: int = 0
     decay: Optional[DecayStats] = None
     writebacks: int = 0
-    #: Which tier produced this result ("exact" or "sampled").  Exact
-    #: results neither set nor serialize the field, so pre-fidelity
-    #: stores and byte-level comparisons of exact runs are unaffected.
+    #: Which tier produced this result.  Every run of this build is
+    #: "exact" and neither sets nor serializes the field; earlier builds
+    #: also wrote "sampled" (and "analytical") results, which still load.
     fidelity: str = "exact"
-    #: Per-metric uncertainty attached by the sampled tier (confidence
-    #: intervals over the measured windows); None for exact results.
+    #: Per-metric confidence intervals a stored sampled result carries;
+    #: None for exact results.
     error_bars: Optional[Dict[str, Any]] = None
 
     @property
@@ -192,9 +186,9 @@ class SimulationResult:
             "prefetch": None if self.prefetch is None else _prefetch_to_dict(self.prefetch),
             "decay": None if self.decay is None else asdict(self.decay),
         }
-        # Emitted only for cheap tiers: exact results must serialize
-        # byte-identically to pre-fidelity builds (the paper pipeline's
-        # warm-resume report comparison depends on it).
+        # Emitted only for results of the retired cheap tiers: exact
+        # results serialize byte-identically to pre-fidelity builds (the
+        # paper pipeline's warm-resume report comparison depends on it).
         if self.fidelity != "exact":
             out["fidelity"] = self.fidelity
         if self.error_bars is not None:

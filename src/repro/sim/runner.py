@@ -130,10 +130,6 @@ class CellSpec:
     #: with it checkpoint-store identity — is engine-independent, as
     #: results are bitwise-identical between engines.
     engine: str = "batch"
-    #: Fidelity tier ("exact" or "sampled").  Unlike ``engine`` this
-    #: *does* change results, so it enters the sweep manifest (stores
-    #: refuse to resume across tiers).
-    fidelity: str = "exact"
     #: Deep-profiling mode armed in the worker around the simulate
     #: phase ("cpu" = cProfile, "mem" = tracemalloc), or None.  Like
     #: ``engine`` it never changes results, so it stays out of the
@@ -248,46 +244,6 @@ class SweepReport:
         """Cells that needed more than one attempt (completed or failed)."""
         return sum(1 for n in self.attempts.values() if n > 1)
 
-    def fidelity_counts(self) -> Dict[str, int]:
-        """Completed-cell count per fidelity tier, in tier order.
-
-        A mixed-fidelity store (e.g. an exact campaign resumed next to a
-        sampled scouting run read through one report) is legible at a
-        glance; a plain exact sweep returns ``{"exact": N}``.
-        """
-        counts: Dict[str, int] = {}
-        for configs in self.results.values():
-            for result in configs.values():
-                tier = getattr(result, "fidelity", "exact")
-                counts[tier] = counts.get(tier, 0) + 1
-        return counts
-
-    def worst_error_bars(self) -> Dict[str, Dict[str, Any]]:
-        """Largest 95% confidence half-width per metric across all cells.
-
-        Scans every completed result carrying ``error_bars`` (the
-        sampled tier) and keeps, per metric, the cell with the widest
-        interval: ``{metric: {"ci95", "mean", "workload", "config"}}``.
-        Empty for sweeps with no sampled cells.
-        """
-        worst: Dict[str, Dict[str, Any]] = {}
-        for workload, configs in self.results.items():
-            for config_name, result in configs.items():
-                error_bars = getattr(result, "error_bars", None)
-                if not error_bars:
-                    continue
-                for metric, stats in error_bars.items():
-                    if not isinstance(stats, Mapping) or "ci95" not in stats:
-                        continue
-                    if metric not in worst or stats["ci95"] > worst[metric]["ci95"]:
-                        worst[metric] = {
-                            "ci95": stats["ci95"],
-                            "mean": stats.get("mean", 0.0),
-                            "workload": workload,
-                            "config": config_name,
-                        }
-        return worst
-
     def summary(self) -> str:
         """One-line human digest, shared by the CLI, logs, and tests."""
         total = self.ok_cells + len(self.failures)
@@ -299,18 +255,6 @@ class SweepReport:
         )
         if self.poisoned:
             text += f", {self.poisoned} poisoned cell(s) quarantined"
-        counts = self.fidelity_counts()
-        if counts and counts != {"exact": self.ok_cells}:
-            text += ", fidelity " + "+".join(
-                f"{n} {tier}" for tier, n in sorted(counts.items())
-            )
-            worst = self.worst_error_bars()
-            if "l1_miss_rate" in worst:
-                w = worst["l1_miss_rate"]
-                text += (
-                    f", worst miss-rate CI ±{w['ci95']:.4f} "
-                    f"({w['workload']}:{w['config']})"
-                )
         if self.aborted:
             text += f" [ABORTED: {self.abort_reason}]"
         return text
@@ -399,15 +343,12 @@ def _execute_cell(
             if fault_hook is not None:
                 fault_hook(spec.workload, spec.config_name, attempt)
             _fire_mid_cell(spec, attempt)
-            if tele is not None:
-                tele.count("sweep.fidelity." + spec.fidelity)
             profiler = (profile_block(spec.profile) if spec.profile is not None
                         else nullcontext())
             with timed("simulate"), profiler as prof:
                 result = simulate_config(
                     trace, spec.config, ipa=workload.ipa, warmup=spec.warmup,
                     engine=spec.engine, machine=spec.machine,
-                    fidelity=spec.fidelity, seed=spec.seed,
                 )
             if prof is not None:
                 cell_telemetry["profile"] = prof.stats()
@@ -430,17 +371,12 @@ def simulate_config(
     warmup: int,
     engine: str = "batch",
     machine: Optional[MachineConfig] = None,
-    fidelity: str = "exact",
-    seed: int = 0,
 ) -> SimulationResult:
     """Simulate *trace* under one configuration of a suite or sweep.
 
     *config* holds :func:`simulate` keyword arguments; *ipa*, *warmup*,
     *engine* and (when given) *machine* are the suite-wide defaults it
-    may override.  Exact cells call :func:`simulate` directly; the
-    sampled tier goes through
-    :func:`~repro.sim.sampling.simulate_with_fidelity`, with *seed*
-    driving the interval selection.
+    may override.
     """
     kwargs = dict(config)
     kwargs.setdefault("ipa", ipa)
@@ -448,11 +384,7 @@ def simulate_config(
     kwargs.setdefault("engine", engine)
     if machine is not None:
         kwargs.setdefault("machine", machine)
-    if fidelity == "exact":
-        return simulate(trace, **kwargs)
-    from .sampling import simulate_with_fidelity
-
-    return simulate_with_fidelity(trace, fidelity, seed=seed, **kwargs)
+    return simulate(trace, **kwargs)
 
 
 def _fire_mid_cell(spec: CellSpec, attempt: int) -> None:
@@ -912,7 +844,6 @@ def run_sweep(
     telemetry: Optional[bool] = None,
     store_metrics: bool = False,
     engine: str = "batch",
-    fidelity: str = "exact",
     profile: Optional[str] = None,
     obs_history: Union[None, bool, str, "os.PathLike[str]", "ObsStore"] = None,
 ) -> SweepReport:
@@ -995,15 +926,6 @@ def run_sweep(
             Engine choice does not enter the store's config digests:
             results are bitwise-identical between engines, so stores
             written under either engine resume interchangeably.
-        fidelity: fidelity tier for every cell — ``"exact"`` (default,
-            the full simulator) or ``"sampled"`` (representative-interval
-            extrapolation with confidence intervals, ~10-20× faster).
-            Unlike *engine* this changes results, so it is
-            recorded in the store manifest (a store refuses to resume
-            under a different tier) along with the sampled tier's
-            deterministic window selection, which depends only on
-            (length, warmup, seed) and is therefore identical across
-            ``--resume`` and any worker count.
         profile: deep-profiling mode armed in every worker around the
             simulate phase — ``"cpu"`` (cProfile) or ``"mem"``
             (tracemalloc).  Each cell ships a top-N table back in its
@@ -1038,12 +960,6 @@ def run_sweep(
         )
     if not configs:
         raise SimulationError("no configurations given")
-    from .results import FIDELITIES
-
-    if fidelity not in FIDELITIES:
-        raise SimulationError(
-            f"unknown fidelity {fidelity!r}; expected one of {FIDELITIES}"
-        )
     names = list(workloads) if workloads is not None else list(SPEC2000)
     for name in names:
         get_workload(name)  # fail fast on unknown workloads
@@ -1102,7 +1018,6 @@ def run_sweep(
             machine=machine,
             trace_cache=cache_root,
             engine=engine,
-            fidelity=fidelity,
             profile=profile,
         )
         for name in names
@@ -1119,7 +1034,6 @@ def run_sweep(
         "machine": config_digest(machine if machine is not None else paper_machine()),
         "workloads": names,
         "configs": {name: config_digest(config) for name, config in configs.items()},
-        "fidelity": fidelity,
     })
 
     # The ambient fault plan (if a FaultInjector is armed here) ships to
@@ -1146,16 +1060,6 @@ def run_sweep(
                 "configs": {name: config_digest(config) for name, config in configs.items()},
                 "created": time.time(),
             }
-            if fidelity != "exact":
-                # Absent for exact sweeps so pre-fidelity stores stay
-                # byte-compatible (and resumable) under this build.
-                manifest["fidelity"] = fidelity
-            if fidelity == "sampled":
-                from .sampling import make_sampling_plan
-
-                manifest["sampling"] = make_sampling_plan(
-                    length + resolved_warmup, resolved_warmup, seed=seed,
-                ).to_manifest()
             prior = run_store.start(manifest, resume=resume)
             wanted = {cell.key for cell in cells}
             for key, record in prior.items():

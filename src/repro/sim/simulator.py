@@ -858,12 +858,7 @@ def make_simulator(
     perfect_non_cold: bool = False,
     decay_interval: Optional[int] = None,
 ) -> MemorySimulator:
-    """Build a :class:`MemorySimulator` from :func:`simulate`'s options.
-
-    Shared by :func:`simulate` and the sampled fidelity tier
-    (``repro.sim.sampling``), which drives the simulator window by
-    window instead of through :meth:`MemorySimulator.run`.
-    """
+    """Build a :class:`MemorySimulator` from :func:`simulate`'s options."""
     machine = machine if machine is not None else paper_machine()
     if prefetcher is not None and prefetch_policy is not None:
         raise SimulationError("pass either prefetcher or prefetch_policy, not both")

@@ -424,8 +424,8 @@ def _check_compatible(
                 f"{field_name} was {prior.get(field_name)!r}, resuming run has "
                 f"{manifest.get(field_name)!r}"
             )
-    # Fidelity entered the manifest after v1 stores shipped; absence
-    # means exact, so pre-fidelity stores resume under exact sweeps.
+    # Only stores written by earlier builds' sampled tier carry a
+    # fidelity key; absence means exact, and every sweep now is exact.
     if prior.get("fidelity", "exact") != manifest.get("fidelity", "exact"):
         raise StoreError(
             f"store {path} was written at fidelity "

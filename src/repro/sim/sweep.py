@@ -48,7 +48,6 @@ def run_workload(
     warmup: Optional[int] = None,
     trace_cache: Union[bool, str, "os.PathLike[str]", TraceCache, None] = False,
     engine: str = "batch",
-    fidelity: str = "exact",
 ) -> Dict[str, SimulationResult]:
     """Run one SPEC2000 stand-in under every named configuration.
 
@@ -61,10 +60,7 @@ def run_workload(
     :class:`TraceCache` for a specific one.  *engine* selects the
     dispatch engine for every configuration (``"batch"`` with automatic
     scalar fallback, or ``"scalar"``; results are engine-independent);
-    a configuration's own ``"engine"`` key wins over it.  *fidelity*
-    selects the tier every configuration runs at — ``"exact"``
-    (default) or ``"sampled"`` (interval extrapolation with confidence
-    intervals, *seed* drives the deterministic window selection).
+    a configuration's own ``"engine"`` key wins over it.
     """
     spec = get_workload(name)
     if warmup is None:
@@ -76,8 +72,7 @@ def run_workload(
         trace = spec.build(length=length + warmup, seed=seed)
     return {
         config_name: simulate_config(
-            trace, config, ipa=spec.ipa, warmup=warmup, engine=engine,
-            machine=machine, fidelity=fidelity, seed=seed,
+            trace, config, ipa=spec.ipa, warmup=warmup, engine=engine, machine=machine,
         )
         for config_name, config in configs.items()
     }
@@ -102,7 +97,6 @@ def run_suite(
     retry_poisoned: bool = False,
     trace_cache: Union[bool, str, "os.PathLike[str]", TraceCache, None] = True,
     engine: str = "batch",
-    fidelity: str = "exact",
 ) -> Dict[str, Dict[str, SimulationResult]]:
     """Run many workloads under many configurations.
 
@@ -133,12 +127,6 @@ def run_suite(
     with automatic scalar fallback, or ``"scalar"``); results are
     bitwise-identical between engines, so it never changes what a sweep
     computes — only how fast.
-
-    ``fidelity`` selects the tier every cell runs at: ``"exact"``
-    (default) or ``"sampled"`` — see :func:`run_workload`.  Unlike
-    ``engine``, the sampled tier *does* change results (it carries
-    ``result.fidelity`` and ``result.error_bars``), so checkpoint
-    stores record the tier and refuse to resume across tiers.
 
     Every cell still runs when some cells fail, and the failures are
     then raised as one :class:`SimulationError` (after checkpointing).
@@ -172,7 +160,6 @@ def run_suite(
         retry_poisoned=retry_poisoned,
         trace_cache=trace_cache,
         engine=engine,
-        fidelity=fidelity,
     )
     report.raise_on_failure()
     return report.results

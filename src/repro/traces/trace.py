@@ -31,6 +31,14 @@ Column = Union[List[int], np.ndarray]
 #: layouts and in-memory traces agree.
 COLUMN_DTYPES = (np.int64, np.int64, np.int8, np.int32)
 
+#: Value bounds :class:`TraceBuilder` enforces, so every access fits its
+#: column's dtype; kinds must be :class:`AccessType` values.
+_ADDRESS_MAX = int(np.iinfo(COLUMN_DTYPES[0]).max)
+_PC_MIN = int(np.iinfo(COLUMN_DTYPES[1]).min)
+_PC_MAX = int(np.iinfo(COLUMN_DTYPES[1]).max)
+_GAP_MAX = int(np.iinfo(COLUMN_DTYPES[3]).max)
+_VALID_KINDS = frozenset(int(kind) for kind in AccessType)
+
 
 class Trace:
     """An immutable-ish sequence of memory accesses.
@@ -269,14 +277,30 @@ class TraceBuilder:
         kind: int = AccessType.LOAD,
         gap: int = 1,
     ) -> None:
-        """Append one access."""
+        """Append one access.
+
+        Raises :class:`TraceError` for a negative address or gap, a kind
+        outside :class:`AccessType`, or a value its column's
+        :data:`COLUMN_DTYPES` entry cannot hold, so every built trace
+        converts to arrays, saves and caches.
+        """
         if address < 0:
             raise TraceError(f"negative address {address}")
         if gap < 0:
             raise TraceError(f"negative gap {gap}")
+        if address > _ADDRESS_MAX:
+            raise TraceError(f"address {address} exceeds {_ADDRESS_MAX}")
+        if not _PC_MIN <= pc <= _PC_MAX:
+            raise TraceError(f"pc {pc} outside [{_PC_MIN}, {_PC_MAX}]")
+        if gap > _GAP_MAX:
+            raise TraceError(f"gap {gap} exceeds {_GAP_MAX}")
+        kind = int(kind)
+        if kind not in _VALID_KINDS:
+            raise TraceError(
+                f"invalid access kind {kind} (valid: {sorted(_VALID_KINDS)})")
         self._addresses.append(address)
         self._pcs.append(pc)
-        self._kinds.append(int(kind))
+        self._kinds.append(kind)
         self._gaps.append(gap)
 
     def __len__(self) -> int:

@@ -17,14 +17,11 @@ from typing import Union
 import numpy as np
 
 from ..common.errors import TraceError
-from ..common.types import AccessType
 from .trace import Trace, TraceBuilder
 
 PathLike = Union[str, "os.PathLike[str]"]
 
 _FORMAT_VERSION = 1
-
-_VALID_KINDS = frozenset(int(kind) for kind in AccessType)
 
 
 def _binary_path(path: PathLike) -> str:
@@ -125,13 +122,6 @@ def load_text(path: PathLike) -> Trace:
                     gap = int(parts[3])
                 except ValueError as exc:
                     raise TraceError(f"{path}:{lineno}: {exc}") from exc
-                if kind not in _VALID_KINDS:
-                    raise TraceError(
-                        f"{path}:{lineno}: invalid access kind {kind} "
-                        f"(valid: {sorted(_VALID_KINDS)})"
-                    )
-                if gap < 0:
-                    raise TraceError(f"{path}:{lineno}: negative gap {gap}")
                 try:
                     builder.add(address, pc=pc, kind=kind, gap=gap)
                 except TraceError as exc:

@@ -10,7 +10,7 @@ engines and the reference produce bitwise-identical
 every workload in the suite — under the default, victim-cache (all
 three admission filters), prefetch, decay, warmup, and perfect-mode
 configurations, and on seeded random traces with stores — and that
-every victim-cache run keeps the victim accounting invariants.
+every run keeps the accounting identities.
 """
 
 import sys
@@ -110,6 +110,25 @@ def test_victim_invariant_violation_is_a_diff_line():
     cell["batch"]["invariant_violations"] = violations
     lines = equivalence.cell_diffs(cell)
     assert f"[batch] invariant violated: {violations[0]}" in lines
+
+
+def test_accounting_violation_is_a_diff_line():
+    sim = MemorySimulator()
+    result = sim.run(equivalence.build_workload("gcc", length=1_000))
+    assert equivalence.accounting_violations(sim, result) == []
+    result.timing.stall_breakdown["injected"] = 1  # not in stall_cycles
+    violations = equivalence.accounting_violations(sim, result)
+    assert violations == [
+        f"sum(stall_breakdown) == stall_cycles "
+        f"({result.timing.stall_cycles + 1} vs {result.timing.stall_cycles})"
+    ]
+    cell = {
+        label: {"result": {}, "metrics": None, "invariant_violations": []}
+        for label, _, _ in equivalence.RUNS
+    }
+    cell["scalar"]["invariant_violations"] = violations
+    lines = equivalence.cell_diffs(cell)
+    assert f"[scalar] invariant violated: {violations[0]}" in lines
 
 
 def test_iter_mismatches_empty_on_identical_runs():

@@ -70,17 +70,13 @@ class TestSweepProgress:
         progress, _stream = _progress()
         progress.on_sweep_start(3, workers=1)
         progress.on_cell_done("a", "base", True, 1, 0.1,
-                              counters={"sim.engine_used.batch": 1,
-                                        "sweep.fidelity.exact": 1})
+                              counters={"sim.engine_used.batch": 1})
         progress.on_cell_done("a", "pf_tk", True, 1, 0.1,
-                              counters={"sim.engine_used.scalar": 1,
-                                        "sweep.fidelity.exact": 1})
+                              counters={"sim.engine_used.scalar": 1})
         progress.on_cell_done("b", "base", True, 1, 0.1,
-                              counters={"sim.engine_used.batch": 1,
-                                        "sweep.fidelity.sampled": 1})
+                              counters={"sim.engine_used.batch": 1})
         line = progress.status_line()
         assert "engine 2 batch+1 scalar" in line
-        assert "fidelity 2 exact+1 sampled" in line
 
     def test_no_tally_segments_without_counters(self):
         progress, _stream = _progress()

@@ -116,7 +116,6 @@ class TestDirectionRegistry:
         ("wall_time_s", "lower"),
         ("cells_failed", "lower"),
         ("retries", "lower"),
-        ("error_bar_ipc", "lower"),
         ("phase_simulate_s", "lower"),
         ("cells_ok", None),
         ("engine_batch", None),

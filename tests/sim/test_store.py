@@ -1,11 +1,14 @@
 """Tests for the JSONL checkpoint store."""
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.cli import main
+from repro.common.config import config_digest, paper_machine
 from repro.common.errors import StoreError
-from repro.sim.runner import CellFailure
+from repro.sim.runner import CellFailure, run_sweep
 from repro.sim.store import STORE_VERSION, RunStore
 from repro.sim.sweep import run_workload
 
@@ -18,6 +21,10 @@ MANIFEST = {
     "workloads": ["gzip"],
     "configs": {"base": "d1", "perfect": "d2"},
 }
+
+#: Sweep parameters of the tests that run real sweeps into a store.
+CONFIGS = {"base": {}, "decay": {"decay_interval": 2_000}}
+LENGTH = 12_000
 
 
 def make_result():
@@ -100,6 +107,45 @@ class TestResumeGuards:
             store.start(MANIFEST)
         extended = dict(MANIFEST, configs=dict(MANIFEST["configs"], extra="d3"))
         RunStore(path).start(extended, resume=True)  # no raise
+
+
+class TestFidelityCompatibility:
+    def test_exact_manifest_has_no_fidelity_key(self, tmp_path):
+        # Pre-fidelity stores stay byte-compatible: exact runs write
+        # exactly the manifest they always did.
+        store = tmp_path / "run"
+        run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH, store=store)
+        manifest, _ = RunStore(store).load()
+        assert "fidelity" not in manifest
+        assert "sampling" not in manifest
+
+    def test_legacy_sampled_store(self, tmp_path, capsys):
+        # A store written by an earlier build's sampled tier: its manifest
+        # matches the resuming sweep's except for the tier.
+        store = tmp_path / "run"
+        manifest = {
+            "length": LENGTH,
+            "seed": 0,
+            "warmup": LENGTH // 3,
+            "machine": config_digest(paper_machine()),
+            "workloads": ["gzip"],
+            "configs": {name: config_digest(c) for name, c in CONFIGS.items()},
+            "fidelity": "sampled",
+        }
+        sampled = dataclasses.replace(
+            make_result(), fidelity="sampled",
+            error_bars={"l1_miss_rate": {"mean": 0.05, "ci95": 0.004}},
+        )
+        with RunStore(store) as run_store:
+            run_store.start(manifest)
+            run_store.record_result("gzip", "base", sampled, attempts=1, elapsed=0.1)
+        with pytest.raises(StoreError, match=r"'sampled'.*'exact'"):
+            run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
+                      store=store, resume=True)
+        assert main(["report", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert "fidelity: 1 sampled" in out
+        assert "worst l1_miss_rate 95% CI: ±0.00400 (gzip:base)" in out
 
 
 class TestCorruption:

@@ -31,6 +31,26 @@ class TestTraceBuilder:
         with pytest.raises(TraceError):
             TraceBuilder().add(0, gap=-1)
 
+    @pytest.mark.parametrize("address,fields", [
+        (2**63, {}),
+        (0, {"pc": 2**64}),
+        (0, {"gap": 2**31}),
+        (0, {"kind": 300}),
+    ], ids=["address", "pc", "gap", "kind"])
+    def test_value_its_column_cannot_hold_rejected(self, address, fields):
+        with pytest.raises(TraceError):
+            TraceBuilder().add(address, **fields)
+
+    def test_column_extremes_accepted(self):
+        b = TraceBuilder()
+        b.add(2**63 - 1, pc=-(2**63), kind=AccessType.SW_PREFETCH, gap=2**31 - 1)
+        b.add(0, pc=2**63 - 1, gap=0)
+        addresses, pcs, kinds, gaps = b.build().to_arrays()
+        assert addresses.tolist() == [2**63 - 1, 0]
+        assert pcs.tolist() == [-(2**63), 2**63 - 1]
+        assert kinds.tolist() == [2, 0]
+        assert gaps.tolist() == [2**31 - 1, 0]
+
     def test_build_snapshots(self):
         b = TraceBuilder()
         b.add(1)

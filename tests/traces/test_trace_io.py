@@ -156,6 +156,12 @@ class TestTextValidation:
         with pytest.raises(TraceError, match=r"bad\.trc:2"):
             trace_io.load_text(path)
 
+    def test_address_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "bad.trc"
+        path.write_text("1000 400 0 1\n8000000000000000 0 0 1\n")
+        with pytest.raises(TraceError, match=r"bad\.trc:2: address 9223372036854775808"):
+            trace_io.load_text(path)
+
 
 class TestBinaryValidation:
     def test_truncated_column_rejected(self, tmp_path):

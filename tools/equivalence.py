@@ -24,10 +24,9 @@ the batch engine, the production simulator under the scalar engine,
 and the reference — all pairs must be bitwise-identical.  Cells cover
 warmup > 0 and perfect-mode configurations in addition to the
 mechanism axes (victim cache under each of the paper's three admission
-filters, prefetch, decay).  Every run of a victim-cache cell must also
-satisfy the victim accounting invariants
-(:func:`victim_invariant_violations`); a violation is reported as one
-more diff line of the cell.
+filters, prefetch, decay).  Every run must also satisfy the accounting
+identities of :func:`accounting_violations`; a violation is reported as
+one more diff line of the cell.
 
 Run directly::
 
@@ -392,6 +391,38 @@ def metrics_digest(sim: MemorySimulator) -> Optional[Dict[str, Any]]:
     }
 
 
+def accounting_violations(sim: MemorySimulator, result) -> List[str]:
+    """Accounting identities that *result* breaks, victim ones included.
+
+    Hits and misses partition the L1 accesses, and so do the outcome
+    tallies; cycles are compute plus stall cycles, and the stall
+    breakdown sums to the stall cycles.  The 3C classes partition the
+    L1 misses, except under ``perfect_non_cold``, which classifies the
+    non-cold misses it then charges as hits.
+    """
+    timing = result.timing
+    outcomes = sum(result.outcomes.values())
+    stalls = sum(timing.stall_breakdown.values())
+    checks = [
+        (result.l1_hits + result.l1_misses == result.accesses,
+         f"l1_hits + l1_misses == accesses "
+         f"({result.l1_hits} + {result.l1_misses} vs {result.accesses})"),
+        (outcomes == result.accesses,
+         f"sum(outcomes) == accesses ({outcomes} vs {result.accesses})"),
+        (timing.cycles == timing.compute_cycles + timing.stall_cycles,
+         f"timing.cycles == compute_cycles + stall_cycles "
+         f"({timing.cycles} vs {timing.compute_cycles} + {timing.stall_cycles})"),
+        (stalls == timing.stall_cycles,
+         f"sum(stall_breakdown) == stall_cycles ({stalls} vs {timing.stall_cycles})"),
+    ]
+    if result.miss_counts is not None and not sim.perfect_non_cold:
+        checks.append(
+            (result.miss_counts.total == result.l1_misses,
+             f"3C total == l1_misses ({result.miss_counts.total} vs {result.l1_misses})"))
+    return ([text for holds, text in checks if not holds]
+            + victim_invariant_violations(sim, result))
+
+
 def victim_invariant_violations(sim: MemorySimulator, result) -> List[str]:
     """Victim-cache accounting identities that *result* breaks.
 
@@ -428,7 +459,7 @@ def run_cell(workload: str, length: int, config_name: str) -> Dict[str, Dict]:
     Returns ``{label: comparable_dict}`` for the labels in :data:`RUNS`
     — production/batch, production/scalar, and the reference — where
     each comparable dict is the result ``to_dict``, the metrics digest
-    and the run's victim accounting violations.  A ``warmup_frac``
+    and the run's accounting violations.  A ``warmup_frac``
     entry in the config adds that fraction of *length* as extra
     leading accesses consumed as warmup.
     """
@@ -447,7 +478,7 @@ def run_cell(workload: str, length: int, config_name: str) -> Dict[str, Dict]:
         out[label] = {
             "result": result.to_dict(),
             "metrics": metrics_digest(sim),
-            "invariant_violations": victim_invariant_violations(sim, result),
+            "invariant_violations": accounting_violations(sim, result),
         }
     return out
 
