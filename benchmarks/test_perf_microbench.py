@@ -7,7 +7,7 @@ correlation-table traffic).
 
 from repro.classify.three_c import ThreeCClassifier
 from repro.core.prefetch.correlation import CorrelationTable
-from repro.sim.simulator import MemorySimulator
+from repro.sim.simulator import MemorySimulator, make_simulator
 from repro.traces.workloads import build_workload
 
 
@@ -23,8 +23,8 @@ def test_perf_simulator_throughput(benchmark):
 
 def test_perf_simulator_throughput_scalar(benchmark):
     """The forced-scalar loop — the fallback path every non-batchable
-    configuration (prefetch, decay, adaptive victim admission) still
-    runs through."""
+    configuration (stride prefetch, decay, adaptive victim admission)
+    still runs through."""
     trace = build_workload("gcc", length=20_000)
 
     def run():
@@ -52,13 +52,28 @@ def test_perf_simulator_victim(benchmark):
 
 
 def test_perf_simulator_with_prefetch(benchmark):
+    """The timekeeping prefetcher on the batch engine's event loop."""
     trace = build_workload("swim", length=20_000)
 
     def run():
-        from repro.sim.simulator import simulate
-        return simulate(trace, ipa=3.0, prefetcher="timekeeping")
+        sim = make_simulator(ipa=3.0, prefetcher="timekeeping")
+        return sim, sim.run(trace)
 
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    sim, result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert sim.engine_used == "batch", sim.batch_fallback
+    assert result.prefetch.issued > 0
+
+
+def test_perf_simulator_with_dbcp(benchmark):
+    """The DBCP baseline prefetcher on the batch engine's event loop."""
+    trace = build_workload("vortex", length=20_000)
+
+    def run():
+        sim = make_simulator(ipa=3.0, prefetcher="dbcp")
+        return sim, sim.run(trace)
+
+    sim, result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert sim.engine_used == "batch", sim.batch_fallback
     assert result.prefetch.issued > 0
 
 

@@ -21,11 +21,10 @@ address; it carries no timing information.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional, Tuple
+from collections import OrderedDict, defaultdict
+from typing import DefaultDict, List, Optional, Tuple
 
 from ...common.errors import ConfigError
-from ..tick import saturate
 
 
 class CorrelationTable:
@@ -62,14 +61,16 @@ class CorrelationTable:
         self.num_sets = 1 << (tag_sum_bits + index_bits)
         self._tag_mask = (1 << tag_sum_bits) - 1
         self._idx_mask = (1 << index_bits) - 1
-        #: id_tag -> [next_tag, live_time_ticks, confirmed] per set.  An
-        #: entry only predicts once the same successor has been observed
-        #: twice (a 1-bit confirmation, standard for correlation
-        #: predictors); the live-time field always tracks the latest
-        #: observation.
-        self._sets: List["OrderedDict[int, List[int]]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self._lt_max = (1 << live_time_bits) - 1
+        #: pointer -> {id_tag: [next_tag, live_time_ticks, confirmed]}.
+        #: An entry only predicts once the same successor has been
+        #: observed twice (a 1-bit confirmation, standard for
+        #: correlation predictors); the live-time field always tracks
+        #: the latest observation.  A set is allocated by its first
+        #: update; lookups read with ``get`` so they never allocate.
+        self._sets: DefaultDict[int, "OrderedDict[int, List[int]]"] = defaultdict(
+            OrderedDict
+        )
         # Statistics.
         self.lookups = 0
         self.lookup_hits = 0
@@ -84,12 +85,6 @@ class CorrelationTable:
     def num_entries(self) -> int:
         return self.num_sets * self.associativity
 
-    def _pointer(self, tag_a: int, tag_b: int, set_index: int) -> int:
-        """Pointer construction of Figure 17: truncated tag sum + index bits."""
-        return (((tag_a + tag_b) & self._tag_mask) << self.index_bits) | (
-            set_index & self._idx_mask
-        )
-
     def lookup(self, tag_a: int, tag_b: int, set_index: int) -> Optional[Tuple[int, int]]:
         """Prediction for history (A, B) in *set_index*.
 
@@ -98,8 +93,12 @@ class CorrelationTable:
         unconfirmed entry (successor seen only once so far).
         """
         self.lookups += 1
-        entries = self._sets[self._pointer(tag_a, tag_b, set_index)]
-        entry = entries.get(tag_b)
+        # The pointer of Figure 17: truncated tag sum, then index bits.
+        entries = self._sets.get(
+            (((tag_a + tag_b) & self._tag_mask) << self.index_bits)
+            | (set_index & self._idx_mask)
+        )
+        entry = entries.get(tag_b) if entries is not None else None
         if entry is None or not entry[2]:
             return None
         entries.move_to_end(tag_b)
@@ -116,8 +115,12 @@ class CorrelationTable:
         observation.
         """
         self.updates += 1
-        entries = self._sets[self._pointer(tag_a, tag_b, set_index)]
-        lt = saturate(live_time_ticks, self.live_time_bits)
+        entries = self._sets[
+            (((tag_a + tag_b) & self._tag_mask) << self.index_bits)
+            | (set_index & self._idx_mask)
+        ]
+        lt_max = self._lt_max
+        lt = live_time_ticks if live_time_ticks < lt_max else lt_max
         entry = entries.get(tag_b)
         if entry is not None and entry[0] == next_tag:
             entry[1] = lt
@@ -164,13 +167,15 @@ class DBCPTable:
         self.entry_bytes = entry_bytes
         self.num_sets = 1 << pointer_bits
         self._mask = self.num_sets - 1
-        #: key -> [next_block, confirmed] per set; an entry predicts only
-        #: once the same successor has been observed twice in a row (the
-        #: confirmation/confidence mechanism of correlation prefetchers —
-        #: without it a single noisy transition would trigger prefetches).
-        self._sets: List["OrderedDict[int, List[int]]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        #: pointer -> {key: [next_block, confirmed]}; an entry predicts
+        #: only once the same successor has been observed twice in a row
+        #: (the confirmation/confidence mechanism of correlation
+        #: prefetchers — without it a single noisy transition would
+        #: trigger prefetches).  Sets are allocated on first update, as
+        #: in :class:`CorrelationTable`.
+        self._sets: DefaultDict[int, "OrderedDict[int, List[int]]"] = defaultdict(
+            OrderedDict
+        )
         self.lookups = 0
         self.lookup_hits = 0
         self.updates = 0
@@ -189,18 +194,15 @@ class DBCPTable:
         """
         return (pc * 0x9E3779B1 + block_a * 0x85EBCA6B + block_b) & 0x7FFFFFFFFFFF
 
-    def _pointer(self, signature: int) -> int:
-        return signature & self._mask
-
     def lookup(self, signature: int) -> Optional[int]:
         """Predicted next block address for *signature*, or None.
 
         Unconfirmed entries (successor seen only once) do not predict.
         """
         self.lookups += 1
-        entries = self._sets[self._pointer(signature)]
+        entries = self._sets.get(signature & self._mask)
         key = signature >> self.pointer_bits
-        entry = entries.get(key)
+        entry = entries.get(key) if entries is not None else None
         if entry is None or not entry[1]:
             return None
         entries.move_to_end(key)
@@ -214,7 +216,7 @@ class DBCPTable:
         successor replaces it unconfirmed.
         """
         self.updates += 1
-        entries = self._sets[self._pointer(signature)]
+        entries = self._sets[signature & self._mask]
         key = signature >> self.pointer_bits
         entry = entries.get(key)
         if entry is not None and entry[0] == next_block_addr:

@@ -115,5 +115,13 @@ class DBCPPrefetchPolicy(PrefetchPolicy):
             return ScheduledPrefetch(frame_key, state.predicted_block, now + 1)
         return None
 
+    def next_hit_trigger(self, frame_key: int, frame: Frame) -> Optional[int]:
+        # on_hit arms an unarmed frame with a prediction at the first hit
+        # whose count reaches death_hits, and acts at no other hit.
+        state = self._frames.get(frame_key)
+        if state is None or state.armed or state.predicted_block < 0:
+            return None
+        return max(state.death_hits, 1)
+
     def state_bytes(self) -> int:
         return self.table.size_bytes

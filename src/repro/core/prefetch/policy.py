@@ -12,6 +12,12 @@ same frame events the hardware would:
 
 Each hook may return a :class:`ScheduledPrefetch` to (re)arm that
 frame's single prefetch timer.
+
+A policy may also define ``next_hit_trigger(frame_key, frame)``: the
+frame's demand-hit count at which ``on_hit`` can next return a
+schedule or change policy state, or None when no hit can before the
+frame's next fill.  The batch engine skips every other hit; a policy
+without it runs on the scalar loop.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ class PrefetchPolicy(abc.ABC):
     #: True for access-granularity policies (stride) that must see every
     #: demand access, not just frame events.
     wants_all_accesses = False
+    #: Optional hit-trigger method (see the module docstring); None
+    #: keeps the policy on the scalar loop.
+    next_hit_trigger = None
 
     @abc.abstractmethod
     def on_miss(self, frame: Frame, frame_key: int, new_block_addr: int,

@@ -29,12 +29,14 @@ from typing import Optional
 
 from ...cache.block import Frame
 from ...common.config import CacheConfig
-from ..tick import GlobalTicker, saturate
+from ..tick import GlobalTicker
 from .correlation import CorrelationTable
 from .policy import PrefetchPolicy, ScheduledPrefetch
 
 #: Width of the per-line gt/lt/prefetch counters (Figure 18).
 COUNTER_BITS = 5
+#: The value a saturated counter holds.
+_COUNTER_MAX = (1 << COUNTER_BITS) - 1
 
 
 class TimekeepingPrefetchPolicy(PrefetchPolicy):
@@ -66,12 +68,16 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
         return (tag << self._index_bits) | set_index
 
     def _lt_ticks(self, frame: Frame) -> int:
-        """A frame's live time as the 5-bit tick count the lt register holds."""
-        live = frame.live_time()
-        return saturate(
-            self.ticker.ticks_between(frame.fill_time, frame.fill_time + live),
-            COUNTER_BITS,
-        )
+        """A frame's live time as the 5-bit tick count the lt register holds.
+
+        ``saturate(ticker.ticks_between(fill, fill + live_time()))``,
+        written out: it runs on every eviction that updates the table.
+        """
+        fill = frame.fill_time
+        live = frame.lt_register if frame.hit_count > 0 else 0
+        tick = self.ticker.tick_cycles
+        ticks = (fill + live) // tick - fill // tick
+        return ticks if ticks < _COUNTER_MAX else _COUNTER_MAX
 
     def _arm(self, frame_key: int, set_index: int, predicted_tag: int,
              lt_ticks: int, now: int) -> Optional[ScheduledPrefetch]:
@@ -86,8 +92,8 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
         every displacement seeds further misses — a feedback storm on
         cache-resident working sets.
         """
-        delay_ticks = saturate(self.live_time_scale * lt_ticks, COUNTER_BITS)
-        if delay_ticks == (1 << COUNTER_BITS) - 1:
+        delay_ticks = self.live_time_scale * lt_ticks
+        if delay_ticks >= _COUNTER_MAX:
             return None
         tick = self.ticker.tick_cycles
         fire_at = ((now // tick) + delay_ticks + 1) * tick
@@ -97,16 +103,17 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
 
     def on_miss(self, frame: Frame, frame_key: int, new_block_addr: int,
                 pc: int, now: int) -> Optional[ScheduledPrefetch]:
-        set_index = new_block_addr & self._set_mask
-        tag_b = self._tag(new_block_addr)
         if not frame.valid:
             return None
+        set_index = new_block_addr & self._set_mask
+        tag_b = new_block_addr >> self._index_bits
         tag_a = frame.tag
+        table = self.table
         # Update: history (D, A) -> (B, lt(A)).
         if frame.prev_tag >= 0:
-            self.table.update(frame.prev_tag, tag_a, set_index, tag_b, self._lt_ticks(frame))
+            table.update(frame.prev_tag, tag_a, set_index, tag_b, self._lt_ticks(frame))
         # Predict: history (A, B) -> (C, lt(B)).
-        prediction = self.table.lookup(tag_a, tag_b, set_index)
+        prediction = table.lookup(tag_a, tag_b, set_index)
         if prediction is None:
             return None
         next_tag, lt_ticks = prediction
@@ -138,6 +145,10 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
             return None
         next_tag, lt_ticks = prediction
         return self._arm(frame_key, set_index, next_tag, lt_ticks, now)
+
+    def next_hit_trigger(self, frame_key: int, frame: Frame) -> Optional[int]:
+        # on_hit acts only at a prefetched block's first demand use.
+        return 1 if frame.prefetched and frame.hit_count == 0 else None
 
     def state_bytes(self) -> int:
         return self.table.size_bytes

@@ -1,17 +1,17 @@
 """Vectorized batch-dispatch engine for :class:`MemorySimulator`.
 
 The scalar simulator walks the trace one access at a time; for the
-paper's dominant configurations — direct-mapped L1, LRU L2, no
-prefetcher, no decay, and either no victim cache or one behind the
-unfiltered, Collins or timekeeping admission filter — nothing an
-access does depends on *future* accesses, and almost nothing it does
-needs the full machine.  This module exploits that: it scans an
-array-backed trace's columns once with numpy (set decomposition,
-hit/miss detection, generation segmentation), runs two lean Python
-passes for the genuinely sequential state (the 3C shadow stack and the
-bus/stall/victim-cache recurrence over misses only), and reconstructs
-every observable — counters, histograms, generation records, miss
-correlations, timing breakdown, and final cache contents —
+paper's configurations — direct-mapped L1, LRU L2, no decay, and
+either no mechanism, a victim cache behind the unfiltered, Collins or
+timekeeping admission filter, or the timekeeping or DBCP prefetcher —
+most accesses are hits whose effects fold into columns.  This module
+exploits that: it scans an array-backed trace's columns once with
+numpy (set decomposition, hit/miss detection, generation
+segmentation), runs lean Python passes for the genuinely sequential
+state (the 3C shadow stack, the bus/stall/victim-cache recurrence over
+misses, the prefetch event loop), and reconstructs every observable —
+counters, histograms, generation records, miss correlations, timing
+breakdown, prefetch engine state and final cache contents —
 bitwise-identically to the scalar loop.
 
 Exactness is the contract, not an aspiration: the equivalence harness
@@ -22,7 +22,8 @@ two engines cell by cell.  The invariants the reconstruction leans on:
   (or the set's resident at batch entry) touched the same block, so
   hit/miss falls out of one stable sort by set index;
 - every L1 access stamps the LRU clock exactly once (hit or fill), so
-  a frame's final stamp is ``clock0 + original position + 1``;
+  without prefetch fills a frame's final stamp is
+  ``clock0 + original position + 1``;
 - every L1 miss that reaches the hierarchy stamps the L2 clock exactly
   once (L2 hit or L2 fill), and demand fills never use LRU insertion,
   so per-set L2 state reduces to an ordered list of resident blocks;
@@ -42,6 +43,34 @@ two engines cell by cell.  The invariants the reconstruction leans on:
   the evicted generation closes (and is admitted) between them, and
   the new block fills after both.
 
+With a prefetch policy (:func:`_consume_prefetch`) the engine becomes
+an event loop.  Its events are the ones the scalar loop drains at the
+top of an access: a prefetch timer firing into the queue, a queued
+request issuing (an L2 hit moves to MRU, an L2 fill enters at the LRU
+position without advancing the clock, and both buses make it wait out
+the demand shadow), and an arrival, which fills the target's own set
+at its arrival time.  Python runs once per demand miss, per event and
+per hit where the policy acts; the hit runs between them stay columns:
+
+- an arrival changes only the outcome of the next access to its set,
+  and the static hit rule above holds again after that access, so the
+  loop visits the static misses, the first access to a set after each
+  arrival, and the first access at which an event is due (one
+  ``bisect`` over the base clock) — every access while the queue holds
+  requests;
+- the policy's ``next_hit_trigger`` names the one demand hit of a
+  frame at which ``on_hit`` can act (the first use of a prefetched
+  block for timekeeping, the hit reaching the death count for DBCP);
+  the loop visits it and skips every other hit;
+- before a hook, an eviction or a probe reads an L1 frame, the loop
+  catches its fields up for the skipped hits (hit count, last access
+  time, live-time register, dirty bit, LRU stamp), from the base clock
+  plus the stall of the misses before each hit and the prefetch fills
+  that advanced the L1 clock;
+- evicted generations close as columns (the tracker absorbs them), and
+  their maximum access intervals, the open generations and the 3C
+  classes are rebuilt from columns once the loop is done.
+
 The L2 would be the one expensive reconstruction (tens of thousands of
 :class:`Frame` objects), and nothing observable reads L2 frame fields
 during a run — so the engine hands the cache a
@@ -51,6 +80,8 @@ someone actually looks (`SetAssociativeCache.defer_contents`).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from heapq import heappop, heappush
 from itertools import repeat
 from typing import Dict, List, Optional
 
@@ -59,6 +90,7 @@ import numpy as np
 from ..cache.block import Frame
 from ..cache.replacement import LRUPolicy
 from ..common.types import AccessOutcome, AccessType, MissClass
+from ..core.generations import GenerationRecord
 from ..core.tick import VICTIM_FILTER_COUNTER_BITS
 from ..core.victim import (
     AdaptiveTimekeepingAdmission,
@@ -76,17 +108,25 @@ _STORE = int(AccessType.STORE)
 #: Admission filters whose decision the batch engine reproduces.
 _BATCH_FILTERS = (UnfilteredAdmission, CollinsAdmission, TimekeepingAdmission)
 
+#: Event-queue payload kinds: a prefetch timer firing, a prefetch arriving.
+_FIRE = 0
+_ARRIVE = 1
+
 
 def batch_fallback_reason(sim, trace) -> Optional[str]:
     """Why *sim* cannot run *trace* through the batch engine, or None.
 
-    The batch engine covers the paper's baseline machine shape and its
+    The batch engine covers the paper's baseline machine shape, its
     three victim-cache configurations (unfiltered, Collins and
-    timekeeping admission, threshold variants included); any feature
-    that makes an access's behavior depend on frame metadata or
-    asynchronous events (prefetch timers, decay) or on per-eviction
-    filter state (adaptive admission, custom filters) falls back to
-    the scalar loop.  The returned string is surfaced in
+    timekeeping admission, threshold variants included) and its two
+    prefetchers (any policy that defines ``next_hit_trigger`` and
+    does not watch every access).  Features that make an access's
+    behavior depend on frame metadata (decay), on per-eviction filter
+    state (adaptive admission, custom filters) or on every access
+    (stride prefetch), and prefetch combined with a victim cache or
+    perfect mode, fall back to the scalar loop.  Pending events at
+    entry are only accepted from a prefetch engine (the warm-up
+    boundary leaves them).  The returned string is surfaced in
     results/telemetry so a silent fallback is still observable.
     """
     if not getattr(sim, "_batch_capable", False):
@@ -98,8 +138,16 @@ def batch_fallback_reason(sim, trace) -> Optional[str]:
         return "flight recorder armed (per-generation events need the scalar loop)"
     if not trace.columns_are_arrays:
         return "trace is list-backed (no column arrays to scan)"
-    if sim.policy is not None:
-        return "prefetch policy configured"
+    policy = sim.policy
+    if policy is not None:
+        if policy.wants_all_accesses:
+            return "prefetch policy sees every access"
+        if policy.next_hit_trigger is None:
+            return "prefetch policy has no next_hit_trigger"
+        if sim.victim_cache is not None:
+            return "prefetch policy with a victim cache"
+        if sim.perfect_non_cold:
+            return "prefetch policy with perfect_non_cold"
     if sim.victim_cache is not None:
         admission = sim.admission
         if type(admission) is AdaptiveTimekeepingAdmission:
@@ -119,7 +167,7 @@ def batch_fallback_reason(sim, trace) -> Optional[str]:
         return "L2 replacement is not LRU"
     if not l2._stamps_on_hit:
         return "L2 replacement does not stamp on hit"
-    if sim.events._heap:
+    if policy is None and sim.events._heap:
         return "pending timing events"
     return None
 
@@ -130,13 +178,15 @@ class _DeferredL2State:
     During the batch the L2 is tracked through lean per-set structures
     (``set_lists``: resident block addresses in LRU→MRU order,
     ``way_of``: block → way, ``free_ways``: unfilled ways in scalar
-    fill order) plus a flat event log of the reaching misses (one
-    entry per L2 hit or fill).  :meth:`final_fields` replays the log
-    over the entry per-block field snapshot to get every frame field;
-    the object doubles as the cache's contents installer (calling it
-    materializes real :class:`Frame` objects).  A follow-up batch (the warm-up boundary) instead consumes
-    the lean structures directly and chains ``final_fields`` as its
-    entry snapshot, so frames are only ever built if someone looks.
+    fill order) plus a flat event log with one ``(block, now, store,
+    packed)`` row per L2 hit or fill, read through the zero-argument
+    ``events`` callable.  :meth:`final_fields` replays the log over the
+    entry per-block field snapshot to get every frame field; the object
+    doubles as the cache's contents installer (calling it materializes
+    real :class:`Frame` objects).  A follow-up batch (the warm-up
+    boundary) instead consumes the lean structures directly and chains
+    ``final_fields`` as its entry snapshot, so frames are only ever
+    built if someone looks.
     """
 
     __slots__ = (
@@ -144,10 +194,7 @@ class _DeferredL2State:
         "way_of",
         "free_ways",
         "entry_fields_fn",
-        "ev_block",
-        "ev_now",
-        "ev_store",
-        "ev_packed",
+        "events",
         "clock0",
         "index_bits",
         "assoc",
@@ -160,10 +207,7 @@ class _DeferredL2State:
         way_of: Dict[int, int],
         free_ways: Dict[int, List[int]],
         entry_fields_fn,
-        ev_block: np.ndarray,
-        ev_now: np.ndarray,
-        ev_store: np.ndarray,
-        ev_packed: np.ndarray,
+        events,
         clock0: int,
         index_bits: int,
         assoc: int,
@@ -172,10 +216,7 @@ class _DeferredL2State:
         self.way_of = way_of
         self.free_ways = free_ways
         self.entry_fields_fn = entry_fields_fn
-        self.ev_block = ev_block
-        self.ev_now = ev_now
-        self.ev_store = ev_store
-        self.ev_packed = ev_packed
+        self.events = events
         self.clock0 = clock0
         self.index_bits = index_bits
         self.assoc = assoc
@@ -186,36 +227,58 @@ class _DeferredL2State:
 
         Replays the event log (L2 hits re-anchoring hit state, fills
         starting generations with the evicted block's tag as
-        ``prev_tag``) over the entry snapshot; memoized.  The event
-        columns arrive as numpy arrays and are converted here, off the
-        simulation hot path — a run nobody inspects never pays for it.
+        ``prev_tag``) over the entry snapshot; memoized.  A packed
+        value's low bit marks an L2 hit, its higher bits carry an
+        evicted block plus one; a negative value ``~packed`` marks a
+        prefetch fill inserted at the LRU position, whose stamp is one
+        below every other frame of its set (a never-filled frame counts
+        as 0) and which does not advance the clock.  The log is read
+        here, off the simulation hot path — a run nobody inspects never
+        pays for it.
         """
         if self._fields is not None:
             return self._fields
         fields = dict(self.entry_fields_fn())
         clk = self.clock0
         index_bits = self.index_bits
-        for block, now, store, packed in zip(
-            self.ev_block.tolist(),
-            self.ev_now.tolist(),
-            self.ev_store.tolist(),
-            self.ev_packed.tolist(),
-        ):
-            clk += 1
-            if packed & 1:
-                fill, _, hits, _, dirty, prev_tag, _ = fields[block]
-                fields[block] = (
-                    fill, now, hits + 1, now - fill, dirty or store, prev_tag, clk,
-                )
+        set_mask = (1 << index_bits) - 1
+        # Per-set residents, tracked from the first LRU insertion on.
+        members: Optional[Dict[int, set]] = None
+        for block, now, store, packed in self.events():
+            lru = packed < 0
+            if lru:
+                packed = ~packed
+                if members is None:
+                    members = {}
+                    for resident in fields:
+                        members.setdefault(resident & set_mask, set()).add(resident)
             else:
-                evicted = packed >> 1
-                if evicted:
-                    old = evicted - 1
-                    prev_tag = old >> index_bits
-                    del fields[old]
-                else:
-                    prev_tag = -1
-                fields[block] = (now, now, 0, 0, store, prev_tag, clk)
+                clk += 1
+                if packed & 1:
+                    fill, _, hits, _, dirty, prev_tag, _ = fields[block]
+                    fields[block] = (
+                        fill, now, hits + 1, now - fill, dirty or store, prev_tag, clk,
+                    )
+                    continue
+            evicted = packed >> 1
+            if evicted:
+                old = evicted - 1
+                prev_tag = old >> index_bits
+                del fields[old]
+                if members is not None:
+                    members[old & set_mask].discard(old)
+            else:
+                prev_tag = -1
+            stamp = clk
+            if members is not None:
+                others = members.setdefault(block & set_mask, set())
+                if lru:
+                    stamps = [fields[b][6] for b in others]
+                    if len(others) + 1 < self.assoc:
+                        stamps.append(0)
+                    stamp = min(stamps) - 1
+                others.add(block)
+            fields[block] = (now, now, 0, 0, store, prev_tag, stamp)
         self._fields = fields
         return fields
 
@@ -253,6 +316,159 @@ class _DeferredL2State:
         cache._tags = tags
 
 
+def _set_order(sets: np.ndarray, num_sets: int) -> np.ndarray:
+    """Stable argsort of *sets*: each set's accesses become one run.
+
+    Sorting a narrow integer key lets numpy use its radix path (int64
+    stable falls back to mergesort, ~4x slower); set indices fit int16
+    for every realistic L1.
+    """
+    if num_sets <= 32768:
+        return np.argsort(sets.astype(np.int16), kind="stable")
+    return np.argsort(sets, kind="stable")
+
+
+def _transfer_cycles(bus, num_bytes: int) -> int:
+    """Occupancy of one *num_bytes* transfer on *bus* (memoized on it)."""
+    cycles = bus._transfer_cycles.get(num_bytes)
+    if cycles is None:
+        cycles = bus._transfer_cycles[num_bytes] = bus.config.transfer_cycles(num_bytes)
+    return cycles
+
+
+def _classify(classifier, blocks: np.ndarray, hit: np.ndarray,
+              miss_pos: np.ndarray, blocks_l: Optional[List[int]] = None) -> np.ndarray:
+    """3C class of each miss at *miss_pos*, folded into *classifier*.
+
+    Updates the classifier's counts, seen set and shadow stack exactly
+    as the scalar loop's per-access classify/record sequence would.
+    The shadow evolves the same way on hits and misses, so only the
+    sampling points depend on *hit*.  *blocks_l* is ``blocks.tolist()``
+    when the caller already has it.
+    """
+    n = int(blocks.size)
+    nm = int(miss_pos.size)
+    seen_set = classifier._seen
+    # Cold candidates: the batch's first touch of a block (hit or
+    # miss), filtered against the pre-batch seen set.
+    first_occ = np.zeros(n, dtype=bool)
+    uniq_blocks, uniq_first = np.unique(blocks, return_index=True)
+    first_occ[uniq_first] = True
+    cand_mask = first_occ[miss_pos]
+    cand_blocks = blocks[miss_pos][cand_mask]
+    if cand_blocks.size and seen_set:
+        in_seen = np.fromiter(
+            (b in seen_set for b in cand_blocks.tolist()),
+            dtype=bool,
+            count=cand_blocks.size,
+        )
+    else:
+        in_seen = np.zeros(cand_blocks.size, dtype=bool)
+    cold_arr = np.zeros(nm, dtype=bool)
+    cold_arr[cand_mask] = ~in_seen
+    # Shadow-stack replay: the 1024-entry fully associative LRU
+    # shadow is inherently sequential — one lean pass in original
+    # order, sampling membership at misses (before the update, as
+    # the scalar classify does).
+    shadow = classifier._shadow_blocks
+    shadow_move = shadow.move_to_end
+    shadow_popitem = shadow.popitem
+    shadow_cap = classifier.shadow.capacity
+    in_shadow_list: List[bool] = []
+    in_shadow_append = in_shadow_list.append
+    shadow_len = len(shadow)
+    if blocks_l is None:
+        blocks_l = blocks.tolist()
+    for b, h in zip(blocks_l, hit.tolist()):
+        if b in shadow:
+            if not h:
+                in_shadow_append(True)
+            shadow_move(b)
+        else:
+            if not h:
+                in_shadow_append(False)
+            if shadow_len >= shadow_cap:
+                shadow_popitem(False)
+            else:
+                shadow_len += 1
+            shadow[b] = None
+    in_shadow_arr = np.array(in_shadow_list, dtype=bool)
+    cls = np.where(cold_arr, _COLD, np.where(in_shadow_arr, _CONFLICT, _CAPACITY))
+    counts = classifier.counts
+    counts.cold += int(cold_arr.sum())
+    counts.conflict += int((cls == _CONFLICT).sum())
+    counts.capacity += int((cls == _CAPACITY).sum())
+    seen_set.update(uniq_blocks.tolist())
+    return cls
+
+
+def _previous_live(e_block: np.ndarray, e_live: np.ndarray, e_block_l: List[int],
+                   last_gen_get):
+    """Live time of each evicted block's previous closed generation.
+
+    That is the prior eviction of the same block in this batch (a
+    stable block-sort puts same-block evictions adjacent in eviction
+    order, so it is the previous sorted element), else the tracker's
+    last closed generation, else None.  Returns the list with the sort
+    permutation and the sorted blocks, which the correlation pass
+    reuses.
+    """
+    n_evictions = int(e_block.size)
+    so = np.argsort(e_block, kind="stable")
+    sb = e_block[so]
+    samep = np.empty(n_evictions, dtype=bool)
+    samep[0] = False
+    samep[1:] = sb[1:] == sb[:-1]
+    rep_pos = np.flatnonzero(samep)
+    rep_idx = so[rep_pos]
+    prev_live_arr = np.zeros(n_evictions, dtype=np.int64)
+    prev_live_arr[rep_idx] = e_live[so[rep_pos - 1]]
+    have_prev = np.zeros(n_evictions, dtype=bool)
+    have_prev[rep_idx] = True
+    prev_live_list: List[Optional[int]] = prev_live_arr.tolist()
+    for j in np.flatnonzero(~have_prev).tolist():
+        lg = last_gen_get(e_block_l[j])
+        prev_live_list[j] = lg.live_time if lg is not None else None
+    return prev_live_list, so, sb
+
+
+def _l2_entry_state(l2):
+    """Lean L2 state at batch entry, plus whether the L2 held anything.
+
+    Either chained from the previous batch's deferred payload, or
+    snapshotted from real frames.  Returns ``(set_lists, way_of,
+    free_ways, entry_fields_fn, had_state)`` as
+    :class:`_DeferredL2State` documents them.
+    """
+    payload = l2.deferred_contents()
+    if payload is not None:
+        return (payload.set_lists, payload.way_of, payload.free_ways,
+                payload.final_fields, True)
+    l2_assoc = l2.associativity
+    set_lists: Dict[int, List[int]] = {}
+    way_of: Dict[int, int] = {}
+    free_ways: Dict[int, List[int]] = {}
+    by_set: Dict[int, List[Frame]] = {}
+    for frame in l2._tags.values():
+        by_set.setdefault(frame.set_index, []).append(frame)
+    for s, frames in by_set.items():
+        frames.sort(key=lambda f: f.lru_stamp)
+        set_lists[s] = [f.block_addr for f in frames]
+        used = set()
+        for f in frames:
+            way_of[f.block_addr] = f.way
+            used.add(f.way)
+        free_ways[s] = [w for w in range(l2_assoc - 1, -1, -1) if w not in used]
+    entry_snapshot = {
+        f.block_addr: (
+            f.fill_time, f.last_access_time, f.hit_count, f.lt_register,
+            f.dirty, f.prev_tag, f.lru_stamp,
+        )
+        for f in l2._tags.values()
+    }
+    return set_lists, way_of, free_ways, (lambda: entry_snapshot), bool(set_lists)
+
+
 def consume_batch(sim, trace, start: int, stop: int) -> None:
     """Run trace rows [start:stop) through *sim*, batch-dispatched.
 
@@ -260,10 +476,15 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     ``sim._consume`` over the same rows: counters, clocks, metrics,
     tracker state, L1 frames (installed eagerly — there are at most
     ``num_sets`` of them) and L2 contents (deferred — see
-    :class:`_DeferredL2State`) all match bitwise.  The caller (the
-    engine dispatch in :meth:`MemorySimulator.run`) has already
+    :class:`_DeferredL2State`) all match bitwise, and so does the
+    prefetch engine's state when a policy is configured (then the
+    event loop :func:`_consume_prefetch` runs the rows).  The caller
+    (the engine dispatch in :meth:`MemorySimulator.run`) has already
     verified :func:`batch_fallback_reason` returned None.
     """
+    if sim.policy is not None:
+        _consume_prefetch(sim, trace, start, stop)
+        return
     addresses, kinds, gaps = trace.scan_columns(start, stop)
     n = int(len(addresses))
     if n == 0:
@@ -320,14 +541,8 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
 
     # Stable sort by set: each set's accesses become one contiguous run,
     # and within a run an access hits iff its predecessor (or the entry
-    # resident, at the run head) is the same block.  Sorting a narrow
-    # integer key lets numpy use its radix path (int64 stable falls
-    # back to mergesort, ~4x slower); set indices fit int16 for every
-    # realistic L1.
-    if num_sets <= 32768:
-        order = np.argsort(sets.astype(np.int16), kind="stable")
-    else:
-        order = np.argsort(sets, kind="stable")
+    # resident, at the run head) is the same block.
+    order = _set_order(sets, num_sets)
     ss = sets[order]
     sb = blocks[order]
     store_sorted = stores_arr[order]
@@ -391,57 +606,8 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     charged_list: List[bool] = []
     n_charged = 0
     if classifying:
-        seen_set = classifier._seen
-        # Cold candidates: the batch's first touch of a block (hit or
-        # miss), filtered against the pre-batch seen set.
-        first_occ = np.zeros(n, dtype=bool)
-        uniq_blocks, uniq_first = np.unique(blocks, return_index=True)
-        first_occ[uniq_first] = True
-        cand_mask = first_occ[miss_pos]
-        cand_blocks = blocks[miss_pos][cand_mask]
-        if cand_blocks.size and seen_set:
-            in_seen = np.fromiter(
-                (b in seen_set for b in cand_blocks.tolist()),
-                dtype=bool,
-                count=cand_blocks.size,
-            )
-        else:
-            in_seen = np.zeros(cand_blocks.size, dtype=bool)
-        cold_arr = np.zeros(nm, dtype=bool)
-        cold_arr[cand_mask] = ~in_seen
-        # Shadow-stack replay: the 1024-entry fully associative LRU
-        # shadow is inherently sequential — one lean pass in original
-        # order, sampling membership at misses (before the update, as
-        # the scalar classify does).
-        shadow = classifier._shadow_blocks
-        shadow_move = shadow.move_to_end
-        shadow_popitem = shadow.popitem
-        shadow_cap = classifier.shadow.capacity
-        in_shadow_list: List[bool] = []
-        in_shadow_append = in_shadow_list.append
-        shadow_len = len(shadow)
-        blocks_l = blocks.tolist()
-        for b, h in zip(blocks_l, hit.tolist()):
-            if b in shadow:
-                if not h:
-                    in_shadow_append(True)
-                shadow_move(b)
-            else:
-                if not h:
-                    in_shadow_append(False)
-                if shadow_len >= shadow_cap:
-                    shadow_popitem(False)
-                else:
-                    shadow_len += 1
-                shadow[b] = None
-        in_shadow_arr = np.array(in_shadow_list, dtype=bool)
-        cls = np.where(cold_arr, _COLD, np.where(in_shadow_arr, _CONFLICT, _CAPACITY))
-        counts = classifier.counts
-        n_cold = int(cold_arr.sum())
-        counts.cold += n_cold
-        counts.conflict += int((cls == _CONFLICT).sum())
-        counts.capacity += int((cls == _CAPACITY).sum())
-        seen_set.update(uniq_blocks.tolist())
+        cls = _classify(classifier, blocks, hit, miss_pos)
+        n_cold = int((cls == _COLD).sum())
         if perfect:
             charged_arr = cls != _COLD
             n_charged = nm - n_cold
@@ -453,18 +619,8 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     # later access.  Everything else is precomputed columns.
     l1_l2_bus = hierarchy.l1_l2_bus
     memory_bus = hierarchy.memory_bus
-    l1_block_size = sim.machine.l1d.block_size
-    l2_block_size = hierarchy._l2_block
-    c32 = l1_l2_bus._transfer_cycles.get(l1_block_size)
-    if c32 is None:
-        c32 = l1_l2_bus._transfer_cycles[l1_block_size] = (
-            l1_l2_bus.config.transfer_cycles(l1_block_size)
-        )
-    c64 = memory_bus._transfer_cycles.get(l2_block_size)
-    if c64 is None:
-        c64 = memory_bus._transfer_cycles[l2_block_size] = (
-            memory_bus.config.transfer_cycles(l2_block_size)
-        )
+    c32 = _transfer_cycles(l1_l2_bus, sim.machine.l1d.block_size)
+    c64 = _transfer_cycles(memory_bus, hierarchy._l2_block)
     l1l2_free = l1_l2_bus.free_at
     mem_free = memory_bus.free_at
     l1l2_wait = 0
@@ -472,38 +628,9 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     l1l2_transfers = 0
     mem_transfers = 0
 
-    # Entry L2 lean state: either chained from the previous batch's
-    # deferred payload, or snapshotted from real frames.
-    payload = l2.deferred_contents()
-    if payload is not None:
-        set_lists = payload.set_lists
-        way_of = payload.way_of
-        free_ways = payload.free_ways
-        entry_fields_fn = payload.final_fields
-    else:
-        set_lists = {}
-        way_of = {}
-        free_ways = {}
-        by_set: Dict[int, List[Frame]] = {}
-        for frame in l2._tags.values():
-            by_set.setdefault(frame.set_index, []).append(frame)
-        for s, frames in by_set.items():
-            frames.sort(key=lambda f: f.lru_stamp)
-            set_lists[s] = [f.block_addr for f in frames]
-            used = set()
-            for f in frames:
-                way_of[f.block_addr] = f.way
-                used.add(f.way)
-            free_ways[s] = [w for w in range(l2_assoc - 1, -1, -1) if w not in used]
-        entry_snapshot = {
-            f.block_addr: (
-                f.fill_time, f.last_access_time, f.hit_count, f.lt_register,
-                f.dirty, f.prev_tag, f.lru_stamp,
-            )
-            for f in l2._tags.values()
-        }
-        entry_fields_fn = lambda snap=entry_snapshot: snap
-    l2_had_state = payload is not None or bool(set_lists)
+    set_lists, way_of, free_ways, entry_fields_fn, l2_had_state = (
+        _l2_entry_state(l2)
+    )
 
     ev_packed: List[int] = []
     stall_list: List[int] = []
@@ -864,26 +991,9 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         do_corr = metrics is not None and classifying
         prev_live_list: List[Optional[int]]
         if n_evictions:
-            # Previous generation of each evicted block: the prior
-            # eviction of the same block in this batch (a stable
-            # block-sort puts same-block evictions adjacent in rank
-            # order, so that is just the previous sorted element), else
-            # the tracker's last closed generation.
-            so = np.argsort(e_block, kind="stable")
-            sb = e_block[so]
-            samep = np.empty(n_evictions, dtype=bool)
-            samep[0] = False
-            samep[1:] = sb[1:] == sb[:-1]
-            rep_pos = np.flatnonzero(samep)
-            rep_idx = so[rep_pos]
-            prev_live_arr = np.zeros(n_evictions, dtype=np.int64)
-            prev_live_arr[rep_idx] = e_live[so[rep_pos - 1]]
-            have_prev = np.zeros(n_evictions, dtype=bool)
-            have_prev[rep_idx] = True
-            prev_live_list = prev_live_arr.tolist()
-            for j in np.flatnonzero(~have_prev).tolist():
-                lg = last_gen_get(e_block_l[j])
-                prev_live_list[j] = lg.live_time if lg is not None else None
+            prev_live_list, so, sb = _previous_live(
+                e_block, e_live, e_block_l, last_gen_get
+            )
         else:
             prev_live_list = []
         if do_corr:
@@ -1042,7 +1152,10 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         l2.defer_contents(
             _DeferredL2State(
                 set_lists, way_of, free_ways, entry_fields_fn,
-                ev_block_arr, ev_now_arr, ev_store_arr, packed_arr,
+                lambda: zip(
+                    ev_block_arr.tolist(), ev_now_arr.tolist(),
+                    ev_store_arr.tolist(), packed_arr.tolist(),
+                ),
                 l2._clock, l2_index_bits, l2_assoc,
             )
         )
@@ -1120,3 +1233,693 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         victim_cache.fills += vc_fills
         victim_cache.rejected += n_evictions - vc_fills
         victim_cache.lru_evictions += vc_lru_evictions
+
+
+
+def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
+    """Rows [start:stop) through a machine with a prefetch policy.
+
+    An event loop over the positions where something other than a
+    plain hit happens — static misses, the first access to a set after
+    a prefetch arrival, hits the policy's ``next_hit_trigger`` names,
+    and accesses at which an event is due (every access while the
+    prefetch queue holds requests).  Each visited access runs the
+    scalar loop's steps on the real L1 frames, policy, bookkeeper,
+    queue, MSHRs and event queue, with the batch engine's lean L2 set
+    lists and local bus state.  A frame is caught up for the hits
+    skipped since its last visit before anything reads it; 3C classes,
+    access intervals, open-generation state and the closed
+    generations' maximum intervals are rebuilt from columns after the
+    loop.
+    """
+    addresses, kinds, gaps = trace.scan_columns(start, stop)
+    n = int(len(addresses))
+    if n == 0:
+        return
+    l1 = sim.l1
+    hierarchy = sim.hierarchy
+    l2 = hierarchy.l2
+    timing = sim.timing
+    metrics = sim.metrics
+    tracker = sim.generations
+    classifier = sim.classifier
+    policy = sim.policy
+    bookkeeper = sim.bookkeeper
+    mshrs = sim.prefetch_mshrs
+    prefetch_queue = sim.prefetch_queue
+    events = sim.events
+
+    offset_bits = sim._offset_bits
+    num_sets = l1.num_sets
+    set_mask = num_sets - 1
+    l1_index_bits = l1._index_bits
+    l2_shift = hierarchy._l2_shift
+    l2_set_mask = l2._set_mask
+    l2_assoc = l2.associativity
+    lru_insert = l2_assoc > 1
+    l2_hit_latency = hierarchy._l2_hit_latency
+    memory_latency = hierarchy._memory_latency
+    hidden_latency = timing.HIDDEN_LATENCY
+    mlp = timing._mlp
+    breakdown = timing._breakdown
+
+    # ---- PRE: column math --------------------------------------------------
+    blocks = addresses >> offset_bits
+    sets = blocks & set_mask
+    stores_arr = kinds == _STORE
+    base_now = sim.now + np.cumsum(gaps, dtype=np.int64)
+    order = _set_order(sets, num_sets)
+    ss = sets[order]
+    sb = blocks[order]
+    heads = np.empty(n, dtype=bool)
+    heads[0] = True
+    heads[1:] = ss[1:] != ss[:-1]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+
+    frames: List[Optional[Frame]] = [fs[0] if fs else None for fs in l1._sets]
+    resident = [-1] * num_sets
+    last = [0] * num_sets
+    maxiv = [0] * num_sets
+    open_max = tracker._open_max
+    for frame in l1._tags.values():
+        s = frame.set_index
+        resident[s] = frame.block_addr
+        last[s] = frame.last_access_time
+        maxiv[s] = open_max.get(s, 0)
+    entry_resident = np.array(resident, dtype=np.int64)
+    entry_last = np.array(last, dtype=np.int64)
+    entry_maxiv = np.array(maxiv, dtype=np.int64)
+
+    # Static misses: the access's predecessor in its set (or the entry
+    # resident) is another block.  Only an arrival can change that
+    # outcome, and only for the set's next access, which is visited.
+    prev_blk = np.empty(n, dtype=np.int64)
+    prev_blk[1:] = sb[:-1]
+    prev_blk[heads] = entry_resident[ss[heads]]
+    static_miss_sorted = sb != prev_blk
+    static_miss = np.empty(n, dtype=bool)
+    static_miss[order] = static_miss_sorted
+    miss_l = np.flatnonzero(static_miss).tolist()
+    miss_l.append(n)
+    # next_miss_l[j]: first static miss at sorted index >= j.
+    next_miss_l = np.minimum.accumulate(
+        np.where(static_miss_sorted, np.arange(n), n)[::-1]
+    )[::-1].tolist()
+    set_ids = np.arange(num_sets)
+    run_start_l = np.searchsorted(ss, set_ids, side="left").tolist()
+    run_end = np.searchsorted(ss, set_ids, side="right")
+    run_end_l = run_end.tolist()
+    store_cs = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(stores_arr[order], out=store_cs[1:])
+    store_cs_l = store_cs.tolist()
+    order_l = order.tolist()
+    rank_l = rank.tolist()
+    base_l = base_now.tolist()
+    base_l.append(base_l[-1])  # sentinel: position n is never due
+    blocks_l = blocks.tolist()
+    stores_l = stores_arr.tolist()
+    pcs_l = trace.pcs[start:stop].tolist()
+
+    # ---- L2, buses ---------------------------------------------------------
+    set_lists, way_of, free_ways, entry_fields_fn, l2_had_state = (
+        _l2_entry_state(l2)
+    )
+    sl_get = set_lists.get
+    way_pop = way_of.pop
+    default_ways = range(l2_assoc - 1, -1, -1)
+    l2_log: List[tuple] = []  # (block, now, store, packed) per L2 access
+    l2_log_append = l2_log.append
+    l1_l2_bus = hierarchy.l1_l2_bus
+    memory_bus = hierarchy.memory_bus
+    c32 = _transfer_cycles(l1_l2_bus, sim.machine.l1d.block_size)
+    c64 = _transfer_cycles(memory_bus, hierarchy._l2_block)
+    l1l2_free = l1_l2_bus.free_at
+    l1l2_lde = l1_l2_bus.last_demand_end
+    l1l2_shadow = l1_l2_bus.demand_shadow
+    mem_free = memory_bus.free_at
+    mem_lde = memory_bus.last_demand_end
+    mem_shadow = memory_bus.demand_shadow
+    l1l2_wait = l1l2_pf_wait = mem_wait = mem_pf_wait = 0
+
+    # ---- loop state ----------------------------------------------------------
+    clock0 = l1._clock
+    l1_tags = l1._tags
+    l1_valid_counts = l1._valid_counts
+    l1_sets = l1._sets
+    track_corr = metrics is not None and classifier is not None
+    hist_get = tracker._last_gen.get
+    closed_here: Dict[int, tuple] = {}  # correlations only
+    closed: List[tuple] = []
+    closed_append = closed.append
+    corr: List[tuple] = []
+    ev_heap = events._heap
+    ev_counter = events._counter
+    scheduled = bookkeeper.scheduled
+    pending_for = bookkeeper.pending_for
+    demand_miss = bookkeeper.demand_miss
+    on_miss = policy.on_miss
+    on_hit = policy.on_hit
+    on_prefetch_fill = policy.on_prefetch_fill
+    next_hit_trigger = policy.next_hit_trigger
+    inflight = mshrs._inflight
+    mshr_entries = mshrs.entries
+    mshr_release = mshrs.release
+    queued = prefetch_queue._queue
+
+    synced = list(run_start_l)  # per set: first sorted index not applied
+    gen_first = list(run_start_l)  # per set: open generation's first access
+    # sorted index -> arrival time of the latest fill before that access
+    after_arrival: Dict[int, int] = {}
+    filled_sets: set = set()  # sets an arrival filled
+    visits: List[int] = []  # heap: positions to visit beyond the static misses
+    stall_pos = [-1]  # positions of stalling misses ...
+    stall_cum = [0]  # ... and the clock stall through each
+    pf_fill_pos: List[int] = []  # position before which each arrival filled
+    miss_at: List[int] = []
+    n_wb = n_useful = n_issued = n_arrived = n_scheduled = n_fired = 0
+    n_merge = n_l2h = n_fill = n_pf_l2h = n_pf_fill = n_l2_evict = 0
+    stall_acc = 0
+    stamp0 = clock0 + 1  # L1 stamp of access 0, advanced by each arrival
+
+    def catch_up(frame, j0: int, j1: int) -> None:
+        """Apply the skipped hits at sorted indices [j0, j1) to *frame*:
+        what ``Frame.record_hit`` and the LRU stamp would have left."""
+        q = order_l[j1 - 1]
+        if q > stall_pos[-1]:
+            t = base_l[q] + stall_cum[-1]
+        else:
+            t = base_l[q] + stall_cum[bisect_right(stall_pos, q) - 1]
+        frame.hit_count += j1 - j0
+        frame.last_access_time = t
+        frame.lt_register = t - frame.fill_time
+        if store_cs_l[j1] != store_cs_l[j0]:
+            frame.dirty = True
+        fills = len(pf_fill_pos)
+        if fills and q < pf_fill_pos[-1]:
+            fills = bisect_right(pf_fill_pos, q)
+        frame.lru_stamp = clock0 + q + 1 + fills
+
+    # Entry frames whose set starts with a hit: a prefetched block's
+    # first use, or a hit the policy waits for, may fall in this batch.
+    for frame in l1._tags.values():
+        s = frame.set_index
+        j = run_start_l[s]
+        if j < run_end_l[s] and next_miss_l[j] != j:
+            if frame.prefetched and frame.hit_count == 0:
+                heappush(visits, order_l[j])
+                continue
+            trigger = next_hit_trigger(s, frame)
+            if trigger is not None and trigger > frame.hit_count:
+                j += trigger - frame.hit_count - 1
+                if j < run_end_l[s] and j < next_miss_l[run_start_l[s]]:
+                    heappush(visits, order_l[j])
+
+    mi = 0
+    p = 0
+    while True:
+        # ---- next position to visit --------------------------------------------
+        nxt = miss_l[mi]
+        while visits and visits[0] < p:
+            heappop(visits)
+        if visits and visits[0] < nxt:
+            nxt = visits[0]
+        if queued:
+            # The scalar loop offers queued requests an issue slot on
+            # every access.
+            nxt = p
+        elif ev_heap:
+            # First access whose clock reaches the earliest event.
+            due = ev_heap[0][0] - stall_acc
+            if base_l[nxt] >= due:
+                nxt = bisect_left(base_l, due, p, nxt)
+        if nxt >= n:
+            break
+        p = nxt
+        static = miss_l[mi] == p
+        if static:
+            mi += 1
+        now = base_l[p] + stall_acc
+
+        # ---- due events, then queued prefetches ------------------------------
+        if ev_heap and ev_heap[0][0] <= now:
+            while ev_heap and ev_heap[0][0] <= now:
+                when, _, (kind, pending) = heappop(ev_heap)
+                fk = pending.frame_key
+                target = pending.target_block
+                if kind == _FIRE:
+                    if pending_for(fk) is not pending:
+                        continue  # superseded or resolved
+                    if target in l1_tags:
+                        bookkeeper.cancel(fk)
+                        continue
+                    bookkeeper.fired(fk)
+                    n_fired += 1
+                    displaced = prefetch_queue.push(pending)
+                    if displaced is not None:
+                        bookkeeper.discarded(displaced)
+                    continue
+                if pending_for(fk) is not pending:
+                    # Resolved or superseded in flight: retire the MSHR
+                    # entry only if it is this arrival's own fetch.
+                    completes = inflight.get(target)
+                    if completes is not None and completes <= when:
+                        mshr_release(target)
+                    continue
+                mshr_release(target)
+                if target in l1_tags:
+                    bookkeeper.cancel(fk)
+                    continue
+                s = target & set_mask
+                frame = frames[s]
+                if frame is None:
+                    frame = frames[s] = Frame(s, 0, s)
+                    l1_sets[s] = [frame]
+                j = bisect_left(order_l, p, run_start_l[s], run_end_l[s])
+                if synced[s] < j:
+                    catch_up(frame, synced[s], j)
+                    synced[s] = j
+                displaced = -1
+                valid = frame.valid
+                if valid:
+                    # Eviction at the arrival time: the write-back is a
+                    # demand transfer; the generation closes at *when*.
+                    displaced = frame.block_addr
+                    if frame.dirty:
+                        b0 = when if when > l1l2_free else l1l2_free
+                        l1l2_wait += b0 - when
+                        l1l2_free = l1l2_lde = b0 + c32
+                        n_wb += 1
+                    hc = frame.hit_count
+                    live = frame.lt_register if hc > 0 else 0
+                    fill = frame.fill_time
+                    dead = when - (fill + live)
+                    g = gen_first[s]
+                    closed_append((displaced, fill, live, dead, hc, g if g < j else -1))
+                    if track_corr:
+                        closed_here[displaced] = (fill, live, dead)
+                schedule = on_prefetch_fill(frame, s, target, when)
+                if schedule is not None:
+                    fire_at = schedule.fire_at
+                    heappush(ev_heap, (fire_at, next(ev_counter), (_FIRE, scheduled(
+                        schedule.frame_key, schedule.target_block, now, fire_at,
+                    ))))
+                    n_scheduled += 1
+                if valid:
+                    del l1_tags[displaced]
+                else:
+                    l1_valid_counts[s] += 1
+                frame.reset_generation(target, target >> l1_index_bits, when, True)
+                l1_tags[target] = frame
+                pf_fill_pos.append(p)
+                frame.lru_stamp = stamp0 + p
+                stamp0 += 1
+                bookkeeper.arrived(fk, when, displaced)
+                n_arrived += 1
+                gen_first[s] = j
+                filled_sets.add(s)
+                if j < run_end_l[s]:
+                    after_arrival[j] = when
+                    heappush(visits, order_l[j])
+            issue = True
+        else:
+            issue = queued
+        if issue:
+            mshrs.expire(now)
+            while queued:
+                pending = queued[0]
+                fk = pending.frame_key
+                if pending_for(fk) is not pending:
+                    queued.popleft()  # stale entry
+                    continue
+                target = pending.target_block
+                if target in l1_tags:
+                    queued.popleft()
+                    bookkeeper.cancel(fk)
+                    continue
+                if len(inflight) >= mshr_entries:
+                    break
+                queued.popleft()
+                # Prefetch fetch: L2 hits move to MRU, fills enter at the
+                # LRU position; both buses wait out the demand shadow.
+                lb = target >> l2_shift
+                l2_ready = now + l2_hit_latency
+                if lb in way_of:
+                    lst = set_lists[lb & l2_set_mask]
+                    if lst[-1] != lb:
+                        lst.remove(lb)
+                        lst.append(lb)
+                    packed = 1
+                    n_pf_l2h += 1
+                    data_at = l2_ready
+                else:
+                    s2 = lb & l2_set_mask
+                    lst = sl_get(s2)
+                    if lst is None:
+                        lst = set_lists[s2] = []
+                        free = free_ways[s2] = list(default_ways)
+                    else:
+                        free = free_ways[s2]
+                    if free:
+                        w = free.pop()
+                        packed = 0
+                    else:
+                        old = lst.pop(0)
+                        w = way_pop(old)
+                        packed = (old + 1) << 1
+                        n_l2_evict += 1
+                    way_of[lb] = w
+                    if lru_insert:
+                        lst.insert(0, lb)
+                        packed = ~packed
+                    else:
+                        lst.append(lb)
+                    n_pf_fill += 1
+                    b0 = l2_ready if l2_ready > mem_free else mem_free
+                    horizon = mem_lde + mem_shadow
+                    if b0 < horizon:
+                        b0 = horizon
+                    mem_pf_wait += b0 - l2_ready
+                    mem_free = b0 + c64
+                    data_at = mem_free + memory_latency
+                l2_log_append((lb, now, False, packed))
+                b0 = data_at if data_at > l1l2_free else l1l2_free
+                horizon = l1l2_lde + l1l2_shadow
+                if b0 < horizon:
+                    b0 = horizon
+                l1l2_pf_wait += b0 - data_at
+                l1l2_free = b0 + c32
+                mshrs.allocate(target, l1l2_free)
+                bookkeeper.issued(fk, now)
+                heappush(ev_heap, (l1l2_free, next(ev_counter), (_ARRIVE, pending)))
+                n_issued += 1
+
+        # ---- the access ---------------------------------------------------------
+        if not static:
+            while visits and visits[0] < p:
+                heappop(visits)
+            if not visits or visits[0] != p:
+                # A plain hit visited only for its events: the catch-up
+                # applies it with the set's other skipped hits.
+                p += 1
+                continue
+        b = blocks_l[p]
+        s = b & set_mask
+        k = rank_l[p]
+        frame = frames[s]
+        if synced[s] < k:
+            catch_up(frame, synced[s], k)
+        synced[s] = k + 1
+        store = stores_l[p]
+        if b in l1_tags:
+            first_use = frame.prefetched and frame.hit_count == 0
+            frame.record_hit(now, store)
+            frame.lru_stamp = stamp0 + p
+            if first_use:
+                n_useful += 1
+                bookkeeper.demand_hit_on_prefetched(s, b, now)
+            schedule = on_hit(frame, s, now)
+        else:
+            if track_corr:
+                prev = closed_here.get(b)
+                if prev is not None:
+                    corr.append((len(miss_at), now - prev[0], prev[2], prev[1]))
+                else:
+                    rec = hist_get(b)
+                    if rec is not None:
+                        corr.append((
+                            len(miss_at), now - rec.start, rec.dead_time,
+                            rec.live_time,
+                        ))
+            completes = inflight.get(b)
+            if completes is not None and completes > now:
+                # Merge with the in-flight prefetch of this block.
+                n_merge += 1
+                latency = completes - now
+                mshr_release(b)
+                category = "l2"
+            else:
+                lb = b >> l2_shift
+                if lb in way_of:
+                    lst = set_lists[lb & l2_set_mask]
+                    if lst[-1] != lb:
+                        lst.remove(lb)
+                        lst.append(lb)
+                    packed = 1
+                    n_l2h += 1
+                    data_at = now + l2_hit_latency
+                    category = "l2"
+                else:
+                    s2 = lb & l2_set_mask
+                    lst = sl_get(s2)
+                    if lst is None:
+                        lst = set_lists[s2] = []
+                        free = free_ways[s2] = list(default_ways)
+                    else:
+                        free = free_ways[s2]
+                    if free:
+                        w = free.pop()
+                        packed = 0
+                    else:
+                        old = lst.pop(0)
+                        w = way_pop(old)
+                        packed = (old + 1) << 1
+                        n_l2_evict += 1
+                    way_of[lb] = w
+                    lst.append(lb)
+                    n_fill += 1
+                    l2_ready = now + l2_hit_latency
+                    b0 = l2_ready if l2_ready > mem_free else mem_free
+                    mem_wait += b0 - l2_ready
+                    mem_free = mem_lde = b0 + c64
+                    data_at = mem_free + memory_latency
+                    category = "memory"
+                l2_log_append((lb, now, store, packed))
+                b0 = data_at if data_at > l1l2_free else l1l2_free
+                l1l2_wait += b0 - data_at
+                l1l2_free = l1l2_lde = b0 + c32
+                latency = l1l2_free - now
+            if latency:
+                exposed = latency - hidden_latency
+                stall = int(exposed / mlp) if exposed > 0 else 0
+                breakdown[category] = breakdown.get(category, 0) + stall
+                if stall:
+                    stall_acc += stall
+                    now += stall
+                    stall_pos.append(p)
+                    stall_cum.append(stall_acc)
+            miss_at.append(p)
+            if frame is None:
+                # First fill of the set: the frame the cache would
+                # materialize (one way, frame key = set index).
+                frame = frames[s] = Frame(s, 0, s)
+                l1_sets[s] = [frame]
+            demand_miss(s, b, now)
+            valid = frame.valid
+            if valid:
+                old = frame.block_addr
+                if frame.dirty:
+                    b0 = now if now > l1l2_free else l1l2_free
+                    l1l2_wait += b0 - now
+                    l1l2_free = l1l2_lde = b0 + c32
+                    n_wb += 1
+                hc = frame.hit_count
+                live = frame.lt_register if hc > 0 else 0
+                fill = frame.fill_time
+                dead = now - (fill + live)
+                g = gen_first[s]
+                closed_append((old, fill, live, dead, hc, g if g < k else -1))
+                if track_corr:
+                    closed_here[old] = (fill, live, dead)
+            schedule = on_miss(frame, s, b, pcs_l[p], now)
+            if valid:
+                del l1_tags[old]
+            else:
+                l1_valid_counts[s] += 1
+            frame.reset_generation(b, b >> l1_index_bits, now)
+            l1_tags[b] = frame
+            if store:
+                frame.dirty = True
+            frame.lru_stamp = stamp0 + p
+            gen_first[s] = k
+        if schedule is not None:
+            fire_at = schedule.fire_at
+            heappush(ev_heap, (fire_at, next(ev_counter), (_FIRE, scheduled(
+                schedule.frame_key, schedule.target_block, now, fire_at,
+            ))))
+            n_scheduled += 1
+        # The hit at which the policy acts next, if one can come before
+        # the set's next static miss.
+        j = k + 1
+        if j < run_end_l[s] and next_miss_l[j] != j:
+            trigger = next_hit_trigger(s, frame)
+            if trigger is not None and trigger > frame.hit_count:
+                j += trigger - frame.hit_count - 1
+                if j < run_end_l[s] and j < next_miss_l[k + 1]:
+                    heappush(visits, order_l[j])
+        p += 1
+
+    # ---- POST: clocks, intervals, generation segments ---------------------
+    nm = len(miss_at)
+    miss_pos = np.array(miss_at, dtype=np.int64)
+    stall_full = np.zeros(n, dtype=np.int64)
+    stall_full[stall_pos[1:]] = np.diff(stall_cum)
+    now_eff = base_now + np.cumsum(stall_full)
+    sim.now = int(now_eff[-1])
+    now_s = now_eff[order]
+    hit = np.ones(n, dtype=bool)
+    hit[miss_pos] = False
+    hit_s = hit[order]
+    prev_now = np.empty(n, dtype=np.int64)
+    prev_now[1:] = now_s[:-1]
+    prev_now[heads] = entry_last[ss[heads]]
+    # Generation segments in the sorted domain start at set heads, at
+    # misses and at the first access after an arrival.
+    gen_head = heads.copy()
+    gen_head[rank[miss_pos]] = True
+    if after_arrival:
+        after_idx = np.array(list(after_arrival), dtype=np.int64)
+        prev_now[after_idx] = list(after_arrival.values())
+        gen_head[after_idx] = True
+    intervals = now_s - prev_now
+    if metrics is not None and nm < n:
+        metrics.access_interval.add_many(intervals[hit_s])
+    seg_max = np.maximum.reduceat(
+        np.where(hit_s, intervals, 0), np.flatnonzero(gen_head)
+    )
+    seg_of = np.cumsum(gen_head) - 1
+
+    # ---- classification and correlations ----------------------------------
+    cls = None
+    if classifier is not None:
+        cls = _classify(classifier, blocks, hit, miss_pos, blocks_l)
+    if corr and cls is not None:
+        c_rank, c_reload, c_dead, c_live = map(list, zip(*corr))
+        c_cls = cls[np.array(c_rank, dtype=np.int64)]
+        keep = np.flatnonzero(c_cls != _COLD).tolist()
+        if keep:
+            metrics.bulk_correlations(
+                c_cls[keep].tolist(), [c_reload[i] for i in keep],
+                [c_dead[i] for i in keep], [c_live[i] for i in keep],
+            )
+
+    # ---- closed generations --------------------------------------------------
+    # A set's first closed generation is its entry generation when the
+    # set had a resident at batch entry; that one also carries the
+    # tracker's maximum interval.
+    entry_valid = entry_resident >= 0
+    closed_sets = np.zeros(num_sets, dtype=bool)
+    if closed:
+        e_block, e_start, e_live, e_dead, e_hits, e_seg = zip(*closed)
+        block_arr = np.array(e_block, dtype=np.int64)
+        e_live_arr = np.array(e_live, dtype=np.int64)
+        prev_live, _, _ = _previous_live(block_arr, e_live_arr, e_block, hist_get)
+        seg = np.array(e_seg, dtype=np.int64)
+        e_max = np.where(seg >= 0, seg_max[seg_of[np.maximum(seg, 0)]], 0)
+        e_set = block_arr & set_mask
+        first_sets, first = np.unique(e_set, return_index=True)
+        closed_sets[first_sets] = True
+        first = first[entry_valid[first_sets]]
+        e_max[first] = np.maximum(e_max[first], entry_maxiv[e_set[first]])
+        gen_columns = (
+            e_block, e_start, e_live, e_dead, e_hits, e_max.tolist(), prev_live,
+        )
+        tracker.absorb_closed(gen_columns)
+        if metrics is not None:
+            if min(e_dead) < 0:
+                # Only an arrival outside its trigger's set can close a
+                # generation before it began; feed such batches record
+                # by record, as the scalar loop does.
+                for record in map(GenerationRecord, *gen_columns):
+                    metrics.on_generation(record)
+            else:
+                metrics.bulk_generations(e_live_arr, e_dead, gen_columns)
+
+    # ---- L1 final state --------------------------------------------------------
+    synced_arr = np.array(synced, dtype=np.int64)
+    rest = np.flatnonzero(synced_arr < run_end)
+    if rest.size:
+        # Skipped hits after each set's last visit, from the final clocks.
+        last_q = order[run_end[rest] - 1]
+        rest_t = now_eff[last_q]
+        rest_dirty = store_cs[run_end[rest]] != store_cs[synced_arr[rest]]
+        rest_stamp = clock0 + last_q + 1 + np.searchsorted(
+            np.array(pf_fill_pos, dtype=np.int64), last_q, side="right"
+        )
+        for s, cnt, t, dirty, stamp in zip(
+            rest.tolist(), (run_end[rest] - synced_arr[rest]).tolist(),
+            rest_t.tolist(), rest_dirty.tolist(), rest_stamp.tolist(),
+        ):
+            frame = frames[s]
+            frame.hit_count += cnt
+            frame.last_access_time = t
+            frame.lt_register = t - frame.fill_time
+            if dirty:
+                frame.dirty = True
+            frame.lru_stamp = stamp
+    l1._clock = clock0 + n + len(pf_fill_pos)
+    # Open generations: last access (or prefetch fill) time and the
+    # maximum interval of the current segment.
+    touched_mask = run_end > np.array(run_start_l, dtype=np.int64)
+    touched_mask[list(filled_sets)] = True
+    touched = np.flatnonzero(touched_mask)
+    t_first = np.array(gen_first, dtype=np.int64)[touched]
+    t_entry = entry_valid[touched] & ~closed_sets[touched]
+    t_max = np.where(
+        t_first < run_end[touched], seg_max[seg_of[np.minimum(t_first, n - 1)]], 0
+    )
+    t_max = np.where(t_entry, np.maximum(t_max, entry_maxiv[touched]), t_max)
+    touched_l = touched.tolist()
+    tracker._open_last.update(
+        (s, frames[s].last_access_time) for s in touched_l
+    )
+    open_max.update(zip(touched_l, t_max.tolist()))
+
+    # ---- L2 final state (deferred) and counters ---------------------------
+    if l2_had_state or l2_log:
+        l2.defer_contents(
+            _DeferredL2State(
+                set_lists, way_of, free_ways, entry_fields_fn, lambda: l2_log,
+                l2._clock, l2._index_bits, l2_assoc,
+            )
+        )
+    l2._clock += n_l2h + n_fill + n_pf_l2h + (0 if lru_insert else n_pf_fill)
+    l2.hits += n_l2h + n_pf_l2h
+    l2.misses += n_fill + n_pf_fill
+    l2.evictions += n_l2_evict
+    hierarchy.l2_demand_hits += n_l2h
+    hierarchy.l2_demand_misses += n_fill
+    hierarchy.l2_prefetch_hits += n_pf_l2h
+    hierarchy.l2_prefetch_misses += n_pf_fill
+    hierarchy.memory_accesses += n_fill + n_pf_fill
+    l1_l2_bus.free_at = l1l2_free
+    l1_l2_bus.last_demand_end = l1l2_lde
+    l1_l2_bus.demand_transfers += n_l2h + n_fill + n_wb
+    l1_l2_bus.demand_wait_cycles += l1l2_wait
+    l1_l2_bus.prefetch_transfers += n_issued
+    l1_l2_bus.prefetch_wait_cycles += l1l2_pf_wait
+    memory_bus.free_at = mem_free
+    memory_bus.last_demand_end = mem_lde
+    memory_bus.demand_transfers += n_fill
+    memory_bus.demand_wait_cycles += mem_wait
+    memory_bus.prefetch_transfers += n_pf_fill
+    memory_bus.prefetch_wait_cycles += mem_pf_wait
+
+    timing.compute_cycles += int(gaps.sum(dtype=np.int64))
+    timing._accesses += n
+    timing.stall_cycles += stall_acc
+    l1.hits += n - nm
+    l1.misses += nm
+    l1.evictions += len(closed)
+    sim.writebacks += n_wb
+    sim._accesses += n
+    sim._prefetch_useful += n_useful
+    sim._prefetch_scheduled += n_scheduled
+    sim._prefetch_fired += n_fired
+    sim._prefetch_issued += n_issued
+    sim._prefetch_arrived += n_arrived
+    outcomes = sim._outcomes
+    outcomes[AccessOutcome.L1_HIT] += n - nm
+    outcomes[AccessOutcome.PREFETCH_HIT] += n_merge
+    outcomes[AccessOutcome.L2_HIT] += n_l2h
+    outcomes[AccessOutcome.MEMORY] += n_fill

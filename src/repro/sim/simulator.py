@@ -56,11 +56,8 @@ from ..core.victim import AdmissionFilter, make_admission_filter
 from ..timing.events import EventQueue
 from ..timing.processor import TimingModel
 from ..traces.trace import Trace
-from .batch import batch_fallback_reason, consume_batch
+from .batch import _ARRIVE, _FIRE, batch_fallback_reason, consume_batch
 from .results import PrefetchStats, SimulationResult, VictimStats
-
-_FIRE = 0
-_ARRIVE = 1
 
 #: Engines :meth:`MemorySimulator.run` accepts.
 ENGINES = ("batch", "scalar")

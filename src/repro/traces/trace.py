@@ -213,9 +213,10 @@ class Trace:
         """Zero-copy (addresses, kinds, gaps) views of rows [start:stop).
 
         The batch-dispatch engine scans run boundaries over columns
-        rather than rows; this helper hands it the three columns it
-        consumes as array views (PCs are not needed — no batch-capable
-        configuration reads them).  Only array-backed traces support
+        rather than rows; this helper hands it the three columns every
+        batch reads as array views (only the prefetch event loop reads
+        PCs, at demand misses, and slices ``pcs`` itself).  Only
+        array-backed traces support
         column scans; list-backed traces raise :class:`TraceError` and
         the simulator falls back to the scalar row loop.
         """

@@ -8,6 +8,8 @@ from repro.common.types import KB
 from repro.core.prefetch.dbcp import DBCPPrefetchPolicy
 from repro.core.prefetch.stride import StridePrefetchPolicy
 from repro.core.prefetch.timekeeping import TimekeepingPrefetchPolicy
+from repro.sim.simulator import make_simulator
+from repro.traces.workloads import build_workload
 
 
 L1 = CacheConfig(32 * KB, 1, 32, name="L1D")
@@ -207,3 +209,96 @@ class TestStridePolicy:
     def test_wants_all_accesses_flag(self):
         assert StridePrefetchPolicy(L1).wants_all_accesses
         assert not TimekeepingPrefetchPolicy(L1).wants_all_accesses
+
+
+
+class _Untouchable:
+    """Stands in for a policy structure ``on_hit`` must leave alone."""
+
+    def _refuse(self, *args):
+        raise AssertionError("on_hit used policy state at a non-trigger hit")
+
+    __getattr__ = __getitem__ = __setitem__ = __contains__ = _refuse
+    __iter__ = __len__ = _refuse
+
+
+class TestHitTriggerContract:
+    """``next_hit_trigger`` names the only hit at which ``on_hit`` acts.
+
+    The batch engine skips every other demand hit, so a policy whose
+    ``on_hit`` returns a schedule or changes its state at any other hit
+    would make the engines disagree.  Each policy runs on the scalar
+    loop (vortex added to the four workloads because DBCP makes no
+    prediction on them within 4k accesses); just before every L1 hit
+    the trigger is asked for (the frame
+    as the batch engine last saw it).  At any other hit ``on_hit`` must
+    return None, leave the table counters and DBCP's per-frame state
+    as they were, and not touch the table contents or DBCP's
+    previous-generation hit counts at all (they are swapped for a
+    stand-in that fails on any use).
+    """
+
+    @pytest.mark.parametrize("workload", ["gcc", "mcf", "swim", "art", "vortex"])
+    @pytest.mark.parametrize("prefetcher", ["timekeeping", "dbcp"])
+    def test_on_hit_acts_only_at_the_trigger(self, prefetcher, workload,
+                                            monkeypatch):
+        sim = make_simulator(prefetcher=prefetcher)
+        policy = sim.policy
+        table = policy.table
+        frames = getattr(policy, "_frames", {})
+        l1_tags = sim.l1._tags
+        triggers = {}
+        calls = {"trigger": 0, "other": 0}
+
+        record_hit = Frame.record_hit
+
+        def record_hit_after_asking(frame, now, store=False):
+            if l1_tags.get(frame.block_addr) is frame:
+                triggers[frame.frame_key] = policy.next_hit_trigger(
+                    frame.frame_key, frame
+                )
+            record_hit(frame, now, store)
+
+        def state(frame_key):
+            st = frames.get(frame_key)
+            return (
+                table.lookups, table.lookup_hits, table.updates, len(frames),
+                None if st is None else (
+                    st.signature, st.predicted_block, st.death_hits, st.armed,
+                    st.last_pc,
+                ),
+            )
+
+        on_hit = policy.on_hit
+
+        def checked_on_hit(frame, frame_key, now):
+            if triggers.pop(frame_key) == frame.hit_count:
+                calls["trigger"] += 1
+                return on_hit(frame, frame_key, now)
+            calls["other"] += 1
+            before = state(frame_key)
+            sets, table._sets = table._sets, _Untouchable()
+            prev_hits = getattr(policy, "_prev_hits", None)
+            if prev_hits is not None:
+                policy._prev_hits = _Untouchable()
+            try:
+                schedule = on_hit(frame, frame_key, now)
+            finally:
+                table._sets = sets
+                if prev_hits is not None:
+                    policy._prev_hits = prev_hits
+            assert schedule is None
+            assert state(frame_key) == before
+            return schedule
+
+        monkeypatch.setattr(Frame, "record_hit", record_hit_after_asking)
+        policy.on_hit = checked_on_hit
+        result = sim.run(build_workload(workload, length=4_000), engine="scalar")
+        assert calls["other"] > 0
+        if prefetcher == "timekeeping":
+            # Its trigger is the first demand use of a prefetched block.
+            assert calls["trigger"] == result.prefetch.useful
+        elif workload == "vortex":
+            # DBCP predicts on vortex within 4k accesses (not on the
+            # other four), so its triggers are exercised here.
+            assert calls["trigger"] > 0

@@ -8,9 +8,9 @@ this suite asserts that the production simulator under *both* dispatch
 engines and the reference produce bitwise-identical
 ``SimulationResult.to_dict()`` output (plus a metrics digest) for
 every workload in the suite — under the default, victim-cache (all
-three admission filters), prefetch, decay, warmup, and perfect-mode
-configurations, and on seeded random traces with stores — and that
-every run keeps the accounting identities.
+three admission filters), prefetch (timekeeping and DBCP), decay,
+warmup, and perfect-mode configurations, and on seeded random traces
+with stores — and that every run keeps the accounting identities.
 """
 
 import sys
@@ -25,7 +25,7 @@ if str(TOOLS_DIR) not in sys.path:
 
 import equivalence  # noqa: E402  (needs the sys.path insert above)
 
-from repro.sim.simulator import MemorySimulator  # noqa: E402
+from repro.sim.simulator import MemorySimulator, make_simulator  # noqa: E402
 from repro.traces.trace import Trace  # noqa: E402
 
 LENGTH = 4_000
@@ -61,26 +61,54 @@ def random_trace(n=3_000, seed=0xC0FFEE):
     )
 
 
+def repeating_trace(n=3_000, period=250, seed=0xBEEF):
+    """A random block sequence (with its PCs) repeated until *n*
+    accesses, stores included: both prefetchers' tables confirm
+    entries and issue prefetches."""
+    rng = np.random.default_rng(seed)
+    reps = -(-n // period)
+    blocks = np.tile(rng.integers(0, 1 << 15, period), reps)[:n]
+    pcs = np.tile(rng.integers(0, 1 << 10, period) * 4, reps)[:n]
+    return Trace(
+        (blocks * 32 + rng.integers(0, 8, n) * 4).astype(np.int64),
+        pcs.astype(np.int64),
+        rng.integers(0, 2, n).astype(np.int8),
+        rng.integers(0, 300, n).astype(np.int32),
+        name="repeat",
+    )
+
+
 @pytest.mark.parametrize(
-    "warmup,kwargs",
+    "warmup,kwargs,make_trace",
     [
-        (0, {}),
-        (900, {}),
-        (900, {"perfect_non_cold": True}),
-        (900, {"victim_filter": "timekeeping"}),
+        (0, {}, random_trace),
+        (900, {}, random_trace),
+        (900, {"perfect_non_cold": True}, random_trace),
+        (900, {"victim_filter": "timekeeping"}, random_trace),
+        (0, {"prefetcher": "timekeeping"}, repeating_trace),
+        (900, {"prefetcher": "timekeeping"}, repeating_trace),
+        (0, {"prefetcher": "dbcp"}, repeating_trace),
+        (900, {"prefetcher": "dbcp"}, repeating_trace),
     ],
-    ids=["plain", "warmup", "perfect-warmup", "victim-warmup"],
+    ids=[
+        "plain", "warmup", "perfect-warmup", "victim-warmup",
+        "prefetch-tk", "prefetch-tk-warmup", "prefetch-dbcp",
+        "prefetch-dbcp-warmup",
+    ],
 )
-def test_randomized_trace_engines_agree(warmup, kwargs):
+def test_randomized_trace_engines_agree(warmup, kwargs, make_trace):
     """Seeded random traces (stores included) hit eviction/writeback
-    interleavings the synthetic workloads miss."""
-    trace = random_trace()
+    interleavings the synthetic workloads miss; repeating ones make
+    the prefetchers issue.  Each run builds its own policy object."""
+    trace = make_trace()
     digests = {}
     for engine in ("scalar", "batch"):
-        sim = MemorySimulator(collect_metrics=True, **kwargs)
+        sim = make_simulator(collect_metrics=True, **kwargs)
         result = sim.run(trace, warmup=warmup, engine=engine)
         assert sim.engine_used == engine, sim.batch_fallback
         assert not equivalence.victim_invariant_violations(sim, result)
+        if "prefetcher" in kwargs:
+            assert result.prefetch.issued > 0
         digests[engine] = {
             "result": result.to_dict(),
             "metrics": equivalence.metrics_digest(sim),

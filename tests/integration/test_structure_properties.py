@@ -21,7 +21,7 @@ class TestCorrelationTableProperties:
         t = CorrelationTable(tag_sum_bits=3, index_bits=1, associativity=2)
         for a, b, s, n, lt in updates:
             t.update(a, b, s, n, lt)
-        for entries in t._sets:
+        for entries in t._sets.values():
             assert len(entries) <= t.associativity
 
     @given(st.integers(0, 63), st.integers(0, 63), st.integers(0, 1023),
@@ -38,7 +38,7 @@ class TestCorrelationTableProperties:
         t = DBCPTable(pointer_bits=3, associativity=2)
         for sig, nxt in updates:
             t.update(sig, nxt)
-        for entries in t._sets:
+        for entries in t._sets.values():
             assert len(entries) <= 2
 
 

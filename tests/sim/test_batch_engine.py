@@ -4,19 +4,23 @@ The batch engine (``repro.sim.batch``) vectorizes the paper's baseline
 machine shape and must be bitwise-interchangeable with the scalar
 loop.  These tests pin the selection plumbing (``engine=`` argument,
 ``engine_used``/``batch_fallback`` recording), every fallback reason,
-that the paper's victim-cache configurations stay on the batch engine,
-and scalar-vs-batch equality of results, cache state, victim-cache
-contents and metrics on small traces — including warmup and
-perfect-mode runs, which exercise the deferred-state thaw across and
-after batch dispatch.
+that the paper's victim-cache and prefetch configurations stay on the
+batch engine, and scalar-vs-batch equality of results, cache state,
+victim-cache contents, prefetch engine state and metrics on small
+traces — including warmup and perfect-mode runs, which exercise the
+deferred-state thaw across and after batch dispatch.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.common.config import paper_machine
 from repro.common.errors import SimulationError
+from repro.common.types import AccessOutcome, PrefetchTimeliness
 from repro.core.decay import DecayPolicy
+from repro.core.prefetch.correlation import DBCPTable
 from repro.core.prefetch.stride import StridePrefetchPolicy
 from repro.core.victim import AdmissionFilter
 from repro.figures.registry import CONFIGS as FIGURE_CONFIGS
@@ -55,6 +59,100 @@ def conflict_trace(n=400, seed=3):
     )
 
 
+def prefetch_trace(n=600, seed=5, max_gap=400):
+    """Structured misses on four sets plus a DBCP signature collision.
+
+    Four sets walk fixed cycles of three tags (with repeated hits), so
+    both prefetchers confirm table entries; prefetches arrive early and
+    late, and demand misses merge with them in flight.  Frames 5 and
+    773 are built to share a DBCP signature (``a1 - a2 = 256`` and
+    ``b2 - b1 = 256 * K``, K the signature's block multiplier), so
+    frame 773 predicts frame 5's successor: a prefetch into another
+    set, cancelled when that block is already resident.
+    """
+    rng = np.random.default_rng(seed)
+    cycles = [rng.permutation(3) for _ in range(4)]
+    steps = [0] * 4
+    k = 0x85EBCA6B
+    a1, b1, c1 = 1024 + 5, 2048 + 5, 3072 + 5
+    a2, b2 = a1 - 256, b1 + 256 * k
+    assert DBCPTable.signature(64, a1, b1) == DBCPTable.signature(64, a2, b2)
+    blocks, pcs = [], []
+    motif = 0
+    while len(blocks) < n:
+        r = rng.random()
+        if r < 0.2:
+            blocks.append((a1, b1, c1)[motif % 3])
+            pcs.append(64)
+            motif += 1
+        elif r < 0.27:
+            blocks.extend((a2, b2))
+            pcs.extend((64, 64))
+        else:
+            s = int(rng.integers(0, 4))
+            tag = int(cycles[s][steps[s] % 3]) + 1
+            steps[s] += 1
+            for _ in range(int(rng.integers(1, 4))):
+                blocks.append(tag * 1024 + 8 + s)
+                pcs.append(int(rng.integers(0, 16)) * 4)
+    blocks = np.array(blocks[:n], dtype=np.int64)
+    return Trace(
+        (blocks * 32 + rng.integers(0, 8, n) * 4).astype(np.int64),
+        np.array(pcs[:n], dtype=np.int64),
+        rng.integers(0, 2, n).astype(np.int8),
+        rng.integers(0, max_gap, n).astype(np.int32),
+        name="prefetch-small",
+    )
+
+
+def prefetch_digest(sim):
+    """The prefetch engine's state: bookkeeper, queue, MSHRs, events,
+    tables, bus priority state and the L2's prefetch counters."""
+    bookkeeper = sim.bookkeeper
+    policy = sim.policy
+    table = getattr(policy, "table", None)
+    hierarchy = sim.hierarchy
+    return {
+        "pending": {
+            key: (
+                p.target_block, p.state, p.armed_at, p.fire_at, p.issued_at,
+                p.arrived_at, p.displaced_block, p.early,
+            )
+            for key, p in bookkeeper._pending.items()
+        },
+        "displaced": dict(bookkeeper._displaced),
+        "queue": [
+            (p.frame_key, p.target_block, p.state)
+            for p in sim.prefetch_queue._queue
+        ],
+        "mshrs": dict(sim.prefetch_mshrs._inflight),
+        "events": sorted(
+            (when, order, kind, pending.frame_key)
+            for when, order, (kind, pending) in sim.events._heap
+        ),
+        "table": None if table is None else (
+            {
+                index: [(key, tuple(entry)) for key, entry in entries.items()]
+                for index, entries in table._sets.items()
+            },
+            table.lookups, table.lookup_hits, table.updates,
+        ),
+        "dbcp_frames": {
+            key: (st.signature, st.predicted_block, st.death_hits, st.armed,
+                  st.last_pc)
+            for key, st in getattr(policy, "_frames", {}).items()
+        },
+        "dbcp_prev_hits": dict(getattr(policy, "_prev_hits", {})),
+        "buses": [
+            (bus.free_at, bus.last_demand_end, bus.demand_transfers,
+             bus.prefetch_transfers, bus.demand_wait_cycles,
+             bus.prefetch_wait_cycles)
+            for bus in (hierarchy.l1_l2_bus, hierarchy.memory_bus)
+        ],
+        "l2_prefetch": (hierarchy.l2_prefetch_hits, hierarchy.l2_prefetch_misses),
+    }
+
+
 def digest(sim, result):
     """Comparable snapshot of everything an engine can influence."""
     l1, l2 = sim.l1, sim.hierarchy.l2
@@ -64,9 +162,11 @@ def digest(sim, result):
             if f.valid:
                 frames[tag, f.set_index, f.way] = (
                     f.block_addr, f.dirty, f.lru_stamp, f.fill_time,
-                    f.last_access_time, f.hit_count,
+                    f.last_access_time, f.hit_count, f.lt_register,
+                    f.prev_tag, f.prefetched, f.prefetch_used,
                 )
     victim = sim.victim_cache
+    tracker = sim.generations
     return {
         "result": result.to_dict(),
         "stall_breakdown_keys": list(result.timing.stall_breakdown),
@@ -75,11 +175,13 @@ def digest(sim, result):
         ),
         "victim_penalty_acc": sim._victim_penalty_acc,
         "now": sim.now,
-        "l1": (l1.hits, l1.misses, l1.evictions),
-        "l2": (l2.hits, l2.misses, l2.evictions),
-        "closed_generations": sim.generations.closed_generations,
+        "l1": (l1.hits, l1.misses, l1.evictions, l1._clock),
+        "l2": (l2.hits, l2.misses, l2.evictions, l2._clock),
+        "closed_generations": tracker.closed_generations,
+        "open_generations": (dict(tracker._open_last), dict(tracker._open_max)),
         "frames": frames,
         "metrics": sim.metrics.to_dict() if sim.metrics is not None else None,
+        "prefetch": prefetch_digest(sim),
     }
 
 
@@ -148,6 +250,31 @@ class TestFallbackReasons:
         )
         assert "perfect_non_cold" in batch_fallback_reason(perfect, trace)
 
+    def test_prefetch_combinations(self):
+        """The paper's two prefetchers run batched on the paper machine;
+        a policy without a hit trigger, and prefetch combined with a
+        victim cache or perfect mode, fall back with their own reason."""
+        class NoTrigger(StridePrefetchPolicy):
+            wants_all_accesses = False
+
+        trace = small_trace()
+        machine = paper_machine()
+        for name in ("timekeeping", "dbcp"):
+            sim = make_simulator(prefetcher=name)
+            assert batch_fallback_reason(sim, trace) is None, name
+            assert "victim cache" in batch_fallback_reason(
+                make_simulator(prefetcher=name, victim_filter="timekeeping"),
+                trace,
+            )
+            assert "perfect_non_cold" in batch_fallback_reason(
+                make_simulator(prefetcher=name, perfect_non_cold=True), trace
+            )
+            assert "decay" in batch_fallback_reason(
+                make_simulator(prefetcher=name, decay_interval=8192), trace
+            )
+        custom = MemorySimulator(prefetch_policy=NoTrigger(machine.l1d))
+        assert "next_hit_trigger" in batch_fallback_reason(custom, trace)
+
     def test_decay(self):
         sim = MemorySimulator(decay=DecayPolicy(8192))
         assert "decay" in batch_fallback_reason(sim, small_trace())
@@ -212,6 +339,32 @@ class TestPaperConfigsSelectBatch:
         names = {name for name, _ in self.VICTIM_CONFIGS}
         assert {"victim", "victim_collins", "victim_tk"} <= names
 
+    PREFETCH_CONFIGS = sorted(
+        {
+            (name, tuple(sorted(config.items())))
+            for table in (FIGURE_CONFIGS, CONFIG_PRESETS)
+            for name, config in table.items()
+            if "prefetcher" in config
+        }
+    )
+
+    @pytest.mark.parametrize(
+        "name,items", PREFETCH_CONFIGS, ids=[n for n, _ in PREFETCH_CONFIGS]
+    )
+    def test_prefetch_config_engine(self, name, items):
+        sim = make_simulator(**dict(items))
+        result = sim.run(build_workload("vortex", length=2_000), warmup=500)
+        assert result.prefetch.scheduled > 0
+        if name == "pf_stride":
+            assert sim.engine_used == "scalar"
+            assert "prefetch policy" in sim.batch_fallback
+        else:
+            assert sim.engine_used == "batch", sim.batch_fallback
+
+    def test_paper_prefetch_configs_are_covered(self):
+        names = {name for name, _ in self.PREFETCH_CONFIGS}
+        assert {"pf_tk", "pf_dbcp", "pf_stride"} <= names
+
 
 class TestBitwiseEquivalence:
     @pytest.mark.parametrize("warmup", [0, 150])
@@ -226,6 +379,91 @@ class TestBitwiseEquivalence:
         )
         assert d_scalar["result"]["victim"]["hits"] > 0
         assert d_scalar == d_batch
+
+    @pytest.mark.parametrize("warmup", [0, 150])
+    @pytest.mark.parametrize("prefetcher", ["timekeeping", "dbcp"])
+    def test_batch_matches_scalar_prefetch(self, prefetcher, warmup):
+        """Prefetches that arrive early and late, merge with a demand
+        miss and (DBCP, whose hashed table can predict another set's
+        block) are cancelled, all on the event loop.  A timekeeping
+        prediction always names another block of the frame's own set,
+        and any change of that set's resident resolves it first, so on
+        a direct-mapped L1 it is never cancelled."""
+        d_scalar, d_batch = run_both(
+            lambda: make_simulator(prefetcher=prefetcher, collect_metrics=True),
+            prefetch_trace(),
+            warmup=warmup,
+        )
+        stats = d_scalar["result"]["prefetch"]
+        timeliness = stats["timeliness"]
+        early = late = 0
+        for bucket in (timeliness["correct"], timeliness["wrong"]):
+            early += bucket[PrefetchTimeliness.EARLY.name]
+            late += bucket[PrefetchTimeliness.LATE.name]
+        assert early > 0 and late > 0
+        assert d_scalar["result"]["outcomes"][AccessOutcome.PREFETCH_HIT.name] > 0
+        if prefetcher == "dbcp":
+            assert stats["cancelled"] > 0
+        assert d_scalar == d_batch
+
+    @pytest.mark.parametrize("prefetcher", ["timekeeping", "dbcp"])
+    def test_batch_matches_scalar_prefetch_small_l2(self, prefetcher):
+        """A 16KB 2-way L2 behind a 4KB L1: prefetch fills land at the
+        LRU position of full L2 sets and evict, so the deferred L2
+        replay's insert-at-LRU stamps are checked against real frames."""
+        l2 = dataclasses.replace(paper_machine().l2, size_bytes=16 * 1024,
+                                 associativity=2)
+        machine = dataclasses.replace(paper_machine(), l2=l2).with_l1d(
+            size_bytes=4 * 1024
+        )
+        d_scalar, d_batch = run_both(
+            lambda: make_simulator(
+                machine, prefetcher=prefetcher, collect_metrics=True
+            ),
+            prefetch_trace(),
+            warmup=150,
+        )
+        assert d_scalar["prefetch"]["l2_prefetch"][1] > 0
+        assert d_scalar == d_batch
+
+    @pytest.mark.parametrize("prefetcher", ["timekeeping", "dbcp"])
+    def test_batch_matches_scalar_prefetch_starved(self, prefetcher):
+        """One prefetch MSHR, a two-entry queue and short gaps: requests
+        wait in the queue and overflow it, and a demand merge that frees
+        the MSHR lets the next access issue with no event due (the event
+        loop visits every access while the queue holds requests)."""
+        machine = dataclasses.replace(
+            paper_machine(),
+            prefetch=dataclasses.replace(
+                paper_machine().prefetch, mshrs=1, queue_entries=2
+            ),
+        )
+        d_scalar, d_batch = run_both(
+            lambda: make_simulator(
+                machine, prefetcher=prefetcher, collect_metrics=True
+            ),
+            prefetch_trace(seed=0, max_gap=40),
+            warmup=150,
+        )
+        if prefetcher == "timekeeping":
+            assert d_scalar["result"]["prefetch"]["discarded"] > 0
+        assert d_scalar == d_batch
+
+    def test_batch_matches_scalar_arrival_before_fill(self):
+        """A DBCP prefetch into another set can arrive at a cycle before
+        the fill of the block it evicts (a demand miss just before the
+        drain stalled past the arrival time), closing a generation with
+        a negative dead time; the batch engine feeds that batch's
+        records to the metrics one by one, as the scalar loop does."""
+        trace = prefetch_trace(seed=14, max_gap=20)
+        digests = []
+        for engine in ("scalar", "batch"):
+            sim = make_simulator(prefetcher="dbcp", collect_metrics=True)
+            result = sim.run(trace, engine=engine)
+            assert sim.engine_used == engine, sim.batch_fallback
+            assert min(g.dead_time for g in sim.metrics.generations) < 0
+            digests.append(digest(sim, result))
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("warmup", [0, 150])
     def test_batch_matches_scalar(self, warmup):

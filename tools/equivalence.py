@@ -24,7 +24,7 @@ the batch engine, the production simulator under the scalar engine,
 and the reference — all pairs must be bitwise-identical.  Cells cover
 warmup > 0 and perfect-mode configurations in addition to the
 mechanism axes (victim cache under each of the paper's three admission
-filters, prefetch, decay).  Every run must also satisfy the accounting
+filters, the timekeeping and DBCP prefetchers, decay).  Every run must also satisfy the accounting
 identities of :func:`accounting_violations`; a violation is reported as
 one more diff line of the cell.
 
@@ -62,12 +62,17 @@ CONFIGS: Dict[str, Dict[str, Any]] = {
     "victim_unfiltered": {"victim_filter": "unfiltered"},
     "victim_collins": {"victim_filter": "collins"},
     "prefetch": {"prefetcher": "timekeeping"},
+    "prefetch_dbcp": {"prefetcher": "dbcp"},
     "decay": {"decay_interval": 8192},
     # ``warmup_frac`` is harness-level, not a simulator kwarg: the cell
     # runs with warmup = int(length * frac) extra accesses, exercising
-    # the batch engine's deferred-state chaining across run() calls.
+    # the batch engine's deferred-state chaining across run() calls
+    # (and, with a prefetcher, the events, queue, MSHRs and pending
+    # predictions the warm-up boundary leaves behind).
     "warmup": {"warmup_frac": 0.33},
     "victim_warmup": {"victim_filter": "timekeeping", "warmup_frac": 0.33},
+    "prefetch_warmup": {"prefetcher": "timekeeping", "warmup_frac": 0.33},
+    "prefetch_dbcp_warmup": {"prefetcher": "dbcp", "warmup_frac": 0.33},
     "perfect": {"perfect_non_cold": True},
     "perfect_warmup": {"perfect_non_cold": True, "warmup_frac": 0.33},
 }
