@@ -16,11 +16,6 @@ Usage (installed as ``python -m repro``):
     python -m repro trace build swim --length 60000
     python -m repro trace inspect
     python -m repro trace prewarm --workloads all --length 60000
-    python -m repro sweep --profile cpu --obs-history obs_history.jsonl
-    python -m repro run gcc --flight-record flight.json
-    python -m repro obs check --history obs_history.jsonl
-    python -m repro obs report --out docs/OBSERVATORY.md
-    python -m repro obs export --prom --out obs.prom
 
 Exit code 0 on success; 1 when a sweep leaves failed cells; argument
 errors exit 2 (argparse convention).
@@ -72,10 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="zero-cost non-cold misses (Figure 1 bound)")
     run.add_argument("--decay-interval", type=int,
                      help="enable cache decay with this idle threshold (cycles)")
-    run.add_argument("--flight-record", default=None, metavar="FILE",
-                     help="record per-generation cache events into a bounded "
-                          "ring buffer and write them as a Chrome trace "
-                          "(forces the scalar engine; results are unchanged)")
 
     compare = sub.add_parser("compare",
                              help="run one workload under several preset configs")
@@ -135,13 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--log-json", default=None, metavar="FILE",
                        help="append structured JSONL events (cell starts/"
                             "finishes, retries, cache events) to FILE")
-    sweep.add_argument("--profile", choices=["cpu", "mem"], default=None,
-                       help="profile each cell's simulate phase (cpu: cProfile, "
-                            "mem: tracemalloc) and print the merged top-20 "
-                            "table; persisted with the run record")
-    sweep.add_argument("--obs-history", default=None, metavar="FILE",
-                       help="append a run-history record to this observatory "
-                            "store (default: $REPRO_OBS_HISTORY when set)")
     _add_engine_arg(sweep)
     _add_cache_args(sweep)
 
@@ -186,10 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "checks on absent workloads are skipped)")
     paper.add_argument("--progress", action="store_true",
                        help="live progress line on stderr")
-    paper.add_argument("--obs-history", default=None, metavar="FILE",
-                       help="append one aggregated run-history record for the "
-                            "campaign to this observatory store (default: "
-                            "$REPRO_OBS_HISTORY when set)")
     _add_engine_arg(paper)
     _add_cache_args(paper)
 
@@ -204,59 +184,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="quarantine corrupt/superseded lines to the "
                              ".quarantine sidecar and compact the store "
                              "before reporting")
-
-    obs = sub.add_parser(
-        "obs",
-        help="run-history observatory: regression checks, dashboards, exports")
-    obs_sub = obs.add_subparsers(dest="obs_command", required=True)
-
-    def _add_history_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--history", default=None, metavar="FILE",
-                       help="run-history JSONL written by sweep/paper "
-                            "--obs-history (default: $REPRO_OBS_HISTORY, "
-                            "else obs_history.jsonl)")
-
-    obs_check = obs_sub.add_parser(
-        "check",
-        help="compare the newest run against its rolling baseline; "
-             "exit 1 on a regression (CI gate)")
-    _add_history_arg(obs_check)
-    obs_check.add_argument("--source", default=None,
-                           help="check the newest run from this source "
-                                "(sweep/paper; default: newest overall)")
-    obs_check.add_argument("--window", type=int, default=8,
-                           help="baseline runs in the rolling window (default 8)")
-    obs_check.add_argument("--tolerance", type=float, default=25.0,
-                           metavar="PCT",
-                           help="flag only shifts beyond this percentage of "
-                                "the baseline median (default 25)")
-    obs_check.add_argument("--mad-k", type=float, default=3.0, metavar="K",
-                           help="and beyond K median-absolute-deviations "
-                                "(default 3.0)")
-
-    obs_report = obs_sub.add_parser(
-        "report", help="render the markdown dashboard with trend sparklines")
-    _add_history_arg(obs_report)
-    obs_report.add_argument("--out", default="docs/OBSERVATORY.md",
-                            metavar="FILE",
-                            help="output path, or '-' for stdout "
-                                 "(default: docs/OBSERVATORY.md)")
-    obs_report.add_argument("--window", type=int, default=20,
-                            help="runs per sparkline (default 20)")
-
-    obs_export = obs_sub.add_parser(
-        "export", help="export the latest run per group for scrapers")
-    _add_history_arg(obs_export)
-    obs_export.add_argument("--prom", action="store_true",
-                            help="Prometheus textfile format (the default and "
-                                 "only format today)")
-    obs_export.add_argument("--out", default=None, metavar="FILE",
-                            help="write here instead of stdout (point your "
-                                 "node_exporter textfile collector at it)")
-
-    obs_list = obs_sub.add_parser(
-        "list", help="list the recorded runs in the history store")
-    _add_history_arg(obs_list)
 
     trace = sub.add_parser(
         "trace",
@@ -352,27 +279,11 @@ def _single_config(args) -> dict:
 
 
 def _cmd_run(args, out) -> int:
-    recorder = None
-    scope = nullcontext()
-    if args.flight_record:
-        from .obs.recorder import FlightRecorder
-
-        recorder = FlightRecorder()
-        scope = recorder
-    with scope:
-        results = run_workload(
-            args.workload, {"run": _single_config(args)},
-            length=args.length, warmup=args.warmup, seed=args.seed,
-            engine=args.engine,
-        )
-    if recorder is not None:
-        recorder.to_chrome_trace().write(args.flight_record)
-        counts = recorder.summary()
-        print(f"wrote flight recording to {args.flight_record} "
-              f"({counts.get('gen', 0)} generations, "
-              f"{counts.get('victim', 0)} victim decisions, "
-              f"{counts.get('decay_hit', 0)} decayed hits, "
-              f"{counts['dropped']} dropped)", file=sys.stderr)
+    results = run_workload(
+        args.workload, {"run": _single_config(args)},
+        length=args.length, warmup=args.warmup, seed=args.seed,
+        engine=args.engine,
+    )
     result = results["run"]
     print(result.summary(), file=out)
     if result.decay is not None:
@@ -478,15 +389,7 @@ def _cmd_sweep(args, out) -> int:
             observer=observer,
             telemetry=telemetry,
             engine=args.engine,
-            profile=args.profile,
-            obs_history=args.obs_history,
         )
-    if args.profile:
-        merged = (report.telemetry or {}).get("profile")
-        if merged:
-            from .obs.profiling import format_profile
-
-            print(format_profile(merged), file=out)
     if args.trace_out:
         build_sweep_trace(report).write(args.trace_out)
         print(f"wrote Chrome trace to {args.trace_out} "
@@ -561,7 +464,6 @@ def _cmd_paper(args, out) -> int:
         trace_cache=trace_cache,
         observer=observer,
         engine=args.engine,
-        obs_history=args.obs_history,
     )
     for artifact in run.artifacts:
         done = [c for c in artifact.checks if c.passed is not None]
@@ -617,6 +519,21 @@ def _print_fidelity_summary(manifest, ok_cells, out) -> None:
     for metric, info in sorted(worst.items()):
         print(f"  worst {metric} 95% CI: ±{info['ci95']:.5f} ({info['cell']})",
               file=out)
+
+
+#: Manifest keys naming the build and host that wrote a store's run.
+_PROVENANCE_KEYS = ("git_rev", "host", "python")
+
+
+def _print_provenance(manifest, out) -> None:
+    """One line naming the build and host of the store's latest run.
+
+    Silent for stores written before manifests carried provenance.
+    """
+    if not any(key in manifest for key in _PROVENANCE_KEYS):
+        return
+    print("provenance: " + ", ".join(
+        f"{key} {manifest.get(key, '?')}" for key in _PROVENANCE_KEYS), file=out)
 
 
 def _print_quarantine_summary(load, store, out) -> None:
@@ -676,6 +593,7 @@ def _cmd_report(args, out) -> int:
                            rows, title=f"store: {args.store}"), file=out)
         print(f"{len(cells)} cells: {len(ok)} ok, {len(failed)} failed, "
               f"{retried} retried", file=out)
+        _print_provenance(manifest, out)
         _print_fidelity_summary(manifest, ok, out)
         _print_quarantine_summary(load, store, out)
         return 0
@@ -713,103 +631,6 @@ def _cmd_report(args, out) -> int:
     )
     print(f"phase totals: {share}", file=out)
     return 0
-
-
-def _resolve_history_path(args) -> str:
-    """``--history`` flag, then ``$REPRO_OBS_HISTORY``, then the default."""
-    if args.history:
-        return args.history
-    from .obs.history import HISTORY_ENV
-
-    return os.environ.get(HISTORY_ENV) or "obs_history.jsonl"
-
-
-def _cmd_obs(args, out) -> int:
-    from .obs import sentinel
-    from .obs.history import ObsStore
-
-    path = _resolve_history_path(args)
-    if not os.path.exists(path):
-        print(f"error: history not found: {path} (run a sweep with "
-              f"--obs-history to create it)", file=sys.stderr)
-        return 1
-    store = ObsStore(path)
-
-    if args.obs_command == "check":
-        try:
-            result = sentinel.check_history(
-                store, source=args.source, window=args.window,
-                tolerance_pct=args.tolerance, mad_k=args.mad_k)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(result.summary(), file=out)
-        for note in result.notes:
-            print(f"  note: {note}", file=out)
-        for finding in result.findings:
-            print(f"  REGRESSED {finding.message()}", file=out)
-        return 0 if result.passed else 1
-
-    load = store.load_report()
-    records = load.records
-    if not load.clean:
-        print(load.summary(), file=sys.stderr)
-
-    if args.obs_command == "list":
-        if not records:
-            print(f"no runs recorded in {path}", file=out)
-            return 0
-        rows = []
-        for rec in records:
-            metrics = rec.get("metrics", {})
-            throughput = metrics.get("throughput_aps")
-            wall = metrics.get("wall_time_s")
-            rows.append([
-                str(rec.get("utc", "?"))[:19],
-                str(rec.get("source", "?")),
-                str(rec.get("manifest_digest", "?"))[:12],
-                str(rec.get("git_rev", "?")),
-                f"{throughput:,.0f}" if throughput is not None else "-",
-                f"{wall:.2f}s" if wall is not None else "-",
-            ])
-        print(format_table(
-            ["utc", "source", "manifest", "rev", "accesses/s", "wall"],
-            rows, title=f"run history: {path} ({len(records)} runs)"),
-            file=out)
-        return 0
-
-    if not records:
-        print(f"error: no runs recorded in {path}", file=sys.stderr)
-        return 1
-
-    if args.obs_command == "report":
-        text = sentinel.render_dashboard(records, window=args.window)
-        if args.out == "-":
-            print(text, file=out)
-        else:
-            parent = os.path.dirname(args.out)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"wrote {args.out} ({len(records)} runs)", file=out)
-        return 0
-
-    if args.obs_command == "export":
-        text = sentinel.to_prometheus(records)
-        problems = sentinel.validate_prometheus(text)
-        if problems:
-            for problem in problems:
-                print(f"error: invalid exposition: {problem}", file=sys.stderr)
-            return 1
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"wrote {args.out}", file=sys.stderr)
-        else:
-            out.write(text)
-        return 0
-    return 2  # pragma: no cover — argparse enforces the choices
 
 
 def _trace_cache_from(args) -> TraceCache:
@@ -896,8 +717,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_paper(args, out)
         if args.command == "report":
             return _cmd_report(args, out)
-        if args.command == "obs":
-            return _cmd_obs(args, out)
         if args.command == "trace":
             return _cmd_trace(args, out)
     except Exception as exc:  # surfaced as a clean CLI error

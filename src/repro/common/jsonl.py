@@ -1,13 +1,13 @@
 """Crash-safe append-only JSONL journal machinery.
 
-This is the substrate shared by every durable line-oriented store in
-the project — the sweep checkpoint store (:class:`repro.sim.store.
-RunStore`) and the cross-run observability history (:class:`repro.obs.
-history.ObsStore`).  It owns the mechanics that make an append-only
+This is the substrate under the sweep checkpoint store
+(:class:`repro.sim.store.RunStore`), the project's one durable
+line-oriented store.  It owns the mechanics that make an append-only
 JSONL file safe to trust after a crash:
 
-- **fsynced appends** — a record that was reported written survives a
-  later crash;
+- **the append handle** — opened in binary append mode; the store
+  flushes and fsyncs every record through it, so a record that was
+  reported written survives a later crash;
 - **advisory writer locking** — an exclusive ``flock`` on a
   ``<path>.lock`` sidecar (the sidecar is never replaced, so flocks
   stay valid across compactions); a second writer gets
@@ -22,10 +22,9 @@ JSONL file safe to trust after a crash:
 
 Policy — what a valid line looks like, which damaged line is a
 tolerated torn tail versus quarantinable corruption, when to compact —
-stays in the subclasses; this module is mechanism only.  It lives in
-``repro.common`` because both ``repro.sim`` and ``repro.obs`` build on
-it and the dependency rules (docs/ARCHITECTURE.md) keep ``common``
-import-free of either.
+stays in the subclass; this module is mechanism only.  It lives in
+``repro.common`` because the dependency rules (docs/ARCHITECTURE.md)
+keep ``common`` import-free of the layers above it.
 """
 
 from __future__ import annotations
@@ -188,17 +187,6 @@ class JsonlJournal:
             self._fh = open(self.path, "ab")
         except OSError as exc:
             raise StoreError(f"cannot open store {self.path}: {exc}") from exc
-
-    def _append_bytes(self, data: bytes) -> None:
-        """Write *data* to the open handle, flushed and fsynced."""
-        if self._fh is None:
-            raise StoreError(f"store {self.path} is not open; call start() first")
-        try:
-            self._fh.write(data)
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-        except OSError as exc:
-            raise StoreError(f"cannot append to store {self.path}: {exc}") from exc
 
     # -- lifecycle -----------------------------------------------------------
 

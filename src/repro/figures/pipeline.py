@@ -26,10 +26,9 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..common.config import MachineConfig, config_digest, paper_machine
-from ..obs.history import append_best_effort, paper_run_record, resolve_history
+from ..common.config import MachineConfig
 from ..sim.results import SimulationResult
-from ..sim.runner import FaultHook, run_sweep
+from ..sim.runner import FaultHook, check_obs_history, run_sweep
 from ..sim.store import RunStore
 from ..traces.workloads import SPEC2000
 from .registry import CONFIGS, select_specs
@@ -189,9 +188,6 @@ def execute_plan(
             telemetry=True,
             store_metrics=True,
             engine=engine,
-            # The campaign-level caller appends one aggregated record
-            # itself; per-group appends would skew the trajectory.
-            obs_history=False,
         )
         reports.append(report)
         first = False
@@ -253,7 +249,7 @@ def run_paper(
     fault_hook: Optional[FaultHook] = None,
     write_report: bool = True,
     engine: str = "batch",
-    obs_history: Any = None,
+    obs_history: Optional[bool] = None,
 ) -> PaperRun:
     """Reproduce the paper's evaluation end to end.
 
@@ -288,17 +284,15 @@ def run_paper(
             automatic scalar fallback, or ``"scalar"``).  Results, the
             store, and the report are bitwise-identical either way —
             the CI smoke leg runs both to prove it.
-        obs_history: cross-run history (path or
-            :class:`~repro.obs.history.ObsStore`) receiving **one**
-            aggregated record for the whole campaign under source
-            ``"paper"`` — the per-group sweeps are told not to append
-            their own, so a campaign is one trajectory point, not one
-            per figure group.  ``None`` consults ``REPRO_OBS_HISTORY``;
-            ``False`` disables.  Appends are best-effort.
+        obs_history: inert, kept only because perfbench passes
+            ``False``; it goes with the benchmark change that drops
+            that argument (see
+            :func:`repro.sim.runner.check_obs_history`).
 
     Returns:
         A :class:`PaperRun` with per-figure artifacts and verdicts.
     """
+    check_obs_history(obs_history)
     specs = select_specs(only)
     resolved_length = length if length is not None else (
         SMOKE_LENGTH if smoke else FULL_LENGTH
@@ -350,25 +344,6 @@ def run_paper(
     if write_report:
         with open(report_path, "w", encoding="utf-8") as fh:
             fh.write(report_text)
-
-    history = resolve_history(obs_history)
-    if history is not None:
-        campaign_digest = config_digest({
-            "figures": sorted(spec.fig_id for spec in specs),
-            "length": resolved_length,
-            "seed": seed,
-            "warmup": resolved_warmup,
-            "machine": config_digest(
-                machine if machine is not None else paper_machine()),
-            "workloads": sorted(workloads) if workloads is not None else None,
-        })
-        warning = append_best_effort(
-            history,
-            paper_run_record(group_reports, manifest_digest=campaign_digest))
-        if warning is not None:
-            import sys
-
-            print(warning, file=sys.stderr)
 
     return PaperRun(
         artifacts=artifacts,

@@ -126,16 +126,14 @@ def batch_fallback_reason(sim, trace) -> Optional[str]:
     (stride prefetch), and prefetch combined with a victim cache or
     perfect mode, fall back to the scalar loop.  Pending events at
     entry are only accepted from a prefetch engine (the warm-up
-    boundary leaves them).  The returned string is surfaced in
-    results/telemetry so a silent fallback is still observable.
+    boundary leaves them).  Every reason is about the simulated model
+    or the trace's representation; nothing an observer arms
+    (telemetry, logging, tracing) changes the engine.  The returned
+    string is surfaced in results/telemetry so a silent fallback is
+    still observable.
     """
     if not getattr(sim, "_batch_capable", False):
         return "simulator subclass is not batch-capable"
-    if getattr(sim, "_recorder", None) is not None:
-        # The batch engine closes generations in column order with no
-        # per-event callbacks, so a recording run needs the scalar
-        # loop; results are bitwise-identical either way.
-        return "flight recorder armed (per-generation events need the scalar loop)"
     if not trace.columns_are_arrays:
         return "trace is list-backed (no column arrays to scan)"
     policy = sim.policy

@@ -52,8 +52,9 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
+import platform
 import random
-import sys
+import subprocess
 import threading
 import time
 import traceback
@@ -69,16 +70,9 @@ from ..common.config import MachineConfig, config_digest, paper_machine
 from ..common.errors import CellTimeoutError, ReproError, SimulationError
 from ..faults.injector import FaultInjector, current_injector
 from ..faults.plan import FaultPlan
-from ..obs.history import (
-    ObsStore,
-    append_best_effort,
-    resolve_history,
-    sweep_run_record,
-)
 from ..obs.logging import current_logger
 from ..obs.metrics import Telemetry
 from ..obs.metrics import current as current_telemetry
-from ..obs.profiling import PROFILE_MODES, profile_block
 from ..obs.progress import SweepObserver
 from ..traces.cache import TraceCache, resolve_cache
 from ..traces.workloads import SPEC2000, get_workload
@@ -130,11 +124,6 @@ class CellSpec:
     #: with it checkpoint-store identity — is engine-independent, as
     #: results are bitwise-identical between engines.
     engine: str = "batch"
-    #: Deep-profiling mode armed in the worker around the simulate
-    #: phase ("cpu" = cProfile, "mem" = tracemalloc), or None.  Like
-    #: ``engine`` it never changes results, so it stays out of the
-    #: config digest.
-    profile: Optional[str] = None
 
     @property
     def key(self) -> CellKey:
@@ -343,15 +332,11 @@ def _execute_cell(
             if fault_hook is not None:
                 fault_hook(spec.workload, spec.config_name, attempt)
             _fire_mid_cell(spec, attempt)
-            profiler = (profile_block(spec.profile) if spec.profile is not None
-                        else nullcontext())
-            with timed("simulate"), profiler as prof:
+            with timed("simulate"):
                 result = simulate_config(
                     trace, spec.config, ipa=workload.ipa, warmup=spec.warmup,
                     engine=spec.engine, machine=spec.machine,
                 )
-            if prof is not None:
-                cell_telemetry["profile"] = prof.stats()
             if tele is not None:
                 with timed("serialize"):
                     result.to_dict()
@@ -820,6 +805,47 @@ def _run_supervised(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def git_revision() -> str:
+    """Short git revision of the source tree, or ``"unknown"``.
+
+    Recorded in every store manifest.  Resolved once per process:
+    ``git rev-parse`` costs milliseconds, and the source a process
+    runs does not change under it.  A short timeout keeps a wedged
+    VCS from stalling a sweep; a tree without git records
+    ``"unknown"``.
+    """
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=2.0,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else "unknown"
+
+
+def check_obs_history(obs_history: Optional[bool]) -> None:
+    """Validate the inert ``obs_history`` keyword of the campaign entry points.
+
+    Earlier builds appended a record to a run-history file here; the
+    history is gone, and a run's provenance now lives in its store
+    manifest.  ``None`` and ``False`` are accepted and do nothing, so
+    callers that switched the history off keep working (perfbench
+    passes ``False``).  Anything else raises :class:`SimulationError`
+    rather than silently dropping the record the caller asked for.
+    The keyword goes with the benchmark change that stops passing it.
+    """
+    if obs_history is not None and obs_history is not False:
+        raise SimulationError(
+            f"obs_history={obs_history!r} is not supported: the run-history "
+            f"store was removed; a store's manifest records the git "
+            f"revision, host and python of each run instead"
+        )
+
+
 def run_sweep(
     configs: Mapping[str, Mapping[str, Any]],
     *,
@@ -844,8 +870,7 @@ def run_sweep(
     telemetry: Optional[bool] = None,
     store_metrics: bool = False,
     engine: str = "batch",
-    profile: Optional[str] = None,
-    obs_history: Union[None, bool, str, "os.PathLike[str]", "ObsStore"] = None,
+    obs_history: Optional[bool] = None,
 ) -> SweepReport:
     """Run a workload×config sweep fault-tolerantly.
 
@@ -882,7 +907,12 @@ def run_sweep(
             set.  ``None`` (default) never trips.
         store: checkpoint path or :class:`RunStore`; every finished cell
             is appended, and with ``resume=True`` previously completed
-            cells are replayed from disk instead of re-executed.
+            cells are replayed from disk instead of re-executed.  The
+            manifest line each call appends records the sweep
+            parameters and the run's provenance: ``git_rev`` (see
+            :func:`git_revision`), ``host`` and ``python``.  Resume
+            compares only the parameters, so a campaign may continue
+            across revisions and machines.
         resume: allow continuing into an existing, compatible store.
         retry_poisoned: on resume, re-execute cells whose stored record
             is a failure.  Off by default: a cell that already exhausted
@@ -909,7 +939,8 @@ def run_sweep(
             listening — an ambient :class:`~repro.obs.metrics.Telemetry`
             or :class:`~repro.obs.logging.JsonlLogger` context is
             active, or an *observer* was passed; ``True``/``False``
-            force it.  When on, every executed cell's phase breakdown
+            force it, and nothing else implies it.  When on, every
+            executed cell's phase breakdown
             (spawn/synthesis/simulate/serialize) lands in
             ``report.cell_telemetry``, merged counters in
             ``report.telemetry``, and — with a store — in each cell's
@@ -926,21 +957,9 @@ def run_sweep(
             Engine choice does not enter the store's config digests:
             results are bitwise-identical between engines, so stores
             written under either engine resume interchangeably.
-        profile: deep-profiling mode armed in every worker around the
-            simulate phase — ``"cpu"`` (cProfile) or ``"mem"``
-            (tracemalloc).  Each cell ships a top-N table back in its
-            telemetry; the parent merges them into
-            ``report.telemetry["profile"]``.  Implies telemetry
-            collection.  ``None`` (default) arms nothing.
-        obs_history: cross-run history file
-            (:class:`~repro.obs.history.ObsStore`, path, or ``None``)
-            that one distilled record of this sweep is appended to on
-            completion — the ``repro obs`` observatory's data source.
-            ``None`` consults the ``REPRO_OBS_HISTORY`` environment
-            variable; ``False`` disables appends even when the
-            variable is set.  Appends are best-effort: a locked or
-            unwritable history warns on stderr instead of failing a
-            completed sweep.  Implies telemetry collection.
+        obs_history: inert, kept only because perfbench passes
+            ``False``; it goes with the benchmark change that drops
+            that argument (see :func:`check_obs_history`).
 
     Returns:
         A :class:`SweepReport`; failed cells appear in ``report.failures``
@@ -960,16 +979,11 @@ def run_sweep(
         )
     if not configs:
         raise SimulationError("no configurations given")
+    check_obs_history(obs_history)
     names = list(workloads) if workloads is not None else list(SPEC2000)
     for name in names:
         get_workload(name)  # fail fast on unknown workloads
     resolved_warmup = length // 3 if warmup is None else warmup
-
-    if profile is not None and profile not in PROFILE_MODES:
-        raise SimulationError(
-            f"unknown profile mode {profile!r}; expected one of {PROFILE_MODES}"
-        )
-    history = resolve_history(obs_history)
 
     # Telemetry collection: default on exactly when someone is listening.
     ambient = current_telemetry()
@@ -979,10 +993,6 @@ def run_sweep(
         if telemetry is not None
         else bool(ambient.enabled or logger.enabled or observer is not None)
     )
-    if profile is not None or history is not None:
-        # Profiles ride in cell telemetry, and a history record without
-        # counters would be hollow: both imply collection.
-        collect = True
     sweep_started = time.time()
     sweep_mono = time.monotonic()
     parent_tele = Telemetry()
@@ -1018,23 +1028,10 @@ def run_sweep(
             machine=machine,
             trace_cache=cache_root,
             engine=engine,
-            profile=profile,
         )
         for name in names
         for config_name, config in configs.items()
     ]
-
-    # Stable identity of this sweep for the cross-run history: what the
-    # store manifest records, minus the created-at timestamp.  Computed
-    # even without a store so storeless sweeps still group correctly.
-    manifest_digest = config_digest({
-        "length": length,
-        "seed": seed,
-        "warmup": resolved_warmup,
-        "machine": config_digest(machine if machine is not None else paper_machine()),
-        "workloads": names,
-        "configs": {name: config_digest(config) for name, config in configs.items()},
-    })
 
     # The ambient fault plan (if a FaultInjector is armed here) ships to
     # worker processes so injection sites fire there too.
@@ -1059,6 +1056,9 @@ def run_sweep(
                 "workloads": names,
                 "configs": {name: config_digest(config) for name, config in configs.items()},
                 "created": time.time(),
+                "git_rev": git_revision(),
+                "host": platform.node() or "unknown",
+                "python": platform.python_version(),
             }
             prior = run_store.start(manifest, resume=resume)
             wanted = {cell.key for cell in cells}
@@ -1223,14 +1223,6 @@ def run_sweep(
 
     wall_time = time.monotonic() - sweep_mono
     snapshot = parent_tele.snapshot()
-    merged_profile: Optional[Dict[str, Any]] = None
-    if profile is not None:
-        from ..obs.profiling import merge_profiles
-
-        tables = [ct["profile"] for ct in cell_telemetry.values()
-                  if ct.get("profile")]
-        if tables:
-            merged_profile = merge_profiles(tables, profile)
     report = SweepReport(
         results=results,
         failures=failures,
@@ -1240,9 +1232,7 @@ def run_sweep(
         cell_telemetry=cell_telemetry,
         telemetry=(
             {"started": sweep_started, "wall_time": wall_time,
-             "phases": sweep_phases, "hangs": hangs,
-             **({"profile": merged_profile} if merged_profile else {}),
-             **snapshot}
+             "phases": sweep_phases, "hangs": hangs, **snapshot}
             if collect
             else None
         ),
@@ -1262,14 +1252,4 @@ def run_sweep(
     )
     if observer is not None:
         observer.on_sweep_end(report)
-    if history is not None:
-        warning = append_best_effort(
-            history, sweep_run_record(report, manifest_digest=manifest_digest))
-        if warning is None:
-            logger.event("obs.append", path=history.path, source="sweep",
-                         manifest_digest=manifest_digest)
-        else:
-            logger.event("obs.append_failed", path=history.path,
-                         error=warning)
-            print(warning, file=sys.stderr)
     return report

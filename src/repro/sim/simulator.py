@@ -32,11 +32,6 @@ from time import perf_counter as _perf_counter
 from typing import Optional
 
 from ..obs.metrics import current as _telemetry_current
-from ..obs.recorder import (
-    RecordingAdmission,
-    RecordingDecay,
-    current_recorder as _recorder_current,
-)
 
 from ..cache.cache import SetAssociativeCache
 from ..cache.hierarchy import MemoryHierarchy
@@ -145,8 +140,6 @@ class MemorySimulator:
         # Engine bookkeeping, filled in by run().
         self.engine_used: Optional[str] = None
         self.batch_fallback: Optional[str] = None
-        # Flight recorder, attached by run() when one is armed.
-        self._recorder = None
         # Misc counters.
         self.now = 0
         self._outcomes = {outcome: 0 for outcome in AccessOutcome}
@@ -311,42 +304,6 @@ class MemorySimulator:
         if self.collect_metrics:
             self.metrics = TimekeepingMetrics()
             self.generations.set_on_generation(self.metrics.on_generation)
-            if self._recorder is not None:
-                # The fresh metrics bank replaced the generation
-                # callback; re-wrap it so the recorder keeps seeing
-                # post-warmup generations.
-                self._wrap_generation_callback()
-        if self._recorder is not None:
-            self._recorder.on_warmup_reset(self.now)
-
-    # -- flight recorder ---------------------------------------------------------------
-
-    def _attach_recorder(self) -> None:
-        """Wire the armed flight recorder into the simulator's seams.
-
-        Three taps: the generation-close callback (wrapped, the
-        metrics bank still runs), the victim-admission filter, and the
-        decay policy (both replaced by recording proxies that delegate
-        every decision unchanged).  Only ever called when a recorder
-        is armed, so the disarmed hot path pays nothing here.
-        """
-        self._wrap_generation_callback()
-        if self.admission is not None:
-            self.admission = RecordingAdmission(self.admission, self._recorder)
-        if self.decay is not None:
-            self.decay = RecordingDecay(self.decay, self._recorder)
-
-    def _wrap_generation_callback(self) -> None:
-        """Chain the recorder in front of the current generation callback."""
-        recorder = self._recorder
-        inner = self.generations._on_generation
-
-        def record_generation(record, _recorder=recorder, _inner=inner):
-            _recorder.on_generation(record)
-            if _inner is not None:
-                _inner(record)
-
-        self.generations.set_on_generation(record_generation)
 
     # -- main loop -------------------------------------------------------------------
 
@@ -374,21 +331,11 @@ class MemorySimulator:
             raise SimulationError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        # Flight-recorder arming: one ambient lookup plus an attribute
-        # check when disarmed (mirroring the telemetry discipline
-        # below); an armed recorder attaches per-event hooks and — via
-        # batch_fallback_reason — forces the scalar engine, which is
-        # bitwise-equivalent, so recording never changes results.
-        recorder = _recorder_current()
-        if recorder.armed:
-            self._recorder = recorder
         use_batch = False
         if engine == "batch":
             self.batch_fallback = batch_fallback_reason(self, trace)
             use_batch = self.batch_fallback is None
         self.engine_used = "batch" if use_batch else "scalar"
-        if self._recorder is not None:
-            self._attach_recorder()
         # Throughput sampling: two clock reads around the whole run when
         # an ambient Telemetry is active, nothing otherwise.  It never
         # touches simulator state, so results are bitwise-identical with

@@ -175,6 +175,20 @@ class TestReport:
         assert "gzip" in out and "eon" in out
         assert "2 ok" in out
 
+    def test_provenance_line_from_manifest(self, capsys, tmp_path):
+        from repro.sim.store import RunStore
+
+        store = self._sweep_into(tmp_path)
+        manifest, _ = RunStore(store).load()
+        capsys.readouterr()
+        assert main(["report", store]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("provenance:")]
+        assert lines == [
+            f"provenance: git_rev {manifest['git_rev']}, "
+            f"host {manifest['host']}, python {manifest['python']}"
+        ]
+
     def test_timing_breakdown_from_store(self, capsys, tmp_path):
         # --trace-out forces telemetry collection, so the store carries
         # per-cell phase timings for the report to rebuild.

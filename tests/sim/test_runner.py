@@ -7,9 +7,11 @@ import time
 import pytest
 
 from repro.common.errors import ConfigError, SimulationError, StoreError, TraceError
+from repro.figures.pipeline import run_paper
 from repro.sim.runner import CellFailure, SweepReport, run_sweep
 from repro.sim.store import RunStore
-from repro.sim.sweep import run_workload
+from repro.sim.sweep import CONFIG_PRESETS, run_workload
+from repro.traces.cache import TraceCache
 
 CONFIGS = {"base": {}, "perfect": {"perfect_non_cold": True}}
 
@@ -138,6 +140,38 @@ class TestSerialEngine:
             run_sweep(CONFIGS, workloads=["gzip"], timeout=0)
         with pytest.raises(SimulationError, match="no configurations"):
             run_sweep({}, workloads=["gzip"])
+
+    @pytest.mark.parametrize("value", [True, "history.jsonl"])
+    def test_obs_history_request_refused(self, tmp_path, value):
+        # The run-history store is gone: asking for one is an error, not
+        # a silently dropped record, and nothing is written first.
+        with pytest.raises(SimulationError, match="obs_history"):
+            run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
+                      store=tmp_path / "run.jsonl", obs_history=value)
+        with pytest.raises(SimulationError, match="obs_history"):
+            run_paper(out_dir=str(tmp_path / "paper"), obs_history=value)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [None, False])
+    def test_obs_history_off_is_inert(self, tmp_path, value):
+        # perfbench's two calls, by keyword, at a small scale.
+        cache = TraceCache(root=tmp_path / "traces")
+        report = run_sweep(
+            {name: CONFIG_PRESETS[name] for name in ("base", "perfect")},
+            workloads=["gzip"], length=LENGTH, warmup=LENGTH // 2, seed=0,
+            workers=1, store=str(tmp_path / "plain.jsonl"), trace_cache=cache,
+            observer=None, obs_history=value,
+        )
+        assert report.ok_cells == 2 and not report.failures
+        run = run_paper(
+            out_dir=str(tmp_path / "paper"), length=LENGTH, warmup=LENGTH // 2,
+            seed=0, resume=False, workers=1, trace_cache=cache, observer=None,
+            obs_history=value, only=["fig02"], workloads=["gzip"],
+        )
+        assert run.executed > 0 and run.failures == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "paper", "plain.jsonl", "plain.jsonl.lock", "traces",
+        ]
 
     def test_progress_reports_each_cell(self):
         seen = []

@@ -2,13 +2,15 @@
 
 import dataclasses
 import json
+import platform
+import subprocess
 
 import pytest
 
 from repro.cli import main
 from repro.common.config import config_digest, paper_machine
 from repro.common.errors import StoreError
-from repro.sim.runner import CellFailure, run_sweep
+from repro.sim.runner import CellFailure, git_revision, run_sweep
 from repro.sim.store import STORE_VERSION, RunStore
 from repro.sim.sweep import run_workload
 
@@ -146,6 +148,72 @@ class TestFidelityCompatibility:
         out = capsys.readouterr().out
         assert "fidelity: 1 sampled" in out
         assert "worst l1_miss_rate 95% CI: ±0.00400 (gzip:base)" in out
+
+
+def _rewrite_manifest(store, edit):
+    """Rewrite the store's manifest line: merge *edit*, or drop provenance."""
+    lines = store.read_text(encoding="utf-8").splitlines()
+    manifest = json.loads(lines[0])
+    if edit is None:  # the manifest an older build wrote
+        for key in ("git_rev", "host", "python"):
+            del manifest[key]
+    else:
+        manifest.update(edit)
+    lines[0] = json.dumps(manifest)
+    store.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("git_works", [True, False], ids=["git", "no-git"])
+    def test_sweep_manifest_records_provenance(self, tmp_path, monkeypatch,
+                                               git_works):
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            if not git_works:
+                raise FileNotFoundError("git")
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        store = tmp_path / "run.jsonl"
+        git_revision.cache_clear()
+        try:
+            run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH, store=store)
+            run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH, store=store,
+                      resume=True)
+        finally:
+            git_revision.cache_clear()
+        assert len(calls) == 1  # resolved once per process
+        manifest, _ = RunStore(store).load()
+        if git_works:
+            assert manifest["git_rev"] == git_revision()
+        else:
+            assert manifest["git_rev"] == "unknown"
+        assert manifest["host"] == (platform.node() or "unknown")
+        assert manifest["python"] == platform.python_version()
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param({"git_rev": "0000000", "host": "elsewhere"},
+                     id="other-rev-and-host"),
+        pytest.param(None, id="written-before-provenance"),
+    ])
+    def test_resume_ignores_provenance(self, tmp_path, capsys, edit):
+        store = tmp_path / "run.jsonl"
+        fresh = run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH, store=store)
+        _rewrite_manifest(store, edit)
+        assert main(["report", str(store)]) == 0
+        has_line = "provenance:" in capsys.readouterr().out
+        assert has_line is (edit is not None)
+        resumed = run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
+                            store=store, resume=True)
+        assert resumed.replayed == len(CONFIGS)
+        assert resumed.executed == 0
+        assert resumed.results == fresh.results
+        # The resuming run's manifest carries this build's provenance.
+        manifest, _ = RunStore(store).load()
+        assert manifest["git_rev"] == git_revision()
 
 
 class TestCorruption:
