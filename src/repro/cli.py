@@ -59,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one workload in one configuration")
     _add_workload_args(run)
-    _add_engine_arg(run)
     run.add_argument("--prefetcher", choices=["timekeeping", "dbcp", "stride"])
     run.add_argument("--victim-filter",
                      choices=["unfiltered", "collins", "timekeeping", "adaptive"])
@@ -126,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--log-json", default=None, metavar="FILE",
                        help="append structured JSONL events (cell starts/"
                             "finishes, retries, cache events) to FILE")
-    _add_engine_arg(sweep)
     _add_cache_args(sweep)
 
     paper = sub.add_parser(
@@ -170,7 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "checks on absent workloads are skipped)")
     paper.add_argument("--progress", action="store_true",
                        help="live progress line on stderr")
-    _add_engine_arg(paper)
     _add_cache_args(paper)
 
     report = sub.add_parser(
@@ -215,14 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     clear = trace_sub.add_parser("clear", help="delete every cache entry")
     _add_cache_root_arg(clear)
     return parser
-
-
-def _add_engine_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--engine", choices=["batch", "scalar"], default="batch",
-        help="dispatch engine: 'batch' (vectorized, automatic scalar "
-             "fallback for unsupported configs) or 'scalar' (per-access "
-             "loop); results are bitwise-identical either way")
 
 
 def _add_cache_root_arg(sub: argparse.ArgumentParser) -> None:
@@ -282,7 +271,6 @@ def _cmd_run(args, out) -> int:
     results = run_workload(
         args.workload, {"run": _single_config(args)},
         length=args.length, warmup=args.warmup, seed=args.seed,
-        engine=args.engine,
     )
     result = results["run"]
     print(result.summary(), file=out)
@@ -388,7 +376,6 @@ def _cmd_sweep(args, out) -> int:
             trace_cache=trace_cache,
             observer=observer,
             telemetry=telemetry,
-            engine=args.engine,
         )
     if args.trace_out:
         build_sweep_trace(report).write(args.trace_out)
@@ -463,7 +450,6 @@ def _cmd_paper(args, out) -> int:
         workloads=workloads,
         trace_cache=trace_cache,
         observer=observer,
-        engine=args.engine,
     )
     for artifact in run.artifacts:
         done = [c for c in artifact.checks if c.passed is not None]

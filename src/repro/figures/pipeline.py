@@ -152,7 +152,6 @@ def execute_plan(
     observer: Any = None,
     progress: Any = None,
     fault_hook: Optional[FaultHook] = None,
-    engine: str = "batch",
 ) -> List["Any"]:
     """Execute a :func:`plan_cells` plan into *store*, one sweep per group.
 
@@ -187,7 +186,6 @@ def execute_plan(
             fault_hook=fault_hook,
             telemetry=True,
             store_metrics=True,
-            engine=engine,
         )
         reports.append(report)
         first = False
@@ -248,7 +246,6 @@ def run_paper(
     progress: Any = None,
     fault_hook: Optional[FaultHook] = None,
     write_report: bool = True,
-    engine: str = "batch",
     obs_history: Optional[bool] = None,
 ) -> PaperRun:
     """Reproduce the paper's evaluation end to end.
@@ -280,10 +277,6 @@ def run_paper(
         fault_hook: test/chaos hook run in the worker before each cell.
         write_report: set False to skip writing ``REPRODUCTION.md``
             (the rendered text is still returned).
-        engine: dispatch engine for every cell (``"batch"`` with
-            automatic scalar fallback, or ``"scalar"``).  Results, the
-            store, and the report are bitwise-identical either way —
-            the CI smoke leg runs both to prove it.
         obs_history: inert, kept only because perfbench passes
             ``False``; it goes with the benchmark change that drops
             that argument (see
@@ -329,7 +322,6 @@ def run_paper(
             observer=observer,
             progress=progress,
             fault_hook=fault_hook,
-            engine=engine,
         )
         executed = sum(r.executed for r in group_reports)
         replayed = sum(r.replayed for r in group_reports)
@@ -370,8 +362,8 @@ def render_report(
 
     Deliberately excludes wall-clock time of any kind (timestamps, the
     per-cell phase timings the store also holds): the report is a pure
-    function of the results and the registry, so a warm re-run, the
-    other engine or another machine regenerates it byte-identically.
+    function of the results and the registry, so a warm re-run or
+    another machine regenerates it byte-identically.
     """
     lines: List[str] = []
     lines.append("# Paper Reproduction Report")

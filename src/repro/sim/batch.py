@@ -5,7 +5,7 @@ paper's configurations — direct-mapped L1, LRU L2, no decay, and
 either no mechanism, a victim cache behind the unfiltered, Collins or
 timekeeping admission filter, or the timekeeping or DBCP prefetcher —
 most accesses are hits whose effects fold into columns.  This module
-exploits that: it scans an array-backed trace's columns once with
+exploits that: it scans the trace's columns once with
 numpy (set decomposition, hit/miss detection, generation
 segmentation), runs lean Python passes for the genuinely sequential
 state (the 3C shadow stack, the bus/stall/victim-cache recurrence over
@@ -113,8 +113,8 @@ _FIRE = 0
 _ARRIVE = 1
 
 
-def batch_fallback_reason(sim, trace) -> Optional[str]:
-    """Why *sim* cannot run *trace* through the batch engine, or None.
+def batch_fallback_reason(sim) -> Optional[str]:
+    """Why *sim* cannot run through the batch engine, or None.
 
     The batch engine covers the paper's baseline machine shape, its
     three victim-cache configurations (unfiltered, Collins and
@@ -126,16 +126,14 @@ def batch_fallback_reason(sim, trace) -> Optional[str]:
     (stride prefetch), and prefetch combined with a victim cache or
     perfect mode, fall back to the scalar loop.  Pending events at
     entry are only accepted from a prefetch engine (the warm-up
-    boundary leaves them).  Every reason is about the simulated model
-    or the trace's representation; nothing an observer arms
-    (telemetry, logging, tracing) changes the engine.  The returned
-    string is surfaced in results/telemetry so a silent fallback is
-    still observable.
+    boundary leaves them).  Every reason is about the simulated model:
+    neither the trace nor anything an observer arms (telemetry,
+    logging, tracing) changes the engine.  :meth:`MemorySimulator.run`
+    stores the returned string on ``sim.batch_fallback``, so a
+    fallback stays observable next to ``sim.engine_used``.
     """
     if not getattr(sim, "_batch_capable", False):
         return "simulator subclass is not batch-capable"
-    if not trace.columns_are_arrays:
-        return "trace is list-backed (no column arrays to scan)"
     policy = sim.policy
     if policy is not None:
         if policy.wants_all_accesses:

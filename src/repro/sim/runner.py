@@ -119,11 +119,6 @@ class CellSpec:
     #: Trace-cache root (str — picklable across spawn), or None to
     #: synthesize in the worker.
     trace_cache: Optional[str] = None
-    #: Dispatch engine ("batch" with automatic scalar fallback, or
-    #: "scalar").  Kept outside ``config`` so the config digest — and
-    #: with it checkpoint-store identity — is engine-independent, as
-    #: results are bitwise-identical between engines.
-    engine: str = "batch"
 
     @property
     def key(self) -> CellKey:
@@ -335,7 +330,7 @@ def _execute_cell(
             with timed("simulate"):
                 result = simulate_config(
                     trace, spec.config, ipa=workload.ipa, warmup=spec.warmup,
-                    engine=spec.engine, machine=spec.machine,
+                    machine=spec.machine,
                 )
             if tele is not None:
                 with timed("serialize"):
@@ -354,19 +349,17 @@ def simulate_config(
     *,
     ipa: float,
     warmup: int,
-    engine: str = "batch",
     machine: Optional[MachineConfig] = None,
 ) -> SimulationResult:
     """Simulate *trace* under one configuration of a suite or sweep.
 
-    *config* holds :func:`simulate` keyword arguments; *ipa*, *warmup*,
-    *engine* and (when given) *machine* are the suite-wide defaults it
-    may override.
+    *config* holds :func:`simulate` keyword arguments; *ipa*, *warmup*
+    and (when given) *machine* are the suite-wide defaults it may
+    override.
     """
     kwargs = dict(config)
     kwargs.setdefault("ipa", ipa)
     kwargs.setdefault("warmup", warmup)
-    kwargs.setdefault("engine", engine)
     if machine is not None:
         kwargs.setdefault("machine", machine)
     return simulate(trace, **kwargs)
@@ -869,7 +862,6 @@ def run_sweep(
     observer: Optional[SweepObserver] = None,
     telemetry: Optional[bool] = None,
     store_metrics: bool = False,
-    engine: str = "batch",
     obs_history: Optional[bool] = None,
 ) -> SweepReport:
     """Run a workload×config sweep fault-tolerantly.
@@ -951,12 +943,6 @@ def run_sweep(
             default because metric banks dominate the record size; the
             ``repro paper`` pipeline turns it on so every figure can be
             derived from the store alone.
-        engine: dispatch engine for every cell — ``"batch"`` (default,
-            with automatic scalar fallback per cell) or ``"scalar"``.
-            A cell's own config may override via an ``"engine"`` key.
-            Engine choice does not enter the store's config digests:
-            results are bitwise-identical between engines, so stores
-            written under either engine resume interchangeably.
         obs_history: inert, kept only because perfbench passes
             ``False``; it goes with the benchmark change that drops
             that argument (see :func:`check_obs_history`).
@@ -1027,7 +1013,6 @@ def run_sweep(
             warmup=resolved_warmup,
             machine=machine,
             trace_cache=cache_root,
-            engine=engine,
         )
         for name in names
         for config_name, config in configs.items()

@@ -317,11 +317,13 @@ class MemorySimulator:
                 reflects the remaining accesses against warm caches and
                 predictor tables.
             engine: ``"batch"`` (default) uses the vectorized
-                batch-dispatch engine when the configuration and trace
-                allow it, falling back to the scalar loop otherwise
-                (the reason is recorded in :attr:`batch_fallback`);
-                ``"scalar"`` forces the per-access loop.  Both engines
-                produce bitwise-identical results.
+                batch-dispatch engine when the simulated model allows
+                it, falling back to the scalar loop otherwise (the
+                reason is recorded in :attr:`batch_fallback`);
+                ``"scalar"`` forces the per-access loop, the reference
+                the equivalence harness and the differential tests
+                compare against.  Both engines produce bitwise-identical
+                results.
         """
         if self._finished:
             raise SimulationError("MemorySimulator instances are single-use; create a new one")
@@ -333,7 +335,7 @@ class MemorySimulator:
             )
         use_batch = False
         if engine == "batch":
-            self.batch_fallback = batch_fallback_reason(self, trace)
+            self.batch_fallback = batch_fallback_reason(self)
             use_batch = self.batch_fallback is None
         self.engine_used = "batch" if use_batch else "scalar"
         # Throughput sampling: two clock reads around the whole run when
@@ -762,7 +764,6 @@ def simulate(
     prefetch_policy: Optional[PrefetchPolicy] = None,
     warmup: int = 0,
     decay_interval: Optional[int] = None,
-    engine: str = "batch",
 ) -> SimulationResult:
     """Convenience one-call simulation.
 
@@ -770,9 +771,9 @@ def simulate(
     'stride'); pass *prefetch_policy* instead for a custom or
     specially-configured policy object.  *warmup* leading accesses are
     simulated for state only (statistics reset afterwards), mirroring
-    the paper's skipping of the first billion instructions.  *engine*
-    selects the dispatch engine ('batch' with automatic scalar
-    fallback, or 'scalar'); results are engine-independent.
+    the paper's skipping of the first billion instructions.  The
+    simulated model picks the dispatch engine (see
+    :func:`~repro.sim.batch.batch_fallback_reason`).
     """
     simulator = make_simulator(
         machine,
@@ -786,7 +787,7 @@ def simulate(
         perfect_non_cold=perfect_non_cold,
         decay_interval=decay_interval,
     )
-    return simulator.run(trace, warmup=warmup, engine=engine)
+    return simulator.run(trace, warmup=warmup)
 
 
 def make_simulator(

@@ -47,7 +47,6 @@ def run_workload(
     machine: Optional[MachineConfig] = None,
     warmup: Optional[int] = None,
     trace_cache: Union[bool, str, "os.PathLike[str]", TraceCache, None] = False,
-    engine: str = "batch",
 ) -> Dict[str, SimulationResult]:
     """Run one SPEC2000 stand-in under every named configuration.
 
@@ -57,10 +56,7 @@ def run_workload(
     warm remainder, as in the paper's skip-then-measure methodology).
     *trace_cache* optionally serves the trace from (and persists it to)
     a content-addressed cache — ``True`` for the default root, a path or
-    :class:`TraceCache` for a specific one.  *engine* selects the
-    dispatch engine for every configuration (``"batch"`` with automatic
-    scalar fallback, or ``"scalar"``; results are engine-independent);
-    a configuration's own ``"engine"`` key wins over it.
+    :class:`TraceCache` for a specific one.
     """
     spec = get_workload(name)
     if warmup is None:
@@ -72,7 +68,7 @@ def run_workload(
         trace = spec.build(length=length + warmup, seed=seed)
     return {
         config_name: simulate_config(
-            trace, config, ipa=spec.ipa, warmup=warmup, engine=engine, machine=machine,
+            trace, config, ipa=spec.ipa, warmup=warmup, machine=machine,
         )
         for config_name, config in configs.items()
     }
@@ -96,7 +92,6 @@ def run_suite(
     resume: bool = False,
     retry_poisoned: bool = False,
     trace_cache: Union[bool, str, "os.PathLike[str]", TraceCache, None] = True,
-    engine: str = "batch",
 ) -> Dict[str, Dict[str, SimulationResult]]:
     """Run many workloads under many configurations.
 
@@ -122,11 +117,6 @@ def run_suite(
     materialization of each workload trace across configurations,
     worker processes, retries, and repeated sweeps; pass ``False`` to
     re-synthesize every cell's trace.
-
-    ``engine`` selects the dispatch engine for every cell (``"batch"``
-    with automatic scalar fallback, or ``"scalar"``); results are
-    bitwise-identical between engines, so it never changes what a sweep
-    computes — only how fast.
 
     Every cell still runs when some cells fail, and the failures are
     then raised as one :class:`SimulationError` (after checkpointing).
@@ -159,7 +149,6 @@ def run_suite(
         resume=resume,
         retry_poisoned=retry_poisoned,
         trace_cache=trace_cache,
-        engine=engine,
     )
     report.raise_on_failure()
     return report.results

@@ -201,7 +201,11 @@ class TraceCache:
             if col.dtype != dtype or col.ndim != 1 or col.shape[0] != length:
                 return None, f"malformed column {fname}"
             columns.append(col)
-        return Trace(*columns, name=workload, total_gap=meta.get("total_gap")), None
+        try:
+            trace = Trace(*columns, name=workload, total_gap=meta.get("total_gap"))
+        except TraceError as exc:  # values no trace may hold
+            return None, str(exc)
+        return trace, None
 
     def _load_valid_meta(self, entry: Path, workload: str, length: int,
                          seed: int) -> Optional[dict]:

@@ -578,8 +578,8 @@ def compute_phase_columns(
     )
 
 
-#: Generator -> columnar counterpart.  The workload layer uses this to
-#: run the same declarative kernel composition through either engine.
+#: Generator -> columnar counterpart.  The workload layer synthesizes
+#: through the columnar side; the generators stay as its reference.
 COLUMNAR: Dict[Callable[..., Iterator[Row]], Callable[..., Columns]] = {
     sequential_sweep: sequential_sweep_columns,
     working_set_loop: working_set_loop_columns,

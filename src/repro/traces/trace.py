@@ -1,14 +1,15 @@
 """Trace container and builder.
 
 A :class:`Trace` is the unit of work fed to the simulator: a flat,
-memory-efficient sequence of (address, pc, kind, gap) records.  Columns
-are stored either as parallel Python lists (the :class:`TraceBuilder`
-path, still the right shape for small hand-written traces) or as
-parallel numpy arrays (the vectorized synthesis and trace-cache paths).
-Both modes feed the simulator's hot loop through :meth:`Trace.rows`,
-which yields plain-``int`` tuples: array columns are iterated through
-``memoryview`` objects, so mmap-backed cache entries are consumed
-zero-copy without a ``.tolist()`` materialization.
+memory-efficient sequence of (address, pc, kind, gap) records, stored
+as four parallel numpy arrays of :data:`COLUMN_DTYPES`.  Every way of
+making one — vectorized synthesis, trace-cache loads, trace files, and
+:class:`TraceBuilder` for small hand-written traces — goes through the
+constructor, which refuses values a column cannot hold.  The batch
+engine scans the columns directly; the scalar loop reads them through
+:meth:`Trace.rows`, which yields plain-``int`` tuples via ``memoryview``
+objects, so mmap-backed cache entries are consumed zero-copy without a
+``.tolist()`` materialization.
 """
 
 from __future__ import annotations
@@ -23,32 +24,47 @@ from ..common.types import AccessType, MemoryAccess
 #: Row tuple yielded by :meth:`Trace.rows`: (address, pc, kind, gap).
 TraceRow = Tuple[int, int, int, int]
 
-#: A trace column: list of ints (builder mode) or 1-D numpy array.
-Column = Union[List[int], np.ndarray]
+#: A column as the constructor accepts it: any 1-D integer sequence.
+Column = Union[Sequence[int], np.ndarray]
 
-#: Canonical dtypes of array-backed columns, in (addresses, pcs, kinds,
-#: gaps) order.  Shared with trace_io and the trace cache so on-disk
+#: Dtypes of the trace columns, in (addresses, pcs, kinds, gaps)
+#: order.  Shared with trace_io and the trace cache so on-disk
 #: layouts and in-memory traces agree.
 COLUMN_DTYPES = (np.int64, np.int64, np.int8, np.int32)
 
-#: Value bounds :class:`TraceBuilder` enforces, so every access fits its
-#: column's dtype; kinds must be :class:`AccessType` values.
+#: Value bounds every access must meet, so it fits its column's dtype;
+#: kinds must be :class:`AccessType` values.  :class:`TraceBuilder`
+#: checks them per access, the :class:`Trace` constructor per column.
 _ADDRESS_MAX = int(np.iinfo(COLUMN_DTYPES[0]).max)
 _PC_MIN = int(np.iinfo(COLUMN_DTYPES[1]).min)
 _PC_MAX = int(np.iinfo(COLUMN_DTYPES[1]).max)
 _GAP_MAX = int(np.iinfo(COLUMN_DTYPES[3]).max)
 _VALID_KINDS = frozenset(int(kind) for kind in AccessType)
 
+#: Inclusive (low, high) bounds per column, in (addresses, pcs, kinds,
+#: gaps) order.  The AccessType values are contiguous (pinned by
+#: tests/traces/test_trace.py), so the kinds' bounds are a membership
+#: test.
+_COLUMN_BOUNDS = (
+    (0, _ADDRESS_MAX),
+    (_PC_MIN, _PC_MAX),
+    (min(_VALID_KINDS), max(_VALID_KINDS)),
+    (0, _GAP_MAX),
+)
+_COLUMN_NAMES = ("addresses", "pcs", "kinds", "gaps")
+
 
 class Trace:
     """An immutable-ish sequence of memory accesses.
 
     Build one with :class:`TraceBuilder`, :meth:`Trace.from_accesses`,
-    or hand the constructor four parallel columns.  If any column is a
-    numpy array the trace is *array-backed*: every column is normalized
-    to a C-contiguous array of its canonical dtype (zero-copy when it
-    already is one, as for mmap-backed cache loads) and row iteration
-    goes through buffer views instead of list zips.
+    or hand the constructor four parallel integer columns.  Each column
+    is checked against its bounds (addresses and gaps non-negative,
+    kinds :class:`AccessType` values, every value within its
+    :data:`COLUMN_DTYPES` entry) before it is normalized to a
+    C-contiguous array of that dtype, so nothing wraps; the
+    normalization is zero-copy when the column already is one, as for
+    mmap-backed cache loads.
     """
 
     __slots__ = ("addresses", "pcs", "kinds", "gaps", "name", "_total_gap")
@@ -64,17 +80,14 @@ class Trace:
         total_gap: Optional[int] = None,
     ) -> None:
         columns = (addresses, pcs, kinds, gaps)
-        if any(isinstance(col, np.ndarray) for col in columns):
-            addresses, pcs, kinds, gaps = (
-                _as_column(col, dtype) for col, dtype in zip(columns, COLUMN_DTYPES)
-            )
-        lengths = {len(addresses), len(pcs), len(kinds), len(gaps)}
+        lengths = {len(col) for col in columns}
         if len(lengths) != 1:
             raise TraceError(f"column lengths differ: {sorted(lengths)}")
-        self.addresses = addresses
-        self.pcs = pcs
-        self.kinds = kinds
-        self.gaps = gaps
+        self.addresses, self.pcs, self.kinds, self.gaps = (
+            _as_column(col, dtype, bounds, f"trace {name!r} {what}")
+            for col, dtype, bounds, what in zip(
+                columns, COLUMN_DTYPES, _COLUMN_BOUNDS, _COLUMN_NAMES)
+        )
         self.name = name
         self._total_gap = total_gap
 
@@ -86,11 +99,6 @@ class Trace:
             builder.add(acc.address, pc=acc.pc, kind=acc.kind, gap=acc.gap)
         return builder.build()
 
-    @property
-    def columns_are_arrays(self) -> bool:
-        """Whether columns are numpy arrays (vs Python lists)."""
-        return isinstance(self.addresses, np.ndarray)
-
     def __len__(self) -> int:
         return len(self.addresses)
 
@@ -101,18 +109,15 @@ class Trace:
     def rows(self) -> Iterator[TraceRow]:
         """Iterate raw (address, pc, kind, gap) tuples — the fast path.
 
-        Always yields plain Python ints: array-backed columns are read
-        through ``memoryview``s (zero-copy, works on read-only mmaps),
-        list-backed ones are zipped directly.
+        Always yields plain Python ints: the columns are read through
+        ``memoryview``s (zero-copy, works on read-only mmaps).
         """
-        if isinstance(self.addresses, np.ndarray):
-            return zip(
-                memoryview(self.addresses),
-                memoryview(self.pcs),
-                memoryview(self.kinds),
-                memoryview(self.gaps),
-            )
-        return zip(self.addresses, self.pcs, self.kinds, self.gaps)
+        return zip(
+            memoryview(self.addresses),
+            memoryview(self.pcs),
+            memoryview(self.kinds),
+            memoryview(self.gaps),
+        )
 
     def __getitem__(self, i: int) -> MemoryAccess:
         return MemoryAccess(
@@ -131,12 +136,7 @@ class Trace:
         """
         total = self._total_gap
         if total is None:
-            gaps = self.gaps
-            if isinstance(gaps, np.ndarray):
-                total = int(gaps.sum(dtype=np.int64))
-            else:
-                total = sum(gaps)
-            self._total_gap = total
+            total = self._total_gap = int(self.gaps.sum(dtype=np.int64))
         return total
 
     def without_software_prefetches(self) -> "Trace":
@@ -188,23 +188,9 @@ class Trace:
 
     def concatenated(self, other: "Trace", name: Optional[str] = None) -> "Trace":
         """Return self followed by *other*."""
-        joined_name = name or f"{self.name}+{other.name}"
-        if self.columns_are_arrays or other.columns_are_arrays:
-            columns = [
-                np.concatenate([_as_column(a, dtype), _as_column(b, dtype)])
-                for a, b, dtype in zip(
-                    (self.addresses, self.pcs, self.kinds, self.gaps),
-                    (other.addresses, other.pcs, other.kinds, other.gaps),
-                    COLUMN_DTYPES,
-                )
-            ]
-            return Trace(*columns, name=joined_name)
         return Trace(
-            self.addresses + other.addresses,
-            self.pcs + other.pcs,
-            self.kinds + other.kinds,
-            self.gaps + other.gaps,
-            name=joined_name,
+            *(np.concatenate(pair) for pair in zip(self.to_arrays(), other.to_arrays())),
+            name=name or f"{self.name}+{other.name}",
         )
 
     def scan_columns(
@@ -215,48 +201,47 @@ class Trace:
         The batch-dispatch engine scans run boundaries over columns
         rather than rows; this helper hands it the three columns every
         batch reads as array views (only the prefetch event loop reads
-        PCs, at demand misses, and slices ``pcs`` itself).  Only
-        array-backed traces support
-        column scans; list-backed traces raise :class:`TraceError` and
-        the simulator falls back to the scalar row loop.
+        PCs, at demand misses, and slices ``pcs`` itself).
         """
-        if not self.columns_are_arrays:
-            raise TraceError(
-                f"trace {self.name!r} is list-backed; column scans need array columns"
-            )
         if start < 0 or (stop is not None and stop < start):
             raise TraceError(f"invalid scan range [{start}:{stop}]")
         sl = slice(start, stop)
         return self.addresses[sl], self.kinds[sl], self.gaps[sl]
 
     def to_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Export columns as numpy arrays (addresses, pcs, kinds, gaps).
-
-        Array-backed traces return their columns directly (views, not
-        copies); treat the result as read-only.
-        """
-        return (
-            np.asarray(self.addresses, dtype=np.int64),
-            np.asarray(self.pcs, dtype=np.int64),
-            np.asarray(self.kinds, dtype=np.int8),
-            np.asarray(self.gaps, dtype=np.int32),
-        )
+        """The columns (addresses, pcs, kinds, gaps) themselves, not
+        copies; treat them as read-only."""
+        return self.addresses, self.pcs, self.kinds, self.gaps
 
     def footprint_blocks(self, block_size: int) -> int:
         """Number of distinct *block_size*-byte blocks touched."""
         shift = block_size.bit_length() - 1
-        if isinstance(self.addresses, np.ndarray):
-            return int(np.unique(self.addresses >> shift).size)
-        return len({a >> shift for a in self.addresses})
+        return int(np.unique(self.addresses >> shift).size)
 
     def __repr__(self) -> str:
-        mode = "arrays" if self.columns_are_arrays else "lists"
-        return f"Trace(name={self.name!r}, length={len(self)}, columns={mode})"
+        return f"Trace(name={self.name!r}, length={len(self)})"
 
 
-def _as_column(col: Sequence[int], dtype) -> np.ndarray:
-    """Normalize one column to a C-contiguous array of its canonical
-    dtype (no copy when it already is one — the mmap zero-copy path)."""
+def _as_column(values: Column, dtype, bounds: Tuple[int, int], what: str) -> np.ndarray:
+    """Check one column against its inclusive *bounds*, then normalize it
+    to a C-contiguous array of *dtype* (no copy when it already is one —
+    the mmap zero-copy path).
+
+    The check reads the source values, before the cast, so a value the
+    dtype cannot hold is refused rather than wrapped; a bound the source
+    dtype already guarantees costs no pass over the column.
+    """
+    col = np.asarray(values)
+    if col.size:
+        low, high = bounds
+        if col.dtype.kind not in "iu":
+            raise TraceError(
+                f"{what} must be integers in [{low}, {high}], got {col.dtype} values")
+        info = np.iinfo(col.dtype)
+        if info.min < low and int(col.min()) < low:
+            raise TraceError(f"{what} value {int(col.min())} below {low}")
+        if info.max > high and int(col.max()) > high:
+            raise TraceError(f"{what} value {int(col.max())} above {high}")
     return np.ascontiguousarray(col, dtype=dtype)
 
 
@@ -282,8 +267,9 @@ class TraceBuilder:
 
         Raises :class:`TraceError` for a negative address or gap, a kind
         outside :class:`AccessType`, or a value its column's
-        :data:`COLUMN_DTYPES` entry cannot hold, so every built trace
-        converts to arrays, saves and caches.
+        :data:`COLUMN_DTYPES` entry cannot hold — the constructor's
+        column bounds, checked per access so that a caller such as
+        :func:`~repro.traces.trace_io.load_text` can name the bad line.
         """
         if address < 0:
             raise TraceError(f"negative address {address}")
@@ -310,7 +296,7 @@ class TraceBuilder:
     def build(self) -> Trace:
         """Finalize into a :class:`Trace` (builder may keep being used)."""
         return Trace(
-            list(self._addresses), list(self._pcs), list(self._kinds), list(self._gaps),
+            self._addresses, self._pcs, self._kinds, self._gaps,
             name=self.name,
             total_gap=sum(self._gaps),
         )

@@ -59,9 +59,10 @@ def save_binary(trace: Trace, path: PathLike) -> None:
 def load_binary(path: PathLike) -> Trace:
     """Load a trace previously written by :func:`save_binary`.
 
-    Accepts the path with or without its ``.npz`` suffix and returns an
-    *array-backed* trace: columns stay numpy arrays end to end (the
-    simulator consumes them without a ``.tolist()`` round-trip).
+    Accepts the path with or without its ``.npz`` suffix.  The stored
+    columns go through the :class:`Trace` constructor's bounds check,
+    so a crafted or corrupt file whose values a column cannot hold
+    raises :class:`TraceError` instead of loading wrapped.
     """
     try:
         with np.load(_binary_path(path), allow_pickle=False) as data:

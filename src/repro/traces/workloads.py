@@ -19,19 +19,13 @@ Every stand-in is deterministic given (length, seed).  The
 (left = least memory-bound, right = most potential speedup).
 
 Each workload is a declarative *plan* — a :class:`Kernel` or a
-:class:`Mix` of kernels — that materializes through one of two engines:
-
-- ``generator``: the original per-row iterator pipeline
-  (:func:`repro.traces.kernels.interleave` over kernel generators fed
-  into a :class:`~repro.traces.trace.TraceBuilder`);
-- ``vectorized`` (the default): numpy columnar synthesis
-  (:data:`repro.traces.kernels.COLUMNAR`), which emits bitwise-identical
-  columns an order of magnitude faster and returns an array-backed
-  :class:`~repro.traces.trace.Trace`.
-
-Both engines share one plan object, so they cannot structurally drift;
-the bitwise equivalence itself is pinned by
-``tests/traces/test_vectorized_equivalence.py``.
+:class:`Mix` of kernels — that :meth:`WorkloadSpec.build` materializes
+through numpy columnar synthesis (:data:`repro.traces.kernels.COLUMNAR`).
+The plan's :meth:`~Kernel.rows` is the original per-row iterator
+pipeline (:func:`repro.traces.kernels.interleave` over kernel
+generators), kept as the reference the columns must match bitwise:
+both read one plan object, so they cannot structurally drift, and
+``tests/traces/test_vectorized_equivalence.py`` pins the equivalence.
 
 Address map: each kernel gets its own 16MB-aligned region so distinct
 data structures never overlap, while still colliding freely in the 32KB
@@ -49,8 +43,8 @@ from ..common.errors import TraceError
 from ..common.rng import derive_seed, make_rng
 from ..common.types import KB, MB
 from . import kernels
-from .kernels import Columns, Row, take
-from .trace import Trace, TraceBuilder
+from .kernels import Columns, Row
+from .trace import Trace
 
 #: Version stamp of the synthesis pipelines.  Part of every trace-cache
 #: key: bump it whenever a change to the kernels, the workload plans, or
@@ -91,14 +85,14 @@ def _conflict_set(region_index: int, num_ways: int, *, set_offset: int = 0x40) -
 
 @dataclass(frozen=True)
 class Kernel:
-    """One kernel invocation, runnable through either engine."""
+    """One kernel invocation, as rows or as columns."""
 
     generator: Callable[..., Iterator[Row]]
     args: Tuple[Any, ...] = ()
     kwargs: Mapping[str, Any] = field(default_factory=dict)
 
     def rows(self) -> Iterator[Row]:
-        """The endless row generator (original engine)."""
+        """The endless row generator (the columns' reference)."""
         return self.generator(*self.args, **self.kwargs)
 
     def columns(self, n: int) -> Columns:
@@ -186,9 +180,9 @@ def _K(generator: Callable[..., Iterator[Row]], *args: Any, **kwargs: Any) -> Ke
 # ---------------------------------------------------------------------------
 
 #: Listeners called as ``fn(workload_name, length, seed)`` every time a
-#: workload trace is actually *synthesized* (either engine).  Cache hits
-#: do not notify — which is exactly what the sweep-level "materialize
-#: once per workload" regression tests assert through this hook.
+#: workload trace is actually *synthesized*.  Cache hits do not notify —
+#: which is exactly what the sweep-level "materialize once per workload"
+#: regression tests assert through this hook.
 _synthesis_listeners: List[Callable[[str, int, int], None]] = []
 
 
@@ -230,36 +224,18 @@ class WorkloadSpec:
     ipa: float = 3.0
     category: str = "mixed"
 
-    def make_source(self, seed: int) -> Iterator[Row]:
-        """Endless row iterator (the original generator pipeline)."""
-        return self.make_plan(seed).rows()
-
-    def build(self, length: int = 100_000, seed: int = 0, *,
-              engine: str = "vectorized") -> Trace:
-        """Materialize *length* accesses of this workload.
-
-        *engine* selects ``"vectorized"`` (numpy columnar synthesis,
-        array-backed trace — the default) or ``"generator"`` (the
-        original per-row pipeline, list-backed trace).  Both emit
-        bitwise-identical columns.
-        """
+    def build(self, length: int = 100_000, seed: int = 0) -> Trace:
+        """Materialize *length* accesses of this workload."""
         if length <= 0:
             raise TraceError(f"trace length must be positive, got {length}")
         _notify_synthesis(self.name, length, seed)
         plan = self.make_plan(derive_seed(seed, self.name))
-        if engine == "vectorized":
-            addresses, pcs, kinds, gaps = plan.columns(length)
-            return Trace(
-                addresses, pcs, kinds, gaps,
-                name=self.name,
-                total_gap=int(gaps.sum(dtype=np.int64)),
-            )
-        if engine != "generator":
-            raise TraceError(f"unknown trace engine {engine!r}")
-        builder = TraceBuilder(name=self.name)
-        for addr, pc, kind, gap in take(plan.rows(), length):
-            builder.add(addr, pc=pc, kind=kind, gap=gap)
-        return builder.build()
+        addresses, pcs, kinds, gaps = plan.columns(length)
+        return Trace(
+            addresses, pcs, kinds, gaps,
+            name=self.name,
+            total_gap=int(gaps.sum(dtype=np.int64)),
+        )
 
 
 def _mix(seed: int, parts: Sequence[Tuple[Kernel, float]], burst: int = 16) -> Mix:
@@ -600,7 +576,6 @@ def get_workload(name: str) -> WorkloadSpec:
         raise TraceError(f"unknown workload {name!r}; known: {', '.join(SPEC2000)}") from None
 
 
-def build_workload(name: str, length: int = 100_000, seed: int = 0, *,
-                   engine: str = "vectorized") -> Trace:
+def build_workload(name: str, length: int = 100_000, seed: int = 0) -> Trace:
     """Materialize *length* accesses of the named stand-in."""
-    return get_workload(name).build(length=length, seed=seed, engine=engine)
+    return get_workload(name).build(length=length, seed=seed)

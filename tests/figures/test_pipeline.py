@@ -70,19 +70,6 @@ class TestRoundTrip:
         # the report, so the report is the same on every machine.
         assert "## Sweep phase breakdown" not in text
 
-    def test_scalar_engine_renders_the_batch_report(self, tmp_path):
-        """Results are engine-independent, so the report bytes are too."""
-        runs = {
-            engine: run_paper(only=["fig02"], smoke=True, workloads=WORKLOADS,
-                              engine=engine, out_dir=str(tmp_path / engine),
-                              trace_cache=False)
-            for engine in ("batch", "scalar")
-        }
-        assert runs["batch"].executed == runs["scalar"].executed == len(WORKLOADS) * 2
-        with open(runs["batch"].report_path, "rb") as batch, \
-                open(runs["scalar"].report_path, "rb") as scalar:
-            assert scalar.read() == batch.read()
-
     def test_absent_workloads_skip_not_fail(self, tmp_path):
         """Guarded checks on workloads outside the subset record SKIP."""
         run = run_paper(only=["fig02"], out_dir=str(tmp_path), **SCALE)

@@ -1,24 +1,44 @@
-"""Property-based integration tests: invariants over random traces."""
+"""Property-based integration tests: invariants over random traces, and
+the batch engine against the scalar loop on them."""
+
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import small_test_machine
-from repro.common.types import AccessOutcome
-from repro.sim.simulator import simulate
+from repro.common.types import AccessOutcome, AccessType
+from repro.figures.registry import CONFIGS as PAPER_CONFIGS
+from repro.sim.simulator import make_simulator, simulate
 from repro.traces.trace import TraceBuilder
+
+TOOLS_DIR = Path(__file__).resolve().parents[2] / "tools"
+if str(TOOLS_DIR) not in sys.path:
+    sys.path.insert(0, str(TOOLS_DIR))
+
+import equivalence  # noqa: E402  (needs the sys.path insert above)
 
 
 @st.composite
-def random_traces(draw):
-    n = draw(st.integers(min_value=1, max_value=300))
+def random_traces(draw, *, extended=False):
+    """Loads over a small address pool; *extended* adds stores, a small
+    PC pool (so the prefetchers' tables match) and zero-length traces."""
+    n = draw(st.integers(min_value=0 if extended else 1, max_value=300))
     # Address pool spanning several sets and aliases of the small machine.
     pool = draw(st.lists(st.integers(min_value=0, max_value=1 << 16),
                          min_size=1, max_size=40))
+    pcs = draw(st.lists(st.integers(min_value=0x400, max_value=0x4ff),
+                        min_size=1, max_size=4)) if extended else [0]
+    kinds = (AccessType.LOAD, AccessType.STORE) if extended else (AccessType.LOAD,)
     b = TraceBuilder(name="prop")
     for _ in range(n):
         addr = draw(st.sampled_from(pool))
         gap = draw(st.integers(min_value=0, max_value=30))
-        b.add(addr, gap=gap)
+        if extended:
+            b.add(addr, pc=draw(st.sampled_from(pcs)),
+                  kind=draw(st.sampled_from(kinds)), gap=gap)
+        else:
+            b.add(addr, gap=gap)
     return b.build()
 
 
@@ -108,3 +128,26 @@ def test_prefetch_timeliness_resolutions_bounded(trace):
     assert pf.timeliness.total <= pf.scheduled
     assert pf.useful <= pf.arrived
     assert pf.issued >= pf.arrived
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_batch_engine_matches_scalar_loop(data):
+    """Every paper config on the small machine, with a drawn warm-up:
+    the batch engine and the scalar loop agree on the whole result and
+    the metric banks.  The config is drawn per example, so all seven
+    share one example budget."""
+    trace = data.draw(random_traces(extended=True), label="trace")
+    name = data.draw(st.sampled_from(sorted(PAPER_CONFIGS)), label="config")
+    warmup = data.draw(st.integers(min_value=0, max_value=len(trace)), label="warmup")
+    config = {"collect_metrics": True, **PAPER_CONFIGS[name]}
+    runs = {}
+    for engine in ("batch", "scalar"):
+        sim = make_simulator(machine=small_test_machine(), **config)
+        result = sim.run(trace, warmup=warmup, engine=engine)
+        assert sim.engine_used == engine, sim.batch_fallback
+        runs[engine] = {"result": result.to_dict(),
+                        "metrics": equivalence.metrics_digest(sim)}
+    diffs = list(equivalence._diff_keys(runs["batch"], runs["scalar"],
+                                        labels=("batch", "scalar")))
+    assert not diffs, "\n".join(diffs)

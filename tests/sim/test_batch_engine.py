@@ -216,18 +216,10 @@ class TestFallbackReasons:
     """Each unsupported feature falls back with a specific reason —
     recorded on the simulator so a silent fallback stays observable."""
 
-    def test_list_backed_trace(self):
-        t = Trace([0, 32], [0, 0], [0, 0], [1, 1])
-        assert not t.columns_are_arrays
-        sim = MemorySimulator()
-        sim.run(t)
-        assert sim.engine_used == "scalar"
-        assert "list-backed" in sim.batch_fallback
-
     def test_prefetch_policy(self):
         policy = StridePrefetchPolicy(paper_machine().l1d, degree=1)
         sim = MemorySimulator(prefetch_policy=policy)
-        assert "prefetch policy" in batch_fallback_reason(sim, small_trace())
+        assert "prefetch policy" in batch_fallback_reason(sim)
 
     def test_victim_cache(self):
         """The paper's three admission filters run batched; victim
@@ -237,18 +229,17 @@ class TestFallbackReasons:
             def admit(self, frame, incoming_block_addr, now):
                 return True
 
-        trace = small_trace()
         for victim_filter in PAPER_FILTERS:
             sim = MemorySimulator(victim_filter=victim_filter)
-            assert batch_fallback_reason(sim, trace) is None, victim_filter
+            assert batch_fallback_reason(sim) is None, victim_filter
         adaptive = MemorySimulator(victim_filter="adaptive")
-        assert "adaptive" in batch_fallback_reason(adaptive, trace)
+        assert "adaptive" in batch_fallback_reason(adaptive)
         custom = MemorySimulator(victim_filter=KeepEverything())
-        assert "custom" in batch_fallback_reason(custom, trace)
+        assert "custom" in batch_fallback_reason(custom)
         perfect = MemorySimulator(
             victim_filter="timekeeping", perfect_non_cold=True
         )
-        assert "perfect_non_cold" in batch_fallback_reason(perfect, trace)
+        assert "perfect_non_cold" in batch_fallback_reason(perfect)
 
     def test_prefetch_combinations(self):
         """The paper's two prefetchers run batched on the paper machine;
@@ -257,39 +248,35 @@ class TestFallbackReasons:
         class NoTrigger(StridePrefetchPolicy):
             wants_all_accesses = False
 
-        trace = small_trace()
         machine = paper_machine()
         for name in ("timekeeping", "dbcp"):
             sim = make_simulator(prefetcher=name)
-            assert batch_fallback_reason(sim, trace) is None, name
+            assert batch_fallback_reason(sim) is None, name
             assert "victim cache" in batch_fallback_reason(
-                make_simulator(prefetcher=name, victim_filter="timekeeping"),
-                trace,
+                make_simulator(prefetcher=name, victim_filter="timekeeping")
             )
             assert "perfect_non_cold" in batch_fallback_reason(
-                make_simulator(prefetcher=name, perfect_non_cold=True), trace
+                make_simulator(prefetcher=name, perfect_non_cold=True)
             )
             assert "decay" in batch_fallback_reason(
-                make_simulator(prefetcher=name, decay_interval=8192), trace
+                make_simulator(prefetcher=name, decay_interval=8192)
             )
         custom = MemorySimulator(prefetch_policy=NoTrigger(machine.l1d))
-        assert "next_hit_trigger" in batch_fallback_reason(custom, trace)
+        assert "next_hit_trigger" in batch_fallback_reason(custom)
 
     def test_decay(self):
         sim = MemorySimulator(decay=DecayPolicy(8192))
-        assert "decay" in batch_fallback_reason(sim, small_trace())
+        assert "decay" in batch_fallback_reason(sim)
 
     def test_set_associative_l1(self):
         machine = paper_machine().with_l1d(associativity=2)
         sim = MemorySimulator(machine=machine)
-        assert "direct-mapped" in batch_fallback_reason(sim, small_trace())
+        assert "direct-mapped" in batch_fallback_reason(sim)
 
     def test_pending_events(self):
         sim = MemorySimulator()
         sim.events.schedule(5, (0, None))
-        assert "pending timing events" in batch_fallback_reason(
-            sim, small_trace()
-        )
+        assert "pending timing events" in batch_fallback_reason(sim)
 
     def test_subclass_not_capable(self):
         class Subclassed(MemorySimulator):

@@ -17,7 +17,7 @@ import pytest
 
 from repro.common.types import AccessOutcome
 from repro.sim.simulator import MemorySimulator
-from repro.traces.trace import Trace, TraceBuilder
+from repro.traces.trace import TraceBuilder
 
 # 32KB direct-mapped L1, 32B blocks: addresses 32KB apart share a set.
 BLOCK_A = 0x0000
@@ -30,9 +30,7 @@ def conflict_trace():
     for _ in range(REPS):
         b.add(BLOCK_A, gap=2)
         b.add(BLOCK_B, gap=2)
-    # Array-backed so the batch engine can take it (TraceBuilder
-    # produces list-backed columns).
-    return Trace(*b.build().to_arrays(), name="conflict")
+    return b.build()
 
 
 @pytest.mark.parametrize("engine", ["scalar", "batch"])

@@ -6,7 +6,7 @@ path in ``_consume`` used to keep using its pre-eviction local ``now``
 for ``l1.fill``/``generations.on_fill``, so the incoming block's
 generation started *before* a stall its own fill caused.  The fix
 refreshes ``now = self.now`` after ``_evict``; this test fails without
-it.
+it.  Both engines must keep the fix, so the check runs on each.
 """
 
 from repro.common.types import AccessType
@@ -25,7 +25,7 @@ def _same_set_trace(machine, count):
     return builder.build()
 
 
-def test_fill_timestamp_includes_victim_insert_stall():
+def check_fill_timestamp(engine):
     sim = MemorySimulator(victim_filter=UnfilteredAdmission())
     # Make every admitted victim cost a whole cycle immediately, so the
     # single eviction below is guaranteed to advance the clock.
@@ -33,7 +33,8 @@ def test_fill_timestamp_includes_victim_insert_stall():
     assoc = sim.machine.l1d.associativity
     trace = _same_set_trace(sim.machine, assoc + 1)
 
-    result = sim.run(trace)
+    result = sim.run(trace, engine=engine)
+    assert sim.engine_used == engine, sim.batch_fallback
 
     # The eviction really stalled the core (otherwise this test checks
     # nothing): the dead-time victim filter admitted and charged swap
@@ -48,3 +49,11 @@ def test_fill_timestamp_includes_victim_insert_stall():
     frame = sim.l1.probe(last_block)
     assert frame is not None
     assert frame.fill_time == sim.now
+
+
+def test_fill_timestamp_includes_victim_insert_stall():
+    check_fill_timestamp("batch")
+
+
+def test_fill_timestamp_includes_victim_insert_stall_on_scalar_loop():
+    check_fill_timestamp("scalar")

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.common.errors import TraceError
 from repro.common.types import AccessType, MemoryAccess
+from repro.traces import trace_io
 from repro.traces.trace import COLUMN_DTYPES, Trace, TraceBuilder
 
 
@@ -20,8 +21,8 @@ class TestTraceBuilder:
     def test_build_roundtrip(self):
         t = make_simple()
         assert len(t) == 5
-        assert t.addresses == [0, 32, 64, 96, 128]
-        assert t.gaps == [0, 1, 2, 3, 4]
+        assert t.addresses.tolist() == [0, 32, 64, 96, 128]
+        assert t.gaps.tolist() == [0, 1, 2, 3, 4]
 
     def test_negative_address_rejected(self):
         with pytest.raises(TraceError):
@@ -92,7 +93,7 @@ class TestTrace:
         accs = [MemoryAccess(10, gap=2), MemoryAccess(20, kind=AccessType.STORE)]
         t = Trace.from_accesses(accs, name="x")
         assert t.name == "x"
-        assert t.kinds == [0, 1]
+        assert t.kinds.tolist() == [0, 1]
 
     def test_total_gap_cycles(self):
         assert make_simple(5).total_gap_cycles == 0 + 1 + 2 + 3 + 4
@@ -100,13 +101,13 @@ class TestTrace:
     def test_sliced(self):
         t = make_simple(5)
         s = t.sliced(1, 3)
-        assert s.addresses == [32, 64]
+        assert s.addresses.tolist() == [32, 64]
 
     def test_concatenated(self):
         t = make_simple(2)
         joined = t.concatenated(t)
         assert len(joined) == 4
-        assert joined.addresses == [0, 32, 0, 32]
+        assert joined.addresses.tolist() == [0, 32, 0, 32]
 
     def test_to_arrays(self):
         addrs, pcs, kinds, gaps = make_simple(3).to_arrays()
@@ -126,7 +127,7 @@ class TestTrace:
         b.add(64, gap=2)
         t = b.build().without_software_prefetches()
         assert len(t) == 2
-        assert t.gaps == [5, 5]  # dropped record's gap folded forward
+        assert t.gaps.tolist() == [5, 5]  # dropped record's gap folded forward
         assert t.total_gap_cycles == 10
 
     def test_without_software_prefetches_trailing_prefetch(self):
@@ -146,7 +147,7 @@ class TestTrace:
             b.add(addr, gap=gap)
         t = b.build()
         assert len(t) == len(rows)
-        assert t.addresses == [r[0] for r in rows]
+        assert t.addresses.tolist() == [r[0] for r in rows]
         assert t.total_gap_cycles == sum(r[1] for r in rows)
 
 
@@ -161,10 +162,6 @@ def make_array_trace(n=5):
 
 
 class TestArrayBackedTrace:
-    def test_mode_flags(self):
-        assert make_array_trace().columns_are_arrays
-        assert not make_simple().columns_are_arrays
-
     def test_rows_yield_plain_ints(self):
         # the simulator's hot loop does bit arithmetic on these; numpy
         # scalars would silently change its performance profile
@@ -192,7 +189,6 @@ class TestArrayBackedTrace:
             np.zeros(3, dtype=np.int64),
             np.ones(3, dtype=np.int8),
         )
-        assert t.columns_are_arrays
         for col, dtype in zip((t.addresses, t.pcs, t.kinds, t.gaps), COLUMN_DTYPES):
             assert col.dtype == dtype
 
@@ -203,7 +199,7 @@ class TestArrayBackedTrace:
 
     def test_sliced_stays_array_backed(self):
         s = make_array_trace(5).sliced(1, 3)
-        assert s.columns_are_arrays
+        assert s.addresses.dtype == COLUMN_DTYPES[0]
         assert s.addresses.tolist() == [32, 64]
 
     def test_concatenated_mixed_modes(self):
@@ -211,7 +207,7 @@ class TestArrayBackedTrace:
         lst = make_simple(2)
         for joined in (arr.concatenated(lst), lst.concatenated(arr)):
             assert len(joined) == 4
-            assert joined.columns_are_arrays
+            assert joined.addresses.dtype == COLUMN_DTYPES[0]
             assert joined.addresses.tolist() == [0, 32, 0, 32]
 
     def test_footprint_blocks(self):
@@ -221,7 +217,7 @@ class TestArrayBackedTrace:
     def test_to_arrays_returns_views(self):
         t = make_array_trace(4)
         addrs, _pcs, _kinds, _gaps = t.to_arrays()
-        assert addrs is t.addresses  # no copy for array-backed traces
+        assert addrs is t.addresses  # the column itself, not a copy
 
     def test_without_software_prefetches_on_arrays(self):
         t = Trace(
@@ -231,7 +227,7 @@ class TestArrayBackedTrace:
             np.asarray([5, 3, 2], dtype=np.int32),
         ).without_software_prefetches()
         assert len(t) == 2
-        assert t.gaps == [5, 5]
+        assert t.gaps.tolist() == [5, 5]
         assert t.total_gap_cycles == 10
 
 
@@ -265,3 +261,88 @@ class TestTotalGapMemoization:
             np.full(n, 40_000, dtype=np.int32),  # sum far beyond 2**31
         )
         assert t.total_gap_cycles == n * 40_000
+
+
+COLUMN_NAMES = ("addresses", "pcs", "kinds", "gaps")
+
+
+def columns_with(column, value, dtype=np.int64):
+    """Three valid rows whose *column* holds *value* in row 1, every
+    column in *dtype* unless the value needs a wider one (as a crafted
+    ``.npz`` would store them)."""
+    good = {"addresses": [0, 32, 64], "pcs": [0, 4, 8], "kinds": [0, 1, 2],
+            "gaps": [1, 2, 3]}
+    good[column][1] = value
+    wide = np.uint64 if value >= 2**63 else dtype
+    return [np.asarray(good[name], dtype=wide if name == column else dtype)
+            for name in COLUMN_NAMES]
+
+
+#: One value per case that its column's bounds refuse: negative
+#: addresses and gaps, kinds outside AccessType, and values beyond the
+#: column's dtype (which a cast would wrap: kind 300 to 44, gap 2**33
+#: to 0).
+BAD_COLUMNS = [
+    ("addresses", -64),
+    ("addresses", 2**64 - 1),
+    ("pcs", 2**63),
+    ("kinds", 300),
+    ("kinds", 7),
+    ("kinds", -1),
+    ("gaps", -5),
+    ("gaps", 2**33),
+]
+
+
+class TestColumnBounds:
+    """Every construction path goes through one column check, run on the
+    source values before the dtype cast, so nothing wraps."""
+
+    @pytest.mark.parametrize("via", ["arrays", "lists", "load_binary"])
+    @pytest.mark.parametrize("column,value", BAD_COLUMNS,
+                             ids=[f"{c}={v}" for c, v in BAD_COLUMNS])
+    def test_bad_column_refused(self, tmp_path, via, column, value):
+        columns = columns_with(column, value)
+        with pytest.raises(TraceError, match=column):
+            if via == "arrays":
+                Trace(*columns)
+            elif via == "lists":
+                Trace(*(col.tolist() for col in columns))
+            else:
+                path = tmp_path / "bad.npz"
+                np.savez_compressed(
+                    path, version=np.int64(1), name=np.bytes_(b"bad"),
+                    **dict(zip(COLUMN_NAMES, columns)))
+                trace_io.load_binary(path)
+
+    def test_every_other_kind_refused(self):
+        valid = {int(kind) for kind in AccessType}
+        for kind in range(-128, 128):
+            columns = columns_with("kinds", kind, dtype=np.int8)
+            if kind in valid:
+                assert Trace(*columns).kinds[1] == kind
+            else:
+                with pytest.raises(TraceError, match="kinds"):
+                    Trace(*columns)
+
+    def test_non_integer_column_refused(self):
+        with pytest.raises(TraceError, match="gaps must be integers"):
+            Trace([0], [0], [0], [1.5])
+
+    def test_extremes_accepted_from_wider_dtypes(self):
+        t = Trace(
+            np.asarray([2**63 - 1], dtype=np.uint64),
+            np.asarray([-(2**63)], dtype=np.int64),
+            np.asarray([2], dtype=np.int64),
+            np.asarray([2**31 - 1], dtype=np.int64),
+        )
+        assert t.addresses.tolist() == [2**63 - 1]
+        assert t.pcs.tolist() == [-(2**63)]
+        assert t.kinds.tolist() == [2]
+        assert t.gaps.tolist() == [2**31 - 1]
+
+    def test_empty_columns_accepted(self):
+        t = Trace([], [], [], [])
+        assert len(t) == 0
+        for col, dtype in zip(t.to_arrays(), COLUMN_DTYPES):
+            assert col.dtype == dtype

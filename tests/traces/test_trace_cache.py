@@ -62,7 +62,6 @@ class TestBasics:
     def test_served_trace_is_mmap_backed(self, cache):
         _warm(cache)
         trace = cache.get(WORKLOAD, LENGTH, SEED)
-        assert trace.columns_are_arrays
         col = trace.addresses
         # zero-copy: the column is (a view of) the on-disk mmap
         assert isinstance(col, np.memmap) or isinstance(col.base, np.memmap)
@@ -134,6 +133,16 @@ class TestIntegrity:
         path.write_bytes(path.read_bytes()[:100])
         lax = TraceCache(root=cache.root, verify=False)
         assert lax.get(WORKLOAD, LENGTH, SEED) is None  # shape check catches it
+
+    def test_out_of_range_values_detected_even_without_digest_verify(self, cache):
+        _warm(cache)
+        path = _entry(cache) / "kinds.npy"
+        kinds = np.load(path)
+        kinds[-1] = 0x7F  # a bit flip the int8 dtype still holds
+        with open(path, "wb") as f:
+            np.save(f, kinds)
+        lax = TraceCache(root=cache.root, verify=False)
+        assert lax.get(WORKLOAD, LENGTH, SEED) is None  # column bounds catch it
 
     def test_missing_column_file(self, cache):
         _warm(cache)

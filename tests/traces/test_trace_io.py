@@ -1,5 +1,6 @@
 """Tests for trace persistence (binary npz and text formats)."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -24,11 +25,9 @@ class TestBinary:
         trace_io.save_binary(t, path)
         back = trace_io.load_binary(path)
         assert back.name == t.name
-        assert back.columns_are_arrays  # no .tolist() round-trip
-        assert list(back.addresses) == t.addresses
-        assert list(back.pcs) == t.pcs
-        assert list(back.kinds) == t.kinds
-        assert list(back.gaps) == t.gaps
+        for got, want in zip(back.to_arrays(), t.to_arrays()):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceError):
@@ -44,8 +43,8 @@ class TestBinary:
         assert not bare.exists()
         for path in (bare, tmp_path / "t.npz"):
             back = trace_io.load_binary(path)
-            assert list(back.addresses) == t.addresses
-            assert list(back.gaps) == t.gaps
+            assert np.array_equal(back.addresses, t.addresses)
+            assert np.array_equal(back.gaps, t.gaps)
 
     def test_roundtrip_suffixed_path(self, tmp_path):
         t = sample_trace()
@@ -54,7 +53,7 @@ class TestBinary:
         assert path.exists()
         assert not (tmp_path / "t.npz.npz").exists()  # no double suffix
         back = trace_io.load_binary(tmp_path / "t")  # unsuffixed spelling
-        assert list(back.addresses) == t.addresses
+        assert np.array_equal(back.addresses, t.addresses)
 
     def test_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.npz"
@@ -70,16 +69,16 @@ class TestText:
         trace_io.save_text(t, path)
         back = trace_io.load_text(path)
         assert back.name == "texty"
-        assert back.addresses == t.addresses
-        assert back.kinds == t.kinds
-        assert back.gaps == t.gaps
+        assert np.array_equal(back.addresses, t.addresses)
+        assert np.array_equal(back.kinds, t.kinds)
+        assert np.array_equal(back.gaps, t.gaps)
 
     def test_hand_written(self, tmp_path):
         path = tmp_path / "hand.trc"
         path.write_text("# comment\n1000 400 0 1\n\n2000 0 1 5\n")
         t = trace_io.load_text(path)
-        assert t.addresses == [0x1000, 0x2000]
-        assert t.kinds == [0, 1]
+        assert t.addresses.tolist() == [0x1000, 0x2000]
+        assert t.kinds.tolist() == [0, 1]
         assert t.name == "hand"
 
     def test_bad_field_count(self, tmp_path):
@@ -106,8 +105,8 @@ class TestDispatch:
         txt = tmp_path / "a.trc"
         trace_io.save(t, npz)
         trace_io.save(t, txt)
-        assert list(trace_io.load(npz).addresses) == t.addresses
-        assert trace_io.load(txt).addresses == t.addresses
+        assert np.array_equal(trace_io.load(npz).addresses, t.addresses)
+        assert np.array_equal(trace_io.load(txt).addresses, t.addresses)
 
 
 @settings(max_examples=20, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -125,10 +124,10 @@ def test_text_roundtrip_property(tmp_path, rows):
     path = tmp_path / "p.trc"
     trace_io.save(t, path)
     back = trace_io.load(path)
-    assert back.addresses == t.addresses
-    assert back.pcs == t.pcs
-    assert back.kinds == t.kinds
-    assert back.gaps == t.gaps
+    assert np.array_equal(back.addresses, t.addresses)
+    assert np.array_equal(back.pcs, t.pcs)
+    assert np.array_equal(back.kinds, t.kinds)
+    assert np.array_equal(back.gaps, t.gaps)
 
 
 class TestTextValidation:
@@ -165,8 +164,6 @@ class TestTextValidation:
 
 class TestBinaryValidation:
     def test_truncated_column_rejected(self, tmp_path):
-        import numpy as np
-
         path = tmp_path / "trunc.npz"
         np.savez_compressed(
             path,
@@ -181,8 +178,6 @@ class TestBinaryValidation:
             trace_io.load_binary(path)
 
     def test_missing_column_rejected(self, tmp_path):
-        import numpy as np
-
         path = tmp_path / "missing.npz"
         np.savez_compressed(
             path,

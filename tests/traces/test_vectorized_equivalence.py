@@ -1,18 +1,20 @@
 """Generator vs vectorized synthesis: bitwise equivalence.
 
-The vectorized columnar engine is only allowed to exist because it is
-*provably the same trace*: for every SPEC2000 workload spec, at several
-lengths and seeds, every column (addresses, pcs, kinds, gaps) must be
-exactly equal to what the original per-row generator pipeline emits.
-This is the gate named in the PR-2-style overhaul contract — any
-synthesis change that shifts a single element must bump
-``GENERATOR_VERSION`` and update both engines together.
+The vectorized columnar synthesis is only allowed to exist because it
+is *provably the same trace*: for every SPEC2000 workload spec, at
+several lengths and seeds, every column (addresses, pcs, kinds, gaps)
+must be exactly equal to what the original per-row generator pipeline
+(the workload plan's ``rows()``) emits.  Any synthesis change that
+shifts a single element must bump ``GENERATOR_VERSION`` and update
+both pipelines together.
 """
 
 import numpy as np
 import pytest
 
+from repro.common.rng import derive_seed
 from repro.traces import kernels
+from repro.traces.trace import TraceBuilder
 from repro.traces.workloads import SPEC2000, build_workload
 
 #: Lengths chosen to straddle burst boundaries (truncated final bursts)
@@ -23,11 +25,19 @@ SEEDS = (0, 13)
 COLUMN_NAMES = ("addresses", "pcs", "kinds", "gaps")
 
 
+def generator_trace(name, length, seed):
+    """The per-row pipeline: the seeded plan's rows through a builder,
+    exactly as ``WorkloadSpec.build`` seeds the columnar plan."""
+    plan = SPEC2000[name].make_plan(derive_seed(seed, name))
+    builder = TraceBuilder(name=name)
+    for addr, pc, kind, gap in kernels.take(plan.rows(), length):
+        builder.add(addr, pc=pc, kind=kind, gap=gap)
+    return builder.build()
+
+
 def _assert_traces_equal(name, length, seed):
-    gen = build_workload(name, length=length, seed=seed, engine="generator")
-    vec = build_workload(name, length=length, seed=seed, engine="vectorized")
-    assert not gen.columns_are_arrays
-    assert vec.columns_are_arrays
+    gen = generator_trace(name, length, seed)
+    vec = build_workload(name, length=length, seed=seed)
     for col, g, v in zip(COLUMN_NAMES, gen.to_arrays(), vec.to_arrays()):
         if not np.array_equal(g, v):
             i = int(np.nonzero(g != v)[0][0])
@@ -45,8 +55,8 @@ def test_workload_bitwise_equivalence(name, length, seed):
 
 
 def test_total_gap_matches_across_engines():
-    gen = build_workload("gcc", length=2_000, seed=5, engine="generator")
-    vec = build_workload("gcc", length=2_000, seed=5, engine="vectorized")
+    gen = generator_trace("gcc", 2_000, 5)
+    vec = build_workload("gcc", length=2_000, seed=5)
     assert gen.total_gap_cycles == vec.total_gap_cycles
 
 
