@@ -161,9 +161,7 @@ class SetAssociativeCache:
     def access(self, block_addr: int, now: int, *, store: bool = False,
                lru_insert: bool = False) -> bool:
         """Convenience probe+touch / choose+fill; returns True on hit."""
-        if self._deferred is not None:
-            self._thaw()
-        frame = self._tags.get(block_addr)
+        frame = self.probe(block_addr)
         if frame is not None:
             self.touch(frame, now, store=store)
             return True
@@ -173,9 +171,7 @@ class SetAssociativeCache:
 
     def invalidate(self, block_addr: int) -> Optional[Frame]:
         """Remove *block_addr* if resident; return its frame."""
-        if self._deferred is not None:
-            self._thaw()
-        frame = self._tags.get(block_addr)
+        frame = self.probe(block_addr)
         if frame is not None:
             self.invalidate_frame(frame)
         return frame

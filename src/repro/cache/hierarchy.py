@@ -73,23 +73,7 @@ class MemoryHierarchy:
         """
         l2_block_addr = l1_block_addr >> self._l2_shift
         l2_ready = now + self._l2_hit_latency
-        # Inline of self.l2.access(l2_block_addr, now, store=store,
-        # lru_insert=prefetch): fetch runs once per L1 miss and the
-        # probe/touch wrappers dominate its cost.
-        l2 = self.l2
-        frame = l2._tags.get(l2_block_addr)
-        if frame is not None:
-            l2.hits += 1
-            frame.record_hit(now, store)
-            if l2._stamps_on_hit:
-                clock = l2._clock + 1
-                l2._clock = clock
-                frame.lru_stamp = clock
-            hit = True
-        else:
-            victim = l2.choose_victim(l2_block_addr)
-            l2.fill(victim, l2_block_addr, now, store=store, lru_insert=prefetch)
-            hit = False
+        hit = self.l2.access(l2_block_addr, now, store=store, lru_insert=prefetch)
         if hit:
             if prefetch:
                 self.l2_prefetch_hits += 1

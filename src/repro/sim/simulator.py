@@ -382,11 +382,15 @@ class MemorySimulator:
     def _consume(self, rows) -> None:
         """Feed (address, pc, kind, gap) rows through the machine.
 
-        This is the simulator's innermost loop: every name it touches
-        per access is hoisted into a local (bound methods included), and
-        outcome tallies are plain integers folded back into the
-        :class:`AccessOutcome` dict once, after the loop — per-access
-        dict/attribute traffic is what sweep throughput is made of.
+        The per-access reference loop: every step is one call through
+        the public protocol of the part it drives (``probe``/``touch``/
+        ``choose_victim``/``fill``, ``on_hit``/``on_fill``,
+        ``classify_miss``/``record_access``, ``add_access``/
+        ``add_stall``, :meth:`_evict`).  It runs every configuration the
+        batch engine does not model, and it is what the batch engine is
+        diffed against (tools/equivalence.py).  ``self.now`` is re-read
+        after each step that can stall the core, so fills are never
+        timestamped before a victim-insert stall.
         """
         l1 = self.l1
         timing = self.timing
@@ -397,305 +401,143 @@ class MemorySimulator:
         bookkeeper = self.bookkeeper
         victim_cache = self.victim_cache
         decay = self.decay
+        events = self.events
+        prefetch_queue = self.prefetch_queue
+        outcomes = self._outcomes
         offset_bits = self._offset_bits
         store_kind = int(AccessType.STORE)
         cold = MissClass.COLD
         perfect_non_cold = self.perfect_non_cold
         wants_all = policy is not None and policy.wants_all_accesses
 
-        l1_tags = l1._tags
-        l1_probe = l1_tags.get
-        l1_choose_victim = l1.choose_victim
-        l1_valid_counts = l1._valid_counts
-        l1_index_bits = l1._index_bits
-        l1_invalidate_frame = l1.invalidate_frame
-        stamps_on_hit = l1._stamps_on_hit
-        # Stall charging (TimingModel.add_stall) is inlined per miss;
-        # the breakdown dict and formula constants are shared with it.
-        stall_breakdown = timing._breakdown
-        hidden_latency = timing.HIDDEN_LATENCY
-        mlp = timing._mlp
-        # Generation bookkeeping state, written directly per hit/fill
-        # (the on_hit/on_fill method bodies are inlined below; on_fill's
-        # reload-interval return value is unused on this path).
-        open_last = generations._open_last
-        open_max = generations._open_max
-        gen_on_evict = generations.on_evict
-        gen_last = generations.last_generation
-        # A pending can only exist via the policy's _arm path, so the
-        # bookkeeper's miss-time resolution is a guaranteed no-op (and
-        # is skipped) when no prefetcher is configured.
-        demand_miss = bookkeeper.demand_miss if policy is not None else None
-        demand_hit_on_prefetched = bookkeeper.demand_hit_on_prefetched
-        # The 3C shadow update (ThreeCClassifier.record_access wrapping
-        # BoundedLRU.access) runs for every access, so its two levels of
-        # call are flattened into the loop body below; seen_add doubles
-        # as the "classification enabled" flag.
-        if classifier is not None:
-            classifying = True
-            seen_set = classifier._seen
-            seen_add = seen_set.add
-            shadow_blocks = classifier._shadow_blocks
-            shadow_move = shadow_blocks.move_to_end
-            shadow_popitem = shadow_blocks.popitem
-            shadow_cap = classifier.shadow.capacity
-            miss_counts = classifier.counts
-            conflict = MissClass.CONFLICT
-            capacity = MissClass.CAPACITY
-        else:
-            classifying = False
-            seen_set = seen_add = None
-            shadow_blocks = shadow_move = shadow_popitem = shadow_cap = None
-            miss_counts = conflict = capacity = None
-        on_access_interval = metrics.access_interval.add if metrics is not None else None
-        mshr_lookup = self.prefetch_mshrs.lookup
-        mshr_release = self.prefetch_mshrs.release
-        hierarchy_fetch = self.hierarchy.fetch
-        vc_probe = victim_cache.probe if victim_cache is not None else None
-        events_heap = self.events._heap
-        prefetch_queue = self.prefetch_queue
-        # Eviction is inlined below when nothing beyond write-back and
-        # generation closing can happen (no victim cache, no decay).
-        simple_evict = victim_cache is None and decay is None
-        bus_request = self.hierarchy.l1_l2_bus.request
-        l1_block_size = self.machine.l1d.block_size
+        for address, pc, kind, gap in rows:
+            timing.add_access(gap)
+            self.now = now = self.now + gap
+            if events and events.peek_time() <= now:
+                self._drain_events()
+                # Draining can fill frames and stall the core
+                # (victim-insert swaps); pick up the advanced clock.
+                now = self.now
+            elif policy is not None and len(prefetch_queue):
+                # Not a starvation hazard on drain turns: the elif is
+                # safe because _drain_events itself ends with an
+                # _issue_prefetches pass, so queued prefetches get an
+                # issue opportunity on every access either way (locked
+                # in by test_drain_turn_issues_prefetches).
+                self._issue_prefetches()
+            self._accesses += 1
+            block = address >> offset_bits
+            store = kind == store_kind
 
-        n_accesses = 0
-        total_gap = 0
-        n_stall = 0
-        n_l1_hits = 0
-        n_touch = 0
-        n_misses = 0
-        n_evictions = 0
-        n_victim_hits = 0
-        n_prefetch_hits = 0
-        n_l2_hits = 0
-        n_memory = 0
-        n_useful = 0
-        n_writebacks = 0
-        n_perfect = 0
-
-        try:
-            for address, pc, kind, gap in rows:
-                total_gap += gap
-                self.now = now = self.now + gap
-                if events_heap and events_heap[0][0] <= now:
-                    self._drain_events()
-                    # Draining can fill frames and stall the core
-                    # (victim-insert swaps); pick up the advanced clock.
-                    now = self.now
-                elif policy is not None and len(prefetch_queue):
-                    # Not a starvation hazard on drain turns: the elif
-                    # is safe because _drain_events itself ends with an
-                    # _issue_prefetches pass, so queued prefetches get
-                    # an issue opportunity on every access either way
-                    # (locked in by test_drain_turn_issues_prefetches).
-                    self._issue_prefetches()
-                n_accesses += 1
-                block = address >> offset_bits
-                store = kind == store_kind
-
-                if wants_all:
-                    schedule = policy.on_access(address, pc, now)
-                    if schedule is not None:
-                        self._arm(schedule)
-
-                frame = l1_probe(block)
-                if (
-                    frame is not None
-                    and decay is not None
-                    and decay.is_decayed(frame.last_access_time, now)
-                ):
-                    # The line decayed (powered off) before this re-reference:
-                    # the would-be hit becomes an induced miss.  Close the
-                    # truncated generation and drop the line; the access then
-                    # takes the ordinary miss path below.
-                    decay.on_decayed_hit(frame.fill_time, frame.last_access_time, now)
-                    gen_on_evict(
-                        frame.frame_key,
-                        frame.block_addr,
-                        frame.fill_time,
-                        frame.live_time(),
-                        now,
-                        frame.hit_count,
-                    )
-                    l1_invalidate_frame(frame)
-                    frame = None
-                if frame is not None:
-                    frame_key = frame.frame_key
-                    first_use = frame.prefetched and frame.hit_count == 0
-                    # Inline of generations.on_hit(frame_key, now).
-                    interval = now - open_last[frame_key]
-                    open_last[frame_key] = now
-                    if interval > open_max[frame_key]:
-                        open_max[frame_key] = interval
-                    if on_access_interval is not None:
-                        on_access_interval(interval)
-                    # Inline of l1.touch(frame, now, store=store).
-                    n_touch += 1
-                    frame.record_hit(now, store)
-                    if stamps_on_hit:
-                        clock = l1._clock + 1
-                        l1._clock = clock
-                        frame.lru_stamp = clock
-                    if seen_add is not None:
-                        # Inline of classifier.record_access(block).
-                        seen_add(block)
-                        if block in shadow_blocks:
-                            shadow_move(block)
-                        else:
-                            if len(shadow_blocks) >= shadow_cap:
-                                shadow_popitem(False)
-                            shadow_blocks[block] = None
-                    n_l1_hits += 1
-                    if first_use:
-                        n_useful += 1
-                        demand_hit_on_prefetched(frame_key, block, now)
-                    if policy is not None:
-                        schedule = policy.on_hit(frame, frame_key, now)
-                        if schedule is not None:
-                            self._arm(schedule)
-                    continue
-
-                # ---- miss path ----
-                miss_class = None
-                if classifying:
-                    # Inline of classifier.classify_miss(block).
-                    if block not in seen_set:
-                        miss_counts.cold += 1
-                        miss_class = cold
-                    elif block in shadow_blocks:
-                        miss_counts.conflict += 1
-                        miss_class = conflict
-                    else:
-                        miss_counts.capacity += 1
-                        miss_class = capacity
-                    # Inline of classifier.record_access(block).
-                    seen_add(block)
-                    if block in shadow_blocks:
-                        shadow_move(block)
-                    else:
-                        if len(shadow_blocks) >= shadow_cap:
-                            shadow_popitem(False)
-                        shadow_blocks[block] = None
-                if metrics is not None and miss_class is not None and miss_class != cold:
-                    last = gen_last(block)
-                    if last is not None:
-                        metrics.on_miss_correlation(
-                            miss_class, now - last.start, last.dead_time, last.live_time
-                        )
-
-                # Latency source.
-                if perfect_non_cold and miss_class != cold:
-                    # Charged as an L1 hit across the board (outcome
-                    # tally *and* mechanism counters; see the class
-                    # docstring) — state still takes the fill path.
-                    n_l1_hits += 1
-                    n_perfect += 1
-                    latency = 0
-                else:
-                    if vc_probe is not None and vc_probe(block):
-                        n_victim_hits += 1
-                        latency = victim_cache.hit_latency
-                        category = "l2"
-                    else:
-                        inflight = mshr_lookup(block)
-                        if inflight is not None and inflight > now:
-                            n_prefetch_hits += 1
-                            latency = inflight - now
-                            mshr_release(block)
-                            category = "l2"
-                        else:
-                            fetch = hierarchy_fetch(block, now, store=store)
-                            latency = fetch.latency
-                            if fetch.from_memory:
-                                n_memory += 1
-                                category = "memory"
-                            else:
-                                n_l2_hits += 1
-                                category = "l2"
-                    if latency:
-                        # Inline of timing.add_stall(latency, category);
-                        # the key is written even for a zero stall, as
-                        # add_stall does, so breakdowns stay identical.
-                        exposed = latency - hidden_latency
-                        stall = int(exposed / mlp) if exposed > 0 else 0
-                        n_stall += stall
-                        stall_breakdown[category] = (
-                            stall_breakdown.get(category, 0) + stall
-                        )
-                        self.now = now = self.now + stall
-
-                victim_frame = l1_choose_victim(block)
-                frame_key = victim_frame.frame_key
-                if demand_miss is not None:
-                    demand_miss(frame_key, block, now)
-                if victim_frame.valid:
-                    if simple_evict:
-                        # Inline of _evict for the common configuration:
-                        # no victim cache and no decay means the clock
-                        # cannot advance here.
-                        if victim_frame.dirty:
-                            bus_request(now, l1_block_size)
-                            n_writebacks += 1
-                        hc = victim_frame.hit_count
-                        gen_on_evict(
-                            frame_key,
-                            victim_frame.block_addr,
-                            victim_frame.fill_time,
-                            victim_frame.lt_register if hc > 0 else 0,
-                            now,
-                            hc,
-                        )
-                    else:
-                        self._evict(victim_frame, frame_key, block, now)
-                        # The victim-insert swap can stall the core; the
-                        # fill it caused must not be timestamped before
-                        # that stall.
-                        now = self.now
-                if policy is not None:
-                    schedule = policy.on_miss(victim_frame, frame_key, block, pc, now)
-                else:
-                    schedule = None
-                # Inline of l1.fill(victim_frame, block, now, store=store)
-                # — demand fills never use lru_insert.
-                if victim_frame.valid:
-                    n_evictions += 1
-                    del l1_tags[victim_frame.block_addr]
-                else:
-                    l1_valid_counts[victim_frame.set_index] += 1
-                n_misses += 1
-                victim_frame.reset_generation(block, block >> l1_index_bits, now)
-                l1_tags[block] = victim_frame
-                if store:
-                    victim_frame.dirty = True
-                clock = l1._clock + 1
-                l1._clock = clock
-                victim_frame.lru_stamp = clock
-                # Inline of generations.on_fill(frame_key, block, now);
-                # its reload-interval return value is unused here.
-                open_last[frame_key] = now
-                open_max[frame_key] = 0
+            if wants_all:
+                schedule = policy.on_access(address, pc, now)
                 if schedule is not None:
                     self._arm(schedule)
-        finally:
-            # Compute gaps are charged in bulk: add_access per row is
-            # pure increment work, identical when folded.
-            timing.compute_cycles += total_gap
-            timing._accesses += n_accesses
-            timing.stall_cycles += n_stall
-            l1.hits += n_touch + n_perfect
-            l1.misses += n_misses - n_perfect
-            l1.evictions += n_evictions
-            self.writebacks += n_writebacks
-            self._accesses += n_accesses
-            self._prefetch_useful += n_useful
-            outcomes = self._outcomes
-            outcomes[AccessOutcome.L1_HIT] += n_l1_hits
-            outcomes[AccessOutcome.VICTIM_HIT] += n_victim_hits
-            outcomes[AccessOutcome.PREFETCH_HIT] += n_prefetch_hits
-            outcomes[AccessOutcome.L2_HIT] += n_l2_hits
-            outcomes[AccessOutcome.MEMORY] += n_memory
+
+            frame = l1.probe(block)
+            if (
+                frame is not None
+                and decay is not None
+                and decay.is_decayed(frame.last_access_time, now)
+            ):
+                # The line decayed (powered off) before this re-reference:
+                # the would-be hit becomes an induced miss.  Close the
+                # truncated generation and drop the line; the access then
+                # takes the ordinary miss path below.
+                decay.on_decayed_hit(frame.fill_time, frame.last_access_time, now)
+                generations.on_evict(
+                    frame.frame_key,
+                    frame.block_addr,
+                    frame.fill_time,
+                    frame.live_time(),
+                    now,
+                    hit_count=frame.hit_count,
+                )
+                l1.invalidate_frame(frame)
+                frame = None
+            if frame is not None:
+                frame_key = frame.frame_key
+                first_use = frame.prefetched and frame.hit_count == 0
+                interval = generations.on_hit(frame_key, now)
+                if metrics is not None:
+                    metrics.on_access_interval(interval)
+                l1.touch(frame, now, store=store)
+                if classifier is not None:
+                    classifier.record_access(block)
+                outcomes[AccessOutcome.L1_HIT] += 1
+                if first_use:
+                    self._prefetch_useful += 1
+                    bookkeeper.demand_hit_on_prefetched(frame_key, block, now)
+                if policy is not None:
+                    schedule = policy.on_hit(frame, frame_key, now)
+                    if schedule is not None:
+                        self._arm(schedule)
+                continue
+
+            # ---- miss path ----
+            miss_class = None
+            if classifier is not None:
+                miss_class = classifier.classify_miss(block)
+                classifier.record_access(block)
+            if metrics is not None and miss_class is not None and miss_class != cold:
+                last = generations.last_generation(block)
+                if last is not None:
+                    metrics.on_miss_correlation(
+                        miss_class, now - last.start, last.dead_time, last.live_time
+                    )
+
+            # Latency source.
+            if perfect_non_cold and miss_class != cold:
+                # Charged as an L1 hit across the board (outcome tally
+                # *and* mechanism counters; see the class docstring) —
+                # state still takes the fill path, whose l1.fill counts
+                # a miss, so balance both counters here.
+                outcomes[AccessOutcome.L1_HIT] += 1
+                l1.hits += 1
+                l1.misses -= 1
+            else:
+                if victim_cache is not None and victim_cache.probe(block):
+                    outcomes[AccessOutcome.VICTIM_HIT] += 1
+                    latency = victim_cache.hit_latency
+                    category = "l2"
+                else:
+                    inflight = self.prefetch_mshrs.lookup(block)
+                    if inflight is not None and inflight > now:
+                        outcomes[AccessOutcome.PREFETCH_HIT] += 1
+                        latency = inflight - now
+                        self.prefetch_mshrs.release(block)
+                        category = "l2"
+                    else:
+                        fetch = self.hierarchy.fetch(block, now, store=store)
+                        latency = fetch.latency
+                        if fetch.from_memory:
+                            outcomes[AccessOutcome.MEMORY] += 1
+                            category = "memory"
+                        else:
+                            outcomes[AccessOutcome.L2_HIT] += 1
+                            category = "l2"
+                if latency:
+                    self.now = now = self.now + timing.add_stall(latency, category)
+
+            victim_frame = l1.choose_victim(block)
+            frame_key = victim_frame.frame_key
+            if policy is not None:
+                # A pending prefetch only exists via _arm, so without a
+                # policy the miss-time resolution would be a no-op.
+                bookkeeper.demand_miss(frame_key, block, now)
+            if victim_frame.valid:
+                self._evict(victim_frame, frame_key, block, now)
+                # The victim-insert swap can stall the core; the fill it
+                # caused must not be timestamped before that stall.
+                now = self.now
+            if policy is not None:
+                schedule = policy.on_miss(victim_frame, frame_key, block, pc, now)
+            else:
+                schedule = None
+            l1.fill(victim_frame, block, now, store=store)
+            generations.on_fill(frame_key, block, now)
+            if schedule is not None:
+                self._arm(schedule)
 
     # -- result assembly ---------------------------------------------------------------
 

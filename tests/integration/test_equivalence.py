@@ -1,16 +1,16 @@
-"""Differential equivalence: optimized hot paths vs straightforward reference.
+"""Differential equivalence: fast paths vs the plain reference.
 
-The hot-path overhaul (O(1) tag store, inlined ``_consume``, slotted
-frames) and the batch-dispatch engine must not change a single
-simulated number.  ``tools/equivalence.py`` re-implements the L1,
-hierarchy fetch, and main loop in the plain call-everything style;
-this suite asserts that the production simulator under *both* dispatch
-engines and the reference produce bitwise-identical
-``SimulationResult.to_dict()`` output (plus a metrics digest) for
-every workload in the suite — under the default, victim-cache (all
-three admission filters), prefetch (timekeeping and DBCP), decay,
+The batch-dispatch engine and the production caches' O(1) tag store,
+lazy sets and valid counts must not change a single simulated number.
+``tools/equivalence.py`` runs each cell three ways — the batch engine,
+the plain per-access scalar loop, and that same loop over linear-scan
+reference caches — and this suite asserts that all three produce
+bitwise-identical ``SimulationResult.to_dict()`` output (plus a
+metrics digest) for every workload in the suite: under the default,
+victim-cache (the paper's three admission filters and the adaptive
+one), prefetch (timekeeping, DBCP and stride), decay, 2-way L1,
 warmup, and perfect-mode configurations, and on seeded random traces
-with stores — and that every run keeps the accounting identities.
+with stores.  Every run must also keep the accounting identities.
 """
 
 import sys

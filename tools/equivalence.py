@@ -1,32 +1,33 @@
-"""Differential equivalence harness for the simulator hot path.
+"""Differential equivalence harness for the simulator's fast paths.
 
-The production :class:`~repro.sim.simulator.MemorySimulator` earns its
-throughput from an O(1) tag store, inlined method bodies in
-``_consume``, and conditionally-skipped event drains.  Each of those is
-an opportunity to silently change simulation semantics.  This harness
-pins them: it re-implements the L1, the hierarchy fetch path, and the
-main loop in the *straightforward* style — linear tag scans, one method
-call per event, an unconditional event drain per access — and asserts
-that both simulators produce bitwise-identical results over the
-workload suite.
+The production :class:`~repro.sim.simulator.MemorySimulator` has two
+dispatch engines: the vectorized batch engine, and the plain per-access
+scalar loop (``_consume``) that makes one public-method call per step.
+Both read the caches through an O(1) block->frame tag store, lazily
+materialized sets and per-set valid counts.  Each of those fast paths
+is an opportunity to silently change simulation semantics.  This
+harness pins them.
 
-The reference deliberately shares the leaf mechanism code (frames,
-MSHRs, buses, policies, bookkeeping): the point is to diff the
-*restructured* layers against their plain originals, not to re-derive
-the whole machine.  It also includes the behavioral bugfixes that
-landed with the hot-path overhaul (stale-clock fills after evictions
-that stall the core, stale prefetch-arrival MSHR releases, charged
-``perfect_non_cold`` misses double-counted in the L1 hit/miss
-counters), so a mismatch always means the optimized path drifted.
+Each cell is a three-way comparison, and all pairs must be
+bitwise-identical:
 
-Each cell is a three-way comparison: the production simulator under
-the batch engine, the production simulator under the scalar engine,
-and the reference — all pairs must be bitwise-identical.  Cells cover
-warmup > 0 and perfect-mode configurations in addition to the
-mechanism axes (victim cache under each of the paper's three admission
-filters, the timekeeping and DBCP prefetchers, decay).  Every run must also satisfy the accounting
-identities of :func:`accounting_violations`; a violation is reported as
-one more diff line of the cell.
+- ``batch``: the production caches under the batch engine;
+- ``scalar``: the production caches under the scalar loop;
+- ``reference``: :class:`ReferenceCache` L1 and L2 (linear tag scans,
+  eagerly built sets, no valid counts) under the same scalar loop.
+
+Batch vs scalar pins the batch engine against the plain loop; scalar
+vs reference pins the tag store, lazy sets and valid counts, which the
+batch engine reads too.  The reference shares everything else (frames,
+MSHRs, buses, policies, bookkeeping): the point is to diff the fast
+layers against their plain originals, not to re-derive the machine.
+
+Cells cover warmup > 0 and perfect-mode configurations in addition to
+the mechanism axes: victim cache under each of the paper's three
+admission filters and the adaptive one, the timekeeping, DBCP and
+stride prefetchers, decay, and a 2-way L1.  Every run must also
+satisfy the accounting identities of :func:`accounting_violations`; a
+violation is reported as one more diff line of the cell.
 
 Run directly::
 
@@ -44,18 +45,19 @@ import sys
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.cache import SetAssociativeCache
-from repro.cache.hierarchy import FetchResult, MemoryHierarchy
+from repro.cache.hierarchy import MemoryHierarchy
 from repro.cache.replacement import LRUPolicy
-from repro.common.config import MachineConfig
-from repro.common.types import AccessOutcome, AccessType, MissClass
+from repro.common.config import MachineConfig, paper_machine
+from repro.common.types import AccessOutcome
 from repro.core.decay import DecayPolicy
 from repro.sim.simulator import MemorySimulator, make_prefetch_policy
 from repro.traces.workloads import build_workload
 
 #: Named machine configurations the harness sweeps.  Keep in sync with
-#: the feature axes of the hot path: victim cache + admission filter,
-#: prefetch engine (events/MSHRs/queue), and decay each take different
-#: branches through ``_consume``.
+#: the feature axes of the simulator: victim cache + admission filter,
+#: prefetch engine (events/MSHRs/queue), decay and L1 geometry each take
+#: different branches through both engines (or send a cell to the scalar
+#: loop; see :func:`~repro.sim.batch.batch_fallback_reason`).
 CONFIGS: Dict[str, Dict[str, Any]] = {
     "default": {},
     "victim": {"victim_filter": "timekeeping"},
@@ -63,7 +65,12 @@ CONFIGS: Dict[str, Dict[str, Any]] = {
     "victim_collins": {"victim_filter": "collins"},
     "prefetch": {"prefetcher": "timekeeping"},
     "prefetch_dbcp": {"prefetcher": "dbcp"},
+    "prefetch_stride": {"prefetcher": "stride"},
+    "victim_adaptive": {"victim_filter": "adaptive"},
     "decay": {"decay_interval": 8192},
+    # Associative sets are where the tag store, the valid counts and the
+    # LRU victim choice differ most from a linear scan.
+    "l1_2way": {"machine": paper_machine().with_l1d(associativity=2)},
     # ``warmup_frac`` is harness-level, not a simulator kwarg: the cell
     # runs with warmup = int(length * frac) extra accesses, exercising
     # the batch engine's deferred-state chaining across run() calls
@@ -98,7 +105,9 @@ class ReferenceCache(SetAssociativeCache):
     """L1/L2 with the original linear-scan lookup.
 
     Overrides every method the production cache accelerated with the
-    block->frame tag store, restoring the way-by-way tag compare.  The
+    block->frame tag store, lazy sets or valid counts, restoring the
+    way-by-way tag compare over eagerly built sets; ``access`` and
+    ``invalidate`` reach these through ``probe``.  The
     ``_tags``/``_valid_counts`` views are left unmaintained — nothing in
     the reference paths reads them, which is itself part of the test:
     a production code path sneaking into the reference would KeyError
@@ -143,21 +152,6 @@ class ReferenceCache(SetAssociativeCache):
             self._clock += 1
             frame.lru_stamp = self._clock
 
-    def access(self, block_addr, now, *, store=False, lru_insert=False):
-        frame = self.probe(block_addr)
-        if frame is not None:
-            self.touch(frame, now, store=store)
-            return True
-        victim = self.choose_victim(block_addr)
-        self.fill(victim, block_addr, now, store=store, lru_insert=lru_insert)
-        return False
-
-    def invalidate(self, block_addr):
-        frame = self.probe(block_addr)
-        if frame is not None:
-            self.invalidate_frame(frame)
-        return frame
-
     def invalidate_frame(self, frame) -> None:
         if frame.valid:
             frame.valid = False
@@ -165,187 +159,35 @@ class ReferenceCache(SetAssociativeCache):
 
 
 class ReferenceHierarchy(MemoryHierarchy):
-    """Hierarchy with a :class:`ReferenceCache` L2 and the original
-    method-calling ``fetch``."""
+    """Hierarchy with a :class:`ReferenceCache` L2.
+
+    The production ``fetch`` reaches the L2 only through its public
+    ``access``, so it runs unchanged on the linear-scan cache.
+    """
 
     def __init__(self, machine: MachineConfig, *, demand_shadow: int = 2) -> None:
         super().__init__(machine, demand_shadow=demand_shadow)
         self.l2 = ReferenceCache(machine.l2, LRUPolicy())
 
-    def fetch(self, l1_block_addr, now, *, prefetch=False, store=False):
-        l2_block_addr = l1_block_addr >> self._l2_shift
-        l2_ready = now + self._l2_hit_latency
-        hit = self.l2.access(l2_block_addr, now, store=store, lru_insert=prefetch)
-        if hit:
-            if prefetch:
-                self.l2_prefetch_hits += 1
-            else:
-                self.l2_demand_hits += 1
-            data_at = l2_ready
-        else:
-            if prefetch:
-                self.l2_prefetch_misses += 1
-            else:
-                self.l2_demand_misses += 1
-            self.memory_accesses += 1
-            mem_done = self.memory_bus.request(l2_ready, self._l2_block,
-                                               prefetch=prefetch)
-            data_at = mem_done + self._memory_latency
-        end = self.l1_l2_bus.request(data_at, self._l1_block, prefetch=prefetch)
-        return FetchResult(completes_at=end, latency=end - now, from_memory=not hit)
-
 
 class ReferenceSimulator(MemorySimulator):
-    """Simulator with the plain, call-everything main loop.
+    """The production scalar loop over :class:`ReferenceCache` caches.
 
-    Every access drains the event queue, issues prefetches, and goes
-    through the public protocol (``probe``/``touch``/``choose_victim``/
-    ``fill``, ``classify_miss``/``record_access``, ``on_hit``/
-    ``on_fill``/``on_evict``, ``add_access``/``add_stall``) one call at
-    a time.  Reads ``self.now`` after every step that can stall the
-    core, so the stale-clock bugfixes are part of the reference
-    semantics.
+    Only the caches differ: the loop, the hierarchy's ``fetch`` and
+    every mechanism are the production code, so a scalar-vs-reference
+    mismatch always points at the tag store, lazy sets or valid counts.
     """
 
     #: The batch engine indexes the production tag store directly; this
     #: subclass changes lookup behavior, so it must opt out (see
     #: ``MemorySimulator._batch_capable``).  ``run(engine="batch")``
-    #: then records a fallback and takes the scalar loop above.
+    #: then records a fallback and takes the scalar loop.
     _batch_capable = False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.l1 = ReferenceCache(self.machine.l1d)
         self.hierarchy = ReferenceHierarchy(self.machine)
-
-    def _consume(self, rows) -> None:
-        l1 = self.l1
-        timing = self.timing
-        classifier = self.classifier
-        metrics = self.metrics
-        generations = self.generations
-        policy = self.policy
-        bookkeeper = self.bookkeeper
-        victim_cache = self.victim_cache
-        decay = self.decay
-        offset_bits = self._offset_bits
-        assoc = self._assoc
-        store_kind = int(AccessType.STORE)
-        cold = MissClass.COLD
-        perfect_non_cold = self.perfect_non_cold
-        wants_all = policy is not None and policy.wants_all_accesses
-
-        for address, pc, kind, gap in rows:
-            timing.add_access(gap)
-            self.now += gap
-            self._drain_events()
-            now = self.now
-            self._accesses += 1
-            block = address >> offset_bits
-            store = kind == store_kind
-
-            if wants_all:
-                schedule = policy.on_access(address, pc, now)
-                if schedule is not None:
-                    self._arm(schedule)
-
-            frame = l1.probe(block)
-            if (
-                frame is not None
-                and decay is not None
-                and decay.is_decayed(frame.last_access_time, now)
-            ):
-                decay.on_decayed_hit(frame.fill_time, frame.last_access_time, now)
-                generations.on_evict(
-                    frame.set_index * assoc + frame.way,
-                    frame.block_addr,
-                    frame.fill_time,
-                    frame.live_time(),
-                    now,
-                    hit_count=frame.hit_count,
-                )
-                l1.invalidate_frame(frame)
-                frame = None
-            if frame is not None:
-                frame_key = frame.set_index * assoc + frame.way
-                first_use = frame.prefetched and frame.hit_count == 0
-                interval = generations.on_hit(frame_key, now)
-                if metrics is not None:
-                    metrics.on_access_interval(interval)
-                l1.touch(frame, now, store=store)
-                if classifier is not None:
-                    classifier.record_access(block)
-                self._outcomes[AccessOutcome.L1_HIT] += 1
-                if first_use:
-                    self._prefetch_useful += 1
-                    bookkeeper.demand_hit_on_prefetched(frame_key, block, now)
-                if policy is not None:
-                    schedule = policy.on_hit(frame, frame_key, now)
-                    if schedule is not None:
-                        self._arm(schedule)
-                continue
-
-            miss_class = None
-            if classifier is not None:
-                miss_class = classifier.classify_miss(block)
-                classifier.record_access(block)
-            if metrics is not None and miss_class is not None and miss_class != cold:
-                last = generations.last_generation(block)
-                if last is not None:
-                    metrics.on_miss_correlation(
-                        miss_class, now - last.start, last.dead_time, last.live_time
-                    )
-
-            if perfect_non_cold and miss_class != cold:
-                # Charged as an L1 hit in the outcome tally *and* the
-                # mechanism counters; the fill below still bumps
-                # l1.misses, so balance both counters here.
-                self._outcomes[AccessOutcome.L1_HIT] += 1
-                l1.hits += 1
-                l1.misses -= 1
-                latency = 0
-            else:
-                if victim_cache is not None and victim_cache.probe(block):
-                    self._outcomes[AccessOutcome.VICTIM_HIT] += 1
-                    latency = victim_cache.hit_latency
-                    category = "l2"
-                else:
-                    inflight = self.prefetch_mshrs.lookup(block)
-                    if inflight is not None and inflight > now:
-                        self._outcomes[AccessOutcome.PREFETCH_HIT] += 1
-                        latency = inflight - now
-                        self.prefetch_mshrs.release(block)
-                        category = "l2"
-                    else:
-                        fetch = self.hierarchy.fetch(block, now, store=store)
-                        latency = fetch.latency
-                        if fetch.from_memory:
-                            self._outcomes[AccessOutcome.MEMORY] += 1
-                            category = "memory"
-                        else:
-                            self._outcomes[AccessOutcome.L2_HIT] += 1
-                            category = "l2"
-                if latency:
-                    self.now += timing.add_stall(latency, category)
-                    now = self.now
-
-            victim_frame = l1.choose_victim(block)
-            frame_key = victim_frame.set_index * assoc + victim_frame.way
-            if policy is not None:
-                bookkeeper.demand_miss(frame_key, block, now)
-            if victim_frame.valid:
-                self._evict(victim_frame, frame_key, block, now)
-                # Victim-insert swaps stall the core; the fill must not
-                # be timestamped before that stall.
-                now = self.now
-            if policy is not None:
-                schedule = policy.on_miss(victim_frame, frame_key, block, pc, now)
-            else:
-                schedule = None
-            l1.fill(victim_frame, block, now, store=store)
-            generations.on_fill(frame_key, block, now)
-            if schedule is not None:
-                self._arm(schedule)
 
 
 def _build_simulator(cls, config: Dict[str, Any]) -> MemorySimulator:
@@ -361,7 +203,7 @@ def _build_simulator(cls, config: Dict[str, Any]) -> MemorySimulator:
         ipa=kwargs.pop("ipa", 3.0),
         collect_metrics=kwargs.pop("collect_metrics", True),
         prefetch_policy=(
-            make_prefetch_policy(prefetcher, MemorySimulator().machine)
+            make_prefetch_policy(prefetcher, kwargs.get("machine", paper_machine()))
             if prefetcher is not None
             else None
         ),
@@ -374,9 +216,9 @@ def _build_simulator(cls, config: Dict[str, Any]) -> MemorySimulator:
 def metrics_digest(sim: MemorySimulator) -> Optional[Dict[str, Any]]:
     """Collapse the (non-serialized) metrics object into a comparable dict.
 
-    ``SimulationResult.to_dict`` drops metrics by design, but the
-    inlined histogram updates in the hot loop are exactly the kind of
-    code this harness exists to check — so compare them explicitly.
+    ``SimulationResult.to_dict`` drops metrics by design, but the batch
+    engine's vectorized histogram updates are exactly the kind of code
+    this harness exists to check — so compare them explicitly.
     """
     m = sim.metrics
     if m is None:
@@ -486,12 +328,6 @@ def run_cell(workload: str, length: int, config_name: str) -> Dict[str, Dict]:
             "invariant_violations": accounting_violations(sim, result),
         }
     return out
-
-
-def run_pair(workload: str, length: int, config_name: str) -> Tuple[Dict, Dict]:
-    """Back-compat wrapper: the production/batch and reference dicts."""
-    cell = run_cell(workload, length, config_name)
-    return cell["batch"], cell["reference"]
 
 
 def _diff_keys(fast: Dict, ref: Dict, prefix: str = "",
