@@ -29,6 +29,11 @@ two engines cell by cell.  The invariants the reconstruction leans on:
   so per-set L2 state reduces to an ordered list of resident blocks;
 - buses serve demand requests in request order, which is miss order,
   so bus occupancy is a short recurrence over misses;
+- the 3C shadow and seen set evolve the same way on hits and misses,
+  so each access's class flags depend only on the rows, the L1
+  geometry and the classifier's state at entry: :func:`_classify`
+  memoizes one replay on the trace, and every configuration samples
+  it at its own misses;
 - the core clock is ``gap prefix-sum + stall prefix-sum``, and stalls
   depend only on bus/L2/victim-cache state, never on L1 frame metadata;
 - a victim cache never changes L1 contents: the direct-mapped L1
@@ -332,69 +337,113 @@ def _transfer_cycles(bus, num_bytes: int) -> int:
     return cycles
 
 
-def _classify(classifier, blocks: np.ndarray, hit: np.ndarray,
-              miss_pos: np.ndarray, blocks_l: Optional[List[int]] = None) -> np.ndarray:
-    """3C class of each miss at *miss_pos*, folded into *classifier*.
+class _ShadowReplay:
+    """One replay of the 3C shadow over rows [start:stop) of a trace.
 
-    Updates the classifier's counts, seen set and shadow stack exactly
-    as the scalar loop's per-access classify/record sequence would.
-    The shadow evolves the same way on hits and misses, so only the
-    sampling points depend on *hit*.  *blocks_l* is ``blocks.tolist()``
-    when the caller already has it.
+    ``cold`` and ``in_shadow`` hold each access's flags, ``entry_*`` the
+    classifier state the replay started from, ``exit_shadow`` the
+    shadow's keys in LRU order after it and ``new_blocks`` the blocks
+    it added to the seen set.
     """
-    n = int(blocks.size)
-    nm = int(miss_pos.size)
-    seen_set = classifier._seen
-    # Cold candidates: the batch's first touch of a block (hit or
-    # miss), filtered against the pre-batch seen set.
-    first_occ = np.zeros(n, dtype=bool)
-    uniq_blocks, uniq_first = np.unique(blocks, return_index=True)
-    first_occ[uniq_first] = True
-    cand_mask = first_occ[miss_pos]
-    cand_blocks = blocks[miss_pos][cand_mask]
-    if cand_blocks.size and seen_set:
-        in_seen = np.fromiter(
-            (b in seen_set for b in cand_blocks.tolist()),
-            dtype=bool,
-            count=cand_blocks.size,
+
+    __slots__ = ("entry_shadow", "entry_seen", "cold", "in_shadow",
+                 "exit_shadow", "new_blocks")
+
+    def matches(self, classifier) -> bool:
+        """Whether *classifier* is in the state this replay started from."""
+        shadow = classifier._shadow_blocks
+        seen = classifier._seen
+        return (
+            len(shadow) == len(self.entry_shadow)
+            and tuple(shadow) == self.entry_shadow
+            and seen == self.entry_seen
         )
-    else:
-        in_seen = np.zeros(cand_blocks.size, dtype=bool)
-    cold_arr = np.zeros(nm, dtype=bool)
-    cold_arr[cand_mask] = ~in_seen
-    # Shadow-stack replay: the 1024-entry fully associative LRU
-    # shadow is inherently sequential — one lean pass in original
-    # order, sampling membership at misses (before the update, as
-    # the scalar classify does).
+
+
+def _replay_shadow(classifier, blocks: np.ndarray,
+                   blocks_l: Optional[List[int]]) -> _ShadowReplay:
+    """Run *blocks* through *classifier*'s shadow and seen set, recording
+    each access's cold and in-shadow flags as the scalar classify reads
+    them (before the access updates the state)."""
     shadow = classifier._shadow_blocks
+    seen = classifier._seen
+    replay = _ShadowReplay()
+    replay.entry_shadow = tuple(shadow)
+    replay.entry_seen = frozenset(seen)
+    # Cold: the rows' first touch of a block the seen set lacks.
+    uniq_blocks, uniq_first = np.unique(blocks, return_index=True)
+    uniq_l = uniq_blocks.tolist()
+    new = np.fromiter((b not in seen for b in uniq_l), dtype=bool, count=len(uniq_l))
+    cold = np.zeros(blocks.size, dtype=bool)
+    cold[uniq_first[new]] = True
+    replay.cold = cold
+    replay.new_blocks = uniq_blocks[new].tolist()
+    # The 1024-entry fully associative LRU shadow is inherently
+    # sequential: one lean pass in original order.
     shadow_move = shadow.move_to_end
     shadow_popitem = shadow.popitem
     shadow_cap = classifier.shadow.capacity
-    in_shadow_list: List[bool] = []
-    in_shadow_append = in_shadow_list.append
+    in_shadow: List[bool] = []
+    in_shadow_append = in_shadow.append
     shadow_len = len(shadow)
     if blocks_l is None:
         blocks_l = blocks.tolist()
-    for b, h in zip(blocks_l, hit.tolist()):
+    for b in blocks_l:
         if b in shadow:
-            if not h:
-                in_shadow_append(True)
+            in_shadow_append(True)
             shadow_move(b)
         else:
-            if not h:
-                in_shadow_append(False)
+            in_shadow_append(False)
             if shadow_len >= shadow_cap:
                 shadow_popitem(False)
             else:
                 shadow_len += 1
             shadow[b] = None
-    in_shadow_arr = np.array(in_shadow_list, dtype=bool)
-    cls = np.where(cold_arr, _COLD, np.where(in_shadow_arr, _CONFLICT, _CAPACITY))
+    replay.in_shadow = np.array(in_shadow, dtype=bool)
+    replay.exit_shadow = tuple(shadow)
+    seen.update(replay.new_blocks)
+    return replay
+
+
+def _classify(sim, trace, start: int, stop: int, blocks: np.ndarray,
+              miss_pos: np.ndarray, blocks_l: Optional[List[int]] = None) -> np.ndarray:
+    """3C class of each miss at *miss_pos* in rows [start:stop), folded
+    into ``sim.classifier``.
+
+    Leaves the classifier's counts, seen set and shadow (contents and
+    LRU order) exactly as the scalar loop's per-access classify/record
+    sequence would.  The shadow evolves the same way on hits and
+    misses, and whether an access is a block's first touch does not
+    depend on hits either, so each access's flags depend only on the
+    rows, the L1 geometry and the classifier's state at entry — not on
+    the configuration.  One replay is therefore memoized on *trace*
+    (``trace.memo``, keyed by the L1 offset bits, the shadow capacity
+    and the row range) and every later batch over those rows that
+    enters in the replay's entry state samples its flags at its own
+    misses and installs its exit state.  Any other entry state
+    replays.  *blocks_l* is ``blocks.tolist()`` when the caller
+    already has it.
+    """
+    classifier = sim.classifier
+    key = ("3c", sim._offset_bits, classifier.shadow.capacity, start, stop)
+    replay = trace.memo.get(key)
+    if replay is not None and replay.matches(classifier):
+        shadow = classifier._shadow_blocks
+        shadow.clear()
+        shadow.update(zip(replay.exit_shadow, repeat(None)))
+        classifier._seen.update(replay.new_blocks)
+    else:
+        fresh = _replay_shadow(classifier, blocks, blocks_l)
+        if replay is None:
+            trace.memo[key] = fresh
+        replay = fresh
+    cold = replay.cold[miss_pos]
+    cls = np.where(cold, _COLD,
+                   np.where(replay.in_shadow[miss_pos], _CONFLICT, _CAPACITY))
     counts = classifier.counts
-    counts.cold += int(cold_arr.sum())
+    counts.cold += int(cold.sum())
     counts.conflict += int((cls == _CONFLICT).sum())
     counts.capacity += int((cls == _CAPACITY).sum())
-    seen_set.update(uniq_blocks.tolist())
     return cls
 
 
@@ -602,7 +651,7 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     charged_list: List[bool] = []
     n_charged = 0
     if classifying:
-        cls = _classify(classifier, blocks, hit, miss_pos)
+        cls = _classify(sim, trace, start, stop, blocks, miss_pos)
         n_cold = int((cls == _COLD).sum())
         if perfect:
             charged_arr = cls != _COLD
@@ -1788,7 +1837,7 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     # ---- classification and correlations ----------------------------------
     cls = None
     if classifier is not None:
-        cls = _classify(classifier, blocks, hit, miss_pos, blocks_l)
+        cls = _classify(sim, trace, start, stop, blocks, miss_pos, blocks_l)
     if corr and cls is not None:
         c_rank, c_reload, c_dead, c_live = map(list, zip(*corr))
         c_cls = cls[np.array(c_rank, dtype=np.int64)]

@@ -35,6 +35,10 @@ Two executors share the same scheduling/bookkeeping loop:
   is killed or found dead is replaced, so enforcing a wall-clock
   budget never poisons its siblings.
 
+Each executor (the serial loop, each pool worker) owns one trace
+source that holds the current workload's trace, so its cells and
+retries of a workload share one load and one memoized 3C replay.
+
 Workers are forked where the platform allows (so closures and test
 fixtures work as fault hooks); on spawn-only platforms every spec and
 hook must be picklable by reference.  A forked worker inherits the
@@ -75,6 +79,7 @@ from ..obs.metrics import Telemetry
 from ..obs.metrics import current as current_telemetry
 from ..obs.progress import SweepObserver
 from ..traces.cache import TraceCache, resolve_cache
+from ..traces.trace import Trace
 from ..traces.workloads import SPEC2000, get_workload
 from .results import SimulationResult
 from .store import CellKey, RunStore
@@ -286,18 +291,62 @@ def _timed_phase(phases: Dict[str, List[float]], name: str) -> Iterator[None]:
         phases[name] = [start, time.perf_counter() - t0]
 
 
+class _TraceSource:
+    """The trace of the workload being run, shared by its cells and retries.
+
+    Each executor owns one source: the serial loop one per sweep, each
+    pool worker one for its lifetime.  Cells are planned workload-major,
+    so holding one trace at a time serves every configuration and every
+    retry of a workload from one load — one digest-verified cache read,
+    or one synthesis without a cache — and one :class:`Trace` object,
+    whose memoized 3C shadow replay (see :func:`repro.sim.batch._classify`)
+    the configurations then share as well.  The cache is opened once
+    per root.  The previous workload's trace is dropped before the next
+    one loads, and :meth:`close` drops the last.
+
+    Serving a verified trace again skips re-hashing its entry: committed
+    entries are only ever replaced with ``os.replace``, never rewritten
+    in place, so the mapped files cannot change under the trace.
+    """
+
+    def __init__(self) -> None:
+        self._cache: Optional[TraceCache] = None
+        self._key: Optional[Tuple[Any, ...]] = None
+        self._trace: Optional[Trace] = None
+
+    def get(self, spec: CellSpec) -> Trace:
+        """The trace *spec* simulates, loaded or built on first request."""
+        total = spec.length + spec.warmup
+        key = (spec.trace_cache, spec.workload, total, spec.seed)
+        if key != self._key:
+            self.close()
+            if spec.trace_cache is None:
+                trace = get_workload(spec.workload).build(length=total, seed=spec.seed)
+            else:
+                if self._cache is None or os.fspath(self._cache.root) != spec.trace_cache:
+                    self._cache = TraceCache(root=spec.trace_cache)
+                trace = self._cache.get_or_build(spec.workload, total, spec.seed)
+            self._key, self._trace = key, trace
+        return self._trace
+
+    def close(self) -> None:
+        """Drop the held trace (and with it its memo and mapped columns)."""
+        self._key = self._trace = None
+
+
 def _execute_cell(
     spec: CellSpec,
+    source: _TraceSource,
     fault_hook: Optional[FaultHook],
     attempt: int,
     cell_telemetry: Optional[Dict[str, Any]] = None,
 ) -> SimulationResult:
-    """Materialize the cell's trace and simulate it (runs in the worker).
+    """Get the cell's trace from *source* and simulate it (runs in the worker).
 
     With a trace cache configured the trace is served mmap-backed from
-    the parent's prewarmed entry — retries and sibling cells share one
-    materialization.  Without one (``trace_cache=False``) it is
-    synthesized here, once per cell attempt.
+    the parent's prewarmed entry; without one (``trace_cache=False``)
+    it is synthesized here.  Either way *source* keeps it for the next
+    cells and retries of the workload.
 
     When *cell_telemetry* is given, the three worker phases are timed
     into it (``synthesis``, ``simulate``, ``serialize`` — the last is
@@ -314,23 +363,17 @@ def _execute_cell(
     else:
         scope = Telemetry()
         timed = functools.partial(_timed_phase, cell_telemetry.setdefault("phases", {}))
-    workload = get_workload(spec.workload)
-    total = spec.length + spec.warmup
     with scope as tele:
         try:
             with timed("synthesis"):
-                if spec.trace_cache is not None:
-                    trace = TraceCache(root=spec.trace_cache).get_or_build(
-                        spec.workload, total, spec.seed)
-                else:
-                    trace = workload.build(length=total, seed=spec.seed)
+                trace = source.get(spec)
             if fault_hook is not None:
                 fault_hook(spec.workload, spec.config_name, attempt)
             _fire_mid_cell(spec, attempt)
             with timed("simulate"):
                 result = simulate_config(
-                    trace, spec.config, ipa=workload.ipa, warmup=spec.warmup,
-                    machine=spec.machine,
+                    trace, spec.config, ipa=get_workload(spec.workload).ipa,
+                    warmup=spec.warmup, machine=spec.machine,
                 )
             if tele is not None:
                 with timed("serialize"):
@@ -377,6 +420,7 @@ def _fire_mid_cell(spec: CellSpec, attempt: int) -> None:
 
 def _run_attempt(
     spec: CellSpec,
+    source: _TraceSource,
     fault_hook: Optional[FaultHook],
     attempt: int,
     submitted_at: Optional[float],
@@ -387,7 +431,7 @@ def _run_attempt(
 
     Both executors call it (a pool worker once per cell it is handed),
     so the outcome shape — including the trailing telemetry slot — is
-    identical everywhere.
+    identical everywhere.  *source* is the executor's trace source.
 
     *plan* re-arms the parent's fault plan in the executing process
     when no ambient injector is active there — the spawn-platform path;
@@ -407,7 +451,7 @@ def _run_attempt(
                 "worker.start", workload=spec.workload,
                 config=spec.config_name, attempt=attempt,
             )
-        result = _execute_cell(spec, fault_hook, attempt, tele)
+        result = _execute_cell(spec, source, fault_hook, attempt, tele)
     except Exception as exc:
         return (
             "error",
@@ -451,6 +495,7 @@ def _worker_main(conn, fault_hook, collect, plan,
             target=_heartbeat_loop, args=(heartbeat,), daemon=True
         ).start()
     parent = multiprocessing.parent_process().pid
+    source = _TraceSource()
     try:
         while True:
             while not conn.poll(_ORPHAN_CHECK):
@@ -460,8 +505,8 @@ def _worker_main(conn, fault_hook, collect, plan,
             if message is None:
                 return
             spec, attempt, submitted_at = message
-            conn.send(_run_attempt(spec, fault_hook, attempt, submitted_at,
-                                   collect, plan))
+            conn.send(_run_attempt(spec, source, fault_hook, attempt,
+                                   submitted_at, collect, plan))
     except (EOFError, OSError):
         return  # the parent's end of the pipe is gone
 
@@ -587,23 +632,32 @@ def _run_serial(
     notify: Optional[_Notify],
     collect: bool,
 ) -> Generator[_CellDone, None, None]:
-    """In-process serial executor (``workers == 1``, no timeout/supervision)."""
-    for spec in cells:
-        attempt = 1
-        started = time.monotonic()
-        while True:
-            if notify is not None:
-                notify(spec, attempt)
-            outcome = _run_attempt(spec, fault_hook, attempt, None, collect)
-            # (no plan arg: the ambient injector, if any, is already
-            # active in this process — serial faults hit the campaign
-            # itself, which is exactly what a serial chaos run asserts)
-            if outcome[0] != "ok" and retry.should_retry(outcome, attempt):
-                time.sleep(retry.next_delay(attempt))
-                attempt += 1
-                continue
-            yield spec, outcome, attempt, time.monotonic() - started
-            break
+    """In-process serial executor (``workers == 1``, no timeout/supervision).
+
+    One trace source serves the whole sweep and is emptied when the
+    generator finishes or is closed.
+    """
+    source = _TraceSource()
+    try:
+        for spec in cells:
+            attempt = 1
+            started = time.monotonic()
+            while True:
+                if notify is not None:
+                    notify(spec, attempt)
+                outcome = _run_attempt(spec, source, fault_hook, attempt, None,
+                                       collect)
+                # (no plan arg: the ambient injector, if any, is already
+                # active in this process — serial faults hit the campaign
+                # itself, which is exactly what a serial chaos run asserts)
+                if outcome[0] != "ok" and retry.should_retry(outcome, attempt):
+                    time.sleep(retry.next_delay(attempt))
+                    attempt += 1
+                    continue
+                yield spec, outcome, attempt, time.monotonic() - started
+                break
+    finally:
+        source.close()
 
 
 class _Worker:
@@ -916,11 +970,13 @@ def run_sweep(
             ``True`` (default) uses the default root (see
             :func:`repro.traces.cache.default_cache_root`), a path uses
             that root, a :class:`TraceCache` is used as-is, and
-            ``False`` disables caching (every cell attempt re-synthesizes
-            its trace in the worker, the pre-cache behavior).  With a
-            cache, each workload's trace is materialized at most once per
-            sweep — prewarmed in the parent, then served mmap-backed to
-            every worker, cell, and retry.
+            ``False`` disables caching.  With a cache, the trace of each
+            workload that has a cell to execute is materialized at most
+            once per sweep, prewarmed in the parent.  Either way each
+            executor (the in-process loop, or each pool worker) loads or
+            synthesizes a workload's trace once and serves that one
+            :class:`~repro.traces.trace.Trace` to all of its cells and
+            retries of the workload.
         observer: :class:`~repro.obs.progress.SweepObserver` receiving
             lifecycle hooks (sweep start/end, per-attempt cell starts,
             per-cell completions) in the parent process — e.g. a
@@ -985,23 +1041,7 @@ def run_sweep(
     sweep_phases: Dict[str, List[float]] = {}
 
     cache = resolve_cache(trace_cache)
-    cache_root: Optional[str] = None
-    if cache is not None:
-        # Materialize each workload's trace exactly once, in the parent,
-        # before any cell runs: workers then mmap the shared entries
-        # instead of re-synthesizing per cell×retry.
-        total = length + resolved_warmup
-        prewarm_start = time.time()
-        t0 = time.monotonic()
-        if collect:
-            with parent_tele:  # capture the parent's own cache counters
-                for name in names:
-                    cache.prewarm(name, total, seed)
-            sweep_phases["prewarm"] = [prewarm_start, time.monotonic() - t0]
-        else:
-            for name in names:
-                cache.prewarm(name, total, seed)
-        cache_root = os.fspath(cache.root)
+    cache_root = os.fspath(cache.root) if cache is not None else None
 
     cells = [
         CellSpec(
@@ -1073,6 +1113,24 @@ def run_sweep(
             cell for cell in cells
             if cell.key not in replayed and cell.key not in quarantined
         ]
+
+        if cache is not None:
+            # Materialize the trace of each workload that still has a cell
+            # to execute exactly once, in the parent, before any cell
+            # runs: workers then mmap the shared entries instead of
+            # re-synthesizing per cell×retry.  A replayed workload is
+            # never loaded.
+            pending = list(dict.fromkeys(cell.workload for cell in to_run))
+            total = length + resolved_warmup
+            prewarm_start = time.time()
+            t0 = time.monotonic()
+            # With collection on, the parent's own cache counters land
+            # in the sweep telemetry.
+            with parent_tele if collect else nullcontext():
+                for name in pending:
+                    cache.prewarm(name, total, seed)
+            if collect:
+                sweep_phases["prewarm"] = [prewarm_start, time.monotonic() - t0]
 
         # Attempt-start fan-out: user callback, observer, JSONL log.
         notify: Optional[_Notify] = None

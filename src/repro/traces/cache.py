@@ -335,11 +335,10 @@ class TraceCache:
         return _EntryLock(self.root / f".{key}.lock")
 
     def prewarm(self, workload: str, length: int, seed: int) -> bool:
-        """Ensure an entry exists; True if it had to be built."""
-        if self.get(workload, length, seed) is not None:
-            return False
+        """Ensure an entry exists; True if this call had to build it."""
+        built = self.rebuilds
         self.get_or_build(workload, length, seed)
-        return True
+        return self.rebuilds > built
 
     # -- maintenance --------------------------------------------------------
 

@@ -14,7 +14,7 @@ objects, so mmap-backed cache entries are consumed zero-copy without a
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +55,7 @@ _COLUMN_NAMES = ("addresses", "pcs", "kinds", "gaps")
 
 
 class Trace:
-    """An immutable-ish sequence of memory accesses.
+    """An immutable sequence of memory accesses.
 
     Build one with :class:`TraceBuilder`, :meth:`Trace.from_accesses`,
     or hand the constructor four parallel integer columns.  Each column
@@ -65,9 +65,18 @@ class Trace:
     C-contiguous array of that dtype, so nothing wraps; the
     normalization is zero-copy when the column already is one, as for
     mmap-backed cache loads.
+
+    The trace keeps read-only views of its columns, so writing to a
+    column of any trace (built, loaded, sliced or concatenated) raises
+    ``ValueError``.  An array a caller passed in is not copied and stays
+    writable through the caller's own reference; do not write to it
+    once the trace holds it.  Because the columns cannot change, data
+    derived from them alone may be cached in :attr:`memo` (the batch
+    engine keeps its 3C shadow replay there, see
+    :func:`repro.sim.batch._classify`).
     """
 
-    __slots__ = ("addresses", "pcs", "kinds", "gaps", "name", "_total_gap")
+    __slots__ = ("addresses", "pcs", "kinds", "gaps", "name", "_total_gap", "memo")
 
     def __init__(
         self,
@@ -90,6 +99,9 @@ class Trace:
         )
         self.name = name
         self._total_gap = total_gap
+        #: Data derived from the columns, keyed by everything else it
+        #: depends on; lives and dies with this trace.
+        self.memo: Dict[Hashable, Any] = {}
 
     @classmethod
     def from_accesses(cls, accesses: Iterable[MemoryAccess], name: str = "trace") -> "Trace":
@@ -210,7 +222,7 @@ class Trace:
 
     def to_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The columns (addresses, pcs, kinds, gaps) themselves, not
-        copies; treat them as read-only."""
+        copies; they are read-only, so a write to one raises."""
         return self.addresses, self.pcs, self.kinds, self.gaps
 
     def footprint_blocks(self, block_size: int) -> int:
@@ -224,12 +236,14 @@ class Trace:
 
 def _as_column(values: Column, dtype, bounds: Tuple[int, int], what: str) -> np.ndarray:
     """Check one column against its inclusive *bounds*, then normalize it
-    to a C-contiguous array of *dtype* (no copy when it already is one —
-    the mmap zero-copy path).
+    to a read-only, C-contiguous array of *dtype* (no copy when it
+    already is one — the mmap zero-copy path).
 
     The check reads the source values, before the cast, so a value the
     dtype cannot hold is refused rather than wrapped; a bound the source
-    dtype already guarantees costs no pass over the column.
+    dtype already guarantees costs no pass over the column.  A writable
+    result is returned as a read-only view, which leaves the flag of a
+    caller's own array alone.
     """
     col = np.asarray(values)
     if col.size:
@@ -242,7 +256,11 @@ def _as_column(values: Column, dtype, bounds: Tuple[int, int], what: str) -> np.
             raise TraceError(f"{what} value {int(col.min())} below {low}")
         if info.max > high and int(col.max()) > high:
             raise TraceError(f"{what} value {int(col.max())} above {high}")
-    return np.ascontiguousarray(col, dtype=dtype)
+    col = np.ascontiguousarray(col, dtype=dtype)
+    if col.flags.writeable:
+        col = col.view()
+        col.flags.writeable = False
+    return col
 
 
 class TraceBuilder:

@@ -31,10 +31,17 @@ from repro.traces.trace import Trace  # noqa: E402
 LENGTH = 4_000
 
 
+@pytest.fixture(scope="module")
+def traces():
+    """Traces shared by every cell of this module, as the harness shares
+    them: batch runs after a trace's first read its memoized 3C replay."""
+    return {}
+
+
 @pytest.mark.parametrize("config_name", sorted(equivalence.CONFIGS))
 @pytest.mark.parametrize("workload", equivalence.DEFAULT_WORKLOADS)
-def test_bitwise_equivalence(workload, config_name):
-    cell = equivalence.run_cell(workload, LENGTH, config_name)
+def test_bitwise_equivalence(workload, config_name, traces):
+    cell = equivalence.run_cell(workload, LENGTH, config_name, traces)
     diffs = equivalence.cell_diffs(cell)
     assert not diffs, "\n".join(diffs)
 

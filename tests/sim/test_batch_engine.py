@@ -16,7 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.common.config import paper_machine
+from repro.common.config import paper_machine, small_test_machine
 from repro.common.errors import SimulationError
 from repro.common.types import AccessOutcome, PrefetchTimeliness
 from repro.core.decay import DecayPolicy
@@ -24,6 +24,7 @@ from repro.core.prefetch.correlation import DBCPTable
 from repro.core.prefetch.stride import StridePrefetchPolicy
 from repro.core.victim import AdmissionFilter
 from repro.figures.registry import CONFIGS as FIGURE_CONFIGS
+from repro.sim import batch as batch_module
 from repro.sim.batch import batch_fallback_reason
 from repro.sim.simulator import MemorySimulator, make_simulator
 from repro.sim.sweep import CONFIG_PRESETS
@@ -504,3 +505,93 @@ class TestBitwiseEquivalence:
                 assert b_frame.fill_time == s_frame.fill_time
                 assert b_frame.hit_count == s_frame.hit_count
                 assert b_frame.dirty == s_frame.dirty
+
+
+def classifier_state(sim):
+    """The 3C classifier's counts, shadow (contents and LRU order) and
+    seen set."""
+    classifier = sim.classifier
+    counts = classifier.counts
+    return ((counts.cold, counts.conflict, counts.capacity),
+            tuple(classifier._shadow_blocks), frozenset(classifier._seen))
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Count the shadow replays the batch engine runs."""
+    calls = []
+    real = batch_module._replay_shadow
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(batch_module, "_replay_shadow", counting)
+    return calls
+
+
+class TestShadowReplayMemo:
+    """The 3C shadow replay is memoized on the trace: a batch that
+    enters in the replay's entry state reads it, and nothing it leaves
+    behind differs from a replay's."""
+
+    def test_later_configs_read_the_first_replay(self, replays):
+        trace = build_workload("gcc", length=3000)
+        first = make_simulator()
+        first.run(trace, warmup=1000)
+        assert len(replays) == 2  # the warm-up batch and the measured one
+        assert len(trace.memo) == 2
+        for config in ({"victim_filter": "timekeeping"}, {"prefetcher": "dbcp"},
+                       {"perfect_non_cold": True}):
+            make_simulator(**config).run(trace, warmup=1000)
+        assert len(replays) == 2
+
+    def test_alternating_geometries_match_fresh_traces(self):
+        """One trace run alternately under machines with different L1
+        geometry (shadow capacity, offset bits) matches fresh traces."""
+        machines = (paper_machine(), small_test_machine(),
+                    paper_machine().with_l1d(block_size=64))
+        configs = ({}, {"victim_filter": "collins"}, {"prefetcher": "timekeeping"},
+                   {"perfect_non_cold": True})
+        shared = build_workload("gcc", length=3000)
+        for _round in range(2):
+            for machine in machines:
+                for config in configs:
+                    sims = [make_simulator(machine, collect_metrics=True, **config)
+                            for _ in range(2)]
+                    got = sims[0].run(shared, warmup=1000)
+                    want = sims[1].run(build_workload("gcc", length=3000), warmup=1000)
+                    assert sims[0].engine_used == "batch"
+                    assert digest(sims[0], got) == digest(sims[1], want)
+                    assert classifier_state(sims[0]) == classifier_state(sims[1])
+        # Two row ranges per geometry, each replayed once.
+        assert len(shared.memo) == 2 * len(machines)
+
+    #: 33 blocks through a 32-block shadow: block 1 is seen but evicted.
+    PRIMED = list(range(1, 34))
+
+    @pytest.mark.parametrize("prior", [
+        [5],
+        PRIMED[:-2] + PRIMED[:-3:-1],
+        [0] + PRIMED[1:],
+    ], ids=["other-shadow", "other-lru-order", "other-seen-set"])
+    def test_other_entry_state_replays(self, replays, prior):
+        machine = small_test_machine()
+
+        def run(order, trace):
+            sim = make_simulator(machine, collect_metrics=True)
+            for block in order:
+                sim.classifier.record_access(block)
+            result = sim.run(trace)
+            return digest(sim, result), classifier_state(sim)
+
+        trace = small_trace(n=600)
+        run(self.PRIMED, trace)
+        memoized = dict(trace.memo)
+        # The same entry state reads the memo ...
+        assert run(self.PRIMED, trace) == run(self.PRIMED, small_trace(n=600))
+        assert len(replays) == 2  # the first run and the fresh trace
+        # ... any other replays, and leaves the memo as it was.
+        assert run(prior, trace) == run(prior, small_trace(n=600))
+        assert len(replays) == 4
+        assert trace.memo == memoized

@@ -231,6 +231,53 @@ class TestArrayBackedTrace:
         assert t.total_gap_cycles == 10
 
 
+def _traces_by_origin(tmp_path):
+    """One trace from each way of making one."""
+    from repro.traces.cache import TraceCache
+    from repro.traces.workloads import build_workload
+
+    binary = tmp_path / "t.npz"
+    trace_io.save_binary(make_simple(4), binary)
+    text = tmp_path / "t.txt"
+    trace_io.save_text(make_simple(4), text)
+    return {
+        "built": make_simple(4),
+        "arrays": make_array_trace(4),
+        "synthesized": build_workload("gzip", length=200),
+        "cache": TraceCache(root=tmp_path / "cache").get_or_build("gzip", 200, 0),
+        "load_binary": trace_io.load_binary(binary),
+        "load_text": trace_io.load_text(text),
+        "sliced": make_array_trace(6).sliced(1, 4),
+        "concatenated": make_array_trace(2).concatenated(make_simple(2)),
+    }
+
+
+class TestImmutability:
+    """The constructor keeps read-only views of its columns: no trace's
+    data can change under a consumer that memoized something derived
+    from it, while an array a caller passed in stays the caller's."""
+
+    @pytest.mark.parametrize("origin", [
+        "built", "arrays", "synthesized", "cache", "load_binary", "load_text",
+        "sliced", "concatenated",
+    ])
+    def test_every_column_refuses_writes(self, tmp_path, origin):
+        t = _traces_by_origin(tmp_path)[origin]
+        for col in t.to_arrays():
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 1
+
+    def test_callers_array_stays_writable(self):
+        addresses = np.arange(3, dtype=np.int64) * 32
+        t = Trace(addresses, np.zeros(3, dtype=np.int64),
+                  np.zeros(3, dtype=np.int8), np.ones(3, dtype=np.int32))
+        assert addresses.flags.writeable
+        addresses[0] = 7  # the caller's own reference is not frozen
+        assert not t.addresses.flags.writeable
+        assert np.shares_memory(t.addresses, addresses)  # zero-copy view
+
+
 class TestTotalGapMemoization:
     def test_builder_precomputes(self):
         t = make_simple(5)

@@ -51,6 +51,7 @@ from repro.common.config import MachineConfig, paper_machine
 from repro.common.types import AccessOutcome
 from repro.core.decay import DecayPolicy
 from repro.sim.simulator import MemorySimulator, make_prefetch_policy
+from repro.traces.trace import Trace
 from repro.traces.workloads import build_workload
 
 #: Named machine configurations the harness sweeps.  Keep in sync with
@@ -300,7 +301,8 @@ def victim_invariant_violations(sim: MemorySimulator, result) -> List[str]:
     return [text for holds, text in checks if not holds]
 
 
-def run_cell(workload: str, length: int, config_name: str) -> Dict[str, Dict]:
+def run_cell(workload: str, length: int, config_name: str,
+             traces: Optional[Dict[Tuple[str, int], Trace]] = None) -> Dict[str, Dict]:
     """Run every simulator variant on one (workload, config) cell.
 
     Returns ``{label: comparable_dict}`` for the labels in :data:`RUNS`
@@ -309,10 +311,19 @@ def run_cell(workload: str, length: int, config_name: str) -> Dict[str, Dict]:
     and the run's accounting violations.  A ``warmup_frac``
     entry in the config adds that fraction of *length* as extra
     leading accesses consumed as warmup.
+
+    *traces* maps (workload, total length) to a trace already built;
+    the cell reuses it, or builds and adds its own.  Cells sharing one
+    trace object share its memoized 3C shadow replay, so every batch
+    run after the first on a trace reads a replay another config made.
     """
     config = dict(CONFIGS[config_name])
     warmup = int(length * config.pop("warmup_frac", 0.0))
-    trace = build_workload(workload, length=length + warmup)
+    traces = {} if traces is None else traces
+    key = (workload, length + warmup)
+    trace = traces.get(key)
+    if trace is None:
+        trace = traces[key] = build_workload(workload, length=length + warmup)
     out: Dict[str, Dict] = {}
     for label, which, engine in RUNS:
         cls = ReferenceSimulator if which == "reference" else MemorySimulator
@@ -358,10 +369,15 @@ def cell_diffs(cell: Dict[str, Dict]) -> List[str]:
 def iter_mismatches(
     workloads, length: int, config_names
 ) -> Iterator[Tuple[str, str, List[str]]]:
-    """Yield (workload, config, diff-lines) for every mismatching cell."""
+    """Yield (workload, config, diff-lines) for every mismatching cell.
+
+    Each distinct trace is built once and shared by every config run on
+    it (see :func:`run_cell`).
+    """
     for name in workloads:
+        traces: Dict[Tuple[str, int], Trace] = {}
         for config_name in config_names:
-            diffs = cell_diffs(run_cell(name, length, config_name))
+            diffs = cell_diffs(run_cell(name, length, config_name, traces))
             if diffs:
                 yield name, config_name, diffs
 
@@ -384,9 +400,10 @@ def main(argv=None) -> int:
     failures = 0
     cells = 0
     for name in workloads:
+        traces: Dict[Tuple[str, int], Trace] = {}
         for config_name in config_names:
             cells += 1
-            diffs = cell_diffs(run_cell(name, args.length, config_name))
+            diffs = cell_diffs(run_cell(name, args.length, config_name, traces))
             if diffs:
                 failures += 1
                 print(f"MISMATCH {name}/{config_name}:")
