@@ -23,8 +23,8 @@ def test_perf_simulator_throughput(benchmark):
 
 def test_perf_simulator_throughput_scalar(benchmark):
     """The forced-scalar loop — the fallback path every non-batchable
-    configuration (stride prefetch, decay, adaptive victim admission)
-    still runs through."""
+    configuration (decay, adaptive victim admission, a set-associative
+    L1) still runs through."""
     trace = build_workload("gcc", length=20_000)
 
     def run():

@@ -5,7 +5,6 @@ from .bus import Bus
 from .cache import SetAssociativeCache
 from .hierarchy import FetchResult, MemoryHierarchy
 from .mshr import MSHRFile
-from .replacement import FIFOPolicy, LRUPolicy, RandomPolicy, ReplacementPolicy, make_policy
 from .victim import VictimCache
 
 __all__ = [
@@ -15,10 +14,5 @@ __all__ = [
     "FetchResult",
     "MemoryHierarchy",
     "MSHRFile",
-    "FIFOPolicy",
-    "LRUPolicy",
-    "RandomPolicy",
-    "ReplacementPolicy",
-    "make_policy",
     "VictimCache",
 ]

@@ -1,10 +1,10 @@
-"""Set-associative cache mechanism.
+"""Set-associative LRU cache mechanism.
 
 :class:`SetAssociativeCache` implements pure cache *mechanism* — tag
-match, victim selection, fill — and exposes the resident :class:`Frame`
-objects so policy layers (generation tracking, victim filters,
-prefetchers) can read and annotate per-frame state without the cache
-knowing about them.
+match, LRU victim selection, fill — and exposes the resident
+:class:`Frame` objects so policy layers (generation tracking, victim
+filters, prefetchers) can read and annotate per-frame state without
+the cache knowing about them.
 
 The access protocol is split so callers can observe evictions:
 
@@ -22,15 +22,22 @@ the simulator's hot path.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional
 
 from ..common.config import CacheConfig
 from .block import Frame
-from .replacement import LRUPolicy, ReplacementPolicy
+
+#: Victim-selection key; attrgetter avoids a Python-level lambda frame
+#: per comparison on the hot path.
+_BY_STAMP = attrgetter("lru_stamp")
 
 
 class SetAssociativeCache:
-    """A set-associative cache of :class:`Frame` slots.
+    """A set-associative cache of :class:`Frame` slots with LRU replacement.
+
+    Every hit and every fill stamps its frame from a monotone clock, and
+    a full set evicts the frame with the least stamp.
 
     Addresses given to this class are *block addresses* (byte address
     right-shifted by the block offset) — use :meth:`block_address` to
@@ -38,7 +45,7 @@ class SetAssociativeCache:
     L2 path where the block size differs.
 
     Residency is tracked two ways: the per-set frame lists (the physical
-    geometry replacement policies operate on) and a block→frame tag
+    geometry victim selection operates on) and a block→frame tag
     store, so :meth:`probe` is a single dict lookup instead of a set
     scan.  Every state change must go through :meth:`fill`,
     :meth:`invalidate`, or :meth:`invalidate_frame` to keep the two
@@ -46,9 +53,8 @@ class SetAssociativeCache:
     them.
     """
 
-    def __init__(self, config: CacheConfig, policy: Optional[ReplacementPolicy] = None) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self.policy = policy if policy is not None else LRUPolicy()
         self.num_sets = config.num_sets
         self.associativity = config.associativity
         self._set_mask = self.num_sets - 1
@@ -67,8 +73,6 @@ class SetAssociativeCache:
         #: Pending lazily-installed contents (see :meth:`defer_contents`);
         #: None in normal operation.
         self._deferred = None
-        #: Policy flag hoisted out of the touch() hot path.
-        self._stamps_on_hit = self.policy.stamps_on_hit
         # Aggregate counters (mechanism-level; outcome-level stats live
         # in the simulator).
         self.hits = 0
@@ -104,15 +108,14 @@ class SetAssociativeCache:
         """Record a demand hit on *frame* at cycle *now*."""
         self.hits += 1
         frame.record_hit(now, store=store)
-        if self._stamps_on_hit:
-            self._clock += 1
-            frame.lru_stamp = self._clock
+        self._clock += 1
+        frame.lru_stamp = self._clock
 
     def choose_victim(self, block_addr: int) -> Frame:
         """Pick the frame that a fill of *block_addr* would replace.
 
-        Prefers the first invalid frame in way order; otherwise
-        delegates to the policy.  Full sets (the steady state) skip the
+        Prefers the first invalid frame in way order; otherwise the
+        least recently used one.  Full sets (the steady state) skip the
         invalid-frame scan via the per-set valid count.
         """
         if self._deferred is not None:
@@ -127,7 +130,7 @@ class SetAssociativeCache:
                     return frame
         if self.associativity == 1:
             return frames[0]
-        return self.policy.choose_victim(frames)
+        return min(frames, key=_BY_STAMP)
 
     def fill(self, frame: Frame, block_addr: int, now: int, *, store: bool = False,
              prefetched: bool = False, lru_insert: bool = False) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from ..common.config import MachineConfig
 from .bus import Bus
 from .cache import SetAssociativeCache
-from .replacement import LRUPolicy
 
 
 class FetchResult:
@@ -47,7 +46,7 @@ class MemoryHierarchy:
 
     def __init__(self, machine: MachineConfig, *, demand_shadow: int = 2) -> None:
         self.machine = machine
-        self.l2 = SetAssociativeCache(machine.l2, LRUPolicy())
+        self.l2 = SetAssociativeCache(machine.l2)
         self.l1_l2_bus = Bus(machine.l1_l2_bus, demand_shadow=demand_shadow)
         self.memory_bus = Bus(machine.memory_bus, demand_shadow=demand_shadow)
         self._l1_block = machine.l1d.block_size

@@ -27,7 +27,7 @@ import argparse
 import os
 import sys
 from contextlib import nullcontext
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .analysis.report import format_table, percent
 from .common.config import paper_machine
@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="simulate one workload in one configuration")
     _add_workload_args(run)
-    run.add_argument("--prefetcher", choices=["timekeeping", "dbcp", "stride"])
+    run.add_argument("--prefetcher", choices=["timekeeping", "dbcp"])
     run.add_argument("--victim-filter",
                      choices=["unfiltered", "collins", "timekeeping", "adaptive"])
     run.add_argument("--perfect", action="store_true",
@@ -225,8 +225,8 @@ def _add_cache_args(sub: argparse.ArgumentParser) -> None:
     _add_cache_root_arg(sub)
     sub.add_argument(
         "--no-trace-cache", action="store_true",
-        help="disable the trace cache (re-synthesize per cell, the "
-             "pre-cache behavior)")
+        help="disable the trace cache (synthesize each workload's trace "
+             "in memory, once per sweep or pool worker)")
 
 
 def _add_workload_args(sub: argparse.ArgumentParser) -> None:
@@ -473,40 +473,6 @@ def _format_seconds(seconds) -> str:
     return f"{seconds:.3f}s" if seconds is not None else "-"
 
 
-def _print_fidelity_summary(manifest, ok_cells, out) -> None:
-    """Per-fidelity cell counts and worst-case error bars for a store.
-
-    Silent for plain exact stores (nothing to report); a store written
-    by an earlier build's cheap tier shows how many cells each tier
-    produced and the widest 95% confidence interval per sampled metric,
-    so its extrapolated numbers are never mistaken for exact ones.
-    """
-    counts: Dict[str, int] = {}
-    worst: Dict[str, Dict[str, object]] = {}
-    for (workload, config), rec in sorted(ok_cells.items()):
-        result = rec.get("result") or {}
-        tier = result.get("fidelity", "exact")
-        counts[tier] = counts.get(tier, 0) + 1
-        for metric, stats in (result.get("error_bars") or {}).items():
-            if not isinstance(stats, dict) or "ci95" not in stats:
-                continue
-            if metric not in worst or stats["ci95"] > worst[metric]["ci95"]:
-                worst[metric] = {"ci95": stats["ci95"],
-                                 "cell": f"{workload}:{config}"}
-    if not counts or counts == {"exact": len(ok_cells)}:
-        return
-    breakdown = ", ".join(f"{n} {tier}" for tier, n in sorted(counts.items()))
-    line = f"fidelity: {breakdown}"
-    if manifest.get("fidelity") and manifest.get("sampling"):
-        plan = manifest["sampling"]
-        line += (f" ({plan.get('windows')} windows x "
-                 f"{plan.get('window_length')} accesses)")
-    print(line, file=out)
-    for metric, info in sorted(worst.items()):
-        print(f"  worst {metric} 95% CI: ±{info['ci95']:.5f} ({info['cell']})",
-              file=out)
-
-
 #: Manifest keys naming the build and host that wrote a store's run.
 _PROVENANCE_KEYS = ("git_rev", "host", "python")
 
@@ -580,7 +546,6 @@ def _cmd_report(args, out) -> int:
         print(f"{len(cells)} cells: {len(ok)} ok, {len(failed)} failed, "
               f"{retried} retried", file=out)
         _print_provenance(manifest, out)
-        _print_fidelity_summary(manifest, ok, out)
         _print_quarantine_summary(load, store, out)
         return 0
 

@@ -1,7 +1,7 @@
 """Deterministic random-number helpers.
 
-Every stochastic component in the package (trace kernels, random
-replacement) draws from a seeded ``random.Random`` created through
+Every stochastic component in the package (the trace kernels) draws
+from a seeded ``random.Random`` created through
 :func:`make_rng`, so full simulations are reproducible run-to-run.
 Seeds are derived by hashing a label with the parent seed, which keeps
 independent components decorrelated while remaining deterministic.

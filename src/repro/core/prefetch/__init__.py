@@ -4,7 +4,6 @@ from .correlation import CorrelationTable, DBCPTable
 from .dbcp import DBCPPrefetchPolicy
 from .policy import PrefetchPolicy, ScheduledPrefetch
 from .queue import PrefetchQueue
-from .stride import StridePrefetchPolicy
 from .timekeeping import TimekeepingPrefetchPolicy
 from .timeliness import PendingPrefetch, PrefetchBookkeeper, TimelinessCounts
 
@@ -15,7 +14,6 @@ __all__ = [
     "PrefetchPolicy",
     "ScheduledPrefetch",
     "PrefetchQueue",
-    "StridePrefetchPolicy",
     "TimekeepingPrefetchPolicy",
     "PendingPrefetch",
     "PrefetchBookkeeper",

@@ -48,9 +48,6 @@ class PrefetchPolicy(abc.ABC):
     """Prediction logic behind the shared prefetch engine."""
 
     name = "base"
-    #: True for access-granularity policies (stride) that must see every
-    #: demand access, not just frame events.
-    wants_all_accesses = False
     #: Optional hit-trigger method (see the module docstring); None
     #: keeps the policy on the scalar loop.
     next_hit_trigger = None
@@ -67,10 +64,6 @@ class PrefetchPolicy(abc.ABC):
     def on_prefetch_fill(self, frame: Frame, frame_key: int, block_addr: int,
                          now: int) -> Optional[ScheduledPrefetch]:
         """Prefetched *block_addr* about to replace *frame*'s resident."""
-        return None
-
-    def on_access(self, address: int, pc: int, now: int) -> Optional[ScheduledPrefetch]:
-        """Every demand access (only if :attr:`wants_all_accesses`)."""
         return None
 
     def state_bytes(self) -> int:

@@ -93,7 +93,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..cache.block import Frame
-from ..cache.replacement import LRUPolicy
 from ..common.types import AccessOutcome, AccessType, MissClass
 from ..core.generations import GenerationRecord
 from ..core.tick import VICTIM_FILTER_COUNTER_BITS
@@ -121,15 +120,15 @@ _ARRIVE = 1
 def batch_fallback_reason(sim) -> Optional[str]:
     """Why *sim* cannot run through the batch engine, or None.
 
-    The batch engine covers the paper's baseline machine shape, its
-    three victim-cache configurations (unfiltered, Collins and
-    timekeeping admission, threshold variants included) and its two
-    prefetchers (any policy that defines ``next_hit_trigger`` and
-    does not watch every access).  Features that make an access's
-    behavior depend on frame metadata (decay), on per-eviction filter
-    state (adaptive admission, custom filters) or on every access
-    (stride prefetch), and prefetch combined with a victim cache or
-    perfect mode, fall back to the scalar loop.  Pending events at
+    The batch engine covers the paper's baseline machine shape (a
+    direct-mapped L1 over an LRU L2), its three victim-cache
+    configurations (unfiltered, Collins and timekeeping admission,
+    threshold variants included) and its two prefetchers (any policy
+    that defines ``next_hit_trigger``).  Features that make an
+    access's behavior depend on frame metadata (decay, an associative
+    L1) or on per-eviction filter state (adaptive admission, custom
+    filters), and prefetch combined with a victim cache or perfect
+    mode, fall back to the scalar loop.  Pending events at
     entry are only accepted from a prefetch engine (the warm-up
     boundary leaves them).  Every reason is about the simulated model:
     neither the trace nor anything an observer arms (telemetry,
@@ -141,8 +140,6 @@ def batch_fallback_reason(sim) -> Optional[str]:
         return "simulator subclass is not batch-capable"
     policy = sim.policy
     if policy is not None:
-        if policy.wants_all_accesses:
-            return "prefetch policy sees every access"
         if policy.next_hit_trigger is None:
             return "prefetch policy has no next_hit_trigger"
         if sim.victim_cache is not None:
@@ -161,13 +158,6 @@ def batch_fallback_reason(sim) -> Optional[str]:
         return "decay policy configured"
     if sim._assoc != 1:
         return "L1 is not direct-mapped"
-    if not sim.l1._stamps_on_hit:
-        return "L1 replacement does not stamp on hit"
-    l2 = sim.hierarchy.l2
-    if type(l2.policy) is not LRUPolicy:
-        return "L2 replacement is not LRU"
-    if not l2._stamps_on_hit:
-        return "L2 replacement does not stamp on hit"
     if policy is None and sim.events._heap:
         return "pending timing events"
     return None
@@ -541,8 +531,6 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     timing = sim.timing
     metrics = sim.metrics
     tracker = sim.generations
-    classifier = sim.classifier
-    classifying = classifier is not None
     perfect = sim.perfect_non_cold
 
     offset_bits = sim._offset_bits
@@ -647,16 +635,13 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     perm[rank_of[m_orig]] = np.arange(nm, dtype=np.int64)
 
     # ---- classification (PASS A) ------------------------------------------
-    cls = None
+    cls = _classify(sim, trace, start, stop, blocks, miss_pos)
     charged_list: List[bool] = []
     n_charged = 0
-    if classifying:
-        cls = _classify(sim, trace, start, stop, blocks, miss_pos)
-        n_cold = int((cls == _COLD).sum())
-        if perfect:
-            charged_arr = cls != _COLD
-            n_charged = nm - n_cold
-            charged_list = charged_arr.tolist()
+    if perfect:
+        charged_arr = cls != _COLD
+        n_charged = int(charged_arr.sum())
+        charged_list = charged_arr.tolist()
 
     # ---- PASS BC: bus/stall recurrence over misses ------------------------
     # Sequential by necessity: each miss's L2/memory latency depends on
@@ -1033,7 +1018,6 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         corr_reload: List[int] = []
         corr_dead: List[int] = []
         corr_live: List[int] = []
-        do_corr = metrics is not None and classifying
         prev_live_list: List[Optional[int]]
         if n_evictions:
             prev_live_list, so, sb = _previous_live(
@@ -1041,7 +1025,7 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
             )
         else:
             prev_live_list = []
-        if do_corr:
+        if metrics is not None:
             noncold = np.flatnonzero(cls != _COLD)
             if noncold.size:
                 q_block = blocks[miss_pos][noncold]
@@ -1307,7 +1291,6 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     timing = sim.timing
     metrics = sim.metrics
     tracker = sim.generations
-    classifier = sim.classifier
     policy = sim.policy
     bookkeeper = sim.bookkeeper
     mshrs = sim.prefetch_mshrs
@@ -1412,7 +1395,7 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     l1_tags = l1._tags
     l1_valid_counts = l1._valid_counts
     l1_sets = l1._sets
-    track_corr = metrics is not None and classifier is not None
+    track_corr = metrics is not None
     hist_get = tracker._last_gen.get
     closed_here: Dict[int, tuple] = {}  # correlations only
     closed: List[tuple] = []
@@ -1835,10 +1818,8 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     seg_of = np.cumsum(gen_head) - 1
 
     # ---- classification and correlations ----------------------------------
-    cls = None
-    if classifier is not None:
-        cls = _classify(sim, trace, start, stop, blocks, miss_pos, blocks_l)
-    if corr and cls is not None:
+    cls = _classify(sim, trace, start, stop, blocks, miss_pos, blocks_l)
+    if corr:
         c_rank, c_reload, c_dead, c_live = map(list, zip(*corr))
         c_cls = cls[np.array(c_rank, dtype=np.int64)]
         keep = np.flatnonzero(c_cls != _COLD).tolist()

@@ -90,13 +90,6 @@ class SimulationResult:
     memory_accesses: int = 0
     decay: Optional[DecayStats] = None
     writebacks: int = 0
-    #: Which tier produced this result.  Every run of this build is
-    #: "exact" and neither sets nor serializes the field; earlier builds
-    #: also wrote "sampled" (and "analytical") results, which still load.
-    fidelity: str = "exact"
-    #: Per-metric confidence intervals a stored sampled result carries;
-    #: None for exact results.
-    error_bars: Optional[Dict[str, Any]] = None
 
     @property
     def ipc(self) -> float:
@@ -186,13 +179,6 @@ class SimulationResult:
             "prefetch": None if self.prefetch is None else _prefetch_to_dict(self.prefetch),
             "decay": None if self.decay is None else asdict(self.decay),
         }
-        # Emitted only for results of the retired cheap tiers: exact
-        # results serialize byte-identically to pre-fidelity builds (the
-        # paper pipeline's warm-resume report comparison depends on it).
-        if self.fidelity != "exact":
-            out["fidelity"] = self.fidelity
-        if self.error_bars is not None:
-            out["error_bars"] = self.error_bars
         if include_metrics and self.metrics is not None:
             out["metrics"] = self.metrics.to_dict()
         return out
@@ -201,8 +187,10 @@ class SimulationResult:
     def from_dict(cls, data: Mapping[str, Any]) -> "SimulationResult":
         """Rebuild a result serialized by :meth:`to_dict`.
 
-        Raises :class:`SimulationError` for missing fields or an
-        unsupported schema version.  ``metrics`` round-trips only when
+        Raises :class:`SimulationError` for missing fields, an
+        unsupported schema version, or a result an earlier build's
+        sampled or analytical tier extrapolated (a ``fidelity`` other
+        than ``"exact"``).  ``metrics`` round-trips only when
         the result was serialized with ``include_metrics=True``;
         otherwise it is ``None`` on the way back (see :meth:`to_dict`).
         """
@@ -212,6 +200,12 @@ class SimulationResult:
                 raise SimulationError(
                     f"unsupported result schema version {version!r} "
                     f"(this build reads version {RESULT_SCHEMA_VERSION})"
+                )
+            fidelity = data.get("fidelity", "exact")
+            if fidelity != "exact":
+                raise SimulationError(
+                    f"result was extrapolated at fidelity {fidelity!r}; "
+                    f"this build reads only exact results"
                 )
             timing = data["timing"]
             return cls(
@@ -241,8 +235,6 @@ class SimulationResult:
                 memory_accesses=data.get("memory_accesses", 0),
                 decay=_optional(DecayStats, data.get("decay")),
                 writebacks=data.get("writebacks", 0),
-                fidelity=data.get("fidelity", "exact"),
-                error_bars=data.get("error_bars"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(f"malformed serialized result: {exc!r}") from exc

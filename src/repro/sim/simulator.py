@@ -85,7 +85,6 @@ class MemorySimulator:
         victim_entries: int = 32,
         prefetch_policy: Optional[PrefetchPolicy] = None,
         collect_metrics: bool = False,
-        classify: bool = True,
         perfect_non_cold: bool = False,
         decay: Optional[DecayPolicy] = None,
     ) -> None:
@@ -95,9 +94,7 @@ class MemorySimulator:
         self.l1 = SetAssociativeCache(self.machine.l1d)
         self.hierarchy = MemoryHierarchy(self.machine)
         self.timing = TimingModel(self.machine.processor, ipa)
-        self.classifier = ThreeCClassifier(self.machine.l1d.num_blocks) if classify else None
-        if perfect_non_cold and not classify:
-            raise SimulationError("perfect_non_cold requires classification")
+        self.classifier = ThreeCClassifier(self.machine.l1d.num_blocks)
         self.perfect_non_cold = perfect_non_cold
         self.collect_metrics = collect_metrics
         self.metrics = TimekeepingMetrics() if collect_metrics else None
@@ -292,8 +289,7 @@ class MemorySimulator:
         self.prefetch_queue.reset_stats()
         self.prefetch_mshrs.reset_stats()
         self.bookkeeper.reset_stats()
-        if self.classifier is not None:
-            self.classifier.reset_stats()
+        self.classifier.reset_stats()
         if self.victim_cache is not None:
             self.victim_cache.reset_stats()
         table = getattr(self.policy, "table", None)
@@ -408,7 +404,6 @@ class MemorySimulator:
         store_kind = int(AccessType.STORE)
         cold = MissClass.COLD
         perfect_non_cold = self.perfect_non_cold
-        wants_all = policy is not None and policy.wants_all_accesses
 
         for address, pc, kind, gap in rows:
             timing.add_access(gap)
@@ -428,11 +423,6 @@ class MemorySimulator:
             self._accesses += 1
             block = address >> offset_bits
             store = kind == store_kind
-
-            if wants_all:
-                schedule = policy.on_access(address, pc, now)
-                if schedule is not None:
-                    self._arm(schedule)
 
             frame = l1.probe(block)
             if (
@@ -462,8 +452,7 @@ class MemorySimulator:
                 if metrics is not None:
                     metrics.on_access_interval(interval)
                 l1.touch(frame, now, store=store)
-                if classifier is not None:
-                    classifier.record_access(block)
+                classifier.record_access(block)
                 outcomes[AccessOutcome.L1_HIT] += 1
                 if first_use:
                     self._prefetch_useful += 1
@@ -475,11 +464,9 @@ class MemorySimulator:
                 continue
 
             # ---- miss path ----
-            miss_class = None
-            if classifier is not None:
-                miss_class = classifier.classify_miss(block)
-                classifier.record_access(block)
-            if metrics is not None and miss_class is not None and miss_class != cold:
+            miss_class = classifier.classify_miss(block)
+            classifier.record_access(block)
+            if metrics is not None and miss_class != cold:
                 last = generations.last_generation(block)
                 if last is not None:
                     metrics.on_miss_correlation(
@@ -580,7 +567,7 @@ class MemorySimulator:
             l1_misses=l1_misses,
             outcomes=dict(self._outcomes),
             timing=self.timing.result(),
-            miss_counts=self.classifier.counts if self.classifier else None,
+            miss_counts=self.classifier.counts,
             victim=victim_stats,
             prefetch=prefetch_stats,
             metrics=self.metrics,
@@ -601,7 +588,6 @@ def simulate(
     victim_entries: int = 32,
     prefetcher: Optional[str] = None,
     collect_metrics: bool = False,
-    classify: bool = True,
     perfect_non_cold: bool = False,
     prefetch_policy: Optional[PrefetchPolicy] = None,
     warmup: int = 0,
@@ -609,11 +595,11 @@ def simulate(
 ) -> SimulationResult:
     """Convenience one-call simulation.
 
-    *prefetcher* may name a built-in policy ('timekeeping', 'dbcp',
-    'stride'); pass *prefetch_policy* instead for a custom or
-    specially-configured policy object.  *warmup* leading accesses are
-    simulated for state only (statistics reset afterwards), mirroring
-    the paper's skipping of the first billion instructions.  The
+    *prefetcher* may name a built-in policy ('timekeeping', 'dbcp');
+    pass *prefetch_policy* instead for a custom or specially-configured
+    policy object.  *warmup* leading accesses are simulated for state
+    only (statistics reset afterwards), mirroring the paper's skipping
+    of the first billion instructions.  The
     simulated model picks the dispatch engine (see
     :func:`~repro.sim.batch.batch_fallback_reason`).
     """
@@ -625,7 +611,6 @@ def simulate(
         prefetcher=prefetcher,
         prefetch_policy=prefetch_policy,
         collect_metrics=collect_metrics,
-        classify=classify,
         perfect_non_cold=perfect_non_cold,
         decay_interval=decay_interval,
     )
@@ -641,7 +626,6 @@ def make_simulator(
     prefetcher: Optional[str] = None,
     prefetch_policy: Optional[PrefetchPolicy] = None,
     collect_metrics: bool = False,
-    classify: bool = True,
     perfect_non_cold: bool = False,
     decay_interval: Optional[int] = None,
 ) -> MemorySimulator:
@@ -658,7 +642,6 @@ def make_simulator(
         victim_entries=victim_entries,
         prefetch_policy=prefetch_policy,
         collect_metrics=collect_metrics,
-        classify=classify,
         perfect_non_cold=perfect_non_cold,
         decay=DecayPolicy(decay_interval) if decay_interval is not None else None,
     )
@@ -667,7 +650,6 @@ def make_simulator(
 def make_prefetch_policy(name: str, machine: MachineConfig) -> PrefetchPolicy:
     """Instantiate a built-in prefetch policy by name."""
     from ..core.prefetch.dbcp import DBCPPrefetchPolicy
-    from ..core.prefetch.stride import StridePrefetchPolicy
     from ..core.prefetch.timekeeping import TimekeepingPrefetchPolicy
 
     lowered = name.lower()
@@ -675,6 +657,4 @@ def make_prefetch_policy(name: str, machine: MachineConfig) -> PrefetchPolicy:
         return TimekeepingPrefetchPolicy(machine.l1d, tick_cycles=machine.tick_cycles)
     if lowered == "dbcp":
         return DBCPPrefetchPolicy(machine.l1d)
-    if lowered == "stride":
-        return StridePrefetchPolicy(machine.l1d)
     raise SimulationError(f"unknown prefetcher {name!r}")

@@ -137,9 +137,12 @@ class RunStore(JsonlJournal):
     def load_report(self) -> LoadReport:
         """Scan the store and classify every line; never raises on corruption.
 
-        Raises :class:`StoreError` only for an unreadable file or an
-        unsupported format version (reading an unknown format is
-        unsafe, not recoverable).
+        Raises :class:`StoreError` only for an unreadable file, an
+        unsupported format version, or a manifest whose ``fidelity``
+        is not ``"exact"`` (an earlier build's sampled or analytical
+        tier wrote it; its extrapolated cells must neither be reported
+        nor resumed next to exact ones).  Reading an unknown format is
+        unsafe, not recoverable.
         """
         report = LoadReport(path=self.path)
         if not os.path.exists(self.path):
@@ -174,6 +177,13 @@ class RunStore(JsonlJournal):
                     raise StoreError(
                         f"{self.path}:{lineno + 1}: unsupported store version "
                         f"{version!r} (this build reads {STORE_VERSION})"
+                    )
+                fidelity = record.get("fidelity", "exact")
+                if fidelity != "exact":
+                    raise StoreError(
+                        f"{self.path}:{lineno + 1}: store was written at "
+                        f"fidelity {fidelity!r}; this build reads only exact "
+                        f"stores"
                     )
                 report.manifest = record
                 report.manifests += 1
@@ -211,8 +221,8 @@ class RunStore(JsonlJournal):
         Corruption never strands the campaign: torn or garbage lines
         are skipped (see :meth:`load_report` for which, and
         :meth:`repair` to quarantine them to the sidecar); every intact
-        record is returned.  Raises :class:`StoreError` only for an
-        unreadable file or an unsupported format version.
+        record is returned.  Raises :class:`StoreError` only where
+        :meth:`load_report` does.
         """
         report = self.load_report()
         return report.manifest, report.cells
@@ -424,15 +434,6 @@ def _check_compatible(
                 f"{field_name} was {prior.get(field_name)!r}, resuming run has "
                 f"{manifest.get(field_name)!r}"
             )
-    # Only stores written by earlier builds' sampled tier carry a
-    # fidelity key; absence means exact, and every sweep now is exact.
-    if prior.get("fidelity", "exact") != manifest.get("fidelity", "exact"):
-        raise StoreError(
-            f"store {path} was written at fidelity "
-            f"{prior.get('fidelity', 'exact')!r}; resuming run wants "
-            f"{manifest.get('fidelity', 'exact')!r} — mixing tiers in one "
-            f"store would silently blend extrapolated and exact results"
-        )
     prior_configs = prior.get("configs", {})
     new_configs = manifest.get("configs", {})
     for name in sorted(set(prior_configs) & set(new_configs)):

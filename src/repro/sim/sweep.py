@@ -34,7 +34,6 @@ CONFIG_PRESETS: Dict[str, Dict[str, object]] = {
     "victim_adaptive": {"victim_filter": "adaptive"},
     "pf_tk": {"prefetcher": "timekeeping"},
     "pf_dbcp": {"prefetcher": "dbcp"},
-    "pf_stride": {"prefetcher": "stride"},
 }
 
 
@@ -116,7 +115,9 @@ def run_suite(
     ``trace_cache`` (default on) shares one content-addressed, on-disk
     materialization of each workload trace across configurations,
     worker processes, retries, and repeated sweeps; pass ``False`` to
-    re-synthesize every cell's trace.
+    synthesize each workload's trace in memory instead, once per
+    process (the serial loop, or each pool worker) for all of that
+    workload's configurations and retries.
 
     Every cell still runs when some cells fail, and the failures are
     then raised as one :class:`SimulationError` (after checkpointing).

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cache.cache import SetAssociativeCache
-from repro.cache.replacement import FIFOPolicy, LRUPolicy
 from repro.common.config import CacheConfig
 from repro.common.types import KB
 
@@ -93,16 +92,8 @@ class TestAccessProtocol:
 
 
 class TestPolicies:
-    def test_fifo_ignores_hits(self):
-        c = SetAssociativeCache(CacheConfig(2 * 32, 2, 32), FIFOPolicy())
-        c.access(0, 1)
-        c.access(1, 2)
-        c.access(0, 3)       # hit; FIFO unaffected
-        v = c.choose_victim(2)
-        assert v.block_addr == 0  # oldest fill
-
     def test_lru_respects_hits(self):
-        c = SetAssociativeCache(CacheConfig(2 * 32, 2, 32), LRUPolicy())
+        c = SetAssociativeCache(CacheConfig(2 * 32, 2, 32))
         c.access(0, 1)
         c.access(1, 2)
         c.access(0, 3)

@@ -1,67 +1,23 @@
-"""Tests for replacement policies."""
+"""Tests for the cache's LRU replacement.
 
-import pytest
+That a hit refreshes recency is pinned by
+``tests/cache/test_cache.py::TestPolicies::test_lru_respects_hits``.
+"""
 
-from repro.cache.block import Frame
-from repro.cache.replacement import (
-    FIFOPolicy,
-    LRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
-from repro.common.errors import ConfigError
+from repro.cache.cache import SetAssociativeCache
+from repro.common.config import CacheConfig
 
 
-def frames_with_stamps(stamps):
-    frames = []
-    for i, stamp in enumerate(stamps):
-        f = Frame(0, i)
-        f.valid = True
-        f.lru_stamp = stamp
-        frames.append(f)
-    return frames
+def full_set_with_stamps(stamps):
+    """A one-set cache whose ways hold blocks 0.. with the given LRU stamps."""
+    cache = SetAssociativeCache(CacheConfig(len(stamps) * 32, len(stamps), 32))
+    for block, stamp in enumerate(stamps):
+        cache.access(block, block)
+        cache.probe(block).lru_stamp = stamp
+    return cache
 
 
 class TestLRU:
     def test_picks_smallest_stamp(self):
-        frames = frames_with_stamps([5, 2, 9])
-        assert LRUPolicy().choose_victim(frames).way == 1
-
-    def test_stamps_on_hit(self):
-        assert LRUPolicy().stamps_on_hit is True
-
-
-class TestFIFO:
-    def test_picks_smallest_stamp(self):
-        frames = frames_with_stamps([3, 1, 2])
-        assert FIFOPolicy().choose_victim(frames).way == 1
-
-    def test_no_stamp_on_hit(self):
-        assert FIFOPolicy().stamps_on_hit is False
-
-
-class TestRandom:
-    def test_deterministic_under_seed(self):
-        frames = frames_with_stamps([1, 2, 3, 4])
-        a = [RandomPolicy(seed=1).choose_victim(frames).way for _ in range(5)]
-        b = [RandomPolicy(seed=1).choose_victim(frames).way for _ in range(5)]
-        assert a == b
-
-    def test_covers_all_ways_eventually(self):
-        frames = frames_with_stamps([1, 2, 3, 4])
-        policy = RandomPolicy(seed=2)
-        picked = {policy.choose_victim(frames).way for _ in range(100)}
-        assert picked == {0, 1, 2, 3}
-
-
-class TestFactory:
-    @pytest.mark.parametrize("name,cls", [
-        ("lru", LRUPolicy), ("LRU", LRUPolicy),
-        ("fifo", FIFOPolicy), ("random", RandomPolicy),
-    ])
-    def test_known_names(self, name, cls):
-        assert isinstance(make_policy(name), cls)
-
-    def test_unknown_name(self):
-        with pytest.raises(ConfigError):
-            make_policy("plru")
+        cache = full_set_with_stamps([5, 2, 9])
+        assert cache.choose_victim(3).way == 1

@@ -1,4 +1,4 @@
-"""Tests for the prefetch policies (timekeeping, DBCP, stride)."""
+"""Tests for the prefetch policies (timekeeping, DBCP)."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.cache.block import Frame
 from repro.common.config import CacheConfig
 from repro.common.types import KB
 from repro.core.prefetch.dbcp import DBCPPrefetchPolicy
-from repro.core.prefetch.stride import StridePrefetchPolicy
 from repro.core.prefetch.timekeeping import TimekeepingPrefetchPolicy
 from repro.sim.simulator import make_simulator
 from repro.traces.workloads import build_workload
@@ -159,57 +158,6 @@ class TestDBCPPolicy:
 
     def test_state_bytes_is_2mb(self):
         assert DBCPPrefetchPolicy(L1).state_bytes() == 2 * 1024 * 1024
-
-
-class TestStridePolicy:
-    def test_detects_stride_after_confirmations(self):
-        policy = StridePrefetchPolicy(L1, confidence_threshold=2)
-        pc = 0x100
-        assert policy.on_access(0, pc, 0) is None
-        assert policy.on_access(64, pc, 1) is None     # stride learned
-        assert policy.on_access(128, pc, 2) is None    # confidence 1
-        sched = policy.on_access(192, pc, 3)           # confidence 2 -> fire
-        assert sched is not None
-        assert sched.target_block == (192 + 64) >> 5
-
-    def test_stride_change_resets_confidence(self):
-        policy = StridePrefetchPolicy(L1, confidence_threshold=1)
-        pc = 0x100
-        policy.on_access(0, pc, 0)
-        policy.on_access(64, pc, 1)
-        assert policy.on_access(128, pc, 2) is not None
-        assert policy.on_access(1000, pc, 3) is None  # stride broken
-
-    def test_zero_stride_never_fires(self):
-        policy = StridePrefetchPolicy(L1, confidence_threshold=1)
-        pc = 0x100
-        for t in range(5):
-            assert policy.on_access(64, pc, t) is None
-
-    def test_same_block_target_suppressed(self):
-        policy = StridePrefetchPolicy(L1, confidence_threshold=1)
-        pc = 0x100
-        policy.on_access(0, pc, 0)
-        policy.on_access(8, pc, 1)
-        # stride 8 stays within the 32B block -> no prefetch
-        assert policy.on_access(16, pc, 2) is None
-
-    def test_table_capacity_lru(self):
-        policy = StridePrefetchPolicy(L1, table_entries=2, confidence_threshold=1)
-        policy.on_access(0, 0x1, 0)
-        policy.on_access(0, 0x2, 1)
-        policy.on_access(0, 0x3, 2)   # evicts pc 0x1
-        policy.on_access(64, 0x1, 3)  # re-inserted fresh: no stride yet
-        assert policy.on_access(128, 0x1, 4) is None
-
-    def test_on_miss_is_noop(self):
-        policy = StridePrefetchPolicy(L1)
-        assert policy.on_miss(Frame(0, 0), 0, 5, 0, 0) is None
-
-    def test_wants_all_accesses_flag(self):
-        assert StridePrefetchPolicy(L1).wants_all_accesses
-        assert not TimekeepingPrefetchPolicy(L1).wants_all_accesses
-
 
 
 class _Untouchable:

@@ -8,7 +8,7 @@ reference caches — and this suite asserts that all three produce
 bitwise-identical ``SimulationResult.to_dict()`` output (plus a
 metrics digest) for every workload in the suite: under the default,
 victim-cache (the paper's three admission filters and the adaptive
-one), prefetch (timekeeping, DBCP and stride), decay, 2-way L1,
+one), prefetch (timekeeping and DBCP), decay, 2-way L1,
 warmup, and perfect-mode configurations, and on seeded random traces
 with stores.  Every run must also keep the accounting identities.
 """

@@ -21,7 +21,7 @@ from repro.common.errors import SimulationError
 from repro.common.types import AccessOutcome, PrefetchTimeliness
 from repro.core.decay import DecayPolicy
 from repro.core.prefetch.correlation import DBCPTable
-from repro.core.prefetch.stride import StridePrefetchPolicy
+from repro.core.prefetch.policy import PrefetchPolicy
 from repro.core.victim import AdmissionFilter
 from repro.figures.registry import CONFIGS as FIGURE_CONFIGS
 from repro.sim import batch as batch_module
@@ -33,6 +33,13 @@ from repro.traces.workloads import build_workload
 
 #: The admission filters of the paper's three victim-cache configs.
 PAPER_FILTERS = ("unfiltered", "collins", "timekeeping")
+
+
+class NeverPredicts(PrefetchPolicy):
+    """A prefetch policy without ``next_hit_trigger`` that never predicts."""
+
+    def on_miss(self, frame, frame_key, new_block_addr, pc, now):
+        return None
 
 
 def small_trace(n=400, seed=7):
@@ -218,9 +225,8 @@ class TestFallbackReasons:
     recorded on the simulator so a silent fallback stays observable."""
 
     def test_prefetch_policy(self):
-        policy = StridePrefetchPolicy(paper_machine().l1d, degree=1)
-        sim = MemorySimulator(prefetch_policy=policy)
-        assert "prefetch policy" in batch_fallback_reason(sim)
+        sim = MemorySimulator(prefetch_policy=NeverPredicts())
+        assert "has no next_hit_trigger" in batch_fallback_reason(sim)
 
     def test_victim_cache(self):
         """The paper's three admission filters run batched; victim
@@ -246,10 +252,6 @@ class TestFallbackReasons:
         """The paper's two prefetchers run batched on the paper machine;
         a policy without a hit trigger, and prefetch combined with a
         victim cache or perfect mode, fall back with their own reason."""
-        class NoTrigger(StridePrefetchPolicy):
-            wants_all_accesses = False
-
-        machine = paper_machine()
         for name in ("timekeeping", "dbcp"):
             sim = make_simulator(prefetcher=name)
             assert batch_fallback_reason(sim) is None, name
@@ -262,7 +264,7 @@ class TestFallbackReasons:
             assert "decay" in batch_fallback_reason(
                 make_simulator(prefetcher=name, decay_interval=8192)
             )
-        custom = MemorySimulator(prefetch_policy=NoTrigger(machine.l1d))
+        custom = MemorySimulator(prefetch_policy=NeverPredicts())
         assert "next_hit_trigger" in batch_fallback_reason(custom)
 
     def test_decay(self):
@@ -343,15 +345,11 @@ class TestPaperConfigsSelectBatch:
         sim = make_simulator(**dict(items))
         result = sim.run(build_workload("vortex", length=2_000), warmup=500)
         assert result.prefetch.scheduled > 0
-        if name == "pf_stride":
-            assert sim.engine_used == "scalar"
-            assert "prefetch policy" in sim.batch_fallback
-        else:
-            assert sim.engine_used == "batch", sim.batch_fallback
+        assert sim.engine_used == "batch", sim.batch_fallback
 
     def test_paper_prefetch_configs_are_covered(self):
         names = {name for name, _ in self.PREFETCH_CONFIGS}
-        assert {"pf_tk", "pf_dbcp", "pf_stride"} <= names
+        assert {"pf_tk", "pf_dbcp"} <= names
 
 
 class TestBitwiseEquivalence:
@@ -470,12 +468,6 @@ class TestBitwiseEquivalence:
             ),
             small_trace(),
             warmup=warmup,
-        )
-        assert d_scalar == d_batch
-
-    def test_batch_matches_scalar_without_classifier(self):
-        d_scalar, d_batch = run_both(
-            lambda: MemorySimulator(classify=False), small_trace()
         )
         assert d_scalar == d_batch
 

@@ -11,10 +11,17 @@ making the elif a pure de-duplication: every access gives queued
 prefetches exactly one issue opportunity, drain turn or not.
 """
 
-from repro.common.config import paper_machine
-from repro.core.prefetch.stride import StridePrefetchPolicy
+from repro.core.prefetch.policy import PrefetchPolicy
 from repro.sim.simulator import _FIRE, MemorySimulator
 from repro.traces.trace import TraceBuilder
+
+
+class NeverPredicts(PrefetchPolicy):
+    """Arms the prefetch engine without predicting anything itself, so
+    only the hand-queued prefetch below can issue."""
+
+    def on_miss(self, frame, frame_key, new_block_addr, pc, now):
+        return None
 
 
 def _one_access_trace(gap=10):
@@ -24,8 +31,7 @@ def _one_access_trace(gap=10):
 
 
 def test_drain_turn_issues_prefetches():
-    policy = StridePrefetchPolicy(paper_machine().l1d, degree=1)
-    sim = MemorySimulator(prefetch_policy=policy)
+    sim = MemorySimulator(prefetch_policy=NeverPredicts())
 
     # A fired prediction parked in the queue, ready to issue.
     pending = sim.bookkeeper.scheduled(0, 0x40, 0, 0)
@@ -48,8 +54,7 @@ def test_drain_turn_issues_prefetches():
 
 def test_non_drain_turn_issues_prefetches():
     """The elif branch: no due events, queued prefetch still issues."""
-    policy = StridePrefetchPolicy(paper_machine().l1d, degree=1)
-    sim = MemorySimulator(prefetch_policy=policy)
+    sim = MemorySimulator(prefetch_policy=NeverPredicts())
     pending = sim.bookkeeper.scheduled(0, 0x40, 0, 0)
     sim.bookkeeper.fired(0)
     sim.prefetch_queue.push(pending)

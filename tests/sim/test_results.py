@@ -149,11 +149,18 @@ class TestSerialization:
         # report regeneration from a checkpoint store.
         assert back.to_dict(include_metrics=True) == r.to_dict(include_metrics=True)
 
-    def test_retired_fidelity_tier_still_loads(self):
-        # Stores written by a tier that no longer runs ("analytical")
-        # must keep loading, e.g. for `repro report`.
-        r = result(fidelity="analytical")
-        assert self.roundtrip(r) == r
+    def test_retired_fidelity_tier_refused(self):
+        # Results an earlier build's sampled or analytical tier
+        # extrapolated must not load as if they were exact.
+        from repro.common.errors import SimulationError
+
+        for tier in ("sampled", "analytical"):
+            data = dict(result().to_dict(), fidelity=tier,
+                        error_bars={"l1_miss_rate": {"mean": 0.05, "ci95": 0.004}})
+            with pytest.raises(SimulationError, match=f"fidelity '{tier}'"):
+                SimulationResult.from_dict(data)
+        exact = dict(result().to_dict(), fidelity="exact")
+        assert SimulationResult.from_dict(exact) == result()
 
     def test_unsupported_version_rejected(self):
         from repro.common.errors import SimulationError

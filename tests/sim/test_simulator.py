@@ -85,14 +85,6 @@ class TestClassification:
         assert r.miss_counts.capacity > 0
         assert r.miss_counts.cold == 64
 
-    def test_classification_disabled(self):
-        r = simulate(trace_of([0, 32]), classify=False)
-        assert r.miss_counts is None
-
-    def test_perfect_requires_classification(self):
-        with pytest.raises(SimulationError):
-            MemorySimulator(classify=False, perfect_non_cold=True)
-
 
 class TestPerfectMode:
     def test_non_cold_misses_free(self):

@@ -1,6 +1,5 @@
 """Tests for the JSONL checkpoint store."""
 
-import dataclasses
 import json
 import platform
 import subprocess
@@ -121,33 +120,54 @@ class TestFidelityCompatibility:
         assert "fidelity" not in manifest
         assert "sampling" not in manifest
 
-    def test_legacy_sampled_store(self, tmp_path, capsys):
-        # A store written by an earlier build's sampled tier: its manifest
-        # matches the resuming sweep's except for the tier.
-        store = tmp_path / "run"
+    @staticmethod
+    def _write_store(path, fidelity):
+        """A one-cell store as an earlier build wrote it at *fidelity*.
+
+        The manifest matches the resuming sweep's except for the tier;
+        a non-exact cell carries that tier's error bars.
+        """
         manifest = {
+            "kind": "manifest",
+            "version": STORE_VERSION,
             "length": LENGTH,
             "seed": 0,
             "warmup": LENGTH // 3,
             "machine": config_digest(paper_machine()),
             "workloads": ["gzip"],
             "configs": {name: config_digest(c) for name, c in CONFIGS.items()},
-            "fidelity": "sampled",
+            "fidelity": fidelity,
         }
-        sampled = dataclasses.replace(
-            make_result(), fidelity="sampled",
-            error_bars={"l1_miss_rate": {"mean": 0.05, "ci95": 0.004}},
-        )
-        with RunStore(store) as run_store:
-            run_store.start(manifest)
-            run_store.record_result("gzip", "base", sampled, attempts=1, elapsed=0.1)
-        with pytest.raises(StoreError, match=r"'sampled'.*'exact'"):
+        result = dict(make_result().to_dict(), fidelity=fidelity)
+        if fidelity != "exact":
+            result["error_bars"] = {"l1_miss_rate": {"mean": 0.05, "ci95": 0.004}}
+        cell = {"kind": "cell", "workload": "gzip", "config": "base",
+                "status": "ok", "attempts": 1, "elapsed": 0.1, "result": result}
+        path.write_text("".join(json.dumps(r) + "\n" for r in (manifest, cell)),
+                        encoding="utf-8")
+
+    def test_legacy_sampled_store(self, tmp_path, capsys):
+        # The sampled tier is gone: its extrapolated cells must neither
+        # be reported nor resumed as if they were exact.
+        store = tmp_path / "run"
+        self._write_store(store, "sampled")
+        with pytest.raises(StoreError, match="fidelity 'sampled'"):
             run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
                       store=store, resume=True)
-        assert main(["report", str(store)]) == 0
-        out = capsys.readouterr().out
-        assert "fidelity: 1 sampled" in out
-        assert "worst l1_miss_rate 95% CI: ±0.00400 (gzip:base)" in out
+        assert main(["report", str(store)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = captured.err.splitlines()
+        assert len(errors) == 1, errors
+        assert errors[0].startswith("error: ")
+        assert "fidelity 'sampled'" in errors[0]
+
+    def test_exact_tagged_store_still_loads(self, tmp_path):
+        store = tmp_path / "run"
+        self._write_store(store, "exact")
+        report = RunStore(store).load_report()
+        assert report.manifest["fidelity"] == "exact"
+        assert report.ok_cells == 1
 
 
 def _rewrite_manifest(store, edit):

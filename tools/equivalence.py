@@ -24,8 +24,8 @@ layers against their plain originals, not to re-derive the machine.
 
 Cells cover warmup > 0 and perfect-mode configurations in addition to
 the mechanism axes: victim cache under each of the paper's three
-admission filters and the adaptive one, the timekeeping, DBCP and
-stride prefetchers, decay, and a 2-way L1.  Every run must also
+admission filters and the adaptive one, the timekeeping and DBCP
+prefetchers, decay, and a 2-way L1.  Every run must also
 satisfy the accounting identities of :func:`accounting_violations`; a
 violation is reported as one more diff line of the cell.
 
@@ -46,7 +46,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.cache.replacement import LRUPolicy
 from repro.common.config import MachineConfig, paper_machine
 from repro.common.types import AccessOutcome
 from repro.core.decay import DecayPolicy
@@ -66,7 +65,6 @@ CONFIGS: Dict[str, Dict[str, Any]] = {
     "victim_collins": {"victim_filter": "collins"},
     "prefetch": {"prefetcher": "timekeeping"},
     "prefetch_dbcp": {"prefetcher": "dbcp"},
-    "prefetch_stride": {"prefetcher": "stride"},
     "victim_adaptive": {"victim_filter": "adaptive"},
     "decay": {"decay_interval": 8192},
     # Associative sets are where the tag store, the valid counts and the
@@ -107,16 +105,16 @@ class ReferenceCache(SetAssociativeCache):
 
     Overrides every method the production cache accelerated with the
     block->frame tag store, lazy sets or valid counts, restoring the
-    way-by-way tag compare over eagerly built sets; ``access`` and
-    ``invalidate`` reach these through ``probe``.  The
+    way-by-way tag compare and LRU pick over eagerly built sets;
+    ``access`` and ``invalidate`` reach these through ``probe``.  The
     ``_tags``/``_valid_counts`` views are left unmaintained — nothing in
     the reference paths reads them, which is itself part of the test:
     a production code path sneaking into the reference would KeyError
     or return stale residency immediately.
     """
 
-    def __init__(self, config, policy=None) -> None:
-        super().__init__(config, policy)
+    def __init__(self, config) -> None:
+        super().__init__(config)
         # Eager materialization: the reference predates lazy sets.
         self._all_sets: List[List] = [
             self._materialize_set(i) for i in range(self.num_sets)
@@ -134,7 +132,11 @@ class ReferenceCache(SetAssociativeCache):
         for frame in frames:
             if not frame.valid:
                 return frame
-        return self.policy.choose_victim(frames)
+        victim = frames[0]
+        for frame in frames:
+            if frame.lru_stamp < victim.lru_stamp:
+                victim = frame
+        return victim
 
     def fill(self, frame, block_addr, now, *, store=False, prefetched=False,
              lru_insert=False):
@@ -168,7 +170,7 @@ class ReferenceHierarchy(MemoryHierarchy):
 
     def __init__(self, machine: MachineConfig, *, demand_shadow: int = 2) -> None:
         super().__init__(machine, demand_shadow=demand_shadow)
-        self.l2 = ReferenceCache(machine.l2, LRUPolicy())
+        self.l2 = ReferenceCache(machine.l2)
 
 
 class ReferenceSimulator(MemorySimulator):
