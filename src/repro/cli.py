@@ -262,7 +262,7 @@ def _single_config(args) -> dict:
     if args.perfect:
         config["perfect_non_cold"] = True
         config.pop("collect_metrics")
-    if args.decay_interval:
+    if args.decay_interval is not None:
         config["decay_interval"] = args.decay_interval
     return config
 

@@ -8,8 +8,8 @@ most accesses are hits whose effects fold into columns.  This module
 exploits that: it scans the trace's columns once with
 numpy (set decomposition, hit/miss detection, generation
 segmentation), runs lean Python passes for the genuinely sequential
-state (the 3C shadow stack, the bus/stall/victim-cache recurrence over
-misses, the prefetch event loop), and reconstructs every observable —
+state (the 3C shadow stack, one bus/stall recurrence over misses, the
+prefetch event loop), and reconstructs every observable —
 counters, histograms, generation records, miss correlations, timing
 breakdown, prefetch engine state and final cache contents —
 bitwise-identically to the scalar loop.
@@ -39,9 +39,16 @@ two engines cell by cell.  The invariants the reconstruction leans on:
 - a victim cache never changes L1 contents: the direct-mapped L1
   installs the missing block whether it comes from the victim cache or
   from L2, so hit/miss, generations and 3C classes are those of the
-  plain machine, and only latency and traffic change.  Probes,
-  admissions and the buffer's LRU order therefore ride the bus/stall
-  recurrence as one more per-miss step;
+  plain machine, and only latency and traffic change.  The same holds
+  for a ``perfect_non_cold`` charge, which only removes a non-cold
+  miss's latency and L2 traffic.  So one stream of misses drives the
+  base, perfect and victim machines, and one recurrence walks it: a
+  charged miss adds no stall and only sends its dirty victim over the
+  L1/L2 bus, a victim hit skips the L2, and with a victim cache every
+  eviction runs the admission, the buffer's LRU insert and the fill
+  penalty.  One per-miss log records which branch each miss took, and
+  the counters, the deferred L2 events, the closed generations and the
+  stall breakdown are all derived from it;
 - with a victim cache a miss stalls the clock in two components: the
   demand stall, then the quarter-cycle ``victim-fill`` penalty of an
   admission.  Correlations and L2 events see the clock before both,
@@ -164,18 +171,23 @@ def batch_fallback_reason(sim) -> Optional[str]:
 
 
 class _DeferredL2State:
-    """Lazily reconstructable final L2 contents after a batched run.
+    """The batch engines' lean L2, and its lazily reconstructable final
+    contents.
 
-    During the batch the L2 is tracked through lean per-set structures
+    Built at batch entry from the L2 itself: chained from the previous
+    batch's payload (the warm-up boundary), or snapshotted from real
+    frames; ``had_state`` records whether the L2 held anything.  During
+    the batch an engine tracks the L2 through lean per-set structures
     (``set_lists``: resident block addresses in LRU→MRU order,
     ``way_of``: block → way, ``free_ways``: unfilled ways in scalar
-    fill order) plus a flat event log with one ``(block, now, store,
-    packed)`` row per L2 hit or fill, read through the zero-argument
-    ``events`` callable.  :meth:`final_fields` replays the log over the
-    entry per-block field snapshot to get every frame field; the object
-    doubles as the cache's contents installer (calling it materializes
-    real :class:`Frame` objects).  A follow-up batch (the warm-up
-    boundary) instead consumes the lean structures directly and chains
+    fill order) and keeps a flat event log with one ``(block, now,
+    store, packed)`` row per L2 hit or fill, which it hands over as the
+    zero-argument ``events`` callable before passing the object to
+    ``l2.defer_contents``.  :meth:`final_fields` replays the log over
+    the entry per-block field snapshot to get every frame field; the
+    object doubles as the cache's contents installer (calling it
+    materializes real :class:`Frame` objects).  A follow-up batch
+    instead consumes the lean structures directly and chains
     ``final_fields`` as its entry snapshot, so frames are only ever
     built if someone looks.
     """
@@ -185,6 +197,7 @@ class _DeferredL2State:
         "way_of",
         "free_ways",
         "entry_fields_fn",
+        "had_state",
         "events",
         "clock0",
         "index_bits",
@@ -192,25 +205,46 @@ class _DeferredL2State:
         "_fields",
     )
 
-    def __init__(
-        self,
-        set_lists: Dict[int, List[int]],
-        way_of: Dict[int, int],
-        free_ways: Dict[int, List[int]],
-        entry_fields_fn,
-        events,
-        clock0: int,
-        index_bits: int,
-        assoc: int,
-    ) -> None:
-        self.set_lists = set_lists
-        self.way_of = way_of
-        self.free_ways = free_ways
-        self.entry_fields_fn = entry_fields_fn
-        self.events = events
-        self.clock0 = clock0
-        self.index_bits = index_bits
-        self.assoc = assoc
+    def __init__(self, l2) -> None:
+        payload = l2.deferred_contents()
+        if payload is not None:
+            self.set_lists = payload.set_lists
+            self.way_of = payload.way_of
+            self.free_ways = payload.free_ways
+            self.entry_fields_fn = payload.final_fields
+            self.had_state = True
+        else:
+            set_lists: Dict[int, List[int]] = {}
+            way_of: Dict[int, int] = {}
+            free_ways: Dict[int, List[int]] = {}
+            by_set: Dict[int, List[Frame]] = {}
+            for frame in l2._tags.values():
+                by_set.setdefault(frame.set_index, []).append(frame)
+            for s, frames in by_set.items():
+                frames.sort(key=lambda f: f.lru_stamp)
+                set_lists[s] = [f.block_addr for f in frames]
+                for f in frames:
+                    way_of[f.block_addr] = f.way
+                used = {f.way for f in frames}
+                free_ways[s] = [
+                    w for w in range(l2.associativity - 1, -1, -1) if w not in used
+                ]
+            entry_snapshot = {
+                f.block_addr: (
+                    f.fill_time, f.last_access_time, f.hit_count, f.lt_register,
+                    f.dirty, f.prev_tag, f.lru_stamp,
+                )
+                for f in l2._tags.values()
+            }
+            self.set_lists = set_lists
+            self.way_of = way_of
+            self.free_ways = free_ways
+            self.entry_fields_fn = lambda: entry_snapshot
+            self.had_state = bool(set_lists)
+        self.events = None
+        self.clock0 = l2._clock
+        self.index_bits = l2._index_bits
+        self.assoc = l2.associativity
         self._fields = None
 
     def final_fields(self) -> Dict[int, tuple]:
@@ -467,43 +501,6 @@ def _previous_live(e_block: np.ndarray, e_live: np.ndarray, e_block_l: List[int]
     return prev_live_list, so, sb
 
 
-def _l2_entry_state(l2):
-    """Lean L2 state at batch entry, plus whether the L2 held anything.
-
-    Either chained from the previous batch's deferred payload, or
-    snapshotted from real frames.  Returns ``(set_lists, way_of,
-    free_ways, entry_fields_fn, had_state)`` as
-    :class:`_DeferredL2State` documents them.
-    """
-    payload = l2.deferred_contents()
-    if payload is not None:
-        return (payload.set_lists, payload.way_of, payload.free_ways,
-                payload.final_fields, True)
-    l2_assoc = l2.associativity
-    set_lists: Dict[int, List[int]] = {}
-    way_of: Dict[int, int] = {}
-    free_ways: Dict[int, List[int]] = {}
-    by_set: Dict[int, List[Frame]] = {}
-    for frame in l2._tags.values():
-        by_set.setdefault(frame.set_index, []).append(frame)
-    for s, frames in by_set.items():
-        frames.sort(key=lambda f: f.lru_stamp)
-        set_lists[s] = [f.block_addr for f in frames]
-        used = set()
-        for f in frames:
-            way_of[f.block_addr] = f.way
-            used.add(f.way)
-        free_ways[s] = [w for w in range(l2_assoc - 1, -1, -1) if w not in used]
-    entry_snapshot = {
-        f.block_addr: (
-            f.fill_time, f.last_access_time, f.hit_count, f.lt_register,
-            f.dirty, f.prev_tag, f.lru_stamp,
-        )
-        for f in l2._tags.values()
-    }
-    return set_lists, way_of, free_ways, (lambda: entry_snapshot), bool(set_lists)
-
-
 def consume_batch(sim, trace, start: int, stop: int) -> None:
     """Run trace rows [start:stop) through *sim*, batch-dispatched.
 
@@ -531,15 +528,13 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     timing = sim.timing
     metrics = sim.metrics
     tracker = sim.generations
-    perfect = sim.perfect_non_cold
+    victim_cache = sim.victim_cache
 
     offset_bits = sim._offset_bits
     num_sets = l1.num_sets
     l1_index_bits = l1._index_bits
     l2_shift = hierarchy._l2_shift
-    l2_index_bits = l2._index_bits
     l2_set_mask = l2._set_mask
-    l2_assoc = l2.associativity
     l2_hit_latency = hierarchy._l2_hit_latency
     memory_latency = hierarchy._memory_latency
     hidden_latency = timing.HIDDEN_LATENCY
@@ -636,17 +631,13 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
 
     # ---- classification (PASS A) ------------------------------------------
     cls = _classify(sim, trace, start, stop, blocks, miss_pos)
-    charged_list: List[bool] = []
-    n_charged = 0
-    if perfect:
-        charged_arr = cls != _COLD
-        n_charged = int(charged_arr.sum())
-        charged_list = charged_arr.tolist()
 
-    # ---- PASS BC: bus/stall recurrence over misses ------------------------
+    # ---- PASS BC: the miss recurrence --------------------------------------
     # Sequential by necessity: each miss's L2/memory latency depends on
     # bus occupancy left by earlier misses, and its stall shifts every
-    # later access.  Everything else is precomputed columns.
+    # later access.  Everything else is precomputed columns.  One loop
+    # serves every configuration: a charged (perfect_non_cold) miss and
+    # a victim-cache hit only change where a miss's latency comes from.
     l1_l2_bus = hierarchy.l1_l2_bus
     memory_bus = hierarchy.memory_bus
     c32 = _transfer_cycles(l1_l2_bus, sim.machine.l1d.block_size)
@@ -655,308 +646,198 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     mem_free = memory_bus.free_at
     l1l2_wait = 0
     mem_wait = 0
-    l1l2_transfers = 0
-    mem_transfers = 0
 
-    set_lists, way_of, free_ways, entry_fields_fn, l2_had_state = (
-        _l2_entry_state(l2)
-    )
+    l2_state = _DeferredL2State(l2)
+    set_lists = l2_state.set_lists
+    way_of = l2_state.way_of
+    free_ways = l2_state.free_ways
+    sl_get = set_lists.get
+    way_pop = way_of.pop
+    default_ways = range(l2_state.assoc - 1, -1, -1)
 
-    ev_packed: List[int] = []
-    stall_list: List[int] = []
-    n_l2h = 0
-    n_fill = 0
-    n_l2_evict = 0
-    n_wb = 0
-    victim_cache = sim.victim_cache
-    # cum[k]: clock stall (demand + victim-fill) through the first k misses.
+    # The per-miss log: the packed L2 event of a miss that reaches the
+    # L2 (low bit an L2 hit, higher bits an evicted block plus one), -1
+    # for a victim-cache hit, -2 for a charged miss.
+    miss_log: List[int] = []
+    log_append = miss_log.append
+    stall_list: List[int] = []  # demand stall per miss
+    stall_append = stall_list.append
+    stall_acc = 0
+    m_blocks = blocks[miss_pos]
+    l2b_arr = m_blocks >> l2_shift
+    # perfect_non_cold charges every non-cold miss as a hit; a charged
+    # miss carries -1 as its L2 block.
+    lb_col = np.where(cls != _COLD, -1, l2b_arr) if sim.perfect_non_cold else l2b_arr
+    # Victim-cache fields per miss, None without a victim cache: probed
+    # block, victim valid, victim block, admission decision and the
+    # victim's last-access terms.
+    vic_col = repeat(None)
+    # cum[k]: clock stall (demand + victim-fill) through the first k
+    # misses; kept only with a victim cache, whose fill penalty is the
+    # only stall outside the demand stall.
     cum: List[int] = [0]
     vc_fills = 0
     vc_lru_evictions = 0
+    if victim_cache is not None:
+        admission = sim.admission
+        adm_col = repeat(True)
+        lbase_col = lk_col = repeat(0)
+        timekeeping = type(admission) is TimekeepingAdmission
+        if type(admission) is CollinsAdmission:
+            # The victim frame's prev_tag: the entry frame's when the
+            # victim is the set's entry resident or entry generation,
+            # else the tag of the previous same-set miss's victim
+            # (sorted-miss index m - 1).
+            entry_prev = np.full(num_sets, -1, dtype=np.int64)
+            for s, frame in entry_frame.items():
+                entry_prev[s] = frame.prev_tag
+            from_entry = m_is_head | gen_is_entry[g_prev]
+            prev = np.arange(nm) - 1  # -1 only where from_entry
+            chained = np.where(v_valid[prev], v_block[prev] >> l1_index_bits, -1)
+            prev_tag = np.where(from_entry, entry_prev[m_set], chained)
+            adm_col = (
+                prev_tag[perm] == m_blocks >> admission._index_bits
+            ).tolist()
+        elif timekeeping:
+            # The victim's last access happened at lbase + cum[lk]: the
+            # entry frame's time for set-head victims (lk = 0), else
+            # base_now at its generation's last position plus the stall
+            # of the lk misses at or before it.
+            last_pos = order[gen_last_pos[g_prev]]
+            lbase_col = np.where(
+                m_is_head, entry_last[m_set], base_now[last_pos]
+            )[perm].tolist()
+            lk_col = np.where(
+                m_is_head, 0, np.searchsorted(miss_pos, last_pos, side="right")
+            )[perm].tolist()
+            tick = admission.ticker.tick_cycles
+            max_counter = admission.max_counter
+            saturated = (1 << VICTIM_FILTER_COUNTER_BITS) - 1
+        vic_col = zip(
+            m_blocks.tolist(), v_valid[perm].tolist(),
+            v_block[perm].tolist(), adm_col, lbase_col, lk_col,
+        )
+        vcb = victim_cache._blocks
+        vcb_pop_lru = vcb.popitem
+        vc_entries = victim_cache.entries
+        vc_latency = victim_cache.hit_latency
+        penalty_q = sim.victim_insert_quarter_cycles
+        penalty_acc = sim._victim_penalty_acc
+        cum_append = cum.append
 
-    if nm:
-        l2b_arr = blocks[miss_pos] >> l2_shift
-        mb_l = l2b_arr.tolist()
-        ms_l = (l2b_arr & l2_set_mask).tolist()
-        mbase_l = base_now[miss_pos].tolist()
-        vd_l = v_dirty[perm].tolist()
-        sl_get = set_lists.get
-        way_pop = way_of.pop
-        ev_packed_append = ev_packed.append
-        stall_append = stall_list.append
-        default_ways = range(l2_assoc - 1, -1, -1)
-        stall_acc = 0
-        if n_charged:
-            # Perfect-mode batches carry the per-miss charged flag; the
-            # common (no charged misses) loop below is the same body
-            # minus the flag column and its branch — keep them in sync.
-            rows = zip(mb_l, ms_l, mbase_l, vd_l, charged_list)
-            for lb, s, base, vd, charged in rows:
-                now = base + stall_acc
-                if charged:
-                    # perfect_non_cold: no hierarchy traffic, no stall;
-                    # the eviction write-back still crosses the L1/L2
-                    # bus.
-                    stall_append(0)
-                    if vd:
-                        s1 = now if now > l1l2_free else l1l2_free
-                        l1l2_wait += s1 - now
-                        l1l2_free = s1 + c32
-                    continue
-                if lb in way_of:
-                    # L2 hit: MRU move (skipped when already most recent).
-                    lst = set_lists[s]
-                    if lst[-1] != lb:
-                        lst.remove(lb)
-                        lst.append(lb)
-                    ev_packed_append(1)
-                    data_at = now + l2_hit_latency
-                else:
-                    lst = sl_get(s)
-                    if lst is None:
-                        lst = set_lists[s] = []
-                        free = free_ways[s] = list(default_ways)
-                    else:
-                        free = free_ways[s]
-                    if free:
-                        w = free.pop()
-                        packed = 0
-                    else:
-                        old = lst.pop(0)
-                        w = way_pop(old)
-                        packed = (old + 1) << 1
-                    way_of[lb] = w
-                    lst.append(lb)
-                    ev_packed_append(packed)
-                    l2_ready = now + l2_hit_latency
-                    s0 = l2_ready if l2_ready > mem_free else mem_free
-                    mem_wait += s0 - l2_ready
-                    mem_free = s0 + c64
-                    data_at = mem_free + memory_latency
-                s1 = data_at if data_at > l1l2_free else l1l2_free
-                l1l2_wait += s1 - data_at
-                l1l2_free = s1 + c32
-                latency = l1l2_free - now
-                exposed = latency - hidden_latency
-                stall = int(exposed / mlp) if exposed > 0 else 0
-                stall_acc += stall
-                stall_append(stall)
-                if vd:
-                    # Dirty victim write-back, requested after the stall
-                    # advances the clock (scalar eviction order).
-                    wnow = now + stall
-                    s1 = wnow if wnow > l1l2_free else l1l2_free
-                    l1l2_wait += s1 - wnow
-                    l1l2_free = s1 + c32
-        elif victim_cache is not None:
-            # Victim-cache batches: the common loop's L2 step (keep them
-            # in sync) behind a victim-cache probe, plus the eviction's
-            # admission, LRU insert and quarter-cycle fill penalty.
-            admission = sim.admission
-            vv_l = v_valid[perm].tolist()
-            vb_l = v_block[perm].tolist()
-            blk_l = blocks[miss_pos].tolist()
-            adm_col = repeat(True)
-            lbase_col = lk_col = repeat(0)
-            timekeeping = type(admission) is TimekeepingAdmission
-            if type(admission) is CollinsAdmission:
-                # The victim frame's prev_tag: the entry frame's when
-                # the victim is the set's entry resident or entry
-                # generation, else the tag of the previous same-set
-                # miss's victim (sorted-miss index m - 1).
-                entry_prev = np.full(num_sets, -1, dtype=np.int64)
-                for s, frame in entry_frame.items():
-                    entry_prev[s] = frame.prev_tag
-                from_entry = m_is_head | gen_is_entry[g_prev]
-                prev = np.arange(nm) - 1  # -1 only where from_entry
-                chained = np.where(
-                    v_valid[prev], v_block[prev] >> l1_index_bits, -1
-                )
-                prev_tag = np.where(from_entry, entry_prev[m_set], chained)
-                adm_col = (
-                    prev_tag[perm] == blocks[miss_pos] >> admission._index_bits
-                ).tolist()
-            elif timekeeping:
-                # The victim's last access happened at lbase + cum[lk]:
-                # the entry frame's time for set-head victims (lk = 0),
-                # else base_now at its generation's last position plus
-                # the stall of the lk misses at or before it.
-                last_pos = order[gen_last_pos[g_prev]]
-                lbase_col = np.where(
-                    m_is_head, entry_last[m_set], base_now[last_pos]
-                )[perm].tolist()
-                lk_col = np.where(
-                    m_is_head, 0, np.searchsorted(miss_pos, last_pos, side="right")
-                )[perm].tolist()
-                tick = admission.ticker.tick_cycles
-                max_counter = admission.max_counter
-                saturated = (1 << VICTIM_FILTER_COUNTER_BITS) - 1
-            vcb = victim_cache._blocks
-            vcb_pop_lru = vcb.popitem
-            vc_entries = victim_cache.entries
-            vc_latency = victim_cache.hit_latency
-            penalty_q = sim.victim_insert_quarter_cycles
-            penalty_acc = sim._victim_penalty_acc
-            cum_append = cum.append
-            rows = zip(
-                mb_l, ms_l, mbase_l, vd_l, blk_l, vv_l, vb_l, adm_col,
-                lbase_col, lk_col,
-            )
-            for lb, s, base, vd, blk, vv, vb, admit, lbase, lk in rows:
-                now = base + stall_acc
-                if blk in vcb:
-                    # Victim hit: the block swaps back into the L1; no
-                    # L2 or bus traffic.  Marked -1 in the event log.
-                    del vcb[blk]
-                    ev_packed_append(-1)
-                    latency = vc_latency
-                else:
-                    if lb in way_of:
-                        lst = set_lists[s]
-                        if lst[-1] != lb:
-                            lst.remove(lb)
-                            lst.append(lb)
-                        ev_packed_append(1)
-                        data_at = now + l2_hit_latency
-                    else:
-                        lst = sl_get(s)
-                        if lst is None:
-                            lst = set_lists[s] = []
-                            free = free_ways[s] = list(default_ways)
-                        else:
-                            free = free_ways[s]
-                        if free:
-                            w = free.pop()
-                            packed = 0
-                        else:
-                            old = lst.pop(0)
-                            w = way_pop(old)
-                            packed = (old + 1) << 1
-                        way_of[lb] = w
-                        lst.append(lb)
-                        ev_packed_append(packed)
-                        l2_ready = now + l2_hit_latency
-                        s0 = l2_ready if l2_ready > mem_free else mem_free
-                        mem_wait += s0 - l2_ready
-                        mem_free = s0 + c64
-                        data_at = mem_free + memory_latency
-                    s1 = data_at if data_at > l1l2_free else l1l2_free
-                    l1l2_wait += s1 - data_at
-                    l1l2_free = s1 + c32
-                    latency = l1l2_free - now
-                exposed = latency - hidden_latency
-                stall = int(exposed / mlp) if exposed > 0 else 0
-                stall_acc += stall
-                stall_append(stall)
-                if vv:
-                    # Eviction at the post-demand-stall clock: write-back,
-                    # admission, LRU insert, then the fill penalty.
-                    wnow = now + stall
-                    if vd:
-                        s1 = wnow if wnow > l1l2_free else l1l2_free
-                        l1l2_wait += s1 - wnow
-                        l1l2_free = s1 + c32
-                    if timekeeping:
-                        ticks = wnow // tick - (lbase + cum[lk]) // tick
-                        admit = (
-                            ticks if ticks < saturated else saturated
-                        ) <= max_counter
-                    if admit:
-                        if vb in vcb:
-                            del vcb[vb]
-                        elif len(vcb) >= vc_entries:
-                            vcb_pop_lru(False)
-                            vc_lru_evictions += 1
-                        vcb[vb] = wnow
-                        vc_fills += 1
-                        penalty_acc += penalty_q
-                        if penalty_acc >= 4:
-                            whole = penalty_acc // 4
-                            penalty_acc -= 4 * whole
-                            stall_acc += whole
-                cum_append(stall_acc)
-            sim._victim_penalty_acc = penalty_acc
+    rows = zip(
+        lb_col.tolist(), (l2b_arr & l2_set_mask).tolist(),
+        base_now[miss_pos].tolist(), v_dirty[perm].tolist(), vic_col,
+    )
+    for lb, s, base, vd, vic in rows:
+        now = base + stall_acc
+        if vic is not None and vic[0] in vcb:
+            # Victim hit: the block swaps back into the L1; no L2 or bus
+            # traffic.
+            del vcb[vic[0]]
+            log_append(-1)
+            latency = vc_latency
+        elif lb < 0:
+            # Charged miss: no hierarchy traffic, so no stall.
+            log_append(-2)
+            latency = 0
         else:
-            for lb, s, base, vd in zip(mb_l, ms_l, mbase_l, vd_l):
-                now = base + stall_acc
-                if lb in way_of:
-                    # L2 hit: MRU move (skipped when already most recent).
-                    lst = set_lists[s]
-                    if lst[-1] != lb:
-                        lst.remove(lb)
-                        lst.append(lb)
-                    ev_packed_append(1)
-                    data_at = now + l2_hit_latency
-                else:
-                    lst = sl_get(s)
-                    if lst is None:
-                        lst = set_lists[s] = []
-                        free = free_ways[s] = list(default_ways)
-                    else:
-                        free = free_ways[s]
-                    if free:
-                        w = free.pop()
-                        packed = 0
-                    else:
-                        old = lst.pop(0)
-                        w = way_pop(old)
-                        packed = (old + 1) << 1
-                    way_of[lb] = w
+            if lb in way_of:
+                # L2 hit: MRU move (skipped when already most recent).
+                lst = set_lists[s]
+                if lst[-1] != lb:
+                    lst.remove(lb)
                     lst.append(lb)
-                    ev_packed_append(packed)
-                    l2_ready = now + l2_hit_latency
-                    s0 = l2_ready if l2_ready > mem_free else mem_free
-                    mem_wait += s0 - l2_ready
-                    mem_free = s0 + c64
-                    data_at = mem_free + memory_latency
-                s1 = data_at if data_at > l1l2_free else l1l2_free
-                l1l2_wait += s1 - data_at
-                l1l2_free = s1 + c32
-                latency = l1l2_free - now
-                exposed = latency - hidden_latency
-                stall = int(exposed / mlp) if exposed > 0 else 0
-                stall_acc += stall
-                stall_append(stall)
-                if vd:
-                    # Dirty victim write-back, requested after the stall
-                    # advances the clock (scalar eviction order).
-                    wnow = now + stall
-                    s1 = wnow if wnow > l1l2_free else l1l2_free
-                    l1l2_wait += s1 - wnow
-                    l1l2_free = s1 + c32
+                log_append(1)
+                data_at = now + l2_hit_latency
+            else:
+                lst = sl_get(s)
+                if lst is None:
+                    lst = set_lists[s] = []
+                    free = free_ways[s] = list(default_ways)
+                else:
+                    free = free_ways[s]
+                if free:
+                    w = free.pop()
+                    packed = 0
+                else:
+                    old = lst.pop(0)
+                    w = way_pop(old)
+                    packed = (old + 1) << 1
+                way_of[lb] = w
+                lst.append(lb)
+                log_append(packed)
+                l2_ready = now + l2_hit_latency
+                s0 = l2_ready if l2_ready > mem_free else mem_free
+                mem_wait += s0 - l2_ready
+                mem_free = s0 + c64
+                data_at = mem_free + memory_latency
+            s1 = data_at if data_at > l1l2_free else l1l2_free
+            l1l2_wait += s1 - data_at
+            l1l2_free = s1 + c32
+            latency = l1l2_free - now
+        exposed = latency - hidden_latency
+        stall = int(exposed / mlp) if exposed > 0 else 0
+        stall_acc += stall
+        stall_append(stall)
+        if vd:
+            # Dirty victim write-back, requested after the stall
+            # advances the clock (scalar eviction order); a charged
+            # miss's write-back crosses the L1/L2 bus too.
+            wnow = now + stall
+            s1 = wnow if wnow > l1l2_free else l1l2_free
+            l1l2_wait += s1 - wnow
+            l1l2_free = s1 + c32
+        if vic is not None:
+            _, vv, vb, admit, lbase, lk = vic
+            if vv:
+                # The eviction, after the write-back and at the same
+                # clock: admission, LRU insert, then the fill penalty.
+                wnow = now + stall
+                if timekeeping:
+                    ticks = wnow // tick - (lbase + cum[lk]) // tick
+                    admit = (ticks if ticks < saturated else saturated) <= max_counter
+                if admit:
+                    if vb in vcb:
+                        del vcb[vb]
+                    elif len(vcb) >= vc_entries:
+                        vcb_pop_lru(False)
+                        vc_lru_evictions += 1
+                    vcb[vb] = wnow
+                    vc_fills += 1
+                    penalty_acc += penalty_q
+                    if penalty_acc >= 4:
+                        whole = penalty_acc // 4
+                        penalty_acc -= 4 * whole
+                        stall_acc += whole
+            cum_append(stall_acc)
+    if victim_cache is not None:
+        sim._victim_penalty_acc = penalty_acc
 
-    # Per-event counters, derived from the event log instead of being
-    # incremented inside the recurrence: low bit tags L2 hits, larger
-    # packed values carry an evicted block, every dirty victim crossed
-    # the L1/L2 bus once, and every reaching miss requested one fetch.
-    packed_arr = np.array(ev_packed, dtype=np.int64)
+    # Counters from the log: every dirty victim crossed the L1/L2 bus
+    # once, and every miss that reached the L2 requested one fetch.
+    miss_log_arr = np.array(miss_log, dtype=np.int64)
+    reach = miss_log_arr >= 0
+    packed_arr = miss_log_arr[reach]
+    n_reach = int(packed_arr.size)
+    n_l2h = int((packed_arr & 1).sum())
+    n_fill = n_reach - n_l2h
+    n_l2_evict = int((packed_arr > 1).sum())
+    n_vhit = int((miss_log_arr == -1).sum())
+    n_charged = nm - n_reach - n_vhit
+    n_wb = int(v_dirty.sum())
     # Per-miss stalls: the demand stall (the breakdown's l2/memory
     # share) and the clock stall, which adds any victim-fill penalty.
     demand_stalls = np.array(stall_list, dtype=np.int64)
-    stalls_np = demand_stalls
-    vhit_mask = None
-    n_vhit = 0
-    if victim_cache is not None and nm:
-        packed_all = packed_arr
-        vhit_mask = packed_all < 0
-        n_vhit = int(vhit_mask.sum())
-        packed_arr = packed_all[~vhit_mask]
-        stalls_np = np.diff(np.array(cum, dtype=np.int64))
-        penalties = stalls_np - demand_stalls
-    n_reach = int(packed_arr.size)
-    if n_reach:
-        n_l2h = int((packed_arr & 1).sum())
-        n_fill = n_reach - n_l2h
-        n_l2_evict = int((packed_arr > 1).sum())
-        mem_transfers = n_fill
-    if nm:
-        n_wb = int(v_dirty.sum())
-        l1l2_transfers = n_reach + n_wb
+    stalls_np = (
+        demand_stalls if victim_cache is None
+        else np.diff(np.array(cum, dtype=np.int64))
+    )
+    penalties = stalls_np - demand_stalls
 
     # ---- PASS D: clocks and intervals -------------------------------------
     stall_full = np.zeros(n, dtype=np.int64)
-    if nm:
-        stall_full[miss_pos] = stalls_np
+    stall_full[miss_pos] = stalls_np
     incl = np.cumsum(stall_full)
     now_eff = base_now + incl
     now_s = now_eff[order]
@@ -979,27 +860,26 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         np.where(gen_is_entry, entry_lt[gen_set], 0),
     )
     gen_live = np.where(gen_hits_total > 0, gen_lt, 0)
+    # Each miss's clock after its stalls.  Correlations and L2 events
+    # read it before both, and the evicted generation closes before the
+    # fill penalty.
+    m_now = now_eff[miss_pos]
+    pre_now = m_now - stalls_np
 
     # ---- PASS E: generations, correlations, metrics, installs -------------
     if nm:
-        pre_now = base_now[miss_pos] + incl[miss_pos] - stalls_np
-        close_now = now_s[mpos_sorted]
-        if vhit_mask is not None:
-            # The evicted generation closes before the fill penalty.
-            close_now = close_now - penalties[rank_of[m_orig]]
         entry_live = np.where(entry_hits > 0, entry_lt, 0)
         v_start = np.where(m_is_head, entry_fill[m_set], gen_fill[g_prev])
         v_live = np.where(m_is_head, entry_live[m_set], gen_live[g_prev])
         v_hits = np.where(m_is_head, entry_hits[m_set], gen_hits_total[g_prev])
         v_max = np.where(m_is_head, entry_maxiv[m_set], gen_max[g_prev])
-        v_dead = close_now - (v_start + v_live)
         # Reorder to miss (original) order; drop invalid victims.
         val_mask = v_valid[perm]
         e_rank = np.flatnonzero(val_mask)
         e_block = v_block[perm][val_mask]
         e_start = v_start[perm][val_mask]
         e_live = v_live[perm][val_mask]
-        e_dead = v_dead[perm][val_mask]
+        e_dead = (m_now - penalties)[val_mask] - (e_start + e_live)
         e_hits = v_hits[perm][val_mask]
         e_max = v_max[perm][val_mask]
         n_evictions = int(e_rank.size)
@@ -1028,7 +908,7 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         if metrics is not None:
             noncold = np.flatnonzero(cls != _COLD)
             if noncold.size:
-                q_block = blocks[miss_pos][noncold]
+                q_block = m_blocks[noncold]
                 q_now = pre_now[noncold]
                 nq = int(noncold.size)
                 r_reload = np.zeros(nq, dtype=np.int64)
@@ -1155,40 +1035,17 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         open_max[s] = f_max_l[i]
 
     # ---- L2 final state (deferred) and counters ---------------------------
-    # The event columns the deferred-state replay needs are rebuilt from
-    # the precomputed miss columns (reaching misses only — charged ones
-    # and victim hits touched no L2 state), rather than appended inside
-    # the hot loop.
-    if nm:
-        if n_charged:
-            reach_mask = ~charged_arr
-        elif vhit_mask is not None:
-            reach_mask = ~vhit_mask
-        else:
-            reach_mask = None
-        if reach_mask is not None:
-            ev_block_arr = l2b_arr[reach_mask]
-            ev_now_arr = pre_now[reach_mask]
-            ev_store_arr = stores_arr[miss_pos][reach_mask]
-        else:
-            ev_block_arr = l2b_arr
-            ev_now_arr = pre_now
-            ev_store_arr = stores_arr[miss_pos]
-    else:
-        ev_block_arr = ev_now_arr = packed_arr
-        ev_store_arr = np.zeros(0, dtype=bool)
-    if l2_had_state or n_l2h or n_fill:
-        l2.defer_contents(
-            _DeferredL2State(
-                set_lists, way_of, free_ways, entry_fields_fn,
-                lambda: zip(
-                    ev_block_arr.tolist(), ev_now_arr.tolist(),
-                    ev_store_arr.tolist(), packed_arr.tolist(),
-                ),
-                l2._clock, l2_index_bits, l2_assoc,
-            )
+    # The event columns the deferred-state replay needs come from the
+    # precomputed miss columns of the misses that reached the L2, rather
+    # than being appended inside the hot loop, and are only cut out of
+    # them when someone reads the L2.
+    if l2_state.had_state or n_reach:
+        l2_state.events = lambda: zip(
+            l2b_arr[reach].tolist(), pre_now[reach].tolist(),
+            stores_arr[miss_pos][reach].tolist(), packed_arr.tolist(),
         )
-    l2._clock += n_l2h + n_fill
+        l2.defer_contents(l2_state)
+    l2._clock += n_reach
     l2.hits += n_l2h
     l2.misses += n_fill
     l2.evictions += n_l2_evict
@@ -1196,52 +1053,43 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     hierarchy.l2_demand_misses += n_fill
     hierarchy.memory_accesses += n_fill
 
+    l1l2_transfers = n_reach + n_wb
     l1_l2_bus.free_at = l1l2_free
     if l1l2_transfers:
         l1_l2_bus.last_demand_end = l1l2_free
     l1_l2_bus.demand_transfers += l1l2_transfers
     l1_l2_bus.demand_wait_cycles += l1l2_wait
     memory_bus.free_at = mem_free
-    if mem_transfers:
+    if n_fill:
         memory_bus.last_demand_end = mem_free
-    memory_bus.demand_transfers += mem_transfers
+    memory_bus.demand_transfers += n_fill
     memory_bus.demand_wait_cycles += mem_wait
 
     # ---- timing, counters, outcomes ---------------------------------------
     timing.compute_cycles += int(gaps.sum(dtype=np.int64))
     timing._accesses += n
-    if nm:
-        timing.stall_cycles += int(stalls_np.sum())
-        # Breakdown keys are inserted in order of first occurrence, a
-        # miss's demand category before its penalty, as the scalar
-        # add_stall/add_fixed_stall sequence would.  The low bit of a
-        # packed event distinguishes L2 hits from memory fills; with a
-        # victim cache the masks run over all misses (victim hits, -1
-        # in the log, charge "l2" unless their latency is zero).
-        if vhit_mask is None:
-            hit_mask = (packed_arr & 1).astype(bool)
-            reach_stalls = stalls_np if reach_mask is None else stalls_np[reach_mask]
-            categories = [
-                ("l2", hit_mask, reach_stalls), ("memory", ~hit_mask, reach_stalls),
-            ]
-        else:
-            l2_mask = packed_all == 1
-            if victim_cache.hit_latency:
-                l2_mask |= vhit_mask
-            categories = [
-                ("l2", l2_mask, demand_stalls),
-                ("memory", (packed_all & 1) == 0, demand_stalls),
-                ("victim-fill", penalties > 0, penalties),
-            ]
-        firsts = []
-        for name, mask, amounts in categories:
-            where = np.flatnonzero(mask)
-            if where.size:
-                order_key = 2 * int(where[0]) + (name == "victim-fill")
-                firsts.append((order_key, name, int(amounts[where].sum())))
-        breakdown = timing._breakdown
-        for _, name, amount in sorted(firsts):
-            breakdown[name] = breakdown.get(name, 0) + amount
+    timing.stall_cycles += int(stalls_np.sum())
+    # Breakdown keys are inserted in order of first occurrence, a miss's
+    # demand category before its penalty, as the scalar add_stall /
+    # add_fixed_stall sequence would.  Victim hits charge "l2" unless
+    # their latency is zero; charged misses charge nothing.
+    l2_mask = miss_log_arr == 1
+    if victim_cache is not None and victim_cache.hit_latency:
+        l2_mask |= miss_log_arr == -1
+    categories = (
+        ("l2", l2_mask, demand_stalls),
+        ("memory", reach & ((miss_log_arr & 1) == 0), demand_stalls),
+        ("victim-fill", penalties > 0, penalties),
+    )
+    firsts = []
+    for name, mask, amounts in categories:
+        where = np.flatnonzero(mask)
+        if where.size:
+            order_key = 2 * int(where[0]) + (name == "victim-fill")
+            firsts.append((order_key, name, int(amounts[where].sum())))
+    breakdown = timing._breakdown
+    for _, name, amount in sorted(firsts):
+        breakdown[name] = breakdown.get(name, 0) + amount
 
     # Charged (perfect_non_cold) misses count as L1 hits in both the
     # outcome tally and the mechanism counters; see the accounting note
@@ -1262,7 +1110,6 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         victim_cache.fills += vc_fills
         victim_cache.rejected += n_evictions - vc_fills
         victim_cache.lru_evictions += vc_lru_evictions
-
 
 
 def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
@@ -1370,9 +1217,10 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     pcs_l = trace.pcs[start:stop].tolist()
 
     # ---- L2, buses ---------------------------------------------------------
-    set_lists, way_of, free_ways, entry_fields_fn, l2_had_state = (
-        _l2_entry_state(l2)
-    )
+    l2_state = _DeferredL2State(l2)
+    set_lists = l2_state.set_lists
+    way_of = l2_state.way_of
+    free_ways = l2_state.free_ways
     sl_get = set_lists.get
     way_pop = way_of.pop
     default_ways = range(l2_assoc - 1, -1, -1)
@@ -1902,13 +1750,9 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     open_max.update(zip(touched_l, t_max.tolist()))
 
     # ---- L2 final state (deferred) and counters ---------------------------
-    if l2_had_state or l2_log:
-        l2.defer_contents(
-            _DeferredL2State(
-                set_lists, way_of, free_ways, entry_fields_fn, lambda: l2_log,
-                l2._clock, l2._index_bits, l2_assoc,
-            )
-        )
+    if l2_state.had_state or l2_log:
+        l2_state.events = lambda: l2_log
+        l2.defer_contents(l2_state)
     l2._clock += n_l2h + n_fill + n_pf_l2h + (0 if lru_insert else n_pf_fill)
     l2.hits += n_l2h + n_pf_l2h
     l2.misses += n_fill + n_pf_fill

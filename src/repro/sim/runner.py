@@ -893,6 +893,21 @@ def check_obs_history(obs_history: Optional[bool]) -> None:
         )
 
 
+def check_length_warmup(length: int, warmup: Optional[int]) -> None:
+    """Refuse a measured *length* below 1 or a negative *warmup*.
+
+    Both campaign entry points call this before anything touches a
+    store or a trace, and the message names the value the caller gave
+    (a bad length would otherwise surface later as a trace error
+    quoting length plus the derived warm-up).  ``warmup=None`` means
+    "derive it from *length*" and passes.
+    """
+    if length < 1:
+        raise SimulationError(f"length must be >= 1, got {length}")
+    if warmup is not None and warmup < 0:
+        raise SimulationError(f"warmup must be >= 0, got {warmup}")
+
+
 def run_sweep(
     configs: Mapping[str, Mapping[str, Any]],
     *,
@@ -924,7 +939,8 @@ def run_sweep(
         configs: ``{config_name: simulate-kwargs}`` as for ``run_suite``.
         workloads: workload names (default: the full SPEC2000 stand-in set).
         length, seed, machine, warmup: as for ``run_workload``; *warmup*
-            defaults to ``length // 3``.
+            defaults to ``length // 3``.  A *length* below 1 or a
+            negative *warmup* raises before the store is touched.
         progress: called with ``(workload, config_name)`` as each cell
             starts (each retry attempt re-reports).
         workers: concurrent cells.  1 with neither *timeout* nor
@@ -1007,6 +1023,7 @@ def run_sweep(
         A :class:`SweepReport`; failed cells appear in ``report.failures``
         rather than raising, so partial results stay usable.
     """
+    check_length_warmup(length, warmup)
     if workers < 1:
         raise SimulationError(f"workers must be >= 1, got {workers}")
     if retries < 0:

@@ -16,7 +16,7 @@ from ..common.errors import SimulationError
 from ..traces.cache import TraceCache, resolve_cache
 from ..traces.workloads import get_workload
 from .results import SimulationResult
-from .runner import run_sweep, simulate_config
+from .runner import check_length_warmup, run_sweep, simulate_config
 from .store import RunStore
 
 #: A configuration is a dict of keyword arguments for :func:`simulate`
@@ -57,6 +57,7 @@ def run_workload(
     a content-addressed cache — ``True`` for the default root, a path or
     :class:`TraceCache` for a specific one.
     """
+    check_length_warmup(length, warmup)
     spec = get_workload(name)
     if warmup is None:
         warmup = length // 3

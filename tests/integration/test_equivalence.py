@@ -5,12 +5,13 @@ lazy sets and valid counts must not change a single simulated number.
 ``tools/equivalence.py`` runs each cell three ways — the batch engine,
 the plain per-access scalar loop, and that same loop over linear-scan
 reference caches — and this suite asserts that all three produce
-bitwise-identical ``SimulationResult.to_dict()`` output (plus a
-metrics digest) for every workload in the suite: under the default,
-victim-cache (the paper's three admission filters and the adaptive
-one), prefetch (timekeeping and DBCP), decay, 2-way L1,
-warmup, and perfect-mode configurations, and on seeded random traces
-with stores.  Every run must also keep the accounting identities.
+bitwise-identical ``SimulationResult.to_dict()`` output and full
+machine state (``equivalence.state_digest``) for every workload in the
+suite: under the default, victim-cache (the paper's three admission
+filters and the adaptive one), prefetch (timekeeping and DBCP), decay,
+2-way L1, warmup, and perfect-mode configurations, and on seeded
+random traces with stores.  Every run must also keep the accounting
+identities.
 """
 
 import sys
@@ -118,7 +119,7 @@ def test_randomized_trace_engines_agree(warmup, kwargs, make_trace):
             assert result.prefetch.issued > 0
         digests[engine] = {
             "result": result.to_dict(),
-            "metrics": equivalence.metrics_digest(sim),
+            "state": equivalence.state_digest(sim),
         }
     diffs = list(
         equivalence._diff_keys(
@@ -139,7 +140,7 @@ def test_victim_invariant_violation_is_a_diff_line():
         "victim.fills + victim.rejected == l1.evictions"
     )
     cell = {
-        label: {"result": {}, "metrics": None, "invariant_violations": []}
+        label: {"result": {}, "state": None, "invariant_violations": []}
         for label, _, _ in equivalence.RUNS
     }
     cell["batch"]["invariant_violations"] = violations
@@ -158,7 +159,7 @@ def test_accounting_violation_is_a_diff_line():
         f"({result.timing.stall_cycles + 1} vs {result.timing.stall_cycles})"
     ]
     cell = {
-        label: {"result": {}, "metrics": None, "invariant_violations": []}
+        label: {"result": {}, "state": None, "invariant_violations": []}
         for label, _, _ in equivalence.RUNS
     }
     cell["scalar"]["invariant_violations"] = violations

@@ -135,8 +135,9 @@ def test_prefetch_timeliness_resolutions_bounded(trace):
 def test_batch_engine_matches_scalar_loop(data):
     """Every paper config on the small machine, with a drawn warm-up:
     the batch engine and the scalar loop agree on the whole result and
-    the metric banks.  The config is drawn per example, so all seven
-    share one example budget."""
+    on the full machine state the run leaves behind, metric banks
+    included.  The config is drawn per example, so all seven share one
+    example budget."""
     trace = data.draw(random_traces(extended=True), label="trace")
     name = data.draw(st.sampled_from(sorted(PAPER_CONFIGS)), label="config")
     warmup = data.draw(st.integers(min_value=0, max_value=len(trace)), label="warmup")
@@ -147,7 +148,7 @@ def test_batch_engine_matches_scalar_loop(data):
         result = sim.run(trace, warmup=warmup, engine=engine)
         assert sim.engine_used == engine, sim.batch_fallback
         runs[engine] = {"result": result.to_dict(),
-                        "metrics": equivalence.metrics_digest(sim)}
+                        "state": equivalence.state_digest(sim)}
     diffs = list(equivalence._diff_keys(runs["batch"], runs["scalar"],
                                         labels=("batch", "scalar")))
     assert not diffs, "\n".join(diffs)

@@ -12,6 +12,8 @@ deferred-state thaw across and after batch dispatch.
 """
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,12 @@ from repro.sim.simulator import MemorySimulator, make_simulator
 from repro.sim.sweep import CONFIG_PRESETS
 from repro.traces.trace import Trace
 from repro.traces.workloads import build_workload
+
+TOOLS_DIR = Path(__file__).resolve().parents[2] / "tools"
+if str(TOOLS_DIR) not in sys.path:
+    sys.path.insert(0, str(TOOLS_DIR))
+
+from equivalence import state_digest  # noqa: E402  (needs the sys.path insert above)
 
 #: The admission filters of the paper's three victim-cache configs.
 PAPER_FILTERS = ("unfiltered", "collins", "timekeeping")
@@ -113,84 +121,10 @@ def prefetch_trace(n=600, seed=5, max_gap=400):
     )
 
 
-def prefetch_digest(sim):
-    """The prefetch engine's state: bookkeeper, queue, MSHRs, events,
-    tables, bus priority state and the L2's prefetch counters."""
-    bookkeeper = sim.bookkeeper
-    policy = sim.policy
-    table = getattr(policy, "table", None)
-    hierarchy = sim.hierarchy
-    return {
-        "pending": {
-            key: (
-                p.target_block, p.state, p.armed_at, p.fire_at, p.issued_at,
-                p.arrived_at, p.displaced_block, p.early,
-            )
-            for key, p in bookkeeper._pending.items()
-        },
-        "displaced": dict(bookkeeper._displaced),
-        "queue": [
-            (p.frame_key, p.target_block, p.state)
-            for p in sim.prefetch_queue._queue
-        ],
-        "mshrs": dict(sim.prefetch_mshrs._inflight),
-        "events": sorted(
-            (when, order, kind, pending.frame_key)
-            for when, order, (kind, pending) in sim.events._heap
-        ),
-        "table": None if table is None else (
-            {
-                index: [(key, tuple(entry)) for key, entry in entries.items()]
-                for index, entries in table._sets.items()
-            },
-            table.lookups, table.lookup_hits, table.updates,
-        ),
-        "dbcp_frames": {
-            key: (st.signature, st.predicted_block, st.death_hits, st.armed,
-                  st.last_pc)
-            for key, st in getattr(policy, "_frames", {}).items()
-        },
-        "dbcp_prev_hits": dict(getattr(policy, "_prev_hits", {})),
-        "buses": [
-            (bus.free_at, bus.last_demand_end, bus.demand_transfers,
-             bus.prefetch_transfers, bus.demand_wait_cycles,
-             bus.prefetch_wait_cycles)
-            for bus in (hierarchy.l1_l2_bus, hierarchy.memory_bus)
-        ],
-        "l2_prefetch": (hierarchy.l2_prefetch_hits, hierarchy.l2_prefetch_misses),
-    }
-
-
 def digest(sim, result):
-    """Comparable snapshot of everything an engine can influence."""
-    l1, l2 = sim.l1, sim.hierarchy.l2
-    frames = {}
-    for tag, cache in (("l1", l1), ("l2", l2)):
-        for f in cache.frames():  # iterating also forces any deferred thaw
-            if f.valid:
-                frames[tag, f.set_index, f.way] = (
-                    f.block_addr, f.dirty, f.lru_stamp, f.fill_time,
-                    f.last_access_time, f.hit_count, f.lt_register,
-                    f.prev_tag, f.prefetched, f.prefetch_used,
-                )
-    victim = sim.victim_cache
-    tracker = sim.generations
-    return {
-        "result": result.to_dict(),
-        "stall_breakdown_keys": list(result.timing.stall_breakdown),
-        "victim_contents": (
-            None if victim is None else list(victim._blocks.items())
-        ),
-        "victim_penalty_acc": sim._victim_penalty_acc,
-        "now": sim.now,
-        "l1": (l1.hits, l1.misses, l1.evictions, l1._clock),
-        "l2": (l2.hits, l2.misses, l2.evictions, l2._clock),
-        "closed_generations": tracker.closed_generations,
-        "open_generations": (dict(tracker._open_last), dict(tracker._open_max)),
-        "frames": frames,
-        "metrics": sim.metrics.to_dict() if sim.metrics is not None else None,
-        "prefetch": prefetch_digest(sim),
-    }
+    """Comparable snapshot of everything an engine can influence: the
+    result and the full machine state."""
+    return {"result": result.to_dict(), **state_digest(sim)}
 
 
 def run_both(make_sim, trace, warmup=0):

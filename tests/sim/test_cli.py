@@ -44,6 +44,13 @@ class TestRun:
                      "--decay-interval", "4096"]) == 0
         assert "decay" in capsys.readouterr().out
 
+    def test_run_with_zero_decay_interval_is_refused(self, capsys):
+        # 0 reaches DecayPolicy, which refuses it, rather than running
+        # without decay.
+        assert main(["run", "gzip", "--length", "100",
+                     "--decay-interval", "0"]) == 1
+        assert "decay_interval must be positive" in capsys.readouterr().err
+
     def test_run_perfect(self, capsys):
         assert main(["run", "gzip", "--length", "3000", "--perfect"]) == 0
 

@@ -141,6 +141,21 @@ class TestSerialEngine:
         with pytest.raises(SimulationError, match="no configurations"):
             run_sweep({}, workloads=["gzip"])
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"length": 0}, "length must be >= 1, got 0"),
+        ({"length": -3}, "length must be >= 1, got -3"),
+        ({"length": LENGTH, "warmup": -1}, "warmup must be >= 0, got -1"),
+    ])
+    def test_bad_length_or_warmup_refused_before_the_store(
+        self, tmp_path, kwargs, message
+    ):
+        # The error names the value given, and no manifest is written:
+        # a corrected rerun into the same store must not be refused.
+        store = tmp_path / "run.jsonl"
+        with pytest.raises(SimulationError, match=message):
+            run_sweep(CONFIGS, workloads=["gzip"], store=store, **kwargs)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", [True, "history.jsonl"])
     def test_obs_history_request_refused(self, tmp_path, value):
         # The run-history store is gone: asking for one is an error, not

@@ -35,6 +35,13 @@ class TestRunWorkload:
         res = run_workload("eon", {"base": {"ipa": 1.0}}, length=1000)
         assert res["base"].timing.instructions == 1000
 
+    def test_bad_length_or_warmup_names_the_given_value(self):
+        # Not the trace length (length plus the derived warm-up).
+        with pytest.raises(SimulationError, match="length must be >= 1, got -3"):
+            run_workload("gzip", CONFIGS, length=-3)
+        with pytest.raises(SimulationError, match="warmup must be >= 0, got -5"):
+            run_workload("gzip", CONFIGS, length=100, warmup=-5)
+
 
 class TestRunSuite:
     def test_subset_of_workloads(self):

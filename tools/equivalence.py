@@ -8,8 +8,9 @@ materialized sets and per-set valid counts.  Each of those fast paths
 is an opportunity to silently change simulation semantics.  This
 harness pins them.
 
-Each cell is a three-way comparison, and all pairs must be
-bitwise-identical:
+Each cell is a three-way comparison of the result and the full machine
+state each run leaves behind (:func:`state_digest`), and all pairs
+must be bitwise-identical:
 
 - ``batch``: the production caches under the batch engine;
 - ``scalar``: the production caches under the scalar loop;
@@ -216,28 +217,90 @@ def _build_simulator(cls, config: Dict[str, Any]) -> MemorySimulator:
     return sim
 
 
-def metrics_digest(sim: MemorySimulator) -> Optional[Dict[str, Any]]:
-    """Collapse the (non-serialized) metrics object into a comparable dict.
+def state_digest(sim: MemorySimulator) -> Dict[str, Any]:
+    """Collapse everything an engine can leave behind into a comparable dict.
 
-    ``SimulationResult.to_dict`` drops metrics by design, but the batch
-    engine's vectorized histogram updates are exactly the kind of code
-    this harness exists to check — so compare them explicitly.
+    ``SimulationResult.to_dict`` drops the metric banks and most machine
+    state by design, yet an engine that leaves a different L2, victim
+    buffer, bus or stall-breakdown order behind changes every later run
+    on that simulator (the warm-up boundary is one).  So the digest
+    covers the L1 and L2 frame fields (reading the frames thaws a
+    deferred L2), the victim buffer in LRU order with its fractional
+    fill penalty, the clock, both caches' counters and LRU clocks, the
+    breakdown's key order, the closed and open generations, the
+    prefetch engine (bookkeeper, queue, MSHRs, events, tables) with
+    both buses, and the metric banks.
     """
-    m = sim.metrics
-    if m is None:
-        return None
-    def hist(h):
-        return {"counts": list(h.counts), "overflow": h.overflow,
-                "total": h.total, "sum": h._sum}
+    l1, l2 = sim.l1, sim.hierarchy.l2
+    frames = {}
+    for tag, cache in (("l1", l1), ("l2", l2)):
+        for f in cache.frames():
+            if f.valid:
+                frames[tag, f.set_index, f.way] = (
+                    f.block_addr, f.dirty, f.lru_stamp, f.fill_time,
+                    f.last_access_time, f.hit_count, f.lt_register,
+                    f.prev_tag, f.prefetched, f.prefetch_used,
+                )
+    victim = sim.victim_cache
+    tracker = sim.generations
+    bookkeeper = sim.bookkeeper
+    policy = sim.policy
+    table = getattr(policy, "table", None)
+    hierarchy = sim.hierarchy
     return {
-        "live_time": hist(m.live_time),
-        "dead_time": hist(m.dead_time),
-        "access_interval": hist(m.access_interval),
-        "reload_interval": hist(m.reload_interval),
-        "total_generations": m.total_generations,
-        "zero_live_generations": m.zero_live_generations,
-        "miss_correlations": len(m.miss_correlations),
-        "live_time_pairs": len(m.live_time_pairs),
+        "frames": frames,
+        "victim_contents": (
+            None if victim is None else list(victim._blocks.items())
+        ),
+        "victim_penalty_acc": sim._victim_penalty_acc,
+        "now": sim.now,
+        "l1": (l1.hits, l1.misses, l1.evictions, l1._clock),
+        "l2": (l2.hits, l2.misses, l2.evictions, l2._clock),
+        "stall_breakdown_keys": list(sim.timing._breakdown),
+        "closed_generations": tracker.closed_generations,
+        "open_generations": (dict(tracker._open_last), dict(tracker._open_max)),
+        "prefetch": {
+            "pending": {
+                key: (
+                    p.target_block, p.state, p.armed_at, p.fire_at,
+                    p.issued_at, p.arrived_at, p.displaced_block, p.early,
+                )
+                for key, p in bookkeeper._pending.items()
+            },
+            "displaced": dict(bookkeeper._displaced),
+            "queue": [
+                (p.frame_key, p.target_block, p.state)
+                for p in sim.prefetch_queue._queue
+            ],
+            "mshrs": dict(sim.prefetch_mshrs._inflight),
+            "events": sorted(
+                (when, order, kind, pending.frame_key)
+                for when, order, (kind, pending) in sim.events._heap
+            ),
+            "table": None if table is None else (
+                {
+                    index: [(key, tuple(entry)) for key, entry in entries.items()]
+                    for index, entries in table._sets.items()
+                },
+                table.lookups, table.lookup_hits, table.updates,
+            ),
+            "dbcp_frames": {
+                key: (st.signature, st.predicted_block, st.death_hits,
+                      st.armed, st.last_pc)
+                for key, st in getattr(policy, "_frames", {}).items()
+            },
+            "dbcp_prev_hits": dict(getattr(policy, "_prev_hits", {})),
+            "buses": [
+                (bus.free_at, bus.last_demand_end, bus.demand_transfers,
+                 bus.prefetch_transfers, bus.demand_wait_cycles,
+                 bus.prefetch_wait_cycles)
+                for bus in (hierarchy.l1_l2_bus, hierarchy.memory_bus)
+            ],
+            "l2_prefetch": (
+                hierarchy.l2_prefetch_hits, hierarchy.l2_prefetch_misses
+            ),
+        },
+        "metrics": sim.metrics.to_dict() if sim.metrics is not None else None,
     }
 
 
@@ -309,10 +372,10 @@ def run_cell(workload: str, length: int, config_name: str,
 
     Returns ``{label: comparable_dict}`` for the labels in :data:`RUNS`
     — production/batch, production/scalar, and the reference — where
-    each comparable dict is the result ``to_dict``, the metrics digest
-    and the run's accounting violations.  A ``warmup_frac``
-    entry in the config adds that fraction of *length* as extra
-    leading accesses consumed as warmup.
+    each comparable dict is the result ``to_dict``, the full machine
+    state (:func:`state_digest`) and the run's accounting violations.
+    A ``warmup_frac`` entry in the config adds that fraction of
+    *length* as extra leading accesses consumed as warmup.
 
     *traces* maps (workload, total length) to a trace already built;
     the cell reuses it, or builds and adds its own.  Cells sharing one
@@ -337,7 +400,7 @@ def run_cell(workload: str, length: int, config_name: str,
             )
         out[label] = {
             "result": result.to_dict(),
-            "metrics": metrics_digest(sim),
+            "state": state_digest(sim),
             "invariant_violations": accounting_violations(sim, result),
         }
     return out
