@@ -197,9 +197,10 @@ class SetAssociativeCache:
     def defer_contents(self, installer) -> None:
         """Schedule *installer* to rebuild this cache's contents lazily.
 
-        The batch engine tracks large caches (the L2) through lean
-        per-set structures instead of :class:`Frame` objects; at the end
-        of a batched run it hands the cache an installer that can
+        The batch engine tracks the caches through lean per-set
+        structures instead of :class:`Frame` objects (the L2 as block
+        lists, the direct-mapped L1 as columns); at the end of a
+        batched run it hands each cache an installer that can
         reconstruct the exact frame state, and the cache runs it on the
         first content access (``probe``/``choose_victim``/``access``/
         ``invalidate``/``frames``/``set_frames``).  Until then ``_tags``

@@ -36,7 +36,7 @@ from .obs.logging import JsonlLogger
 from .obs.metrics import PHASES, aggregate_phases
 from .obs.progress import SweepProgress
 from .obs.tracing import build_sweep_trace
-from .sim.runner import run_sweep
+from .sim.runner import check_length_warmup, run_sweep
 from .sim.store import RunStore
 from .sim.sweep import run_workload
 from .traces.cache import TraceCache, default_cache_root
@@ -596,6 +596,10 @@ def _resolve_workload_list(spec: str) -> List[str]:
 
 
 def _cmd_trace(args, out) -> int:
+    if args.trace_command in ("build", "prewarm"):
+        # Before the cache is touched: a bad value must leave no lock
+        # file or entry behind.
+        check_length_warmup(args.length, args.warmup)
     cache = _trace_cache_from(args)
     if args.trace_command == "build":
         warmup = args.warmup if args.warmup is not None else args.length // 3

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..common.config import MachineConfig
 from ..sim.results import SimulationResult
-from ..sim.runner import FaultHook, check_obs_history, run_sweep
+from ..sim.runner import FaultHook, check_length_warmup, check_obs_history, run_sweep
 from ..sim.store import RunStore
 from ..traces.workloads import SPEC2000
 from .registry import CONFIGS, select_specs
@@ -290,6 +290,7 @@ def run_paper(
     resolved_length = length if length is not None else (
         SMOKE_LENGTH if smoke else FULL_LENGTH
     )
+    check_length_warmup(resolved_length, warmup)
     resolved_warmup = warmup if warmup is not None else resolved_length // 2
     resolved_store = store_path or os.path.join(out_dir, STORE_NAME)
     os.makedirs(out_dir, exist_ok=True)

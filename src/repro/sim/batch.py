@@ -83,11 +83,16 @@ per hit where the policy acts; the hit runs between them stay columns:
   their maximum access intervals, the open generations and the 3C
   classes are rebuilt from columns once the loop is done.
 
-The L2 would be the one expensive reconstruction (tens of thousands of
-:class:`Frame` objects), and nothing observable reads L2 frame fields
-during a run — so the engine hands the cache a
-:class:`_DeferredL2State` installer and the cache thaws it only if
-someone actually looks (`SetAssociativeCache.defer_contents`).
+Nothing observable reads frame fields of either cache during a run, so
+neither is rebuilt as :class:`Frame` objects at the end of a batch:
+the engine hands the L2 a :class:`_DeferredL2State` installer (its
+per-set lists and event log, tens of thousands of frames if built) and
+the L1 a :class:`_DeferredL1State` (one column per frame field,
+indexed by set), and each cache thaws its installer only if someone
+actually looks (`SetAssociativeCache.defer_contents`).  The next batch
+(the warm-up boundary) reads its entry state straight from both.  The
+prefetch event loop works on real L1 frames, so it thaws a deferred L1
+at entry.
 """
 
 from __future__ import annotations
@@ -341,6 +346,97 @@ class _DeferredL2State:
         cache._tags = tags
 
 
+class _DeferredL1State:
+    """The batch engine's direct-mapped L1 as per-set columns, and its
+    lazily reconstructable frames.
+
+    One column per frame field, each indexed by L1 set: ``block`` (the
+    resident block, -1 for an empty set), ``fill``, ``last``, ``hits``,
+    ``lt``, ``dirty``, ``prev_tag`` and ``stamp`` (the LRU stamp), plus
+    ``maxiv``, the open generation's maximum access interval.  Built at
+    batch entry from the L1 itself: chained from the previous batch's
+    final state (the warm-up boundary), or snapshotted from real frames
+    (an L1 that a scalar run filled, or that nothing filled).  A batch
+    reads its entry state from the columns, hands
+    :meth:`with_tails`'s copy to ``l1.defer_contents`` as its final
+    state, and the object doubles as the cache's contents installer
+    (calling it materializes real :class:`Frame` objects).
+    """
+
+    __slots__ = (
+        "block", "fill", "last", "hits", "lt", "dirty", "prev_tag", "stamp",
+        "maxiv",
+    )
+
+    def __init__(self, l1, tracker) -> None:
+        payload = l1.deferred_contents()
+        if payload is not None:
+            for name in self.__slots__:
+                setattr(self, name, getattr(payload, name))
+            return
+        num_sets = l1.num_sets
+        block = self.block = np.full(num_sets, -1, dtype=np.int64)
+        fill = self.fill = np.zeros(num_sets, dtype=np.int64)
+        last = self.last = np.zeros(num_sets, dtype=np.int64)
+        hits = self.hits = np.zeros(num_sets, dtype=np.int64)
+        lt = self.lt = np.zeros(num_sets, dtype=np.int64)
+        dirty = self.dirty = np.zeros(num_sets, dtype=bool)
+        prev_tag = self.prev_tag = np.full(num_sets, -1, dtype=np.int64)
+        stamp = self.stamp = np.zeros(num_sets, dtype=np.int64)
+        maxiv = self.maxiv = np.zeros(num_sets, dtype=np.int64)
+        open_max = tracker._open_max
+        for frame in l1._tags.values():
+            s = frame.set_index
+            block[s] = frame.block_addr
+            fill[s] = frame.fill_time
+            last[s] = frame.last_access_time
+            hits[s] = frame.hit_count
+            lt[s] = frame.lt_register
+            dirty[s] = frame.dirty
+            prev_tag[s] = frame.prev_tag
+            stamp[s] = frame.lru_stamp
+            maxiv[s] = open_max.get(s, 0)
+
+    def with_tails(self, sets: np.ndarray, *columns: np.ndarray) -> "_DeferredL1State":
+        """A copy whose rows at *sets* hold *columns* (in slot order)."""
+        final = _DeferredL1State.__new__(_DeferredL1State)
+        for name, column in zip(self.__slots__, columns):
+            merged = getattr(self, name).copy()
+            merged[sets] = column
+            setattr(final, name, merged)
+        return final
+
+    def __call__(self, cache) -> None:
+        """Materialize frames into *cache* (the thaw path).
+
+        Rebuilds ``_tags`` wholesale, and ``_sets``/``_valid_counts``
+        for every non-empty set (an empty set kept its pre-batch state,
+        since no batch access touched it) — exactly the state the
+        scalar loop's per-access mutations would have left.
+        """
+        index_bits = cache._index_bits
+        sets_arr = cache._sets
+        valid_counts = cache._valid_counts
+        restore = Frame.restore
+        tags: Dict[int, Frame] = {}
+        valid = np.flatnonzero(self.block >= 0)
+        rows = zip(valid.tolist(), *(
+            column[valid].tolist() for column in (
+                self.block, self.fill, self.last, self.hits, self.lt,
+                self.dirty, self.prev_tag, self.stamp,
+            )
+        ))
+        for s, block, fill, last, hits, lt, dirty, prev_tag, stamp in rows:
+            frame = restore(
+                s, 0, s, True, block >> index_bits, block, dirty, stamp, fill,
+                last, hits, lt, prev_tag,
+            )
+            tags[block] = frame
+            sets_arr[s] = [frame]
+            valid_counts[s] = 1
+        cache._tags = tags
+
+
 def _set_order(sets: np.ndarray, num_sets: int) -> np.ndarray:
     """Stable argsort of *sets*: each set's accesses become one run.
 
@@ -506,8 +602,8 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
 
     Leaves *sim* in the same externally observable state as
     ``sim._consume`` over the same rows: counters, clocks, metrics,
-    tracker state, L1 frames (installed eagerly — there are at most
-    ``num_sets`` of them) and L2 contents (deferred — see
+    tracker state and the contents of both caches (deferred, frames
+    built only when read — see :class:`_DeferredL1State` and
     :class:`_DeferredL2State`) all match bitwise, and so does the
     prefetch engine's state when a policy is configured (then the
     event loop :func:`_consume_prefetch` runs the rows).  The caller
@@ -546,26 +642,15 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     stores_arr = kinds == _STORE
     base_now = sim.now + np.cumsum(gaps, dtype=np.int64)
 
-    # Entry L1 state, scattered into per-set arrays (<= num_sets frames).
-    entry_resident = np.full(num_sets, -1, dtype=np.int64)
-    entry_fill = np.zeros(num_sets, dtype=np.int64)
-    entry_last = np.zeros(num_sets, dtype=np.int64)
-    entry_hits = np.zeros(num_sets, dtype=np.int64)
-    entry_lt = np.zeros(num_sets, dtype=np.int64)
-    entry_maxiv = np.zeros(num_sets, dtype=np.int64)
-    entry_dirty = np.zeros(num_sets, dtype=bool)
-    entry_frame: Dict[int, Frame] = {}
-    open_max_entry = tracker._open_max
-    for frame in l1._tags.values():
-        s = frame.set_index
-        entry_frame[s] = frame
-        entry_resident[s] = frame.block_addr
-        entry_fill[s] = frame.fill_time
-        entry_last[s] = frame.last_access_time
-        entry_hits[s] = frame.hit_count
-        entry_lt[s] = frame.lt_register
-        entry_dirty[s] = frame.dirty
-        entry_maxiv[s] = open_max_entry.get(s, 0)
+    # Entry L1 state as per-set columns.
+    l1_state = _DeferredL1State(l1, tracker)
+    entry_resident = l1_state.block
+    entry_fill = l1_state.fill
+    entry_last = l1_state.last
+    entry_hits = l1_state.hits
+    entry_lt = l1_state.lt
+    entry_maxiv = l1_state.maxiv
+    entry_dirty = l1_state.dirty
 
     # Stable sort by set: each set's accesses become one contiguous run,
     # and within a run an access hits iff its predecessor (or the entry
@@ -621,6 +706,8 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     v_block = np.where(m_is_head, entry_resident[m_set], gen_block[g_prev])
     v_valid = np.where(m_is_head, entry_resident[m_set] != -1, True)
     v_dirty = np.where(m_is_head, entry_dirty[m_set], gen_dirty[g_prev]) & v_valid
+    # The prev_tag each miss's fill leaves in its frame.
+    v_tag = np.where(v_valid, v_block >> l1_index_bits, -1)
     # Sorted-miss rank -> miss (original) order permutation, via the
     # original-rank scatter (cheaper than argsort over the subset).
     m_orig = order[mpos_sorted]
@@ -688,13 +775,9 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
             # victim is the set's entry resident or entry generation,
             # else the tag of the previous same-set miss's victim
             # (sorted-miss index m - 1).
-            entry_prev = np.full(num_sets, -1, dtype=np.int64)
-            for s, frame in entry_frame.items():
-                entry_prev[s] = frame.prev_tag
             from_entry = m_is_head | gen_is_entry[g_prev]
             prev = np.arange(nm) - 1  # -1 only where from_entry
-            chained = np.where(v_valid[prev], v_block[prev] >> l1_index_bits, -1)
-            prev_tag = np.where(from_entry, entry_prev[m_set], chained)
+            prev_tag = np.where(from_entry, l1_state.prev_tag[m_set], v_tag[prev])
             adm_col = (
                 prev_tag[perm] == m_blocks >> admission._index_bits
             ).tolist()
@@ -974,65 +1057,30 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     else:
         n_evictions = 0
 
-    # ---- L1 final state (eager: at most num_sets frames) ------------------
+    # ---- L1 final state (deferred) ----------------------------------------
+    # Each touched set ends in the generation of its last access.  One
+    # that began at a miss carries that miss's prev_tag; one that
+    # continued the entry resident keeps the entry's.
     l1_clock0 = l1._clock
     l1._clock = l1_clock0 + n
     tail_pos = np.flatnonzero(tails)
+    f_set = ss[tail_pos]
     f_gid = gen_id[tail_pos]
-    f_stamp_l = (l1_clock0 + order[tail_pos] + 1).tolist()
-    f_set_l = ss[tail_pos].tolist()
-    f_entry_l = gen_is_entry[f_gid].tolist()
-    f_block_l = gen_block[f_gid].tolist()
-    f_fill_l = gen_fill[f_gid].tolist()
-    f_last_l = gen_last_now[f_gid].tolist()
-    f_hits_l = gen_hits_total[f_gid].tolist()
-    f_lt_l = gen_lt[f_gid].tolist()
-    f_max_l = gen_max[f_gid].tolist()
-    f_dirty_l = gen_dirty[f_gid].tolist()
-    if nm:
-        gen_to_missrank = np.full(gen_starts.size, -1, dtype=np.int64)
-        gen_to_missrank[m_gid] = np.arange(nm)
-        f_missrank_l = gen_to_missrank[f_gid].tolist()
-        v_block_l = v_block.tolist()
-        v_valid_l = v_valid.tolist()
-    else:
-        f_missrank_l = v_block_l = v_valid_l = None
-    l1_tags = l1._tags
-    l1_sets = l1._sets
-    l1_valid_counts = l1._valid_counts
-    open_last = tracker._open_last
-    open_max = tracker._open_max
-    frame_restore = Frame.restore
-    for i in range(len(f_set_l)):
-        s = f_set_l[i]
-        last_now = f_last_l[i]
-        if f_entry_l[i]:
-            # The set never missed: its entry frame's generation simply
-            # accumulated hits — mutate it in place.
-            frame = entry_frame[s]
-            frame.hit_count = f_hits_l[i]
-            frame.lt_register = f_lt_l[i]
-            frame.last_access_time = last_now
-            frame.lru_stamp = f_stamp_l[i]
-            frame.dirty = f_dirty_l[i]
-        else:
-            block = f_block_l[i]
-            k = f_missrank_l[i]
-            prev_tag = v_block_l[k] >> l1_index_bits if v_valid_l[k] else -1
-            frame = frame_restore(
-                s, 0, s, True, block >> l1_index_bits, block, f_dirty_l[i],
-                f_stamp_l[i], f_fill_l[i], last_now, f_hits_l[i], f_lt_l[i],
-                prev_tag,
-            )
-            old = entry_frame.get(s)
-            if old is not None:
-                del l1_tags[old.block_addr]
-            else:
-                l1_valid_counts[s] += 1
-            l1_tags[block] = frame
-            l1_sets[s] = [frame]
-        open_last[s] = last_now
-        open_max[s] = f_max_l[i]
+    f_last = gen_last_now[f_gid]
+    f_max = gen_max[f_gid]
+    f_prev = l1_state.prev_tag[f_set]
+    missed = ~gen_is_entry[f_gid]
+    gen_missrank = np.empty(gen_starts.size, dtype=np.int64)
+    gen_missrank[m_gid] = np.arange(nm)
+    f_prev[missed] = v_tag[gen_missrank[f_gid[missed]]]
+    l1.defer_contents(l1_state.with_tails(
+        f_set, gen_block[f_gid], gen_fill[f_gid], f_last,
+        gen_hits_total[f_gid], gen_lt[f_gid], gen_dirty[f_gid], f_prev,
+        l1_clock0 + order[tail_pos] + 1, f_max,
+    ))
+    f_set_l = f_set.tolist()
+    tracker._open_last.update(zip(f_set_l, f_last.tolist()))
+    tracker._open_max.update(zip(f_set_l, f_max.tolist()))
 
     # ---- L2 final state (deferred) and counters ---------------------------
     # The event columns the deferred-state replay needs come from the
@@ -1172,6 +1220,11 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64)
 
+    # The loop works on real frames: thaw an L1 that a base batch left
+    # as columns.
+    thaw = l1.deferred_contents()
+    if thaw is not None:
+        thaw(l1)
     frames: List[Optional[Frame]] = [fs[0] if fs else None for fs in l1._sets]
     resident = [-1] * num_sets
     last = [0] * num_sets

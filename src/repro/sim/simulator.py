@@ -27,9 +27,10 @@ and capacity misses eliminated" upper bound.
 from __future__ import annotations
 
 import gc as _gc
+from contextlib import contextmanager as _contextmanager
 from itertools import islice as _islice
 from time import perf_counter as _perf_counter
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..obs.metrics import current as _telemetry_current
 
@@ -56,6 +57,20 @@ from .results import PrefetchStats, SimulationResult, VictimStats
 
 #: Engines :meth:`MemorySimulator.run` accepts.
 ENGINES = ("batch", "scalar")
+
+
+@_contextmanager
+def _gc_suspended() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the block, then restore
+    the caller's setting (nested use is a no-op)."""
+    was_enabled = _gc.isenabled()
+    if was_enabled:
+        _gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            _gc.enable()
 
 
 class MemorySimulator:
@@ -343,12 +358,12 @@ class MemorySimulator:
         run_started = _perf_counter() if telemetry.enabled else 0.0
         # The run allocates heavily (generation records, fetch results,
         # event tuples) but creates no reference cycles, so generational
-        # GC passes only add pauses; suspend collection for the run and
-        # restore the caller's setting after.
-        gc_was_enabled = _gc.isenabled()
-        if gc_was_enabled:
-            _gc.disable()
-        try:
+        # GC passes only add pauses; suspend collection for the run.  A
+        # caller that drops the simulator right after (simulate()) holds
+        # the suspension through that teardown too: re-enabled here,
+        # the collector's next pass would walk the whole finished
+        # machine just before refcounting frees it.
+        with _gc_suspended():
             if use_batch:
                 length = len(trace)
                 warmup = min(warmup, length)
@@ -363,9 +378,6 @@ class MemorySimulator:
                     self._consume(_islice(rows, warmup))
                     self._reset_stats()
                 self._consume(rows)
-        finally:
-            if gc_was_enabled:
-                _gc.enable()
         self._finished = True
         if telemetry.enabled:
             elapsed = _perf_counter() - run_started
@@ -602,19 +614,29 @@ def simulate(
     of the first billion instructions.  The
     simulated model picks the dispatch engine (see
     :func:`~repro.sim.batch.batch_fallback_reason`).
+
+    The garbage collector stays off from building the simulator until
+    it is freed, and the caller's setting is restored after, also when
+    the run raises.  The machine holds no reference cycles, so
+    refcounting frees it on the spot; with the collector back on before
+    that, its next pass would first walk every object the finished run
+    allocated.
     """
-    simulator = make_simulator(
-        machine,
-        ipa=ipa,
-        victim_filter=victim_filter,
-        victim_entries=victim_entries,
-        prefetcher=prefetcher,
-        prefetch_policy=prefetch_policy,
-        collect_metrics=collect_metrics,
-        perfect_non_cold=perfect_non_cold,
-        decay_interval=decay_interval,
-    )
-    return simulator.run(trace, warmup=warmup)
+    with _gc_suspended():
+        simulator = make_simulator(
+            machine,
+            ipa=ipa,
+            victim_filter=victim_filter,
+            victim_entries=victim_entries,
+            prefetcher=prefetcher,
+            prefetch_policy=prefetch_policy,
+            collect_metrics=collect_metrics,
+            perfect_non_cold=perfect_non_cold,
+            decay_interval=decay_interval,
+        )
+        result = simulator.run(trace, warmup=warmup)
+        del simulator
+    return result
 
 
 def make_simulator(

@@ -13,11 +13,13 @@ deferred-state thaw across and after batch dispatch.
 
 import dataclasses
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.cache.block import Frame
 from repro.common.config import paper_machine, small_test_machine
 from repro.common.errors import SimulationError
 from repro.common.types import AccessOutcome, PrefetchTimeliness
@@ -431,6 +433,91 @@ class TestBitwiseEquivalence:
                 assert b_frame.fill_time == s_frame.fill_time
                 assert b_frame.hit_count == s_frame.hit_count
                 assert b_frame.dirty == s_frame.dirty
+
+
+class TestDeferredL1:
+    """A base batch leaves the L1 as per-set columns (the
+    ``_DeferredL1State`` installer), from which the next batch reads its
+    entry state; frames are built only when something reads the L1."""
+
+    @pytest.mark.parametrize("config", [
+        {}, {"perfect_non_cold": True}, {"victim_filter": "collins"},
+    ], ids=["base", "perfect", "victim_collins"])
+    def test_no_frames_built_during_a_run(self, config, monkeypatch):
+        """Collins admission reads each victim's prev_tag, which the
+        measured batch takes from the warm-up batch's columns: at row
+        100, three sets' first miss brings back the entry resident's
+        predecessor (A-B-A)."""
+        trace = conflict_trace()
+        scalar = MemorySimulator(collect_metrics=True, **config)
+        r_scalar = scalar.run(trace, warmup=100, engine="scalar")
+        restored = []
+        restore = Frame.restore
+
+        def counting(cls, *args, **kwargs):
+            restored.append(args)
+            return restore(*args, **kwargs)
+
+        monkeypatch.setattr(Frame, "restore", classmethod(counting))
+        batch = MemorySimulator(collect_metrics=True, **config)
+        r_batch = batch.run(trace, warmup=100)
+        assert batch.engine_used == "batch", batch.batch_fallback
+        assert isinstance(batch.l1._deferred, batch_module._DeferredL1State)
+        assert restored == [] and batch.l1._tags == {}
+        # Reading the frames thaws the columns.
+        assert digest(batch, r_batch) == digest(scalar, r_scalar)
+        assert batch.l1._deferred is None and restored
+
+    @pytest.mark.parametrize("victim_filter", [None, "collins"])
+    def test_batch_after_scalar_rows_snapshots_the_frames(self, victim_filter):
+        """An L1 that the scalar loop filled enters a batch through the
+        frame snapshot (no public path mixes engines on one simulator);
+        at row 100 Collins admission reads snapshotted prev_tags."""
+        trace = conflict_trace()
+        digests = []
+        for engine in ("scalar", "batch"):
+            sim = MemorySimulator(collect_metrics=True, victim_filter=victim_filter)
+            rows = trace.rows()
+            sim._consume(islice(rows, 100))
+            if engine == "batch":
+                batch_module.consume_batch(sim, trace, 100, len(trace))
+            else:
+                sim._consume(rows)
+            digests.append(state_digest(sim))
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("prefetcher", ["timekeeping", "dbcp"])
+    def test_prefetch_batch_thaws_a_deferred_l1(self, prefetcher):
+        """The prefetch event loop works on real L1 frames.  Entered with
+        an L1 that a base batch left as columns (no public path does
+        this: all batches of one simulator take one engine), it thaws
+        them first, and runs as on thawed frames and as the scalar loop
+        does."""
+        trace = prefetch_trace()
+        warmup = 150
+
+        def run(engine, thaw_first=False):
+            sim = make_simulator(prefetcher=prefetcher, collect_metrics=True)
+            policy, sim.policy = sim.policy, None
+            rows = trace.rows()
+            if engine == "scalar":
+                sim._consume(islice(rows, warmup))
+            else:
+                batch_module.consume_batch(sim, trace, 0, warmup)
+                assert sim.l1._deferred is not None
+                if thaw_first:
+                    list(sim.l1.frames())
+            sim.policy = policy
+            if engine == "scalar":
+                sim._consume(rows)
+            else:
+                batch_module.consume_batch(sim, trace, warmup, len(trace))
+            return digest(sim, sim._build_result(trace))
+
+        scalar = run("scalar")
+        assert scalar["result"]["prefetch"]["arrived"] > 0
+        assert run("batch", thaw_first=True) == scalar
+        assert run("batch") == scalar
 
 
 def classifier_state(sim):

@@ -239,6 +239,27 @@ class TestReport:
         assert "no sweep run" in capsys.readouterr().err
 
 
+class TestTrace:
+    @pytest.mark.parametrize("argv,message", [
+        (["build", "gzip", "--length", "-3"], "length must be >= 1, got -3"),
+        (["build", "gzip", "--length", "100", "--warmup", "-5"],
+         "warmup must be >= 0, got -5"),
+        (["prewarm", "--workloads", "gzip", "--length", "-3"],
+         "length must be >= 1, got -3"),
+        (["prewarm", "--workloads", "gzip", "--length", "100", "--warmup", "-5"],
+         "warmup must be >= 0, got -5"),
+    ])
+    def test_bad_length_or_warmup_refused_before_the_cache(
+        self, capsys, tmp_path, argv, message
+    ):
+        # The error names the value given, and no lock file or entry is
+        # left in the cache root.
+        root = tmp_path / "cache"
+        assert main(["trace", *argv, "--cache-root", str(root)]) == 1
+        assert message in capsys.readouterr().err
+        assert not root.exists()
+
+
 class TestArgparse:
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -156,6 +156,18 @@ class TestSerialEngine:
             run_sweep(CONFIGS, workloads=["gzip"], store=store, **kwargs)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"length": -1}, "length must be >= 1, got -1"),
+        ({"length": LENGTH, "warmup": -5}, "warmup must be >= 0, got -5"),
+    ])
+    def test_paper_bad_length_or_warmup_leaves_no_out_dir(
+        self, tmp_path, kwargs, message
+    ):
+        out = tmp_path / "D"
+        with pytest.raises(SimulationError, match=message):
+            run_paper(out_dir=out, **kwargs)
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [True, "history.jsonl"])
     def test_obs_history_request_refused(self, tmp_path, value):
         # The run-history store is gone: asking for one is an error, not

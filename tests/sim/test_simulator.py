@@ -1,10 +1,14 @@
 """Tests for the trace-driven memory simulator (demand path)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.config import paper_machine, small_test_machine
 from repro.common.errors import SimulationError
 from repro.common.types import AccessOutcome, AccessType, MissClass
+from repro.sim import simulator as simulator_module
 from repro.sim.simulator import MemorySimulator, simulate
 from repro.traces.trace import TraceBuilder
 
@@ -176,3 +180,45 @@ class TestResultSummary:
     def test_outcome_fraction(self):
         r = simulate(trace_of([0, 0, 0, 0]))
         assert r.outcome_fraction(AccessOutcome.L1_HIT) == pytest.approx(0.75)
+
+
+@pytest.fixture
+def gc_setting():
+    """Restore the collector's setting whatever a test leaves."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestGarbageCollectorBoundary:
+    """simulate() keeps the collector off until the finished simulator
+    is freed, and hands the caller's setting back either way."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_caller_setting_restored(self, gc_setting, enabled):
+        t = trace_of([0, 32, 0, 64])
+        (gc.enable if enabled else gc.disable)()
+        simulate(t, warmup=1)
+        assert gc.isenabled() is enabled
+        with pytest.raises(SimulationError, match="warmup"):
+            simulate(t, warmup=-1)
+        assert gc.isenabled() is enabled
+
+    def test_collector_off_while_the_simulator_is_freed(self, gc_setting,
+                                                        monkeypatch):
+        freed_with_gc = []
+        make = simulator_module.make_simulator
+
+        def watched(*args, **kwargs):
+            sim = make(*args, **kwargs)
+            weakref.finalize(sim, lambda: freed_with_gc.append(gc.isenabled()))
+            return sim
+
+        monkeypatch.setattr(simulator_module, "make_simulator", watched)
+        gc.enable()
+        simulate(trace_of([0, 32, 0, 64]), warmup=1)
+        assert freed_with_gc == [False]
+        assert gc.isenabled()
