@@ -72,15 +72,3 @@ class Bus:
         self.prefetch_transfers = 0
         self.demand_wait_cycles = 0
         self.prefetch_wait_cycles = 0
-
-    def utilization(self, elapsed_cycles: int) -> float:
-        """Fraction of *elapsed_cycles* the bus spent transferring.
-
-        Approximated from transfer counts; exact under uniform transfer
-        size.
-        """
-        if elapsed_cycles <= 0:
-            return 0.0
-        per = self.config.transfer_cycles(64)
-        busy = (self.demand_transfers + self.prefetch_transfers) * per
-        return min(1.0, busy / elapsed_cycles)

@@ -36,7 +36,7 @@ from .obs.logging import JsonlLogger
 from .obs.metrics import PHASES, aggregate_phases
 from .obs.progress import SweepProgress
 from .obs.tracing import build_sweep_trace
-from .sim.runner import check_length_warmup, run_sweep
+from .sim.runner import check_length_warmup, run_sweep, sweep_warmup
 from .sim.store import RunStore
 from .sim.sweep import run_workload
 from .traces.cache import TraceCache, default_cache_root
@@ -189,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     build = trace_sub.add_parser(
         "build", help="materialize one workload trace into the cache")
-    _add_workload_args(build)
+    _add_workload_args(build, warmup_help=_TRACE_WARMUP_HELP)
     _add_cache_root_arg(build)
 
     inspect = trace_sub.add_parser(
@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     prewarm.add_argument("--length", type=int, default=60_000,
                          help="measured accesses per cell (default 60000)")
     prewarm.add_argument("--warmup", type=int, default=None,
-                         help="warm-up accesses (default: length/3)")
+                         help=_TRACE_WARMUP_HELP)
     prewarm.add_argument("--seed", type=int, default=0)
     _add_cache_root_arg(prewarm)
 
@@ -229,12 +229,22 @@ def _add_cache_args(sub: argparse.ArgumentParser) -> None:
              "in memory, once per sweep or pool worker)")
 
 
-def _add_workload_args(sub: argparse.ArgumentParser) -> None:
+#: ``--warmup`` help of ``trace build`` / ``trace prewarm``: a trace is
+#: cached at length plus warm-up, and ``repro paper`` warms up for half
+#: its length where sweeps take a third.
+_TRACE_WARMUP_HELP = (
+    "warm-up accesses (default: length/3, as `repro sweep`; to prewarm "
+    "for `repro paper`, pass length/2)"
+)
+
+
+def _add_workload_args(sub: argparse.ArgumentParser,
+                       warmup_help: str = "warm-up accesses (default: length/3)",
+                       ) -> None:
     sub.add_argument("workload", help="SPEC2000 stand-in name (see `list`)")
     sub.add_argument("--length", type=int, default=60_000,
                      help="measured accesses (default 60000)")
-    sub.add_argument("--warmup", type=int, default=None,
-                     help="warm-up accesses (default: length/3)")
+    sub.add_argument("--warmup", type=int, default=None, help=warmup_help)
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -600,10 +610,9 @@ def _cmd_trace(args, out) -> int:
         # Before the cache is touched: a bad value must leave no lock
         # file or entry behind.
         check_length_warmup(args.length, args.warmup)
+        total = args.length + sweep_warmup(args.length, args.warmup)
     cache = _trace_cache_from(args)
     if args.trace_command == "build":
-        warmup = args.warmup if args.warmup is not None else args.length // 3
-        total = args.length + warmup
         get_workload(args.workload)  # fail fast with a clean error
         built = cache.prewarm(args.workload, total, args.seed)
         trace = cache.get(args.workload, total, args.seed)
@@ -632,8 +641,6 @@ def _cmd_trace(args, out) -> int:
         return 0
     if args.trace_command == "prewarm":
         workloads = _resolve_workload_list(args.workloads)
-        warmup = args.warmup if args.warmup is not None else args.length // 3
-        total = args.length + warmup
         for name in workloads:
             get_workload(name)
         built = 0

@@ -9,7 +9,7 @@ which pile up under bursty miss traffic (art, gcc).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Any, Deque, Optional
 
 from ...common.errors import ConfigError
 
@@ -52,19 +52,3 @@ class PrefetchQueue:
     def peek(self) -> Optional[Any]:
         """Oldest request without removing it."""
         return self._queue[0] if self._queue else None
-
-    def remove_where(self, predicate) -> List[Any]:
-        """Remove and return all queued requests matching *predicate*.
-
-        Used to cancel prefetches whose target became resident by a
-        demand fetch before they issued.
-        """
-        kept: Deque[Any] = deque()
-        removed: List[Any] = []
-        for item in self._queue:
-            if predicate(item):
-                removed.append(item)
-            else:
-                kept.append(item)
-        self._queue = kept
-        return removed

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..common.config import MachineConfig
+from ..common.errors import StoreError
 from ..sim.results import SimulationResult
 from ..sim.runner import FaultHook, check_length_warmup, check_obs_history, run_sweep
 from ..sim.store import RunStore
@@ -150,7 +151,6 @@ def execute_plan(
     hang_grace: Optional[float] = None,
     trace_cache: Any = True,
     observer: Any = None,
-    progress: Any = None,
     fault_hook: Optional[FaultHook] = None,
 ) -> List["Any"]:
     """Execute a :func:`plan_cells` plan into *store*, one sweep per group.
@@ -182,7 +182,6 @@ def execute_plan(
             retry_poisoned=retry_poisoned,
             trace_cache=trace_cache,
             observer=observer,
-            progress=progress,
             fault_hook=fault_hook,
             telemetry=True,
             store_metrics=True,
@@ -243,7 +242,6 @@ def run_paper(
     workloads: Optional[Sequence[str]] = None,
     trace_cache: Any = True,
     observer: Any = None,
-    progress: Any = None,
     fault_hook: Optional[FaultHook] = None,
     write_report: bool = True,
     obs_history: Optional[bool] = None,
@@ -256,7 +254,7 @@ def run_paper(
         out_dir: directory receiving ``REPRODUCTION.md`` (created if
             missing); also the default home of the checkpoint store.
         store_path: checkpoint store path (default
-            ``<out_dir>/paper_store.jsonl``).
+            ``<out_dir>/paper_store.jsonl``); its directory must exist.
         length: measured accesses per workload; defaults to the
             benchmark harness's full scale, or the reduced smoke scale
             with ``smoke=True``.
@@ -273,7 +271,7 @@ def run_paper(
         workloads: restrict every spec to these workloads (testing and
             smoke subsets; shape checks on absent workloads SKIP).
         trace_cache: as for ``run_sweep`` (default: shared cache on).
-        observer, progress: as for ``run_sweep``.
+        observer: as for ``run_sweep``.
         fault_hook: test/chaos hook run in the worker before each cell.
         write_report: set False to skip writing ``REPRODUCTION.md``
             (the rendered text is still returned).
@@ -292,6 +290,12 @@ def run_paper(
     )
     check_length_warmup(resolved_length, warmup)
     resolved_warmup = warmup if warmup is not None else resolved_length // 2
+    if store_path:
+        # Checked before out_dir is made: RunStore does not create its
+        # directory, and a refused campaign leaves nothing behind.
+        store_dir = os.path.dirname(os.path.abspath(store_path))
+        if not os.path.isdir(store_dir):
+            raise StoreError(f"store directory {store_dir} does not exist")
     resolved_store = store_path or os.path.join(out_dir, STORE_NAME)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -321,7 +325,6 @@ def run_paper(
             hang_grace=hang_grace,
             trace_cache=trace_cache,
             observer=observer,
-            progress=progress,
             fault_hook=fault_hook,
         )
         executed = sum(r.executed for r in group_reports)

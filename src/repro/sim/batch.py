@@ -14,6 +14,21 @@ counters, histograms, generation records, miss correlations, timing
 breakdown, prefetch engine state and final cache contents —
 bitwise-identically to the scalar loop.
 
+Two engines share that work: :func:`consume_batch` walks the misses of
+the base, perfect and victim machines in one recurrence, and
+:func:`_consume_prefetch` the misses and events of a prefetching one.
+Each walks only those; one opening pass and one post-pass
+(:class:`_Batch`) do the rest, each step written once: the column
+scan, set order and static hit rule with the entry L1 and L2 state;
+then the clock and access-interval pass, one correlation rule, one
+generation close, one stall breakdown over a per-miss category log,
+and one finishing step for the deferred L2 and every counter.  Two
+things stay per engine.  The L1 final state, because the prefetch
+policies act on real frames, which the event loop leaves behind.  And
+the base recurrence's inline copy of the lean L2 step, which the event
+loop calls as :meth:`_DeferredL2State.access`: a method call per miss
+shows in the base configurations' time.
+
 Exactness is the contract, not an aspiration: the equivalence harness
 (`tools/equivalence.py`) compares full result dictionaries between the
 two engines cell by cell.  The invariants the reconstruction leans on:
@@ -79,9 +94,11 @@ per hit where the policy acts; the hit runs between them stay columns:
   time, live-time register, dirty bit, LRU stamp), from the base clock
   plus the stall of the misses before each hit and the prefetch fills
   that advanced the L1 clock;
-- evicted generations close as columns (the tracker absorbs them), and
-  their maximum access intervals, the open generations and the 3C
-  classes are rebuilt from columns once the loop is done.
+- the loop records only its misses (position, stall and category log
+  entry), its L2 events and the generations it closes, each with its
+  correlation key; the post-pass derives everything else, and the open
+  generations and the closed ones' maximum access intervals are rebuilt
+  from columns once the loop is done.
 
 Nothing observable reads frame fields of either cache during a run, so
 neither is rebuilt as :class:`Frame` objects at the end of a batch:
@@ -206,6 +223,7 @@ class _DeferredL2State:
         "events",
         "clock0",
         "index_bits",
+        "set_mask",
         "assoc",
         "_fields",
     )
@@ -249,8 +267,45 @@ class _DeferredL2State:
         self.events = None
         self.clock0 = l2._clock
         self.index_bits = l2._index_bits
+        self.set_mask = l2._set_mask
         self.assoc = l2.associativity
         self._fields = None
+
+    def access(self, lb: int, lru: bool) -> int:
+        """One access to L2 block *lb* in the lean structures; returns
+        its packed log value (see :meth:`final_fields`).
+
+        A hit moves the block to MRU.  A miss takes the set's next free
+        way, else evicts its LRU block, and enters at MRU, or at the LRU
+        position when *lru* is set (a prefetch fill into an associative
+        L2).
+        """
+        way_of = self.way_of
+        if lb in way_of:
+            lst = self.set_lists[lb & self.set_mask]
+            if lst[-1] != lb:
+                lst.remove(lb)
+                lst.append(lb)
+            return 1
+        s = lb & self.set_mask
+        lst = self.set_lists.get(s)
+        if lst is None:
+            lst = self.set_lists[s] = []
+            free = self.free_ways[s] = list(range(self.assoc - 1, -1, -1))
+        else:
+            free = self.free_ways[s]
+        if free:
+            way_of[lb] = free.pop()
+            packed = 0
+        else:
+            old = lst.pop(0)
+            way_of[lb] = way_of.pop(old)
+            packed = (old + 1) << 1
+        if lru:
+            lst.insert(0, lb)
+            return ~packed
+        lst.append(lb)
+        return packed
 
     def final_fields(self) -> Dict[int, tuple]:
         """block → (fill, last, hits, lt, dirty, prev_tag, stamp).
@@ -353,11 +408,12 @@ class _DeferredL1State:
     One column per frame field, each indexed by L1 set: ``block`` (the
     resident block, -1 for an empty set), ``fill``, ``last``, ``hits``,
     ``lt``, ``dirty``, ``prev_tag`` and ``stamp`` (the LRU stamp), plus
-    ``maxiv``, the open generation's maximum access interval.  Built at
-    batch entry from the L1 itself: chained from the previous batch's
-    final state (the warm-up boundary), or snapshotted from real frames
-    (an L1 that a scalar run filled, or that nothing filled).  A batch
-    reads its entry state from the columns, hands
+    ``maxiv``, the open generation's maximum access interval.  A batch
+    reads its entry state from the columns: the previous batch's final
+    state (the warm-up boundary, popped off the L1 by the opening pass
+    of :class:`_Batch`), or a snapshot of real frames (an L1 that a
+    scalar run or the prefetch event loop filled, or that nothing
+    filled), which is what the constructor takes.  A base batch hands
     :meth:`with_tails`'s copy to ``l1.defer_contents`` as its final
     state, and the object doubles as the cache's contents installer
     (calling it materializes real :class:`Frame` objects).
@@ -369,33 +425,25 @@ class _DeferredL1State:
     )
 
     def __init__(self, l1, tracker) -> None:
-        payload = l1.deferred_contents()
-        if payload is not None:
-            for name in self.__slots__:
-                setattr(self, name, getattr(payload, name))
-            return
         num_sets = l1.num_sets
-        block = self.block = np.full(num_sets, -1, dtype=np.int64)
-        fill = self.fill = np.zeros(num_sets, dtype=np.int64)
-        last = self.last = np.zeros(num_sets, dtype=np.int64)
-        hits = self.hits = np.zeros(num_sets, dtype=np.int64)
-        lt = self.lt = np.zeros(num_sets, dtype=np.int64)
-        dirty = self.dirty = np.zeros(num_sets, dtype=bool)
-        prev_tag = self.prev_tag = np.full(num_sets, -1, dtype=np.int64)
-        stamp = self.stamp = np.zeros(num_sets, dtype=np.int64)
-        maxiv = self.maxiv = np.zeros(num_sets, dtype=np.int64)
-        open_max = tracker._open_max
-        for frame in l1._tags.values():
-            s = frame.set_index
-            block[s] = frame.block_addr
-            fill[s] = frame.fill_time
-            last[s] = frame.last_access_time
-            hits[s] = frame.hit_count
-            lt[s] = frame.lt_register
-            dirty[s] = frame.dirty
-            prev_tag[s] = frame.prev_tag
-            stamp[s] = frame.lru_stamp
-            maxiv[s] = open_max.get(s, 0)
+        self.block = np.full(num_sets, -1, dtype=np.int64)
+        self.prev_tag = np.full(num_sets, -1, dtype=np.int64)
+        self.dirty = np.zeros(num_sets, dtype=bool)
+        for name in ("fill", "last", "hits", "lt", "stamp", "maxiv"):
+            setattr(self, name, np.zeros(num_sets, dtype=np.int64))
+        frames = l1._tags.values()
+        if frames:
+            # One row per frame in slot order, scattered by set at once.
+            open_max = tracker._open_max
+            rows = np.array([
+                (f.set_index, f.block_addr, f.fill_time, f.last_access_time,
+                 f.hit_count, f.lt_register, f.dirty, f.prev_tag, f.lru_stamp,
+                 open_max.get(f.set_index, 0))
+                for f in frames
+            ], dtype=np.int64)
+            sets = rows[:, 0]
+            for k, name in enumerate(self.__slots__, 1):
+                getattr(self, name)[sets] = rows[:, k]
 
     def with_tails(self, sets: np.ndarray, *columns: np.ndarray) -> "_DeferredL1State":
         """A copy whose rows at *sets* hold *columns* (in slot order)."""
@@ -597,6 +645,286 @@ def _previous_live(e_block: np.ndarray, e_live: np.ndarray, e_block_l: List[int]
     return prev_live_list, so, sb
 
 
+class _Batch:
+    """One batch's shared passes: the opening pass both engines start
+    from (the constructor), and the post-pass they end with
+    (:meth:`clocks`, :meth:`close`, then :meth:`finish`).
+
+    The opening pass derives each access's block, store flag and base
+    clock (its clock before any stall of this batch), the stable set
+    order (``order``; ``ss``/``sb`` are the sets and blocks in it) with
+    its run ``heads``, the static hit rule (``hit_sorted``: an access
+    hits iff its set predecessor, or at a run head the set's entry
+    resident, is the same block) and both caches' entry state.  A
+    deferred L1 is the entry ``l1_state`` as it is (``l1_thaw`` keeps
+    it for an engine that needs frames); any other L1 is snapshotted.
+    """
+
+    __slots__ = (
+        "sim", "n", "gaps", "blocks", "stores", "base_now", "order", "ss", "sb",
+        "heads", "hit_sorted", "l1_state", "l1_thaw", "l2_state", "now_eff",
+        "now_s", "pre_now",
+    )
+
+    def __init__(self, sim, addresses: np.ndarray, kinds: np.ndarray,
+                 gaps: np.ndarray) -> None:
+        l1 = sim.l1
+        num_sets = l1.num_sets
+        n = self.n = int(len(addresses))
+        self.sim = sim
+        self.gaps = gaps
+        blocks = self.blocks = addresses >> sim._offset_bits
+        sets = blocks & (num_sets - 1)
+        self.stores = kinds == _STORE
+        self.base_now = sim.now + np.cumsum(gaps, dtype=np.int64)
+        thaw = self.l1_thaw = l1.deferred_contents()
+        l1_state = self.l1_state = (
+            thaw if thaw is not None else _DeferredL1State(l1, sim.generations)
+        )
+        l2 = sim.hierarchy.l2
+        self.l2_state = _DeferredL2State(l2)
+        order = self.order = _set_order(sets, num_sets)
+        ss = self.ss = sets[order]
+        sb = self.sb = blocks[order]
+        heads = self.heads = np.empty(n, dtype=bool)
+        heads[0] = True
+        heads[1:] = ss[1:] != ss[:-1]
+        prev_blk = np.empty(n, dtype=np.int64)
+        prev_blk[1:] = sb[:-1]
+        prev_blk[heads] = l1_state.block[ss[heads]]
+        self.hit_sorted = sb == prev_blk
+
+    def clocks(self, miss_pos: np.ndarray, m_stall: np.ndarray,
+               seg_starts: np.ndarray, hit_s: np.ndarray,
+               arrivals: Optional[tuple] = None) -> np.ndarray:
+        """The clock and access-interval pass.
+
+        *m_stall* is each miss's clock stall (every stall falls at a
+        miss), *seg_starts* the set-order indices where generation
+        segments start, *hit_s* the hit flags in set order, *arrivals*
+        the set-order indices and times of prefetch fills that restart
+        an access's interval.  Sets ``sim.now``, feeds the hits'
+        intervals to the metrics, keeps every access's clock
+        (``now_eff``; ``now_s`` in set order) and each miss's clock
+        before its stalls (``pre_now``), and returns each segment's
+        maximum hit interval.
+        """
+        stall_full = np.zeros(self.n, dtype=np.int64)
+        stall_full[miss_pos] = m_stall
+        now_eff = self.now_eff = self.base_now + np.cumsum(stall_full)
+        self.sim.now = int(now_eff[-1])
+        self.pre_now = now_eff[miss_pos] - m_stall
+        now_s = self.now_s = now_eff[self.order]
+        heads = self.heads
+        prev_now = np.empty(self.n, dtype=np.int64)
+        prev_now[1:] = now_s[:-1]
+        prev_now[heads] = self.l1_state.last[self.ss[heads]]
+        if arrivals is not None:
+            prev_now[arrivals[0]] = arrivals[1]
+        intervals = now_s - prev_now
+        metrics = self.sim.metrics
+        if metrics is not None and miss_pos.size < self.n:
+            metrics.access_interval.add_many(intervals[hit_s])
+        return np.maximum.reduceat(np.where(hit_s, intervals, 0), seg_starts)
+
+    def close(self, cls: np.ndarray, m_blocks: np.ndarray, closures: tuple) -> None:
+        """The miss correlations, then the close of the evicted generations.
+
+        *closures* holds the closed generations' columns in closure
+        order (block, start, live time, dead time, hit count, maximum
+        access interval, key); a closure's key is the number of misses
+        begun when it happened.  Correlations sample each non-cold
+        miss's *previous closed generation* of the missed block (*cls*
+        and *m_blocks* are per miss, in miss order): the latest
+        in-batch closure of that block whose key is at most the miss's
+        rank, else the tracker's pre-batch history.  So a miss's own
+        eviction, which lands after its correlation, is not seen, and a
+        prefetch arrival's eviction before the miss is.
+        """
+        sim = self.sim
+        metrics = sim.metrics
+        tracker = sim.generations
+        e_block, e_start, e_live, e_dead, e_hits, e_max, e_key = closures
+        last_gen_get = tracker._last_gen.get
+        n_closed = int(e_block.size)
+        if n_closed:
+            e_block_l = e_block.tolist()
+            prev_live, so, sb = _previous_live(e_block, e_live, e_block_l, last_gen_get)
+        noncold = np.flatnonzero(cls != _COLD) if metrics is not None else ()
+        if len(noncold):
+            q_block = m_blocks[noncold]
+            q_now = self.pre_now[noncold]
+            nq = int(noncold.size)
+            keep = np.ones(nq, dtype=bool)
+            if n_closed:
+                # One searchsorted over dense (block, key) keys: the
+                # block-sorted closures are key ordered within a block,
+                # and a query takes the dense id of its block's run
+                # (at lo, the run's first closure, if it has one).
+                stride = int(cls.size) + 1
+                gid = np.zeros(n_closed, dtype=np.int64)
+                np.cumsum(sb[1:] != sb[:-1], out=gid[1:])
+                ev_keys = gid * stride + e_key[so]
+                lo = np.searchsorted(sb, q_block)
+                run = np.minimum(lo, n_closed - 1)
+                q_keys = gid[run] * stride + noncold
+                pos = np.searchsorted(ev_keys, q_keys, side="right") - 1
+                inb = (pos >= lo) & (sb[run] == q_block)
+                src = so[np.maximum(pos, 0)]
+                r_reload = np.where(inb, q_now - e_start[src], 0)
+                r_dead = np.where(inb, e_dead[src], 0)
+                r_live = np.where(inb, e_live[src], 0)
+                fallback = np.flatnonzero(~inb)
+            else:
+                r_reload = np.zeros(nq, dtype=np.int64)
+                r_dead = np.zeros(nq, dtype=np.int64)
+                r_live = np.zeros(nq, dtype=np.int64)
+                fallback = np.arange(nq)
+            if fallback.size:
+                qb_l = q_block.tolist()
+                qn_l = q_now.tolist()
+                for i in fallback.tolist():
+                    lg = last_gen_get(qb_l[i])
+                    if lg is None:
+                        keep[i] = False
+                    else:
+                        r_reload[i] = qn_l[i] - lg.start
+                        r_dead[i] = lg.dead_time
+                        r_live[i] = lg.live_time
+            corr_cls = cls[noncold][keep].tolist()
+            if corr_cls:
+                metrics.bulk_correlations(
+                    corr_cls, r_reload[keep].tolist(), r_dead[keep].tolist(),
+                    r_live[keep].tolist(),
+                )
+        if not n_closed:
+            return
+        # Record columns, handed to the tracker and metrics as-is: both
+        # queue them and only build GenerationRecord objects when
+        # someone reads per-block history or the record lists.
+        gen_columns = (
+            e_block_l, e_start.tolist(), e_live.tolist(), e_dead.tolist(),
+            e_hits.tolist(), e_max.tolist(), prev_live,
+        )
+        tracker.absorb_closed(gen_columns)
+        if metrics is not None:
+            if int(e_dead.min()) < 0:
+                # Only an arrival outside its trigger's set can close a
+                # generation before it began; feed such batches record
+                # by record, as the scalar loop does.
+                for record in map(GenerationRecord, *gen_columns):
+                    metrics.on_generation(record)
+            else:
+                metrics.bulk_generations(e_live, e_dead, gen_columns)
+
+    def finish(self, miss_log: np.ndarray, demand: np.ndarray,
+               penalty: Optional[np.ndarray], served, served_charges_l2: bool,
+               l2_events, buses: tuple, n_wb: int, n_closed: int,
+               prefetch: tuple = (0, 0, 0, 0)) -> None:
+        """The stall breakdown, the deferred L2, and every L2,
+        hierarchy, bus, timing, L1 and outcome counter.
+
+        *miss_log* is the per-miss category column: the packed L2 event
+        of a miss that reached the L2, -1 for one served beside it (a
+        victim-cache hit or a merge with an in-flight prefetch: outcome
+        *served*, charging "l2" if *served_charges_l2*), -2 for a
+        charged (``perfect_non_cold``) one.  *demand* and *penalty* are
+        each miss's demand stall and victim-fill penalty (None without
+        a victim cache); *l2_events* is the deferred L2's event log.
+        *buses* holds ``(free_at, last_demand_end, demand wait,
+        prefetch wait)`` per bus, L1/L2 first; a None
+        ``last_demand_end`` means all traffic was demand traffic.
+        *prefetch* counts the prefetch L2 hits, fills and evictions,
+        and the L1 prefetch fills.
+        """
+        sim = self.sim
+        n = self.n
+        l1 = sim.l1
+        hierarchy = sim.hierarchy
+        l2 = hierarchy.l2
+        timing = sim.timing
+        pf_l2h, pf_fill, pf_evict, l1_pf_fills = prefetch
+        nm = int(miss_log.size)
+        reach = miss_log >= 0
+        packed = miss_log[reach]
+        n_reach = int(packed.size)
+        n_l2h = int((packed & 1).sum())
+        n_fill = n_reach - n_l2h
+        n_served = int((miss_log == -1).sum())
+        n_charged = nm - n_reach - n_served
+
+        # Breakdown keys are inserted in order of first occurrence, a
+        # miss's demand category before its penalty, as the scalar
+        # add_stall / add_fixed_stall sequence would.
+        l2_mask = miss_log == 1
+        if served_charges_l2:
+            l2_mask |= miss_log == -1
+        categories = [
+            ("l2", l2_mask, demand),
+            ("memory", reach & ((miss_log & 1) == 0), demand),
+        ]
+        if penalty is not None:
+            categories.append(("victim-fill", penalty > 0, penalty))
+        firsts = []
+        for name, mask, amounts in categories:
+            where = np.flatnonzero(mask)
+            if where.size:
+                order_key = 2 * int(where[0]) + (name == "victim-fill")
+                firsts.append((order_key, name, int(amounts[where].sum())))
+        breakdown = timing._breakdown
+        for _, name, amount in sorted(firsts):
+            breakdown[name] = breakdown.get(name, 0) + amount
+
+        l2_state = self.l2_state
+        if l2_state.had_state or n_reach + pf_l2h + pf_fill:
+            l2_state.events = l2_events
+            l2.defer_contents(l2_state)
+        # A prefetch fill inserted at the LRU position does not advance
+        # the L2 clock.
+        l2._clock += n_reach + pf_l2h + (pf_fill if l2.associativity == 1 else 0)
+        l2.hits += n_l2h + pf_l2h
+        l2.misses += n_fill + pf_fill
+        l2.evictions += int((packed > 1).sum()) + pf_evict
+        hierarchy.l2_demand_hits += n_l2h
+        hierarchy.l2_demand_misses += n_fill
+        hierarchy.l2_prefetch_hits += pf_l2h
+        hierarchy.l2_prefetch_misses += pf_fill
+        hierarchy.memory_accesses += n_fill + pf_fill
+        # Every dirty victim crossed the L1/L2 bus once, and every miss
+        # that reached the L2 requested one fetch.
+        for bus, (free, lde, wait, pf_wait), transfers, pf_transfers in (
+            (hierarchy.l1_l2_bus, buses[0], n_reach + n_wb, pf_l2h + pf_fill),
+            (hierarchy.memory_bus, buses[1], n_fill, pf_fill),
+        ):
+            if lde is None:
+                lde = free if transfers else bus.last_demand_end
+            bus.free_at = free
+            bus.last_demand_end = lde
+            bus.demand_transfers += transfers
+            bus.demand_wait_cycles += wait
+            bus.prefetch_transfers += pf_transfers
+            bus.prefetch_wait_cycles += pf_wait
+
+        timing.compute_cycles += int(self.gaps.sum(dtype=np.int64))
+        timing._accesses += n
+        # The batch's stall is how far its clock ran ahead of the base.
+        timing.stall_cycles += int(self.now_eff[-1] - self.base_now[-1])
+        # Charged (perfect_non_cold) misses count as L1 hits in both the
+        # outcome tally and the mechanism counters; see the accounting
+        # note in MemorySimulator.
+        l1._clock += n + l1_pf_fills
+        l1.hits += n - nm + n_charged
+        l1.misses += nm - n_charged
+        l1.evictions += n_closed
+        sim.writebacks += n_wb
+        sim._accesses += n
+        outcomes = sim._outcomes
+        outcomes[AccessOutcome.L1_HIT] += n - nm + n_charged
+        outcomes[served] += n_served
+        outcomes[AccessOutcome.L2_HIT] += n_l2h
+        outcomes[AccessOutcome.MEMORY] += n_fill
+
+
 def consume_batch(sim, trace, start: int, stop: int) -> None:
     """Run trace rows [start:stop) through *sim*, batch-dispatched.
 
@@ -606,44 +934,39 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     built only when read — see :class:`_DeferredL1State` and
     :class:`_DeferredL2State`) all match bitwise, and so does the
     prefetch engine's state when a policy is configured (then the
-    event loop :func:`_consume_prefetch` runs the rows).  The caller
-    (the engine dispatch in :meth:`MemorySimulator.run`) has already
-    verified :func:`batch_fallback_reason` returned None.
+    event loop :func:`_consume_prefetch` walks the rows).  Both start
+    from the opening pass and end with the post-pass of
+    :class:`_Batch`.  The caller (the engine dispatch in
+    :meth:`MemorySimulator.run`) has already verified
+    :func:`batch_fallback_reason` returned None.
     """
-    if sim.policy is not None:
-        _consume_prefetch(sim, trace, start, stop)
-        return
     addresses, kinds, gaps = trace.scan_columns(start, stop)
-    n = int(len(addresses))
-    if n == 0:
+    if not len(addresses):
+        return
+    bt = _Batch(sim, addresses, kinds, gaps)
+    if sim.policy is not None:
+        _consume_prefetch(sim, trace, start, stop, bt)
         return
 
+    n = bt.n
     l1 = sim.l1
     hierarchy = sim.hierarchy
-    l2 = hierarchy.l2
     timing = sim.timing
-    metrics = sim.metrics
     tracker = sim.generations
     victim_cache = sim.victim_cache
 
-    offset_bits = sim._offset_bits
-    num_sets = l1.num_sets
     l1_index_bits = l1._index_bits
     l2_shift = hierarchy._l2_shift
-    l2_set_mask = l2._set_mask
+    l2_set_mask = hierarchy.l2._set_mask
     l2_hit_latency = hierarchy._l2_hit_latency
     memory_latency = hierarchy._memory_latency
     hidden_latency = timing.HIDDEN_LATENCY
     mlp = timing._mlp
 
     # ---- PRE: column math --------------------------------------------------
-    blocks = addresses >> offset_bits
-    sets = blocks & (num_sets - 1)
-    stores_arr = kinds == _STORE
-    base_now = sim.now + np.cumsum(gaps, dtype=np.int64)
-
-    # Entry L1 state as per-set columns.
-    l1_state = _DeferredL1State(l1, tracker)
+    blocks = bt.blocks
+    base_now = bt.base_now
+    l1_state = bt.l1_state
     entry_resident = l1_state.block
     entry_fill = l1_state.fill
     entry_last = l1_state.last
@@ -652,29 +975,14 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     entry_maxiv = l1_state.maxiv
     entry_dirty = l1_state.dirty
 
-    # Stable sort by set: each set's accesses become one contiguous run,
-    # and within a run an access hits iff its predecessor (or the entry
-    # resident, at the run head) is the same block.
-    order = _set_order(sets, num_sets)
-    ss = sets[order]
-    sb = blocks[order]
-    store_sorted = stores_arr[order]
-    heads = np.empty(n, dtype=bool)
-    heads[0] = True
-    heads[1:] = ss[1:] != ss[:-1]
-    tails = np.empty(n, dtype=bool)
-    tails[-1] = True
-    tails[:-1] = heads[1:]
-    prev_blk = np.empty(n, dtype=np.int64)
-    prev_blk[1:] = sb[:-1]
-    prev_blk[heads] = entry_resident[ss[heads]]
-    hit_sorted = sb == prev_blk
+    # Without a prefetcher the static hit rule is the outcome.
+    order, ss, heads, hit_sorted = bt.order, bt.ss, bt.heads, bt.hit_sorted
+    store_sorted = bt.stores[order]
     miss_sorted = ~hit_sorted
     hit = np.empty(n, dtype=bool)
     hit[order] = hit_sorted
     miss_pos = np.flatnonzero(~hit)
     nm = int(miss_pos.size)
-    n_hit = n - nm
 
     # Generation segmentation (sorted domain): a generation starts at a
     # set head that hits (continuing the entry resident's generation) or
@@ -683,7 +991,7 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     gen_starts = np.flatnonzero(gen_head)
     gen_id = np.cumsum(gen_head) - 1
     gen_set = ss[gen_starts]
-    gen_block = sb[gen_starts]
+    gen_block = bt.sb[gen_starts]
     gen_is_entry = heads[gen_starts] & hit_sorted[gen_starts]
     gen_batch_hits = np.add.reduceat(hit_sorted.astype(np.int64), gen_starts)
     gen_dirty = np.logical_or.reduceat(store_sorted, gen_starts) | (
@@ -692,9 +1000,7 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     gen_hits_total = gen_batch_hits + np.where(gen_is_entry, entry_hits[gen_set], 0)
     # Last access of each generation: the position just before the next
     # generation start (or the batch end).
-    gen_last_pos = np.empty(gen_starts.size, dtype=np.int64)
-    gen_last_pos[:-1] = gen_starts[1:] - 1
-    gen_last_pos[-1] = n - 1
+    gen_last_pos = np.append(gen_starts[1:] - 1, n - 1)
 
     # Per-miss victim identity (sorted-miss order). Non-timing fields
     # only — timing-dependent victim fields wait for the stall pass.
@@ -725,6 +1031,9 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     # later access.  Everything else is precomputed columns.  One loop
     # serves every configuration: a charged (perfect_non_cold) miss and
     # a victim-cache hit only change where a miss's latency comes from.
+    # The L2 step is written out inline rather than calling
+    # _DeferredL2State.access: a method call per miss shows in the
+    # base configurations' time.
     l1_l2_bus = hierarchy.l1_l2_bus
     memory_bus = hierarchy.memory_bus
     c32 = _transfer_cycles(l1_l2_bus, sim.machine.l1d.block_size)
@@ -734,7 +1043,7 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     l1l2_wait = 0
     mem_wait = 0
 
-    l2_state = _DeferredL2State(l2)
+    l2_state = bt.l2_state
     set_lists = l2_state.set_lists
     way_of = l2_state.way_of
     free_ways = l2_state.free_ways
@@ -742,9 +1051,9 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     way_pop = way_of.pop
     default_ways = range(l2_state.assoc - 1, -1, -1)
 
-    # The per-miss log: the packed L2 event of a miss that reaches the
-    # L2 (low bit an L2 hit, higher bits an evicted block plus one), -1
-    # for a victim-cache hit, -2 for a charged miss.
+    # The per-miss log (the post-pass's category column): the packed L2
+    # event of a miss that reaches the L2, -1 for a victim-cache hit, -2
+    # for a charged miss.
     miss_log: List[int] = []
     log_append = miss_log.append
     stall_list: List[int] = []  # demand stall per miss
@@ -896,19 +1205,7 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
             cum_append(stall_acc)
     if victim_cache is not None:
         sim._victim_penalty_acc = penalty_acc
-
-    # Counters from the log: every dirty victim crossed the L1/L2 bus
-    # once, and every miss that reached the L2 requested one fetch.
     miss_log_arr = np.array(miss_log, dtype=np.int64)
-    reach = miss_log_arr >= 0
-    packed_arr = miss_log_arr[reach]
-    n_reach = int(packed_arr.size)
-    n_l2h = int((packed_arr & 1).sum())
-    n_fill = n_reach - n_l2h
-    n_l2_evict = int((packed_arr > 1).sum())
-    n_vhit = int((miss_log_arr == -1).sum())
-    n_charged = nm - n_reach - n_vhit
-    n_wb = int(v_dirty.sum())
     # Per-miss stalls: the demand stall (the breakdown's l2/memory
     # share) and the clock stall, which adds any victim-fill penalty.
     demand_stalls = np.array(stall_list, dtype=np.int64)
@@ -916,154 +1213,42 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         demand_stalls if victim_cache is None
         else np.diff(np.array(cum, dtype=np.int64))
     )
-    penalties = stalls_np - demand_stalls
 
-    # ---- PASS D: clocks and intervals -------------------------------------
-    stall_full = np.zeros(n, dtype=np.int64)
-    stall_full[miss_pos] = stalls_np
-    incl = np.cumsum(stall_full)
-    now_eff = base_now + incl
-    now_s = now_eff[order]
-    sim.now = int(now_eff[-1])
-    prev_now = np.empty(n, dtype=np.int64)
-    prev_now[1:] = now_s[:-1]
-    prev_now[heads] = entry_last[ss[heads]]
-    intervals = now_s - prev_now
-    if metrics is not None and n_hit:
-        metrics.access_interval.add_many(intervals[hit_sorted])
-    gen_max = np.maximum.reduceat(np.where(hit_sorted, intervals, 0), gen_starts)
+    # ---- POST: clocks, generations, correlations --------------------------
+    seg_max = bt.clocks(miss_pos, stalls_np, gen_starts, hit_sorted)
     gen_max = np.where(
-        gen_is_entry, np.maximum(gen_max, entry_maxiv[gen_set]), gen_max
+        gen_is_entry, np.maximum(seg_max, entry_maxiv[gen_set]), seg_max
     )
-    gen_last_now = now_s[gen_last_pos]
-    gen_fill = np.where(gen_is_entry, entry_fill[gen_set], now_s[gen_starts])
+    gen_last_now = bt.now_s[gen_last_pos]
+    gen_fill = np.where(gen_is_entry, entry_fill[gen_set], bt.now_s[gen_starts])
     gen_lt = np.where(
         gen_batch_hits > 0,
         gen_last_now - gen_fill,
         np.where(gen_is_entry, entry_lt[gen_set], 0),
     )
     gen_live = np.where(gen_hits_total > 0, gen_lt, 0)
-    # Each miss's clock after its stalls.  Correlations and L2 events
-    # read it before both, and the evicted generation closes before the
-    # fill penalty.
-    m_now = now_eff[miss_pos]
-    pre_now = m_now - stalls_np
-
-    # ---- PASS E: generations, correlations, metrics, installs -------------
-    if nm:
-        entry_live = np.where(entry_hits > 0, entry_lt, 0)
-        v_start = np.where(m_is_head, entry_fill[m_set], gen_fill[g_prev])
-        v_live = np.where(m_is_head, entry_live[m_set], gen_live[g_prev])
-        v_hits = np.where(m_is_head, entry_hits[m_set], gen_hits_total[g_prev])
-        v_max = np.where(m_is_head, entry_maxiv[m_set], gen_max[g_prev])
-        # Reorder to miss (original) order; drop invalid victims.
-        val_mask = v_valid[perm]
-        e_rank = np.flatnonzero(val_mask)
-        e_block = v_block[perm][val_mask]
-        e_start = v_start[perm][val_mask]
-        e_live = v_live[perm][val_mask]
-        e_dead = (m_now - penalties)[val_mask] - (e_start + e_live)
-        e_hits = v_hits[perm][val_mask]
-        e_max = v_max[perm][val_mask]
-        n_evictions = int(e_rank.size)
-
-        # Correlations sample each non-cold miss's *previous closed
-        # generation* of the missed block, in scalar order: the miss's
-        # own eviction lands after its correlation, so a query at miss
-        # rank k sees in-batch evictions at ranks strictly below k and
-        # falls back to the tracker's pre-batch history otherwise.
-        last_gen_get = tracker._last_gen.get
-        e_block_l = e_block.tolist()
-        e_start_l = e_start.tolist()
-        e_live_l = e_live.tolist()
-        e_dead_l = e_dead.tolist()
-        corr_cls: List[int] = []
-        corr_reload: List[int] = []
-        corr_dead: List[int] = []
-        corr_live: List[int] = []
-        prev_live_list: List[Optional[int]]
-        if n_evictions:
-            prev_live_list, so, sb = _previous_live(
-                e_block, e_live, e_block_l, last_gen_get
-            )
-        else:
-            prev_live_list = []
-        if metrics is not None:
-            noncold = np.flatnonzero(cls != _COLD)
-            if noncold.size:
-                q_block = m_blocks[noncold]
-                q_now = pre_now[noncold]
-                nq = int(noncold.size)
-                r_reload = np.zeros(nq, dtype=np.int64)
-                r_dead = np.zeros(nq, dtype=np.int64)
-                r_live = np.zeros(nq, dtype=np.int64)
-                keep = np.ones(nq, dtype=bool)
-                if n_evictions:
-                    # Latest in-batch eviction of the queried block
-                    # strictly before the miss's rank, via one
-                    # searchsorted over dense (block, rank) keys (the
-                    # block-sorted evictions above are already key
-                    # ordered).  A victim never equals the missed
-                    # block, so no eviction shares a query's key.
-                    ub = np.unique(np.concatenate([e_block, q_block]))
-                    stride = nm + 1
-                    ev_keys = np.searchsorted(ub, sb) * stride + e_rank[so]
-                    q_keys = np.searchsorted(ub, q_block) * stride + noncold
-                    pos = np.searchsorted(ev_keys, q_keys, side="left") - 1
-                    safe = np.maximum(pos, 0)
-                    inb = (pos >= 0) & (sb[safe] == q_block)
-                    src = so[safe]
-                    r_reload = np.where(inb, q_now - e_start[src], 0)
-                    r_dead = np.where(inb, e_dead[src], 0)
-                    r_live = np.where(inb, e_live[src], 0)
-                    fallback = np.flatnonzero(~inb)
-                else:
-                    fallback = np.arange(nq)
-                if fallback.size:
-                    qb_l = q_block.tolist()
-                    qn_l = q_now.tolist()
-                    for i in fallback.tolist():
-                        lg = last_gen_get(qb_l[i])
-                        if lg is None:
-                            keep[i] = False
-                        else:
-                            r_reload[i] = qn_l[i] - lg.start
-                            r_dead[i] = lg.dead_time
-                            r_live[i] = lg.live_time
-                corr_cls = cls[noncold][keep].tolist()
-                corr_reload = r_reload[keep].tolist()
-                corr_dead = r_dead[keep].tolist()
-                corr_live = r_live[keep].tolist()
-
-        # Record columns, handed to the tracker and metrics as-is: both
-        # queue them and only build GenerationRecord objects when
-        # someone reads per-block history or the record lists.
-        gen_columns = (
-            e_block_l,
-            e_start_l,
-            e_live_l,
-            e_dead_l,
-            e_hits.tolist(),
-            e_max.tolist(),
-            prev_live_list,
-        )
-        tracker.absorb_closed(gen_columns)
-        if metrics is not None:
-            metrics.bulk_generations(e_live, e_dead, gen_columns)
-            if corr_cls:
-                metrics.bulk_correlations(
-                    corr_cls, corr_reload, corr_dead, corr_live
-                )
-    else:
-        n_evictions = 0
+    # Each miss closes its valid victim's generation, in miss order, at
+    # the clock after its demand stall and before any fill penalty.
+    entry_live = np.where(entry_hits > 0, entry_lt, 0)
+    v_start = np.where(m_is_head, entry_fill[m_set], gen_fill[g_prev])
+    v_live = np.where(m_is_head, entry_live[m_set], gen_live[g_prev])
+    v_hits = np.where(m_is_head, entry_hits[m_set], gen_hits_total[g_prev])
+    v_max = np.where(m_is_head, entry_maxiv[m_set], gen_max[g_prev])
+    val_mask = v_valid[perm]
+    e_start = v_start[perm][val_mask]
+    e_live = v_live[perm][val_mask]
+    e_dead = (bt.pre_now + demand_stalls)[val_mask] - (e_start + e_live)
+    e_block = v_block[perm][val_mask]
+    bt.close(cls, m_blocks, (
+        e_block, e_start, e_live, e_dead, v_hits[perm][val_mask],
+        v_max[perm][val_mask], np.flatnonzero(val_mask) + 1,
+    ))
 
     # ---- L1 final state (deferred) ----------------------------------------
     # Each touched set ends in the generation of its last access.  One
     # that began at a miss carries that miss's prev_tag; one that
     # continued the entry resident keeps the entry's.
-    l1_clock0 = l1._clock
-    l1._clock = l1_clock0 + n
-    tail_pos = np.flatnonzero(tails)
+    tail_pos = np.append(np.flatnonzero(heads[1:]), n - 1)  # each set's last
     f_set = ss[tail_pos]
     f_gid = gen_id[tail_pos]
     f_last = gen_last_now[f_gid]
@@ -1076,91 +1261,43 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     l1.defer_contents(l1_state.with_tails(
         f_set, gen_block[f_gid], gen_fill[f_gid], f_last,
         gen_hits_total[f_gid], gen_lt[f_gid], gen_dirty[f_gid], f_prev,
-        l1_clock0 + order[tail_pos] + 1, f_max,
+        l1._clock + order[tail_pos] + 1, f_max,
     ))
     f_set_l = f_set.tolist()
     tracker._open_last.update(zip(f_set_l, f_last.tolist()))
     tracker._open_max.update(zip(f_set_l, f_max.tolist()))
 
-    # ---- L2 final state (deferred) and counters ---------------------------
-    # The event columns the deferred-state replay needs come from the
-    # precomputed miss columns of the misses that reached the L2, rather
-    # than being appended inside the hot loop, and are only cut out of
-    # them when someone reads the L2.
-    if l2_state.had_state or n_reach:
-        l2_state.events = lambda: zip(
+    # ---- counters -----------------------------------------------------------
+    # The deferred L2's event columns come from the miss columns of the
+    # misses that reached the L2, cut out only when someone reads it.
+    stores_arr = bt.stores
+    pre_now = bt.pre_now
+
+    def l2_events():
+        reach = miss_log_arr >= 0
+        return zip(
             l2b_arr[reach].tolist(), pre_now[reach].tolist(),
-            stores_arr[miss_pos][reach].tolist(), packed_arr.tolist(),
+            stores_arr[miss_pos][reach].tolist(), miss_log_arr[reach].tolist(),
         )
-        l2.defer_contents(l2_state)
-    l2._clock += n_reach
-    l2.hits += n_l2h
-    l2.misses += n_fill
-    l2.evictions += n_l2_evict
-    hierarchy.l2_demand_hits += n_l2h
-    hierarchy.l2_demand_misses += n_fill
-    hierarchy.memory_accesses += n_fill
 
-    l1l2_transfers = n_reach + n_wb
-    l1_l2_bus.free_at = l1l2_free
-    if l1l2_transfers:
-        l1_l2_bus.last_demand_end = l1l2_free
-    l1_l2_bus.demand_transfers += l1l2_transfers
-    l1_l2_bus.demand_wait_cycles += l1l2_wait
-    memory_bus.free_at = mem_free
-    if n_fill:
-        memory_bus.last_demand_end = mem_free
-    memory_bus.demand_transfers += n_fill
-    memory_bus.demand_wait_cycles += mem_wait
-
-    # ---- timing, counters, outcomes ---------------------------------------
-    timing.compute_cycles += int(gaps.sum(dtype=np.int64))
-    timing._accesses += n
-    timing.stall_cycles += int(stalls_np.sum())
-    # Breakdown keys are inserted in order of first occurrence, a miss's
-    # demand category before its penalty, as the scalar add_stall /
-    # add_fixed_stall sequence would.  Victim hits charge "l2" unless
-    # their latency is zero; charged misses charge nothing.
-    l2_mask = miss_log_arr == 1
-    if victim_cache is not None and victim_cache.hit_latency:
-        l2_mask |= miss_log_arr == -1
-    categories = (
-        ("l2", l2_mask, demand_stalls),
-        ("memory", reach & ((miss_log_arr & 1) == 0), demand_stalls),
-        ("victim-fill", penalties > 0, penalties),
+    n_evictions = int(e_block.size)
+    bt.finish(
+        miss_log_arr, demand_stalls,
+        stalls_np - demand_stalls if victim_cache is not None else None,
+        AccessOutcome.VICTIM_HIT,
+        victim_cache is not None and bool(victim_cache.hit_latency),
+        l2_events, ((l1l2_free, None, l1l2_wait, 0), (mem_free, None, mem_wait, 0)),
+        int(v_dirty.sum()), n_evictions,
     )
-    firsts = []
-    for name, mask, amounts in categories:
-        where = np.flatnonzero(mask)
-        if where.size:
-            order_key = 2 * int(where[0]) + (name == "victim-fill")
-            firsts.append((order_key, name, int(amounts[where].sum())))
-    breakdown = timing._breakdown
-    for _, name, amount in sorted(firsts):
-        breakdown[name] = breakdown.get(name, 0) + amount
-
-    # Charged (perfect_non_cold) misses count as L1 hits in both the
-    # outcome tally and the mechanism counters; see the accounting note
-    # in MemorySimulator.
-    l1.hits += n_hit + n_charged
-    l1.misses += nm - n_charged
-    l1.evictions += n_evictions
-    sim.writebacks += n_wb
-    sim._accesses += n
-    outcomes = sim._outcomes
-    outcomes[AccessOutcome.L1_HIT] += n_hit + n_charged
-    outcomes[AccessOutcome.VICTIM_HIT] += n_vhit
-    outcomes[AccessOutcome.L2_HIT] += n_l2h
-    outcomes[AccessOutcome.MEMORY] += n_fill
     if victim_cache is not None:
         victim_cache.probes += nm
-        victim_cache.hits += n_vhit
+        victim_cache.hits += int((miss_log_arr == -1).sum())
         victim_cache.fills += vc_fills
         victim_cache.rejected += n_evictions - vc_fills
         victim_cache.lru_evictions += vc_lru_evictions
 
 
-def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
+def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
     """Rows [start:stop) through a machine with a prefetch policy.
 
     An event loop over the positions where something other than a
@@ -1169,22 +1306,19 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     and accesses at which an event is due (every access while the
     prefetch queue holds requests).  Each visited access runs the
     scalar loop's steps on the real L1 frames, policy, bookkeeper,
-    queue, MSHRs and event queue, with the batch engine's lean L2 set
-    lists and local bus state.  A frame is caught up for the hits
-    skipped since its last visit before anything reads it; 3C classes,
-    access intervals, open-generation state and the closed
-    generations' maximum intervals are rebuilt from columns after the
-    loop.
+    queue, MSHRs and event queue, with the lean L2
+    (:meth:`_DeferredL2State.access`) and local bus state.  A frame is
+    caught up for the hits skipped since its last visit before anything
+    reads it.  The loop records only its misses (position, stall,
+    category), the L2 events and the generations it closes; the
+    post-pass of :class:`_Batch` derives clocks, intervals,
+    correlations and counters from them, and the loop's own L1 final
+    state rebuilds the open generations from columns.
     """
-    addresses, kinds, gaps = trace.scan_columns(start, stop)
-    n = int(len(addresses))
-    if n == 0:
-        return
+    n = bt.n
     l1 = sim.l1
     hierarchy = sim.hierarchy
-    l2 = hierarchy.l2
     timing = sim.timing
-    metrics = sim.metrics
     tracker = sim.generations
     policy = sim.policy
     bookkeeper = sim.bookkeeper
@@ -1192,60 +1326,34 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     prefetch_queue = sim.prefetch_queue
     events = sim.events
 
-    offset_bits = sim._offset_bits
     num_sets = l1.num_sets
     set_mask = num_sets - 1
     l1_index_bits = l1._index_bits
     l2_shift = hierarchy._l2_shift
-    l2_set_mask = l2._set_mask
-    l2_assoc = l2.associativity
-    lru_insert = l2_assoc > 1
+    lru_insert = hierarchy.l2.associativity > 1
     l2_hit_latency = hierarchy._l2_hit_latency
     memory_latency = hierarchy._memory_latency
     hidden_latency = timing.HIDDEN_LATENCY
     mlp = timing._mlp
-    breakdown = timing._breakdown
 
-    # ---- PRE: column math --------------------------------------------------
-    blocks = addresses >> offset_bits
-    sets = blocks & set_mask
-    stores_arr = kinds == _STORE
-    base_now = sim.now + np.cumsum(gaps, dtype=np.int64)
-    order = _set_order(sets, num_sets)
-    ss = sets[order]
-    sb = blocks[order]
-    heads = np.empty(n, dtype=bool)
-    heads[0] = True
-    heads[1:] = ss[1:] != ss[:-1]
+    # ---- PRE: the loop's columns -------------------------------------------
+    blocks = bt.blocks
+    order = bt.order
+    ss = bt.ss
+    heads = bt.heads
+    entry_resident = bt.l1_state.block
+    entry_maxiv = bt.l1_state.maxiv
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64)
-
     # The loop works on real frames: thaw an L1 that a base batch left
     # as columns.
-    thaw = l1.deferred_contents()
-    if thaw is not None:
-        thaw(l1)
+    if bt.l1_thaw is not None:
+        bt.l1_thaw(l1)
     frames: List[Optional[Frame]] = [fs[0] if fs else None for fs in l1._sets]
-    resident = [-1] * num_sets
-    last = [0] * num_sets
-    maxiv = [0] * num_sets
-    open_max = tracker._open_max
-    for frame in l1._tags.values():
-        s = frame.set_index
-        resident[s] = frame.block_addr
-        last[s] = frame.last_access_time
-        maxiv[s] = open_max.get(s, 0)
-    entry_resident = np.array(resident, dtype=np.int64)
-    entry_last = np.array(last, dtype=np.int64)
-    entry_maxiv = np.array(maxiv, dtype=np.int64)
 
-    # Static misses: the access's predecessor in its set (or the entry
-    # resident) is another block.  Only an arrival can change that
+    # Static misses: only an arrival can change the static hit rule's
     # outcome, and only for the set's next access, which is visited.
-    prev_blk = np.empty(n, dtype=np.int64)
-    prev_blk[1:] = sb[:-1]
-    prev_blk[heads] = entry_resident[ss[heads]]
-    static_miss_sorted = sb != prev_blk
+    static_miss_sorted = ~bt.hit_sorted
     static_miss = np.empty(n, dtype=bool)
     static_miss[order] = static_miss_sorted
     miss_l = np.flatnonzero(static_miss).tolist()
@@ -1259,24 +1367,18 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     run_end = np.searchsorted(ss, set_ids, side="right")
     run_end_l = run_end.tolist()
     store_cs = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(stores_arr[order], out=store_cs[1:])
+    np.cumsum(bt.stores[order], out=store_cs[1:])
     store_cs_l = store_cs.tolist()
     order_l = order.tolist()
     rank_l = rank.tolist()
-    base_l = base_now.tolist()
+    base_l = bt.base_now.tolist()
     base_l.append(base_l[-1])  # sentinel: position n is never due
     blocks_l = blocks.tolist()
-    stores_l = stores_arr.tolist()
+    stores_l = bt.stores.tolist()
     pcs_l = trace.pcs[start:stop].tolist()
 
     # ---- L2, buses ---------------------------------------------------------
-    l2_state = _DeferredL2State(l2)
-    set_lists = l2_state.set_lists
-    way_of = l2_state.way_of
-    free_ways = l2_state.free_ways
-    sl_get = set_lists.get
-    way_pop = way_of.pop
-    default_ways = range(l2_assoc - 1, -1, -1)
+    l2_access = bt.l2_state.access
     l2_log: List[tuple] = []  # (block, now, store, packed) per L2 access
     l2_log_append = l2_log.append
     l1_l2_bus = hierarchy.l1_l2_bus
@@ -1296,12 +1398,11 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     l1_tags = l1._tags
     l1_valid_counts = l1._valid_counts
     l1_sets = l1._sets
-    track_corr = metrics is not None
-    hist_get = tracker._last_gen.get
-    closed_here: Dict[int, tuple] = {}  # correlations only
+    # Closed generations: (block, start, live, dead, hits, segment, key),
+    # segment the sorted index of the generation's first access in the
+    # batch (-1 if none), key the number of misses begun.
     closed: List[tuple] = []
     closed_append = closed.append
-    corr: List[tuple] = []
     ev_heap = events._heap
     ev_counter = events._counter
     scheduled = bookkeeper.scheduled
@@ -1326,8 +1427,10 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     stall_cum = [0]  # ... and the clock stall through each
     pf_fill_pos: List[int] = []  # position before which each arrival filled
     miss_at: List[int] = []
+    miss_log: List[int] = []  # per miss: packed L2 event, -1 for a merge
+    log_append = miss_log.append
     n_wb = n_useful = n_issued = n_arrived = n_scheduled = n_fired = 0
-    n_merge = n_l2h = n_fill = n_pf_l2h = n_pf_fill = n_l2_evict = 0
+    n_pf_l2h = n_pf_evict = 0
     stall_acc = 0
     stamp0 = clock0 + 1  # L1 stamp of access 0, advanced by each arrival
 
@@ -1349,20 +1452,20 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
             fills = bisect_right(pf_fill_pos, q)
         frame.lru_stamp = clock0 + q + 1 + fills
 
-    # Entry frames whose set starts with a hit: a prefetched block's
-    # first use, or a hit the policy waits for, may fall in this batch.
-    for frame in l1._tags.values():
-        s = frame.set_index
-        j = run_start_l[s]
-        if j < run_end_l[s] and next_miss_l[j] != j:
-            if frame.prefetched and frame.hit_count == 0:
+    # Sets whose run starts with a hit on the entry resident: a
+    # prefetched block's first use, or a hit the policy waits for, may
+    # fall in this batch.
+    head_hits = np.flatnonzero(heads & bt.hit_sorted)
+    for j, s in zip(head_hits.tolist(), ss[head_hits].tolist()):
+        frame = frames[s]
+        if frame.prefetched and frame.hit_count == 0:
+            heappush(visits, order_l[j])
+            continue
+        trigger = next_hit_trigger(s, frame)
+        if trigger is not None and trigger > frame.hit_count:
+            j += trigger - frame.hit_count - 1
+            if j < run_end_l[s] and j < next_miss_l[run_start_l[s]]:
                 heappush(visits, order_l[j])
-                continue
-            trigger = next_hit_trigger(s, frame)
-            if trigger is not None and trigger > frame.hit_count:
-                j += trigger - frame.hit_count - 1
-                if j < run_end_l[s] and j < next_miss_l[run_start_l[s]]:
-                    heappush(visits, order_l[j])
 
     mi = 0
     p = 0
@@ -1442,11 +1545,11 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
                     hc = frame.hit_count
                     live = frame.lt_register if hc > 0 else 0
                     fill = frame.fill_time
-                    dead = when - (fill + live)
                     g = gen_first[s]
-                    closed_append((displaced, fill, live, dead, hc, g if g < j else -1))
-                    if track_corr:
-                        closed_here[displaced] = (fill, live, dead)
+                    closed_append((
+                        displaced, fill, live, when - (fill + live), hc,
+                        g if g < j else -1, len(miss_at),
+                    ))
                 schedule = on_prefetch_fill(frame, s, target, when)
                 if schedule is not None:
                     fire_at = schedule.fire_at
@@ -1493,37 +1596,14 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
                 # LRU position; both buses wait out the demand shadow.
                 lb = target >> l2_shift
                 l2_ready = now + l2_hit_latency
-                if lb in way_of:
-                    lst = set_lists[lb & l2_set_mask]
-                    if lst[-1] != lb:
-                        lst.remove(lb)
-                        lst.append(lb)
-                    packed = 1
+                packed = l2_access(lb, lru_insert)
+                l2_log_append((lb, now, False, packed))
+                if packed == 1:
                     n_pf_l2h += 1
                     data_at = l2_ready
                 else:
-                    s2 = lb & l2_set_mask
-                    lst = sl_get(s2)
-                    if lst is None:
-                        lst = set_lists[s2] = []
-                        free = free_ways[s2] = list(default_ways)
-                    else:
-                        free = free_ways[s2]
-                    if free:
-                        w = free.pop()
-                        packed = 0
-                    else:
-                        old = lst.pop(0)
-                        w = way_pop(old)
-                        packed = (old + 1) << 1
-                        n_l2_evict += 1
-                    way_of[lb] = w
-                    if lru_insert:
-                        lst.insert(0, lb)
-                        packed = ~packed
-                    else:
-                        lst.append(lb)
-                    n_pf_fill += 1
+                    if (packed if packed >= 0 else ~packed) > 1:
+                        n_pf_evict += 1
                     b0 = l2_ready if l2_ready > mem_free else mem_free
                     horizon = mem_lde + mem_shadow
                     if b0 < horizon:
@@ -1531,7 +1611,6 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
                     mem_pf_wait += b0 - l2_ready
                     mem_free = b0 + c64
                     data_at = mem_free + memory_latency
-                l2_log_append((lb, now, False, packed))
                 b0 = data_at if data_at > l1l2_free else l1l2_free
                 horizon = l1l2_lde + l1l2_shadow
                 if b0 < horizon:
@@ -1569,74 +1648,36 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
                 bookkeeper.demand_hit_on_prefetched(s, b, now)
             schedule = on_hit(frame, s, now)
         else:
-            if track_corr:
-                prev = closed_here.get(b)
-                if prev is not None:
-                    corr.append((len(miss_at), now - prev[0], prev[2], prev[1]))
-                else:
-                    rec = hist_get(b)
-                    if rec is not None:
-                        corr.append((
-                            len(miss_at), now - rec.start, rec.dead_time,
-                            rec.live_time,
-                        ))
             completes = inflight.get(b)
             if completes is not None and completes > now:
                 # Merge with the in-flight prefetch of this block.
-                n_merge += 1
                 latency = completes - now
                 mshr_release(b)
-                category = "l2"
+                log_append(-1)
             else:
                 lb = b >> l2_shift
-                if lb in way_of:
-                    lst = set_lists[lb & l2_set_mask]
-                    if lst[-1] != lb:
-                        lst.remove(lb)
-                        lst.append(lb)
-                    packed = 1
-                    n_l2h += 1
+                packed = l2_access(lb, False)
+                log_append(packed)
+                l2_log_append((lb, now, store, packed))
+                if packed == 1:
                     data_at = now + l2_hit_latency
-                    category = "l2"
                 else:
-                    s2 = lb & l2_set_mask
-                    lst = sl_get(s2)
-                    if lst is None:
-                        lst = set_lists[s2] = []
-                        free = free_ways[s2] = list(default_ways)
-                    else:
-                        free = free_ways[s2]
-                    if free:
-                        w = free.pop()
-                        packed = 0
-                    else:
-                        old = lst.pop(0)
-                        w = way_pop(old)
-                        packed = (old + 1) << 1
-                        n_l2_evict += 1
-                    way_of[lb] = w
-                    lst.append(lb)
-                    n_fill += 1
                     l2_ready = now + l2_hit_latency
                     b0 = l2_ready if l2_ready > mem_free else mem_free
                     mem_wait += b0 - l2_ready
                     mem_free = mem_lde = b0 + c64
                     data_at = mem_free + memory_latency
-                    category = "memory"
-                l2_log_append((lb, now, store, packed))
                 b0 = data_at if data_at > l1l2_free else l1l2_free
                 l1l2_wait += b0 - data_at
                 l1l2_free = l1l2_lde = b0 + c32
                 latency = l1l2_free - now
-            if latency:
-                exposed = latency - hidden_latency
-                stall = int(exposed / mlp) if exposed > 0 else 0
-                breakdown[category] = breakdown.get(category, 0) + stall
-                if stall:
-                    stall_acc += stall
-                    now += stall
-                    stall_pos.append(p)
-                    stall_cum.append(stall_acc)
+            exposed = latency - hidden_latency
+            stall = int(exposed / mlp) if exposed > 0 else 0
+            if stall:
+                stall_acc += stall
+                now += stall
+                stall_pos.append(p)
+                stall_cum.append(stall_acc)
             miss_at.append(p)
             if frame is None:
                 # First fill of the set: the frame the cache would
@@ -1655,11 +1696,11 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
                 hc = frame.hit_count
                 live = frame.lt_register if hc > 0 else 0
                 fill = frame.fill_time
-                dead = now - (fill + live)
                 g = gen_first[s]
-                closed_append((old, fill, live, dead, hc, g if g < k else -1))
-                if track_corr:
-                    closed_here[old] = (fill, live, dead)
+                closed_append((
+                    old, fill, live, now - (fill + live), hc,
+                    g if g < k else -1, len(miss_at),
+                ))
             schedule = on_miss(frame, s, b, pcs_l[p], now)
             if valid:
                 del l1_tags[old]
@@ -1688,79 +1729,47 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
                     heappush(visits, order_l[j])
         p += 1
 
-    # ---- POST: clocks, intervals, generation segments ---------------------
+    # ---- POST: clocks, generation segments, correlations ------------------
     nm = len(miss_at)
     miss_pos = np.array(miss_at, dtype=np.int64)
-    stall_full = np.zeros(n, dtype=np.int64)
-    stall_full[stall_pos[1:]] = np.diff(stall_cum)
-    now_eff = base_now + np.cumsum(stall_full)
-    sim.now = int(now_eff[-1])
-    now_s = now_eff[order]
+    m_stall = np.zeros(nm, dtype=np.int64)
+    m_stall[np.searchsorted(miss_pos, stall_pos[1:])] = np.diff(stall_cum)
     hit = np.ones(n, dtype=bool)
     hit[miss_pos] = False
     hit_s = hit[order]
-    prev_now = np.empty(n, dtype=np.int64)
-    prev_now[1:] = now_s[:-1]
-    prev_now[heads] = entry_last[ss[heads]]
     # Generation segments in the sorted domain start at set heads, at
     # misses and at the first access after an arrival.
     gen_head = heads.copy()
     gen_head[rank[miss_pos]] = True
+    arrivals = None
     if after_arrival:
         after_idx = np.array(list(after_arrival), dtype=np.int64)
-        prev_now[after_idx] = list(after_arrival.values())
         gen_head[after_idx] = True
-    intervals = now_s - prev_now
-    if metrics is not None and nm < n:
-        metrics.access_interval.add_many(intervals[hit_s])
-    seg_max = np.maximum.reduceat(
-        np.where(hit_s, intervals, 0), np.flatnonzero(gen_head)
-    )
+        arrivals = (after_idx, list(after_arrival.values()))
+    seg_max = bt.clocks(miss_pos, m_stall, np.flatnonzero(gen_head), hit_s, arrivals)
     seg_of = np.cumsum(gen_head) - 1
-
-    # ---- classification and correlations ----------------------------------
+    now_eff = bt.now_eff
     cls = _classify(sim, trace, start, stop, blocks, miss_pos, blocks_l)
-    if corr:
-        c_rank, c_reload, c_dead, c_live = map(list, zip(*corr))
-        c_cls = cls[np.array(c_rank, dtype=np.int64)]
-        keep = np.flatnonzero(c_cls != _COLD).tolist()
-        if keep:
-            metrics.bulk_correlations(
-                c_cls[keep].tolist(), [c_reload[i] for i in keep],
-                [c_dead[i] for i in keep], [c_live[i] for i in keep],
-            )
 
-    # ---- closed generations --------------------------------------------------
     # A set's first closed generation is its entry generation when the
     # set had a resident at batch entry; that one also carries the
     # tracker's maximum interval.
     entry_valid = entry_resident >= 0
     closed_sets = np.zeros(num_sets, dtype=bool)
     if closed:
-        e_block, e_start, e_live, e_dead, e_hits, e_seg = zip(*closed)
-        block_arr = np.array(e_block, dtype=np.int64)
-        e_live_arr = np.array(e_live, dtype=np.int64)
-        prev_live, _, _ = _previous_live(block_arr, e_live_arr, e_block, hist_get)
-        seg = np.array(e_seg, dtype=np.int64)
-        e_max = np.where(seg >= 0, seg_max[seg_of[np.maximum(seg, 0)]], 0)
-        e_set = block_arr & set_mask
+        e_block, e_start, e_live, e_dead, e_hits, e_seg, e_key = (
+            np.array(column, dtype=np.int64) for column in zip(*closed)
+        )
+        e_max = np.where(e_seg >= 0, seg_max[seg_of[np.maximum(e_seg, 0)]], 0)
+        e_set = e_block & set_mask
         first_sets, first = np.unique(e_set, return_index=True)
         closed_sets[first_sets] = True
         first = first[entry_valid[first_sets]]
         e_max[first] = np.maximum(e_max[first], entry_maxiv[e_set[first]])
-        gen_columns = (
-            e_block, e_start, e_live, e_dead, e_hits, e_max.tolist(), prev_live,
-        )
-        tracker.absorb_closed(gen_columns)
-        if metrics is not None:
-            if min(e_dead) < 0:
-                # Only an arrival outside its trigger's set can close a
-                # generation before it began; feed such batches record
-                # by record, as the scalar loop does.
-                for record in map(GenerationRecord, *gen_columns):
-                    metrics.on_generation(record)
-            else:
-                metrics.bulk_generations(e_live_arr, e_dead, gen_columns)
+        closures = (e_block, e_start, e_live, e_dead, e_hits, e_max, e_key)
+    else:
+        closures = (np.zeros(0, dtype=np.int64),) * 7
+    bt.close(cls, blocks[miss_pos], closures)
 
     # ---- L1 final state --------------------------------------------------------
     synced_arr = np.array(synced, dtype=np.int64)
@@ -1784,7 +1793,6 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
             if dirty:
                 frame.dirty = True
             frame.lru_stamp = stamp
-    l1._clock = clock0 + n + len(pf_fill_pos)
     # Open generations: last access (or prefetch fill) time and the
     # maximum interval of the current segment.
     touched_mask = run_end > np.array(run_start_l, dtype=np.int64)
@@ -1800,49 +1808,19 @@ def _consume_prefetch(sim, trace, start: int, stop: int) -> None:
     tracker._open_last.update(
         (s, frames[s].last_access_time) for s in touched_l
     )
-    open_max.update(zip(touched_l, t_max.tolist()))
+    tracker._open_max.update(zip(touched_l, t_max.tolist()))
 
-    # ---- L2 final state (deferred) and counters ---------------------------
-    if l2_state.had_state or l2_log:
-        l2_state.events = lambda: l2_log
-        l2.defer_contents(l2_state)
-    l2._clock += n_l2h + n_fill + n_pf_l2h + (0 if lru_insert else n_pf_fill)
-    l2.hits += n_l2h + n_pf_l2h
-    l2.misses += n_fill + n_pf_fill
-    l2.evictions += n_l2_evict
-    hierarchy.l2_demand_hits += n_l2h
-    hierarchy.l2_demand_misses += n_fill
-    hierarchy.l2_prefetch_hits += n_pf_l2h
-    hierarchy.l2_prefetch_misses += n_pf_fill
-    hierarchy.memory_accesses += n_fill + n_pf_fill
-    l1_l2_bus.free_at = l1l2_free
-    l1_l2_bus.last_demand_end = l1l2_lde
-    l1_l2_bus.demand_transfers += n_l2h + n_fill + n_wb
-    l1_l2_bus.demand_wait_cycles += l1l2_wait
-    l1_l2_bus.prefetch_transfers += n_issued
-    l1_l2_bus.prefetch_wait_cycles += l1l2_pf_wait
-    memory_bus.free_at = mem_free
-    memory_bus.last_demand_end = mem_lde
-    memory_bus.demand_transfers += n_fill
-    memory_bus.demand_wait_cycles += mem_wait
-    memory_bus.prefetch_transfers += n_pf_fill
-    memory_bus.prefetch_wait_cycles += mem_pf_wait
-
-    timing.compute_cycles += int(gaps.sum(dtype=np.int64))
-    timing._accesses += n
-    timing.stall_cycles += stall_acc
-    l1.hits += n - nm
-    l1.misses += nm
-    l1.evictions += len(closed)
-    sim.writebacks += n_wb
-    sim._accesses += n
+    # ---- counters -----------------------------------------------------------
+    bt.finish(
+        np.array(miss_log, dtype=np.int64), m_stall, None,
+        AccessOutcome.PREFETCH_HIT, True, lambda: l2_log,
+        ((l1l2_free, l1l2_lde, l1l2_wait, l1l2_pf_wait),
+         (mem_free, mem_lde, mem_wait, mem_pf_wait)),
+        n_wb, len(closed),
+        prefetch=(n_pf_l2h, n_issued - n_pf_l2h, n_pf_evict, len(pf_fill_pos)),
+    )
     sim._prefetch_useful += n_useful
     sim._prefetch_scheduled += n_scheduled
     sim._prefetch_fired += n_fired
     sim._prefetch_issued += n_issued
     sim._prefetch_arrived += n_arrived
-    outcomes = sim._outcomes
-    outcomes[AccessOutcome.L1_HIT] += n - nm
-    outcomes[AccessOutcome.PREFETCH_HIT] += n_merge
-    outcomes[AccessOutcome.L2_HIT] += n_l2h
-    outcomes[AccessOutcome.MEMORY] += n_fill

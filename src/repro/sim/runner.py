@@ -908,6 +908,17 @@ def check_length_warmup(length: int, warmup: Optional[int]) -> None:
         raise SimulationError(f"warmup must be >= 0, got {warmup}")
 
 
+def sweep_warmup(length: int, warmup: Optional[int]) -> int:
+    """The warm-up of a sweep's cells: *warmup*, else ``length // 3``.
+
+    ``repro sweep``, ``run_workload`` and ``repro trace build`` /
+    ``prewarm`` share this default; ``repro paper`` warms up for
+    ``length // 2`` instead (:func:`repro.figures.pipeline.run_paper`),
+    so traces prewarmed for it need an explicit warm-up.
+    """
+    return length // 3 if warmup is None else warmup
+
+
 def run_sweep(
     configs: Mapping[str, Mapping[str, Any]],
     *,
@@ -1042,7 +1053,7 @@ def run_sweep(
     names = list(workloads) if workloads is not None else list(SPEC2000)
     for name in names:
         get_workload(name)  # fail fast on unknown workloads
-    resolved_warmup = length // 3 if warmup is None else warmup
+    resolved_warmup = sweep_warmup(length, warmup)
 
     # Telemetry collection: default on exactly when someone is listening.
     ambient = current_telemetry()

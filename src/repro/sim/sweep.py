@@ -16,7 +16,7 @@ from ..common.errors import SimulationError
 from ..traces.cache import TraceCache, resolve_cache
 from ..traces.workloads import get_workload
 from .results import SimulationResult
-from .runner import check_length_warmup, run_sweep, simulate_config
+from .runner import check_length_warmup, run_sweep, simulate_config, sweep_warmup
 from .store import RunStore
 
 #: A configuration is a dict of keyword arguments for :func:`simulate`
@@ -51,16 +51,16 @@ def run_workload(
 
     Returns ``{config_name: result}``.  The trace is materialized once;
     the workload's instructions-per-access ratio feeds the IPC model.
-    *warmup* defaults to one third of the trace (statistics measure the
-    warm remainder, as in the paper's skip-then-measure methodology).
+    *warmup* defaults to a third of *length* (statistics measure the
+    warm remainder, as in the paper's skip-then-measure methodology;
+    see :func:`~repro.sim.runner.sweep_warmup`).
     *trace_cache* optionally serves the trace from (and persists it to)
     a content-addressed cache — ``True`` for the default root, a path or
     :class:`TraceCache` for a specific one.
     """
     check_length_warmup(length, warmup)
     spec = get_workload(name)
-    if warmup is None:
-        warmup = length // 3
+    warmup = sweep_warmup(length, warmup)
     cache = resolve_cache(trace_cache)
     if cache is not None:
         trace = cache.get_or_build(name, length + warmup, seed)

@@ -65,13 +65,6 @@ class TestPrefetchPriority:
 
 
 class TestStats:
-    def test_utilization_bounds(self):
-        bus = make_bus()
-        for t in range(10):
-            bus.request(t, 64)
-        assert 0.0 < bus.utilization(100) <= 1.0
-        assert bus.utilization(0) == 0.0
-
     def test_reset_stats_keeps_occupancy(self):
         bus = make_bus()
         bus.request(0, 32)

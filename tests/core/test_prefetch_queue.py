@@ -40,14 +40,6 @@ class TestQueue:
         q.push("c")
         assert q.enqueued == 3
 
-    def test_remove_where(self):
-        q = PrefetchQueue(8)
-        for x in range(6):
-            q.push(x)
-        removed = q.remove_where(lambda v: v % 2 == 0)
-        assert removed == [0, 2, 4]
-        assert [q.pop(), q.pop(), q.pop()] == [1, 3, 5]
-
     def test_reset_stats_keeps_entries(self):
         q = PrefetchQueue(1)
         q.push("a")

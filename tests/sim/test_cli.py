@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import CONFIG_PRESETS, main
+from repro.figures.pipeline import run_paper
+from repro.traces.cache import TraceCache
 
 
 class TestList:
@@ -258,6 +260,25 @@ class TestTrace:
         assert main(["trace", *argv, "--cache-root", str(root)]) == 1
         assert message in capsys.readouterr().err
         assert not root.exists()
+
+    def test_prewarm_for_paper_is_the_trace_paper_reads(self, tmp_path):
+        # `repro paper` warms up for length/2 (sweeps for length/3): a
+        # prewarm given that warm-up caches the very traces a paper
+        # campaign at the same length reads, so no second entry appears.
+        root = tmp_path / "cache"
+        length = 600
+        assert main(["trace", "prewarm", "--workloads", "gzip,swim",
+                     "--length", str(length), "--warmup", str(length // 2),
+                     "--cache-root", str(root)]) == 0
+        run = run_paper(only=["fig02"], out_dir=str(tmp_path / "out"),
+                        length=length, workloads=["gzip", "swim"],
+                        trace_cache=TraceCache(root=root), write_report=False)
+        assert run.executed > 0
+        entries = sorted(
+            (meta["workload"], meta["length"])
+            for _, meta in TraceCache(root=root).entries()
+        )
+        assert entries == [("gzip", 900), ("swim", 900)]
 
 
 class TestArgparse:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import time
 
 import pytest
@@ -167,6 +168,17 @@ class TestSerialEngine:
         with pytest.raises(SimulationError, match=message):
             run_paper(out_dir=out, **kwargs)
         assert not out.exists()
+
+    def test_paper_store_in_missing_dir_leaves_no_out_dir(self, tmp_path):
+        # Refused before anything is created, naming the directory.
+        out = tmp_path / "D"
+        missing = tmp_path / "missing"
+        with pytest.raises(StoreError, match=re.escape(
+            f"store directory {missing} does not exist"
+        )):
+            run_paper(only=["fig02"], out_dir=out, length=LENGTH,
+                      workloads=["gzip"], store_path=str(missing / "s.jsonl"))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", [True, "history.jsonl"])
     def test_obs_history_request_refused(self, tmp_path, value):
