@@ -44,8 +44,7 @@ def test_ablation_livetime_scale(benchmark):
         title="Ablation — dead-block scale heuristic sweep (ammp)",
     )
     # Offline predictor view of the same knob (accuracy/coverage).
-    records = base.metrics.generations
-    curve = livetime_scale_curve(records, [1.0, 2.0, 4.0, 8.0])
+    curve = livetime_scale_curve(base.metrics.generation_columns, [1.0, 2.0, 4.0, 8.0])
     text += "\n\n" + format_table(
         ["scale", "dead-block accuracy", "coverage"],
         [[f"x{s:.0f}", a, c] for s, a, c in curve],

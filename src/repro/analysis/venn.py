@@ -30,7 +30,8 @@ class VennSummary:
     def render(self) -> str:
         """Text rendering of the diagram's content."""
         def fmt(names: Set[str]) -> str:
-            ordered = sorted(names, key=lambda n: -self.improvement.get(n, 0.0))
+            # Ties go by name: set order follows the hash seed.
+            ordered = sorted(names, key=lambda n: (-self.improvement.get(n, 0.0), n))
             return ", ".join(
                 f"{n} [{self.improvement.get(n, 0.0) * 100:.0f}%]" for n in ordered
             ) or "(none)"

@@ -215,50 +215,43 @@ def geometric_mean(values: Sequence[float], *, offset: float = 0.0) -> float:
     return math.exp(log_sum / len(shifted)) - offset
 
 
-def ratio_cdf(ratios: Sequence[float], breakpoints: Sequence[float]) -> List[float]:
+def ratio_cdf(ratios, breakpoints: Sequence[float]) -> List[float]:
     """Cumulative fraction of *ratios* <= each breakpoint (paper Fig 15 bottom).
 
     Breakpoints must be increasing; values are compared inclusively.
+    *ratios* is any float sequence or array.
     """
     if list(breakpoints) != sorted(breakpoints):
         raise ValueError("breakpoints must be sorted ascending")
-    if not ratios:
+    ordered = np.sort(np.asarray(ratios, dtype=np.float64))
+    n = ordered.size
+    if not n:
         return [0.0] * len(breakpoints)
-    ordered = sorted(ratios)
-    n = len(ordered)
-    out: List[float] = []
-    i = 0
-    for bp in breakpoints:
-        while i < n and ordered[i] <= bp:
-            i += 1
-        out.append(i / n)
-    return out
+    return [i / n for i in np.searchsorted(ordered, breakpoints, side="right").tolist()]
 
 
 def abs_diff_histogram(
-    pairs: Iterable[tuple],
+    pairs,
     boundaries: Optional[Sequence[int]] = None,
 ) -> List[float]:
     """Fraction of consecutive-pair absolute differences per bucket.
 
     Used for paper Figure 15 (top): the distribution of
-    ``|current - previous|`` over power-of-two buckets.  *boundaries*
-    are the inclusive upper edges of each bucket; a final unbounded
-    bucket is appended.
+    ``|current - previous|`` over power-of-two buckets.  *pairs* holds
+    one ``(previous, current)`` row per pair (a sequence of pairs or an
+    ``(n, 2)`` array).  *boundaries* are the inclusive upper edges of
+    each bucket; a difference lands in the first bucket whose edge it
+    does not exceed, and a final unbounded bucket is appended.
     """
     if boundaries is None:
         boundaries = [0, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192]
-    counts = [0] * (len(boundaries) + 1)
-    total = 0
-    for prev, cur in pairs:
-        diff = abs(cur - prev)
-        total += 1
-        for i, edge in enumerate(boundaries):
-            if diff <= edge:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
+    rows = np.asarray(pairs).reshape(-1, 2)
+    diffs = np.abs(rows[:, 1] - rows[:, 0])
+    bucket = np.full(diffs.size, len(boundaries))
+    for i in reversed(range(len(boundaries))):
+        bucket[diffs <= boundaries[i]] = i
+    counts = np.bincount(bucket, minlength=len(boundaries) + 1).tolist()
+    total = int(diffs.size)
     if total == 0:
         return [0.0] * len(counts)
     return [c / total for c in counts]

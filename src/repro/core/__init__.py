@@ -2,7 +2,7 @@
 
 from . import predictors, prefetch
 from .decay import DecayPolicy, DecayStats
-from .generations import GenerationRecord, GenerationTracker, LastGeneration
+from .generations import GenerationRecord, GenerationTracker
 from .metrics import MissCorrelation, TimekeepingMetrics
 from .tick import GlobalTicker, SaturatingCounter, saturate, victim_filter_counter_value
 from .victim import (
@@ -23,7 +23,6 @@ __all__ = [
     "AdaptiveTimekeepingAdmission",
     "GenerationRecord",
     "GenerationTracker",
-    "LastGeneration",
     "MissCorrelation",
     "TimekeepingMetrics",
     "GlobalTicker",

@@ -20,8 +20,9 @@ correlation off the last generation of the line that misses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 
 class GenerationRecord:
@@ -96,19 +97,16 @@ class GenerationRecord:
         )
 
 
-@dataclass(frozen=True)
-class LastGeneration:
-    """Summary of a block's most recent *closed* generation.
+def records_from_table(table: np.ndarray) -> List[GenerationRecord]:
+    """Build :class:`GenerationRecord` objects from a ``(7, n)`` int table.
 
-    Legacy view type: :meth:`GenerationTracker.last_generation` now
-    returns the full :class:`GenerationRecord` (which carries the same
-    ``start``/``live_time``/``dead_time`` fields) instead of allocating
-    one of these per eviction.
+    The table's rows are the record fields in slot order, with -1 for a
+    missing ``prev_live_time`` (the layout of
+    :class:`~repro.core.metrics.GenerationColumns`).
     """
-
-    start: int
-    live_time: int
-    dead_time: int
+    columns = table.tolist()
+    columns[6] = [None if prev < 0 else prev for prev in columns[6]]
+    return list(map(GenerationRecord, *columns))
 
 
 class GenerationTracker:
@@ -148,11 +146,11 @@ class GenerationTracker:
         self.records: List[GenerationRecord] = []
         #: block_addr -> closed record of the block's previous tenancy
         #: (exposes the start/live_time/dead_time trio callers read).
-        #: Backing store of the :attr:`_last_gen` property; batch-queued
-        #: column tuples waiting to be folded in live in
-        #: ``_pending_closed`` until someone reads per-block history.
+        #: Batch-closed generations wait as tables in
+        #: ``_pending_closed``: :meth:`history` searches them as they
+        #: are, and a scalar read folds them into the map.
         self._last_gen_map: Dict[int, GenerationRecord] = {}
-        self._pending_closed: List[tuple] = []
+        self._pending_closed: List[np.ndarray] = []
         #: Open-generation state, split into parallel int-valued dicts
         #: so the per-hit update allocates nothing (no tuple per access);
         #: frame id is any hashable the caller uses.
@@ -239,51 +237,74 @@ class GenerationTracker:
             self.records.append(record)
         return record
 
-    def absorb_closed(self, columns: tuple) -> None:
-        """Fold a batch of closed generations, given as columns, into the books.
+    def absorb_closed(self, table: np.ndarray) -> None:
+        """Fold a batch of closed generations, given as a table, into the books.
 
         The batch engine knows every record field from column math and
         delivers the metric effects in bulk itself, so this method
         deliberately does **not** invoke the per-record
         ``on_generation`` callback — it only counts the generations and
-        queues *columns* (the 7-tuple of parallel plain-int lists
-        ``(block_addr, start, live_time, dead_time, hit_count,
-        max_access_interval, prev_live_time)``, in eviction order) for
-        the per-block history.  :class:`GenerationRecord` objects are
-        only built when someone reads that history (the next batch's
-        correlation pass, a scalar fill/evict, or a direct
-        ``last_generation`` query) — a run nobody inspects further
-        never pays for them.  Last record per block wins, matching
-        sequential :meth:`on_evict` order.  Open-generation state
-        (``_open_last`` / ``_open_max``) is owned by the caller at
-        batch granularity and is written back separately.
+        queues *table* (a ``(7, n)`` int64 array laid out as
+        :class:`~repro.core.metrics.GenerationColumns`, in eviction
+        order) as per-block history.  The next batch reads that history
+        with :meth:`history`, straight from the queued tables;
+        :class:`GenerationRecord` objects are only built when a scalar
+        fill/evict or a direct ``last_generation`` query reads it.  Last
+        record per block wins, matching sequential :meth:`on_evict`
+        order.  Open-generation state (``_open_last`` / ``_open_max``)
+        is owned by the caller at batch granularity and is written back
+        separately.
         """
-        self.closed_generations += len(columns[0])
+        self.closed_generations += table.shape[1]
         if self._keep:
             if self._pending_closed:
                 self._flush_closed()
-            records = list(map(GenerationRecord, *columns))
-            self._last_gen_map.update(zip(columns[0], records))
+            records = records_from_table(table)
+            self._last_gen_map.update(zip(table[0].tolist(), records))
             self.records.extend(records)
         else:
-            self._pending_closed.append(columns)
+            self._pending_closed.append(table)
 
     def _flush_closed(self) -> None:
-        """Materialize queued closed-generation columns into the map."""
-        pending = self._pending_closed
+        """Materialize queued closed-generation tables into the map."""
         last_gen = self._last_gen_map
-        for columns in pending:
-            last_gen.update(
-                zip(columns[0], map(GenerationRecord, *columns))
-            )
-        pending.clear()
+        for table in self._pending_closed:
+            last_gen.update(zip(table[0].tolist(), records_from_table(table)))
+        self._pending_closed.clear()
 
-    @property
-    def _last_gen(self) -> Dict[int, GenerationRecord]:
-        """The per-block history map, with pending batches folded in."""
-        if self._pending_closed:
-            self._flush_closed()
-        return self._last_gen_map
+    def history(self, blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each of *blocks*' most recent closed generation, without records.
+
+        Returns ``(found, fields)``: a bool column, and a ``(3, n)``
+        int64 table of the generations' ``start``, ``live_time`` and
+        ``dead_time`` (zero where not found).  The queued tables, which
+        are newer than the record map, are merged into one and searched
+        first.
+        """
+        found = np.zeros(blocks.size, dtype=bool)
+        fields = np.zeros((3, blocks.size), dtype=np.int64)
+        pending = self._pending_closed
+        if len(pending) > 1:
+            pending[:] = [np.concatenate(pending, axis=1)]
+        if pending and blocks.size:
+            table = pending[0]
+            # A stable sort keeps eviction order within a block, so each
+            # block's latest row ends its run.
+            order = np.argsort(table[0], kind="stable")
+            keys = table[0][order]
+            ends = np.append(keys[1:] != keys[:-1], True)
+            keys, rows = keys[ends], order[ends]
+            pos = np.minimum(np.searchsorted(keys, blocks), keys.size - 1)
+            found = keys[pos] == blocks
+            fields[:, found] = table[1:4, rows[pos[found]]]
+        if self._last_gen_map:
+            get = self._last_gen_map.get
+            for i in np.flatnonzero(~found).tolist():
+                record = get(int(blocks[i]))
+                if record is not None:
+                    found[i] = True
+                    fields[:, i] = record.start, record.live_time, record.dead_time
+        return found, fields
 
     # -- miss-time queries (Section 4 correlations) ---------------------------
 

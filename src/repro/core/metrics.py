@@ -5,25 +5,30 @@
 - live-time / dead-time histograms (Figure 4) and access-interval /
   reload-interval histograms (Figure 5), with the paper's bin widths
   (x100 cycles; reload intervals x1000);
-- per-miss correlation records — the miss's 3C class together with the
+- per-miss correlations — the miss's 3C class together with the
   timekeeping metrics of the *previous* generation of the missing block
   (Figures 7, 9 splits and the predictor sweeps of Figures 8, 10, 11);
-- per-generation records for dead-block predictor evaluation
-  (Figures 14, 16);
-- consecutive live-time pairs per block (Figure 15 variability).
+- closed generations for dead-block predictor evaluation
+  (Figures 14, 16), which also give the consecutive live-time pairs of
+  Figure 15.
 
 The collectors store raw integers; binning to the paper's axes happens
-at read time so one run feeds many figures.
+at read time so one run feeds many figures.  Generations and
+correlations are int64 columns (:class:`GenerationColumns`,
+:class:`CorrelationColumns`) from the engine that feeds them, through
+the checkpoint store, to the predictor sweeps that read them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from itertools import chain
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple, TypeVar
+
+import numpy as np
 
 from ..common.stats import Histogram
 from ..common.types import MissClass
-from .generations import GenerationRecord
+from .generations import GenerationRecord, records_from_table
 
 #: Paper figure axes: 100 bins of 100 cycles (+overflow) for live/dead
 #: time and access interval; 100 bins of 1000 cycles for reload interval.
@@ -31,15 +36,72 @@ TIME_BIN = 100
 RELOAD_BIN = 1000
 NUM_BINS = 100
 
-#: int value -> member, for materializing batched correlation columns.
-_MISS_CLASS_BY_VALUE = {int(m): m for m in MissClass}
+#: MissClass value -> the name a correlation row stores.
+_CLASS_NAMES = {int(m): m.name for m in MissClass}
+#: What a stored row holds that is not an int: a MissClass name, or
+#: None for a missing prev_live_time (-1); ``get(v, v)`` keeps ints.
+_DECODE = {None: -1, **{m.name: int(m) for m in MissClass}}
+
+
+class GenerationColumns(NamedTuple):
+    """Closed generations as parallel int64 columns, in eviction order.
+
+    ``prev_live_time`` is the live time of the block's previous closed
+    generation, or -1 when it had none.
+    """
+
+    block_addr: np.ndarray
+    start: np.ndarray
+    live_time: np.ndarray
+    dead_time: np.ndarray
+    hit_count: np.ndarray
+    max_access_interval: np.ndarray
+    prev_live_time: np.ndarray
+
+    def live_time_pairs(self) -> np.ndarray:
+        """``(prev_live_time, live_time)`` rows, one per generation that
+        has a previous live time (Figure 15)."""
+        has_prev = self.prev_live_time >= 0
+        return np.stack((self.prev_live_time[has_prev], self.live_time[has_prev]), axis=1)
+
+    def live_time_ratios(self) -> np.ndarray:
+        """current/previous live-time ratio per pair (Figure 15 bottom).
+
+        Zero live times are mapped to one cycle so the ratio stays
+        finite; the paper's 16-cycle counter resolution makes true zeros
+        indistinguishable from <16 anyway.
+        """
+        pairs = np.maximum(self.live_time_pairs(), 1)
+        return pairs[:, 1] / pairs[:, 0]
+
+
+class CorrelationColumns(NamedTuple):
+    """Non-cold misses joined with their block's previous generation.
+
+    Parallel int64 columns in miss order; ``miss_class`` holds
+    :class:`MissClass` values.
+    """
+
+    miss_class: np.ndarray
+    reload_interval: np.ndarray
+    last_dead_time: np.ndarray
+    last_live_time: np.ndarray
+
+
+Columns = TypeVar("Columns", GenerationColumns, CorrelationColumns)
+
+
+def concatenated(banks: Sequence[Columns]) -> Columns:
+    """One column set holding every bank's rows, bank after bank."""
+    return type(banks[0])(*map(np.concatenate, zip(*banks)))
 
 
 class MissCorrelation:
-    """A non-cold miss joined with its block's previous generation.
+    """One row of :class:`CorrelationColumns` as an object.
 
-    Slotted plain class: one is allocated per non-cold miss during
-    metric collection.
+    The element of the :attr:`TimekeepingMetrics.miss_correlations`
+    view, for tests and examples; nothing on the write, load or figure
+    path builds one.
     """
 
     __slots__ = ("miss_class", "reload_interval", "last_dead_time", "last_live_time")
@@ -63,10 +125,59 @@ class MissCorrelation:
         )
 
 
+class _ColumnLog:
+    """Append-only int64 table: bulk chunks and single rows, in order.
+
+    Chunks are ``(width, n)`` arrays; single rows wait in a list until
+    the next chunk or read.  :meth:`table` concatenates once and keeps
+    the result.
+    """
+
+    __slots__ = ("width", "_chunks", "_rows")
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self._chunks: List[np.ndarray] = []
+        self._rows: List[tuple] = []
+
+    def append(self, row: tuple) -> None:
+        self._rows.append(row)
+
+    def extend(self, table: np.ndarray) -> None:
+        self._seal()
+        self._chunks.append(table)
+
+    def table(self) -> np.ndarray:
+        self._seal()
+        chunks = self._chunks
+        if len(chunks) != 1:
+            chunks[:] = [
+                np.concatenate(chunks, axis=1) if chunks
+                else np.empty((self.width, 0), dtype=np.int64)
+            ]
+        return chunks[0]
+
+    def _seal(self) -> None:
+        if self._rows:
+            self._chunks.append(np.array(self._rows, dtype=np.int64).T)
+            self._rows.clear()
+
+
+def _add_unchecked(h: Histogram, value: int) -> None:
+    """:meth:`Histogram.add` without its range check (see on_generation)."""
+    idx = value // h.bin_width
+    if idx >= h.num_bins:
+        h.overflow += 1
+    else:
+        h.counts[idx] += 1
+    h.total += 1
+    h._sum += value
+
+
 class TimekeepingMetrics:
     """Accumulates every timekeeping statistic the paper reports."""
 
-    def __init__(self, *, keep_generations: bool = True) -> None:
+    def __init__(self) -> None:
         self.live_time = Histogram(TIME_BIN, NUM_BINS)
         self.dead_time = Histogram(TIME_BIN, NUM_BINS)
         self.access_interval = Histogram(TIME_BIN, NUM_BINS)
@@ -86,22 +197,10 @@ class TimekeepingMetrics:
             MissClass.CONFLICT: Histogram(TIME_BIN, NUM_BINS),
             MissClass.CAPACITY: Histogram(TIME_BIN, NUM_BINS),
         }
-        #: Raw per-miss correlation records for threshold sweeps
-        #: (read via the :attr:`miss_correlations` property).
-        self._miss_correlations: List[MissCorrelation] = []
-        #: Correlation columns queued by bulk_correlations, materialized
-        #: into records on first miss_correlations read.
-        self._pending_correlations: List[tuple] = []
-        #: (prev_live_time, live_time) per generation that has history
-        #: (read via the :attr:`live_time_pairs` property).
-        self._live_time_pairs: List[Tuple[int, int]] = []
-        #: Closed generations (read via the :attr:`generations`
-        #: property when *keep_generations*).
-        self._keep_generations = keep_generations
-        self._generations: List[GenerationRecord] = []
-        #: Generation columns queued by bulk_generations, materialized
-        #: into records/pairs on first read of either property.
-        self._pending_generations: List[tuple] = []
+        #: Closed generations (rows of :class:`GenerationColumns`) and
+        #: miss correlations (rows of :class:`CorrelationColumns`).
+        self._generations = _ColumnLog(7)
+        self._correlations = _ColumnLog(4)
         self.zero_live_generations = 0
         self.total_generations = 0
 
@@ -110,41 +209,23 @@ class TimekeepingMetrics:
     def on_generation(self, record: GenerationRecord) -> None:
         """Consume a closed generation (GenerationTracker callback).
 
-        The two histogram updates are written out inline (rather than
-        through :meth:`Histogram.add`): this callback fires on every
-        eviction and is the hottest metrics path.  Live and dead times
-        are non-negative by construction, so the range check of
-        ``Histogram.add`` is not needed here.
+        The histograms skip :meth:`Histogram.add`'s range check: a dead
+        time is negative only when a prefetch arrival closes a
+        generation before its fill, and both engines bin that one
+        through a negative index alike.
         """
-        if self._pending_generations:
-            # A batched run queued columns earlier in this simulation;
-            # materialize them first so list order stays eviction order.
-            self._flush_generations()
-        self.total_generations += 1
         lt = record.live_time
-        dt = record.dead_time
-        h = self.live_time
-        idx = lt // h.bin_width
-        if idx >= h.num_bins:
-            h.overflow += 1
-        else:
-            h.counts[idx] += 1
-        h.total += 1
-        h._sum += lt
-        h = self.dead_time
-        idx = dt // h.bin_width
-        if idx >= h.num_bins:
-            h.overflow += 1
-        else:
-            h.counts[idx] += 1
-        h.total += 1
-        h._sum += dt
+        self.total_generations += 1
+        _add_unchecked(self.live_time, lt)
+        _add_unchecked(self.dead_time, record.dead_time)
         if lt == 0:
             self.zero_live_generations += 1
-        if record.prev_live_time is not None:
-            self._live_time_pairs.append((record.prev_live_time, lt))
-        if self._keep_generations:
-            self._generations.append(record)
+        prev = record.prev_live_time
+        self._generations.append((
+            record.block_addr, record.start, lt, record.dead_time,
+            record.hit_count, record.max_access_interval,
+            -1 if prev is None else prev,
+        ))
 
     def on_access_interval(self, interval: int) -> None:
         """Consume one within-live-time access interval."""
@@ -163,71 +244,40 @@ class TimekeepingMetrics:
             self.reload_by_class[miss_class].add(reload_interval)
             self.dead_by_class[miss_class].add(last_dead_time)
             self.live_by_class[miss_class].add(last_live_time)
-        self.miss_correlations.append(
-            MissCorrelation(miss_class, reload_interval, last_dead_time, last_live_time)
+        self._correlations.append(
+            (int(miss_class), reload_interval, last_dead_time, last_live_time)
         )
 
-    def bulk_generations(self, live_times, dead_times, columns) -> None:
+    def bulk_generations(self, table: np.ndarray) -> None:
         """Consume a batch of closed generations at once.
 
-        Equivalent to calling :meth:`on_generation` per generation in
-        order: histogram counts are commutative integers, and the float
-        running sums go through :meth:`Histogram.add_many` (bitwise-
-        identical to sequential adds within binary64's exact-integer
-        range).  *live_times* and *dead_times* are int arrays in
-        eviction order; *columns* is the full 7-tuple of parallel
-        plain-int column lists ``(block_addr, start, live_time,
-        dead_time, hit_count, max_access_interval, prev_live_time)``.
-        The per-row :class:`GenerationRecord` objects and live-time
-        pairs are *not* built here — the columns are queued and
-        materialized the first time :attr:`generations` or
-        :attr:`live_time_pairs` is read, which only figure pipelines,
-        serialization, and tests do, never the simulation hot path.
+        *table* is a ``(7, n)`` int64 array laid out as
+        :class:`GenerationColumns`, in eviction order.  Equivalent to
+        calling :meth:`on_generation` per generation in order:
+        histogram counts are commutative integers, and the float
+        running sums go through :meth:`Histogram.add_many`
+        (bitwise-identical to sequential adds within binary64's
+        exact-integer range).
         """
-        import numpy as np
+        live, dead = table[2], table[3]
+        self.total_generations += int(live.size)
+        self.live_time.add_many(live)
+        if dead.size and int(dead.min()) < 0:
+            for value in dead.tolist():
+                _add_unchecked(self.dead_time, value)
+        else:
+            self.dead_time.add_many(dead)
+        self.zero_live_generations += int(np.count_nonzero(live == 0))
+        self._generations.extend(table)
 
-        live_arr = np.asarray(live_times, dtype=np.int64)
-        self.total_generations += len(columns[0])
-        self.live_time.add_many(live_arr)
-        self.dead_time.add_many(dead_times)
-        self.zero_live_generations += int((live_arr == 0).sum())
-        self._pending_generations.append(columns)
-
-    def _flush_generations(self) -> None:
-        """Materialize queued generation columns into records/pairs."""
-        pending = self._pending_generations
-        gens = self._generations
-        pairs = self._live_time_pairs
-        keep = self._keep_generations
-        for columns in pending:
-            if keep:
-                gens.extend(map(GenerationRecord, *columns))
-            pairs.extend(
-                (prev, lt)
-                for prev, lt in zip(columns[6], columns[2])
-                if prev is not None
-            )
-        pending.clear()
-
-    def bulk_correlations(
-        self, classes, reload_intervals, dead_times, live_times
-    ) -> None:
+    def bulk_correlations(self, table: np.ndarray) -> None:
         """Consume a batch of non-cold miss correlations at once.
 
-        Equivalent to :meth:`on_miss_correlation` per row in miss order:
-        the arguments are parallel columns (``classes`` as
-        :class:`MissClass` int values) feeding the split histograms in
-        bulk.  The per-row :class:`MissCorrelation` objects are *not*
-        built here — the columns are queued and materialized the first
-        time :attr:`miss_correlations` is read, which only figure
-        pipelines and serialization do, never the simulation hot path.
+        *table* is a ``(4, n)`` int64 array laid out as
+        :class:`CorrelationColumns`, in miss order.  Equivalent to
+        :meth:`on_miss_correlation` per row.
         """
-        import numpy as np
-
-        cls_arr = np.asarray(classes, dtype=np.int64)
-        reload_arr = np.asarray(reload_intervals, dtype=np.int64)
-        dead_arr = np.asarray(dead_times, dtype=np.int64)
-        live_arr = np.asarray(live_times, dtype=np.int64)
+        cls_arr, reload_arr, dead_arr, live_arr = table
         self.reload_interval.add_many(reload_arr)
         for miss_class in (MissClass.CONFLICT, MissClass.CAPACITY):
             mask = cls_arr == int(miss_class)
@@ -235,66 +285,39 @@ class TimekeepingMetrics:
                 self.reload_by_class[miss_class].add_many(reload_arr[mask])
                 self.dead_by_class[miss_class].add_many(dead_arr[mask])
                 self.live_by_class[miss_class].add_many(live_arr[mask])
-        self._pending_correlations.append(
-            (classes, reload_intervals, dead_times, live_times)
-        )
+        self._correlations.extend(table)
+
+    # -- columns -------------------------------------------------------------
 
     @property
-    def miss_correlations(self) -> List[MissCorrelation]:
-        """Raw per-miss correlation records, in miss order.
+    def generation_columns(self) -> GenerationColumns:
+        """The closed generations, in eviction order."""
+        return GenerationColumns(*self._generations.table())
 
-        Batched columns queued by :meth:`bulk_correlations` are
-        materialized into :class:`MissCorrelation` objects on first
-        read; scalar-path records land in the backing list directly.
-        """
-        pending = self._pending_correlations
-        if pending:
-            out = self._miss_correlations
-            for classes, reload_intervals, dead_times, live_times in pending:
-                out.extend(map(
-                    MissCorrelation,
-                    map(_MISS_CLASS_BY_VALUE.__getitem__, classes),
-                    reload_intervals,
-                    dead_times,
-                    live_times,
-                ))
-            pending.clear()
-        return self._miss_correlations
+    @property
+    def correlation_columns(self) -> CorrelationColumns:
+        """The non-cold miss correlations, in miss order."""
+        return CorrelationColumns(*self._correlations.table())
+
+    # -- object views (tests, examples, benchmarks) ---------------------------
 
     @property
     def generations(self) -> List[GenerationRecord]:
-        """Closed :class:`GenerationRecord` list, in eviction order.
+        """The closed generations as records, built on each read."""
+        return records_from_table(self._generations.table())
 
-        Batched columns queued by :meth:`bulk_generations` are
-        materialized on first read; scalar-path records land in the
-        backing list directly.  Empty when ``keep_generations=False``.
-        """
-        if self._pending_generations:
-            self._flush_generations()
-        return self._generations
+    @property
+    def miss_correlations(self) -> List[MissCorrelation]:
+        """The miss correlations as objects, built on each read."""
+        classes, *rest = self._correlations.table().tolist()
+        return list(map(MissCorrelation, map(MissClass, classes), *rest))
 
     @property
     def live_time_pairs(self) -> List[Tuple[int, int]]:
-        """(prev_live_time, live_time) pairs, in eviction order.
-
-        Shares the queued-column materialization with
-        :attr:`generations`.
-        """
-        if self._pending_generations:
-            self._flush_generations()
-        return self._live_time_pairs
+        """(prev_live_time, live_time) per generation that has history."""
+        return list(map(tuple, self.generation_columns.live_time_pairs().tolist()))
 
     # -- derived views ---------------------------------------------------------
-
-    def live_time_ratios(self) -> Iterator[float]:
-        """current/previous live-time ratios (Figure 15 bottom).
-
-        Zero live times are mapped to one cycle so the ratio stays
-        finite; the paper's 16-cycle counter resolution makes true zeros
-        indistinguishable from <16 anyway.
-        """
-        for prev, cur in self.live_time_pairs:
-            yield max(cur, 1) / max(prev, 1)
 
     def zero_live_fraction(self) -> float:
         """Fraction of generations with zero live time."""
@@ -315,11 +338,20 @@ class TimekeepingMetrics:
     def to_dict(self) -> Dict[str, Any]:
         """Serialize to a JSON-able dict; the exact inverse of :meth:`from_dict`.
 
-        Raw records serialize as compact integer rows (``None`` marks a
+        The columns serialize as compact integer rows (``None`` marks a
         missing ``prev_live_time``) so the figure pipeline can rebuild
         every characterization figure from the checkpoint store alone,
-        byte-identically to a fresh in-memory run.
+        byte-identically to a fresh in-memory run.  The
+        ``live_time_pairs`` rows repeat the generations' (previous,
+        current) live times wherever a previous one exists.
         """
+        gens = self._generations.table()
+        gen_rows = gens.T.tolist()
+        for i in np.flatnonzero(gens[6] < 0).tolist():
+            gen_rows[i][6] = None
+        corr_rows = self._correlations.table().T.tolist()
+        for row in corr_rows:
+            row[0] = _CLASS_NAMES[row[0]]
         return {
             "live_time": self.live_time.to_dict(),
             "dead_time": self.dead_time.to_dict(),
@@ -334,25 +366,21 @@ class TimekeepingMetrics:
             "live_by_class": {
                 k.name: h.to_dict() for k, h in self.live_by_class.items()
             },
-            "miss_correlations": [
-                [c.miss_class.name, c.reload_interval, c.last_dead_time,
-                 c.last_live_time]
-                for c in self.miss_correlations
-            ],
-            "live_time_pairs": [list(pair) for pair in self.live_time_pairs],
-            "generations": [
-                [g.block_addr, g.start, g.live_time, g.dead_time, g.hit_count,
-                 g.max_access_interval, g.prev_live_time]
-                for g in self.generations
-            ],
+            "miss_correlations": corr_rows,
+            "live_time_pairs": self.generation_columns.live_time_pairs().tolist(),
+            "generations": gen_rows,
             "zero_live_generations": self.zero_live_generations,
             "total_generations": self.total_generations,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TimekeepingMetrics":
-        """Rebuild the collector state serialized by :meth:`to_dict`."""
-        out = cls(keep_generations=True)
+        """Rebuild the collector state serialized by :meth:`to_dict`.
+
+        The rows go straight into columns; the ``live_time_pairs`` rows
+        are not read, since the generation rows hold them.
+        """
+        out = cls()
         out.live_time = Histogram.from_dict(data["live_time"])
         out.dead_time = Histogram.from_dict(data["dead_time"])
         out.access_interval = Histogram.from_dict(data["access_interval"])
@@ -369,18 +397,22 @@ class TimekeepingMetrics:
             MissClass[k]: Histogram.from_dict(h)
             for k, h in data["live_by_class"].items()
         }
-        out._miss_correlations = [
-            MissCorrelation(MissClass[kind], reload_iv, dead, live)
-            for kind, reload_iv, dead, live in data["miss_correlations"]
-        ]
-        out._live_time_pairs = [
-            (prev, cur) for prev, cur in data["live_time_pairs"]
-        ]
-        out._generations = [
-            GenerationRecord(addr, start, live, dead, hits, max_iv, prev_live)
-            for addr, start, live, dead, hits, max_iv, prev_live
-            in data["generations"]
-        ]
+        out._correlations.extend(_table(data["miss_correlations"], 4, coded=0))
+        out._generations.extend(_table(data["generations"], 7, coded=6))
         out.zero_live_generations = data["zero_live_generations"]
         out.total_generations = data["total_generations"]
         return out
+
+
+def _table(rows: List[list], width: int, coded: int) -> np.ndarray:
+    """The ``(width, n)`` int64 table of *n* stored rows.
+
+    Column *coded* goes through :data:`_DECODE`.  The rows are flattened
+    one at a time (a transpose by ``zip`` would hold an iterator per
+    row, and a large bank would set off the garbage collector).
+    """
+    cells = np.fromiter(chain.from_iterable(rows), dtype=object,
+                        count=width * len(rows)).reshape(len(rows), width)
+    column = cells[:, coded]
+    cells[:, coded] = list(map(_DECODE.get, column, column))
+    return cells.T.astype(np.int64, order="C")

@@ -9,14 +9,17 @@ The paper evaluates every predictor on two axes (Figures 8, 10, 11, 14,
   (``TP / (TP + FN)``) — equivalently, for the dead-block predictors,
   the fraction of cases where a prediction was made at all.
 
-:class:`PredictionStats` tallies outcomes; binary predictors implement
-:class:`BinaryPredictor` so the same evaluation loop drives them all.
+:class:`PredictionStats` holds the outcome counts; binary predictors
+implement :class:`BinaryPredictor` so the same column evaluation
+drives them all.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass
@@ -59,17 +62,6 @@ class PredictionStats:
         positives = self.actual_positives
         return self.true_positives / positives if positives else 0.0
 
-    def record(self, predicted: bool, actual: bool) -> None:
-        """Tally one (prediction, ground truth) pair."""
-        if predicted and actual:
-            self.true_positives += 1
-        elif predicted:
-            self.false_positives += 1
-        elif actual:
-            self.false_negatives += 1
-        else:
-            self.true_negatives += 1
-
     def merged(self, other: "PredictionStats") -> "PredictionStats":
         """Combine two tallies."""
         return PredictionStats(
@@ -84,15 +76,22 @@ class BinaryPredictor(abc.ABC):
     """A predictor that answers yes/no from one observed metric value."""
 
     @abc.abstractmethod
-    def predict(self, value: int) -> bool:
-        """Predict from the observed metric *value*."""
+    def predict(self, value):
+        """Predict from the observed metric *value* (or, elementwise, an
+        array of them)."""
 
-    def evaluate(self, samples) -> PredictionStats:
-        """Run over (value, actual) pairs and tally the outcomes."""
-        stats = PredictionStats()
-        for value, actual in samples:
-            stats.record(self.predict(value), actual)
-        return stats
+    def evaluate(self, values, actual) -> PredictionStats:
+        """Count the outcomes over parallel columns of metric values and
+        ground truth."""
+        predicted = np.asarray(self.predict(np.asarray(values)), dtype=bool)
+        actual = np.asarray(actual, dtype=bool)
+        made = int(np.count_nonzero(predicted))
+        positives = int(np.count_nonzero(actual))
+        hits = int(np.count_nonzero(predicted & actual))
+        return PredictionStats(
+            hits, made - hits, positives - hits,
+            actual.size - made - positives + hits,
+        )
 
 
 class ThresholdPredictor(BinaryPredictor):
@@ -107,7 +106,7 @@ class ThresholdPredictor(BinaryPredictor):
             raise ValueError(f"threshold must be non-negative, got {threshold}")
         self.threshold = threshold
 
-    def predict(self, value: int) -> bool:
+    def predict(self, value):
         return value < self.threshold
 
     def __repr__(self) -> str:

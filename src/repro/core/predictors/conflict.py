@@ -15,17 +15,19 @@ of the block that misses:
   ~30% coverage, no knob).
 
 Offline evaluation helpers sweep thresholds over the
-:class:`~repro.core.metrics.MissCorrelation` records a simulation
-collected, producing the accuracy/coverage curves of Figures 8 and 10
-and the per-benchmark bars of Figure 11.
+:class:`~repro.core.metrics.CorrelationColumns` a simulation collected,
+producing the accuracy/coverage curves of Figures 8 and 10 and the
+per-benchmark bars of Figure 11.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from ...common.types import MissClass
-from ..metrics import MissCorrelation
+from ..metrics import CorrelationColumns
 from .base import BinaryPredictor, PredictionStats, ThresholdPredictor
 
 
@@ -59,61 +61,67 @@ class ZeroLiveTimeConflictPredictor(BinaryPredictor):
     the same behavior.
     """
 
-    def predict(self, value: int) -> bool:
+    def predict(self, value):
         return value == 0
 
 
 def _samples(
-    correlations: Iterable[MissCorrelation],
+    correlations: CorrelationColumns,
     metric: str,
-) -> List[Tuple[int, bool]]:
-    """Extract (metric value, is_conflict) pairs; cold misses carry no
-    previous generation and never appear in *correlations*."""
-    getter = {
-        "reload": lambda c: c.reload_interval,
-        "dead": lambda c: c.last_dead_time,
-        "live": lambda c: c.last_live_time,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The metric's column and the is-conflict column; cold misses carry
+    no previous generation and never appear in *correlations*."""
+    values = {
+        "reload": correlations.reload_interval,
+        "dead": correlations.last_dead_time,
+        "live": correlations.last_live_time,
     }[metric]
-    return [(getter(c), c.miss_class == MissClass.CONFLICT) for c in correlations]
+    return values, correlations.miss_class == int(MissClass.CONFLICT)
 
 
 def evaluate_reload_predictor(
-    correlations: Iterable[MissCorrelation],
+    correlations: CorrelationColumns,
     threshold: int = ReloadIntervalConflictPredictor.PAPER_THRESHOLD,
 ) -> PredictionStats:
     """Accuracy/coverage of the reload-interval predictor at one threshold."""
-    return ReloadIntervalConflictPredictor(threshold).evaluate(_samples(correlations, "reload"))
+    return ReloadIntervalConflictPredictor(threshold).evaluate(*_samples(correlations, "reload"))
 
 
 def evaluate_dead_time_predictor(
-    correlations: Iterable[MissCorrelation],
+    correlations: CorrelationColumns,
     threshold: int = DeadTimeConflictPredictor.PAPER_THRESHOLD,
 ) -> PredictionStats:
     """Accuracy/coverage of the dead-time predictor at one threshold."""
-    return DeadTimeConflictPredictor(threshold).evaluate(_samples(correlations, "dead"))
+    return DeadTimeConflictPredictor(threshold).evaluate(*_samples(correlations, "dead"))
 
 
 def evaluate_zero_live_predictor(
-    correlations: Iterable[MissCorrelation],
+    correlations: CorrelationColumns,
 ) -> PredictionStats:
     """Accuracy/coverage of the zero-live-time predictor (Figure 11)."""
-    return ZeroLiveTimeConflictPredictor().evaluate(_samples(correlations, "live"))
+    return ZeroLiveTimeConflictPredictor().evaluate(*_samples(correlations, "live"))
 
 
 def accuracy_coverage_curve(
-    correlations: Sequence[MissCorrelation],
+    correlations: CorrelationColumns,
     metric: str,
     thresholds: Sequence[int],
 ) -> List[Tuple[int, float, float]]:
     """Sweep thresholds; returns (threshold, accuracy, coverage) rows.
 
     *metric* is ``"reload"`` (Figure 8, x in cycles) or ``"dead"``
-    (Figure 10).  One pass per threshold over pre-extracted samples.
+    (Figure 10).  One sort of all values and of the conflicts' values;
+    then each threshold counts the values below it by binary search.
     """
-    samples = _samples(correlations, metric)
+    values, is_conflict = _samples(correlations, metric)
+    conflicts = np.sort(values[is_conflict])
+    made = np.searchsorted(np.sort(values), thresholds).tolist()
+    hits = np.searchsorted(conflicts, thresholds).tolist()
     rows: List[Tuple[int, float, float]] = []
-    for threshold in thresholds:
-        stats = ThresholdPredictor(threshold).evaluate(samples)
+    for threshold, m, h in zip(thresholds, made, hits):
+        stats = PredictionStats(
+            h, m - h, conflicts.size - h, values.size - m - conflicts.size + h,
+        )
         rows.append((threshold, stats.accuracy, stats.coverage))
     return rows
 

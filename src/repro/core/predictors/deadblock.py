@@ -14,9 +14,9 @@ this generation:
   after the fill (the paper picks scale=2 from the ratio CDF of
   Figure 15: ~80% of live times are below twice the previous one).
 
-Offline evaluation runs over the closed
-:class:`~repro.core.generations.GenerationRecord` stream.  The ground
-truth per generation: a *decay* prediction fires at the first idle
+Offline evaluation runs over the closed generations'
+:class:`~repro.core.metrics.GenerationColumns`.  The ground truth per
+generation: a *decay* prediction fires at the first idle
 period >= threshold, and is correct iff that period is the dead time
 (no access interval within the live time was that large).  A
 *live-time* prediction exists only when the block survives past the
@@ -27,9 +27,11 @@ iff the real live time ended by then.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from ..generations import GenerationRecord
+import numpy as np
+
+from ..metrics import GenerationColumns
 
 
 @dataclass
@@ -54,14 +56,6 @@ class DeadBlockStats:
     def coverage(self) -> float:
         return self.made / self.total if self.total else 0.0
 
-    def record(self, outcome: Optional[bool]) -> None:
-        """Tally one generation: None = no prediction, else correctness."""
-        self.total += 1
-        if outcome is not None:
-            self.made += 1
-            if outcome:
-                self.correct += 1
-
 
 class DecayDeadBlockPredictor:
     """Dead once idle for *threshold* cycles (cache-decay style)."""
@@ -71,26 +65,28 @@ class DecayDeadBlockPredictor:
             raise ValueError(f"decay threshold must be positive, got {threshold}")
         self.threshold = threshold
 
-    def prediction_for(self, record: GenerationRecord) -> Optional[bool]:
-        """Did a prediction fire for this generation, and was it right?
+    def evaluate(self, generations: GenerationColumns) -> DeadBlockStats:
+        """Accuracy/coverage over closed generations."""
+        return _decay_stats(generations, [self.threshold])[0]
 
-        Returns None when no idle period ever reached the threshold
-        (no prediction — uncovered), True/False otherwise.
-        """
-        fired_in_live = record.max_access_interval >= self.threshold
-        fired_in_dead = record.dead_time >= self.threshold
-        if not fired_in_live and not fired_in_dead:
-            return None
-        # The first crossing decides: an access interval reaching the
-        # threshold happens before the dead time does.
-        return not fired_in_live
 
-    def evaluate(self, records: Iterable[GenerationRecord]) -> DeadBlockStats:
-        """Tally accuracy/coverage over closed generations."""
-        stats = DeadBlockStats()
-        for record in records:
-            stats.record(self.prediction_for(record))
-        return stats
+def _decay_stats(generations: GenerationColumns,
+                 thresholds: Sequence[int]) -> List[DeadBlockStats]:
+    """Decay outcomes per threshold, from one sort of each idle column.
+
+    A prediction fires unless every idle period stays below the
+    threshold (``max(max_access_interval, dead_time) < T``: uncovered),
+    and it is right iff no access interval reached the threshold first
+    (``max_access_interval < T <= dead_time``).
+    """
+    live_idle = generations.max_access_interval
+    quiet_live = np.searchsorted(np.sort(live_idle), thresholds).tolist()
+    quiet = np.searchsorted(
+        np.sort(np.maximum(live_idle, generations.dead_time)), thresholds
+    ).tolist()
+    total = int(live_idle.size)
+    return [DeadBlockStats(total, total - q, ql - q)
+            for ql, q in zip(quiet_live, quiet)]
 
 
 class LiveTimeDeadBlockPredictor:
@@ -104,55 +100,50 @@ class LiveTimeDeadBlockPredictor:
             raise ValueError(f"scale must be positive, got {scale}")
         self.scale = scale
 
-    def predicted_death_offset(self, prev_live_time: int) -> int:
+    def predicted_death_offset(self, prev_live_time):
         """Cycles after the fill at which the block is declared dead.
 
-        A previous live time of zero still yields a minimal wait of one
-        cycle so the prediction point is after the fill itself.
+        Elementwise over an array of previous live times.  A previous
+        live time of zero still yields a minimal wait of one cycle so the
+        prediction point is after the fill itself.
         """
-        return max(1, int(self.scale * prev_live_time))
+        return np.maximum(1, (self.scale * np.asarray(prev_live_time)).astype(np.int64))
 
-    def prediction_for(self, record: GenerationRecord) -> Optional[bool]:
-        """Outcome for one generation: None = uncovered, else correctness.
+    def evaluate(self, generations: GenerationColumns) -> DeadBlockStats:
+        """Accuracy/coverage over closed generations.
 
-        Uncovered when the block has no previous live time (first
-        generation) or was evicted before the prediction point.
+        A generation is uncovered when the block has no previous live
+        time (first generation) or was evicted before the prediction
+        point; a covered one is right iff its live time ended by then.
         """
-        if record.prev_live_time is None:
-            return None
-        point = self.predicted_death_offset(record.prev_live_time)
-        if record.generation_time < point:
-            return None  # evicted before the prediction could fire
-        return record.live_time <= point
-
-    def evaluate(self, records: Iterable[GenerationRecord]) -> DeadBlockStats:
-        """Tally accuracy/coverage over closed generations."""
-        stats = DeadBlockStats()
-        for record in records:
-            stats.record(self.prediction_for(record))
-        return stats
+        has_prev = generations.prev_live_time >= 0
+        point = self.predicted_death_offset(generations.prev_live_time[has_prev])
+        live = generations.live_time[has_prev]
+        covered = live + generations.dead_time[has_prev] >= point
+        return DeadBlockStats(
+            int(generations.live_time.size),
+            int(np.count_nonzero(covered)),
+            int(np.count_nonzero(covered & (live <= point))),
+        )
 
 
 def decay_curve(
-    records: Sequence[GenerationRecord],
+    generations: GenerationColumns,
     thresholds: Sequence[int],
 ) -> List[Tuple[int, float, float]]:
     """(threshold, accuracy, coverage) rows for Figure 14."""
-    rows: List[Tuple[int, float, float]] = []
-    for threshold in thresholds:
-        stats = DecayDeadBlockPredictor(threshold).evaluate(records)
-        rows.append((threshold, stats.accuracy, stats.coverage))
-    return rows
+    return [(threshold, stats.accuracy, stats.coverage)
+            for threshold, stats in zip(thresholds, _decay_stats(generations, thresholds))]
 
 
 def livetime_scale_curve(
-    records: Sequence[GenerationRecord],
+    generations: GenerationColumns,
     scales: Sequence[float],
 ) -> List[Tuple[float, float, float]]:
     """(scale, accuracy, coverage) rows — the x2 heuristic ablation."""
     rows: List[Tuple[float, float, float]] = []
     for scale in scales:
-        stats = LiveTimeDeadBlockPredictor(scale).evaluate(records)
+        stats = LiveTimeDeadBlockPredictor(scale).evaluate(generations)
         rows.append((scale, stats.accuracy, stats.coverage))
     return rows
 

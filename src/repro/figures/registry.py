@@ -29,7 +29,13 @@ from ..analysis.venn import classify_benchmarks
 from ..common.config import paper_machine
 from ..common.stats import Histogram, abs_diff_histogram, geometric_mean, ratio_cdf
 from ..common.types import KB, MB, MissClass, PrefetchTimeliness
-from ..core.metrics import RELOAD_BIN, TIME_BIN, TimekeepingMetrics
+from ..core.metrics import (
+    RELOAD_BIN,
+    TIME_BIN,
+    CorrelationColumns,
+    TimekeepingMetrics,
+    concatenated,
+)
 from ..core.predictors.conflict import (
     FIG8_THRESHOLDS,
     FIG10_THRESHOLDS,
@@ -92,12 +98,9 @@ def _merge_by_class(metrics: Sequence[TimekeepingMetrics], attr: str,
     return _merge(getattr(m, attr)[kind] for m in metrics)
 
 
-def _all_correlations(suite: Suite) -> list:
-    """Every workload's miss-correlation records, concatenated."""
-    out = []
-    for metrics in base_metrics(suite):
-        out.extend(metrics.miss_correlations)
-    return out
+def _all_correlations(suite: Suite) -> CorrelationColumns:
+    """Every workload's miss correlations, concatenated."""
+    return concatenated([m.correlation_columns for m in base_metrics(suite)])
 
 
 # -- builders -----------------------------------------------------------------
@@ -384,8 +387,8 @@ def build_fig11(suite: Suite) -> FigureArtifact:
     """Figure 11 — zero-live-time conflict predictor per benchmark."""
     rows = {}
     for name, results in suite.items():
-        cors = results["base"].metrics.miss_correlations
-        if not cors:
+        cors = results["base"].metrics.correlation_columns
+        if not cors.miss_class.size:
             continue
         stats = evaluate_zero_live_predictor(cors)
         rows[name] = (stats.accuracy, stats.coverage, stats.actual_positives)
@@ -471,10 +474,8 @@ def build_fig13(suite: Suite) -> FigureArtifact:
 
 def build_fig14(suite: Suite) -> FigureArtifact:
     """Figure 14 — decay-style dead-block prediction threshold sweep."""
-    records = []
-    for metrics in base_metrics(suite):
-        records.extend(metrics.generations)
-    rows = decay_curve(records, FIG14_THRESHOLDS)
+    generations = concatenated([m.generation_columns for m in base_metrics(suite)])
+    rows = decay_curve(generations, FIG14_THRESHOLDS)
     text = format_table(
         ["idle threshold (cycles)", "accuracy", "coverage"],
         [[t, a, c] for t, a, c in rows],
@@ -499,15 +500,10 @@ def build_fig14(suite: Suite) -> FigureArtifact:
 
 def build_fig15(suite: Suite) -> FigureArtifact:
     """Figure 15 — consecutive live-time variability."""
-    metrics = base_metrics(suite)
-    pairs = []
-    for m in metrics:
-        pairs.extend(m.live_time_pairs)
+    generations = concatenated([m.generation_columns for m in base_metrics(suite)])
+    pairs = generations.live_time_pairs()
     diffs = abs_diff_histogram(pairs)
-    ratios = []
-    for m in metrics:
-        ratios.extend(m.live_time_ratios())
-    cdf = ratio_cdf(ratios, list(RATIO_BREAKPOINTS))
+    cdf = ratio_cdf(generations.live_time_ratios(), list(RATIO_BREAKPOINTS))
     edges = ["<=0", "<=16", "<=32", "<=64", "<=128", "<=256", "<=512",
              "<=1024", "<=2048", "<=4096", "<=8192", ">8192"]
     text = format_table(
@@ -539,10 +535,10 @@ def build_fig16(suite: Suite) -> FigureArtifact:
     predictor = LiveTimeDeadBlockPredictor()
     rows = {}
     for name, results in suite.items():
-        records = results["base"].metrics.generations
-        if len(records) < 50:
+        generations = results["base"].metrics.generation_columns
+        if generations.live_time.size < 50:
             continue
-        stats = predictor.evaluate(records)
+        stats = predictor.evaluate(generations)
         rows[name] = (stats.accuracy, stats.coverage, stats.total)
     text = format_table(
         ["benchmark", "accuracy", "coverage", "generations"],

@@ -123,7 +123,6 @@ import numpy as np
 
 from ..cache.block import Frame
 from ..common.types import AccessOutcome, AccessType, MissClass
-from ..core.generations import GenerationRecord
 from ..core.tick import VICTIM_FILTER_COUNTER_BITS
 from ..core.victim import (
     AdaptiveTimekeepingAdmission,
@@ -615,36 +614,6 @@ def _classify(sim, trace, start: int, stop: int, blocks: np.ndarray,
     return cls
 
 
-def _previous_live(e_block: np.ndarray, e_live: np.ndarray, e_block_l: List[int],
-                   last_gen_get):
-    """Live time of each evicted block's previous closed generation.
-
-    That is the prior eviction of the same block in this batch (a
-    stable block-sort puts same-block evictions adjacent in eviction
-    order, so it is the previous sorted element), else the tracker's
-    last closed generation, else None.  Returns the list with the sort
-    permutation and the sorted blocks, which the correlation pass
-    reuses.
-    """
-    n_evictions = int(e_block.size)
-    so = np.argsort(e_block, kind="stable")
-    sb = e_block[so]
-    samep = np.empty(n_evictions, dtype=bool)
-    samep[0] = False
-    samep[1:] = sb[1:] == sb[:-1]
-    rep_pos = np.flatnonzero(samep)
-    rep_idx = so[rep_pos]
-    prev_live_arr = np.zeros(n_evictions, dtype=np.int64)
-    prev_live_arr[rep_idx] = e_live[so[rep_pos - 1]]
-    have_prev = np.zeros(n_evictions, dtype=bool)
-    have_prev[rep_idx] = True
-    prev_live_list: List[Optional[int]] = prev_live_arr.tolist()
-    for j in np.flatnonzero(~have_prev).tolist():
-        lg = last_gen_get(e_block_l[j])
-        prev_live_list[j] = lg.live_time if lg is not None else None
-    return prev_live_list, so, sb
-
-
 class _Batch:
     """One batch's shared passes: the opening pass both engines start
     from (the constructor), and the post-pass they end with
@@ -745,77 +714,64 @@ class _Batch:
         metrics = sim.metrics
         tracker = sim.generations
         e_block, e_start, e_live, e_dead, e_hits, e_max, e_key = closures
-        last_gen_get = tracker._last_gen.get
         n_closed = int(e_block.size)
-        if n_closed:
-            e_block_l = e_block.tolist()
-            prev_live, so, sb = _previous_live(e_block, e_live, e_block_l, last_gen_get)
-        noncold = np.flatnonzero(cls != _COLD) if metrics is not None else ()
-        if len(noncold):
-            q_block = m_blocks[noncold]
-            q_now = self.pre_now[noncold]
-            nq = int(noncold.size)
+        # Each evicted block's previous live time within the batch: a
+        # stable block-sort puts same-block evictions adjacent in
+        # eviction order, so it is the previous sorted element's.  Each
+        # block's first eviction (-1 here) looks the tracker's history up.
+        so = np.argsort(e_block, kind="stable")
+        sb = e_block[so]
+        same = np.zeros(n_closed, dtype=bool)
+        same[1:] = sb[1:] == sb[:-1]
+        prev_live = np.full(n_closed, -1, dtype=np.int64)
+        prev_live[so[same]] = e_live[so[np.flatnonzero(same) - 1]]
+        firsts = so[~same]
+        noncold = (np.flatnonzero(cls != _COLD) if metrics is not None
+                   else np.zeros(0, dtype=np.int64))
+        q_block = m_blocks[noncold]
+        q_now = self.pre_now[noncold]
+        nq = int(noncold.size)
+        # Each correlation's reload interval, dead time and live time.
+        corr = np.zeros((3, nq), dtype=np.int64)
+        fallback = np.arange(nq)
+        if nq and n_closed:
+            # One searchsorted over dense (block, key) keys: the
+            # block-sorted closures are key ordered within a block,
+            # and a query takes the dense id of its block's run
+            # (at lo, the run's first closure, if it has one).
+            stride = int(cls.size) + 1
+            gid = np.zeros(n_closed, dtype=np.int64)
+            np.cumsum(~same[1:], out=gid[1:])
+            ev_keys = gid * stride + e_key[so]
+            lo = np.searchsorted(sb, q_block)
+            run = np.minimum(lo, n_closed - 1)
+            q_keys = gid[run] * stride + noncold
+            pos = np.searchsorted(ev_keys, q_keys, side="right") - 1
+            inb = (pos >= lo) & (sb[run] == q_block)
+            src = so[pos[inb]]
+            corr[:, inb] = (q_now[inb] - e_start[src], e_dead[src], e_live[src])
+            fallback = np.flatnonzero(~inb)
+        # One history lookup serves both the blocks' first evictions and
+        # the misses with no in-batch closure before them.
+        found, prior = tracker.history(
+            np.concatenate((e_block[firsts], q_block[fallback]))
+        )
+        n_first = int(firsts.size)
+        prev_live[firsts] = np.where(found[:n_first], prior[1, :n_first], -1)
+        if nq:
             keep = np.ones(nq, dtype=bool)
-            if n_closed:
-                # One searchsorted over dense (block, key) keys: the
-                # block-sorted closures are key ordered within a block,
-                # and a query takes the dense id of its block's run
-                # (at lo, the run's first closure, if it has one).
-                stride = int(cls.size) + 1
-                gid = np.zeros(n_closed, dtype=np.int64)
-                np.cumsum(sb[1:] != sb[:-1], out=gid[1:])
-                ev_keys = gid * stride + e_key[so]
-                lo = np.searchsorted(sb, q_block)
-                run = np.minimum(lo, n_closed - 1)
-                q_keys = gid[run] * stride + noncold
-                pos = np.searchsorted(ev_keys, q_keys, side="right") - 1
-                inb = (pos >= lo) & (sb[run] == q_block)
-                src = so[np.maximum(pos, 0)]
-                r_reload = np.where(inb, q_now - e_start[src], 0)
-                r_dead = np.where(inb, e_dead[src], 0)
-                r_live = np.where(inb, e_live[src], 0)
-                fallback = np.flatnonzero(~inb)
-            else:
-                r_reload = np.zeros(nq, dtype=np.int64)
-                r_dead = np.zeros(nq, dtype=np.int64)
-                r_live = np.zeros(nq, dtype=np.int64)
-                fallback = np.arange(nq)
-            if fallback.size:
-                qb_l = q_block.tolist()
-                qn_l = q_now.tolist()
-                for i in fallback.tolist():
-                    lg = last_gen_get(qb_l[i])
-                    if lg is None:
-                        keep[i] = False
-                    else:
-                        r_reload[i] = qn_l[i] - lg.start
-                        r_dead[i] = lg.dead_time
-                        r_live[i] = lg.live_time
-            corr_cls = cls[noncold][keep].tolist()
-            if corr_cls:
-                metrics.bulk_correlations(
-                    corr_cls, r_reload[keep].tolist(), r_dead[keep].tolist(),
-                    r_live[keep].tolist(),
-                )
+            keep[fallback] = found[n_first:]
+            start, live, dead = prior[:, n_first:]
+            corr[:, fallback] = (q_now[fallback] - start, dead, live)
+            metrics.bulk_correlations(np.vstack((cls[noncold], corr))[:, keep])
         if not n_closed:
             return
-        # Record columns, handed to the tracker and metrics as-is: both
-        # queue them and only build GenerationRecord objects when
-        # someone reads per-block history or the record lists.
-        gen_columns = (
-            e_block_l, e_start.tolist(), e_live.tolist(), e_dead.tolist(),
-            e_hits.tolist(), e_max.tolist(), prev_live,
-        )
-        tracker.absorb_closed(gen_columns)
+        # The closed generations go to the tracker and the metrics as
+        # one table; neither builds a GenerationRecord from it.
+        table = np.stack((e_block, e_start, e_live, e_dead, e_hits, e_max, prev_live))
+        tracker.absorb_closed(table)
         if metrics is not None:
-            if int(e_dead.min()) < 0:
-                # Only an arrival outside its trigger's set can close a
-                # generation before it began; feed such batches record
-                # by record, as the scalar loop does.
-                for record in map(GenerationRecord, *gen_columns):
-                    metrics.on_generation(record)
-            else:
-                metrics.bulk_generations(e_live, e_dead, gen_columns)
+            metrics.bulk_generations(table)
 
     def finish(self, miss_log: np.ndarray, demand: np.ndarray,
                penalty: Optional[np.ndarray], served, served_charges_l2: bool,

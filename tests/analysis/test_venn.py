@@ -1,5 +1,10 @@
 """Tests for the Figure-22 mechanism-coverage summary."""
 
+import os
+import subprocess
+import sys
+
+import repro
 from repro.analysis.venn import VennSummary, classify_benchmarks
 
 
@@ -54,3 +59,38 @@ class TestRender:
     def test_render_empty(self):
         text = VennSummary().render()
         assert "(none)" in text
+
+
+#: Renders a summary whose few-stalls names all tie at 0% (as stand-ins
+#: with no gain from either mechanism do) and one ahead of them.
+TIED_RENDER = """
+from repro.analysis.venn import classify_benchmarks
+names = ["mesa", "gzip", "eon", "crafty", "bzip2", "twolf", "parser", "gap"]
+potential = {n: 0.01 for n in names}
+print(classify_benchmarks(potential, {"gap": 0.02}, {}).render())
+"""
+
+
+class TestTieOrder:
+    def test_tied_improvements_sorted_by_name(self):
+        names = ["mesa", "gzip", "eon", "crafty"]
+        for order in (names, names[::-1]):
+            s = VennSummary(improvement={"gap": 0.02})
+            for n in order:
+                s.few_stalls.add(n)
+                s.improvement[n] = 0.0
+            s.few_stalls.add("gap")
+            assert ("few memory stalls          : gap [2%], crafty [0%], "
+                    "eon [0%], gzip [0%], mesa [0%]") in s.render()
+
+    def test_render_independent_of_hash_seed(self):
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", TIED_RENDER], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(outputs) == 1
+        assert "bzip2 [0%], crafty [0%], eon [0%]" in outputs.pop()

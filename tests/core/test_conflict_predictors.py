@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.types import MissClass
-from repro.core.metrics import MissCorrelation
+from repro.core.metrics import MissCorrelation, TimekeepingMetrics
 from repro.core.predictors.conflict import (
     FIG8_THRESHOLDS,
     FIG10_THRESHOLDS,
@@ -25,7 +25,17 @@ def capacity(reload=500_000, dead=50_000, live=300):
     return MissCorrelation(MissClass.CAPACITY, reload, dead, live)
 
 
-SAMPLE = [conflict() for _ in range(8)] + [capacity() for _ in range(12)]
+def columns(correlations):
+    """The correlations as the metric bank's columns."""
+    m = TimekeepingMetrics()
+    for c in correlations:
+        m.on_miss_correlation(
+            c.miss_class, c.reload_interval, c.last_dead_time, c.last_live_time
+        )
+    return m.correlation_columns
+
+
+SAMPLE = columns([conflict() for _ in range(8)] + [capacity() for _ in range(12)])
 
 
 class TestReloadPredictor:
@@ -39,7 +49,7 @@ class TestReloadPredictor:
 
     def test_small_threshold_loses_coverage(self):
         mixed = [conflict(reload=500), conflict(reload=20_000), capacity()]
-        stats = evaluate_reload_predictor(mixed, threshold=1000)
+        stats = evaluate_reload_predictor(columns(mixed), threshold=1000)
         assert stats.coverage == pytest.approx(0.5)
         assert stats.accuracy == 1.0
 
@@ -60,7 +70,7 @@ class TestDeadTimePredictor:
 
     def test_overlapping_populations(self):
         mixed = [conflict(dead=50), capacity(dead=500)]  # capacity w/ short dead
-        stats = evaluate_dead_time_predictor(mixed, threshold=1024)
+        stats = evaluate_dead_time_predictor(columns(mixed), threshold=1024)
         assert stats.accuracy == pytest.approx(0.5)
 
 
@@ -72,7 +82,7 @@ class TestZeroLivePredictor:
 
     def test_evaluation(self):
         mixed = [conflict(live=0), conflict(live=40), capacity(live=0), capacity(live=300)]
-        stats = evaluate_zero_live_predictor(mixed)
+        stats = evaluate_zero_live_predictor(columns(mixed))
         assert stats.accuracy == pytest.approx(0.5)  # 1 of 2 zero-live are conflicts
         assert stats.coverage == pytest.approx(0.5)  # 1 of 2 conflicts has zero live
 
@@ -100,7 +110,7 @@ class TestCurves:
             + [capacity(reload=r) for r in (120_000, 300_000, 700_000)] * 5
         )
         rows = accuracy_coverage_curve(
-            data, "reload", [1000, 16_000, 1_000_000]
+            columns(data), "reload", [1000, 16_000, 1_000_000]
         )
         assert rows[0][1] == 1.0
         assert rows[1][1] == 1.0

@@ -38,14 +38,12 @@ class TestGenerationFeed:
         m.on_generation(record(live=20, prev=10))
         assert m.live_time_pairs == [(10, 20)]
 
-    def test_generations_kept_when_enabled(self):
-        m = TimekeepingMetrics(keep_generations=True)
-        m.on_generation(record())
-        assert len(m.generations) == 1
-        m2 = TimekeepingMetrics(keep_generations=False)
-        m2.on_generation(record())
-        assert m2.generations == []
-        assert m2.total_generations == 1
+    def test_generations_kept(self):
+        m = TimekeepingMetrics()
+        m.on_generation(record(block=7, start=3, live=10, dead=100, prev=4))
+        assert m.generations == [record(block=7, start=3, live=10, dead=100, prev=4)]
+        assert m.generation_columns.prev_live_time.tolist() == [4]
+        assert m.total_generations == 1
 
 
 class TestMissCorrelations:
@@ -75,12 +73,12 @@ class TestRatios:
         m = TimekeepingMetrics()
         m.on_generation(record(live=20, prev=10))
         m.on_generation(record(live=5, prev=10))
-        assert list(m.live_time_ratios()) == [2.0, 0.5]
+        assert list(m.generation_columns.live_time_ratios()) == [2.0, 0.5]
 
     def test_zero_live_times_mapped_to_one(self):
         m = TimekeepingMetrics()
         m.on_generation(record(live=0, prev=0))
-        assert list(m.live_time_ratios()) == [1.0]
+        assert list(m.generation_columns.live_time_ratios()) == [1.0]
 
     def test_access_interval_feed(self):
         m = TimekeepingMetrics()

@@ -7,16 +7,6 @@ from repro.core.predictors.base import BinaryPredictor, PredictionStats, Thresho
 
 
 class TestPredictionStats:
-    def test_record_all_quadrants(self):
-        s = PredictionStats()
-        s.record(True, True)
-        s.record(True, False)
-        s.record(False, True)
-        s.record(False, False)
-        assert (s.true_positives, s.false_positives,
-                s.false_negatives, s.true_negatives) == (1, 1, 1, 1)
-        assert s.total == 4
-
     def test_accuracy_coverage(self):
         s = PredictionStats(true_positives=9, false_positives=1, false_negatives=3)
         assert s.accuracy == pytest.approx(0.9)
@@ -47,7 +37,7 @@ class TestThresholdPredictor:
 
     def test_evaluate(self):
         p = ThresholdPredictor(10)
-        stats = p.evaluate([(5, True), (5, False), (50, True), (50, False)])
+        stats = p.evaluate([5, 5, 50, 50], [True, False, True, False])
         assert stats.true_positives == 1
         assert stats.false_positives == 1
         assert stats.false_negatives == 1
@@ -55,15 +45,18 @@ class TestThresholdPredictor:
 
     @given(st.lists(st.tuples(st.integers(0, 1000), st.booleans()), max_size=100))
     def test_higher_threshold_never_lowers_coverage(self, samples):
+        values, actual = [v for v, _ in samples], [a for _, a in samples]
         cov = [
-            ThresholdPredictor(t).evaluate(samples).coverage
+            ThresholdPredictor(t).evaluate(values, actual).coverage
             for t in (10, 100, 1000, 10_000)
         ]
         assert cov == sorted(cov)
 
     @given(st.lists(st.tuples(st.integers(0, 1000), st.booleans()), max_size=100))
     def test_stats_partition_sample_count(self, samples):
-        stats = ThresholdPredictor(500).evaluate(samples)
+        stats = ThresholdPredictor(500).evaluate(
+            [v for v, _ in samples], [a for _, a in samples]
+        )
         assert stats.total == len(samples)
 
 
@@ -73,6 +66,6 @@ class TestBinaryPredictorABC:
             def predict(self, value):
                 return value % 2 == 0
 
-        stats = EvenPredictor().evaluate([(2, True), (3, True)])
+        stats = EvenPredictor().evaluate([2, 3], [True, True])
         assert stats.true_positives == 1
         assert stats.false_negatives == 1

@@ -9,8 +9,9 @@ bitwise-identical ``SimulationResult.to_dict()`` output and full
 machine state (``equivalence.state_digest``) for every workload in the
 suite: under the default, victim-cache (the paper's three admission
 filters and the adaptive one), prefetch (timekeeping and DBCP), decay,
-2-way L1, warmup, and perfect-mode configurations, and on seeded
-random traces with stores.  Every run must also keep the accounting
+2-way L1, warmup, and perfect-mode configurations, plus eon under
+both prefetchers (the one stand-in whose prefetch cells issue many
+prefetches at this length), and on seeded random traces with stores.  Every run must also keep the accounting
 identities.
 """
 
@@ -45,6 +46,19 @@ def test_bitwise_equivalence(workload, config_name, traces):
     cell = equivalence.run_cell(workload, LENGTH, config_name, traces)
     diffs = equivalence.cell_diffs(cell)
     assert not diffs, "\n".join(diffs)
+
+
+@pytest.mark.parametrize("config_name", [
+    "prefetch", "prefetch_dbcp", "prefetch_warmup", "prefetch_dbcp_warmup",
+])
+def test_prefetch_cells_on_eon(config_name, traces):
+    """At this length the default stand-ins leave the prefetch event loop
+    nearly idle (no DBCP cell issues a prefetch); eon issues hundreds
+    under either prefetcher.  The cell must issue some, or it would go
+    inert without notice."""
+    cell = equivalence.run_cell("eon", LENGTH, config_name, traces)
+    assert not equivalence.cell_diffs(cell), "\n".join(equivalence.cell_diffs(cell))
+    assert cell["batch"]["result"]["prefetch"]["issued"] > 0
 
 
 def test_reference_refuses_batch_engine():

@@ -75,20 +75,20 @@ class TestMetricShapes:
     def test_live_times_regular_on_streams(self, swim_results):
         """Figure 15: most live times within 2x of the previous one."""
         m = swim_results["base"].metrics
-        ratios = list(m.live_time_ratios())
+        ratios = list(m.generation_columns.live_time_ratios())
         within = sum(1 for x in ratios if x <= 2.0) / len(ratios)
         assert within > 0.6
 
 
 class TestConflictPredictors:
     def test_reload_predictor_accurate_at_paper_threshold(self, vpr_results):
-        cors = vpr_results["base"].metrics.miss_correlations
+        cors = vpr_results["base"].metrics.correlation_columns
         stats = evaluate_reload_predictor(cors)
         assert stats.accuracy > 0.8
         assert stats.coverage > 0.5
 
     def test_dead_time_predictor_accurate(self, vpr_results):
-        cors = vpr_results["base"].metrics.miss_correlations
+        cors = vpr_results["base"].metrics.correlation_columns
         stats = evaluate_dead_time_predictor(cors)
         assert stats.accuracy > 0.8
 

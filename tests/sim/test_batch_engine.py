@@ -24,6 +24,8 @@ from repro.common.config import paper_machine, small_test_machine
 from repro.common.errors import SimulationError
 from repro.common.types import AccessOutcome, PrefetchTimeliness
 from repro.core.decay import DecayPolicy
+from repro.core.generations import GenerationRecord
+from repro.core.metrics import MissCorrelation
 from repro.core.prefetch.correlation import DBCPTable
 from repro.core.prefetch.policy import PrefetchPolicy
 from repro.core.victim import AdmissionFilter
@@ -375,8 +377,8 @@ class TestBitwiseEquivalence:
         """A DBCP prefetch into another set can arrive at a cycle before
         the fill of the block it evicts (a demand miss just before the
         drain stalled past the arrival time), closing a generation with
-        a negative dead time; the batch engine feeds that batch's
-        records to the metrics one by one, as the scalar loop does."""
+        a negative dead time; the metrics bin that batch's dead times
+        one by one, as the scalar loop does."""
         trace = prefetch_trace(seed=14, max_gap=20)
         digests = []
         for engine in ("scalar", "batch"):
@@ -518,6 +520,35 @@ class TestDeferredL1:
         assert scalar["result"]["prefetch"]["arrived"] > 0
         assert run("batch", thaw_first=True) == scalar
         assert run("batch") == scalar
+
+
+class TestNoRecordsBuilt:
+    """A metric bank stays columns through a run and its serialization;
+    records are built only when an object view is read."""
+
+    @pytest.mark.parametrize("make,trace", [
+        (lambda: MemorySimulator(collect_metrics=True), conflict_trace),
+        (lambda: make_simulator(prefetcher="timekeeping", collect_metrics=True),
+         prefetch_trace),
+    ], ids=["base", "pf_tk"])
+    def test_two_batch_run_builds_no_record(self, make, trace, monkeypatch):
+        """The measured batch looks its first evictions and its
+        correlation fallbacks up in the warm-up batch's queued columns."""
+        built = []
+        for cls in (GenerationRecord, MissCorrelation):
+            def counting(self, *args, _init=cls.__init__):
+                built.append(type(self).__name__)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        sim = make()
+        result = sim.run(trace(), warmup=150)
+        assert sim.engine_used == "batch", sim.batch_fallback
+        assert len(sim.generations._pending_closed) == 2
+        result.to_dict(include_metrics=True)
+        assert built == []
+        assert sim.metrics.generations and sim.metrics.miss_correlations
+        assert {"GenerationRecord", "MissCorrelation"} <= set(built)
 
 
 def classifier_state(sim):
