@@ -1,40 +1,23 @@
-"""Shared fixtures for the paper-reproduction benchmark harness.
+"""Shared settings for the ablation benchmarks.
 
-Each ``test_figXX_*`` benchmark regenerates one table or figure of the
-paper by evaluating the shared :class:`repro.figures.FigureSpec` from
-the registry — the same specs the ``repro paper`` pipeline runs — so
-the figure logic lives in exactly one place.  The heavy simulation work
-is shared through a session-scoped suite cache keyed by configuration
-name: each test only triggers the configurations its spec needs, and
-configurations shared between figures (every speedup figure's ``base``)
-are simulated once per session.
+The paper's tables and figures are reproduced by ``repro paper``
+(``python -m repro paper --strict`` fails on any failed shape check);
+this directory holds the six ablations the paper calls out in its text
+and the performance microbenchmarks.
 
-Environment knobs:
+Environment knob:
 
 - ``REPRO_BENCH_LENGTH``: measured accesses per workload (default 60000;
   the warm-up adds half of this again).
-- ``REPRO_BENCH_WORKLOADS``: comma-separated subset of workloads (shape
-  checks guarding on absent workloads are skipped, not failed).
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Sequence
-
-import pytest
-
-from repro.figures.registry import CONFIGS
-from repro.figures.spec import FigureSpec
-from repro.sim.results import SimulationResult
-from repro.sim.sweep import run_suite
-from repro.traces.workloads import SPEC2000
 
 LENGTH = int(os.environ.get("REPRO_BENCH_LENGTH", "60000"))
 WARMUP = LENGTH // 2
-_names_env = os.environ.get("REPRO_BENCH_WORKLOADS", "")
-WORKLOADS = [w for w in _names_env.split(",") if w] or list(SPEC2000)
 
 OUT_DIR = Path(__file__).parent / "out"
 
@@ -45,51 +28,3 @@ def write_figure(name: str, text: str) -> None:
     (OUT_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     print()
     print(text)
-
-
-@pytest.fixture(scope="session")
-def suite_builder():
-    """Session-scoped lazy suite cache, keyed by configuration name.
-
-    Returns a callable: ``suite_builder(("base", "perfect"))`` yields
-    ``{workload: {config: result}}``, simulating only the configurations
-    not already cached by an earlier test in the session.
-    """
-    cache: Dict[str, Dict[str, SimulationResult]] = {}
-
-    def get(config_names: Sequence[str]):
-        missing = [c for c in config_names if c not in cache]
-        if missing:
-            results = run_suite(
-                {c: dict(CONFIGS[c]) for c in missing},
-                workloads=WORKLOADS,
-                length=LENGTH,
-                warmup=WARMUP,
-            )
-            for workload, cfgs in results.items():
-                for config, result in cfgs.items():
-                    cache.setdefault(config, {})[workload] = result
-        return {
-            w: {c: cache[c][w] for c in config_names}
-            for w in WORKLOADS
-        }
-
-    return get
-
-
-def run_spec(spec: FigureSpec, suite_builder, benchmark, out_name: str):
-    """Evaluate *spec* under the benchmark fixture; assert its checks.
-
-    The shared wrapper body of every ``test_fig*`` benchmark: build the
-    needed suite slice, time the figure derivation, persist the
-    rendering, and fail the test with the names of any failed shape
-    checks.
-    """
-    suite = suite_builder(spec.configs)
-    artifact = benchmark(lambda: spec.build(spec.subset(suite)))
-    write_figure(out_name, artifact.text)
-    failures = artifact.failures()
-    assert not failures, "; ".join(
-        f"{c.name}" + (f" ({c.detail})" if c.detail else "") for c in failures
-    )
-    return artifact

@@ -10,8 +10,9 @@ what the pipeline does and how to consume its results in code:
    simulated exactly once);
 2. execute it through the fault-tolerant sweep runner with a
    checkpoint store, so an interrupted campaign resumes where it died;
-3. derive every figure from the store alone and render a REPRODUCTION
-   report with paper-vs-measured renderings and shape-check verdicts.
+3. build every figure from the campaign's results and render a
+   REPRODUCTION report with paper-vs-measured renderings and
+   shape-check verdicts.
 
 A small subset keeps this example quick; drop `only=`/`workloads=`
 (or run `python -m repro paper`) for the full evaluation.

@@ -6,7 +6,8 @@
   the unified simulator-configuration table the specs share.
 - :mod:`repro.figures.pipeline` — :func:`run_paper`, which expands the
   specs into one deduplicated sweep, executes it with checkpoint/resume,
-  and renders ``docs/REPRODUCTION.md`` from the store.
+  and renders ``docs/REPRODUCTION.md`` from the results the sweep
+  returns (the only path from cells to figures).
 """
 
 from .pipeline import PaperRun, run_paper

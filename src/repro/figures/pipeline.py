@@ -10,14 +10,19 @@
    checkpoint/resume via :class:`~repro.sim.store.RunStore`, the shared
    trace cache, optional worker processes, and per-cell telemetry; full
    metric banks are persisted (``store_metrics=True``).
-3. **Derive** every figure's dataset from the store contents alone and
-   render ``docs/REPRODUCTION.md`` — paper-target vs measured tables,
-   ASCII figures and pass/fail shape verdicts.  Wall-clock phase times
-   stay out of the report (``repro report --timing`` shows them).
+3. **Build** every figure's dataset from the results the sweeps return
+   — cells executed this run as simulated, cells replayed from the
+   store as ``run_sweep`` decoded them — and render
+   ``docs/REPRODUCTION.md``: paper-target vs measured tables, ASCII
+   figures and pass/fail shape verdicts.  Wall-clock phase times stay
+   out of the report (``repro report --timing`` shows them).
 
-Because step 3 reads only the store (never the in-memory results of
-step 2), a warm re-run over a complete store regenerates the report
-byte-identically — the property CI checks.
+The report covers exactly the cells the campaign planned, arranged in
+one fixed order (SPEC2000 workloads, then registry configs) whatever
+order they finished in, and a stored result decodes to the result that
+was stored, so a warm re-run over a complete store regenerates the
+report byte-identically — the property CI checks.  :func:`load_suite`
+rebuilds the same suite from a store alone.
 """
 
 from __future__ import annotations
@@ -29,13 +34,15 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..common.config import MachineConfig
 from ..common.errors import StoreError
 from ..sim.results import SimulationResult
-from ..sim.runner import FaultHook, check_length_warmup, check_obs_history, run_sweep
+from ..sim.runner import (
+    FaultHook, check_length_warmup, check_obs_history, check_sweep_options, run_sweep,
+)
 from ..sim.store import RunStore
-from ..traces.workloads import SPEC2000
+from ..traces.workloads import SPEC2000, get_workload
 from .registry import CONFIGS, select_specs
 from .spec import CheckResult, FigureArtifact, FigureSpec
 
-#: Campaign defaults: the benchmark harness's full-fidelity scale ...
+#: Campaign defaults: the full scale of docs/REPRODUCTION.md ...
 FULL_LENGTH = 60_000
 #: ... and the reduced scale used by ``repro paper --smoke`` and CI.
 SMOKE_LENGTH = 4_000
@@ -90,48 +97,54 @@ def plan_cells(
     return list(groups.items())
 
 
+def _ordered_suite(
+    ok: Mapping[Tuple[str, str], SimulationResult],
+) -> Dict[str, Dict[str, SimulationResult]]:
+    """Arrange ``{(workload, config): result}`` as ``{workload: {config: result}}``.
+
+    The order is SPEC2000 workload order, then registry config order,
+    regardless of the order cells happened to finish in (one of the
+    properties that make report regeneration byte-identical).
+    Workloads without a result are left out.
+    """
+    suite: Dict[str, Dict[str, SimulationResult]] = {}
+    for workload in SPEC2000:
+        row = {c: ok[(workload, c)] for c in CONFIGS if (workload, c) in ok}
+        if row:
+            suite[workload] = row
+    return suite
+
+
 def load_suite(
     store: RunStore,
 ) -> Tuple[Dict[str, Dict[str, SimulationResult]], int]:
-    """Rebuild the result suite from a checkpoint store.
+    """Rebuild a campaign's result suite from its checkpoint store alone.
 
-    Returns ``({workload: {config: result}}, failed_cell_count)`` in
-    deterministic order (SPEC2000 workload order, registry config
-    order) regardless of the order cells happened to finish in — one of
-    the two properties that make report regeneration byte-identical.
+    Returns ``({workload: {config: result}}, failed_cell_count)`` in the
+    order :func:`run_paper` builds its figures from, over every cell
+    the store holds.
     """
     _, cells = store.load()
     ok: Dict[Tuple[str, str], SimulationResult] = {}
     failed = 0
-    for (workload, config), record in cells.items():
+    for key, record in cells.items():
         if record.get("status") == "ok":
-            ok[(workload, config)] = SimulationResult.from_dict(record["result"])
+            ok[key] = SimulationResult.from_dict(record["result"])
         else:
             failed += 1
-    workload_order = [w for w in SPEC2000 if any(k[0] == w for k in ok)]
-    config_order = [c for c in CONFIGS if any(k[1] == c for k in ok)]
-    suite: Dict[str, Dict[str, SimulationResult]] = {}
-    for workload in workload_order:
-        row = {
-            config: ok[(workload, config)]
-            for config in config_order
-            if (workload, config) in ok
-        }
-        if row:
-            suite[workload] = row
-    return suite, failed
+    return _ordered_suite(ok), failed
 
 
 def _build_artifact(spec: FigureSpec, suite: Mapping) -> FigureArtifact:
     """Evaluate one spec, degrading missing data to a failed check."""
     try:
         return spec.build(spec.subset(suite))
-    except Exception as exc:  # incomplete store (failed/missing cells)
+    except Exception as exc:  # incomplete campaign (failed cells)
         return FigureArtifact(
             spec.fig_id,
             spec.title,
-            f"(not derivable from this store: {exc})",
-            [CheckResult("figure derivable from store", False, str(exc))],
+            f"(not derivable from this campaign: {exc})",
+            [CheckResult("figure derivable from its cells", False, str(exc))],
         )
 
 
@@ -191,38 +204,6 @@ def execute_plan(
     return reports
 
 
-def derive_figures(
-    specs: Sequence[FigureSpec],
-    store: RunStore,
-    *,
-    length: int,
-    seed: int = 0,
-    warmup: Optional[int] = None,
-) -> Tuple[List[FigureArtifact], str, int]:
-    """Derive every spec's figure from *store* contents alone.
-
-    The top layer of the pipeline: reads only the checkpoint store
-    (never in-memory sweep results), so it can run in a different
-    process — or a different *day* — than :func:`execute_plan`, and a
-    warm re-run over a complete store regenerates the report
-    byte-identically.  Returns ``(artifacts, report_text,
-    failed_cell_count)``.
-    """
-    resolved_warmup = warmup if warmup is not None else length // 2
-    suite, stored_failures = load_suite(store)
-    artifacts = [_build_artifact(spec, suite) for spec in specs]
-    report_text = render_report(
-        specs=specs,
-        artifacts=artifacts,
-        suite=suite,
-        length=length,
-        seed=seed,
-        warmup=resolved_warmup,
-        failed_cells=stored_failures,
-    )
-    return artifacts, report_text, stored_failures
-
-
 def run_paper(
     *,
     only: Optional[Sequence[str]] = None,
@@ -255,21 +236,24 @@ def run_paper(
             missing); also the default home of the checkpoint store.
         store_path: checkpoint store path (default
             ``<out_dir>/paper_store.jsonl``); its directory must exist.
-        length: measured accesses per workload; defaults to the
-            benchmark harness's full scale, or the reduced smoke scale
-            with ``smoke=True``.
+        length: measured accesses per workload; defaults to
+            :data:`FULL_LENGTH`, or :data:`SMOKE_LENGTH` with
+            ``smoke=True``.
         seed, machine: as for :func:`repro.sim.runner.run_sweep`.
-        warmup: warm-up accesses (default ``length // 2``, matching the
-            benchmark harness).
+        warmup: warm-up accesses (default ``length // 2``, as the
+            ablation benchmarks use).
         smoke: use the reduced CI scale when *length* is not given.
         resume: continue a previously interrupted campaign from the
             store instead of refusing to reuse it.
         retry_poisoned: re-execute cells whose stored record is a
             failure instead of quarantining them (see ``run_sweep``).
         workers, timeout, retries, hang_grace: fault-tolerance knobs
-            passed through to ``run_sweep``.
+            passed through to ``run_sweep``; a value it would refuse
+            is refused before *out_dir* is made.
         workloads: restrict every spec to these workloads (testing and
-            smoke subsets; shape checks on absent workloads SKIP).
+            smoke subsets; shape checks on absent workloads SKIP).  An
+            unknown name raises :class:`~repro.common.errors.TraceError`
+            before *out_dir* is made.
         trace_cache: as for ``run_sweep`` (default: shared cache on).
         observer: as for ``run_sweep``.
         fault_hook: test/chaos hook run in the worker before each cell.
@@ -281,18 +265,25 @@ def run_paper(
             :func:`repro.sim.runner.check_obs_history`).
 
     Returns:
-        A :class:`PaperRun` with per-figure artifacts and verdicts.
+        A :class:`PaperRun` with per-figure artifacts and verdicts over
+        exactly the cells this campaign planned, even when the store
+        holds others.
     """
     check_obs_history(obs_history)
     specs = select_specs(only)
     resolved_length = length if length is not None else (
         SMOKE_LENGTH if smoke else FULL_LENGTH
     )
+    # Every refusal below comes before out_dir is made, so a refused
+    # campaign leaves nothing behind.
     check_length_warmup(resolved_length, warmup)
+    check_sweep_options(workers=workers, retries=retries, timeout=timeout,
+                        hang_grace=hang_grace)
+    for name in workloads or ():
+        get_workload(name)
     resolved_warmup = warmup if warmup is not None else resolved_length // 2
     if store_path:
-        # Checked before out_dir is made: RunStore does not create its
-        # directory, and a refused campaign leaves nothing behind.
+        # RunStore does not create its directory.
         store_dir = os.path.dirname(os.path.abspath(store_path))
         if not os.path.isdir(store_dir):
             raise StoreError(f"store directory {store_dir} does not exist")
@@ -327,14 +318,23 @@ def run_paper(
             observer=observer,
             fault_hook=fault_hook,
         )
-        executed = sum(r.executed for r in group_reports)
-        replayed = sum(r.replayed for r in group_reports)
-        failures = sum(len(r.failures) for r in group_reports)
-
-        artifacts, report_text, stored_failures = derive_figures(
-            specs, store,
-            length=resolved_length, seed=seed, warmup=resolved_warmup,
-        )
+    failures = sum(len(r.failures) for r in group_reports)
+    suite = _ordered_suite({
+        (workload, config): result
+        for report in group_reports
+        for workload, row in report.results.items()
+        for config, result in row.items()
+    })
+    artifacts = [_build_artifact(spec, suite) for spec in specs]
+    report_text = render_report(
+        specs=specs,
+        artifacts=artifacts,
+        suite=suite,
+        length=resolved_length,
+        seed=seed,
+        warmup=resolved_warmup,
+        failed_cells=failures,
+    )
 
     report_path = os.path.join(out_dir, REPORT_NAME)
     if write_report:
@@ -345,9 +345,9 @@ def run_paper(
         artifacts=artifacts,
         report_path=report_path,
         store_path=resolved_store,
-        executed=executed,
-        replayed=replayed,
-        failures=max(failures, stored_failures),
+        executed=sum(r.executed for r in group_reports),
+        replayed=sum(r.replayed for r in group_reports),
+        failures=failures,
         report_text=report_text,
     )
 
@@ -362,7 +362,7 @@ def render_report(
     warmup: int,
     failed_cells: int,
 ) -> str:
-    """Render ``REPRODUCTION.md`` from store-derived data only.
+    """Render ``REPRODUCTION.md`` from a campaign's suite and artifacts.
 
     Deliberately excludes wall-clock time of any kind (timestamps, the
     per-cell phase timings the store also holds): the report is a pure
@@ -374,9 +374,9 @@ def render_report(
     lines.append("")
     lines.append(
         "> Generated by `repro paper` — do not edit by hand; re-run the "
-        "pipeline to refresh. Derived entirely from the checkpoint store, "
-        "so a warm re-run over the same store reproduces this file "
-        "byte-identically."
+        "pipeline to refresh. Built from the campaign's cells, simulated "
+        "or replayed from the checkpoint store, so a warm re-run over the "
+        "same store reproduces this file byte-identically."
     )
     lines.append("")
     lines.append(
@@ -415,8 +415,7 @@ def render_report(
     for spec, artifact in zip(specs, artifacts):
         lines.append(f"## {artifact.title}")
         lines.append("")
-        lines.append(f"*Paper shape:* {spec.paper_shape}.  "
-                     f"*Benchmark wrapper:* `{spec.benchmark_file}`.")
+        lines.append(f"*Paper shape:* {spec.paper_shape}.")
         lines.append("")
         lines.append("```text")
         lines.append(artifact.text)

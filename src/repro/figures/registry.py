@@ -1,10 +1,10 @@
 """The paper's evaluation as a registry of :class:`FigureSpec` entries.
 
 One spec per row of DESIGN.md's per-experiment index (Table 1 and
-Figures 1-22).  Each spec's ``build`` function is the figure logic that
-used to live inline in ``benchmarks/test_fig*.py``: it derives the
-figure's dataset from a finished suite, renders the paper-style text,
-and evaluates the paper's shape claims as :class:`CheckResult` data.
+Figures 1-22).  Each spec's ``build`` function is the figure logic: it
+derives the figure's dataset from a finished suite, renders the
+paper-style text, and evaluates the paper's shape claims as
+:class:`CheckResult` data.
 
 The simulator configurations are unified in :data:`CONFIGS` so that
 specs sharing a cell (e.g. every speedup figure's ``base``) name the
@@ -738,7 +738,6 @@ TABLE1 = FigureSpec(
     workloads=(),
     configs=(),
     build=build_table1,
-    benchmark_file="benchmarks/test_table1_config.py",
 )
 FIG01 = FigureSpec(
     fig_id="fig01",
@@ -747,7 +746,6 @@ FIG01 = FigureSpec(
     workloads=None,
     configs=_CHAR,
     build=build_fig01,
-    benchmark_file="benchmarks/test_fig01_potential_ipc.py",
 )
 FIG02 = FigureSpec(
     fig_id="fig02",
@@ -757,7 +755,6 @@ FIG02 = FigureSpec(
     workloads=None,
     configs=_CHAR,
     build=build_fig02,
-    benchmark_file="benchmarks/test_fig02_miss_breakdown.py",
 )
 FIG04 = FigureSpec(
     fig_id="fig04",
@@ -766,7 +763,6 @@ FIG04 = FigureSpec(
     workloads=None,
     configs=("base",),
     build=build_fig04,
-    benchmark_file="benchmarks/test_fig04_live_dead_distributions.py",
 )
 FIG05 = FigureSpec(
     fig_id="fig05",
@@ -775,7 +771,6 @@ FIG05 = FigureSpec(
     workloads=None,
     configs=("base",),
     build=build_fig05,
-    benchmark_file="benchmarks/test_fig05_interval_distributions.py",
 )
 FIG07 = FigureSpec(
     fig_id="fig07",
@@ -784,7 +779,6 @@ FIG07 = FigureSpec(
     workloads=None,
     configs=("base",),
     build=build_fig07,
-    benchmark_file="benchmarks/test_fig07_reload_by_miss_type.py",
 )
 FIG08 = FigureSpec(
     fig_id="fig08",
@@ -793,7 +787,6 @@ FIG08 = FigureSpec(
     workloads=None,
     configs=("base",),
     build=build_fig08,
-    benchmark_file="benchmarks/test_fig08_conflict_predictor_reload.py",
 )
 FIG09 = FigureSpec(
     fig_id="fig09",
@@ -802,7 +795,6 @@ FIG09 = FigureSpec(
     workloads=None,
     configs=("base",),
     build=build_fig09,
-    benchmark_file="benchmarks/test_fig09_dead_time_by_miss_type.py",
 )
 FIG10 = FigureSpec(
     fig_id="fig10",
@@ -811,7 +803,6 @@ FIG10 = FigureSpec(
     workloads=None,
     configs=("base",),
     build=build_fig10,
-    benchmark_file="benchmarks/test_fig10_conflict_predictor_dead_time.py",
 )
 FIG11 = FigureSpec(
     fig_id="fig11",
@@ -820,7 +811,6 @@ FIG11 = FigureSpec(
     workloads=None,
     configs=("base",),
     build=build_fig11,
-    benchmark_file="benchmarks/test_fig11_conflict_predictor_zero_live.py",
 )
 FIG13 = FigureSpec(
     fig_id="fig13",
@@ -830,7 +820,6 @@ FIG13 = FigureSpec(
     workloads=None,
     configs=("base", "victim", "victim_collins", "victim_tk"),
     build=build_fig13,
-    benchmark_file="benchmarks/test_fig13_victim_cache.py",
 )
 FIG14 = FigureSpec(
     fig_id="fig14",
@@ -839,7 +828,6 @@ FIG14 = FigureSpec(
     workloads=None,
     configs=("base",),
     build=build_fig14,
-    benchmark_file="benchmarks/test_fig14_deadblock_decay.py",
 )
 FIG15 = FigureSpec(
     fig_id="fig15",
@@ -848,7 +836,6 @@ FIG15 = FigureSpec(
     workloads=None,
     configs=("base",),
     build=build_fig15,
-    benchmark_file="benchmarks/test_fig15_live_time_variability.py",
 )
 FIG16 = FigureSpec(
     fig_id="fig16",
@@ -857,7 +844,6 @@ FIG16 = FigureSpec(
     workloads=None,
     configs=("base",),
     build=build_fig16,
-    benchmark_file="benchmarks/test_fig16_deadblock_livetime.py",
 )
 FIG19 = FigureSpec(
     fig_id="fig19",
@@ -866,7 +852,6 @@ FIG19 = FigureSpec(
     workloads=None,
     configs=("base", "pf_tk", "pf_dbcp"),
     build=build_fig19,
-    benchmark_file="benchmarks/test_fig19_prefetch_ipc.py",
 )
 FIG20 = FigureSpec(
     fig_id="fig20",
@@ -875,7 +860,6 @@ FIG20 = FigureSpec(
     workloads=tuple(BEST_PERFORMERS),
     configs=("base", "pf_tk"),
     build=build_fig20,
-    benchmark_file="benchmarks/test_fig20_address_accuracy.py",
 )
 FIG21 = FigureSpec(
     fig_id="fig21",
@@ -884,7 +868,6 @@ FIG21 = FigureSpec(
     workloads=tuple(BEST_PERFORMERS),
     configs=("base", "pf_tk"),
     build=build_fig21,
-    benchmark_file="benchmarks/test_fig21_prefetch_timeliness.py",
 )
 FIG22 = FigureSpec(
     fig_id="fig22",
@@ -894,7 +877,6 @@ FIG22 = FigureSpec(
     workloads=None,
     configs=("base", "perfect", "victim_tk", "pf_tk"),
     build=build_fig22,
-    benchmark_file="benchmarks/test_fig22_venn_summary.py",
 )
 
 #: Every spec, in paper order.  Keys are the ``--only`` handles.

@@ -10,15 +10,13 @@ Specs separate *what an experiment needs* from *how it runs*: the
 ``repro paper`` orchestrator (:mod:`repro.figures.pipeline`) unions the
 needs of all selected specs into one deduplicated workload×config cell
 matrix, executes it once through the fault-tolerant sweep runner, and
-then evaluates every spec against the shared result suite.  The
-``benchmarks/test_fig*`` wrappers evaluate the same specs against
-session-scoped pytest fixtures, so the figure logic lives in exactly
-one place.
+then evaluates every spec against the shared result suite.  That is
+the only path from cells to figures.
 
 Shape assertions are **data**, not ``assert`` statements: a spec's
 builder returns :class:`CheckResult` records so the generated
-``docs/REPRODUCTION.md`` can print pass/fail verdicts while the
-benchmark wrappers turn the same records into test failures.
+``docs/REPRODUCTION.md`` can print pass/fail verdicts, and
+``repro paper --strict`` exits 1 on any failed one.
 """
 
 from __future__ import annotations
@@ -76,8 +74,8 @@ class Checks:
 
     ``require`` records a hard verdict; ``guarded`` records a verdict
     only when *present* (typically "the workload is in this run"), and a
-    SKIP otherwise — mirroring the ``if name in suite`` guards of the
-    original benchmark files so subset runs stay meaningful.
+    SKIP otherwise, so subset runs (``repro paper --workloads``) stay
+    meaningful.
     """
 
     def __init__(self) -> None:
@@ -112,8 +110,6 @@ class FigureSpec:
         configs: names from :data:`repro.figures.registry.CONFIGS` the
             spec reads; the orchestrator guarantees those cells exist.
         build: derives the artifact (text + checks) from a suite.
-        benchmark_file: the thin pytest wrapper exercising this spec,
-            relative to the repository root.
     """
 
     fig_id: str
@@ -122,7 +118,6 @@ class FigureSpec:
     workloads: Optional[Tuple[str, ...]]
     configs: Tuple[str, ...]
     build: Callable[[Suite], FigureArtifact]
-    benchmark_file: str
 
     def subset(self, suite: Suite) -> Dict[str, Dict[str, SimulationResult]]:
         """Restrict *suite* to this spec's workloads (order-preserving)."""

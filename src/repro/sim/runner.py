@@ -908,6 +908,28 @@ def check_length_warmup(length: int, warmup: Optional[int]) -> None:
         raise SimulationError(f"warmup must be >= 0, got {warmup}")
 
 
+def check_sweep_options(*, workers: int, retries: int, timeout: Optional[float],
+                        hang_grace: Optional[float],
+                        max_failure_rate: Optional[float] = None) -> None:
+    """Refuse out-of-range execution options of a sweep (see :func:`run_sweep`).
+
+    Like :func:`check_length_warmup`, both campaign entry points call
+    this before anything touches a store, a trace or an output directory.
+    """
+    if workers < 1:
+        raise SimulationError(f"workers must be >= 1, got {workers}")
+    if retries < 0:
+        raise SimulationError(f"retries must be >= 0, got {retries}")
+    if timeout is not None and timeout <= 0:
+        raise SimulationError(f"timeout must be positive, got {timeout}")
+    if hang_grace is not None and hang_grace <= 0:
+        raise SimulationError(f"hang_grace must be positive, got {hang_grace}")
+    if max_failure_rate is not None and not 0.0 <= max_failure_rate <= 1.0:
+        raise SimulationError(
+            f"max_failure_rate must be in [0, 1], got {max_failure_rate}"
+        )
+
+
 def sweep_warmup(length: int, warmup: Optional[int]) -> int:
     """The warm-up of a sweep's cells: *warmup*, else ``length // 3``.
 
@@ -1035,18 +1057,8 @@ def run_sweep(
         rather than raising, so partial results stay usable.
     """
     check_length_warmup(length, warmup)
-    if workers < 1:
-        raise SimulationError(f"workers must be >= 1, got {workers}")
-    if retries < 0:
-        raise SimulationError(f"retries must be >= 0, got {retries}")
-    if timeout is not None and timeout <= 0:
-        raise SimulationError(f"timeout must be positive, got {timeout}")
-    if hang_grace is not None and hang_grace <= 0:
-        raise SimulationError(f"hang_grace must be positive, got {hang_grace}")
-    if max_failure_rate is not None and not 0.0 <= max_failure_rate <= 1.0:
-        raise SimulationError(
-            f"max_failure_rate must be in [0, 1], got {max_failure_rate}"
-        )
+    check_sweep_options(workers=workers, retries=retries, timeout=timeout,
+                        hang_grace=hang_grace, max_failure_rate=max_failure_rate)
     if not configs:
         raise SimulationError("no configurations given")
     check_obs_history(obs_history)

@@ -7,7 +7,8 @@ run is what validates the science).
 
 import pytest
 
-from repro.figures.pipeline import load_suite, plan_cells, run_paper
+from repro.common.errors import ConfigError
+from repro.figures.pipeline import load_suite, plan_cells, render_report, run_paper
 from repro.figures.registry import select_specs
 from repro.sim.store import RunStore
 from repro.traces.workloads import SPEC2000
@@ -84,6 +85,64 @@ class TestRoundTrip:
             suite, failed = load_suite(store)
         assert failed == 0
         assert suite["gzip"]["base"].metrics is not None
+
+
+class TestOnePath:
+    @pytest.mark.parametrize("workers,only", [
+        (1, None),
+        (2, None),
+        (1, ["fig04", "fig20"]),  # two plan groups: base, and pf_tk on swim, mcf
+    ], ids=["all-serial", "all-two-workers", "two-groups"])
+    def test_report_matches_the_store_derived_reference(self, tmp_path, workers, only):
+        """Figures built from the sweep's own results, live or replayed,
+        match figures derived from the store alone."""
+        run = run_paper(only=only, out_dir=str(tmp_path), workers=workers, **SCALE)
+        assert run.executed > 0 and run.failures == 0
+        specs = select_specs(only)
+        with RunStore(run.store_path) as store:
+            suite, failed = load_suite(store)
+        reference = render_report(
+            specs=specs,
+            artifacts=[spec.build(spec.subset(suite)) for spec in specs],
+            suite=suite,
+            length=SCALE["length"],
+            seed=0,
+            warmup=SCALE["length"] // 2,
+            failed_cells=failed,
+        )
+        assert run.report_text == reference
+
+        warm = run_paper(only=only, out_dir=str(tmp_path), workers=workers, resume=True,
+                         **SCALE)
+        assert warm.executed == 0
+        assert warm.report_text == reference
+
+    def test_report_covers_only_the_planned_cells(self, tmp_path):
+        """A resume over fewer workloads leaves the store's others out."""
+        out = str(tmp_path)
+        run_paper(only=["fig02"], out_dir=out, **dict(SCALE, workloads=["gzip", "swim"]))
+        subset = run_paper(only=["fig02"], out_dir=out, resume=True,
+                           **dict(SCALE, workloads=["gzip"]))
+        assert (subset.executed, subset.replayed, subset.failures) == (0, 2, 0)
+        assert "- workloads: 1 (gzip)" in subset.report_text
+        assert "- cells: 2 ok, 0 failed" in subset.report_text
+
+    def test_failed_cell_counted_live_and_poisoned(self, tmp_path):
+        """A failed cell is counted in the report whether it failed in
+        this run or is replayed from the store as poisoned."""
+        def fail_gzip_perfect(workload, config, attempt):
+            if (workload, config) == ("gzip", "perfect"):
+                raise ConfigError("injected permanent fault")
+
+        out = str(tmp_path)
+        first = run_paper(only=["fig02"], out_dir=out, fault_hook=fail_gzip_perfect,
+                          **SCALE)
+        assert (first.executed, first.failures, first.passed) == (6, 1, False)
+        assert "- cells: 5 ok, 1 failed" in first.report_text
+
+        again = run_paper(only=["fig02"], out_dir=out, resume=True, **SCALE)
+        assert (again.executed, again.replayed, again.failures) == (0, 5, 1)
+        assert again.report_text == first.report_text
 
 
 class TestResumeAfterKill:

@@ -1,4 +1,4 @@
-"""The figure registry covers the paper and stays wired to the benchmarks."""
+"""The figure registry covers the paper and matches DESIGN.md's index."""
 
 import re
 from pathlib import Path
@@ -11,38 +11,41 @@ from repro.traces.workloads import SPEC2000
 
 ROOT = Path(__file__).resolve().parent.parent.parent
 
+#: A measured row of DESIGN.md's per-experiment index, whose last
+#: column names the row's spec constant in ``repro.figures.registry``.
+DESIGN_ROW_RE = re.compile(
+    r"^\|\s*(Table 1|Fig \d+)\s*\|.*\|\s*`(\w+)`\s*\|\s*$", re.MULTILINE
+)
+
 
 def spec_constant_name(fig_id):
     """`fig01` -> `FIG01`, `table1` -> `TABLE1` (the registry convention)."""
     return fig_id.upper()
 
 
+def design_rows():
+    """``[(row label, fig_id, spec constant)]`` from DESIGN.md's index."""
+    design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    return [
+        (row, "table1" if row == "Table 1" else f"fig{int(row.split()[1]):02d}", constant)
+        for row, constant in DESIGN_ROW_RE.findall(design)
+    ]
+
+
 class TestDesignCoverage:
     def test_every_design_figure_has_a_spec(self):
-        """Each measured row of DESIGN.md's per-experiment index is registered."""
-        design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
-        rows = re.findall(
-            r"^\|\s*(Table 1|Fig \d+)\s*\|.*benchmarks/test_", design, re.MULTILINE
-        )
+        """Each measured row of DESIGN.md's per-experiment index is registered
+        under the spec constant the row names."""
+        rows = design_rows()
         assert rows, "DESIGN.md per-experiment index not found"
-        for row in rows:
-            if row == "Table 1":
-                fig_id = "table1"
-            else:
-                fig_id = f"fig{int(row.split()[1]):02d}"
+        for row, fig_id, constant in rows:
             assert fig_id in REGISTRY, f"DESIGN.md lists {row} but REGISTRY lacks {fig_id}"
+            assert constant == spec_constant_name(fig_id)
+            assert getattr(registry, constant) is REGISTRY[fig_id]
 
     def test_registry_matches_design_exactly(self):
         """No orphan specs either: the registry IS the DESIGN.md index."""
-        design = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
-        design_ids = set()
-        for row in re.findall(
-            r"^\|\s*(Table 1|Fig \d+)\s*\|.*benchmarks/test_", design, re.MULTILINE
-        ):
-            design_ids.add(
-                "table1" if row == "Table 1" else f"fig{int(row.split()[1]):02d}"
-            )
-        assert set(REGISTRY) == design_ids
+        assert set(REGISTRY) == {fig_id for _, fig_id, _ in design_rows()}
 
 
 class TestSpecIntegrity:
@@ -55,19 +58,6 @@ class TestSpecIntegrity:
         assert set(spec.configs) <= set(CONFIGS)
         if spec.workloads is not None:
             assert set(spec.workloads) <= set(SPEC2000)
-
-    @pytest.mark.parametrize("fig_id", list(REGISTRY))
-    def test_benchmark_wrapper_imports_the_spec(self, fig_id):
-        """The named wrapper file exists and evaluates this very spec."""
-        spec = REGISTRY[fig_id]
-        wrapper = ROOT / spec.benchmark_file
-        assert wrapper.exists(), f"{spec.benchmark_file} missing"
-        source = wrapper.read_text(encoding="utf-8")
-        constant = spec_constant_name(fig_id)
-        assert re.search(
-            rf"from repro\.figures\.registry import .*\b{constant}\b", source
-        ), f"{spec.benchmark_file} does not import {constant}"
-        assert getattr(registry, constant) is spec
 
     def test_registry_is_in_paper_order(self):
         ids = list(REGISTRY)

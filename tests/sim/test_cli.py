@@ -281,6 +281,22 @@ class TestTrace:
         assert entries == [("gzip", 900), ("swim", 900)]
 
 
+class TestPaper:
+    @pytest.mark.parametrize("argv,message", [
+        (["--workloads", "gzpi"], "unknown workload 'gzpi'"),
+        (["--workloads", "gzip", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["--workloads", "gzip", "--retries", "-1"], "retries must be >= 0, got -1"),
+        (["--workloads", "gzip", "--timeout", "0"], "timeout must be positive"),
+    ])
+    def test_bad_option_refused_before_out_dir(self, capsys, tmp_path, argv, message):
+        # Exit 1 naming the value, and no --out directory is left behind.
+        out = tmp_path / "D"
+        assert main(["paper", "--only", "fig02", "--smoke", *argv,
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestArgparse:
     def test_missing_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -180,6 +180,26 @@ class TestSerialEngine:
                       workloads=["gzip"], store_path=str(missing / "s.jsonl"))
         assert list(tmp_path.iterdir()) == []
 
+    def test_paper_unknown_workload_leaves_no_out_dir(self, tmp_path):
+        # Refused as run_sweep refuses it, not run as an empty campaign.
+        out = tmp_path / "D"
+        with pytest.raises(TraceError, match="unknown workload 'gzpi'"):
+            run_paper(only=["fig02"], out_dir=out, smoke=True, workloads=["gzpi"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"workers": 0}, "workers must be >= 1, got 0"),
+        ({"retries": -1}, "retries must be >= 0, got -1"),
+        ({"timeout": 0}, "timeout must be positive, got 0"),
+        ({"hang_grace": 0}, "hang_grace must be positive, got 0"),
+    ])
+    def test_paper_bad_sweep_option_leaves_no_out_dir(self, tmp_path, kwargs, message):
+        out = tmp_path / "D"
+        with pytest.raises(SimulationError, match=message):
+            run_paper(only=["fig02"], out_dir=out, smoke=True, workloads=["gzip"],
+                      **kwargs)
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [True, "history.jsonl"])
     def test_obs_history_request_refused(self, tmp_path, value):
         # The run-history store is gone: asking for one is an error, not

@@ -10,8 +10,8 @@ Two classes of reference are verified:
    existence check).
 
 2. **Code-path mentions** — backticked path-like tokens such as
-   ``benchmarks/test_fig13_victim_cache.py``, ``tools/equivalence.py``
-   or bare ``test_fig01_potential_ipc.py`` appearing in the documents
+   ``benchmarks/test_ablation_decay.py``, ``tools/equivalence.py``
+   or bare ``test_pipeline.py`` appearing in the documents
    *or in any docstring under src/* must name a file that exists
    (bare ``test_*.py`` names are searched under ``benchmarks/`` and
    ``tests/``).
@@ -47,7 +47,7 @@ MD_LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 QUALIFIED_RE = re.compile(
     r"`((?:benchmarks|tools|tests|examples|src)/[\w./]+\.py)`"
 )
-# Bare test-file mentions inside backticks: `test_fig01_potential_ipc.py`
+# Bare test-file mentions inside backticks: `test_pipeline.py`
 BARE_TEST_RE = re.compile(r"`(test_\w+\.py)`")
 
 
