@@ -46,7 +46,6 @@ from .sim import (
     RunStore,
     SimulationResult,
     SweepReport,
-    run_suite,
     run_sweep,
     run_workload,
     simulate,
@@ -81,7 +80,6 @@ __all__ = [
     "RunStore",
     "SimulationResult",
     "SweepReport",
-    "run_suite",
     "run_sweep",
     "run_workload",
     "simulate",

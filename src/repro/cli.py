@@ -34,7 +34,7 @@ from .common.config import paper_machine
 from .common.types import MissClass
 from .obs.logging import JsonlLogger
 from .obs.metrics import PHASES, aggregate_phases
-from .obs.progress import SweepProgress
+from .obs.progress import SweepObserver, SweepProgress
 from .obs.tracing import build_sweep_trace
 from .sim.runner import check_length_warmup, run_sweep, sweep_warmup
 from .sim.store import RunStore
@@ -341,6 +341,13 @@ def _cmd_metrics(args, out) -> int:
     return 0
 
 
+class _CellStartLines(SweepObserver):
+    """``repro sweep``'s default stderr output: one line per cell attempt."""
+
+    def on_cell_start(self, workload: str, config: str, attempt: int) -> None:
+        print(f"running {workload}:{config}", file=sys.stderr)
+
+
 def _cmd_sweep(args, out) -> int:
     config_names = [c.strip() for c in args.configs.split(",") if c.strip()]
     unknown = [c for c in config_names if c not in CONFIG_PRESETS]
@@ -352,20 +359,16 @@ def _cmd_sweep(args, out) -> int:
         workloads = list(SPEC2000)
     else:
         workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    observer = None
-    progress = None
+    observer: Optional[SweepObserver] = None
     if args.progress:
         observer = SweepProgress(stream=sys.stderr)
     elif not args.quiet:
-        def progress(workload: str, config: str) -> None:
-            print(f"running {workload}:{config}", file=sys.stderr)
+        observer = _CellStartLines()
     trace_cache: object = True
     if args.no_trace_cache:
         trace_cache = False
     elif args.cache_root:
         trace_cache = args.cache_root
-    # --trace-out needs per-cell telemetry even with no observer/logger.
-    telemetry = True if args.trace_out else None
     log_scope = JsonlLogger(args.log_json) if args.log_json else nullcontext()
     with log_scope:
         report = run_sweep(
@@ -382,10 +385,8 @@ def _cmd_sweep(args, out) -> int:
             store=args.store,
             resume=args.resume,
             retry_poisoned=args.retry_poisoned,
-            progress=progress,
             trace_cache=trace_cache,
             observer=observer,
-            telemetry=telemetry,
         )
     if args.trace_out:
         build_sweep_trace(report).write(args.trace_out)
@@ -565,10 +566,10 @@ def _cmd_report(args, out) -> int:
     totals = aggregate_phases(telemetries.values())
     if not totals:
         # An all-dashes table would read as "every phase took no time";
-        # say what actually happened and how to get the numbers instead.
-        print("no telemetry in this store (sweep ran without telemetry "
-              "collection; pass --progress/--trace-out/--log-json or run "
-              "inside a Telemetry context)", file=out)
+        # say what actually happened instead.
+        print("no telemetry in this store (it was written before sweeps "
+              "recorded every cell's phases, or no cell was executed into "
+              "it)", file=out)
         return 0
     rows = []
     for (w, c), tele in telemetries.items():

@@ -8,8 +8,9 @@
    it simulated exactly once).
 2. **Execute** the matrix through :func:`repro.sim.runner.run_sweep`:
    checkpoint/resume via :class:`~repro.sim.store.RunStore`, the shared
-   trace cache, optional worker processes, and per-cell telemetry; full
-   metric banks are persisted (``store_metrics=True``).
+   trace cache, optional worker processes, and per-cell telemetry; the
+   ``base`` cells collect metric banks, and the store keeps them, so a
+   replayed cell decodes to the result that was stored.
 3. **Build** every figure's dataset from the results the sweeps return
    — cells executed this run as simulated, cells replayed from the
    store as ``run_sweep`` decoded them — and render
@@ -31,7 +32,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..common.config import MachineConfig
 from ..common.errors import StoreError
 from ..sim.results import SimulationResult
 from ..sim.runner import (
@@ -155,13 +155,11 @@ def execute_plan(
     length: int,
     seed: int = 0,
     warmup: Optional[int] = None,
-    machine: Optional[MachineConfig] = None,
     resume: bool = False,
     retry_poisoned: bool = False,
     workers: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
-    hang_grace: Optional[float] = None,
     trace_cache: Any = True,
     observer: Any = None,
     fault_hook: Optional[FaultHook] = None,
@@ -183,12 +181,10 @@ def execute_plan(
             workloads=list(names),
             length=length,
             seed=seed,
-            machine=machine,
             warmup=resolved_warmup,
             workers=workers,
             timeout=timeout,
             retries=retries,
-            hang_grace=hang_grace,
             store=store,
             # Later groups always resume into the store they share.
             resume=resume if first else True,
@@ -196,8 +192,6 @@ def execute_plan(
             trace_cache=trace_cache,
             observer=observer,
             fault_hook=fault_hook,
-            telemetry=True,
-            store_metrics=True,
         )
         reports.append(report)
         first = False
@@ -212,19 +206,16 @@ def run_paper(
     length: Optional[int] = None,
     seed: int = 0,
     warmup: Optional[int] = None,
-    machine: Optional[MachineConfig] = None,
     smoke: bool = False,
     resume: bool = False,
     retry_poisoned: bool = False,
     workers: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
-    hang_grace: Optional[float] = None,
     workloads: Optional[Sequence[str]] = None,
     trace_cache: Any = True,
     observer: Any = None,
     fault_hook: Optional[FaultHook] = None,
-    write_report: bool = True,
     obs_history: Optional[bool] = None,
 ) -> PaperRun:
     """Reproduce the paper's evaluation end to end.
@@ -239,7 +230,7 @@ def run_paper(
         length: measured accesses per workload; defaults to
             :data:`FULL_LENGTH`, or :data:`SMOKE_LENGTH` with
             ``smoke=True``.
-        seed, machine: as for :func:`repro.sim.runner.run_sweep`.
+        seed: as for :func:`repro.sim.runner.run_sweep`.
         warmup: warm-up accesses (default ``length // 2``, as the
             ablation benchmarks use).
         smoke: use the reduced CI scale when *length* is not given.
@@ -247,9 +238,9 @@ def run_paper(
             store instead of refusing to reuse it.
         retry_poisoned: re-execute cells whose stored record is a
             failure instead of quarantining them (see ``run_sweep``).
-        workers, timeout, retries, hang_grace: fault-tolerance knobs
-            passed through to ``run_sweep``; a value it would refuse
-            is refused before *out_dir* is made.
+        workers, timeout, retries: fault-tolerance knobs passed
+            through to ``run_sweep``; a value it would refuse is
+            refused before *out_dir* is made.
         workloads: restrict every spec to these workloads (testing and
             smoke subsets; shape checks on absent workloads SKIP).  An
             unknown name raises :class:`~repro.common.errors.TraceError`
@@ -257,8 +248,6 @@ def run_paper(
         trace_cache: as for ``run_sweep`` (default: shared cache on).
         observer: as for ``run_sweep``.
         fault_hook: test/chaos hook run in the worker before each cell.
-        write_report: set False to skip writing ``REPRODUCTION.md``
-            (the rendered text is still returned).
         obs_history: inert, kept only because perfbench passes
             ``False``; it goes with the benchmark change that drops
             that argument (see
@@ -277,8 +266,7 @@ def run_paper(
     # Every refusal below comes before out_dir is made, so a refused
     # campaign leaves nothing behind.
     check_length_warmup(resolved_length, warmup)
-    check_sweep_options(workers=workers, retries=retries, timeout=timeout,
-                        hang_grace=hang_grace)
+    check_sweep_options(workers=workers, retries=retries, timeout=timeout)
     for name in workloads or ():
         get_workload(name)
     resolved_warmup = warmup if warmup is not None else resolved_length // 2
@@ -307,13 +295,11 @@ def run_paper(
             length=resolved_length,
             seed=seed,
             warmup=resolved_warmup,
-            machine=machine,
             resume=resume,
             retry_poisoned=retry_poisoned,
             workers=workers,
             timeout=timeout,
             retries=retries,
-            hang_grace=hang_grace,
             trace_cache=trace_cache,
             observer=observer,
             fault_hook=fault_hook,
@@ -337,9 +323,8 @@ def run_paper(
     )
 
     report_path = os.path.join(out_dir, REPORT_NAME)
-    if write_report:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(report_text)
+    with open(report_path, "w", encoding="utf-8") as fh:
+        fh.write(report_text)
 
     return PaperRun(
         artifacts=artifacts,

@@ -2,13 +2,15 @@
 
 The paper's argument rests on measuring time *between events*; this
 package gives the reproduction the same discipline about its own
-runtime.  Small modules, all ambient-context based so instrumented
-code pays near-zero cost when nothing is listening:
+runtime.  Small modules; the collector and the logger are ambient
+contexts, so instrumented code pays near-zero cost when nothing is
+listening (a sweep always listens: :func:`repro.sim.runner.run_sweep`
+records every executed cell's phases and counters):
 
 - :mod:`~repro.obs.metrics` — hierarchical counters/gauges/timers
   behind a :class:`Telemetry` context (no-op by default);
-- :mod:`~repro.obs.tracing` — span API emitting Chrome trace-event
-  JSON viewable in ``chrome://tracing`` / Perfetto;
+- :mod:`~repro.obs.tracing` — a sweep's telemetry as Chrome
+  trace-event JSON, viewable in ``chrome://tracing`` / Perfetto;
 - :mod:`~repro.obs.progress` — live sweep progress lines on stderr;
 - :mod:`~repro.obs.logging` — structured JSONL event log shared by the
   runner, the checkpoint store, and the trace cache.

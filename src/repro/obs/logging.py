@@ -72,7 +72,6 @@ class JsonlLogger:
             self._fh = None
             self._owns = True
         self._lock = threading.Lock()
-        self.events_written = 0
 
     def _ensure_open(self) -> TextIO:
         if self._fh is None:
@@ -88,7 +87,6 @@ class JsonlLogger:
             fh = self._ensure_open()
             fh.write(line)
             fh.flush()
-            self.events_written += 1
 
     def close(self) -> None:
         """Close the file handle if this logger opened it."""

@@ -57,11 +57,6 @@ class TimerStats:
         if seconds > self.max:
             self.max = seconds
 
-    @property
-    def mean(self) -> float:
-        """Average seconds per observation (0.0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
     def to_dict(self) -> Dict[str, float]:
         """Plain-dict form for snapshots and JSON serialization."""
         return {"count": self.count, "total": self.total,
@@ -136,11 +131,10 @@ class _Timer:
 class Telemetry:
     """One collection of hierarchical counters, gauges, and timers.
 
-    Metric names are dotted paths; :meth:`rollup` sums a counter
-    subtree, so ``rollup("trace_cache")`` aggregates every
-    ``trace_cache.*`` counter.  Instances are context managers that
-    install themselves as the ambient collector for the dynamic extent
-    of the block (re-entrant; nesting restores the outer collector).
+    Metric names are dotted paths (``trace_cache.hit``).  Instances are
+    context managers that install themselves as the ambient collector
+    for the dynamic extent of the block (re-entrant; nesting restores
+    the outer collector).
     """
 
     enabled = True
@@ -171,26 +165,6 @@ class Telemetry:
         if stats is None:
             stats = self.timers[name] = TimerStats()
         stats.add(seconds)
-
-    # -- reading -------------------------------------------------------------
-
-    def rollup(self, prefix: str) -> float:
-        """Sum of every counter at or under the dotted *prefix*."""
-        dotted = prefix + "."
-        return sum(
-            v for k, v in self.counters.items() if k == prefix or k.startswith(dotted)
-        )
-
-    def ratio(self, numerator: str, *denominators: str) -> Optional[float]:
-        """``numerator / sum(denominators)`` over counters, None when empty.
-
-        ``ratio("trace_cache.hit", "trace_cache.hit", "trace_cache.miss")``
-        is the cache hit rate, or None before any lookup happened.
-        """
-        total = sum(self.counters.get(name, 0) for name in denominators)
-        if total == 0:
-            return None
-        return self.counters.get(numerator, 0) / total
 
     # -- snapshots across process boundaries ---------------------------------
 

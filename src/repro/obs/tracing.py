@@ -7,14 +7,11 @@ one JSON file.  Timestamps are wall-clock epoch seconds converted to
 microsecond offsets from a fixed origin, so spans recorded by
 *different processes* (sweep workers) land on one consistent timeline.
 
-Two ways to add spans:
-
-- :meth:`ChromeTrace.span` — a live context manager for parent-side
-  phases (prewarm, sweep total);
-- :func:`build_sweep_trace` — post-hoc conversion of the per-cell
-  phase telemetry a :class:`~repro.sim.runner.SweepReport` carries,
-  giving one lane (``tid``) per worker process with nested
-  spawn/synthesis/simulate/serialize spans per cell.
+:func:`build_sweep_trace` fills one from the telemetry a
+:class:`~repro.sim.runner.SweepReport` carries, after the sweep: the
+parent's prewarm and execute phases on the main lane, and one lane
+(``tid``) per worker process with nested
+spawn/synthesis/simulate/serialize spans per cell.
 """
 
 from __future__ import annotations
@@ -30,30 +27,6 @@ SWEEP_PID = 1
 
 #: tid of the parent/orchestrator lane; worker lanes count up from 1.
 MAIN_TID = 0
-
-
-class _Span:
-    """Live span: records a complete ("X") event when the block exits."""
-
-    __slots__ = ("_trace", "_name", "_pid", "_tid", "_args", "_start")
-
-    def __init__(self, trace: "ChromeTrace", name: str, pid: int, tid: int,
-                 args: Optional[Dict[str, Any]]) -> None:
-        self._trace = trace
-        self._name = name
-        self._pid = pid
-        self._tid = tid
-        self._args = args
-
-    def __enter__(self) -> "_Span":
-        self._start = time.time()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._trace.add_complete(
-            self._name, self._start, time.time() - self._start,
-            pid=self._pid, tid=self._tid, args=self._args,
-        )
 
 
 class ChromeTrace:
@@ -139,13 +112,6 @@ class ChromeTrace:
              "args": {"name": name}}
         )
 
-    # -- live spans ----------------------------------------------------------
-
-    def span(self, name: str, *, pid: int = SWEEP_PID, tid: int = MAIN_TID,
-             **args: Any) -> _Span:
-        """Context manager measuring one span with wall-clock time."""
-        return _Span(self, name, pid, tid, args or None)
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> Dict[str, Any]:
@@ -178,8 +144,8 @@ def build_sweep_trace(report: Any, *, origin: Optional[float] = None) -> ChromeT
     One lane per distinct worker process (serial sweeps collapse onto a
     single lane), an enclosing span per cell, nested phase spans
     (spawn/synthesis/simulate/serialize), instant markers for cells
-    that needed retries, and the parent's own phases (per-workload
-    prewarm, sweep total) on the main lane.
+    that needed retries, and the parent's own phases (prewarm,
+    execute) on the main lane.
 
     Cells replayed from a checkpoint store have no telemetry and are
     simply absent from the trace.

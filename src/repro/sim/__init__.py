@@ -4,7 +4,7 @@ from .results import PrefetchStats, SimulationResult, VictimStats
 from .runner import CellFailure, CellSpec, SweepReport, run_sweep
 from .simulator import MemorySimulator, make_prefetch_policy, simulate
 from .store import RunStore
-from .sweep import run_suite, run_workload, speedups
+from .sweep import run_workload, speedups
 
 __all__ = [
     "PrefetchStats",
@@ -18,7 +18,6 @@ __all__ = [
     "make_prefetch_policy",
     "simulate",
     "RunStore",
-    "run_suite",
     "run_workload",
     "speedups",
 ]

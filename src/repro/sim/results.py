@@ -148,11 +148,11 @@ class SimulationResult:
 
         By default everything except :attr:`metrics` round-trips: the
         generational :class:`TimekeepingMetrics` object holds
-        per-generation records and histogram banks that plain sweep
-        checkpoints do not need, so they drop it (``from_dict`` yields
-        ``metrics=None``).  ``include_metrics=True`` serializes the full
-        collector state as well — the figure pipeline uses this so every
-        characterization figure can be rebuilt from the checkpoint store
+        per-generation records and histogram banks, so it is left out
+        (``from_dict`` yields ``metrics=None``).
+        ``include_metrics=True`` serializes the full collector state as
+        well — the checkpoint store writes every record this way, so
+        every characterization figure can be rebuilt from the store
         alone, byte-identically to the in-memory run.
         """
         out = {

@@ -16,8 +16,10 @@ does not have:
   store (:mod:`repro.sim.store`) and a re-run replays them from disk.
 
 :func:`run_sweep` is the entry point; it returns a :class:`SweepReport`
-whose ``results`` mapping matches :func:`repro.sim.sweep.run_suite` and
-whose ``failures`` list records every cell that did not produce a result.
+whose ``results`` map ``{workload: {config_name: result}}`` and whose
+``failures`` list records every cell that did not produce a result.
+Every executed cell records its phase timings and counters, in the
+report's ``cell_telemetry`` and, with a store, in the cell's record.
 
 Executors
 ---------
@@ -46,9 +48,9 @@ parent's armed :class:`~repro.faults.injector.FaultInjector`: its hit
 counters carry over from one cell to the next within that worker, and
 a replacement worker restarts from the parent's counters.  Cell
 results cross the process boundary by pickling, so
-``collect_metrics=True`` works under both executors; only results
-*replayed from a store* lose their ``metrics`` (see
-:meth:`SimulationResult.to_dict`).
+``collect_metrics=True`` works under both executors, and a store
+record holds the metric banks its cell collected, so a result replayed
+from a store equals the live one.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ import subprocess
 import threading
 import time
 import traceback
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from multiprocessing import connection
@@ -84,9 +86,6 @@ from ..traces.workloads import SPEC2000, get_workload
 from .results import SimulationResult
 from .store import CellKey, RunStore
 from .simulator import simulate
-
-#: Per-cell progress callback: ``(workload, config_name)`` as the cell starts.
-CellProgress = Callable[[str, str], None]
 
 #: Fault-injection hook, called in the worker just before simulation:
 #: ``(workload, config_name, attempt)``; raising makes the attempt fail.
@@ -148,8 +147,8 @@ class CellFailure:
     traceback: str = ""
     attempts: int = 1
     #: Telemetry snapshot of the failing attempt (phase timings and
-    #: counters collected up to the failure), when the sweep was
-    #: collecting telemetry and the worker lived to report it.
+    #: counters collected up to the failure), when the worker lived to
+    #: report it.
     telemetry: Optional[Dict[str, Any]] = None
     #: True when this failure was *replayed* from the checkpoint store:
     #: the cell exhausted its retries in an earlier invocation and is
@@ -192,10 +191,10 @@ class CellFailure:
 class SweepReport:
     """Everything one :func:`run_sweep` invocation produced.
 
-    ``results`` has the :func:`~repro.sim.sweep.run_suite` shape —
-    ``{workload: {config_name: result}}`` in sweep order — holding every
-    cell that succeeded (this run or replayed from the store).  Failed
-    cells are absent from ``results`` and present in ``failures``.
+    ``results`` is ``{workload: {config_name: result}}`` in sweep order,
+    holding every cell that succeeded (this run or replayed from the
+    store).  Failed cells are absent from ``results`` and present in
+    ``failures``.
     """
 
     results: Dict[str, Dict[str, SimulationResult]]
@@ -206,12 +205,12 @@ class SweepReport:
     replayed: int = 0
     #: Attempts used per completed/failed cell key.
     attempts: Dict[CellKey, int] = field(default_factory=dict)
-    #: Per-cell telemetry (phase timings, counters) for cells executed
-    #: with telemetry collection on; replayed cells are absent.
+    #: Per-cell telemetry (phase timings, counters) of every cell this
+    #: invocation executed; replayed cells are absent.
     cell_telemetry: Dict[CellKey, Dict[str, Any]] = field(default_factory=dict)
     #: Sweep-level telemetry: ``started`` (epoch), ``phases`` (parent
     #: prewarm/execute), merged worker ``counters``/``gauges``/``timers``.
-    telemetry: Optional[Dict[str, Any]] = None
+    telemetry: Dict[str, Any] = field(default_factory=dict)
     #: Wall-clock seconds for the whole invocation.
     wall_time: float = 0.0
     #: Stored failures quarantined on resume (present in ``failures``
@@ -339,7 +338,7 @@ def _execute_cell(
     source: _TraceSource,
     fault_hook: Optional[FaultHook],
     attempt: int,
-    cell_telemetry: Optional[Dict[str, Any]] = None,
+    cell_telemetry: Dict[str, Any],
 ) -> SimulationResult:
     """Get the cell's trace from *source* and simulate it (runs in the worker).
 
@@ -348,22 +347,16 @@ def _execute_cell(
     it is synthesized here.  Either way *source* keeps it for the next
     cells and retries of the workload.
 
-    When *cell_telemetry* is given, the three worker phases are timed
-    into it (``synthesis``, ``simulate``, ``serialize`` — the last is
-    one :meth:`SimulationResult.to_dict`, the conversion every store
-    write and report pays) and an ambient :class:`Telemetry` captures
-    the cell's counters (trace-cache outcomes, simulator throughput).
-    The dict is filled in place so a raising phase still leaves the
-    completed phases for failure records.  With ``cell_telemetry=None``
-    the phase timers and the telemetry scope are no-ops.
+    The three worker phases are timed into *cell_telemetry*
+    (``synthesis``, ``simulate``, ``serialize`` — the last is one
+    :meth:`SimulationResult.to_dict`, the conversion every store write
+    and report pays) and an ambient :class:`Telemetry` captures the
+    cell's counters (trace-cache outcomes, simulator throughput).  The
+    dict is filled in place so a raising phase still leaves the
+    completed phases for failure records.
     """
-    if cell_telemetry is None:
-        scope: Any = nullcontext()
-        timed: Callable[[str], Any] = lambda _name: nullcontext()
-    else:
-        scope = Telemetry()
-        timed = functools.partial(_timed_phase, cell_telemetry.setdefault("phases", {}))
-    with scope as tele:
+    timed = functools.partial(_timed_phase, cell_telemetry.setdefault("phases", {}))
+    with Telemetry() as tele:
         try:
             with timed("synthesis"):
                 trace = source.get(spec)
@@ -375,14 +368,12 @@ def _execute_cell(
                     trace, spec.config, ipa=get_workload(spec.workload).ipa,
                     warmup=spec.warmup, machine=spec.machine,
                 )
-            if tele is not None:
-                with timed("serialize"):
-                    result.to_dict()
+            with timed("serialize"):
+                result.to_dict()
         finally:
-            if tele is not None:
-                snapshot = tele.snapshot()
-                for key in ("counters", "gauges", "timers"):
-                    cell_telemetry[key] = snapshot[key]
+            snapshot = tele.snapshot()
+            for key in ("counters", "gauges", "timers"):
+                cell_telemetry[key] = snapshot[key]
     return result
 
 
@@ -424,7 +415,6 @@ def _run_attempt(
     fault_hook: Optional[FaultHook],
     attempt: int,
     submitted_at: Optional[float],
-    collect: bool,
     plan: Optional[FaultPlan] = None,
 ) -> _Outcome:
     """Execute one attempt and fold the result/exception into an outcome.
@@ -443,7 +433,7 @@ def _run_attempt(
     if plan is not None and not current_injector().armed:
         scope = FaultInjector(plan)
         scope.__enter__()
-    tele = _new_cell_telemetry(attempt, submitted_at) if collect else None
+    tele = _new_cell_telemetry(attempt, submitted_at)
     try:
         injector = current_injector()
         if injector.armed:
@@ -480,8 +470,7 @@ def _heartbeat_loop(heartbeat) -> None:  # pragma: no cover — worker thread
         time.sleep(_HEARTBEAT_INTERVAL)
 
 
-def _worker_main(conn, fault_hook, collect, plan,
-                 heartbeat) -> None:  # pragma: no cover — child
+def _worker_main(conn, fault_hook, plan, heartbeat) -> None:  # pragma: no cover — child
     """Supervised-pool worker: run the cells handed over *conn* until stopped.
 
     Each message is ``(spec, attempt, submitted_at)`` and is answered
@@ -506,7 +495,7 @@ def _worker_main(conn, fault_hook, collect, plan,
                 return
             spec, attempt, submitted_at = message
             conn.send(_run_attempt(spec, source, fault_hook, attempt,
-                                   submitted_at, collect, plan))
+                                   submitted_at, plan))
     except (EOFError, OSError):
         return  # the parent's end of the pipe is gone
 
@@ -537,8 +526,8 @@ def _backoff_delay(backoff: float, attempt: int, rng: random.Random) -> float:
 
 # Internal per-attempt outcome: ("ok", result, telemetry) | ("error",
 # type, msg, tb, transient, telemetry) | ("crash", exitcode) |
-# ("timeout", budget) | ("hung", grace).  The telemetry slot is None
-# when collection is off; crashed/timed-out/hung workers never report one.
+# ("timeout", budget) | ("hung", grace).  Crashed, timed-out and hung
+# workers never report telemetry.
 _Outcome = Tuple[Any, ...]
 
 # Executor yield: (spec, outcome, attempts, elapsed_seconds)
@@ -630,7 +619,6 @@ def _run_serial(
     retry: _RetryTracker,
     fault_hook: Optional[FaultHook],
     notify: Optional[_Notify],
-    collect: bool,
 ) -> Generator[_CellDone, None, None]:
     """In-process serial executor (``workers == 1``, no timeout/supervision).
 
@@ -645,8 +633,7 @@ def _run_serial(
             while True:
                 if notify is not None:
                     notify(spec, attempt)
-                outcome = _run_attempt(spec, source, fault_hook, attempt, None,
-                                       collect)
+                outcome = _run_attempt(spec, source, fault_hook, attempt, None)
                 # (no plan arg: the ambient injector, if any, is already
                 # active in this process — serial faults hit the campaign
                 # itself, which is exactly what a serial chaos run asserts)
@@ -673,10 +660,9 @@ class _Worker:
     also hit.
     """
 
-    def __init__(self, ctx, fault_hook: Optional[FaultHook], collect: bool,
+    def __init__(self, ctx, fault_hook: Optional[FaultHook],
                  plan: Optional[FaultPlan], timeout: Optional[float],
                  hang_grace: Optional[float]) -> None:
-        self.collect = collect
         self.timeout = timeout
         self.hang_grace = hang_grace
         self.heartbeat = (
@@ -685,7 +671,7 @@ class _Worker:
         self.conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, fault_hook, collect, plan, self.heartbeat),
+            args=(child_conn, fault_hook, plan, self.heartbeat),
             daemon=True,
         )
         self.process.start()
@@ -701,8 +687,7 @@ class _Worker:
             time.monotonic() + self.timeout if self.timeout is not None else None
         )
         try:
-            self.conn.send((pending.spec, pending.attempt,
-                            time.time() if self.collect else None))
+            self.conn.send((pending.spec, pending.attempt, time.time()))
         except OSError:
             pass  # died since its liveness check: poll() reports the crash
 
@@ -770,7 +755,6 @@ def _run_supervised(
     retry: _RetryTracker,
     fault_hook: Optional[FaultHook],
     notify: Optional[_Notify],
-    collect: bool,
     plan: Optional[FaultPlan] = None,
     hang_grace: Optional[float] = None,
     on_hang: Optional[_OnHang] = None,
@@ -801,8 +785,7 @@ def _run_supervised(
                 if worker is None:
                     if len(pool) == workers:
                         break
-                    worker = _Worker(ctx, fault_hook, collect, plan, timeout,
-                                     hang_grace)
+                    worker = _Worker(ctx, fault_hook, plan, timeout, hang_grace)
                     pool.append(worker)
                 queue.remove(pending)
                 if notify is not None:
@@ -909,7 +892,7 @@ def check_length_warmup(length: int, warmup: Optional[int]) -> None:
 
 
 def check_sweep_options(*, workers: int, retries: int, timeout: Optional[float],
-                        hang_grace: Optional[float],
+                        hang_grace: Optional[float] = None,
                         max_failure_rate: Optional[float] = None) -> None:
     """Refuse out-of-range execution options of a sweep (see :func:`run_sweep`).
 
@@ -949,7 +932,6 @@ def run_sweep(
     seed: int = 0,
     machine: Optional[MachineConfig] = None,
     warmup: Optional[int] = None,
-    progress: Optional[CellProgress] = None,
     workers: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
@@ -962,20 +944,17 @@ def run_sweep(
     fault_hook: Optional[FaultHook] = None,
     trace_cache: Union[bool, str, "os.PathLike[str]", TraceCache, None] = True,
     observer: Optional[SweepObserver] = None,
-    telemetry: Optional[bool] = None,
-    store_metrics: bool = False,
     obs_history: Optional[bool] = None,
 ) -> SweepReport:
     """Run a workload×config sweep fault-tolerantly.
 
     Args:
-        configs: ``{config_name: simulate-kwargs}`` as for ``run_suite``.
+        configs: ``{config_name: simulate-kwargs}``, each a
+            :func:`~repro.sim.simulator.simulate` keyword set.
         workloads: workload names (default: the full SPEC2000 stand-in set).
         length, seed, machine, warmup: as for ``run_workload``; *warmup*
             defaults to ``length // 3``.  A *length* below 1 or a
             negative *warmup* raises before the store is touched.
-        progress: called with ``(workload, config_name)`` as each cell
-            starts (each retry attempt re-reports).
         workers: concurrent cells.  1 with neither *timeout* nor
             *hang_grace* runs in-process; anything else runs on the
             supervised pool of at most *workers* worker processes.
@@ -1001,7 +980,8 @@ def run_sweep(
             work stays recorded and resumable; ``report.aborted`` is
             set.  ``None`` (default) never trips.
         store: checkpoint path or :class:`RunStore`; every finished cell
-            is appended, and with ``resume=True`` previously completed
+            is appended, with its telemetry and the metric banks it
+            collected, and with ``resume=True`` previously completed
             cells are replayed from disk instead of re-executed.  The
             manifest line each call appends records the sweep
             parameters and the run's provenance: ``git_rev`` (see
@@ -1027,34 +1007,23 @@ def run_sweep(
             :class:`~repro.traces.trace.Trace` to all of its cells and
             retries of the workload.
         observer: :class:`~repro.obs.progress.SweepObserver` receiving
-            lifecycle hooks (sweep start/end, per-attempt cell starts,
-            per-cell completions) in the parent process — e.g. a
+            lifecycle hooks in the parent process: sweep start and end,
+            the start of every cell attempt (a retry reports again) and
+            each cell's completion — e.g. a
             :class:`~repro.obs.progress.SweepProgress` for a live
             status line.
-        telemetry: per-cell phase timing and counter collection.
-            ``None`` (default) turns it on exactly when someone is
-            listening — an ambient :class:`~repro.obs.metrics.Telemetry`
-            or :class:`~repro.obs.logging.JsonlLogger` context is
-            active, or an *observer* was passed; ``True``/``False``
-            force it, and nothing else implies it.  When on, every
-            executed cell's phase breakdown
-            (spawn/synthesis/simulate/serialize) lands in
-            ``report.cell_telemetry``, merged counters in
-            ``report.telemetry``, and — with a store — in each cell's
-            checkpoint record for ``repro report --timing``.
-        store_metrics: persist each result's full
-            :class:`~repro.core.metrics.TimekeepingMetrics` state into
-            the checkpoint store (no effect without *store*).  Off by
-            default because metric banks dominate the record size; the
-            ``repro paper`` pipeline turns it on so every figure can be
-            derived from the store alone.
         obs_history: inert, kept only because perfbench passes
             ``False``; it goes with the benchmark change that drops
             that argument (see :func:`check_obs_history`).
 
     Returns:
         A :class:`SweepReport`; failed cells appear in ``report.failures``
-        rather than raising, so partial results stay usable.
+        rather than raising, so partial results stay usable (call
+        :meth:`SweepReport.raise_on_failure` to raise instead).  Every
+        executed cell's phase breakdown (spawn/synthesis/simulate/
+        serialize) lands in ``report.cell_telemetry`` and, with a
+        store, in its checkpoint record for ``repro report --timing``;
+        the merged counters land in ``report.telemetry``.
     """
     check_length_warmup(length, warmup)
     check_sweep_options(workers=workers, retries=retries, timeout=timeout,
@@ -1067,14 +1036,8 @@ def run_sweep(
         get_workload(name)  # fail fast on unknown workloads
     resolved_warmup = sweep_warmup(length, warmup)
 
-    # Telemetry collection: default on exactly when someone is listening.
     ambient = current_telemetry()
     logger = current_logger()
-    collect = (
-        telemetry
-        if telemetry is not None
-        else bool(ambient.enabled or logger.enabled or observer is not None)
-    )
     sweep_started = time.time()
     sweep_mono = time.monotonic()
     parent_tele = Telemetry()
@@ -1164,20 +1127,16 @@ def run_sweep(
             total = length + resolved_warmup
             prewarm_start = time.time()
             t0 = time.monotonic()
-            # With collection on, the parent's own cache counters land
-            # in the sweep telemetry.
-            with parent_tele if collect else nullcontext():
+            # The parent's own cache counters land in the sweep telemetry.
+            with parent_tele:
                 for name in pending:
                     cache.prewarm(name, total, seed)
-            if collect:
-                sweep_phases["prewarm"] = [prewarm_start, time.monotonic() - t0]
+            sweep_phases["prewarm"] = [prewarm_start, time.monotonic() - t0]
 
-        # Attempt-start fan-out: user callback, observer, JSONL log.
+        # Attempt-start fan-out: observer, JSONL log.
         notify: Optional[_Notify] = None
-        if progress is not None or observer is not None or logger.enabled:
+        if observer is not None or logger.enabled:
             def notify(spec: CellSpec, attempt: int) -> None:
-                if progress is not None:
-                    progress(spec.workload, spec.config_name)
                 if observer is not None:
                     observer.on_cell_start(spec.workload, spec.config_name, attempt)
                 logger.event(
@@ -1213,10 +1172,10 @@ def run_sweep(
         execute_start = time.time()
         t0 = time.monotonic()
         if workers == 1 and timeout is None and hang_grace is None:
-            executor = _run_serial(to_run, retry, fault_hook, notify, collect)
+            executor = _run_serial(to_run, retry, fault_hook, notify)
         else:
             executor = _run_supervised(
-                to_run, workers, timeout, retry, fault_hook, notify, collect,
+                to_run, workers, timeout, retry, fault_hook, notify,
                 plan, hang_grace, on_hang,
             )
 
@@ -1230,21 +1189,19 @@ def run_sweep(
         for spec, outcome, cell_attempts, elapsed in executor:
             attempts[spec.key] = cell_attempts
             if outcome[0] == "ok":
-                completed[spec.key] = outcome[1]
-                cell_tele = outcome[2] if len(outcome) > 2 else None
-                if cell_tele is not None:
-                    cell_telemetry[spec.key] = cell_tele
-                    parent_tele.merge(cell_tele)
+                _, result, cell_tele = outcome
+                completed[spec.key] = result
+                cell_telemetry[spec.key] = cell_tele
+                parent_tele.merge(cell_tele)
                 if run_store is not None:
                     with parent_tele.timer("store.append_seconds"):
                         run_store.record_result(
                             spec.workload,
                             spec.config_name,
-                            outcome[1],
+                            result,
                             attempts=cell_attempts,
                             elapsed=elapsed,
                             telemetry=cell_tele,
-                            include_metrics=store_metrics,
                         )
                 logger.event(
                     "cell.ok", workload=spec.workload, config=spec.config_name,
@@ -1270,7 +1227,7 @@ def run_sweep(
                     outcome[0] == "ok",
                     cell_attempts,
                     elapsed,
-                    counters=(cell_telemetry.get(spec.key) or {}).get("counters"),
+                    counters=cell_telemetry.get(spec.key, {}).get("counters"),
                 )
             if (
                 max_failure_rate is not None
@@ -1287,8 +1244,7 @@ def run_sweep(
                     failed=fresh_failures, cells=len(cells),
                 )
                 break
-        if collect:
-            sweep_phases["execute"] = [execute_start, time.monotonic() - t0]
+        sweep_phases["execute"] = [execute_start, time.monotonic() - t0]
     finally:
         if executor is not None:
             # Runs the executor's finally block after an abort or an error
@@ -1313,12 +1269,8 @@ def run_sweep(
         replayed=len(replayed),
         attempts=attempts,
         cell_telemetry=cell_telemetry,
-        telemetry=(
-            {"started": sweep_started, "wall_time": wall_time,
-             "phases": sweep_phases, "hangs": hangs, **snapshot}
-            if collect
-            else None
-        ),
+        telemetry={"started": sweep_started, "wall_time": wall_time,
+                   "phases": sweep_phases, "hangs": hangs, **snapshot},
         wall_time=wall_time,
         poisoned=len(poisoned),
         aborted=aborted,

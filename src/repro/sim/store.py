@@ -8,8 +8,10 @@ completed work:
   parameters (trace length, seed, warmup, machine digest) and a content
   digest per named configuration;
 - one **cell** line per finished cell — either ``status: "ok"`` with
-  the serialized :class:`~repro.sim.results.SimulationResult`, or
-  ``status: "failed"`` with the structured failure record.
+  the serialized :class:`~repro.sim.results.SimulationResult` (metric
+  banks included when the cell collected them) and the cell's
+  telemetry, or ``status: "failed"`` with the structured failure
+  record.
 
 Failure model (see also docs/ARCHITECTURE.md, "Failure model"):
 
@@ -357,21 +359,22 @@ class RunStore(JsonlJournal):
         attempts: int = 1,
         elapsed: float = 0.0,
         telemetry: Optional[Mapping[str, Any]] = None,
-        include_metrics: bool = False,
     ) -> None:
         """Append one completed cell (``result`` is a SimulationResult).
 
         *telemetry* is the cell's phase-timing/counter dict from the
         runner; persisting it is what lets ``repro report --timing``
         rebuild a sweep's time breakdown from the store afterwards.
-        The key is simply absent for cells run without telemetry, and
-        readers must treat it as optional.
+        The runner passes it for every cell, but stores written by
+        earlier builds hold cells without it, so readers must treat the
+        key as optional.
 
-        *include_metrics* persists the result's full
-        :class:`~repro.core.metrics.TimekeepingMetrics` state inside the
-        record, so figure datasets can be derived from the store alone
-        (the ``repro paper`` pipeline's mode).  Plain sweeps leave it
-        off — metric banks dominate the record size.
+        The record holds the result's full
+        :class:`~repro.core.metrics.TimekeepingMetrics` state whenever
+        the cell collected one (``collect_metrics=True``, as ``repro
+        paper``'s ``base`` cells do), so a replayed result equals the
+        live one and figure datasets can be derived from the store
+        alone.  Cells without metric banks store none.
         """
         record = {
             "kind": "cell",
@@ -380,7 +383,7 @@ class RunStore(JsonlJournal):
             "status": "ok",
             "attempts": attempts,
             "elapsed": round(elapsed, 6),
-            "result": result.to_dict(include_metrics=include_metrics),
+            "result": result.to_dict(include_metrics=True),
         }
         if telemetry is not None:
             record["telemetry"] = dict(telemetry)

@@ -120,8 +120,7 @@ class TestWriterLocking:
 class TestInjectedAppendFaults:
     def test_enospc_append_then_resume_converges(self, tmp_path):
         reference = tmp_path / "reference.jsonl"
-        run_sweep({"base": {}}, workloads=["gzip", "eon"], length=800,
-                  store=reference, telemetry=False)
+        run_sweep({"base": {}}, workloads=["gzip", "eon"], length=800, store=reference)
         _, want = RunStore(reference).load()
 
         faulty = tmp_path / "faulty.jsonl"
@@ -135,7 +134,7 @@ class TestInjectedAppendFaults:
 
         # the disk "recovers"; a warm resume finishes the campaign
         report = run_sweep({"base": {}}, workloads=["gzip", "eon"], length=800,
-                           store=faulty, resume=True, telemetry=False)
+                           store=faulty, resume=True)
         assert not report.failures
         _, got = RunStore(faulty).load()
         assert _normalized(got) == _normalized(want)
@@ -164,6 +163,7 @@ def _normalized(cells):
         rec = dict(record)
         rec.pop("created", None)
         rec.pop("elapsed", None)
+        rec.pop("telemetry", None)  # wall-clock phase timings and pids
         out[key] = rec
     return out
 
@@ -185,4 +185,4 @@ def _try_start(path):
 
 def _sweep_to(path):
     run_sweep({"base": {}}, workloads=["gzip", "eon"], length=800,
-              store=path, telemetry=False)
+              store=path)

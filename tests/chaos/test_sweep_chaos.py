@@ -21,7 +21,7 @@ LENGTH = 800
 def _reference_cells(tmp_path):
     path = tmp_path / "reference.jsonl"
     run_sweep({"base": {}}, workloads=WORKLOADS, length=LENGTH,
-              store=path, telemetry=False, trace_cache=False)
+              store=path, trace_cache=False)
     _, cells = RunStore(path).load()
     return _normalized(cells)
 
@@ -32,6 +32,7 @@ def _normalized(cells):
         rec = dict(record)
         rec.pop("created", None)
         rec.pop("elapsed", None)
+        rec.pop("telemetry", None)  # wall-clock phase timings and pids
         rec["attempts"] = 0  # attempts legitimately differ across retries
         out[key] = rec
     return out
@@ -52,8 +53,7 @@ class TestKill9Convergence:
         assert RunStore(faulty).load_report().torn_tail is not None
 
         report = run_sweep({"base": {}}, workloads=WORKLOADS, length=LENGTH,
-                           store=faulty, resume=True, telemetry=False,
-                           trace_cache=False)
+                           store=faulty, resume=True, trace_cache=False)
         assert not report.failures and not report.aborted
         _, got = RunStore(faulty).load()
         assert _normalized(got) == want
@@ -76,14 +76,14 @@ class TestCircuitBreakerConvergence:
         )
         with FaultInjector(plan):
             report = run_sweep({"base": {}}, workloads=WORKLOADS,
-                               length=LENGTH, store=path, telemetry=False,
+                               length=LENGTH, store=path,
                                trace_cache=False, max_failure_rate=0.0)
         assert report.aborted
         assert "circuit breaker" in report.abort_reason
 
         resumed = run_sweep({"base": {}}, workloads=WORKLOADS, length=LENGTH,
                             store=path, resume=True, retry_poisoned=True,
-                            telemetry=False, trace_cache=False)
+                            trace_cache=False)
         assert not resumed.failures and not resumed.aborted
         _, got = RunStore(path).load()
         assert _normalized(got) == want
@@ -105,7 +105,7 @@ class TestSeededRandomPlan:
 
         report = run_sweep({"base": {}}, workloads=WORKLOADS, length=LENGTH,
                            store=path, resume=True, retry_poisoned=True,
-                           telemetry=False, trace_cache=False)
+                           trace_cache=False)
         assert not report.failures and not report.aborted
         _, got = RunStore(path).load()
         assert _normalized(got) == want
@@ -134,4 +134,4 @@ class TestPaperPipelineUnderFaults:
 
 def _sweep_to(path):
     run_sweep({"base": {}}, workloads=WORKLOADS, length=LENGTH,
-              store=path, telemetry=False, trace_cache=False)
+              store=path, trace_cache=False)

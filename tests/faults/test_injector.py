@@ -149,19 +149,19 @@ class TestDisarmedIsInert:
 
         plain = tmp_path / "plain.jsonl"
         idle = tmp_path / "idle.jsonl"
-        run_sweep({"base": {}}, workloads=["gzip"], length=1200, store=plain,
-                  telemetry=False)
+        run_sweep({"base": {}}, workloads=["gzip"], length=1200, store=plain)
         with FaultInjector():
-            run_sweep({"base": {}}, workloads=["gzip"], length=1200,
-                      store=idle, telemetry=False)
+            run_sweep({"base": {}}, workloads=["gzip"], length=1200, store=idle)
 
         def records(path):
-            # drop the wall-clock fields, the only nondeterminism
+            # drop the wall-clock fields and the telemetry (timings,
+            # pids), the only nondeterminism
             out = []
             for line in path.read_text().splitlines():
                 rec = json.loads(line)
                 rec.pop("created", None)
                 rec.pop("elapsed", None)
+                rec.pop("telemetry", None)
                 out.append(rec)
             return out
 

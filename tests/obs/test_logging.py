@@ -22,7 +22,7 @@ class TestJsonlLogger:
         assert first["ok"] is True
         assert isinstance(first["ts"], float)
         assert second == {"ts": second["ts"], "event": "sweep.end", "cells": 16}
-        assert logger.events_written == 2
+        assert len(stream.getvalue().splitlines()) == 2
 
     def test_path_target_opens_lazily_and_appends(self, tmp_path):
         path = tmp_path / "events.jsonl"

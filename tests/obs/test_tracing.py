@@ -39,21 +39,6 @@ class TestChromeTrace:
         trace.set_process_name(SWEEP_PID, "sweep")
         assert len(trace.events) == 2
 
-    def test_span_nesting_records_contained_durations(self):
-        trace = ChromeTrace()
-        with trace.span("outer", tid=1):
-            with trace.span("inner", tid=1, cell="x"):
-                pass
-        # Spans close innermost-first.
-        inner, outer = trace.events
-        assert inner["name"] == "inner"
-        assert outer["name"] == "outer"
-        assert inner["args"] == {"cell": "x"}
-        # The inner span starts no earlier and ends no later than the outer.
-        assert inner["ts"] >= outer["ts"]
-        assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"] + 1e-3
-        assert validate_chrome_trace(trace.to_json()) == []
-
     def test_to_json_orders_metadata_first(self):
         trace = ChromeTrace(origin=0.0)
         trace.add_complete("late", 5.0, 1.0)

@@ -199,10 +199,9 @@ class TestReport:
         ]
 
     def test_timing_breakdown_from_store(self, capsys, tmp_path):
-        # --trace-out forces telemetry collection, so the store carries
-        # per-cell phase timings for the report to rebuild.
-        store = self._sweep_into(
-            tmp_path, extra=["--trace-out", str(tmp_path / "t.json")])
+        # Every executed cell records its phases, so even a --quiet
+        # sweep's store carries the timings for the report to rebuild.
+        store = self._sweep_into(tmp_path)
         capsys.readouterr()
         assert main(["report", store, "--timing"]) == 0
         out = capsys.readouterr().out
@@ -210,11 +209,26 @@ class TestReport:
         assert "simulate" in out
 
     def test_timing_without_telemetry_explains_itself(self, capsys, tmp_path):
-        store = self._sweep_into(tmp_path)
-        capsys.readouterr()
-        assert main(["report", store, "--timing"]) == 0
+        # A store an earlier build wrote: its cell record has no
+        # telemetry key.
+        import json
+
+        from repro.sim.sweep import run_workload
+
+        result = run_workload("gzip", {"base": {}}, length=600)["base"]
+        store = tmp_path / "old.jsonl"
+        store.write_text("\n".join(json.dumps(record) for record in [
+            {"kind": "manifest", "version": 1, "length": 600, "seed": 0,
+             "warmup": 200, "machine": "m", "workloads": ["gzip"],
+             "configs": {"base": "c"}},
+            {"kind": "cell", "workload": "gzip", "config": "base",
+             "status": "ok", "attempts": 1, "elapsed": 0.1,
+             "result": result.to_dict()},
+        ]) + "\n")
+        assert main(["report", str(store), "--timing"]) == 0
         out = capsys.readouterr().out
         assert "no telemetry in this store" in out
+        assert "written before sweeps recorded every cell's phases" in out
         # The notice replaces the breakdown: an all-dashes table would
         # read as "every phase took no time".
         assert "time breakdown" not in out
@@ -272,7 +286,7 @@ class TestTrace:
                      "--cache-root", str(root)]) == 0
         run = run_paper(only=["fig02"], out_dir=str(tmp_path / "out"),
                         length=length, workloads=["gzip", "swim"],
-                        trace_cache=TraceCache(root=root), write_report=False)
+                        trace_cache=TraceCache(root=root))
         assert run.executed > 0
         entries = sorted(
             (meta["workload"], meta["length"])

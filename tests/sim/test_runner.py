@@ -9,6 +9,7 @@ import pytest
 
 from repro.common.errors import ConfigError, SimulationError, StoreError, TraceError
 from repro.figures.pipeline import run_paper
+from repro.obs.progress import SweepObserver
 from repro.sim.runner import CellFailure, SweepReport, run_sweep
 from repro.sim.store import RunStore
 from repro.sim.sweep import CONFIG_PRESETS, run_workload
@@ -65,6 +66,14 @@ def _count_executions(workload, config, attempt):
     path = os.environ["REPRO_TEST_EXEC_LOG"]
     with open(path, "a") as fh:
         fh.write(f"{workload}:{config}\n")
+
+
+class _StartedAttempts(SweepObserver):
+    def __init__(self):
+        self.started = []
+
+    def on_cell_start(self, workload, config, attempt):
+        self.started.append((workload, config, attempt))
 
 
 def _cells(report):
@@ -139,6 +148,8 @@ class TestSerialEngine:
             run_sweep(CONFIGS, workloads=["gzip"], retries=-1)
         with pytest.raises(SimulationError, match="timeout"):
             run_sweep(CONFIGS, workloads=["gzip"], timeout=0)
+        with pytest.raises(SimulationError, match="hang_grace must be positive, got 0"):
+            run_sweep(CONFIGS, workloads=["gzip"], hang_grace=0)
         with pytest.raises(SimulationError, match="no configurations"):
             run_sweep({}, workloads=["gzip"])
 
@@ -191,7 +202,6 @@ class TestSerialEngine:
         ({"workers": 0}, "workers must be >= 1, got 0"),
         ({"retries": -1}, "retries must be >= 0, got -1"),
         ({"timeout": 0}, "timeout must be positive, got 0"),
-        ({"hang_grace": 0}, "hang_grace must be positive, got 0"),
     ])
     def test_paper_bad_sweep_option_leaves_no_out_dir(self, tmp_path, kwargs, message):
         out = tmp_path / "D"
@@ -233,12 +243,20 @@ class TestSerialEngine:
         ]
 
     def test_progress_reports_each_cell(self):
-        seen = []
-        run_sweep(
-            CONFIGS, workloads=["gzip"], length=LENGTH,
-            progress=lambda w, c: seen.append((w, c)),
-        )
-        assert set(seen) == {("gzip", "base"), ("gzip", "perfect")}
+        # The observer's on_cell_start is the one attempt-start callback:
+        # every cell reports once per attempt, in-process and on the pool.
+        for workers in (1, 2):
+            observer = _StartedAttempts()
+            report = run_sweep(
+                {"base": {}, "boom": {}}, workloads=["gzip", "eon"],
+                length=LENGTH, workers=workers, retries=1, backoff=0.01,
+                fault_hook=_flaky_first_attempt, observer=observer,
+            )
+            assert not report.failures, workers
+            assert sorted(observer.started) == [
+                ("eon", "base", 1), ("eon", "boom", 1), ("eon", "boom", 2),
+                ("gzip", "base", 1), ("gzip", "boom", 1), ("gzip", "boom", 2),
+            ], workers
 
 
 class TestPoolEngine:
@@ -381,6 +399,20 @@ class TestCheckpointResume:
         assert replayed.replayed == 2
         for name in CONFIGS:
             assert replayed.results["gzip"][name] == fresh.results["gzip"][name]
+
+    def test_replayed_metric_banks_match_live(self, tmp_path):
+        # A cell that collects metric banks stores them, so the replayed
+        # result is the live one, banks included.
+        configs = {"base": {"collect_metrics": True}}
+        store = tmp_path / "run.jsonl"
+        live = run_sweep(configs, workloads=["gzip"], length=LENGTH, store=store)
+        replayed = run_sweep(configs, workloads=["gzip"], length=LENGTH,
+                             store=store, resume=True)
+        assert replayed.replayed == 1 and replayed.executed == 0
+        want = live.results["gzip"]["base"]
+        got = replayed.results["gzip"]["base"]
+        assert want.metrics is not None and got.metrics is not None
+        assert got.to_dict(include_metrics=True) == want.to_dict(include_metrics=True)
 
     def test_resume_extends_to_new_workloads(self, tmp_path):
         store = tmp_path / "run.jsonl"

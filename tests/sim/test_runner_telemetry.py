@@ -95,12 +95,6 @@ class TestSweepReportSummary:
 
 
 class TestSerialTelemetry:
-    def test_off_by_default_when_nobody_listens(self):
-        report = run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
-                           trace_cache=False)
-        assert report.cell_telemetry == {}
-        assert report.telemetry is None
-
     def test_ambient_telemetry_enables_collection(self):
         with Telemetry() as ambient:
             report = run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
@@ -117,12 +111,6 @@ class TestSerialTelemetry:
         assert ambient.timers["simulator.run_seconds"].count == 2
         assert report.telemetry["phases"]["execute"][1] > 0
 
-    def test_forced_off_wins_over_ambient(self):
-        with Telemetry():
-            report = run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
-                               trace_cache=False, telemetry=False)
-        assert report.cell_telemetry == {}
-
     def test_results_identical_with_and_without_telemetry(self):
         plain = run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
                           trace_cache=False)
@@ -135,8 +123,7 @@ class TestSerialTelemetry:
 
     def test_failed_cell_carries_telemetry_snapshot(self):
         report = run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
-                           trace_cache=False, fault_hook=_permanent_fault,
-                           telemetry=True)
+                           trace_cache=False, fault_hook=_permanent_fault)
         (failure,) = report.failures
         assert failure.config == "victim"
         # The fault hook fires after synthesis, so the snapshot holds the
@@ -151,7 +138,7 @@ class TestWorkerProcessTelemetry:
     def test_counters_aggregate_across_worker_processes(self, tmp_path):
         report = run_sweep(
             CONFIGS, workloads=["gzip", "eon"], length=LENGTH, workers=2,
-            trace_cache=str(tmp_path / "cache"), telemetry=True,
+            trace_cache=str(tmp_path / "cache"),
         )
         assert not report.failures
         assert len(report.cell_telemetry) == 4
@@ -172,7 +159,7 @@ class TestWorkerProcessTelemetry:
     def test_timeout_engine_records_spawn_phase(self, tmp_path):
         report = run_sweep(
             CONFIGS, workloads=["gzip"], length=LENGTH, workers=1, timeout=60.0,
-            trace_cache=str(tmp_path / "cache"), telemetry=True,
+            trace_cache=str(tmp_path / "cache"),
         )
         assert not report.failures
         for tele in report.cell_telemetry.values():
@@ -191,19 +178,26 @@ class TestStorePersistence:
             assert set(record["telemetry"]["phases"]) == {
                 "synthesis", "simulate", "serialize"}
 
-    def test_no_telemetry_key_when_collection_is_off(self, tmp_path):
+    def test_every_executed_cell_records_its_phases(self, tmp_path):
+        # No observer, no ambient Telemetry, no logger: nobody listens,
+        # and the store still carries every cell's time breakdown.
         store_path = tmp_path / "run.jsonl"
-        run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
-                  trace_cache=False, store=store_path)
+        report = run_sweep(CONFIGS, workloads=["gzip", "eon"], length=LENGTH,
+                           trace_cache=False, store=store_path)
+        assert isinstance(report.telemetry, dict)
+        assert "execute" in report.telemetry["phases"]
         _manifest, cells = RunStore(store_path).load()
+        assert len(cells) == 4
         for record in cells.values():
-            assert "telemetry" not in record
+            assert record["status"] == "ok"
+            assert {"synthesis", "simulate", "serialize"} <= set(
+                record["telemetry"]["phases"])
 
     def test_failure_telemetry_round_trips_through_store(self, tmp_path):
         store_path = tmp_path / "run.jsonl"
         run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
                   trace_cache=False, store=store_path,
-                  fault_hook=_permanent_fault, telemetry=True)
+                  fault_hook=_permanent_fault)
         _manifest, cells = RunStore(store_path).load()
         record = cells[("gzip", "victim")]
         assert record["status"] == "failed"

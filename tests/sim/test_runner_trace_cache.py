@@ -16,7 +16,6 @@ from repro.common.errors import SimulationError
 from repro.sim import runner
 from repro.sim.runner import run_sweep
 from repro.sim.store import RunStore
-from repro.sim.sweep import run_suite
 from repro.traces import workloads
 from repro.traces.cache import TraceCache, trace_key
 
@@ -113,9 +112,11 @@ def test_cached_sweep_results_match_uncached(tmp_path):
 
 def test_run_suite_serial_path_uses_cache(tmp_path, synth_counts):
     root = tmp_path / "cache"
-    run_suite(CONFIGS, workloads=WORKLOADS, length=LENGTH, trace_cache=root)
+    run_sweep(CONFIGS, workloads=WORKLOADS, length=LENGTH,
+              trace_cache=root).raise_on_failure()
     first = dict(synth_counts)
-    run_suite(CONFIGS, workloads=WORKLOADS, length=LENGTH, trace_cache=root)
+    run_sweep(CONFIGS, workloads=WORKLOADS, length=LENGTH,
+              trace_cache=root).raise_on_failure()
     assert first == {name: 1 for name in WORKLOADS}
     assert synth_counts == first  # second run fully warm
 
@@ -156,7 +157,7 @@ def test_serial_executor_opens_each_trace_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(runner, "simulate_config", spy)
     report = run_sweep(configs, workloads=WORKLOADS, length=LENGTH,
-                       trace_cache=tmp_path / "cache", telemetry=True)
+                       trace_cache=tmp_path / "cache")
     assert not report.failures
     for name in WORKLOADS:
         loads = sum(

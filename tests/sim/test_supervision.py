@@ -49,7 +49,6 @@ class TestHangDetection:
             hang_grace=1.0,
             retries=1,
             fault_hook=_stop_self_once,
-            telemetry=True,
         )
         elapsed = time.monotonic() - started
         # The hang was detected by heartbeat staleness long before the
@@ -80,7 +79,6 @@ class TestHangDetection:
             workers=1,
             hang_grace=1.0,  # no timeout: supervision alone selects the engine
             fault_hook=_stop_self_always,
-            telemetry=True,
         )
         assert len(report.failures) == 1
         failure = report.failures[0]
@@ -96,7 +94,6 @@ class TestHangDetection:
             length=LENGTH,
             workers=2,
             hang_grace=5.0,
-            telemetry=True,
         )
         assert not report.failures
         assert report.telemetry["hangs"] == []

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.common.errors import SimulationError, StoreError
-from repro.sim.sweep import run_suite, run_workload, speedups
+from repro.obs.progress import SweepObserver
+from repro.sim.runner import run_sweep
+from repro.sim.sweep import run_workload, speedups
 
 
 CONFIGS = {
@@ -43,22 +45,39 @@ class TestRunWorkload:
             run_workload("gzip", CONFIGS, length=100, warmup=-5)
 
 
+def _suite(configs, **kwargs):
+    """A suite the way library callers get one: raise on any failed cell."""
+    report = run_sweep(configs, **kwargs)
+    report.raise_on_failure()
+    return report.results
+
+
+class _StartedWorkloads(SweepObserver):
+    def __init__(self):
+        self.seen = []
+
+    def on_cell_start(self, workload, config, attempt):
+        self.seen.append(workload)
+
+
 class TestRunSuite:
+    """Many workloads under many configurations, through ``run_sweep``."""
+
     def test_subset_of_workloads(self):
-        out = run_suite(CONFIGS, workloads=["gzip", "eon"], length=1500)
+        out = _suite(CONFIGS, workloads=["gzip", "eon"], length=1500)
         assert list(out) == ["gzip", "eon"]
 
     def test_progress_callback(self):
-        seen = []
-        run_suite({"base": {}}, workloads=["gzip"], length=500, progress=seen.append)
-        assert seen == ["gzip"]
+        observer = _StartedWorkloads()
+        _suite({"base": {}}, workloads=["gzip"], length=500, observer=observer)
+        assert observer.seen == ["gzip"]
 
 
 class TestRunSuiteFaultTolerance:
     def test_parallel_workers_match_serial(self):
-        serial = run_suite(CONFIGS, workloads=["gzip", "eon"], length=1500)
-        parallel = run_suite(CONFIGS, workloads=["gzip", "eon"], length=1500,
-                             workers=2)
+        serial = _suite(CONFIGS, workloads=["gzip", "eon"], length=1500)
+        parallel = _suite(CONFIGS, workloads=["gzip", "eon"], length=1500,
+                          workers=2)
         assert set(parallel) == set(serial)
         for workload in serial:
             for name in CONFIGS:
@@ -69,38 +88,38 @@ class TestRunSuiteFaultTolerance:
     def test_delegated_path_raises_summarized_failures(self):
         configs = {"base": {}, "bad": {"prefetcher": "warp-drive"}}
         with pytest.raises(SimulationError, match="sweep cells failed"):
-            run_suite(configs, workloads=["gzip"], length=800, workers=2)
+            _suite(configs, workloads=["gzip"], length=800, workers=2)
 
     def test_store_and_resume(self, tmp_path):
         store = tmp_path / "suite.jsonl"
-        first = run_suite(CONFIGS, workloads=["gzip"], length=1500, store=store)
-        again = run_suite(CONFIGS, workloads=["gzip"], length=1500,
-                          store=store, resume=True)
+        first = _suite(CONFIGS, workloads=["gzip"], length=1500, store=store)
+        again = _suite(CONFIGS, workloads=["gzip"], length=1500,
+                       store=store, resume=True)
         assert again["gzip"]["base"] == first["gzip"]["base"]
 
     def test_store_refuses_silent_overwrite(self, tmp_path):
         store = tmp_path / "suite.jsonl"
-        run_suite(CONFIGS, workloads=["gzip"], length=1000, store=store)
+        _suite(CONFIGS, workloads=["gzip"], length=1000, store=store)
         with pytest.raises(StoreError, match="resume"):
-            run_suite(CONFIGS, workloads=["gzip"], length=1000, store=store)
+            _suite(CONFIGS, workloads=["gzip"], length=1000, store=store)
 
     def test_progress_still_per_workload_when_delegated(self):
-        seen = []
-        run_suite({"base": {}}, workloads=["gzip", "eon"], length=800,
-                  workers=2, progress=seen.append)
-        assert sorted(seen) == ["eon", "gzip"]
+        observer = _StartedWorkloads()
+        _suite({"base": {}}, workloads=["gzip", "eon"], length=800,
+               workers=2, observer=observer)
+        assert sorted(observer.seen) == ["eon", "gzip"]
 
 
 class TestSpeedups:
     def test_speedups_relative_to_baseline(self):
         # vpr's conflict thrash produces non-cold misses within a short
         # trace, so the perfect cache shows a gain immediately.
-        out = run_suite(CONFIGS, workloads=["vpr"], length=6000)
+        out = _suite(CONFIGS, workloads=["vpr"], length=6000)
         sp = speedups(out, "perfect", "base")
         assert sp["vpr"] > 0
 
     def test_missing_config_raises_with_available_names(self):
-        out = run_suite(CONFIGS, workloads=["gzip"], length=800)
+        out = _suite(CONFIGS, workloads=["gzip"], length=800)
         with pytest.raises(SimulationError) as exc:
             speedups(out, "victim_tk", "base")
         message = str(exc.value)
@@ -108,7 +127,7 @@ class TestSpeedups:
         assert "base" in message and "perfect" in message  # names listed
 
     def test_missing_baseline_raises(self):
-        out = run_suite({"perfect": {"perfect_non_cold": True}},
-                        workloads=["gzip"], length=800)
+        out = _suite({"perfect": {"perfect_non_cold": True}},
+                     workloads=["gzip"], length=800)
         with pytest.raises(SimulationError, match="'base'"):
             speedups(out, "perfect", "base")

@@ -93,7 +93,7 @@ class _DoneCounter(SweepObserver):
 class TestBoundedWorkers:
     def test_trace_has_at_most_one_lane_per_worker(self, tmp_path):
         report = run_sweep(CONFIGS, workloads=WORKLOADS, length=LENGTH,
-                           workers=2, timeout=60, telemetry=True,
+                           workers=2, timeout=60,
                            trace_cache=tmp_path / "cache")
         assert not report.failures
         assert len(report.cell_telemetry) == 8
