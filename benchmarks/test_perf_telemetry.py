@@ -9,7 +9,8 @@ Two properties:
    overhead is nanoseconds against tens of milliseconds; this test
    exists to catch someone moving a hook into the per-access loop.
 2. The **enabled path** must not change simulation results: telemetry
-   reads the clock around the run, never simulator state.
+   counts the engine used and the accesses run, once per run, and
+   never feeds back into simulator state.
 """
 
 import time
@@ -90,9 +91,8 @@ def test_enabled_telemetry_does_not_perturb_results():
     with Telemetry() as tele:
         observed = MemorySimulator(ipa=6.0, collect_metrics=True).run(trace)
     assert observed.to_dict() == plain.to_dict()
-    # And the run was actually measured.
-    assert tele.timers["simulator.run_seconds"].count == 1
-    assert tele.gauges["simulator.accesses_per_sec"] > 0
+    # And the run was actually counted.
+    assert tele.counters == {"sim.engine_used.batch": 1, "sim.accesses": 5_000}
 
 
 def test_perf_sweep_with_telemetry(benchmark):

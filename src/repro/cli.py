@@ -561,8 +561,13 @@ def _cmd_report(args, out) -> int:
         return 0
 
     # --timing: rebuild the sweep's phase breakdown from the persisted
-    # per-cell telemetry (the same numbers `sweep --trace-out` plots).
-    telemetries = store.telemetries()
+    # per-cell telemetry (the same numbers `sweep --trace-out` plots),
+    # out of the one scan above.  An ok cell carries it at the record
+    # top level, a failed cell inside its failure record.
+    telemetries = {
+        key: rec.get("telemetry") or (rec.get("failure") or {}).get("telemetry")
+        for key, rec in sorted(cells.items())
+    }
     totals = aggregate_phases(telemetries.values())
     if not totals:
         # An all-dashes table would read as "every phase took no time";

@@ -7,8 +7,10 @@ contexts, so instrumented code pays near-zero cost when nothing is
 listening (a sweep always listens: :func:`repro.sim.runner.run_sweep`
 records every executed cell's phases and counters):
 
-- :mod:`~repro.obs.metrics` — hierarchical counters/gauges/timers
-  behind a :class:`Telemetry` context (no-op by default);
+- :mod:`~repro.obs.metrics` — hierarchical counters behind a
+  :class:`Telemetry` context (no-op by default), and the phase totals
+  of ``repro report --timing``.  Time has one record, a cell's phases
+  (spawn, synthesis, simulate, and serialize, the store write);
 - :mod:`~repro.obs.tracing` — a sweep's telemetry as Chrome
   trace-event JSON, viewable in ``chrome://tracing`` / Perfetto;
 - :mod:`~repro.obs.progress` — live sweep progress lines on stderr;

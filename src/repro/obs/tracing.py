@@ -11,7 +11,8 @@ microsecond offsets from a fixed origin, so spans recorded by
 :class:`~repro.sim.runner.SweepReport` carries, after the sweep: the
 parent's prewarm and execute phases on the main lane, and one lane
 (``tid``) per worker process with nested
-spawn/synthesis/simulate/serialize spans per cell.
+spawn/synthesis/simulate/serialize spans per cell.  ``serialize`` is
+the parent's store write of the cell, drawn in the cell's own span.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ def build_sweep_trace(report: Any, *, origin: Optional[float] = None) -> ChromeT
     single lane), an enclosing span per cell, nested phase spans
     (spawn/synthesis/simulate/serialize), instant markers for cells
     that needed retries, and the parent's own phases (prewarm,
-    execute) on the main lane.
+    execute) on the main lane.  A cell span's ``accesses_per_sec`` is
+    its ``sim.accesses`` counter over its ``simulate`` phase.
 
     Cells replayed from a checkpoint store have no telemetry and are
     simply absent from the trace.
@@ -205,9 +207,10 @@ def build_sweep_trace(report: Any, *, origin: Optional[float] = None) -> ChromeT
         cell_start = min(start for start, _dur in phases.values())
         cell_end = max(start + dur for start, dur in phases.values())
         args = {"cell": label, "attempt": tele.get("attempt", 1)}
-        aps = tele.get("gauges", {}).get("simulator.accesses_per_sec")
-        if aps:
-            args["accesses_per_sec"] = round(aps)
+        accesses = tele.get("counters", {}).get("sim.accesses")
+        simulate = phases.get("simulate")
+        if accesses and simulate and simulate[1] > 0:
+            args["accesses_per_sec"] = round(accesses / simulate[1])
         trace.add_complete(label, cell_start, cell_end - cell_start, tid=tid, args=args)
         for phase, (start, dur) in phases.items():
             trace.add_complete(phase, start, dur, tid=tid, args={"cell": label})

@@ -19,7 +19,8 @@ does not have:
 whose ``results`` map ``{workload: {config_name: result}}`` and whose
 ``failures`` list records every cell that did not produce a result.
 Every executed cell records its phase timings and counters, in the
-report's ``cell_telemetry`` and, with a store, in the cell's record.
+report's ``cell_telemetry`` and, with a store, in the cell's record;
+the store write itself is the cell's ``serialize`` phase.
 
 Executors
 ---------
@@ -205,11 +206,12 @@ class SweepReport:
     replayed: int = 0
     #: Attempts used per completed/failed cell key.
     attempts: Dict[CellKey, int] = field(default_factory=dict)
-    #: Per-cell telemetry (phase timings, counters) of every cell this
-    #: invocation executed; replayed cells are absent.
+    #: Per-cell telemetry of every cell this invocation executed:
+    #: ``pid``, ``attempt``, ``phases`` and ``counters``; replayed cells
+    #: are absent.
     cell_telemetry: Dict[CellKey, Dict[str, Any]] = field(default_factory=dict)
     #: Sweep-level telemetry: ``started`` (epoch), ``phases`` (parent
-    #: prewarm/execute), merged worker ``counters``/``gauges``/``timers``.
+    #: prewarm/execute), ``hangs`` and the merged worker ``counters``.
     telemetry: Dict[str, Any] = field(default_factory=dict)
     #: Wall-clock seconds for the whole invocation.
     wall_time: float = 0.0
@@ -347,13 +349,13 @@ def _execute_cell(
     it is synthesized here.  Either way *source* keeps it for the next
     cells and retries of the workload.
 
-    The three worker phases are timed into *cell_telemetry*
-    (``synthesis``, ``simulate``, ``serialize`` — the last is one
-    :meth:`SimulationResult.to_dict`, the conversion every store write
-    and report pays) and an ambient :class:`Telemetry` captures the
-    cell's counters (trace-cache outcomes, simulator throughput).  The
-    dict is filled in place so a raising phase still leaves the
-    completed phases for failure records.
+    The worker's two phases, ``synthesis`` and ``simulate``, are timed
+    into *cell_telemetry*, and an ambient :class:`Telemetry` captures
+    the cell's counters (trace-cache outcomes, the engine used, the
+    accesses simulated).  The dict is filled in place so a raising
+    phase still leaves the completed phases for failure records.  The
+    ``serialize`` phase is the parent's store write
+    (:meth:`RunStore.record_result`).
     """
     timed = functools.partial(_timed_phase, cell_telemetry.setdefault("phases", {}))
     with Telemetry() as tele:
@@ -368,12 +370,8 @@ def _execute_cell(
                     trace, spec.config, ipa=get_workload(spec.workload).ipa,
                     warmup=spec.warmup, machine=spec.machine,
                 )
-            with timed("serialize"):
-                result.to_dict()
         finally:
-            snapshot = tele.snapshot()
-            for key in ("counters", "gauges", "timers"):
-                cell_telemetry[key] = snapshot[key]
+            cell_telemetry["counters"] = tele.counters
     return result
 
 
@@ -1020,10 +1018,11 @@ def run_sweep(
         A :class:`SweepReport`; failed cells appear in ``report.failures``
         rather than raising, so partial results stay usable (call
         :meth:`SweepReport.raise_on_failure` to raise instead).  Every
-        executed cell's phase breakdown (spawn/synthesis/simulate/
-        serialize) lands in ``report.cell_telemetry`` and, with a
-        store, in its checkpoint record for ``repro report --timing``;
-        the merged counters land in ``report.telemetry``.
+        executed cell's phase breakdown (spawn/synthesis/simulate, and
+        with a store the ``serialize`` phase of its record's write)
+        lands in ``report.cell_telemetry`` and, with a store, in its
+        checkpoint record for ``repro report --timing``; the merged
+        counters land in ``report.telemetry``.
     """
     check_length_warmup(length, warmup)
     check_sweep_options(workers=workers, retries=retries, timeout=timeout,
@@ -1194,15 +1193,14 @@ def run_sweep(
                 cell_telemetry[spec.key] = cell_tele
                 parent_tele.merge(cell_tele)
                 if run_store is not None:
-                    with parent_tele.timer("store.append_seconds"):
-                        run_store.record_result(
-                            spec.workload,
-                            spec.config_name,
-                            result,
-                            attempts=cell_attempts,
-                            elapsed=elapsed,
-                            telemetry=cell_tele,
-                        )
+                    run_store.record_result(
+                        spec.workload,
+                        spec.config_name,
+                        result,
+                        attempts=cell_attempts,
+                        elapsed=elapsed,
+                        telemetry=cell_tele,
+                    )
                 logger.event(
                     "cell.ok", workload=spec.workload, config=spec.config_name,
                     attempts=cell_attempts, elapsed=round(elapsed, 6),
@@ -1269,8 +1267,8 @@ def run_sweep(
         replayed=len(replayed),
         attempts=attempts,
         cell_telemetry=cell_telemetry,
-        telemetry={"started": sweep_started, "wall_time": wall_time,
-                   "phases": sweep_phases, "hangs": hangs, **snapshot},
+        telemetry={"started": sweep_started, "phases": sweep_phases,
+                   "hangs": hangs, **snapshot},
         wall_time=wall_time,
         poisoned=len(poisoned),
         aborted=aborted,

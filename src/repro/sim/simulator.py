@@ -29,7 +29,6 @@ from __future__ import annotations
 import gc as _gc
 from contextlib import contextmanager as _contextmanager
 from itertools import islice as _islice
-from time import perf_counter as _perf_counter
 from typing import Iterator, Optional
 
 from ..obs.metrics import current as _telemetry_current
@@ -349,13 +348,6 @@ class MemorySimulator:
             self.batch_fallback = batch_fallback_reason(self)
             use_batch = self.batch_fallback is None
         self.engine_used = "batch" if use_batch else "scalar"
-        # Throughput sampling: two clock reads around the whole run when
-        # an ambient Telemetry is active, nothing otherwise.  It never
-        # touches simulator state, so results are bitwise-identical with
-        # telemetry enabled and disabled (the equivalence harness runs
-        # both ways).
-        telemetry = _telemetry_current()
-        run_started = _perf_counter() if telemetry.enabled else 0.0
         # The run allocates heavily (generation records, fetch results,
         # event tuples) but creates no reference cycles, so generational
         # GC passes only add pauses; suspend collection for the run.  A
@@ -379,12 +371,13 @@ class MemorySimulator:
                     self._reset_stats()
                 self._consume(rows)
         self._finished = True
+        # Two counters per run, never per access; a sweep divides
+        # ``sim.accesses`` by the cell's ``simulate`` phase for its
+        # throughput (repro.obs.tracing.build_sweep_trace).
+        telemetry = _telemetry_current()
         if telemetry.enabled:
-            elapsed = _perf_counter() - run_started
-            telemetry.record("simulator.run_seconds", elapsed)
-            if elapsed > 0:
-                telemetry.gauge("simulator.accesses_per_sec", len(trace) / elapsed)
             telemetry.count("sim.engine_used." + self.engine_used)
+            telemetry.count("sim.accesses", len(trace))
         return self._build_result(trace)
 
     def _consume(self, rows) -> None:

@@ -10,8 +10,8 @@ completed work:
 - one **cell** line per finished cell — either ``status: "ok"`` with
   the serialized :class:`~repro.sim.results.SimulationResult` (metric
   banks included when the cell collected them) and the cell's
-  telemetry, or ``status: "failed"`` with the structured failure
-  record.
+  telemetry, whose ``serialize`` phase times that very encoding, or
+  ``status: "failed"`` with the structured failure record.
 
 Failure model (see also docs/ARCHITECTURE.md, "Failure model"):
 
@@ -33,15 +33,19 @@ Failure model (see also docs/ARCHITECTURE.md, "Failure model"):
   superseded duplicates away.
 
 Resume safety: :meth:`RunStore.start` refuses to continue into a store
-whose manifest disagrees on length/seed/warmup/machine, or whose named
-configurations hash differently — silently mixing results from two
-different experiments is the classic campaign-corruption bug.
+any of whose manifests disagrees on length/seed/warmup/machine, or
+names a configuration that hashes differently — silently mixing
+results from two different experiments is the classic
+campaign-corruption bug.  Every manifest counts, not only the latest:
+a sweep over other configurations in between must not let a name
+that an earlier sweep defined be redefined.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -71,19 +75,24 @@ class LoadReport:
     garbage anywhere before the tail; ``superseded`` the earlier
     duplicates that a newer record for the same cell replaced;
     ``torn_tail`` the undecodable final line a crash mid-append leaves
-    behind (tolerated, not corruption).  :meth:`RunStore.repair` moves
+    behind (tolerated, not corruption); ``manifests`` every manifest
+    line, in store order.  :meth:`RunStore.repair` moves
     quarantined/superseded/torn lines into the ``.quarantine`` sidecar
     and rewrites the store compacted.
     """
 
     path: str
-    manifest: Optional[Dict[str, Any]] = None
+    manifests: List[Dict[str, Any]] = field(default_factory=list)
     cells: Dict[CellKey, Dict[str, Any]] = field(default_factory=dict)
     quarantined: List[LineIssue] = field(default_factory=list)
     superseded: List[LineIssue] = field(default_factory=list)
     torn_tail: Optional[LineIssue] = None
     total_lines: int = 0
-    manifests: int = 0
+
+    @property
+    def manifest(self) -> Optional[Dict[str, Any]]:
+        """The latest manifest, or None for a store without one."""
+        return self.manifests[-1] if self.manifests else None
 
     @property
     def clean(self) -> bool:
@@ -105,7 +114,7 @@ class LoadReport:
         parts = [
             f"{self.total_lines} lines: {len(self.cells)} cells recovered "
             f"({self.ok_cells} ok, {self.failed_cells} failed), "
-            f"{self.manifests} manifest(s)"
+            f"{len(self.manifests)} manifest(s)"
         ]
         if self.quarantined:
             parts.append(f"{len(self.quarantined)} quarantined")
@@ -187,8 +196,7 @@ class RunStore(JsonlJournal):
                         f"fidelity {fidelity!r}; this build reads only exact "
                         f"stores"
                     )
-                report.manifest = record
-                report.manifests += 1
+                report.manifests.append(record)
             elif kind == "cell":
                 if report.manifest is None:
                     report.quarantined.append(
@@ -229,20 +237,6 @@ class RunStore(JsonlJournal):
         report = self.load_report()
         return report.manifest, report.cells
 
-    def telemetries(self) -> Dict[CellKey, Optional[Dict[str, Any]]]:
-        """Per-cell telemetry dicts, ``None`` for cells stored without any.
-
-        Looks in the right place for each cell status — ok cells carry
-        telemetry at the record top level, failed cells inside their
-        failure record — for ``repro report --timing``.  Keys follow the
-        store's sorted cell order.
-        """
-        _, cells = self.load()
-        return {
-            key: rec.get("telemetry") or (rec.get("failure") or {}).get("telemetry")
-            for key, rec in sorted(cells.items())
-        }
-
     # -- repair --------------------------------------------------------------
 
     def repair(self) -> LoadReport:
@@ -250,10 +244,11 @@ class RunStore(JsonlJournal):
 
         Quarantined, superseded, and torn-tail lines are appended to
         the ``.quarantine`` sidecar (as JSON records with line number
-        and reason); the store is rewritten as the latest manifest plus
-        exactly one line per cell (last wins), via a temp file, fsync,
-        and atomic rename — a crash mid-repair leaves either the old or
-        the new store, never a hybrid.  Returns the pre-repair
+        and reason); the store is rewritten as every manifest, in order
+        (resume checks them all), plus exactly one line per cell (last
+        wins), via a temp file, fsync, and atomic rename — a crash
+        mid-repair leaves either the old or the new store, never a
+        hybrid.  Returns the pre-repair
         :class:`LoadReport`.  Requires the store to be closed for
         appending; takes the writer lock for the duration.
         """
@@ -292,11 +287,7 @@ class RunStore(JsonlJournal):
 
     def _rewrite_compacted(self, report: LoadReport) -> None:
         """Atomically replace the store with its compacted contents."""
-        records: List[Mapping[str, Any]] = []
-        if report.manifest is not None:
-            records.append(report.manifest)
-        records.extend(report.cells.values())
-        self._atomic_rewrite(records)
+        self._atomic_rewrite([*report.manifests, *report.cells.values()])
 
     # -- writing -------------------------------------------------------------
 
@@ -309,12 +300,13 @@ class RunStore(JsonlJournal):
         another process holds it).  A fresh store gets *manifest* as
         its first line.  A non-empty store requires ``resume=True``
         (protecting completed work from accidental reuse of the same
-        path) and must be **compatible**: same length/seed/warmup/
-        machine digest, and identical digests for every configuration
-        name both runs share.  A torn trailing line or corrupt interior
-        lines found on open are repaired away (quarantined to the
-        sidecar, survivors compacted) before the first append, so new
-        records never land on a tear.  A new manifest line is appended
+        path) and must be **compatible** with every manifest it holds:
+        same length/seed/warmup/machine digest, and identical digests
+        for every configuration name both runs share.  A torn trailing
+        line or corrupt interior lines found on open are repaired away
+        (quarantined to the sidecar, survivors and every manifest
+        compacted) before the first append, so new records never land
+        on a tear.  A new manifest line is appended
         on every start, leaving an audit trail.
         """
         self._acquire_lock()
@@ -323,21 +315,20 @@ class RunStore(JsonlJournal):
             if not report.clean and self._fh is None:
                 self._repair_under_lock(report)
                 report = self.load_report()
-            prior, cells = report.manifest, report.cells
-            if prior is not None:
-                if not resume:
-                    raise StoreError(
-                        f"store {self.path} already contains a run; pass "
-                        f"resume=True to continue it or remove the file to "
-                        f"start over"
-                    )
+            if report.manifests and not resume:
+                raise StoreError(
+                    f"store {self.path} already contains a run; pass "
+                    f"resume=True to continue it or remove the file to "
+                    f"start over"
+                )
+            for prior in report.manifests:
                 _check_compatible(self.path, prior, manifest)
             self._open_append()
         except BaseException:
             self._release_lock()
             raise
         self._append({"kind": "manifest", "version": STORE_VERSION, **manifest})
-        return cells
+        return report.cells
 
     def _repair_under_lock(self, report: LoadReport) -> None:
         """The auto-repair :meth:`start` runs when it finds damage."""
@@ -358,16 +349,20 @@ class RunStore(JsonlJournal):
         *,
         attempts: int = 1,
         elapsed: float = 0.0,
-        telemetry: Optional[Mapping[str, Any]] = None,
+        telemetry: Optional[Dict[str, Any]] = None,
     ) -> None:
         """Append one completed cell (``result`` is a SimulationResult).
 
         *telemetry* is the cell's phase-timing/counter dict from the
         runner; persisting it is what lets ``repro report --timing``
         rebuild a sweep's time breakdown from the store afterwards.
-        The runner passes it for every cell, but stores written by
-        earlier builds hold cells without it, so readers must treat the
-        key as optional.
+        The result is encoded once, ``to_dict(include_metrics=True)``
+        then ``json.dumps``, and that encoding is timed as the cell's
+        ``serialize`` phase: it is set in *telemetry* in place, before
+        the record is written, so the stored phases and the caller's
+        live dict agree.  The runner passes telemetry for every cell,
+        but stores written by earlier builds hold cells without it, so
+        readers must treat the key as optional.
 
         The record holds the result's full
         :class:`~repro.core.metrics.TimekeepingMetrics` state whenever
@@ -376,18 +371,22 @@ class RunStore(JsonlJournal):
         live one and figure datasets can be derived from the store
         alone.  Cells without metric banks store none.
         """
-        record = {
+        start, t0 = time.time(), time.perf_counter()
+        result_json = json.dumps(result.to_dict(include_metrics=True),
+                                 separators=(",", ":"))
+        serialize = [start, time.perf_counter() - t0]
+        record: Dict[str, Any] = {
             "kind": "cell",
             "workload": workload,
             "config": config,
             "status": "ok",
             "attempts": attempts,
             "elapsed": round(elapsed, 6),
-            "result": result.to_dict(include_metrics=True),
         }
         if telemetry is not None:
-            record["telemetry"] = dict(telemetry)
-        self._append(record)
+            telemetry.setdefault("phases", {})["serialize"] = serialize
+            record["telemetry"] = telemetry
+        self._append(record, result_json)
 
     def record_failure(self, failure: "Any") -> None:
         """Append one failed cell (``failure`` is a CellFailure)."""
@@ -402,10 +401,20 @@ class RunStore(JsonlJournal):
             }
         )
 
-    def _append(self, record: Mapping[str, Any]) -> None:
+    def _append(self, record: Mapping[str, Any],
+                result_json: Optional[str] = None) -> None:
+        """Write *record* as one line: one write, flushed and fsynced.
+
+        *result_json*, an ok cell's result already encoded, becomes the
+        line's last key, ``result``, without being parsed or encoded
+        again.
+        """
         if self._fh is None:
             raise StoreError(f"store {self.path} is not open; call start() first")
-        data = (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
+        text = json.dumps(record, separators=(",", ":"))
+        if result_json is not None:
+            text = f'{text[:-1]},"result":{result_json}}}'
+        data = (text + "\n").encode("utf-8")
         after = None
         injector = current_injector()
         if injector.armed:

@@ -315,11 +315,10 @@ class TraceCache:
                     return cached
             self.rebuilds += 1
             current_telemetry().count("trace_cache.rebuild")
-            with current_telemetry().timer("trace_cache.build_seconds"):
-                if builder is None:
-                    trace = build_workload(workload, length=length, seed=seed)
-                else:
-                    trace = builder()
+            if builder is None:
+                trace = build_workload(workload, length=length, seed=seed)
+            else:
+                trace = builder()
             current_logger().event(
                 "trace_cache.rebuild", workload=workload, length=length, seed=seed,
             )

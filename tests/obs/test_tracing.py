@@ -73,7 +73,7 @@ class _FakeReport:
         self.telemetry = telemetry
 
 
-def _cell(pid, start, attempt=1, gauges=None):
+def _cell(pid, start, attempt=1, counters=None):
     tele = {
         "pid": pid,
         "attempt": attempt,
@@ -83,8 +83,8 @@ def _cell(pid, start, attempt=1, gauges=None):
             "serialize": [start + 0.6, 0.01],
         },
     }
-    if gauges:
-        tele["gauges"] = gauges
+    if counters:
+        tele["counters"] = counters
     return tele
 
 
@@ -113,17 +113,33 @@ class TestBuildSweepTrace:
     def test_cell_span_encloses_phase_spans(self):
         report = _FakeReport({
             ("gzip", "base"): _cell(pid=7, start=50.0,
-                                    gauges={"simulator.accesses_per_sec": 123456.7}),
+                                    counters={"sim.accesses": 61_728}),
         })
         events = build_sweep_trace(report).to_json()["traceEvents"]
         spans = {e["name"]: e for e in events if e["ph"] == "X"}
         cell = spans["gzip:base"]
-        assert cell["args"]["accesses_per_sec"] == 123457
+        assert cell["args"]["accesses_per_sec"] == 123_456
         for phase in ("synthesis", "simulate", "serialize"):
             assert spans[phase]["tid"] == cell["tid"]
             assert spans[phase]["ts"] >= cell["ts"]
             assert (spans[phase]["ts"] + spans[phase]["dur"]
                     <= cell["ts"] + cell["dur"] + 1e-3)
+
+    def test_accesses_per_sec_is_accesses_over_simulate_phase(self):
+        # _cell's simulate phase lasts 0.5 s.
+        failed = _cell(pid=3, start=0.0, counters={"sim.accesses": 1000})
+        del failed["phases"]["simulate"]
+        report = _FakeReport({
+            ("gzip", "base"): _cell(pid=3, start=1.0, counters={"sim.accesses": 1000}),
+            ("eon", "base"): _cell(pid=3, start=2.0),
+        }, failures=[_FakeFailure("mcf", "base", failed)])
+        events = build_sweep_trace(report).to_json()["traceEvents"]
+        cells = {e["name"]: e["args"] for e in events
+                 if e["ph"] == "X" and "attempt" in e.get("args", {})}
+        assert cells["gzip:base"]["accesses_per_sec"] == 2000
+        # No sim.accesses counter, or no simulate phase: no throughput.
+        assert "accesses_per_sec" not in cells["eon:base"]
+        assert "accesses_per_sec" not in cells["mcf:base (failed)"]
 
     def test_retried_cell_gets_instant_marker(self):
         report = _FakeReport({("gzip", "base"): _cell(pid=1, start=0.0, attempt=3)})

@@ -138,9 +138,10 @@ class TestSweepTelemetry:
         from repro.obs.tracing import validate_chrome_trace
 
         trace_path = tmp_path / "trace.json"
+        # With a store, so each cell has the serialize phase of its write.
         assert main(["sweep", "--workloads", "gzip", "--configs", "base,victim_tk",
                      "--length", "1200", "--trace-out", str(trace_path),
-                     "--quiet"]) == 0
+                     "--store", str(tmp_path / "run.jsonl"), "--quiet"]) == 0
         assert "wrote Chrome trace" in capsys.readouterr().err
         trace = json.loads(trace_path.read_text())
         assert validate_chrome_trace(trace) == []
@@ -207,6 +208,23 @@ class TestReport:
         out = capsys.readouterr().out
         assert "phase totals" in out
         assert "simulate" in out
+
+    def test_timing_parses_the_store_once(self, capsys, tmp_path, monkeypatch):
+        from repro.sim.store import RunStore
+
+        store = self._sweep_into(tmp_path)
+        scans = []
+        load_report = RunStore.load_report
+
+        def counting(self):
+            scans.append(self.path)
+            return load_report(self)
+
+        monkeypatch.setattr(RunStore, "load_report", counting)
+        capsys.readouterr()
+        assert main(["report", store, "--timing"]) == 0
+        assert "phase totals" in capsys.readouterr().out
+        assert scans == [store]
 
     def test_timing_without_telemetry_explains_itself(self, capsys, tmp_path):
         # A store an earlier build wrote: its cell record has no

@@ -7,18 +7,31 @@ runner tests use so the suite stays fast.
 
 import dataclasses
 import json
+import time
 
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.obs.metrics import PHASES, Telemetry
 from repro.obs.logging import JsonlLogger
+from repro.sim.results import SimulationResult
 from repro.sim.runner import CellFailure, SweepReport, run_sweep
 from repro.sim.store import RunStore
 
 CONFIGS = {"base": {}, "victim": {"victim_filter": "unfiltered"}}
 
 LENGTH = 1200
+
+#: Accesses one cell simulates: LENGTH plus the default length // 3 warm-up.
+CELL_ACCESSES = LENGTH + LENGTH // 3
+
+#: The keys of one executed cell's telemetry.
+CELL_KEYS = {"pid", "attempt", "phases", "counters"}
+
+
+def _engines_used(counters):
+    return sum(n for name, n in counters.items()
+               if name.startswith("sim.engine_used."))
 
 
 def _permanent_fault(workload, config, attempt):
@@ -102,13 +115,15 @@ class TestSerialTelemetry:
         assert set(report.cell_telemetry) == {("gzip", "base"), ("gzip", "victim")}
         for tele in report.cell_telemetry.values():
             phases = tele["phases"]
-            # Serial engine: no spawn phase, and phases run in order.
-            assert set(phases) == {"synthesis", "simulate", "serialize"}
+            # Serial engine: no spawn phase, no store: no serialize
+            # phase, and phases run in order.
             order = sorted(phases, key=lambda name: phases[name][0])
-            assert order == ["synthesis", "simulate", "serialize"]
+            assert order == ["synthesis", "simulate"]
             assert all(dur >= 0 for _start, dur in phases.values())
-        # Worker counters/timers fold into the ambient collector.
-        assert ambient.timers["simulator.run_seconds"].count == 2
+        # Worker counters fold into the ambient collector: one engine
+        # and one trace's accesses per simulator run.
+        assert _engines_used(ambient.counters) == 2
+        assert ambient.counters["sim.accesses"] == 2 * CELL_ACCESSES
         assert report.telemetry["phases"]["execute"][1] > 0
 
     def test_results_identical_with_and_without_telemetry(self):
@@ -149,7 +164,8 @@ class TestWorkerProcessTelemetry:
             assert set(tele["phases"]) <= set(PHASES)
         merged = report.telemetry
         # One simulator run per executed cell, summed across processes.
-        assert merged["timers"]["simulator.run_seconds"]["count"] == 4
+        assert _engines_used(merged["counters"]) == 4
+        assert merged["counters"]["sim.accesses"] == 4 * CELL_ACCESSES
         # Each worker loads a workload's trace from the prewarmed cache
         # once, for the first of its cells of that workload, so the
         # workers hit at least once per workload; the parent's prewarm
@@ -192,6 +208,56 @@ class TestStorePersistence:
             assert record["status"] == "ok"
             assert {"synthesis", "simulate", "serialize"} <= set(
                 record["telemetry"]["phases"])
+
+    def test_serialize_phase_times_the_store_write(self, tmp_path, monkeypatch):
+        # A slow encoding shows in the phase, and the record and the
+        # live report carry the same value.
+        to_dict = SimulationResult.to_dict
+
+        def slow_to_dict(result, *args, **kwargs):
+            time.sleep(0.02)
+            return to_dict(result, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationResult, "to_dict", slow_to_dict)
+        store_path = tmp_path / "run.jsonl"
+        report = run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
+                           trace_cache=False, store=store_path)
+        _manifest, cells = RunStore(store_path).load()
+        assert set(cells) == set(report.cell_telemetry) == {
+            ("gzip", "base"), ("gzip", "victim")}
+        for key, record in cells.items():
+            live = report.cell_telemetry[key]
+            assert set(live) == CELL_KEYS
+            assert record["telemetry"] == live
+            assert live["phases"]["serialize"][1] >= 0.02
+
+    def test_each_ok_cell_is_encoded_once(self, tmp_path, monkeypatch):
+        calls = []
+        to_dict = SimulationResult.to_dict
+
+        def counting_to_dict(result, *args, **kwargs):
+            calls.append(kwargs)
+            return to_dict(result, *args, **kwargs)
+
+        monkeypatch.setattr(SimulationResult, "to_dict", counting_to_dict)
+        run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH, trace_cache=False)
+        assert calls == []  # nothing is stored, so nothing is serialized
+        report = run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
+                           trace_cache=False, store=tmp_path / "run.jsonl")
+        assert report.ok_cells == 2
+        assert calls == [{"include_metrics": True}] * 2
+
+    def test_storeless_sweep_has_no_serialize_phase(self, tmp_path):
+        serial = run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
+                           trace_cache=False)
+        pool = run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH, workers=2,
+                         trace_cache=str(tmp_path / "cache"))
+        for report, phases in ((serial, {"synthesis", "simulate"}),
+                               (pool, {"spawn", "synthesis", "simulate"})):
+            assert len(report.cell_telemetry) == 2
+            for tele in report.cell_telemetry.values():
+                assert set(tele) == CELL_KEYS
+                assert set(tele["phases"]) == phases
 
     def test_failure_telemetry_round_trips_through_store(self, tmp_path):
         store_path = tmp_path / "run.jsonl"

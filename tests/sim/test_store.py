@@ -109,6 +109,26 @@ class TestResumeGuards:
         extended = dict(MANIFEST, configs=dict(MANIFEST["configs"], extra="d3"))
         RunStore(path).start(extended, resume=True)  # no raise
 
+    @pytest.mark.parametrize("damage", [None, "repair", "torn-tail"],
+                             ids=["as-written", "repaired", "auto-repaired"])
+    def test_resume_checks_every_manifest(self, tmp_path, damage):
+        # The second sweep's manifest does not name 'a'.  Redefining 'a'
+        # after it must still be refused, or the first sweep's 'a' cell
+        # would replay under the new definition.  Repairs, explicit or
+        # the one start() runs on a torn tail, keep every manifest.
+        store = tmp_path / "run.jsonl"
+        sweep = dict(workloads=["gzip"], length=1200, trace_cache=False, store=store)
+        run_sweep({"a": {}}, **sweep)
+        run_sweep({"b": {"victim_filter": "timekeeping"}}, resume=True, **sweep)
+        if damage == "repair":
+            RunStore(store).repair()
+        elif damage == "torn-tail":
+            with open(store, "a", encoding="utf-8") as fh:
+                fh.write('{"kind": "cell", "work')
+        with pytest.raises(StoreError, match="configuration 'a' hashes differently"):
+            run_sweep({"a": {"prefetcher": "timekeeping"}}, resume=True, **sweep)
+        assert len(RunStore(store).load_report().manifests) == 2
+
 
 class TestFidelityCompatibility:
     def test_exact_manifest_has_no_fidelity_key(self, tmp_path):
