@@ -26,14 +26,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
 from typing import List, Optional
 
 from .analysis.report import format_table, percent
 from .common.config import paper_machine
 from .common.types import MissClass
-from .obs.logging import JsonlLogger
-from .obs.metrics import PHASES, aggregate_phases
+from .obs.metrics import PHASES, Telemetry, aggregate_phases
 from .obs.progress import SweepObserver, SweepProgress
 from .obs.tracing import build_sweep_trace
 from .sim.runner import check_length_warmup, run_sweep, sweep_warmup
@@ -369,8 +367,8 @@ def _cmd_sweep(args, out) -> int:
         trace_cache = False
     elif args.cache_root:
         trace_cache = args.cache_root
-    log_scope = JsonlLogger(args.log_json) if args.log_json else nullcontext()
-    with log_scope:
+    # The log opens here, before the sweep: a bad path leaves no store.
+    with Telemetry(log=args.log_json or None):
         report = run_sweep(
             configs,
             workloads=workloads,
@@ -579,10 +577,15 @@ def _cmd_report(args, out) -> int:
     rows = []
     for (w, c), tele in telemetries.items():
         phases = (tele or {}).get("phases", {})
+        # A cell's `elapsed` ends at its outcome, before the store write
+        # that is its serialize phase: the wall adds that phase.
+        wall = cells[(w, c)].get("elapsed")
+        if wall is not None and "serialize" in phases:
+            wall += phases["serialize"][1]
         rows.append(
             [w, c]
             + [_format_seconds(phases[p][1]) if p in phases else "-" for p in PHASES]
-            + [_format_seconds(cells[(w, c)].get("elapsed"))]
+            + [_format_seconds(wall)]
         )
     print(
         format_table(

@@ -86,7 +86,6 @@ class SweepProgress(SweepObserver):
         self.cache_lookups = 0.0
         self.engine_counts: Dict[str, int] = {}
         self._elapsed_sum = 0.0
-        self._started = 0.0
         self._last_paint = 0.0
         self._line_len = 0
         try:
@@ -97,10 +96,10 @@ class SweepProgress(SweepObserver):
     # -- observer hooks ------------------------------------------------------
 
     def on_sweep_start(self, total: int, workers: int) -> None:
-        """Record the campaign size and paint the initial line."""
-        self.total = total
+        """Add the sweep's cells to the total and paint the line: one
+        progress can follow the several sweeps of a ``repro paper``."""
+        self.total += total
         self.workers = max(1, workers)
-        self._started = time.monotonic()
         self._paint(force=True)
 
     def on_cell_start(self, workload: str, config: str, attempt: int) -> None:

@@ -20,7 +20,13 @@ whose ``results`` map ``{workload: {config_name: result}}`` and whose
 ``failures`` list records every cell that did not produce a result.
 Every executed cell records its phase timings and counters, in the
 report's ``cell_telemetry`` and, with a store, in the cell's record;
-the store write itself is the cell's ``serialize`` phase.
+the store write itself is the cell's ``serialize`` phase.  The sweep's
+lifecycle (its start and end, each cell attempt's start, each cell's
+outcome, a hung worker, an abort) is a
+:meth:`~repro.obs.metrics.Telemetry.event` of the sweep's own
+collector: counted in ``report.telemetry`` and written to the log of
+the caller's collector, which every cell's collector, in a pool worker
+too, writes its trace-cache events to as well.
 
 Executors
 ---------
@@ -77,7 +83,6 @@ from ..common.config import MachineConfig, config_digest, paper_machine
 from ..common.errors import CellTimeoutError, ReproError, SimulationError
 from ..faults.injector import FaultInjector, current_injector
 from ..faults.plan import FaultPlan
-from ..obs.logging import current_logger
 from ..obs.metrics import Telemetry
 from ..obs.metrics import current as current_telemetry
 from ..obs.progress import SweepObserver
@@ -211,7 +216,8 @@ class SweepReport:
     #: are absent.
     cell_telemetry: Dict[CellKey, Dict[str, Any]] = field(default_factory=dict)
     #: Sweep-level telemetry: ``started`` (epoch), ``phases`` (parent
-    #: prewarm/execute), ``hangs`` and the merged worker ``counters``.
+    #: prewarm/execute), ``hangs`` and the ``counters``: the merged
+    #: cells' and the parent's, lifecycle events included.
     telemetry: Dict[str, Any] = field(default_factory=dict)
     #: Wall-clock seconds for the whole invocation.
     wall_time: float = 0.0
@@ -352,7 +358,9 @@ def _execute_cell(
     The worker's two phases, ``synthesis`` and ``simulate``, are timed
     into *cell_telemetry*, and an ambient :class:`Telemetry` captures
     the cell's counters (trace-cache outcomes, the engine used, the
-    accesses simulated).  The dict is filled in place so a raising
+    accesses simulated) and writes its events to the log it inherits
+    from the collector active in this process (a pool worker's, over
+    the fork).  The dict is filled in place so a raising
     phase still leaves the completed phases for failure records.  The
     ``serialize`` phase is the parent's store write
     (:meth:`RunStore.record_result`).
@@ -616,7 +624,7 @@ def _run_serial(
     cells: Sequence[CellSpec],
     retry: _RetryTracker,
     fault_hook: Optional[FaultHook],
-    notify: Optional[_Notify],
+    notify: _Notify,
 ) -> Generator[_CellDone, None, None]:
     """In-process serial executor (``workers == 1``, no timeout/supervision).
 
@@ -629,8 +637,7 @@ def _run_serial(
             attempt = 1
             started = time.monotonic()
             while True:
-                if notify is not None:
-                    notify(spec, attempt)
+                notify(spec, attempt)
                 outcome = _run_attempt(spec, source, fault_hook, attempt, None)
                 # (no plan arg: the ambient injector, if any, is already
                 # active in this process — serial faults hit the campaign
@@ -752,7 +759,7 @@ def _run_supervised(
     timeout: Optional[float],
     retry: _RetryTracker,
     fault_hook: Optional[FaultHook],
-    notify: Optional[_Notify],
+    notify: _Notify,
     plan: Optional[FaultPlan] = None,
     hang_grace: Optional[float] = None,
     on_hang: Optional[_OnHang] = None,
@@ -786,8 +793,7 @@ def _run_supervised(
                     worker = _Worker(ctx, fault_hook, plan, timeout, hang_grace)
                     pool.append(worker)
                 queue.remove(pending)
-                if notify is not None:
-                    notify(pending.spec, pending.attempt)
+                notify(pending.spec, pending.attempt)
                 if pending.started_at == 0.0:
                     pending.started_at = now
                 worker.submit(pending)
@@ -1036,7 +1042,6 @@ def run_sweep(
     resolved_warmup = sweep_warmup(length, warmup)
 
     ambient = current_telemetry()
-    logger = current_logger()
     sweep_started = time.time()
     sweep_mono = time.monotonic()
     parent_tele = Telemetry()
@@ -1132,20 +1137,17 @@ def run_sweep(
                     cache.prewarm(name, total, seed)
             sweep_phases["prewarm"] = [prewarm_start, time.monotonic() - t0]
 
-        # Attempt-start fan-out: observer, JSONL log.
-        notify: Optional[_Notify] = None
-        if observer is not None or logger.enabled:
-            def notify(spec: CellSpec, attempt: int) -> None:
-                if observer is not None:
-                    observer.on_cell_start(spec.workload, spec.config_name, attempt)
-                logger.event(
-                    "cell.start", workload=spec.workload, config=spec.config_name,
-                    attempt=attempt,
-                )
+        def notify(spec: CellSpec, attempt: int) -> None:
+            if observer is not None:
+                observer.on_cell_start(spec.workload, spec.config_name, attempt)
+            parent_tele.event(
+                "cell.start", workload=spec.workload, config=spec.config_name,
+                attempt=attempt,
+            )
 
         if observer is not None:
             observer.on_sweep_start(len(to_run), workers)
-        logger.event(
+        parent_tele.event(
             "sweep.start", cells=len(cells), to_run=len(to_run),
             replayed=len(replayed), poisoned=len(poisoned), workers=workers,
             workloads=names, configs=list(configs),
@@ -1162,8 +1164,7 @@ def run_sweep(
                 "attempt": attempt, "pid": pid, "grace": grace,
                 "detected_at": time.time(),
             })
-            parent_tele.count("sweep.worker.hung")
-            logger.event(
+            parent_tele.event(
                 "worker.hung", workload=spec.workload, config=spec.config_name,
                 attempt=attempt, pid=pid, grace=grace,
             )
@@ -1201,7 +1202,7 @@ def run_sweep(
                         elapsed=elapsed,
                         telemetry=cell_tele,
                     )
-                logger.event(
+                parent_tele.event(
                     "cell.ok", workload=spec.workload, config=spec.config_name,
                     attempts=cell_attempts, elapsed=round(elapsed, 6),
                 )
@@ -1213,7 +1214,7 @@ def run_sweep(
                     parent_tele.merge(failure.telemetry)
                 if run_store is not None:
                     run_store.record_failure(failure)
-                logger.event(
+                parent_tele.event(
                     "cell.failed", workload=spec.workload, config=spec.config_name,
                     error_type=failure.error_type, attempts=cell_attempts,
                     elapsed=round(elapsed, 6),
@@ -1236,8 +1237,7 @@ def run_sweep(
                     f"{fresh_failures} of {len(cells)} cells failed, exceeding "
                     f"the max_failure_rate={max_failure_rate:g} circuit breaker"
                 )
-                parent_tele.count("sweep.aborted")
-                logger.event(
+                parent_tele.event(
                     "sweep.aborted", reason=abort_reason,
                     failed=fresh_failures, cells=len(cells),
                 )
@@ -1259,7 +1259,6 @@ def run_sweep(
             results.setdefault(cell.workload, {})
 
     wall_time = time.monotonic() - sweep_mono
-    snapshot = parent_tele.snapshot()
     report = SweepReport(
         results=results,
         failures=failures,
@@ -1268,21 +1267,21 @@ def run_sweep(
         attempts=attempts,
         cell_telemetry=cell_telemetry,
         telemetry={"started": sweep_started, "phases": sweep_phases,
-                   "hangs": hangs, **snapshot},
+                   "hangs": hangs, "counters": parent_tele.counters},
         wall_time=wall_time,
         poisoned=len(poisoned),
         aborted=aborted,
         abort_reason=abort_reason,
     )
-    if ambient.enabled and ambient is not parent_tele:
-        # Surface everything (worker counters included) to the caller's
-        # own Telemetry context.
-        ambient.merge(snapshot)
-    logger.event(
+    parent_tele.event(
         "sweep.end", ok=report.ok_cells, failed=len(failures),
         retried=report.retried, replayed=len(replayed),
         wall_time=round(wall_time, 6), summary=report.summary(),
     )
+    if ambient.enabled:
+        # Surface everything (worker counters included) to the caller's
+        # own Telemetry context.
+        ambient.merge(report.telemetry)
     if observer is not None:
         observer.on_sweep_end(report)
     return report

@@ -52,7 +52,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..common.errors import StoreError
 from ..common.jsonl import JsonlJournal, LineIssue, PathLike
 from ..faults.injector import current_injector
-from ..obs.logging import current_logger
 from ..obs.metrics import current as current_telemetry
 
 __all__ = [
@@ -268,8 +267,7 @@ class RunStore(JsonlJournal):
         finally:
             if owned_lock:
                 self._release_lock()
-        current_telemetry().count("store.repairs")
-        current_logger().event(
+        current_telemetry().event(
             "store.repair", path=self.path,
             quarantined=len(report.quarantined),
             superseded=len(report.superseded),
@@ -332,8 +330,7 @@ class RunStore(JsonlJournal):
 
     def _repair_under_lock(self, report: LoadReport) -> None:
         """The auto-repair :meth:`start` runs when it finds damage."""
-        current_telemetry().count("store.auto_repairs")
-        current_logger().event(
+        current_telemetry().event(
             "store.auto_repair", path=self.path,
             quarantined=len(report.quarantined),
             torn_tail=report.torn_tail is not None,

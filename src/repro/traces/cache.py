@@ -35,13 +35,12 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from ..common.errors import TraceError
 from ..faults.injector import current_injector
-from ..obs.logging import current_logger
 from ..obs.metrics import current as current_telemetry
 from .trace import COLUMN_DTYPES, Trace
 from .workloads import GENERATOR_VERSION, build_workload
@@ -97,15 +96,15 @@ class TraceCache:
         verify: Check column digests on every load.  Costs one linear
             hash pass per load; turn off only for trusted local roots.
 
-    ``hits``/``misses`` count :meth:`get` outcomes — every kind of
-    validation failure is a miss.  ``integrity_failures`` counts the
-    subset of misses where an entry *existed on disk* but failed
-    validation (digest mismatch, truncated column, stale generator
-    version, recipe mismatch); ``rebuilds`` counts traces synthesized
-    by :meth:`get_or_build`.  All four also flow into the ambient
-    :mod:`~repro.obs.metrics` telemetry (``trace_cache.*``), and
-    integrity failures and rebuilds are logged to the ambient
-    :mod:`~repro.obs.logging` JSONL logger.
+    The cache keeps no counters of its own; it records into the ambient
+    :mod:`~repro.obs.metrics` telemetry.  Every :meth:`get` counts a
+    ``trace_cache.hit`` or ``trace_cache.miss`` (every kind of
+    validation failure is a miss).  Rarer occurrences are events,
+    counted and written to the collector's log: a
+    ``trace_cache.integrity_failure`` is a miss whose entry *existed on
+    disk* but failed validation (digest mismatch, truncated column,
+    stale generator version, recipe mismatch), a
+    ``trace_cache.rebuild`` a trace synthesized by :meth:`get_or_build`.
     """
 
     root: Path = field(default_factory=default_cache_root)
@@ -113,10 +112,6 @@ class TraceCache:
     #: Age in seconds past which a leftover ``.tmp`` write directory (a
     #: crashed writer's residue) is deleted on open; 0 deletes any.
     stale_after: float = 3600.0
-    hits: int = 0
-    misses: int = 0
-    rebuilds: int = 0
-    integrity_failures: int = 0
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -144,8 +139,7 @@ class TraceCache:
             except OSError:  # pragma: no cover — raced with another cleaner
                 continue
         if removed:
-            current_telemetry().count("trace_cache.stale_tmp_removed", removed)
-            current_logger().event(
+            current_telemetry().event(
                 "trace_cache.stale_tmp_removed", root=str(self.root), count=removed,
             )
 
@@ -162,17 +156,13 @@ class TraceCache:
         trace, reason = self._load(entry, workload, length, seed)
         tele = current_telemetry()
         if trace is not None:
-            self.hits += 1
             tele.count("trace_cache.hit")
             return trace
-        self.misses += 1
         tele.count("trace_cache.miss")
         if reason is not None and (entry / "meta.json").exists():
             # The entry was present but unservable: corruption, a stale
             # generator, or a hand-edited/colliding recipe.
-            self.integrity_failures += 1
-            tele.count("trace_cache.integrity_failure")
-            current_logger().event(
+            tele.event(
                 "trace_cache.integrity_failure",
                 workload=workload, length=length, seed=seed, key=key, reason=reason,
             )
@@ -283,13 +273,7 @@ class TraceCache:
             _rmtree_quiet(tmpdir)
         return entry
 
-    def get_or_build(
-        self,
-        workload: str,
-        length: int,
-        seed: int,
-        builder: Optional[Callable[[], Trace]] = None,
-    ) -> Trace:
+    def get_or_build(self, workload: str, length: int, seed: int) -> Trace:
         """The main entry point: cached trace, or build + persist + reload.
 
         The freshly built trace is persisted and then *re-loaded from
@@ -303,41 +287,39 @@ class TraceCache:
         serve the freshly committed entry instead of redoing the
         synthesis (``trace_cache.build_lock_wait`` counts the waiters).
         """
+        return self._get_or_build(workload, length, seed)[0]
+
+    def prewarm(self, workload: str, length: int, seed: int) -> bool:
+        """Ensure an entry exists; True if this call had to build it."""
+        return self._get_or_build(workload, length, seed)[1]
+
+    def _get_or_build(self, workload: str, length: int,
+                      seed: int) -> Tuple[Trace, bool]:
+        """:meth:`get_or_build`'s trace, and whether this call built it."""
         cached = self.get(workload, length, seed)
         if cached is not None:
-            return cached
+            return cached, False
         with self._build_lock(trace_key(workload, length, seed)) as waited:
             if waited:
                 # Another process held the build lock; its entry may have
                 # landed while we blocked.
                 cached = self.get(workload, length, seed)
                 if cached is not None:
-                    return cached
-            self.rebuilds += 1
-            current_telemetry().count("trace_cache.rebuild")
-            if builder is None:
-                trace = build_workload(workload, length=length, seed=seed)
-            else:
-                trace = builder()
-            current_logger().event(
+                    return cached, False
+            trace = build_workload(workload, length=length, seed=seed)
+            current_telemetry().event(
                 "trace_cache.rebuild", workload=workload, length=length, seed=seed,
             )
             try:
                 self.put(trace, workload, length, seed)
             except OSError:
-                return trace
+                return trace, True
         reloaded = self.get(workload, length, seed)
-        return reloaded if reloaded is not None else trace
+        return (reloaded if reloaded is not None else trace), True
 
     def _build_lock(self, key: str) -> "_EntryLock":
         """Advisory per-entry lock serializing rebuilds of one key."""
         return _EntryLock(self.root / f".{key}.lock")
-
-    def prewarm(self, workload: str, length: int, seed: int) -> bool:
-        """Ensure an entry exists; True if this call had to build it."""
-        built = self.rebuilds
-        self.get_or_build(workload, length, seed)
-        return self.rebuilds > built
 
     # -- maintenance --------------------------------------------------------
 

@@ -11,6 +11,7 @@ import time
 from pathlib import Path
 
 from repro.faults import FaultInjector, FaultPlan, run_armed
+from repro.obs.metrics import Telemetry
 from repro.traces.cache import TraceCache, trace_key
 from repro.traces.workloads import build_workload
 
@@ -86,8 +87,9 @@ class TestCorruptEntries:
         column.write_bytes(bytes(raw))
 
         checker = TraceCache(root=cache.root)
-        assert checker.get(WORKLOAD, LENGTH, SEED) is None
-        assert checker.integrity_failures == 1
+        with Telemetry() as tele:
+            assert checker.get(WORKLOAD, LENGTH, SEED) is None
+        assert tele.counters["trace_cache.integrity_failure"] == 1
         # and get_or_build recovers by rebuilding over the bad entry
         rebuilt = checker.get_or_build(WORKLOAD, LENGTH, SEED)
         assert len(rebuilt) == LENGTH
@@ -130,5 +132,6 @@ def _put_trace(root):
 
 def _count_rebuilds(root):
     cache = TraceCache(root=Path(root))
-    trace = cache.get_or_build(WORKLOAD, LENGTH, SEED)
-    return cache.rebuilds, len(trace)
+    with Telemetry() as tele:
+        trace = cache.get_or_build(WORKLOAD, LENGTH, SEED)
+    return tele.counters.get("trace_cache.rebuild", 0), len(trace)

@@ -5,11 +5,14 @@ FAIL — the pipeline must still run, resume, and render; CI's full-scale
 run is what validates the science).
 """
 
+import io
+
 import pytest
 
 from repro.common.errors import ConfigError
 from repro.figures.pipeline import load_suite, plan_cells, render_report, run_paper
 from repro.figures.registry import select_specs
+from repro.obs.progress import SweepProgress
 from repro.sim.store import RunStore
 from repro.traces.workloads import SPEC2000
 
@@ -116,6 +119,15 @@ class TestOnePath:
                          **SCALE)
         assert warm.executed == 0
         assert warm.report_text == reference
+
+    def test_one_progress_counts_every_plan_group(self, tmp_path):
+        """fig04 and fig20 run as two sweeps; the status line ends at [N/N]."""
+        stream = io.StringIO()
+        run = run_paper(only=["fig04", "fig20"], out_dir=str(tmp_path),
+                        observer=SweepProgress(stream=stream), **SCALE)
+        status = [line for line in stream.getvalue().splitlines()
+                  if line.startswith("[")]
+        assert status[-1].startswith(f"[{run.executed}/{run.executed}]")
 
     def test_report_covers_only_the_planned_cells(self, tmp_path):
         """A resume over fewer workloads leaves the store's others out."""

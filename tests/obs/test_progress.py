@@ -35,6 +35,19 @@ class TestSweepProgress:
         assert "[2/4]" in line
         assert "ok=1 failed=1 retried=1" in line
 
+    def test_sweeps_through_one_progress_add_up(self):
+        # `repro paper` runs one sweep per plan group through one progress.
+        progress, stream = _progress()
+        for total in (3, 2):
+            progress.on_sweep_start(total, workers=1)
+            for _ in range(total):
+                progress.on_cell_done("gzip", "base", True, 1, 0.5)
+            progress.on_sweep_end(_Report())
+        status = [line for line in stream.getvalue().splitlines()
+                  if line.startswith("[")]
+        assert status[3].startswith("[3/3]")
+        assert status[-1].startswith("[5/5]")
+
     def test_eta_extrapolates_from_mean_elapsed_and_workers(self):
         progress, _stream = _progress()
         progress.on_sweep_start(6, workers=2)

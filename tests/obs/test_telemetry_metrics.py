@@ -21,13 +21,6 @@ class TestTelemetry:
         tele.count("cache.miss")
         assert tele.counters == {"cache.hit": 3, "cache.miss": 1}
 
-    def test_snapshot_is_json_able(self):
-        tele = Telemetry()
-        tele.count("c", 2)
-        snap = tele.snapshot()
-        assert json.loads(json.dumps(snap)) == snap
-        assert snap == {"counters": {"c": 2}}
-
     def test_merge_adds_counters(self):
         parent = Telemetry()
         parent.count("c", 1)
@@ -36,7 +29,7 @@ class TestTelemetry:
         worker.count("c", 2)
         worker.count("new", 5)
 
-        parent.merge(worker.snapshot())
+        parent.merge({"counters": worker.counters})
         assert parent.counters == {"c": 3, "new": 5}
 
     def test_merge_none_is_noop(self):
@@ -47,18 +40,19 @@ class TestTelemetry:
         assert tele.counters == {"c": 1}
 
     def test_merge_survives_cross_process_json_round_trip(self):
-        # Worker snapshots cross the process boundary as JSON-able
-        # dicts; a serialize/deserialize cycle must merge identically
-        # to the in-process snapshot.
+        # A worker's cell telemetry crosses the process boundary as a
+        # JSON-able dict; a serialize/deserialize cycle must merge
+        # identically to the in-process dict.
         worker = Telemetry()
         worker.count("cells", 3)
         worker.count("sim.accesses", 1200)
-        wire = json.loads(json.dumps(worker.snapshot()))
+        cell = {"counters": worker.counters}
+        wire = json.loads(json.dumps(cell))
 
         direct, via_wire = Telemetry(), Telemetry()
-        direct.merge(worker.snapshot())
+        direct.merge(cell)
         via_wire.merge(wire)
-        assert via_wire.snapshot() == direct.snapshot()
+        assert via_wire.counters == direct.counters
         assert via_wire.counters == {"cells": 3, "sim.accesses": 1200}
 
 

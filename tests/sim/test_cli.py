@@ -152,14 +152,25 @@ class TestSweepTelemetry:
         import json
 
         log_path = tmp_path / "events.jsonl"
+        # A cold cache of its own: the prewarm's rebuild is logged before
+        # sweep.start, whatever earlier tests left in the default cache.
         assert main(["sweep", "--workloads", "gzip", "--configs", "base",
                      "--length", "1200", "--log-json", str(log_path),
-                     "--quiet"]) == 0
+                     "--cache-root", str(tmp_path / "cache"), "--quiet"]) == 0
         kinds = [json.loads(line)["event"]
                  for line in log_path.read_text().splitlines()]
-        assert kinds[0] == "sweep.start"
-        assert "cell.ok" in kinds
-        assert kinds[-1] == "sweep.end"
+        assert kinds == ["trace_cache.rebuild", "sweep.start", "cell.start",
+                         "cell.ok", "sweep.end"]
+
+    def test_bad_log_json_path_leaves_no_store(self, capsys, tmp_path):
+        # The log opens before the sweep: a bad path is refused before
+        # the store gets a manifest, so a plain rerun is not refused.
+        store = tmp_path / "s.jsonl"
+        assert main(["sweep", "--workloads", "gzip", "--configs", "base",
+                     "--length", "1000", "--store", str(store), "--log-json",
+                     str(tmp_path / "nodir" / "ev.jsonl"), "--quiet"]) == 1
+        assert "nodir" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_progress_flag_renders_status_line(self, capsys):
         assert main(["sweep", "--workloads", "gzip", "--configs", "base",
@@ -226,23 +237,42 @@ class TestReport:
         assert "phase totals" in capsys.readouterr().out
         assert scans == [store]
 
-    def test_timing_without_telemetry_explains_itself(self, capsys, tmp_path):
-        # A store an earlier build wrote: its cell record has no
-        # telemetry key.
+    def _hand_written_store(self, tmp_path, **cell):
+        """A one-cell store; *cell* adds keys to the gzip/base record."""
         import json
 
         from repro.sim.sweep import run_workload
 
         result = run_workload("gzip", {"base": {}}, length=600)["base"]
-        store = tmp_path / "old.jsonl"
+        store = tmp_path / "hand.jsonl"
         store.write_text("\n".join(json.dumps(record) for record in [
             {"kind": "manifest", "version": 1, "length": 600, "seed": 0,
              "warmup": 200, "machine": "m", "workloads": ["gzip"],
              "configs": {"base": "c"}},
             {"kind": "cell", "workload": "gzip", "config": "base",
              "status": "ok", "attempts": 1, "elapsed": 0.1,
-             "result": result.to_dict()},
+             "result": result.to_dict(), **cell},
         ]) + "\n")
+        return store
+
+    def test_timing_wall_includes_the_store_write(self, capsys, tmp_path):
+        # `elapsed` ends at the cell's outcome, before its store write,
+        # the serialize phase: the wall is their sum, never shorter
+        # than the phases.
+        phases = {"synthesis": [0.0, 0.125], "simulate": [0.125, 0.125],
+                  "serialize": [0.25, 0.5]}
+        store = self._hand_written_store(
+            tmp_path, elapsed=0.25,
+            telemetry={"pid": 1, "attempt": 1, "phases": phases, "counters": {}})
+        assert main(["report", str(store), "--timing"]) == 0
+        (row,) = [line.split() for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("gzip")]
+        assert row == ["gzip", "base", "-", "0.125s", "0.125s", "0.500s", "0.750s"]
+
+    def test_timing_without_telemetry_explains_itself(self, capsys, tmp_path):
+        # A store an earlier build wrote: its cell record has no
+        # telemetry key.
+        store = self._hand_written_store(tmp_path)
         assert main(["report", str(store), "--timing"]) == 0
         out = capsys.readouterr().out
         assert "no telemetry in this store" in out

@@ -5,6 +5,7 @@ The heavier multi-process cases reuse the small workload set the other
 runner tests use so the suite stays fast.
 """
 
+import collections
 import dataclasses
 import json
 import time
@@ -13,7 +14,6 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.obs.metrics import PHASES, Telemetry
-from repro.obs.logging import JsonlLogger
 from repro.sim.results import SimulationResult
 from repro.sim.runner import CellFailure, SweepReport, run_sweep
 from repro.sim.store import RunStore
@@ -275,9 +275,9 @@ class TestStorePersistence:
 class TestJsonlEventLog:
     def test_sweep_emits_lifecycle_events(self, tmp_path):
         log_path = tmp_path / "events.jsonl"
-        with JsonlLogger(log_path):
-            run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
-                      trace_cache=False, fault_hook=_permanent_fault)
+        with Telemetry(log=log_path):
+            report = run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
+                               trace_cache=False, fault_hook=_permanent_fault)
         events = [json.loads(line) for line in log_path.read_text().splitlines()]
         kinds = [e["event"] for e in events]
         assert kinds[0] == "sweep.start"
@@ -289,3 +289,31 @@ class TestJsonlEventLog:
         assert failed["error_type"] == "ConfigError"
         end = events[-1]
         assert end["ok"] == 1 and end["failed"] == 1
+        # The runner's own collector counts its lifecycle events too.
+        counters = report.telemetry["counters"]
+        assert {kind: counters[kind] for kind in set(kinds)} == dict(
+            collections.Counter(kinds))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_event_kind_has_as_many_lines_as_its_counter(self, tmp_path, workers):
+        # A torn-tail store (auto-repaired on resume) and a cold trace
+        # cache (the missing cell's trace is rebuilt) exercise the
+        # store's and the cache's events next to the runner's.
+        store = tmp_path / "run.jsonl"
+        run_sweep(CONFIGS, workloads=["gzip", "eon"], length=LENGTH, store=store,
+                  trace_cache=False)
+        lines = store.read_text().splitlines(keepends=True)
+        store.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+        log_path = tmp_path / "events.jsonl"
+        with Telemetry(log=log_path) as tele:
+            report = run_sweep(CONFIGS, workloads=["gzip", "eon"], length=LENGTH,
+                               store=store, resume=True, workers=workers,
+                               trace_cache=tmp_path / "cache")
+        assert report.executed == 1 and not report.failures
+        events = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert all({"ts", "event"} <= set(e) for e in events)
+        kinds = collections.Counter(e["event"] for e in events)
+        assert kinds == {"store.auto_repair": 1, "trace_cache.rebuild": 1,
+                         "sweep.start": 1, "cell.start": 1, "cell.ok": 1,
+                         "sweep.end": 1}
+        assert {kind: tele.counters[kind] for kind in kinds} == dict(kinds)

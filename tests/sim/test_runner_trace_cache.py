@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.obs.metrics import Telemetry
 from repro.sim import runner
 from repro.sim.runner import run_sweep
 from repro.sim.store import RunStore
@@ -181,12 +182,12 @@ def test_complete_resume_loads_no_trace(tmp_path, synth_counts):
               trace_cache=tmp_path / "first")
     synth_counts.clear()
     cache = TraceCache(root=tmp_path / "empty")
-    report = run_sweep(CONFIGS, workloads=WORKLOADS, length=LENGTH, store=store,
-                       resume=True, trace_cache=cache)
+    with Telemetry() as tele:
+        report = run_sweep(CONFIGS, workloads=WORKLOADS, length=LENGTH, store=store,
+                           resume=True, trace_cache=cache)
     assert report.replayed == len(WORKLOADS) * len(CONFIGS)
     assert report.executed == 0
-    assert cache.rebuilds == 0
-    assert cache.hits == cache.misses == 0
+    assert not [name for name in tele.counters if name.startswith("trace_cache.")]
     assert list(cache.entries()) == []
     assert synth_counts == {}
 
@@ -203,10 +204,11 @@ def test_resume_prewarms_only_workloads_with_cells_to_run(tmp_path, synth_counts
     (missing,) = {(w, c) for w in WORKLOADS for c in CONFIGS} - set(cells)
     synth_counts.clear()
     cache = TraceCache(root=tmp_path / "empty")
-    report = run_sweep(CONFIGS, workloads=WORKLOADS, length=LENGTH, store=store,
-                       resume=True, trace_cache=cache)
+    with Telemetry() as tele:
+        report = run_sweep(CONFIGS, workloads=WORKLOADS, length=LENGTH, store=store,
+                           resume=True, trace_cache=cache)
     assert report.executed == 1
-    assert cache.rebuilds == 1
+    assert tele.counters["trace_cache.rebuild"] == 1
     assert [meta["workload"] for _key, meta in cache.entries()] == [missing[0]]
     assert synth_counts == {missing[0]: 1}
     for name in WORKLOADS:
@@ -219,17 +221,19 @@ def test_corrupt_entry_between_sweeps_is_rebuilt(tmp_path):
     """A committed entry corrupted between two sweeps is caught by the
     next sweep's digest check and rebuilt, with identical results."""
     cache = TraceCache(root=tmp_path / "cache")
-    first = run_sweep(CONFIGS, workloads=WORKLOADS, length=LENGTH, trace_cache=cache)
-    assert cache.rebuilds == len(WORKLOADS)
+    with Telemetry() as tele:
+        first = run_sweep(CONFIGS, workloads=WORKLOADS, length=LENGTH, trace_cache=cache)
+    assert tele.counters["trace_cache.rebuild"] == len(WORKLOADS)
     column = cache.root / trace_key("gzip", LENGTH + LENGTH // 3, 0) / "addresses.npy"
     raw = bytearray(column.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     column.write_bytes(bytes(raw))
 
-    second = run_sweep(CONFIGS, workloads=WORKLOADS, length=LENGTH, trace_cache=cache)
+    with Telemetry() as tele:
+        second = run_sweep(CONFIGS, workloads=WORKLOADS, length=LENGTH, trace_cache=cache)
     assert not second.failures
-    assert cache.integrity_failures == 1
-    assert cache.rebuilds == len(WORKLOADS) + 1
+    assert tele.counters["trace_cache.integrity_failure"] == 1
+    assert tele.counters["trace_cache.rebuild"] == 1
     for name in WORKLOADS:
         for config in CONFIGS:
             assert (second.results[name][config].to_dict()

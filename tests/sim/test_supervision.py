@@ -59,7 +59,7 @@ class TestHangDetection:
         assert report.attempts[("eon", "base")] == 2  # recycled, then retried
         # The detection is observable: telemetry counter, hang log entry,
         # and a worker.hung instant in the Chrome trace.
-        assert report.telemetry["counters"]["sweep.worker.hung"] == 1
+        assert report.telemetry["counters"]["worker.hung"] == 1
         hangs = report.telemetry["hangs"]
         assert len(hangs) == 1
         assert hangs[0]["workload"] == "eon"
@@ -97,4 +97,4 @@ class TestHangDetection:
         )
         assert not report.failures
         assert report.telemetry["hangs"] == []
-        assert "sweep.worker.hung" not in report.telemetry["counters"]
+        assert "worker.hung" not in report.telemetry["counters"]

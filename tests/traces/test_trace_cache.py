@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import TraceError
+from repro.obs.metrics import Telemetry
 from repro.traces import workloads
 from repro.traces.cache import (
     CACHE_ENV_VAR,
@@ -44,12 +45,13 @@ def _warm(cache):
 
 class TestBasics:
     def test_miss_then_hit(self, cache):
-        assert cache.get(WORKLOAD, LENGTH, SEED) is None
-        assert cache.misses == 1
-        _warm(cache)
-        again = cache.get(WORKLOAD, LENGTH, SEED)
+        with Telemetry() as tele:
+            assert cache.get(WORKLOAD, LENGTH, SEED) is None
+            assert tele.counters == {"trace_cache.miss": 1}
+            _warm(cache)
+            again = cache.get(WORKLOAD, LENGTH, SEED)
         assert again is not None
-        assert cache.hits >= 1
+        assert tele.counters["trace_cache.hit"] >= 1
 
     def test_served_trace_is_identical(self, cache):
         cached = _warm(cache)
@@ -103,10 +105,13 @@ class TestIntegrity:
 
     def _assert_rebuilds(self, cache):
         """The entry must read as a miss, then get_or_build must heal it."""
-        before_misses = cache.misses
-        assert cache.get(WORKLOAD, LENGTH, SEED) is None
-        assert cache.misses == before_misses + 1
-        healed = cache.get_or_build(WORKLOAD, LENGTH, SEED)
+        with Telemetry() as tele:
+            assert cache.get(WORKLOAD, LENGTH, SEED) is None
+        assert tele.counters == {"trace_cache.miss": 1,
+                                 "trace_cache.integrity_failure": 1}
+        with Telemetry() as tele:
+            healed = cache.get_or_build(WORKLOAD, LENGTH, SEED)
+        assert tele.counters["trace_cache.rebuild"] == 1
         direct = build_workload(WORKLOAD, length=LENGTH, seed=SEED)
         for a, b in zip(healed.to_arrays(), direct.to_arrays()):
             assert np.array_equal(a, b)
@@ -155,9 +160,9 @@ class TestIntegrity:
         meta = json.loads(meta_path.read_text())
         meta["generator_version"] = GENERATOR_VERSION - 1
         meta_path.write_text(json.dumps(meta))
-        before = cache.misses
-        assert cache.get(WORKLOAD, LENGTH, SEED) is None
-        assert cache.misses == before + 1
+        with Telemetry() as tele:
+            assert cache.get(WORKLOAD, LENGTH, SEED) is None
+        assert tele.counters["trace_cache.miss"] == 1
 
     def test_recipe_mismatch_in_meta(self, cache):
         # A hand-edited (or colliding) entry whose meta names a different
