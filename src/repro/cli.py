@@ -482,6 +482,16 @@ def _format_seconds(seconds) -> str:
     return f"{seconds:.3f}s" if seconds is not None else "-"
 
 
+def _cell_wall(record) -> Optional[float]:
+    """A stored cell's wall: its ``elapsed``, which ends at the cell's
+    outcome, plus the ``serialize`` phase of its store write after that."""
+    wall = record.get("elapsed")
+    phases = (record.get("telemetry") or {}).get("phases", {})
+    if wall is not None and "serialize" in phases:
+        wall += phases["serialize"][1]
+    return wall
+
+
 #: Manifest keys naming the build and host that wrote a store's run.
 _PROVENANCE_KEYS = ("git_rev", "host", "python")
 
@@ -547,7 +557,7 @@ def _cmd_report(args, out) -> int:
     if not args.timing:
         rows = [
             [w, c, rec.get("status", "?"), str(rec.get("attempts", 1)),
-             _format_seconds(rec.get("elapsed"))]
+             _format_seconds(_cell_wall(rec))]
             for (w, c), rec in sorted(cells.items())
         ]
         print(format_table(["workload", "config", "status", "attempts", "wall"],
@@ -577,15 +587,10 @@ def _cmd_report(args, out) -> int:
     rows = []
     for (w, c), tele in telemetries.items():
         phases = (tele or {}).get("phases", {})
-        # A cell's `elapsed` ends at its outcome, before the store write
-        # that is its serialize phase: the wall adds that phase.
-        wall = cells[(w, c)].get("elapsed")
-        if wall is not None and "serialize" in phases:
-            wall += phases["serialize"][1]
         rows.append(
             [w, c]
             + [_format_seconds(phases[p][1]) if p in phases else "-" for p in PHASES]
-            + [_format_seconds(wall)]
+            + [_format_seconds(_cell_wall(cells[(w, c)]))]
         )
     print(
         format_table(

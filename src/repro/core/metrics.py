@@ -21,11 +21,13 @@ the checkpoint store, to the predictor sweeps that read them.
 
 from __future__ import annotations
 
-from itertools import chain
+import binascii
+import zlib
 from typing import Any, Dict, List, NamedTuple, Sequence, Tuple, TypeVar
 
 import numpy as np
 
+from ..common.errors import SimulationError
 from ..common.stats import Histogram
 from ..common.types import MissClass
 from .generations import GenerationRecord, records_from_table
@@ -35,12 +37,6 @@ from .generations import GenerationRecord, records_from_table
 TIME_BIN = 100
 RELOAD_BIN = 1000
 NUM_BINS = 100
-
-#: MissClass value -> the name a correlation row stores.
-_CLASS_NAMES = {int(m): m.name for m in MissClass}
-#: What a stored row holds that is not an int: a MissClass name, or
-#: None for a missing prev_live_time (-1); ``get(v, v)`` keeps ints.
-_DECODE = {None: -1, **{m.name: int(m) for m in MissClass}}
 
 
 class GenerationColumns(NamedTuple):
@@ -338,20 +334,12 @@ class TimekeepingMetrics:
     def to_dict(self) -> Dict[str, Any]:
         """Serialize to a JSON-able dict; the exact inverse of :meth:`from_dict`.
 
-        The columns serialize as compact integer rows (``None`` marks a
-        missing ``prev_live_time``) so the figure pipeline can rebuild
-        every characterization figure from the checkpoint store alone,
-        byte-identically to a fresh in-memory run.  The
-        ``live_time_pairs`` rows repeat the generations' (previous,
-        current) live times wherever a previous one exists.
+        The generation (7 × n) and correlation (4 × n) tables are one
+        packed string each (:func:`_pack`) holding the columns as in
+        memory, so the figure pipeline can rebuild every
+        characterization figure from the checkpoint store alone,
+        byte-identically to a fresh in-memory run.
         """
-        gens = self._generations.table()
-        gen_rows = gens.T.tolist()
-        for i in np.flatnonzero(gens[6] < 0).tolist():
-            gen_rows[i][6] = None
-        corr_rows = self._correlations.table().T.tolist()
-        for row in corr_rows:
-            row[0] = _CLASS_NAMES[row[0]]
         return {
             "live_time": self.live_time.to_dict(),
             "dead_time": self.dead_time.to_dict(),
@@ -366,9 +354,8 @@ class TimekeepingMetrics:
             "live_by_class": {
                 k.name: h.to_dict() for k, h in self.live_by_class.items()
             },
-            "miss_correlations": corr_rows,
-            "live_time_pairs": self.generation_columns.live_time_pairs().tolist(),
-            "generations": gen_rows,
+            "miss_correlations": _pack(self._correlations.table()),
+            "generations": _pack(self._generations.table()),
             "zero_live_generations": self.zero_live_generations,
             "total_generations": self.total_generations,
         }
@@ -377,8 +364,8 @@ class TimekeepingMetrics:
     def from_dict(cls, data: Dict[str, Any]) -> "TimekeepingMetrics":
         """Rebuild the collector state serialized by :meth:`to_dict`.
 
-        The rows go straight into columns; the ``live_time_pairs`` rows
-        are not read, since the generation rows hold them.
+        Raises :class:`SimulationError` when a packed table does not
+        decode (zlib's checksum catches a flipped byte).
         """
         out = cls()
         out.live_time = Histogram.from_dict(data["live_time"])
@@ -397,22 +384,28 @@ class TimekeepingMetrics:
             MissClass[k]: Histogram.from_dict(h)
             for k, h in data["live_by_class"].items()
         }
-        out._correlations.extend(_table(data["miss_correlations"], 4, coded=0))
-        out._generations.extend(_table(data["generations"], 7, coded=6))
+        out._correlations.extend(_unpack(data["miss_correlations"], 4))
+        out._generations.extend(_unpack(data["generations"], 7))
         out.zero_live_generations = data["zero_live_generations"]
         out.total_generations = data["total_generations"]
         return out
 
 
-def _table(rows: List[list], width: int, coded: int) -> np.ndarray:
-    """The ``(width, n)`` int64 table of *n* stored rows.
+def _pack(table: np.ndarray) -> str:
+    """A ``(width, n)`` int64 table as one string: little-endian int64,
+    column after column, compressed with zlib level 1, then base64."""
+    raw = np.ascontiguousarray(table, dtype="<i8").tobytes()
+    return binascii.b2a_base64(zlib.compress(raw, 1), newline=False).decode("ascii")
 
-    Column *coded* goes through :data:`_DECODE`.  The rows are flattened
-    one at a time (a transpose by ``zip`` would hold an iterator per
-    row, and a large bank would set off the garbage collector).
-    """
-    cells = np.fromiter(chain.from_iterable(rows), dtype=object,
-                        count=width * len(rows)).reshape(len(rows), width)
-    column = cells[:, coded]
-    cells[:, coded] = list(map(_DECODE.get, column, column))
-    return cells.T.astype(np.int64, order="C")
+
+def _unpack(text: str, width: int) -> np.ndarray:
+    """The ``(width, n)`` int64 table :func:`_pack` wrote as *text*."""
+    try:
+        raw = zlib.decompress(binascii.a2b_base64(text))
+    except (TypeError, ValueError, zlib.error) as exc:
+        raise SimulationError(f"undecodable metric bank table: {exc!r}") from exc
+    if len(raw) % (8 * width):
+        raise SimulationError(
+            f"metric bank table of {len(raw)} bytes is not {width} int64 columns"
+        )
+    return np.frombuffer(raw, dtype="<i8").reshape(width, -1).astype(np.int64)

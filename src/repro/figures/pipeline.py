@@ -32,7 +32,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..common.errors import StoreError
+from ..common.errors import SimulationError, StoreError
 from ..sim.results import SimulationResult
 from ..sim.runner import (
     FaultHook, check_length_warmup, check_obs_history, check_sweep_options, run_sweep,
@@ -122,16 +122,20 @@ def load_suite(
 
     Returns ``({workload: {config: result}}, failed_cell_count)`` in the
     order :func:`run_paper` builds its figures from, over every cell
-    the store holds.
+    the store holds.  A stored result that does not decode counts as a
+    failed cell, as :func:`~repro.sim.runner.run_sweep` re-runs it.
     """
     _, cells = store.load()
     ok: Dict[Tuple[str, str], SimulationResult] = {}
     failed = 0
     for key, record in cells.items():
         if record.get("status") == "ok":
-            ok[key] = SimulationResult.from_dict(record["result"])
-        else:
-            failed += 1
+            try:
+                ok[key] = SimulationResult.from_dict(record.get("result"))
+                continue
+            except SimulationError:
+                pass
+        failed += 1
     return _ordered_suite(ok), failed
 
 

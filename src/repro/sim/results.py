@@ -13,8 +13,9 @@ from ..core.metrics import TimekeepingMetrics
 from ..core.prefetch.timeliness import TimelinessCounts
 from ..timing.processor import TimingResult
 
-#: Serialization schema version written by :meth:`SimulationResult.to_dict`.
-RESULT_SCHEMA_VERSION = 1
+#: Serialization schema version written by :meth:`SimulationResult.to_dict`;
+#: 2 packs the metric banks' tables.
+RESULT_SCHEMA_VERSION = 2
 
 
 @dataclass

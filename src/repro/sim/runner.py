@@ -216,8 +216,9 @@ class SweepReport:
     #: are absent.
     cell_telemetry: Dict[CellKey, Dict[str, Any]] = field(default_factory=dict)
     #: Sweep-level telemetry: ``started`` (epoch), ``phases`` (parent
-    #: prewarm/execute), ``hangs`` and the ``counters``: the merged
-    #: cells' and the parent's, lifecycle events included.
+    #: prewarm/execute), ``hangs`` and the ``counters``: every cell
+    #: attempt's, retried ones too, and the parent's, lifecycle events
+    #: included.
     telemetry: Dict[str, Any] = field(default_factory=dict)
     #: Wall-clock seconds for the whole invocation.
     wall_time: float = 0.0
@@ -532,8 +533,8 @@ def _backoff_delay(backoff: float, attempt: int, rng: random.Random) -> float:
 
 # Internal per-attempt outcome: ("ok", result, telemetry) | ("error",
 # type, msg, tb, transient, telemetry) | ("crash", exitcode) |
-# ("timeout", budget) | ("hung", grace).  Crashed, timed-out and hung
-# workers never report telemetry.
+# ("timeout", budget) | ("hung", grace, pid).  Crashed, timed-out and
+# hung workers never report telemetry.
 _Outcome = Tuple[Any, ...]
 
 # Executor yield: (spec, outcome, attempts, elapsed_seconds)
@@ -572,43 +573,27 @@ class _RetryTracker:
         return False  # timeouts: the budget was already spent once
 
 
+#: Error type and message template of each outcome a worker did not
+#: report itself, formatted with the outcome's second field.
+_WORKER_FAILURES = {
+    "crash": ("WorkerCrash",
+              "worker process died with exit code {} before reporting a result"),
+    "timeout": (CellTimeoutError.__name__,
+                "cell exceeded its {:g}s wall-clock budget and was terminated"),
+    "hung": ("WorkerHung", "worker stopped heartbeating for {:g}s and was recycled"),
+}
+
+
 def _failure_from_outcome(spec: CellSpec, outcome: _Outcome, attempts: int) -> CellFailure:
-    kind = outcome[0]
-    if kind == "error":
+    if outcome[0] == "error":
         _, error_type, message, tb, _transient, telemetry = outcome
         return CellFailure(
             spec.workload, spec.config_name, error_type, message, tb, attempts,
             telemetry=telemetry,
         )
-    if kind == "crash":
-        exitcode = outcome[1]
-        return CellFailure(
-            spec.workload,
-            spec.config_name,
-            "WorkerCrash",
-            f"worker process died with exit code {exitcode} before reporting a result",
-            "",
-            attempts,
-        )
-    if kind == "timeout":
-        return CellFailure(
-            spec.workload,
-            spec.config_name,
-            CellTimeoutError.__name__,
-            f"cell exceeded its {outcome[1]:g}s wall-clock budget and was terminated",
-            "",
-            attempts,
-        )
-    if kind == "hung":
-        return CellFailure(
-            spec.workload,
-            spec.config_name,
-            "WorkerHung",
-            f"worker stopped heartbeating for {outcome[1]:g}s and was recycled",
-            "",
-            attempts,
-        )
-    raise AssertionError(f"unexpected outcome {outcome!r}")  # pragma: no cover
+    error_type, template = _WORKER_FAILURES[outcome[0]]
+    return CellFailure(spec.workload, spec.config_name, error_type,
+                       template.format(outcome[1]), "", attempts)
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +604,17 @@ def _failure_from_outcome(spec: CellSpec, outcome: _Outcome, attempts: int) -> C
 #: Attempt-start notification: ``(spec, attempt)``; retries re-notify.
 _Notify = Callable[[CellSpec, int], None]
 
+#: Attempt-end notification: ``(spec, attempt, outcome)``, for every
+#: attempt, retried ones included, before the retry decision.
+_OnOutcome = Callable[[CellSpec, int, _Outcome], None]
+
 
 def _run_serial(
     cells: Sequence[CellSpec],
     retry: _RetryTracker,
     fault_hook: Optional[FaultHook],
     notify: _Notify,
+    on_outcome: _OnOutcome,
 ) -> Generator[_CellDone, None, None]:
     """In-process serial executor (``workers == 1``, no timeout/supervision).
 
@@ -642,6 +632,7 @@ def _run_serial(
                 # (no plan arg: the ambient injector, if any, is already
                 # active in this process — serial faults hit the campaign
                 # itself, which is exactly what a serial chaos run asserts)
+                on_outcome(spec, attempt, outcome)
                 if outcome[0] != "ok" and retry.should_retry(outcome, attempt):
                     time.sleep(retry.next_delay(attempt))
                     attempt += 1
@@ -720,7 +711,7 @@ class _Worker:
             # SIGKILL instead of wasting the graceful-shutdown window.
             self.process.kill()
             self.reap()
-            return ("hung", self.hang_grace)
+            return ("hung", self.hang_grace, self.process.pid)
         if self.deadline is not None and now >= self.deadline:
             self.process.terminate()
             self.reap()
@@ -747,12 +738,6 @@ class _Worker:
         self.conn.close()
 
 
-#: Hang notification from the supervised pool:
-#: ``(spec, attempt, pid, grace)``, fired before the retry decision so
-#: recycled-and-retried hangs are observable too.
-_OnHang = Callable[[CellSpec, int, Optional[int], float], None]
-
-
 def _run_supervised(
     cells: Sequence[CellSpec],
     workers: int,
@@ -760,9 +745,9 @@ def _run_supervised(
     retry: _RetryTracker,
     fault_hook: Optional[FaultHook],
     notify: _Notify,
+    on_outcome: _OnOutcome,
     plan: Optional[FaultPlan] = None,
     hang_grace: Optional[float] = None,
-    on_hang: Optional[_OnHang] = None,
 ) -> Generator[_CellDone, None, None]:
     """Supervised pool: at most *workers* long-lived, killable processes.
 
@@ -809,9 +794,7 @@ def _run_supervised(
                 pending, worker.pending = worker.pending, None
                 if worker.conn.closed:  # reaped: replaced on demand
                     pool.remove(worker)
-                if outcome[0] == "hung" and on_hang is not None:
-                    on_hang(pending.spec, pending.attempt, worker.process.pid,
-                            outcome[1])
+                on_outcome(pending.spec, pending.attempt, outcome)
                 if outcome[0] != "ok" and retry.should_retry(outcome, pending.attempt):
                     delay = retry.next_delay(pending.attempt)
                     queue.append(
@@ -1027,8 +1010,11 @@ def run_sweep(
         executed cell's phase breakdown (spawn/synthesis/simulate, and
         with a store the ``serialize`` phase of its record's write)
         lands in ``report.cell_telemetry`` and, with a store, in its
-        checkpoint record for ``repro report --timing``; the merged
-        counters land in ``report.telemetry``.
+        checkpoint record for ``repro report --timing``.  Every
+        attempt's counters, a retried one's too, are merged into
+        ``report.telemetry``; a crashed, timed-out or hung worker
+        reports none.  A stored result that does not decode is not
+        replayed: its cell re-runs (event ``store.undecodable``).
     """
     check_length_warmup(length, warmup)
     check_sweep_options(workers=workers, retries=retries, timeout=timeout,
@@ -1098,7 +1084,15 @@ def run_sweep(
                 if key not in wanted:
                     continue
                 if record.get("status") == "ok":
-                    replayed[key] = SimulationResult.from_dict(record["result"])
+                    try:
+                        replayed[key] = SimulationResult.from_dict(record.get("result"))
+                    except SimulationError as exc:
+                        # Parses but does not decode (a flipped byte in a
+                        # packed bank): the cell re-runs and supersedes it.
+                        parent_tele.event(
+                            "store.undecodable", workload=key[0], config=key[1],
+                            error=str(exc),
+                        )
                 elif not retry_poisoned:
                     # A stored failure already exhausted its retries once;
                     # quarantine it instead of letting a deterministic
@@ -1153,30 +1147,33 @@ def run_sweep(
             workloads=names, configs=list(configs),
         )
 
-        # Hang observations (the pool fires these before the retry
-        # decision, so recycled-and-retried hangs are recorded too).
+        # Hang observations; recycled-and-retried hangs are recorded too.
         hangs: List[Dict[str, Any]] = []
 
-        def on_hang(spec: CellSpec, attempt: int, pid: Optional[int],
-                    grace: float) -> None:
-            hangs.append({
-                "workload": spec.workload, "config": spec.config_name,
-                "attempt": attempt, "pid": pid, "grace": grace,
-                "detected_at": time.time(),
-            })
-            parent_tele.event(
-                "worker.hung", workload=spec.workload, config=spec.config_name,
-                attempt=attempt, pid=pid, grace=grace,
-            )
+        def on_outcome(spec: CellSpec, attempt: int, outcome: _Outcome) -> None:
+            kind = outcome[0]
+            if kind in ("ok", "error"):  # a retried attempt logged events too
+                parent_tele.merge(outcome[-1])
+            elif kind == "hung":
+                _, grace, pid = outcome
+                hangs.append({
+                    "workload": spec.workload, "config": spec.config_name,
+                    "attempt": attempt, "pid": pid, "grace": grace,
+                    "detected_at": time.time(),
+                })
+                parent_tele.event(
+                    "worker.hung", workload=spec.workload, config=spec.config_name,
+                    attempt=attempt, pid=pid, grace=grace,
+                )
 
         execute_start = time.time()
         t0 = time.monotonic()
         if workers == 1 and timeout is None and hang_grace is None:
-            executor = _run_serial(to_run, retry, fault_hook, notify)
+            executor = _run_serial(to_run, retry, fault_hook, notify, on_outcome)
         else:
             executor = _run_supervised(
-                to_run, workers, timeout, retry, fault_hook, notify,
-                plan, hang_grace, on_hang,
+                to_run, workers, timeout, retry, fault_hook, notify, on_outcome,
+                plan, hang_grace,
             )
 
         completed: Dict[CellKey, SimulationResult] = dict(replayed)
@@ -1192,7 +1189,6 @@ def run_sweep(
                 _, result, cell_tele = outcome
                 completed[spec.key] = result
                 cell_telemetry[spec.key] = cell_tele
-                parent_tele.merge(cell_tele)
                 if run_store is not None:
                     run_store.record_result(
                         spec.workload,
@@ -1210,8 +1206,6 @@ def run_sweep(
                 failure = _failure_from_outcome(spec, outcome, cell_attempts)
                 failures.append(failure)
                 fresh_failures += 1
-                if failure.telemetry is not None:
-                    parent_tele.merge(failure.telemetry)
                 if run_store is not None:
                     run_store.record_failure(failure)
                 parent_tele.event(

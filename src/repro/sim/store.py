@@ -58,8 +58,9 @@ __all__ = [
     "STORE_VERSION", "CellKey", "LineIssue", "LoadReport", "RunStore",
 ]
 
-#: Store format version written into every manifest line.
-STORE_VERSION = 1
+#: Store format version written into every manifest line; 2 packs the
+#: metric banks' tables.  A version 1 store is refused, not converted.
+STORE_VERSION = 2
 
 #: Key identifying one cell: ``(workload, config_name)``.
 CellKey = Tuple[str, str]
@@ -186,7 +187,8 @@ class RunStore(JsonlJournal):
                 if version != STORE_VERSION:
                     raise StoreError(
                         f"{self.path}:{lineno + 1}: unsupported store version "
-                        f"{version!r} (this build reads {STORE_VERSION})"
+                        f"{version!r} (this build reads {STORE_VERSION}); "
+                        f"re-run the campaign into a fresh store"
                     )
                 fidelity = record.get("fidelity", "exact")
                 if fidelity != "exact":

@@ -1,4 +1,5 @@
-"""Store chaos: crash-truncation sweeps, writer races, injected ENOSPC.
+"""Store chaos: crash-truncation sweeps, writer races, injected ENOSPC,
+records that parse but do not decode.
 
 The centerpiece is the kill -9 property test: a store truncated at
 *every* byte boundary inside its final record must still serve every
@@ -12,6 +13,8 @@ import pytest
 
 from repro.common.errors import StoreError, StoreLockedError
 from repro.faults import FaultPlan, run_armed
+from repro.figures.pipeline import load_suite, run_paper
+from repro.obs.metrics import Telemetry
 from repro.sim.runner import run_sweep
 from repro.sim.store import RunStore
 
@@ -155,6 +158,46 @@ class TestInjectedAppendFaults:
         report = RunStore(path).load_report()
         assert report.clean
         assert ("w2", "base") in report.cells
+
+
+class TestUndecodableRecord:
+    """A record that parses but does not decode never strands a resume."""
+
+    ONLY = ["fig04", "fig15"]
+    KW = dict(workloads=["gzip", "swim"], length=1000, trace_cache=False)
+    STORE = "paper_store.jsonl"
+
+    def test_flipped_bank_byte_re_runs_the_cell(self, tmp_path):
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        run_paper(only=self.ONLY, out_dir=str(good), **self.KW)
+        bad.mkdir()
+        lines = (good / self.STORE).read_text().splitlines(keepends=True)
+        ((i, line),) = [(i, text) for i, text in enumerate(lines)
+                        if '"workload":"gzip"' in text]
+        start = line.index('"generations":"') + len('"generations":"')
+        at = (start + line.index('"', start)) // 2
+        lines[i] = line[:at] + ("B" if line[at] != "B" else "C") + line[at + 1:]
+        (bad / self.STORE).write_text("".join(lines))
+        # Still one valid JSON line, so the scan finds nothing wrong ...
+        assert RunStore(bad / self.STORE).load_report().clean
+        # ... and a store-only rebuild counts the cell as failed.
+        suite, failed = load_suite(RunStore(bad / self.STORE))
+        assert failed == 1 and "base" not in suite.get("gzip", {})
+
+        with Telemetry() as tele:
+            got = run_paper(only=self.ONLY, out_dir=str(bad), resume=True, **self.KW)
+        want = run_paper(only=self.ONLY, out_dir=str(good), resume=True, **self.KW)
+        assert tele.counters["store.undecodable"] == 1
+        assert (got.executed, got.replayed, got.failures) == (1, 1, 0)
+        assert got.report_text == want.report_text
+        assert _suite_dicts(bad / self.STORE) == _suite_dicts(good / self.STORE)
+
+
+def _suite_dicts(path):
+    suite, failed = load_suite(RunStore(path))
+    assert failed == 0
+    return {(w, c): r.to_dict(include_metrics=True)
+            for w, cfgs in suite.items() for c, r in cfgs.items()}
 
 
 def _normalized(cells):

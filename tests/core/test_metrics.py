@@ -1,7 +1,14 @@
 """Tests for the timekeeping metric collectors."""
 
-import pytest
+import base64
+import json
+import zlib
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.common.errors import SimulationError
 from repro.common.types import MissClass
 from repro.core.generations import GenerationRecord
 from repro.core.metrics import RELOAD_BIN, TIME_BIN, TimekeepingMetrics
@@ -87,3 +94,53 @@ class TestRatios:
         assert m.access_interval.total == 2
         assert m.access_interval.counts[0] == 1
         assert m.access_interval.counts[1] == 1
+
+
+#: Non-negative values, with draws at and past the int32 range.
+COUNTS = st.one_of(st.integers(0, 10**6),
+                   st.sampled_from([2**31 - 1, 2**31, 2**32 + 7, 2**50]))
+GENERATION = st.tuples(
+    COUNTS, COUNTS, COUNTS,
+    st.one_of(COUNTS, st.integers(-1000, -1)),  # a negative dead time
+    COUNTS, COUNTS,
+    st.one_of(st.just(-1), COUNTS),  # -1: no previous live time
+)
+CORRELATION = st.tuples(st.sampled_from([int(m) for m in MissClass]),
+                        COUNTS, COUNTS, COUNTS)
+
+
+def _table(rows, width):
+    return np.array(rows, dtype=np.int64).reshape(-1, width).T.copy()
+
+
+class TestSerialization:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(GENERATION, max_size=30), st.lists(CORRELATION, max_size=30))
+    @example([], [])
+    @example([(2**31, 0, 2**32, -5, 1, 2**31, -1)],
+             [(int(m), 2**31, 0, 2**32) for m in MissClass])
+    def test_round_trip_is_bit_exact(self, generations, correlations):
+        m = TimekeepingMetrics()
+        m.bulk_generations(_table(generations, 7))
+        m.bulk_correlations(_table(correlations, 4))
+        data = m.to_dict()
+        back = TimekeepingMetrics.from_dict(json.loads(json.dumps(data)))
+        for got, want in ((back.generation_columns, m.generation_columns),
+                          (back.correlation_columns, m.correlation_columns)):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.int64
+                assert a.tobytes() == b.tobytes()
+        assert back.to_dict() == data
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[:8] + ("B" if blob[8] != "B" else "C") + blob[9:],
+        lambda blob: [[1, 2, 3]],  # a version 1 row list
+        lambda blob: base64.b64encode(zlib.compress(b"\0")).decode(),  # 1 byte
+    ], ids=["flipped byte", "row list", "short table"])
+    def test_a_table_that_does_not_decode_raises(self, damage):
+        m = TimekeepingMetrics()
+        m.on_generation(record())
+        data = m.to_dict()
+        data["generations"] = damage(data["generations"])
+        with pytest.raises(SimulationError):
+            TimekeepingMetrics.from_dict(data)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import CONFIG_PRESETS, main
 from repro.figures.pipeline import run_paper
+from repro.sim.store import STORE_VERSION
 from repro.traces.cache import TraceCache
 
 
@@ -237,7 +238,7 @@ class TestReport:
         assert "phase totals" in capsys.readouterr().out
         assert scans == [store]
 
-    def _hand_written_store(self, tmp_path, **cell):
+    def _hand_written_store(self, tmp_path, version=STORE_VERSION, **cell):
         """A one-cell store; *cell* adds keys to the gzip/base record."""
         import json
 
@@ -246,7 +247,7 @@ class TestReport:
         result = run_workload("gzip", {"base": {}}, length=600)["base"]
         store = tmp_path / "hand.jsonl"
         store.write_text("\n".join(json.dumps(record) for record in [
-            {"kind": "manifest", "version": 1, "length": 600, "seed": 0,
+            {"kind": "manifest", "version": version, "length": 600, "seed": 0,
              "warmup": 200, "machine": "m", "workloads": ["gzip"],
              "configs": {"base": "c"}},
             {"kind": "cell", "workload": "gzip", "config": "base",
@@ -268,6 +269,30 @@ class TestReport:
         (row,) = [line.split() for line in capsys.readouterr().out.splitlines()
                   if line.startswith("gzip")]
         assert row == ["gzip", "base", "-", "0.125s", "0.125s", "0.500s", "0.750s"]
+
+    def test_both_tables_print_the_same_wall(self, capsys, tmp_path):
+        phases = {"simulate": [0.0, 0.125], "serialize": [0.25, 0.5]}
+        store = self._hand_written_store(
+            tmp_path, elapsed=0.25,
+            telemetry={"pid": 1, "attempt": 1, "phases": phases, "counters": {}})
+        walls = []
+        for argv in (["report", str(store)], ["report", str(store), "--timing"]):
+            assert main(argv) == 0
+            (row,) = [line.split() for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("gzip")]
+            walls.append(row[-1])
+        assert walls == ["0.750s", "0.750s"]
+
+    def test_version_1_store_refused(self, capsys, tmp_path):
+        store = self._hand_written_store(tmp_path, version=1)
+        for argv in (["report", str(store)], ["report", str(store), "--timing"]):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: ")
+            assert f"unsupported store version 1 (this build reads {STORE_VERSION})" in line
+            assert "fresh store" in line
 
     def test_timing_without_telemetry_explains_itself(self, capsys, tmp_path):
         # A store an earlier build wrote: its cell record has no

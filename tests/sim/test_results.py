@@ -4,7 +4,9 @@ import pytest
 
 from repro.common.types import AccessOutcome, PrefetchTimeliness
 from repro.core.prefetch.timeliness import TimelinessCounts
-from repro.sim.results import PrefetchStats, SimulationResult, VictimStats
+from repro.sim.results import (
+    RESULT_SCHEMA_VERSION, PrefetchStats, SimulationResult, VictimStats,
+)
 from repro.timing.processor import TimingResult
 
 
@@ -174,4 +176,4 @@ class TestSerialization:
         from repro.common.errors import SimulationError
 
         with pytest.raises(SimulationError, match="malformed"):
-            SimulationResult.from_dict({"version": 1, "name": "x"})
+            SimulationResult.from_dict({"version": RESULT_SCHEMA_VERSION, "name": "x"})

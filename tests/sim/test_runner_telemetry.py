@@ -14,9 +14,11 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.obs.metrics import PHASES, Telemetry
+from repro.obs.progress import SweepObserver
 from repro.sim.results import SimulationResult
 from repro.sim.runner import CellFailure, SweepReport, run_sweep
 from repro.sim.store import RunStore
+from repro.traces.cache import TraceCache, trace_key
 
 CONFIGS = {"base": {}, "victim": {"victim_filter": "unfiltered"}}
 
@@ -317,3 +319,35 @@ class TestJsonlEventLog:
                          "sweep.start": 1, "cell.start": 1, "cell.ok": 1,
                          "sweep.end": 1}
         assert {kind: tele.counters[kind] for kind in kinds} == dict(kinds)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_retried_attempts_events_are_counted(self, tmp_path, workers):
+        # Attempt 1 finds the prewarmed gzip entry corrupt, rebuilds it,
+        # then fails transiently: its counters reach the report next to
+        # attempt 2's, as its lines reach the log.
+        cache = TraceCache(root=tmp_path / "cache")
+        column = cache.root / trace_key("gzip", CELL_ACCESSES, 0) / "addresses.npy"
+
+        class CorruptAfterPrewarm(SweepObserver):
+            def on_sweep_start(self, total, workers):
+                raw = bytearray(column.read_bytes())
+                raw[len(raw) // 2] ^= 0xFF
+                column.write_bytes(bytes(raw))
+
+        def transient_once(workload, config, attempt):
+            if attempt == 1:
+                raise RuntimeError("injected transient fault")
+
+        log_path = tmp_path / "events.jsonl"
+        with Telemetry(log=log_path) as tele:
+            report = run_sweep({"base": {}}, workloads=["gzip"], length=LENGTH,
+                               workers=workers, retries=1, backoff=0.01,
+                               fault_hook=transient_once, trace_cache=cache,
+                               observer=CorruptAfterPrewarm())
+        assert not report.failures and report.retried == 1
+        kinds = collections.Counter(
+            json.loads(line)["event"] for line in log_path.read_text().splitlines())
+        assert kinds["trace_cache.integrity_failure"] == 1
+        assert kinds["cell.start"] == 2
+        assert {kind: tele.counters.get(kind, 0) for kind in kinds} == dict(kinds)
+        assert tele.counters["sim.accesses"] == CELL_ACCESSES
