@@ -30,10 +30,12 @@ from typing import List, Optional
 
 from .analysis.report import format_table, percent
 from .common.config import paper_machine
+from .common.errors import SimulationError
 from .common.types import MissClass
 from .obs.metrics import PHASES, Telemetry, aggregate_phases
 from .obs.progress import SweepObserver, SweepProgress
 from .obs.tracing import build_sweep_trace
+from .sim.results import SimulationResult
 from .sim.runner import check_length_warmup, run_sweep, sweep_warmup
 from .sim.store import RunStore
 from .sim.sweep import run_workload
@@ -529,6 +531,18 @@ def _print_quarantine_summary(load, store, out) -> None:
               file=out)
 
 
+def _decoded_status(record) -> str:
+    """A cell record's stored status, or ``undecodable`` for an ok record
+    whose result does not decode (``load_suite`` counts it as failed)."""
+    status = record.get("status", "?")
+    if status == "ok":
+        try:
+            SimulationResult.from_dict(record.get("result"))
+        except SimulationError:
+            return "undecodable"
+    return status
+
+
 def _cmd_report(args, out) -> int:
     if not os.path.exists(args.store):
         print(f"error: store not found: {args.store}", file=sys.stderr)
@@ -550,19 +564,18 @@ def _cmd_report(args, out) -> int:
     if manifest is None:
         print(f"error: {args.store} contains no sweep run", file=sys.stderr)
         return 1
-    ok = {k: rec for k, rec in cells.items() if rec.get("status") == "ok"}
-    failed = {k: rec for k, rec in cells.items() if rec.get("status") != "ok"}
-    retried = sum(1 for rec in cells.values() if rec.get("attempts", 1) > 1)
-
     if not args.timing:
+        status = {key: _decoded_status(rec) for key, rec in cells.items()}
+        ok = sum(1 for s in status.values() if s == "ok")
+        retried = sum(1 for rec in cells.values() if rec.get("attempts", 1) > 1)
         rows = [
-            [w, c, rec.get("status", "?"), str(rec.get("attempts", 1)),
+            [w, c, status[w, c], str(rec.get("attempts", 1)),
              _format_seconds(_cell_wall(rec))]
             for (w, c), rec in sorted(cells.items())
         ]
         print(format_table(["workload", "config", "status", "attempts", "wall"],
                            rows, title=f"store: {args.store}"), file=out)
-        print(f"{len(cells)} cells: {len(ok)} ok, {len(failed)} failed, "
+        print(f"{len(cells)} cells: {ok} ok, {len(cells) - ok} failed, "
               f"{retried} retried", file=out)
         _print_provenance(manifest, out)
         _print_quarantine_summary(load, store, out)

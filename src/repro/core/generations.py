@@ -120,14 +120,10 @@ class GenerationTracker:
     Args:
         on_generation: Optional callback invoked with each closed
             :class:`GenerationRecord` (metrics collectors hook here).
-        keep_records: When True, all closed records are retained in
-            :attr:`records` (tests, offline analysis).
     """
 
     __slots__ = (
         "_on_generation",
-        "_keep",
-        "records",
         "_last_gen_map",
         "_pending_closed",
         "_open_last",
@@ -138,12 +134,8 @@ class GenerationTracker:
     def __init__(
         self,
         on_generation: Optional[Callable[[GenerationRecord], None]] = None,
-        *,
-        keep_records: bool = False,
     ) -> None:
         self._on_generation = on_generation
-        self._keep = keep_records
-        self.records: List[GenerationRecord] = []
         #: block_addr -> closed record of the block's previous tenancy
         #: (exposes the start/live_time/dead_time trio callers read).
         #: Batch-closed generations wait as tables in
@@ -233,8 +225,6 @@ class GenerationTracker:
         self.closed_generations += 1
         if self._on_generation is not None:
             self._on_generation(record)
-        if self._keep:
-            self.records.append(record)
         return record
 
     def absorb_closed(self, table: np.ndarray) -> None:
@@ -256,14 +246,7 @@ class GenerationTracker:
         separately.
         """
         self.closed_generations += table.shape[1]
-        if self._keep:
-            if self._pending_closed:
-                self._flush_closed()
-            records = records_from_table(table)
-            self._last_gen_map.update(zip(table[0].tolist(), records))
-            self.records.extend(records)
-        else:
-            self._pending_closed.append(table)
+        self._pending_closed.append(table)
 
     def _flush_closed(self) -> None:
         """Materialize queued closed-generation tables into the map."""

@@ -2,21 +2,19 @@
 
 :class:`TimekeepingMetrics` accumulates, during one simulation run:
 
-- live-time / dead-time histograms (Figure 4) and access-interval /
-  reload-interval histograms (Figure 5), with the paper's bin widths
-  (x100 cycles; reload intervals x1000);
+- closed generations: the live-time / dead-time histograms (Figure 4),
+  dead-block predictor evaluation (Figures 14, 16) and the consecutive
+  live-time pairs of Figure 15;
 - per-miss correlations — the miss's 3C class together with the
   timekeeping metrics of the *previous* generation of the missing block
-  (Figures 7, 9 splits and the predictor sweeps of Figures 8, 10, 11);
-- closed generations for dead-block predictor evaluation
-  (Figures 14, 16), which also give the consecutive live-time pairs of
-  Figure 15.
+  (reload intervals of Figures 5, 7, 9 and the predictor sweeps of
+  Figures 8, 10, 11);
+- the access-interval histogram (Figure 5), binned per hit.
 
-The collectors store raw integers; binning to the paper's axes happens
-at read time so one run feeds many figures.  Generations and
-correlations are int64 columns (:class:`GenerationColumns`,
-:class:`CorrelationColumns`) from the engine that feeds them, through
-the checkpoint store, to the predictor sweeps that read them.
+Generations and correlations are int64 columns
+(:class:`GenerationColumns`, :class:`CorrelationColumns`) from the
+engine that feeds them, through the checkpoint store, to the figures
+that read them; their histograms are binned from the columns on read.
 """
 
 from __future__ import annotations
@@ -159,66 +157,32 @@ class _ColumnLog:
             self._rows.clear()
 
 
-def _add_unchecked(h: Histogram, value: int) -> None:
-    """:meth:`Histogram.add` without its range check (see on_generation)."""
-    idx = value // h.bin_width
-    if idx >= h.num_bins:
-        h.overflow += 1
-    else:
-        h.counts[idx] += 1
-    h.total += 1
-    h._sum += value
+def _histogram(bin_width: int, values: np.ndarray) -> Histogram:
+    """A paper-axis histogram of *values*, equal to :meth:`Histogram.add`
+    over them in order; raises ValueError on a negative value."""
+    out = Histogram(bin_width, NUM_BINS)
+    out.add_many(values)
+    return out
 
 
 class TimekeepingMetrics:
-    """Accumulates every timekeeping statistic the paper reports."""
+    """Accumulates every timekeeping statistic the paper reports, keeping
+    generations and correlations once, as the columns its views bin."""
 
     def __init__(self) -> None:
-        self.live_time = Histogram(TIME_BIN, NUM_BINS)
-        self.dead_time = Histogram(TIME_BIN, NUM_BINS)
         self.access_interval = Histogram(TIME_BIN, NUM_BINS)
-        self.reload_interval = Histogram(RELOAD_BIN, NUM_BINS)
-        # Split histograms by miss type (Figures 7 and 9).  Keyed by the
-        # *next* miss's class, as the paper correlates the metrics of a
-        # block's last generation with the type of its next miss.
-        self.reload_by_class = {
-            MissClass.CONFLICT: Histogram(RELOAD_BIN, NUM_BINS),
-            MissClass.CAPACITY: Histogram(RELOAD_BIN, NUM_BINS),
-        }
-        self.dead_by_class = {
-            MissClass.CONFLICT: Histogram(TIME_BIN, NUM_BINS),
-            MissClass.CAPACITY: Histogram(TIME_BIN, NUM_BINS),
-        }
-        self.live_by_class = {
-            MissClass.CONFLICT: Histogram(TIME_BIN, NUM_BINS),
-            MissClass.CAPACITY: Histogram(TIME_BIN, NUM_BINS),
-        }
         #: Closed generations (rows of :class:`GenerationColumns`) and
         #: miss correlations (rows of :class:`CorrelationColumns`).
         self._generations = _ColumnLog(7)
         self._correlations = _ColumnLog(4)
-        self.zero_live_generations = 0
-        self.total_generations = 0
 
     # -- event feed ----------------------------------------------------------
 
     def on_generation(self, record: GenerationRecord) -> None:
-        """Consume a closed generation (GenerationTracker callback).
-
-        The histograms skip :meth:`Histogram.add`'s range check: a dead
-        time is negative only when a prefetch arrival closes a
-        generation before its fill, and both engines bin that one
-        through a negative index alike.
-        """
-        lt = record.live_time
-        self.total_generations += 1
-        _add_unchecked(self.live_time, lt)
-        _add_unchecked(self.dead_time, record.dead_time)
-        if lt == 0:
-            self.zero_live_generations += 1
+        """Consume a closed generation (GenerationTracker callback)."""
         prev = record.prev_live_time
         self._generations.append((
-            record.block_addr, record.start, lt, record.dead_time,
+            record.block_addr, record.start, record.live_time, record.dead_time,
             record.hit_count, record.max_access_interval,
             -1 if prev is None else prev,
         ))
@@ -227,19 +191,9 @@ class TimekeepingMetrics:
         """Consume one within-live-time access interval."""
         self.access_interval.add(interval)
 
-    def on_miss_correlation(
-        self,
-        miss_class: MissClass,
-        reload_interval: int,
-        last_dead_time: int,
-        last_live_time: int,
-    ) -> None:
+    def on_miss_correlation(self, miss_class: MissClass, reload_interval: int,
+                            last_dead_time: int, last_live_time: int) -> None:
         """Consume one non-cold miss with its previous-generation metrics."""
-        self.reload_interval.add(reload_interval)
-        if miss_class in self.reload_by_class:
-            self.reload_by_class[miss_class].add(reload_interval)
-            self.dead_by_class[miss_class].add(last_dead_time)
-            self.live_by_class[miss_class].add(last_live_time)
         self._correlations.append(
             (int(miss_class), reload_interval, last_dead_time, last_live_time)
         )
@@ -248,39 +202,18 @@ class TimekeepingMetrics:
         """Consume a batch of closed generations at once.
 
         *table* is a ``(7, n)`` int64 array laid out as
-        :class:`GenerationColumns`, in eviction order.  Equivalent to
-        calling :meth:`on_generation` per generation in order:
-        histogram counts are commutative integers, and the float
-        running sums go through :meth:`Histogram.add_many`
-        (bitwise-identical to sequential adds within binary64's
-        exact-integer range).
+        :class:`GenerationColumns`, in eviction order; equivalent to
+        :meth:`on_generation` per column.
         """
-        live, dead = table[2], table[3]
-        self.total_generations += int(live.size)
-        self.live_time.add_many(live)
-        if dead.size and int(dead.min()) < 0:
-            for value in dead.tolist():
-                _add_unchecked(self.dead_time, value)
-        else:
-            self.dead_time.add_many(dead)
-        self.zero_live_generations += int(np.count_nonzero(live == 0))
         self._generations.extend(table)
 
     def bulk_correlations(self, table: np.ndarray) -> None:
         """Consume a batch of non-cold miss correlations at once.
 
         *table* is a ``(4, n)`` int64 array laid out as
-        :class:`CorrelationColumns`, in miss order.  Equivalent to
-        :meth:`on_miss_correlation` per row.
+        :class:`CorrelationColumns`, in miss order; equivalent to
+        :meth:`on_miss_correlation` per column.
         """
-        cls_arr, reload_arr, dead_arr, live_arr = table
-        self.reload_interval.add_many(reload_arr)
-        for miss_class in (MissClass.CONFLICT, MissClass.CAPACITY):
-            mask = cls_arr == int(miss_class)
-            if mask.any():
-                self.reload_by_class[miss_class].add_many(reload_arr[mask])
-                self.dead_by_class[miss_class].add_many(dead_arr[mask])
-                self.live_by_class[miss_class].add_many(live_arr[mask])
         self._correlations.extend(table)
 
     # -- columns -------------------------------------------------------------
@@ -294,6 +227,53 @@ class TimekeepingMetrics:
     def correlation_columns(self) -> CorrelationColumns:
         """The non-cold miss correlations, in miss order."""
         return CorrelationColumns(*self._correlations.table())
+
+    # -- views computed from the columns (Figures 4, 5, 7, 9) -----------------
+
+    @property
+    def live_time(self) -> Histogram:
+        """Live time per closed generation (Figure 4)."""
+        return _histogram(TIME_BIN, self._generations.table()[2])
+
+    @property
+    def dead_time(self) -> Histogram:
+        """Dead time per closed generation (Figure 4); raises ValueError
+        on a negative one (a prefetch arrival before the fill)."""
+        return _histogram(TIME_BIN, self._generations.table()[3])
+
+    @property
+    def reload_interval(self) -> Histogram:
+        """Reload interval per non-cold miss (Figure 5)."""
+        return _histogram(RELOAD_BIN, self._correlations.table()[1])
+
+    @property
+    def reload_by_class(self) -> Dict[MissClass, Histogram]:
+        """Reload intervals keyed by the *next* miss's class (Figure 7):
+        the paper correlates a block's last generation with the type of
+        its next miss."""
+        return self._by_class(RELOAD_BIN, 1)
+
+    @property
+    def dead_by_class(self) -> Dict[MissClass, Histogram]:
+        """Last dead times before conflict and capacity misses (Figure 9)."""
+        return self._by_class(TIME_BIN, 2)
+
+    def _by_class(self, bin_width: int, row: int) -> Dict[MissClass, Histogram]:
+        table = self._correlations.table()
+        return {
+            miss_class: _histogram(bin_width, table[row][table[0] == int(miss_class)])
+            for miss_class in (MissClass.CONFLICT, MissClass.CAPACITY)
+        }
+
+    @property
+    def total_generations(self) -> int:
+        """Number of closed generations."""
+        return int(self._generations.table().shape[1])
+
+    @property
+    def zero_live_generations(self) -> int:
+        """Number of closed generations with zero live time."""
+        return int(np.count_nonzero(self._generations.table()[2] == 0))
 
     # -- object views (tests, examples, benchmarks) ---------------------------
 
@@ -317,9 +297,8 @@ class TimekeepingMetrics:
 
     def zero_live_fraction(self) -> float:
         """Fraction of generations with zero live time."""
-        if self.total_generations == 0:
-            return 0.0
-        return self.zero_live_generations / self.total_generations
+        total = self.total_generations
+        return self.zero_live_generations / total if total else 0.0
 
     def fraction_live_below(self, cycles: int) -> float:
         """Fraction of live times below *cycles* (paper quotes 58% < 100)."""
@@ -341,23 +320,9 @@ class TimekeepingMetrics:
         byte-identically to a fresh in-memory run.
         """
         return {
-            "live_time": self.live_time.to_dict(),
-            "dead_time": self.dead_time.to_dict(),
             "access_interval": self.access_interval.to_dict(),
-            "reload_interval": self.reload_interval.to_dict(),
-            "reload_by_class": {
-                k.name: h.to_dict() for k, h in self.reload_by_class.items()
-            },
-            "dead_by_class": {
-                k.name: h.to_dict() for k, h in self.dead_by_class.items()
-            },
-            "live_by_class": {
-                k.name: h.to_dict() for k, h in self.live_by_class.items()
-            },
             "miss_correlations": _pack(self._correlations.table()),
             "generations": _pack(self._generations.table()),
-            "zero_live_generations": self.zero_live_generations,
-            "total_generations": self.total_generations,
         }
 
     @classmethod
@@ -368,26 +333,9 @@ class TimekeepingMetrics:
         decode (zlib's checksum catches a flipped byte).
         """
         out = cls()
-        out.live_time = Histogram.from_dict(data["live_time"])
-        out.dead_time = Histogram.from_dict(data["dead_time"])
         out.access_interval = Histogram.from_dict(data["access_interval"])
-        out.reload_interval = Histogram.from_dict(data["reload_interval"])
-        out.reload_by_class = {
-            MissClass[k]: Histogram.from_dict(h)
-            for k, h in data["reload_by_class"].items()
-        }
-        out.dead_by_class = {
-            MissClass[k]: Histogram.from_dict(h)
-            for k, h in data["dead_by_class"].items()
-        }
-        out.live_by_class = {
-            MissClass[k]: Histogram.from_dict(h)
-            for k, h in data["live_by_class"].items()
-        }
         out._correlations.extend(_unpack(data["miss_correlations"], 4))
         out._generations.extend(_unpack(data["generations"], 7))
-        out.zero_live_generations = data["zero_live_generations"]
-        out.total_generations = data["total_generations"]
         return out
 
 

@@ -92,10 +92,12 @@ def _merge(histograms: Iterable[Histogram]) -> Histogram:
     return out
 
 
-def _merge_by_class(metrics: Sequence[TimekeepingMetrics], attr: str,
-                    kind: MissClass) -> Histogram:
-    """Merge one per-class histogram bank across workloads."""
-    return _merge(getattr(m, attr)[kind] for m in metrics)
+def _merge_by_class(suite: Suite, attr: str) -> Tuple[Histogram, Histogram]:
+    """The conflict and capacity histograms of one per-class view, each
+    merged across workloads; each bank's view is read (binned) once."""
+    banks = [getattr(m, attr) for m in base_metrics(suite)]
+    return tuple(_merge(bank[kind] for bank in banks)
+                 for kind in (MissClass.CONFLICT, MissClass.CAPACITY))
 
 
 def _all_correlations(suite: Suite) -> CorrelationColumns:
@@ -269,9 +271,7 @@ def build_fig05(suite: Suite) -> FigureArtifact:
 
 def build_fig07(suite: Suite) -> FigureArtifact:
     """Figure 7 — reload intervals split by next-miss type."""
-    metrics = base_metrics(suite)
-    conflict = _merge_by_class(metrics, "reload_by_class", MissClass.CONFLICT)
-    capacity = _merge_by_class(metrics, "reload_by_class", MissClass.CAPACITY)
+    conflict, capacity = _merge_by_class(suite, "reload_by_class")
     text = "\n".join([
         "Figure 7 — reload intervals preceding CONFLICT misses (x1000-cycle bins)",
         distribution_rows(conflict.fractions(), RELOAD_BIN),
@@ -330,9 +330,7 @@ def build_fig08(suite: Suite) -> FigureArtifact:
 
 def build_fig09(suite: Suite) -> FigureArtifact:
     """Figure 9 — dead times split by next-miss type."""
-    metrics = base_metrics(suite)
-    conflict = _merge_by_class(metrics, "dead_by_class", MissClass.CONFLICT)
-    capacity = _merge_by_class(metrics, "dead_by_class", MissClass.CAPACITY)
+    conflict, capacity = _merge_by_class(suite, "dead_by_class")
     text = "\n".join([
         "Figure 9 — dead times preceding CONFLICT misses (x100-cycle bins)",
         distribution_rows(conflict.fractions(), TIME_BIN),

@@ -14,8 +14,8 @@ from ..core.prefetch.timeliness import TimelinessCounts
 from ..timing.processor import TimingResult
 
 #: Serialization schema version written by :meth:`SimulationResult.to_dict`;
-#: 2 packs the metric banks' tables.
-RESULT_SCHEMA_VERSION = 2
+#: 3 keeps a metric bank's tables and access intervals, not its histograms.
+RESULT_SCHEMA_VERSION = 3
 
 
 @dataclass
@@ -149,7 +149,7 @@ class SimulationResult:
 
         By default everything except :attr:`metrics` round-trips: the
         generational :class:`TimekeepingMetrics` object holds
-        per-generation records and histogram banks, so it is left out
+        per-generation and per-miss columns, so it is left out
         (``from_dict`` yields ``metrics=None``).
         ``include_metrics=True`` serializes the full collector state as
         well — the checkpoint store writes every record this way, so
@@ -231,11 +231,11 @@ class SimulationResult:
                     if data.get("metrics") is not None
                     else None
                 ),
-                l2_hits=data.get("l2_hits", 0),
-                l2_misses=data.get("l2_misses", 0),
-                memory_accesses=data.get("memory_accesses", 0),
+                l2_hits=data["l2_hits"],
+                l2_misses=data["l2_misses"],
+                memory_accesses=data["memory_accesses"],
                 decay=_optional(DecayStats, data.get("decay")),
-                writebacks=data.get("writebacks", 0),
+                writebacks=data["writebacks"],
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(f"malformed serialized result: {exc!r}") from exc

@@ -58,9 +58,10 @@ __all__ = [
     "STORE_VERSION", "CellKey", "LineIssue", "LoadReport", "RunStore",
 ]
 
-#: Store format version written into every manifest line; 2 packs the
-#: metric banks' tables.  A version 1 store is refused, not converted.
-STORE_VERSION = 2
+#: Store format version written into every manifest line; 3 keeps only a
+#: metric bank's packed tables and access intervals.  A store of an
+#: earlier version is refused, not converted.
+STORE_VERSION = 3
 
 #: Key identifying one cell: ``(workload, config_name)``.
 CellKey = Tuple[str, str]

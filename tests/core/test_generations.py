@@ -7,7 +7,7 @@ from repro.core.generations import GenerationTracker
 
 class TestSingleGeneration:
     def test_live_and_dead_time(self):
-        g = GenerationTracker(keep_records=True)
+        g = GenerationTracker()
         g.on_fill(0, block_addr=100, now=1000)
         g.on_hit(0, 1010)
         g.on_hit(0, 1050)
@@ -85,13 +85,14 @@ class TestLastGeneration:
 
 class TestHistoryAndCallbacks:
     def test_prev_live_time_chain(self):
-        g = GenerationTracker(keep_records=True)
+        records = []
+        g = GenerationTracker(on_generation=records.append)
         g.on_fill(0, 100, now=0)
         g.on_evict(0, 100, fill_time=0, live_time=30, now=50)
         g.on_fill(0, 100, now=100)
         rec = g.on_evict(0, 100, fill_time=100, live_time=35, now=200)
         assert rec.prev_live_time == 30
-        assert g.records[0].prev_live_time is None
+        assert records[0].prev_live_time is None
 
     def test_callback_invoked(self):
         seen = []

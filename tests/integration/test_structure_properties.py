@@ -51,7 +51,8 @@ class TestGenerationTrackerProperties:
     def test_generation_time_partitions(self, events):
         """For every closed generation: live + dead == evict - fill,
         regardless of the fill/hit/evict interleaving."""
-        tracker = GenerationTracker(keep_records=True)
+        records = []
+        tracker = GenerationTracker(on_generation=records.append)
         resident = {}  # frame -> (block, fill_time, last_hit or fill, hits)
         now = 0
         for frame, block, delta in events:
@@ -66,7 +67,7 @@ class TestGenerationTrackerProperties:
                 tracker.on_evict(frame, res_block, fill, live, now, hit_count=hits)
             tracker.on_fill(frame, block, now)
             resident[frame] = (block, now, now, 0)
-        for rec in tracker.records:
+        for rec in records:
             assert rec.live_time + rec.dead_time == rec.generation_time
             assert rec.live_time >= 0
             assert rec.dead_time >= 0

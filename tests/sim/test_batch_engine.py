@@ -377,8 +377,9 @@ class TestBitwiseEquivalence:
         """A DBCP prefetch into another set can arrive at a cycle before
         the fill of the block it evicts (a demand miss just before the
         drain stalled past the arrival time), closing a generation with
-        a negative dead time; the metrics bin that batch's dead times
-        one by one, as the scalar loop does."""
+        a negative dead time.  Both engines keep it exactly in the
+        generation columns, and the dead-time histogram refuses it on
+        read rather than binning it."""
         trace = prefetch_trace(seed=14, max_gap=20)
         digests = []
         for engine in ("scalar", "batch"):
@@ -386,6 +387,8 @@ class TestBitwiseEquivalence:
             result = sim.run(trace, engine=engine)
             assert sim.engine_used == engine, sim.batch_fallback
             assert min(g.dead_time for g in sim.metrics.generations) < 0
+            with pytest.raises(ValueError, match="non-negative"):
+                sim.metrics.dead_time
             digests.append(digest(sim, result))
         assert digests[0] == digests[1]
 

@@ -283,16 +283,47 @@ class TestReport:
             walls.append(row[-1])
         assert walls == ["0.750s", "0.750s"]
 
-    def test_version_1_store_refused(self, capsys, tmp_path):
-        store = self._hand_written_store(tmp_path, version=1)
+    def _assert_refused(self, capsys, tmp_path, version):
+        store = self._hand_written_store(tmp_path, version=version)
         for argv in (["report", str(store)], ["report", str(store), "--timing"]):
             assert main(argv) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
             (line,) = captured.err.splitlines()
             assert line.startswith("error: ")
-            assert f"unsupported store version 1 (this build reads {STORE_VERSION})" in line
+            assert (f"unsupported store version {version} "
+                    f"(this build reads {STORE_VERSION})") in line
             assert "fresh store" in line
+
+    def test_version_1_store_refused(self, capsys, tmp_path):
+        self._assert_refused(capsys, tmp_path, 1)
+
+    def test_version_2_store_refused(self, capsys, tmp_path):
+        assert STORE_VERSION == 3
+        self._assert_refused(capsys, tmp_path, 2)
+
+    def test_undecodable_record_counts_as_failed(self, capsys, tmp_path):
+        # One base64 character flipped mid-blob in gzip/base's packed
+        # generations: the line still parses, but its result does not
+        # decode, so the cell is failed, as load_suite counts it.
+        out = tmp_path / "paper"
+        assert main(["paper", "--only", "fig04", "--workloads", "gzip",
+                     "--length", "1000", "--out", str(out),
+                     "--cache-root", str(tmp_path / "traces")]) == 0
+        store = out / "paper_store.jsonl"
+        lines = store.read_text().splitlines(keepends=True)
+        ((i, line),) = [(i, text) for i, text in enumerate(lines)
+                        if '"workload":"gzip"' in text]
+        start = line.index('"generations":"') + len('"generations":"')
+        at = (start + line.index('"', start)) // 2
+        lines[i] = line[:at] + ("B" if line[at] != "B" else "C") + line[at + 1:]
+        store.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["report", str(store)]) == 0
+        out_lines = capsys.readouterr().out.splitlines()
+        (row,) = [line.split() for line in out_lines if line.startswith("gzip")]
+        assert row[:3] == ["gzip", "base", "undecodable"]
+        assert "1 cells: 0 ok, 1 failed, 0 retried" in out_lines
 
     def test_timing_without_telemetry_explains_itself(self, capsys, tmp_path):
         # A store an earlier build wrote: its cell record has no

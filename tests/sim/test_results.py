@@ -177,3 +177,11 @@ class TestSerialization:
 
         with pytest.raises(SimulationError, match="malformed"):
             SimulationResult.from_dict({"version": RESULT_SCHEMA_VERSION, "name": "x"})
+        # A current-version record carries every counter: one that lacks
+        # one is undecodable, so its cell re-runs rather than reading 0.
+        for key in ("l2_hits", "l2_misses", "memory_accesses", "writebacks"):
+            data = result(l2_hits=5, l2_misses=3, memory_accesses=3,
+                          writebacks=1).to_dict()
+            del data[key]
+            with pytest.raises(SimulationError, match=f"malformed.*{key}"):
+                SimulationResult.from_dict(data)

@@ -313,10 +313,10 @@ class TestCorruption:
         with pytest.raises(StoreError, match="version"):
             RunStore(path).load()
 
-    def test_version_1_store_refused(self, tmp_path):
-        # A store an earlier build wrote, with metric banks as JSON rows:
-        # resuming into it and rebuilding a suite from it both refuse,
-        # with one message, and leave it as it was.
+    def _assert_refused(self, tmp_path, version):
+        # A store an earlier build wrote: resuming into it and rebuilding
+        # a suite from it both refuse, with one message, and leave it as
+        # it was.
         from repro.figures.pipeline import load_suite
 
         path = tmp_path / "run.jsonl"
@@ -324,16 +324,24 @@ class TestCorruption:
             store.start(MANIFEST)
             store.record_result("gzip", "base", make_result(), elapsed=0.1)
         lines = path.read_text().splitlines(keepends=True)
-        lines[0] = json.dumps(dict(json.loads(lines[0]), version=1)) + "\n"
+        lines[0] = json.dumps(dict(json.loads(lines[0]), version=version)) + "\n"
         path.write_text("".join(lines))
         before = path.read_bytes()
-        message = (r"run\.jsonl:1: unsupported store version 1 \(this build "
-                   r"reads 2\); re-run the campaign into a fresh store$")
+        message = (rf"run\.jsonl:1: unsupported store version {version} \(this "
+                   r"build reads 3\); re-run the campaign into a fresh store$")
         for attempt in (lambda: RunStore(path).start(MANIFEST, resume=True),
                         lambda: load_suite(RunStore(path))):
             with pytest.raises(StoreError, match=message):
                 attempt()
         assert path.read_bytes() == before
+
+    def test_version_1_store_refused(self, tmp_path):
+        # Metric banks as JSON rows.
+        self._assert_refused(tmp_path, 1)
+
+    def test_version_2_store_refused(self, tmp_path):
+        # Metric banks with binned histograms next to their packed tables.
+        self._assert_refused(tmp_path, 2)
 
     def test_append_requires_start(self, tmp_path):
         store = RunStore(tmp_path / "run.jsonl")
