@@ -57,6 +57,7 @@ class DecayPolicy:
     """
 
     def __init__(self, decay_interval: int) -> None:
+        """Refuse a non-positive interval; start with zeroed stats."""
         if decay_interval <= 0:
             raise ConfigError(f"decay_interval must be positive, got {decay_interval}")
         self.decay_interval = decay_interval

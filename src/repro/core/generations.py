@@ -61,6 +61,7 @@ class GenerationRecord:
         max_access_interval: int,
         prev_live_time: Optional[int],
     ) -> None:
+        """Store the fields as given (see the class attributes)."""
         self.block_addr = block_addr
         self.start = start
         self.live_time = live_time
@@ -135,6 +136,7 @@ class GenerationTracker:
         self,
         on_generation: Optional[Callable[[GenerationRecord], None]] = None,
     ) -> None:
+        """No history and no open generation; *on_generation* gets each record."""
         self._on_generation = on_generation
         #: block_addr -> closed record of the block's previous tenancy
         #: (exposes the start/live_time/dead_time trio callers read).

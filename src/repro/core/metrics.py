@@ -107,6 +107,7 @@ class MissCorrelation:
         last_dead_time: int,
         last_live_time: int,
     ) -> None:
+        """Store one miss's class and its previous generation's times."""
         self.miss_class = miss_class
         self.reload_interval = reload_interval
         self.last_dead_time = last_dead_time
@@ -170,6 +171,7 @@ class TimekeepingMetrics:
     generations and correlations once, as the columns its views bin."""
 
     def __init__(self) -> None:
+        """An empty bank: no interval, generation or correlation yet."""
         self.access_interval = Histogram(TIME_BIN, NUM_BINS)
         #: Closed generations (rows of :class:`GenerationColumns`) and
         #: miss correlations (rows of :class:`CorrelationColumns`).

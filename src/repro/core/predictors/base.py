@@ -43,6 +43,7 @@ class PredictionStats:
 
     @property
     def total(self) -> int:
+        """Samples tallied, positive or negative."""
         return (
             self.true_positives
             + self.false_positives
@@ -102,11 +103,13 @@ class ThresholdPredictor(BinaryPredictor):
     """
 
     def __init__(self, threshold: int) -> None:
+        """Refuse a negative *threshold*."""
         if threshold < 0:
             raise ValueError(f"threshold must be non-negative, got {threshold}")
         self.threshold = threshold
 
     def predict(self, value):
+        """Positive where *value* (a scalar or an array) is below the threshold."""
         return value < self.threshold
 
     def __repr__(self) -> str:

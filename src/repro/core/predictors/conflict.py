@@ -40,6 +40,7 @@ class ReloadIntervalConflictPredictor(ThresholdPredictor):
     PAPER_THRESHOLD = 16_000
 
     def __init__(self, threshold: int = PAPER_THRESHOLD) -> None:
+        """Threshold in cycles, the paper's 16K by default."""
         super().__init__(threshold)
 
 
@@ -50,6 +51,7 @@ class DeadTimeConflictPredictor(ThresholdPredictor):
     PAPER_THRESHOLD = 1024
 
     def __init__(self, threshold: int = PAPER_THRESHOLD) -> None:
+        """Threshold in cycles, the paper's 1K by default."""
         super().__init__(threshold)
 
 
@@ -62,6 +64,7 @@ class ZeroLiveTimeConflictPredictor(BinaryPredictor):
     """
 
     def predict(self, value):
+        """Positive where the live time *value* is zero."""
         return value == 0
 
 

@@ -50,10 +50,12 @@ class DeadBlockStats:
 
     @property
     def accuracy(self) -> float:
+        """Correct share of the predictions made (1.0 when none was)."""
         return self.correct / self.made if self.made else 1.0
 
     @property
     def coverage(self) -> float:
+        """Share of generations with a prediction (0.0 without any)."""
         return self.made / self.total if self.total else 0.0
 
 
@@ -61,6 +63,7 @@ class DecayDeadBlockPredictor:
     """Dead once idle for *threshold* cycles (cache-decay style)."""
 
     def __init__(self, threshold: int) -> None:
+        """Refuse a non-positive idle *threshold* (cycles)."""
         if threshold <= 0:
             raise ValueError(f"decay threshold must be positive, got {threshold}")
         self.threshold = threshold
@@ -96,6 +99,7 @@ class LiveTimeDeadBlockPredictor:
     PAPER_SCALE = 2.0
 
     def __init__(self, scale: float = PAPER_SCALE) -> None:
+        """Refuse a non-positive *scale*."""
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
         self.scale = scale

@@ -47,6 +47,7 @@ class CorrelationTable:
         entry_bytes: int = 4,
         live_time_bits: int = 5,
     ) -> None:
+        """Check the geometry and start with an empty table and zero counters."""
         if tag_sum_bits < 0 or index_bits < 0:
             raise ConfigError("tag_sum_bits and index_bits must be non-negative")
         if tag_sum_bits + index_bits < 1:
@@ -83,6 +84,7 @@ class CorrelationTable:
 
     @property
     def num_entries(self) -> int:
+        """Entries the table can hold."""
         return self.num_sets * self.associativity
 
     def lookup(self, tag_a: int, tag_b: int, set_index: int) -> Optional[Tuple[int, int]]:
@@ -158,6 +160,7 @@ class DBCPTable:
         associativity: int = 8,
         entry_bytes: int = 8,
     ) -> None:
+        """Check the geometry and start with an empty table and zero counters."""
         if pointer_bits < 1:
             raise ConfigError("pointer_bits must be >= 1")
         if associativity < 1:
@@ -182,6 +185,7 @@ class DBCPTable:
 
     @property
     def size_bytes(self) -> int:
+        """Total table size in bytes."""
         return self.num_sets * self.associativity * self.entry_bytes
 
     @staticmethod
@@ -228,6 +232,7 @@ class DBCPTable:
             entries.popitem(last=False)
 
     def hit_rate(self) -> float:
+        """Fraction of lookups that found a confirmed entry."""
         return self.lookup_hits / self.lookups if self.lookups else 0.0
 
     def reset_stats(self) -> None:

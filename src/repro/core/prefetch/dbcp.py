@@ -45,6 +45,7 @@ class DBCPPrefetchPolicy(PrefetchPolicy):
     name = "dbcp"
 
     def __init__(self, l1_config: CacheConfig, table: Optional[DBCPTable] = None) -> None:
+        """Predict for an L1 of *l1_config* from *table* (a 2MB one by default)."""
         self.l1 = l1_config
         self.table = table if table is not None else DBCPTable()
         self._index_bits = l1_config.index_bits
@@ -89,16 +90,17 @@ class DBCPPrefetchPolicy(PrefetchPolicy):
 
     def on_miss(self, frame: Frame, frame_key: int, new_block_addr: int,
                 pc: int, now: int) -> Optional[ScheduledPrefetch]:
+        """:meth:`PrefetchPolicy.on_miss`: learn and predict from the miss PC."""
         self._state(frame_key).last_pc = pc
         return self._observe_fill(frame, frame_key, new_block_addr, pc, now)
 
     def on_prefetch_fill(self, frame: Frame, frame_key: int, block_addr: int,
                          now: int) -> Optional[ScheduledPrefetch]:
-        # A prefetch fill extends the per-frame history chain the same
-        # way a demand fill does, but never arms immediately — the next
-        # prefetch waits for the block's first demand use.  The frame's
-        # last demand-miss PC stands in for the (absent) miss PC so the
-        # learned and looked-up signatures stay consistent.
+        """:meth:`PrefetchPolicy.on_prefetch_fill`: extend the per-frame
+        history chain as a demand fill does, but never arm at once (the
+        next prefetch waits for the block's first demand use).  The
+        frame's last demand-miss PC stands in for the absent miss PC, so
+        learned and looked-up signatures stay consistent."""
         state = self._state(frame_key)
         schedule = self._observe_fill(frame, frame_key, block_addr, state.last_pc, now)
         if schedule is not None:
@@ -107,6 +109,7 @@ class DBCPPrefetchPolicy(PrefetchPolicy):
         return None
 
     def on_hit(self, frame: Frame, frame_key: int, now: int) -> Optional[ScheduledPrefetch]:
+        """:meth:`PrefetchPolicy.on_hit`: arm at the predicted death count."""
         state = self._frames.get(frame_key)
         if state is None or state.armed or state.predicted_block < 0:
             return None
@@ -116,12 +119,13 @@ class DBCPPrefetchPolicy(PrefetchPolicy):
         return None
 
     def next_hit_trigger(self, frame_key: int, frame: Frame) -> Optional[int]:
-        # on_hit arms an unarmed frame with a prediction at the first hit
-        # whose count reaches death_hits, and acts at no other hit.
+        """The first hit count reaching ``death_hits`` of an unarmed frame
+        with a prediction; :meth:`on_hit` acts at no other hit."""
         state = self._frames.get(frame_key)
         if state is None or state.armed or state.predicted_block < 0:
             return None
         return max(state.death_hits, 1)
 
     def state_bytes(self) -> int:
+        """:meth:`PrefetchPolicy.state_bytes`: the DBCP table's size."""
         return self.table.size_bytes

@@ -18,6 +18,7 @@ class PrefetchQueue:
     """Bounded FIFO with drop-oldest overflow."""
 
     def __init__(self, capacity: int = 128) -> None:
+        """An empty queue of *capacity* requests (Table 1: 128)."""
         if capacity < 1:
             raise ConfigError(f"prefetch queue capacity must be >= 1, got {capacity}")
         self.capacity = capacity

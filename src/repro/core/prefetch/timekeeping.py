@@ -52,6 +52,7 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
         tick_cycles: int = 512,
         live_time_scale: int = 2,
     ) -> None:
+        """Predict for an L1 of *l1_config* from *table* (8KB by default)."""
         self.l1 = l1_config
         self.table = table if table is not None else CorrelationTable()
         self.ticker = GlobalTicker(tick_cycles)
@@ -103,6 +104,7 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
 
     def on_miss(self, frame: Frame, frame_key: int, new_block_addr: int,
                 pc: int, now: int) -> Optional[ScheduledPrefetch]:
+        """:meth:`PrefetchPolicy.on_miss`: learn (D, A) -> B, predict (A, B)."""
         if not frame.valid:
             return None
         set_index = new_block_addr & self._set_mask
@@ -121,9 +123,9 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
 
     def on_prefetch_fill(self, frame: Frame, frame_key: int, block_addr: int,
                          now: int) -> Optional[ScheduledPrefetch]:
-        # Prefetched C replaces B (A before it): confirm (A, B) -> C and
-        # record B's actual live time.  The chain re-arms at C's first
-        # demand use (see on_hit), which anchors C's generation.
+        """:meth:`PrefetchPolicy.on_prefetch_fill`: prefetched C replaces B
+        (A before it), so confirm (A, B) -> C with B's live time.  The
+        chain re-arms at C's first demand use (:meth:`on_hit`)."""
         if not frame.valid or frame.prev_tag < 0:
             return None
         set_index = block_addr & self._set_mask
@@ -133,8 +135,8 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
         return None
 
     def on_hit(self, frame: Frame, frame_key: int, now: int) -> Optional[ScheduledPrefetch]:
-        # First demand use of a prefetched block: look up the chain's
-        # next link and arm the timer relative to this use.
+        """:meth:`PrefetchPolicy.on_hit`: at a prefetched block's first use,
+        look up the chain's next link and arm the timer from this use."""
         if not (frame.prefetched and frame.hit_count == 1):
             return None
         if frame.prev_tag < 0:
@@ -147,8 +149,9 @@ class TimekeepingPrefetchPolicy(PrefetchPolicy):
         return self._arm(frame_key, set_index, next_tag, lt_ticks, now)
 
     def next_hit_trigger(self, frame_key: int, frame: Frame) -> Optional[int]:
-        # on_hit acts only at a prefetched block's first demand use.
+        """Hit 1 of an unused prefetched block, the only hit :meth:`on_hit` acts at."""
         return 1 if frame.prefetched and frame.hit_count == 0 else None
 
     def state_bytes(self) -> int:
+        """:meth:`PrefetchPolicy.state_bytes`: the correlation table's size."""
         return self.table.size_bytes

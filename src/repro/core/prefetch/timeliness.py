@@ -59,6 +59,7 @@ class PendingPrefetch:
 
     def __init__(self, frame_key: int, target_block: int, armed_at: int,
                  fire_at: int) -> None:
+        """A waiting prediction of *target_block*, armed at *armed_at*."""
         self.frame_key = frame_key
         self.target_block = target_block
         self.armed_at = armed_at
@@ -90,19 +91,23 @@ class TimelinessCounts:
     )
 
     def add(self, was_correct: bool, timeliness: PrefetchTimeliness) -> None:
+        """Count one resolved prediction."""
         bucket = self.correct if was_correct else self.wrong
         bucket[timeliness] += 1
 
     @property
     def total_correct(self) -> int:
+        """Resolved predictions with the right address."""
         return sum(self.correct.values())
 
     @property
     def total_wrong(self) -> int:
+        """Resolved predictions with a wrong address."""
         return sum(self.wrong.values())
 
     @property
     def total(self) -> int:
+        """Resolved predictions."""
         return self.total_correct + self.total_wrong
 
     def address_accuracy(self) -> float:
@@ -123,6 +128,7 @@ class PrefetchBookkeeper:
     __slots__ = ("_pending", "_displaced", "counts", "superseded", "cancelled")
 
     def __init__(self) -> None:
+        """Nothing pending, every count zero."""
         self._pending: Dict[int, PendingPrefetch] = {}
         #: displaced block address -> frame whose prefetch displaced it.
         self._displaced: Dict[int, int] = {}

@@ -24,6 +24,7 @@ class GlobalTicker:
     """Global tick source: one tick edge every *tick_cycles* cycles."""
 
     def __init__(self, tick_cycles: int = 512) -> None:
+        """Refuse a tick shorter than one cycle."""
         if tick_cycles < 1:
             raise ConfigError(f"tick_cycles must be >= 1, got {tick_cycles}")
         self.tick_cycles = tick_cycles
@@ -53,6 +54,7 @@ class SaturatingCounter:
     """
 
     def __init__(self, bits: int) -> None:
+        """A cleared counter of *bits* bits."""
         if bits < 1:
             raise ConfigError(f"counter needs >= 1 bit, got {bits}")
         self.bits = bits

@@ -51,6 +51,7 @@ class UnfilteredAdmission(AdmissionFilter):
     name = "unfiltered"
 
     def admit(self, frame: Frame, incoming_block_addr: int, now: int) -> bool:
+        """:meth:`AdmissionFilter.admit`: always."""
         return True
 
 
@@ -64,9 +65,11 @@ class CollinsAdmission(AdmissionFilter):
     name = "collins"
 
     def __init__(self, index_bits: int) -> None:
+        """Tags are block addresses shifted right by *index_bits*."""
         self._index_bits = index_bits
 
     def admit(self, frame: Frame, incoming_block_addr: int, now: int) -> bool:
+        """:meth:`AdmissionFilter.admit`: on an A-B-A pattern."""
         incoming_tag = incoming_block_addr >> self._index_bits
         return frame.prev_tag == incoming_tag
 
@@ -81,12 +84,14 @@ class TimekeepingAdmission(AdmissionFilter):
     name = "timekeeping"
 
     def __init__(self, ticker: Optional[GlobalTicker] = None, max_counter: int = 1) -> None:
+        """Count dead time on *ticker* (512-cycle ticks by default)."""
         if max_counter < 0:
             raise ConfigError("max_counter must be non-negative")
         self.ticker = ticker if ticker is not None else GlobalTicker()
         self.max_counter = max_counter
 
     def admit(self, frame: Frame, incoming_block_addr: int, now: int) -> bool:
+        """:meth:`AdmissionFilter.admit`: when the dead-time counter is low."""
         ticks = self.ticker.ticks_between(frame.last_access_time, now)
         return saturate(ticks, VICTIM_FILTER_COUNTER_BITS) <= self.max_counter
 
@@ -119,6 +124,7 @@ class AdaptiveTimekeepingAdmission(AdmissionFilter):
         counter_bits: int = VICTIM_FILTER_COUNTER_BITS,
         initial_max_counter: int = 1,
     ) -> None:
+        """Retune the bound every *window* evictions toward *victim_entries*."""
         if victim_entries < 1:
             raise ConfigError("victim_entries must be >= 1")
         if window < 1:
@@ -134,6 +140,7 @@ class AdaptiveTimekeepingAdmission(AdmissionFilter):
         self.adjustments = 0
 
     def admit(self, frame: Frame, incoming_block_addr: int, now: int) -> bool:
+        """:meth:`AdmissionFilter.admit`: as timekeeping, then retune the bound."""
         ticks = self.ticker.ticks_between(frame.last_access_time, now)
         admitted = saturate(ticks, self.counter_bits) <= self.max_counter
         self._seen += 1

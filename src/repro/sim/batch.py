@@ -20,11 +20,15 @@ the base, perfect and victim machines in one recurrence, and
 Each walks only those; one opening pass and one post-pass
 (:class:`_Batch`) do the rest, each step written once: the column
 scan, set order and static hit rule with the entry L1 and L2 state;
-then the clock and access-interval pass, one correlation rule, one
-generation close, one stall breakdown over a per-miss category log,
-and one finishing step for the deferred L2 and every counter.  Two
-things stay per engine.  The L1 final state, because the prefetch
-policies act on real frames, which the event loop leaves behind.  And
+then the clock pass, one stall breakdown over a per-miss category log,
+one finishing step for the deferred L2 and every counter and, with a
+metric bank, the access-interval pass, one correlation rule and one
+generation close.  Only a bank reads a generation, so without one
+(``sim.generations`` is None) the loops record no closure and the
+post-pass closes none; the L1 frame fields stay, since the policies,
+the victim filters and the next batch read them.  Two things stay per
+engine.  The L1 final state, because the prefetch policies act on real
+frames, which the event loop leaves behind.  And
 the base recurrence's inline copy of the lean L2 step, which the event
 loop calls as :meth:`_DeferredL2State.access`: a method call per miss
 shows in the base configurations' time.
@@ -95,10 +99,10 @@ per hit where the policy acts; the hit runs between them stay columns:
   plus the stall of the misses before each hit and the prefetch fills
   that advanced the L1 clock;
 - the loop records only its misses (position, stall and category log
-  entry), its L2 events and the generations it closes, each with its
-  correlation key; the post-pass derives everything else, and the open
-  generations and the closed ones' maximum access intervals are rebuilt
-  from columns once the loop is done.
+  entry), its L2 events and, with a bank, the generations it closes,
+  each with its correlation key; the post-pass derives everything else
+  and rebuilds the open generations and the closed ones' maximum
+  access intervals from columns.
 
 Nothing observable reads frame fields of either cache during a run, so
 neither is rebuilt as :class:`Frame` objects at the end of a batch:
@@ -407,7 +411,8 @@ class _DeferredL1State:
     One column per frame field, each indexed by L1 set: ``block`` (the
     resident block, -1 for an empty set), ``fill``, ``last``, ``hits``,
     ``lt``, ``dirty``, ``prev_tag`` and ``stamp`` (the LRU stamp), plus
-    ``maxiv``, the open generation's maximum access interval.  A batch
+    ``maxiv``, the open generation's maximum access interval (zero
+    without a tracker, which only a metric bank has).  A batch
     reads its entry state from the columns: the previous batch's final
     state (the warm-up boundary, popped off the L1 by the opening pass
     of :class:`_Batch`), or a snapshot of real frames (an L1 that a
@@ -433,7 +438,7 @@ class _DeferredL1State:
         frames = l1._tags.values()
         if frames:
             # One row per frame in slot order, scattered by set at once.
-            open_max = tracker._open_max
+            open_max = tracker._open_max if tracker is not None else {}
             rows = np.array([
                 (f.set_index, f.block_addr, f.fill_time, f.last_access_time,
                  f.hit_count, f.lt_register, f.dirty, f.prev_tag, f.lru_stamp,
@@ -663,27 +668,27 @@ class _Batch:
         prev_blk[heads] = l1_state.block[ss[heads]]
         self.hit_sorted = sb == prev_blk
 
-    def clocks(self, miss_pos: np.ndarray, m_stall: np.ndarray,
-               seg_starts: np.ndarray, hit_s: np.ndarray,
-               arrivals: Optional[tuple] = None) -> np.ndarray:
-        """The clock and access-interval pass.
-
-        *m_stall* is each miss's clock stall (every stall falls at a
-        miss), *seg_starts* the set-order indices where generation
-        segments start, *hit_s* the hit flags in set order, *arrivals*
-        the set-order indices and times of prefetch fills that restart
-        an access's interval.  Sets ``sim.now``, feeds the hits'
-        intervals to the metrics, keeps every access's clock
-        (``now_eff``; ``now_s`` in set order) and each miss's clock
-        before its stalls (``pre_now``), and returns each segment's
-        maximum hit interval.
-        """
+    def clocks(self, miss_pos: np.ndarray, m_stall: np.ndarray) -> None:
+        """The clock pass: from *m_stall*, each miss's clock stall (every
+        stall falls at a miss), set ``sim.now`` and keep every access's
+        clock (``now_eff``; ``now_s`` in set order) and each miss's
+        clock before its stalls (``pre_now``)."""
         stall_full = np.zeros(self.n, dtype=np.int64)
         stall_full[miss_pos] = m_stall
         now_eff = self.now_eff = self.base_now + np.cumsum(stall_full)
         self.sim.now = int(now_eff[-1])
         self.pre_now = now_eff[miss_pos] - m_stall
-        now_s = self.now_s = now_eff[self.order]
+        self.now_s = now_eff[self.order]
+
+    def intervals(self, seg_starts: np.ndarray, hit_s: np.ndarray,
+                  arrivals: Optional[tuple] = None) -> np.ndarray:
+        """The access-interval pass, run only with a metric bank: feed the
+        hits' intervals to the bank and return each generation segment's
+        maximum hit interval.  *seg_starts* are the set-order indices
+        where segments start, *hit_s* the hit flags in set order,
+        *arrivals* the set-order indices and times of prefetch fills
+        that restart an access's interval."""
+        now_s = self.now_s
         heads = self.heads
         prev_now = np.empty(self.n, dtype=np.int64)
         prev_now[1:] = now_s[:-1]
@@ -691,13 +696,12 @@ class _Batch:
         if arrivals is not None:
             prev_now[arrivals[0]] = arrivals[1]
         intervals = now_s - prev_now
-        metrics = self.sim.metrics
-        if metrics is not None and miss_pos.size < self.n:
-            metrics.access_interval.add_many(intervals[hit_s])
+        self.sim.metrics.access_interval.add_many(intervals[hit_s])
         return np.maximum.reduceat(np.where(hit_s, intervals, 0), seg_starts)
 
     def close(self, cls: np.ndarray, m_blocks: np.ndarray, closures: tuple) -> None:
-        """The miss correlations, then the close of the evicted generations.
+        """The miss correlations, then the close of the evicted
+        generations; run only with a metric bank.
 
         *closures* holds the closed generations' columns in closure
         order (block, start, live time, dead time, hit count, maximum
@@ -726,8 +730,7 @@ class _Batch:
         prev_live = np.full(n_closed, -1, dtype=np.int64)
         prev_live[so[same]] = e_live[so[np.flatnonzero(same) - 1]]
         firsts = so[~same]
-        noncold = (np.flatnonzero(cls != _COLD) if metrics is not None
-                   else np.zeros(0, dtype=np.int64))
+        noncold = np.flatnonzero(cls != _COLD)
         q_block = m_blocks[noncold]
         q_now = self.pre_now[noncold]
         nq = int(noncold.size)
@@ -770,8 +773,7 @@ class _Batch:
         # one table; neither builds a GenerationRecord from it.
         table = np.stack((e_block, e_start, e_live, e_dead, e_hits, e_max, prev_live))
         tracker.absorb_closed(table)
-        if metrics is not None:
-            metrics.bulk_generations(table)
+        metrics.bulk_generations(table)
 
     def finish(self, miss_log: np.ndarray, demand: np.ndarray,
                penalty: Optional[np.ndarray], served, served_charges_l2: bool,
@@ -885,9 +887,9 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     """Run trace rows [start:stop) through *sim*, batch-dispatched.
 
     Leaves *sim* in the same externally observable state as
-    ``sim._consume`` over the same rows: counters, clocks, metrics,
-    tracker state and the contents of both caches (deferred, frames
-    built only when read — see :class:`_DeferredL1State` and
+    ``sim._consume`` over the same rows: counters, clocks, the metric
+    bank and tracker if any, and the contents of both caches (deferred,
+    frames built only when read — see :class:`_DeferredL1State` and
     :class:`_DeferredL2State`) all match bitwise, and so does the
     prefetch engine's state when a policy is configured (then the
     event loop :func:`_consume_prefetch` walks the rows).  Both start
@@ -1170,11 +1172,8 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         else np.diff(np.array(cum, dtype=np.int64))
     )
 
-    # ---- POST: clocks, generations, correlations --------------------------
-    seg_max = bt.clocks(miss_pos, stalls_np, gen_starts, hit_sorted)
-    gen_max = np.where(
-        gen_is_entry, np.maximum(seg_max, entry_maxiv[gen_set]), seg_max
-    )
+    # ---- POST: clocks, then generations and correlations with a bank ------
+    bt.clocks(miss_pos, stalls_np)
     gen_last_now = bt.now_s[gen_last_pos]
     gen_fill = np.where(gen_is_entry, entry_fill[gen_set], bt.now_s[gen_starts])
     gen_lt = np.where(
@@ -1182,23 +1181,25 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         gen_last_now - gen_fill,
         np.where(gen_is_entry, entry_lt[gen_set], 0),
     )
-    gen_live = np.where(gen_hits_total > 0, gen_lt, 0)
-    # Each miss closes its valid victim's generation, in miss order, at
-    # the clock after its demand stall and before any fill penalty.
-    entry_live = np.where(entry_hits > 0, entry_lt, 0)
-    v_start = np.where(m_is_head, entry_fill[m_set], gen_fill[g_prev])
-    v_live = np.where(m_is_head, entry_live[m_set], gen_live[g_prev])
-    v_hits = np.where(m_is_head, entry_hits[m_set], gen_hits_total[g_prev])
-    v_max = np.where(m_is_head, entry_maxiv[m_set], gen_max[g_prev])
-    val_mask = v_valid[perm]
-    e_start = v_start[perm][val_mask]
-    e_live = v_live[perm][val_mask]
-    e_dead = (bt.pre_now + demand_stalls)[val_mask] - (e_start + e_live)
-    e_block = v_block[perm][val_mask]
-    bt.close(cls, m_blocks, (
-        e_block, e_start, e_live, e_dead, v_hits[perm][val_mask],
-        v_max[perm][val_mask], np.flatnonzero(val_mask) + 1,
-    ))
+    if tracker is not None:
+        seg_max = bt.intervals(gen_starts, hit_sorted)
+        gen_max = np.where(
+            gen_is_entry, np.maximum(seg_max, entry_maxiv[gen_set]), seg_max
+        )
+        gen_live = np.where(gen_hits_total > 0, gen_lt, 0)
+        # Each miss closes its valid victim's generation, in miss order,
+        # at the clock after its demand stall and before any fill penalty.
+        entry_live = np.where(entry_hits > 0, entry_lt, 0)
+        v_start = np.where(m_is_head, entry_fill[m_set], gen_fill[g_prev])
+        v_live = np.where(m_is_head, entry_live[m_set], gen_live[g_prev])
+        v_hits = np.where(m_is_head, entry_hits[m_set], gen_hits_total[g_prev])
+        v_max = np.where(m_is_head, entry_maxiv[m_set], gen_max[g_prev])
+        val_mask = v_valid[perm]
+        e_block, e_start, e_live, e_hits, e_max = np.stack(
+            (v_block, v_start, v_live, v_hits, v_max))[:, perm[val_mask]]
+        e_dead = (bt.pre_now + demand_stalls)[val_mask] - (e_start + e_live)
+        bt.close(cls, m_blocks, (e_block, e_start, e_live, e_dead, e_hits, e_max,
+                                 np.flatnonzero(val_mask) + 1))
 
     # ---- L1 final state (deferred) ----------------------------------------
     # Each touched set ends in the generation of its last access.  One
@@ -1208,7 +1209,7 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     f_set = ss[tail_pos]
     f_gid = gen_id[tail_pos]
     f_last = gen_last_now[f_gid]
-    f_max = gen_max[f_gid]
+    f_max = gen_max[f_gid] if tracker is not None else entry_maxiv[f_set]
     f_prev = l1_state.prev_tag[f_set]
     missed = ~gen_is_entry[f_gid]
     gen_missrank = np.empty(gen_starts.size, dtype=np.int64)
@@ -1219,9 +1220,10 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         gen_hits_total[f_gid], gen_lt[f_gid], gen_dirty[f_gid], f_prev,
         l1._clock + order[tail_pos] + 1, f_max,
     ))
-    f_set_l = f_set.tolist()
-    tracker._open_last.update(zip(f_set_l, f_last.tolist()))
-    tracker._open_max.update(zip(f_set_l, f_max.tolist()))
+    if tracker is not None:
+        f_set_l = f_set.tolist()
+        tracker._open_last.update(zip(f_set_l, f_last.tolist()))
+        tracker._open_max.update(zip(f_set_l, f_max.tolist()))
 
     # ---- counters -----------------------------------------------------------
     # The deferred L2's event columns come from the miss columns of the
@@ -1236,7 +1238,7 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
             stores_arr[miss_pos][reach].tolist(), miss_log_arr[reach].tolist(),
         )
 
-    n_evictions = int(e_block.size)
+    n_evictions = int(v_valid.sum())
     bt.finish(
         miss_log_arr, demand_stalls,
         stalls_np - demand_stalls if victim_cache is not None else None,
@@ -1266,10 +1268,10 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
     (:meth:`_DeferredL2State.access`) and local bus state.  A frame is
     caught up for the hits skipped since its last visit before anything
     reads it.  The loop records only its misses (position, stall,
-    category), the L2 events and the generations it closes; the
-    post-pass of :class:`_Batch` derives clocks, intervals,
-    correlations and counters from them, and the loop's own L1 final
-    state rebuilds the open generations from columns.
+    category), the L2 events and, with a bank, the generations it
+    closes; the post-pass of :class:`_Batch` derives clocks, counters
+    and, with a bank, intervals and correlations from them, and
+    rebuilds the open generations from columns.
     """
     n = bt.n
     l1 = sim.l1
@@ -1297,7 +1299,6 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
     order = bt.order
     ss = bt.ss
     heads = bt.heads
-    entry_resident = bt.l1_state.block
     entry_maxiv = bt.l1_state.maxiv
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64)
@@ -1354,9 +1355,10 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
     l1_tags = l1._tags
     l1_valid_counts = l1._valid_counts
     l1_sets = l1._sets
-    # Closed generations: (block, start, live, dead, hits, segment, key),
-    # segment the sorted index of the generation's first access in the
-    # batch (-1 if none), key the number of misses begun.
+    # With a bank, closed generations: (block, start, live, dead, hits,
+    # segment, key), segment the sorted index of the generation's first
+    # access in the batch (-1 if none), key the number of misses begun.
+    track = tracker is not None
     closed: List[tuple] = []
     closed_append = closed.append
     ev_heap = events._heap
@@ -1374,10 +1376,10 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
     queued = prefetch_queue._queue
 
     synced = list(run_start_l)  # per set: first sorted index not applied
-    gen_first = list(run_start_l)  # per set: open generation's first access
-    # sorted index -> arrival time of the latest fill before that access
+    # With a bank: per set, the open generation's first access; and
+    # sorted index -> arrival time of the latest fill before that access.
+    gen_first = list(run_start_l)
     after_arrival: Dict[int, int] = {}
-    filled_sets: set = set()  # sets an arrival filled
     visits: List[int] = []  # heap: positions to visit beyond the static misses
     stall_pos = [-1]  # positions of stalling misses ...
     stall_cum = [0]  # ... and the clock stall through each
@@ -1385,7 +1387,7 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
     miss_at: List[int] = []
     miss_log: List[int] = []  # per miss: packed L2 event, -1 for a merge
     log_append = miss_log.append
-    n_wb = n_useful = n_issued = n_arrived = n_scheduled = n_fired = 0
+    n_wb = n_evict = n_useful = n_issued = n_arrived = n_scheduled = n_fired = 0
     n_pf_l2h = n_pf_evict = 0
     stall_acc = 0
     stamp0 = clock0 + 1  # L1 stamp of access 0, advanced by each arrival
@@ -1498,14 +1500,16 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
                         l1l2_wait += b0 - when
                         l1l2_free = l1l2_lde = b0 + c32
                         n_wb += 1
-                    hc = frame.hit_count
-                    live = frame.lt_register if hc > 0 else 0
-                    fill = frame.fill_time
-                    g = gen_first[s]
-                    closed_append((
-                        displaced, fill, live, when - (fill + live), hc,
-                        g if g < j else -1, len(miss_at),
-                    ))
+                    n_evict += 1
+                    if track:
+                        hc = frame.hit_count
+                        live = frame.lt_register if hc > 0 else 0
+                        fill = frame.fill_time
+                        g = gen_first[s]
+                        closed_append((
+                            displaced, fill, live, when - (fill + live), hc,
+                            g if g < j else -1, len(miss_at),
+                        ))
                 schedule = on_prefetch_fill(frame, s, target, when)
                 if schedule is not None:
                     fire_at = schedule.fire_at
@@ -1524,11 +1528,12 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
                 stamp0 += 1
                 bookkeeper.arrived(fk, when, displaced)
                 n_arrived += 1
-                gen_first[s] = j
-                filled_sets.add(s)
                 if j < run_end_l[s]:
-                    after_arrival[j] = when
                     heappush(visits, order_l[j])
+                if track:
+                    gen_first[s] = j
+                    if j < run_end_l[s]:
+                        after_arrival[j] = when
             issue = True
         else:
             issue = queued
@@ -1649,14 +1654,16 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
                     l1l2_wait += b0 - now
                     l1l2_free = l1l2_lde = b0 + c32
                     n_wb += 1
-                hc = frame.hit_count
-                live = frame.lt_register if hc > 0 else 0
-                fill = frame.fill_time
-                g = gen_first[s]
-                closed_append((
-                    old, fill, live, now - (fill + live), hc,
-                    g if g < k else -1, len(miss_at),
-                ))
+                n_evict += 1
+                if track:
+                    hc = frame.hit_count
+                    live = frame.lt_register if hc > 0 else 0
+                    fill = frame.fill_time
+                    g = gen_first[s]
+                    closed_append((
+                        old, fill, live, now - (fill + live), hc,
+                        g if g < k else -1, len(miss_at),
+                    ))
             schedule = on_miss(frame, s, b, pcs_l[p], now)
             if valid:
                 del l1_tags[old]
@@ -1667,7 +1674,8 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
             if store:
                 frame.dirty = True
             frame.lru_stamp = stamp0 + p
-            gen_first[s] = k
+            if track:
+                gen_first[s] = k
         if schedule is not None:
             fire_at = schedule.fire_at
             heappush(ev_heap, (fire_at, next(ev_counter), (_FIRE, scheduled(
@@ -1685,55 +1693,19 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
                     heappush(visits, order_l[j])
         p += 1
 
-    # ---- POST: clocks, generation segments, correlations ------------------
+    # ---- POST: clocks, L1 final state ---------------------------------------
     nm = len(miss_at)
     miss_pos = np.array(miss_at, dtype=np.int64)
     m_stall = np.zeros(nm, dtype=np.int64)
     m_stall[np.searchsorted(miss_pos, stall_pos[1:])] = np.diff(stall_cum)
-    hit = np.ones(n, dtype=bool)
-    hit[miss_pos] = False
-    hit_s = hit[order]
-    # Generation segments in the sorted domain start at set heads, at
-    # misses and at the first access after an arrival.
-    gen_head = heads.copy()
-    gen_head[rank[miss_pos]] = True
-    arrivals = None
-    if after_arrival:
-        after_idx = np.array(list(after_arrival), dtype=np.int64)
-        gen_head[after_idx] = True
-        arrivals = (after_idx, list(after_arrival.values()))
-    seg_max = bt.clocks(miss_pos, m_stall, np.flatnonzero(gen_head), hit_s, arrivals)
-    seg_of = np.cumsum(gen_head) - 1
-    now_eff = bt.now_eff
+    bt.clocks(miss_pos, m_stall)
     cls = _classify(sim, trace, start, stop, blocks, miss_pos, blocks_l)
-
-    # A set's first closed generation is its entry generation when the
-    # set had a resident at batch entry; that one also carries the
-    # tracker's maximum interval.
-    entry_valid = entry_resident >= 0
-    closed_sets = np.zeros(num_sets, dtype=bool)
-    if closed:
-        e_block, e_start, e_live, e_dead, e_hits, e_seg, e_key = (
-            np.array(column, dtype=np.int64) for column in zip(*closed)
-        )
-        e_max = np.where(e_seg >= 0, seg_max[seg_of[np.maximum(e_seg, 0)]], 0)
-        e_set = e_block & set_mask
-        first_sets, first = np.unique(e_set, return_index=True)
-        closed_sets[first_sets] = True
-        first = first[entry_valid[first_sets]]
-        e_max[first] = np.maximum(e_max[first], entry_maxiv[e_set[first]])
-        closures = (e_block, e_start, e_live, e_dead, e_hits, e_max, e_key)
-    else:
-        closures = (np.zeros(0, dtype=np.int64),) * 7
-    bt.close(cls, blocks[miss_pos], closures)
-
-    # ---- L1 final state --------------------------------------------------------
     synced_arr = np.array(synced, dtype=np.int64)
     rest = np.flatnonzero(synced_arr < run_end)
     if rest.size:
         # Skipped hits after each set's last visit, from the final clocks.
         last_q = order[run_end[rest] - 1]
-        rest_t = now_eff[last_q]
+        rest_t = bt.now_eff[last_q]
         rest_dirty = store_cs[run_end[rest]] != store_cs[synced_arr[rest]]
         rest_stamp = clock0 + last_q + 1 + np.searchsorted(
             np.array(pf_fill_pos, dtype=np.int64), last_q, side="right"
@@ -1749,22 +1721,47 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
             if dirty:
                 frame.dirty = True
             frame.lru_stamp = stamp
-    # Open generations: last access (or prefetch fill) time and the
-    # maximum interval of the current segment.
-    touched_mask = run_end > np.array(run_start_l, dtype=np.int64)
-    touched_mask[list(filled_sets)] = True
-    touched = np.flatnonzero(touched_mask)
-    t_first = np.array(gen_first, dtype=np.int64)[touched]
-    t_entry = entry_valid[touched] & ~closed_sets[touched]
-    t_max = np.where(
-        t_first < run_end[touched], seg_max[seg_of[np.minimum(t_first, n - 1)]], 0
-    )
-    t_max = np.where(t_entry, np.maximum(t_max, entry_maxiv[touched]), t_max)
-    touched_l = touched.tolist()
-    tracker._open_last.update(
-        (s, frames[s].last_access_time) for s in touched_l
-    )
-    tracker._open_max.update(zip(touched_l, t_max.tolist()))
+
+    # ---- generation segments, correlations, open generations (bank) -------
+    if track:
+        hit_s = np.ones(n, dtype=bool)
+        hit_s[rank[miss_pos]] = False
+        # Generation segments in the sorted domain start at set heads, at
+        # misses and at the first access after an arrival.
+        gen_head = heads | ~hit_s
+        after = list(after_arrival)
+        gen_head[after] = True
+        seg_max = bt.intervals(
+            np.flatnonzero(gen_head), hit_s, (after, list(after_arrival.values()))
+        )
+        seg_of = np.cumsum(gen_head) - 1
+        # A set's first closed generation is its entry generation when
+        # the set had a resident at batch entry; that one also carries
+        # the tracker's maximum interval.
+        entry_valid = bt.l1_state.block >= 0
+        e_block, e_start, e_live, e_dead, e_hits, e_seg, e_key = (
+            np.array(closed, dtype=np.int64).reshape(-1, 7).T
+        )
+        e_max = np.where(e_seg >= 0, seg_max[seg_of[np.maximum(e_seg, 0)]], 0)
+        e_set = e_block & set_mask
+        first_sets, first = np.unique(e_set, return_index=True)
+        closed_sets = np.zeros(num_sets, dtype=bool)
+        closed_sets[first_sets] = True
+        first = first[entry_valid[first_sets]]
+        e_max[first] = np.maximum(e_max[first], entry_maxiv[e_set[first]])
+        bt.close(cls, blocks[miss_pos],
+                 (e_block, e_start, e_live, e_dead, e_hits, e_max, e_key))
+        # Open generations, one per valid frame: last access (or prefetch
+        # fill) time, and the maximum interval of the current segment,
+        # which an untouched set keeps from entry.
+        gen_first = np.array(gen_first, dtype=np.int64)
+        o_max = np.where(
+            gen_first < run_end, seg_max[seg_of[np.minimum(gen_first, n - 1)]], 0
+        )
+        o_max = np.where(entry_valid & ~closed_sets, np.maximum(o_max, entry_maxiv), o_max)
+        valid = [s for s, frame in enumerate(frames) if frame is not None and frame.valid]
+        tracker._open_last.update((s, frames[s].last_access_time) for s in valid)
+        tracker._open_max.update(zip(valid, o_max[valid].tolist()))
 
     # ---- counters -----------------------------------------------------------
     bt.finish(
@@ -1772,7 +1769,7 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
         AccessOutcome.PREFETCH_HIT, True, lambda: l2_log,
         ((l1l2_free, l1l2_lde, l1l2_wait, l1l2_pf_wait),
          (mem_free, mem_lde, mem_wait, mem_pf_wait)),
-        n_wb, len(closed),
+        n_wb, n_evict,
         prefetch=(n_pf_l2h, n_issued - n_pf_l2h, n_pf_evict, len(pf_fill_pos)),
     )
     sim._prefetch_useful += n_useful

@@ -102,7 +102,10 @@ class MemorySimulator:
         perfect_non_cold: bool = False,
         decay: Optional[DecayPolicy] = None,
     ) -> None:
-        """Assemble the machine: caches, timing, filters, predictors."""
+        """Assemble the machine: caches, timing, filters, predictors and,
+        with *collect_metrics*, a metric bank and the generation tracker
+        that feeds it (only a bank reads a generation, so without one
+        ``generations`` is None and neither engine tracks any)."""
         self.machine = machine if machine is not None else paper_machine()
         self.ipa = ipa
         self.l1 = SetAssociativeCache(self.machine.l1d)
@@ -111,10 +114,10 @@ class MemorySimulator:
         self.classifier = ThreeCClassifier(self.machine.l1d.num_blocks)
         self.perfect_non_cold = perfect_non_cold
         self.collect_metrics = collect_metrics
-        self.metrics = TimekeepingMetrics() if collect_metrics else None
-        self.generations = GenerationTracker(
-            on_generation=self.metrics.on_generation if self.metrics else None
-        )
+        self.metrics = self.generations = None
+        if collect_metrics:
+            self.metrics = TimekeepingMetrics()
+            self.generations = GenerationTracker(self.metrics.on_generation)
         # Victim cache.
         self.victim_cache: Optional[VictimCache] = None
         self.admission: Optional[AdmissionFilter] = None
@@ -233,7 +236,8 @@ class MemorySimulator:
             if schedule is not None:
                 self._arm(schedule)
         self.l1.fill(frame, target, when, prefetched=True)
-        self.generations.on_fill(frame_key, target, when)
+        if self.generations is not None:
+            self.generations.on_fill(frame_key, target, when)
         self.bookkeeper.arrived(pending.frame_key, when, displaced)
         self._prefetch_arrived += 1
 
@@ -249,8 +253,8 @@ class MemorySimulator:
     # -- eviction path ------------------------------------------------------------
 
     def _evict(self, frame, frame_key: int, incoming_block: int, now: int) -> None:
-        """Close the resident generation; write back dirty data; run
-        victim-cache admission."""
+        """Close the resident generation (with a bank); write back dirty
+        data; run victim-cache admission."""
         if frame.dirty:
             # Dirty eviction: the block crosses the L1/L2 bus.  This is
             # occupancy only (write-backs are off the critical path) but
@@ -270,14 +274,11 @@ class MemorySimulator:
                     self.now += self.timing.add_fixed_stall(whole, "victim-fill")
             else:
                 self.victim_cache.reject()
-        self.generations.on_evict(
-            frame_key,
-            frame.block_addr,
-            frame.fill_time,
-            frame.live_time(),
-            now,
-            hit_count=frame.hit_count,
-        )
+        if self.generations is not None:
+            self.generations.on_evict(
+                frame_key, frame.block_addr, frame.fill_time, frame.live_time(),
+                now, hit_count=frame.hit_count,
+            )
 
     # -- warm-up -----------------------------------------------------------------------
 
@@ -385,8 +386,8 @@ class MemorySimulator:
 
         The per-access reference loop: every step is one call through
         the public protocol of the part it drives (``probe``/``touch``/
-        ``choose_victim``/``fill``, ``on_hit``/``on_fill``,
-        ``classify_miss``/``record_access``, ``add_access``/
+        ``choose_victim``/``fill``, the tracker's ``on_hit``/``on_fill``
+        with a bank, ``classify_miss``/``record_access``, ``add_access``/
         ``add_stall``, :meth:`_evict`).  It runs every configuration the
         batch engine does not model, and it is what the batch engine is
         diffed against (tools/equivalence.py).  ``self.now`` is re-read
@@ -440,22 +441,18 @@ class MemorySimulator:
                 # truncated generation and drop the line; the access then
                 # takes the ordinary miss path below.
                 decay.on_decayed_hit(frame.fill_time, frame.last_access_time, now)
-                generations.on_evict(
-                    frame.frame_key,
-                    frame.block_addr,
-                    frame.fill_time,
-                    frame.live_time(),
-                    now,
-                    hit_count=frame.hit_count,
-                )
+                if generations is not None:
+                    generations.on_evict(
+                        frame.frame_key, frame.block_addr, frame.fill_time,
+                        frame.live_time(), now, hit_count=frame.hit_count,
+                    )
                 l1.invalidate_frame(frame)
                 frame = None
             if frame is not None:
                 frame_key = frame.frame_key
                 first_use = frame.prefetched and frame.hit_count == 0
-                interval = generations.on_hit(frame_key, now)
-                if metrics is not None:
-                    metrics.on_access_interval(interval)
+                if generations is not None:
+                    metrics.on_access_interval(generations.on_hit(frame_key, now))
                 l1.touch(frame, now, store=store)
                 classifier.record_access(block)
                 outcomes[AccessOutcome.L1_HIT] += 1
@@ -527,7 +524,8 @@ class MemorySimulator:
             else:
                 schedule = None
             l1.fill(victim_frame, block, now, store=store)
-            generations.on_fill(frame_key, block, now)
+            if generations is not None:
+                generations.on_fill(frame_key, block, now)
             if schedule is not None:
                 self._arm(schedule)
 
@@ -604,8 +602,10 @@ def simulate(
     pass *prefetch_policy* instead for a custom or specially-configured
     policy object.  *warmup* leading accesses are simulated for state
     only (statistics reset afterwards), mirroring the paper's skipping
-    of the first billion instructions.  The
-    simulated model picks the dispatch engine (see
+    of the first billion instructions.  *collect_metrics* attaches a
+    metric bank to the result, and only a machine with a bank tracks
+    generations (``MemorySimulator.generations``).  The simulated model
+    picks the dispatch engine (see
     :func:`~repro.sim.batch.batch_fallback_reason`).
 
     The garbage collector stays off from building the simulator until

@@ -9,10 +9,11 @@ bitwise-identical ``SimulationResult.to_dict()`` output and full
 machine state (``equivalence.state_digest``) for every workload in the
 suite: under the default, victim-cache (the paper's three admission
 filters and the adaptive one), prefetch (timekeeping and DBCP), decay,
-2-way L1, warmup, and perfect-mode configurations, plus eon under
-both prefetchers (the one stand-in whose prefetch cells issue many
-prefetches at this length), and on seeded random traces with stores.  Every run must also keep the accounting
-identities.
+2-way L1, warmup, and perfect-mode configurations, the bank-less
+configs that track no generation, plus eon under both prefetchers
+(the one stand-in whose prefetch cells issue many prefetches at this
+length), and on seeded random traces with stores.  Every run must
+also keep the accounting identities.
 """
 
 import sys
@@ -50,6 +51,7 @@ def test_bitwise_equivalence(workload, config_name, traces):
 
 @pytest.mark.parametrize("config_name", [
     "prefetch", "prefetch_dbcp", "prefetch_warmup", "prefetch_dbcp_warmup",
+    "prefetch_warmup_nobank", "prefetch_dbcp_warmup_nobank",
 ])
 def test_prefetch_cells_on_eon(config_name, traces):
     """At this length the default stand-ins leave the prefetch event loop

@@ -554,6 +554,34 @@ class TestNoRecordsBuilt:
         assert {"GenerationRecord", "MissCorrelation"} <= set(built)
 
 
+class TestNoBankNoGenerations:
+    """Only a metric bank reads a generation, so a machine without one
+    has no tracker, and neither batch engine runs a generation pass."""
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_CONFIGS))
+    def test_bankless_run_tracks_no_generation(self, name, monkeypatch):
+        """A two-batch run of each paper config: no tracker, no interval
+        pass, no correlation or generation close, and the result of the
+        banked run (a bank observes and never steers)."""
+        config = {**FIGURE_CONFIGS[name], "collect_metrics": False}
+        trace = prefetch_trace() if "prefetcher" in config else conflict_trace()
+        banked = make_simulator(**{**config, "collect_metrics": True})
+        expected = banked.run(trace, warmup=150).to_dict()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("generation pass without a metric bank")
+
+        monkeypatch.setattr(batch_module._Batch, "intervals", refuse)
+        monkeypatch.setattr(batch_module._Batch, "close", refuse)
+        sim = make_simulator(**config)
+        result = sim.run(trace, warmup=150)
+        assert sim.engine_used == "batch", sim.batch_fallback
+        assert sim.generations is None and sim.metrics is None
+        if result.prefetch is not None:
+            assert result.prefetch.arrived > 0
+        assert result.to_dict() == expected
+
+
 def classifier_state(sim):
     """The 3C classifier's counts, shadow (contents and LRU order) and
     seen set."""

@@ -26,9 +26,12 @@ layers against their plain originals, not to re-derive the machine.
 Cells cover warmup > 0 and perfect-mode configurations in addition to
 the mechanism axes: victim cache under each of the paper's three
 admission filters and the adaptive one, the timekeeping and DBCP
-prefetchers, decay, and a 2-way L1.  Every run must also
-satisfy the accounting identities of :func:`accounting_violations`; a
-violation is reported as one more diff line of the cell.
+prefetchers, decay, and a 2-way L1.  A config runs with a metric bank
+unless it says ``collect_metrics: False``; the ``_nobank`` configs
+cover the branches of both engines that track no generation.  Every
+run must also satisfy the accounting identities of
+:func:`accounting_violations`; a violation is reported as one more
+diff line of the cell.
 
 Run directly::
 
@@ -82,6 +85,24 @@ CONFIGS: Dict[str, Dict[str, Any]] = {
     "prefetch_dbcp_warmup": {"prefetcher": "dbcp", "warmup_frac": 0.33},
     "perfect": {"perfect_non_cold": True},
     "perfect_warmup": {"perfect_non_cold": True, "warmup_frac": 0.33},
+    # Without a metric bank a machine tracks no generation, so each
+    # branch that drops the tracker runs once bank-less: the base
+    # recurrence, the timekeeping victim filter, perfect mode, each
+    # prefetcher, and the scalar loop's decayed-hit close.
+    "warmup_nobank": {"warmup_frac": 0.33, "collect_metrics": False},
+    "victim_warmup_nobank": {
+        "victim_filter": "timekeeping", "warmup_frac": 0.33, "collect_metrics": False,
+    },
+    "perfect_warmup_nobank": {
+        "perfect_non_cold": True, "warmup_frac": 0.33, "collect_metrics": False,
+    },
+    "prefetch_warmup_nobank": {
+        "prefetcher": "timekeeping", "warmup_frac": 0.33, "collect_metrics": False,
+    },
+    "prefetch_dbcp_warmup_nobank": {
+        "prefetcher": "dbcp", "warmup_frac": 0.33, "collect_metrics": False,
+    },
+    "decay_nobank": {"decay_interval": 8192, "collect_metrics": False},
 }
 
 #: Per-cell simulator runs: label, simulator class, dispatch engine.
@@ -227,9 +248,10 @@ def state_digest(sim: MemorySimulator) -> Dict[str, Any]:
     covers the L1 and L2 frame fields (reading the frames thaws a
     deferred L2), the victim buffer in LRU order with its fractional
     fill penalty, the clock, both caches' counters and LRU clocks, the
-    breakdown's key order, the closed and open generations, the
-    prefetch engine (bookkeeper, queue, MSHRs, events, tables) with
-    both buses, and the metric banks.
+    breakdown's key order, the closed and open generations (None for a
+    machine without a metric bank, which tracks none), the prefetch
+    engine (bookkeeper, queue, MSHRs, events, tables) with both buses,
+    and the metric banks.
     """
     l1, l2 = sim.l1, sim.hierarchy.l2
     frames = {}
@@ -257,8 +279,10 @@ def state_digest(sim: MemorySimulator) -> Dict[str, Any]:
         "l1": (l1.hits, l1.misses, l1.evictions, l1._clock),
         "l2": (l2.hits, l2.misses, l2.evictions, l2._clock),
         "stall_breakdown_keys": list(sim.timing._breakdown),
-        "closed_generations": tracker.closed_generations,
-        "open_generations": (dict(tracker._open_last), dict(tracker._open_max)),
+        "closed_generations": None if tracker is None else tracker.closed_generations,
+        "open_generations": None if tracker is None else (
+            dict(tracker._open_last), dict(tracker._open_max)
+        ),
         "prefetch": {
             "pending": {
                 key: (
