@@ -4,11 +4,8 @@
 The paper's headline comparisons are all N-workload x M-config
 campaigns.  This example runs one on worker processes with a fault
 injected into one cell, shows that the rest of the campaign survives,
-then resumes from the JSONL checkpoint store and re-runs only the
-failed cell.  Cells that exhausted their retries are *poisoned* —
-replayed as failures on resume, not re-executed — until the resume
-passes ``retry_poisoned=True`` (CLI: ``--retry-poisoned``), the signal
-that the underlying bug is believed fixed.
+then resumes from the JSONL checkpoint store: stored results replay,
+and the failed cell, like any cell without a stored result, runs again.
 
 `python -m repro paper` builds on exactly this runner: the whole
 figure campaign is one checkpointed sweep, resumable the same way.
@@ -69,10 +66,8 @@ def main() -> None:
     for failure in report.failures:
         print(f"  FAILED {failure}")
 
-    # 2. Resume: completed cells replay from the store.  The failed
-    #    cell is poisoned — without retry_poisoned=True it would replay
-    #    as a failure instead of burning cycles on a known-bad cell.
-    #    The "bug" is fixed now (no crash hook), so we clear it:
+    # 2. Resume: completed cells replay from the store, and the failed
+    #    cell runs again.  The "bug" is fixed now (no crash hook):
     resumed = run_sweep(
         CONFIGS,
         workloads=WORKLOADS,
@@ -80,7 +75,6 @@ def main() -> None:
         workers=2,
         store=store,
         resume=True,
-        retry_poisoned=True,
     )
     print(f"\nresume: executed {resumed.executed} cell(s), "
           f"replayed {resumed.replayed} from {store}")

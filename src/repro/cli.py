@@ -103,17 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="recycle a worker that stops heartbeating for this "
                             "many seconds (detects wedged workers, not just "
                             "slow ones)")
-    sweep.add_argument("--max-failure-rate", type=float, default=None,
-                       metavar="FRAC",
-                       help="abort the sweep once more than FRAC of cells have "
-                            "failed (0-1; completed work stays resumable)")
     sweep.add_argument("--store", default=None,
                        help="JSONL checkpoint file (appended per finished cell)")
     sweep.add_argument("--resume", action="store_true",
                        help="replay completed cells from --store, run the rest")
-    sweep.add_argument("--retry-poisoned", action="store_true",
-                       help="on --resume, re-execute cells whose stored record "
-                            "is a failure (default: quarantine them)")
     sweep.add_argument("--quiet", action="store_true",
                        help="suppress per-cell progress on stderr")
     sweep.add_argument("--progress", action="store_true",
@@ -143,9 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="checkpoint store path (default: <out>/paper_store.jsonl)")
     paper.add_argument("--resume", action="store_true",
                        help="replay completed cells from the store, run the rest")
-    paper.add_argument("--retry-poisoned", action="store_true",
-                       help="on --resume, re-execute cells whose stored record "
-                            "is a failure (default: quarantine them)")
     paper.add_argument("--smoke", action="store_true",
                        help="reduced trace length for CI smoke runs")
     paper.add_argument("--strict", action="store_true",
@@ -381,10 +371,8 @@ def _cmd_sweep(args, out) -> int:
             timeout=args.timeout,
             retries=args.retries,
             hang_grace=args.hang_grace,
-            max_failure_rate=args.max_failure_rate,
             store=args.store,
             resume=args.resume,
-            retry_poisoned=args.retry_poisoned,
             trace_cache=trace_cache,
             observer=observer,
         )
@@ -411,11 +399,8 @@ def _cmd_sweep(args, out) -> int:
     )
     print(report.summary(), file=out)
     for failure in report.failures:
-        tag = "POISONED" if failure.poisoned else "FAILED"
-        print(f"{tag} {failure}", file=out)
-    if report.aborted:
-        print(f"aborted: {report.abort_reason}", file=out)
-    return 1 if report.failures or report.aborted else 0
+        print(f"FAILED {failure}", file=out)
+    return 1 if report.failures else 0
 
 
 def _cmd_paper(args, out) -> int:
@@ -454,7 +439,6 @@ def _cmd_paper(args, out) -> int:
         warmup=args.warmup,
         smoke=args.smoke,
         resume=args.resume,
-        retry_poisoned=args.retry_poisoned,
         workers=args.workers,
         timeout=args.timeout,
         retries=args.retries,
@@ -511,14 +495,6 @@ def _print_provenance(manifest, out) -> None:
 
 def _print_quarantine_summary(load, store, out) -> None:
     """One line on unusable store lines, and how to clean them up."""
-    poisoned = sum(
-        1 for rec in load.cells.values()
-        if (rec.get("failure") or {}).get("poisoned")
-        or rec.get("status") == "failed"
-    )
-    if poisoned:
-        print(f"{poisoned} failed cell(s) will be quarantined on resume "
-              f"(re-run them with --retry-poisoned)", file=out)
     issues = len(load.quarantined) + (1 if load.torn_tail is not None else 0)
     if issues:
         print(f"WARNING: {issues} unusable line(s) detected "
@@ -575,8 +551,12 @@ def _cmd_report(args, out) -> int:
         ]
         print(format_table(["workload", "config", "status", "attempts", "wall"],
                            rows, title=f"store: {args.store}"), file=out)
-        print(f"{len(cells)} cells: {ok} ok, {len(cells) - ok} failed, "
-              f"{retried} retried", file=out)
+        failed = len(cells) - ok
+        print(f"{len(cells)} cells: {ok} ok, {failed} failed, {retried} retried",
+              file=out)
+        if failed:
+            # A resume replays the ok cells only.
+            print(f"{failed} failed cell(s) will re-run on --resume", file=out)
         _print_provenance(manifest, out)
         _print_quarantine_summary(load, store, out)
         return 0

@@ -160,7 +160,6 @@ def execute_plan(
     seed: int = 0,
     warmup: Optional[int] = None,
     resume: bool = False,
-    retry_poisoned: bool = False,
     workers: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
@@ -192,7 +191,6 @@ def execute_plan(
             store=store,
             # Later groups always resume into the store they share.
             resume=resume if first else True,
-            retry_poisoned=retry_poisoned,
             trace_cache=trace_cache,
             observer=observer,
             fault_hook=fault_hook,
@@ -212,7 +210,6 @@ def run_paper(
     warmup: Optional[int] = None,
     smoke: bool = False,
     resume: bool = False,
-    retry_poisoned: bool = False,
     workers: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
@@ -239,9 +236,9 @@ def run_paper(
             ablation benchmarks use).
         smoke: use the reduced CI scale when *length* is not given.
         resume: continue a previously interrupted campaign from the
-            store instead of refusing to reuse it.
-        retry_poisoned: re-execute cells whose stored record is a
-            failure instead of quarantining them (see ``run_sweep``).
+            store instead of refusing to reuse it: stored results are
+            replayed and every other planned cell runs (see
+            ``run_sweep``).
         workers, timeout, retries: fault-tolerance knobs passed
             through to ``run_sweep``; a value it would refuse is
             refused before *out_dir* is made.
@@ -300,7 +297,6 @@ def run_paper(
             seed=seed,
             warmup=resolved_warmup,
             resume=resume,
-            retry_poisoned=retry_poisoned,
             workers=workers,
             timeout=timeout,
             retries=retries,

@@ -22,7 +22,7 @@ Every executed cell records its phase timings and counters, in the
 report's ``cell_telemetry`` and, with a store, in the cell's record;
 the store write itself is the cell's ``serialize`` phase.  The sweep's
 lifecycle (its start and end, each cell attempt's start, each cell's
-outcome, a hung worker, an abort) is a
+outcome, a hung worker) is a
 :meth:`~repro.obs.metrics.Telemetry.event` of the sweep's own
 collector: counted in ``report.telemetry`` and written to the log of
 the caller's collector, which every cell's collector, in a pool worker
@@ -79,7 +79,7 @@ from typing import (
     Any, Callable, Dict, Generator, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
-from ..common.config import MachineConfig, config_digest, paper_machine
+from ..common.config import config_digest, paper_machine
 from ..common.errors import CellTimeoutError, ReproError, SimulationError
 from ..faults.injector import FaultInjector, current_injector
 from ..faults.plan import FaultPlan
@@ -125,7 +125,6 @@ class CellSpec:
     length: int
     seed: int
     warmup: int
-    machine: Optional[MachineConfig] = None
     #: Trace-cache root (str — picklable across spawn), or None to
     #: synthesize in the worker.
     trace_cache: Optional[str] = None
@@ -156,11 +155,6 @@ class CellFailure:
     #: counters collected up to the failure), when the worker lived to
     #: report it.
     telemetry: Optional[Dict[str, Any]] = None
-    #: True when this failure was *replayed* from the checkpoint store:
-    #: the cell exhausted its retries in an earlier invocation and is
-    #: quarantined — excluded from re-execution on resume unless the
-    #: sweep passes ``retry_poisoned=True``.
-    poisoned: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         """Serialize every field (the exact inverse of :meth:`from_dict`)."""
@@ -172,7 +166,6 @@ class CellFailure:
             "traceback": self.traceback,
             "attempts": self.attempts,
             "telemetry": self.telemetry,
-            "poisoned": self.poisoned,
         }
 
     @classmethod
@@ -222,14 +215,6 @@ class SweepReport:
     telemetry: Dict[str, Any] = field(default_factory=dict)
     #: Wall-clock seconds for the whole invocation.
     wall_time: float = 0.0
-    #: Stored failures quarantined on resume (present in ``failures``
-    #: with ``poisoned=True``, excluded from re-execution).
-    poisoned: int = 0
-    #: True when the circuit breaker stopped the sweep early; the
-    #: remaining cells were never attempted (absent from ``attempts``).
-    aborted: bool = False
-    #: Human-readable reason the breaker tripped, when ``aborted``.
-    abort_reason: str = ""
 
     @property
     def ok_cells(self) -> int:
@@ -244,17 +229,12 @@ class SweepReport:
     def summary(self) -> str:
         """One-line human digest, shared by the CLI, logs, and tests."""
         total = self.ok_cells + len(self.failures)
-        text = (
+        return (
             f"{total} cells: {self.ok_cells} ok "
             f"({self.replayed} replayed from store), "
             f"{len(self.failures)} failed, "
             f"{self.retried} retried in {self.wall_time:.1f}s"
         )
-        if self.poisoned:
-            text += f", {self.poisoned} poisoned cell(s) quarantined"
-        if self.aborted:
-            text += f" [ABORTED: {self.abort_reason}]"
-        return text
 
     def raise_on_failure(self) -> None:
         """Raise :class:`SimulationError` summarizing failures, if any."""
@@ -377,7 +357,7 @@ def _execute_cell(
             with timed("simulate"):
                 result = simulate_config(
                     trace, spec.config, ipa=get_workload(spec.workload).ipa,
-                    warmup=spec.warmup, machine=spec.machine,
+                    warmup=spec.warmup,
                 )
         finally:
             cell_telemetry["counters"] = tele.counters
@@ -390,19 +370,16 @@ def simulate_config(
     *,
     ipa: float,
     warmup: int,
-    machine: Optional[MachineConfig] = None,
 ) -> SimulationResult:
     """Simulate *trace* under one configuration of a suite or sweep.
 
-    *config* holds :func:`simulate` keyword arguments; *ipa*, *warmup*
-    and (when given) *machine* are the suite-wide defaults it may
-    override.
+    *config* holds :func:`simulate` keyword arguments, a ``machine``
+    among them when it is not the paper's; *ipa* and *warmup* are the
+    suite-wide defaults it may override.
     """
     kwargs = dict(config)
     kwargs.setdefault("ipa", ipa)
     kwargs.setdefault("warmup", warmup)
-    if machine is not None:
-        kwargs.setdefault("machine", machine)
     return simulate(trace, **kwargs)
 
 
@@ -813,7 +790,7 @@ def _run_supervised(
                     time.monotonic() - pending.started_at,
                 )
     finally:
-        for worker in pool:  # finished, interrupted or aborted: no leaked children
+        for worker in pool:  # finished, interrupted or raised: no leaked children
             worker.stop()
 
 
@@ -879,8 +856,7 @@ def check_length_warmup(length: int, warmup: Optional[int]) -> None:
 
 
 def check_sweep_options(*, workers: int, retries: int, timeout: Optional[float],
-                        hang_grace: Optional[float] = None,
-                        max_failure_rate: Optional[float] = None) -> None:
+                        hang_grace: Optional[float] = None) -> None:
     """Refuse out-of-range execution options of a sweep (see :func:`run_sweep`).
 
     Like :func:`check_length_warmup`, both campaign entry points call
@@ -894,10 +870,6 @@ def check_sweep_options(*, workers: int, retries: int, timeout: Optional[float],
         raise SimulationError(f"timeout must be positive, got {timeout}")
     if hang_grace is not None and hang_grace <= 0:
         raise SimulationError(f"hang_grace must be positive, got {hang_grace}")
-    if max_failure_rate is not None and not 0.0 <= max_failure_rate <= 1.0:
-        raise SimulationError(
-            f"max_failure_rate must be in [0, 1], got {max_failure_rate}"
-        )
 
 
 def sweep_warmup(length: int, warmup: Optional[int]) -> int:
@@ -917,17 +889,14 @@ def run_sweep(
     workloads: Optional[Sequence[str]] = None,
     length: int = 100_000,
     seed: int = 0,
-    machine: Optional[MachineConfig] = None,
     warmup: Optional[int] = None,
     workers: int = 1,
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 0.25,
     hang_grace: Optional[float] = None,
-    max_failure_rate: Optional[float] = None,
     store: Optional[Union[RunStore, str, "os.PathLike[str]"]] = None,
     resume: bool = False,
-    retry_poisoned: bool = False,
     fault_hook: Optional[FaultHook] = None,
     trace_cache: Union[bool, str, "os.PathLike[str]", TraceCache, None] = True,
     observer: Optional[SweepObserver] = None,
@@ -935,11 +904,17 @@ def run_sweep(
 ) -> SweepReport:
     """Run a workload×config sweep fault-tolerantly.
 
+    A sweep attempts every cell it plans, except that with a store and
+    ``resume=True`` a cell whose stored record is an ``ok`` result that
+    decodes is replayed instead.  Every other planned cell runs: a
+    missing one, a stored failure, a stored result that does not decode
+    (event ``store.undecodable``).  Its new record supersedes the old.
+
     Args:
         configs: ``{config_name: simulate-kwargs}``, each a
             :func:`~repro.sim.simulator.simulate` keyword set.
         workloads: workload names (default: the full SPEC2000 stand-in set).
-        length, seed, machine, warmup: as for ``run_workload``; *warmup*
+        length, seed, warmup: as for ``run_workload``; *warmup*
             defaults to ``length // 3``.  A *length* below 1 or a
             negative *warmup* raises before the store is touched.
         workers: concurrent cells.  1 with neither *timeout* nor
@@ -960,27 +935,16 @@ def run_sweep(
             Like *timeout*, requires child processes, so setting it
             selects the supervised pool.  Every hang lands in
             ``report.telemetry["hangs"]`` and the Chrome trace.
-        max_failure_rate: circuit breaker — abort the sweep when
-            freshly-failed cells exceed this fraction of the campaign
-            (e.g. ``0.5``: more than half failing means the environment
-            is broken, not the cells; stop burning compute).  Completed
-            work stays recorded and resumable; ``report.aborted`` is
-            set.  ``None`` (default) never trips.
         store: checkpoint path or :class:`RunStore`; every finished cell
             is appended, with its telemetry and the metric banks it
-            collected, and with ``resume=True`` previously completed
-            cells are replayed from disk instead of re-executed.  The
+            collected, or as a structured failure record.  The
             manifest line each call appends records the sweep
             parameters and the run's provenance: ``git_rev`` (see
             :func:`git_revision`), ``host`` and ``python``.  Resume
             compares only the parameters, so a campaign may continue
             across revisions and machines.
-        resume: allow continuing into an existing, compatible store.
-        retry_poisoned: on resume, re-execute cells whose stored record
-            is a failure.  Off by default: a cell that already exhausted
-            its retries is *poisoned* — replayed as a failure (with
-            ``poisoned=True``) and quarantined from execution so one
-            deterministic crasher cannot re-wedge every resume.
+        resume: allow continuing into an existing, compatible store,
+            replaying its ``ok`` results.
         fault_hook: test/chaos hook run in the worker before simulation.
         trace_cache: content-addressed trace cache shared by all cells.
             ``True`` (default) uses the default root (see
@@ -1013,12 +977,11 @@ def run_sweep(
         checkpoint record for ``repro report --timing``.  Every
         attempt's counters, a retried one's too, are merged into
         ``report.telemetry``; a crashed, timed-out or hung worker
-        reports none.  A stored result that does not decode is not
-        replayed: its cell re-runs (event ``store.undecodable``).
+        reports none.
     """
     check_length_warmup(length, warmup)
     check_sweep_options(workers=workers, retries=retries, timeout=timeout,
-                        hang_grace=hang_grace, max_failure_rate=max_failure_rate)
+                        hang_grace=hang_grace)
     if not configs:
         raise SimulationError("no configurations given")
     check_obs_history(obs_history)
@@ -1044,7 +1007,6 @@ def run_sweep(
             length=length,
             seed=seed,
             warmup=resolved_warmup,
-            machine=machine,
             trace_cache=cache_root,
         )
         for name in names
@@ -1060,7 +1022,6 @@ def run_sweep(
     owns_store = False
     executor: Optional[Generator[_CellDone, None, None]] = None
     replayed: Dict[CellKey, SimulationResult] = {}
-    poisoned: List[CellFailure] = []
     retry = _RetryTracker(retries, backoff)
     try:
         if store is not None:
@@ -1070,7 +1031,7 @@ def run_sweep(
                 "length": length,
                 "seed": seed,
                 "warmup": resolved_warmup,
-                "machine": config_digest(machine if machine is not None else paper_machine()),
+                "machine": config_digest(paper_machine()),
                 "workloads": names,
                 "configs": {name: config_digest(config) for name, config in configs.items()},
                 "created": time.time(),
@@ -1081,39 +1042,19 @@ def run_sweep(
             prior = run_store.start(manifest, resume=resume)
             wanted = {cell.key for cell in cells}
             for key, record in prior.items():
-                if key not in wanted:
-                    continue
-                if record.get("status") == "ok":
-                    try:
-                        replayed[key] = SimulationResult.from_dict(record.get("result"))
-                    except SimulationError as exc:
-                        # Parses but does not decode (a flipped byte in a
-                        # packed bank): the cell re-runs and supersedes it.
-                        parent_tele.event(
-                            "store.undecodable", workload=key[0], config=key[1],
-                            error=str(exc),
-                        )
-                elif not retry_poisoned:
-                    # A stored failure already exhausted its retries once;
-                    # quarantine it instead of letting a deterministic
-                    # crasher re-wedge every resume.
-                    detail = record.get("failure")
-                    if detail:
-                        failure = CellFailure.from_dict(detail)
-                    else:  # minimal pre-detail record
-                        failure = CellFailure(
-                            key[0], key[1], "Unknown",
-                            "stored failure record without detail", "",
-                            record.get("attempts", 1),
-                        )
-                    failure.poisoned = True
-                    poisoned.append(failure)
+                if key not in wanted or record.get("status") != "ok":
+                    continue  # a stored failure runs again
+                try:
+                    replayed[key] = SimulationResult.from_dict(record.get("result"))
+                except SimulationError as exc:
+                    # Parses but does not decode (a flipped byte in a
+                    # packed bank): the cell re-runs and supersedes it.
+                    parent_tele.event(
+                        "store.undecodable", workload=key[0], config=key[1],
+                        error=str(exc),
+                    )
 
-        quarantined = {(f.workload, f.config) for f in poisoned}
-        to_run = [
-            cell for cell in cells
-            if cell.key not in replayed and cell.key not in quarantined
-        ]
+        to_run = [cell for cell in cells if cell.key not in replayed]
 
         if cache is not None:
             # Materialize the trace of each workload that still has a cell
@@ -1143,7 +1084,7 @@ def run_sweep(
             observer.on_sweep_start(len(to_run), workers)
         parent_tele.event(
             "sweep.start", cells=len(cells), to_run=len(to_run),
-            replayed=len(replayed), poisoned=len(poisoned), workers=workers,
+            replayed=len(replayed), workers=workers,
             workloads=names, configs=list(configs),
         )
 
@@ -1177,10 +1118,7 @@ def run_sweep(
             )
 
         completed: Dict[CellKey, SimulationResult] = dict(replayed)
-        failures: List[CellFailure] = list(poisoned)
-        fresh_failures = 0
-        aborted = False
-        abort_reason = ""
+        failures: List[CellFailure] = []
         attempts: Dict[CellKey, int] = {}
         cell_telemetry: Dict[CellKey, Dict[str, Any]] = {}
         for spec, outcome, cell_attempts, elapsed in executor:
@@ -1205,7 +1143,6 @@ def run_sweep(
             else:
                 failure = _failure_from_outcome(spec, outcome, cell_attempts)
                 failures.append(failure)
-                fresh_failures += 1
                 if run_store is not None:
                     run_store.record_failure(failure)
                 parent_tele.event(
@@ -1222,25 +1159,11 @@ def run_sweep(
                     elapsed,
                     counters=cell_telemetry.get(spec.key, {}).get("counters"),
                 )
-            if (
-                max_failure_rate is not None
-                and fresh_failures > max_failure_rate * len(cells)
-            ):
-                aborted = True
-                abort_reason = (
-                    f"{fresh_failures} of {len(cells)} cells failed, exceeding "
-                    f"the max_failure_rate={max_failure_rate:g} circuit breaker"
-                )
-                parent_tele.event(
-                    "sweep.aborted", reason=abort_reason,
-                    failed=fresh_failures, cells=len(cells),
-                )
-                break
         sweep_phases["execute"] = [execute_start, time.monotonic() - t0]
     finally:
         if executor is not None:
-            # Runs the executor's finally block after an abort or an error
-            # too: busy workers are killed, idle ones stopped and reaped.
+            # Runs the executor's finally block after an error too: busy
+            # workers are killed, idle ones stopped and reaped.
             executor.close()
         if run_store is not None and owns_store:
             run_store.close()
@@ -1263,9 +1186,6 @@ def run_sweep(
         telemetry={"started": sweep_started, "phases": sweep_phases,
                    "hangs": hangs, "counters": parent_tele.counters},
         wall_time=wall_time,
-        poisoned=len(poisoned),
-        aborted=aborted,
-        abort_reason=abort_reason,
     )
     parent_tele.event(
         "sweep.end", ok=report.ok_cells, failed=len(failures),

@@ -96,7 +96,6 @@ class MemorySimulator:
         *,
         ipa: float = 3.0,
         victim_filter: Optional[str] = None,
-        victim_entries: int = 32,
         prefetch_policy: Optional[PrefetchPolicy] = None,
         collect_metrics: bool = False,
         perfect_non_cold: bool = False,
@@ -128,7 +127,7 @@ class MemorySimulator:
         self.victim_insert_quarter_cycles = 1
         self._victim_penalty_acc = 0
         if victim_filter is not None:
-            self.victim_cache = VictimCache(victim_entries)
+            self.victim_cache = VictimCache()
             if isinstance(victim_filter, AdmissionFilter):
                 self.admission = victim_filter
             else:
@@ -136,7 +135,7 @@ class MemorySimulator:
                     victim_filter,
                     l1_index_bits=self.machine.l1d.index_bits,
                     tick_cycles=self.machine.tick_cycles,
-                    victim_entries=victim_entries,
+                    victim_entries=self.victim_cache.entries,
                 )
         #: Optional cache-decay mechanism on the L1 (leakage study).
         self.decay = decay
@@ -588,7 +587,6 @@ def simulate(
     machine: Optional[MachineConfig] = None,
     ipa: float = 3.0,
     victim_filter: Optional[str] = None,
-    victim_entries: int = 32,
     prefetcher: Optional[str] = None,
     collect_metrics: bool = False,
     perfect_non_cold: bool = False,
@@ -620,7 +618,6 @@ def simulate(
             machine,
             ipa=ipa,
             victim_filter=victim_filter,
-            victim_entries=victim_entries,
             prefetcher=prefetcher,
             prefetch_policy=prefetch_policy,
             collect_metrics=collect_metrics,
@@ -637,7 +634,6 @@ def make_simulator(
     *,
     ipa: float = 3.0,
     victim_filter: Optional[str] = None,
-    victim_entries: int = 32,
     prefetcher: Optional[str] = None,
     prefetch_policy: Optional[PrefetchPolicy] = None,
     collect_metrics: bool = False,
@@ -654,7 +650,6 @@ def make_simulator(
         machine,
         ipa=ipa,
         victim_filter=victim_filter,
-        victim_entries=victim_entries,
         prefetch_policy=prefetch_policy,
         collect_metrics=collect_metrics,
         perfect_non_cold=perfect_non_cold,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import os
 from typing import Dict, Mapping, Optional, Union
 
-from ..common.config import MachineConfig
 from ..common.errors import SimulationError
 from ..traces.cache import TraceCache, resolve_cache
 from ..traces.workloads import get_workload
@@ -45,7 +44,6 @@ def run_workload(
     *,
     length: int = 100_000,
     seed: int = 0,
-    machine: Optional[MachineConfig] = None,
     warmup: Optional[int] = None,
     trace_cache: Union[bool, str, "os.PathLike[str]", TraceCache, None] = False,
 ) -> Dict[str, SimulationResult]:
@@ -70,7 +68,7 @@ def run_workload(
         trace = spec.build(length=length + warmup, seed=seed)
     return {
         config_name: simulate_config(
-            trace, config, ipa=spec.ipa, warmup=warmup, machine=machine,
+            trace, config, ipa=spec.ipa, warmup=warmup,
         )
         for config_name, config in configs.items()
     }

@@ -1,9 +1,9 @@
 """Whole-sweep chaos: crashes and faults through run_sweep / run_paper.
 
 The convergence contract under test: whatever a seeded fault plan does
-to a campaign — kill -9 mid-append, ENOSPC, flaky cells, a tripped
-circuit breaker — a warm fault-free resume of the same store ends with
-exactly the cells a never-faulted run produces.
+to a campaign — kill -9 mid-append, ENOSPC, flaky cells, a cell that
+fails every attempt — a warm fault-free resume of the same store, with
+no flag, ends with exactly the cells a never-faulted run produces.
 """
 
 import json
@@ -54,7 +54,7 @@ class TestKill9Convergence:
 
         report = run_sweep({"base": {}}, workloads=WORKLOADS, length=LENGTH,
                            store=faulty, resume=True, trace_cache=False)
-        assert not report.failures and not report.aborted
+        assert not report.failures
         _, got = RunStore(faulty).load()
         assert _normalized(got) == want
         # the torn line was quarantined, not silently dropped
@@ -66,25 +66,24 @@ class TestKill9Convergence:
         assert any(rec["raw"].startswith('{"kind":"cell"') for rec in records)
 
 
-class TestCircuitBreakerConvergence:
-    def test_abort_under_faults_then_resume_completes(self, tmp_path):
+class TestStoredFailureConvergence:
+    def test_failed_cell_then_resume_completes(self, tmp_path):
         want = _reference_cells(tmp_path)
-        path = tmp_path / "breaker.jsonl"
+        path = tmp_path / "failed.jsonl"
         plan = FaultPlan(seed=2).add(
             "worker.mid_cell", "raise", exception="RuntimeError",
             match={"workload": "eon"}, count=0,
         )
         with FaultInjector(plan):
             report = run_sweep({"base": {}}, workloads=WORKLOADS,
-                               length=LENGTH, store=path,
-                               trace_cache=False, max_failure_rate=0.0)
-        assert report.aborted
-        assert "circuit breaker" in report.abort_reason
+                               length=LENGTH, store=path, trace_cache=False)
+        assert [(f.workload, f.error_type) for f in report.failures] == [
+            ("eon", "RuntimeError")]
 
         resumed = run_sweep({"base": {}}, workloads=WORKLOADS, length=LENGTH,
-                            store=path, resume=True, retry_poisoned=True,
-                            trace_cache=False)
-        assert not resumed.failures and not resumed.aborted
+                            store=path, resume=True, trace_cache=False)
+        assert (resumed.executed, resumed.replayed) == (1, 2)
+        assert not resumed.failures
         _, got = RunStore(path).load()
         assert _normalized(got) == want
 
@@ -104,9 +103,8 @@ class TestSeededRandomPlan:
         assert result.status in ("ok", "error"), result.error
 
         report = run_sweep({"base": {}}, workloads=WORKLOADS, length=LENGTH,
-                           store=path, resume=True, retry_poisoned=True,
-                           trace_cache=False)
-        assert not report.failures and not report.aborted
+                           store=path, resume=True, trace_cache=False)
+        assert not report.failures
         _, got = RunStore(path).load()
         assert _normalized(got) == want
 

@@ -139,22 +139,24 @@ class TestOnePath:
         assert "- workloads: 1 (gzip)" in subset.report_text
         assert "- cells: 2 ok, 0 failed" in subset.report_text
 
-    def test_failed_cell_counted_live_and_poisoned(self, tmp_path):
-        """A failed cell is counted in the report whether it failed in
-        this run or is replayed from the store as poisoned."""
+    def test_failed_cell_counted_then_rerun_on_resume(self, tmp_path):
+        """A failed cell is counted in the report of the run it failed
+        in, and the next resume runs it again: the report then equals a
+        fault-free campaign's."""
         def fail_gzip_perfect(workload, config, attempt):
             if (workload, config) == ("gzip", "perfect"):
                 raise ConfigError("injected permanent fault")
 
-        out = str(tmp_path)
+        out = str(tmp_path / "faulty")
         first = run_paper(only=["fig02"], out_dir=out, fault_hook=fail_gzip_perfect,
                           **SCALE)
         assert (first.executed, first.failures, first.passed) == (6, 1, False)
         assert "- cells: 5 ok, 1 failed" in first.report_text
 
         again = run_paper(only=["fig02"], out_dir=out, resume=True, **SCALE)
-        assert (again.executed, again.replayed, again.failures) == (0, 5, 1)
-        assert again.report_text == first.report_text
+        assert (again.executed, again.replayed, again.failures) == (1, 5, 0)
+        clean = run_paper(only=["fig02"], out_dir=str(tmp_path / "clean"), **SCALE)
+        assert again.report_text == clean.report_text
 
 
 class TestResumeAfterKill:

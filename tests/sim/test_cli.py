@@ -108,6 +108,31 @@ class TestSweep:
         assert main(args + ["--resume"]) == 0
         assert "(2 replayed from store)" in capsys.readouterr().out
 
+    def test_failed_cell_reruns_on_flagless_resume(self, capsys, tmp_path,
+                                                   monkeypatch):
+        import repro.sim.runner as runner
+
+        store = str(tmp_path / "s.jsonl")
+        args = ["sweep", "--workloads", "gzip,eon", "--configs", "base",
+                "--length", "1200", "--store", store,
+                "--cache-root", str(tmp_path / "cache"), "--quiet"]
+        simulate_config = runner.simulate_config
+
+        def fail_eon(trace, config, **kwargs):
+            if trace.name == "eon":
+                raise RuntimeError("injected fault")
+            return simulate_config(trace, config, **kwargs)
+
+        # Serial sweeps run in-process, so the patch reaches the cell.
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "simulate_config", fail_eon)
+            assert main(args) == 1
+        assert "FAILED eon:base" in capsys.readouterr().out
+        assert main(["report", store]) == 0
+        assert "1 failed cell(s) will re-run on --resume" in capsys.readouterr().out
+        assert main(args + ["--resume"]) == 0
+        assert "2 cells: 2 ok (1 replayed from store)" in capsys.readouterr().out
+
     def test_sweep_unknown_config(self, capsys):
         assert main(["sweep", "--workloads", "gzip",
                      "--configs", "warp-drive", "--quiet"]) == 1

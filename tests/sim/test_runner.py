@@ -381,13 +381,18 @@ class TestCheckpointResume:
         assert len(first.failures) == 2
         second = run_sweep(
             self.SWEEP, workloads=self.WORKLOADS, length=LENGTH,
-            store=store, resume=True, retry_poisoned=True,
+            store=store, resume=True,
         )
         # Only the two failed cells re-ran; the completed ones replayed.
         assert second.executed == 2
         assert second.replayed == 2
         assert not second.failures
         assert len(_cells(second)) == 4
+        # The re-run cells' lines supersede their failure records.
+        _, cells = RunStore(store).load()
+        assert {key: rec["status"] for key, rec in cells.items()} == {
+            (w, c): "ok" for w in self.WORKLOADS for c in self.SWEEP
+        }
 
     def test_replayed_results_match_fresh_run(self, tmp_path):
         store = tmp_path / "run.jsonl"
@@ -471,80 +476,6 @@ class TestCheckpointResume:
         assert report.executed == 2
         assert path.exists()
 
-    def test_stored_failures_poisoned_by_default(self, tmp_path):
-        store = tmp_path / "run.jsonl"
-        first = run_sweep(
-            self.SWEEP, workloads=self.WORKLOADS, length=LENGTH,
-            store=store, fault_hook=_raise_config_error,
-        )
-        assert len(first.failures) == 2
-        # Default resume: failed cells are quarantined, not re-executed.
-        log = tmp_path / "exec.log"
-        log.touch()
-        os.environ["REPRO_TEST_EXEC_LOG"] = str(log)
-        try:
-            second = run_sweep(
-                self.SWEEP, workloads=self.WORKLOADS, length=LENGTH,
-                store=store, resume=True, fault_hook=_count_executions,
-            )
-        finally:
-            del os.environ["REPRO_TEST_EXEC_LOG"]
-        assert log.read_text() == ""  # nothing re-ran
-        assert second.executed == 0
-        assert second.replayed == 2
-        assert second.poisoned == 2
-        poisoned = [f for f in second.failures if f.poisoned]
-        assert {(f.workload, f.config) for f in poisoned} == {
-            ("gzip", "boom"), ("eon", "boom"),
-        }
-        assert all(f.error_type == "ConfigError" for f in poisoned)
-        assert "poisoned" in second.summary()
-
-
-class TestCircuitBreaker:
-    def test_aborts_past_failure_threshold(self, tmp_path):
-        store = tmp_path / "run.jsonl"
-        # 4 workloads × (base, boom): every boom cell fails; the breaker
-        # trips once more than 25% of the 8 cells have failed.
-        report = run_sweep(
-            {"base": {}, "boom": {}},
-            workloads=["gzip", "eon", "vpr", "swim"],
-            length=LENGTH,
-            store=store,
-            max_failure_rate=0.25,
-            fault_hook=_raise_config_error,
-        )
-        assert report.aborted
-        assert "max_failure_rate" in report.abort_reason
-        assert "ABORTED" in report.summary()
-        assert len(report.failures) == 3  # 0.25 * 8 = 2, tripped at the 3rd
-        # Completed cells were recorded before the abort and resume picks
-        # up the rest (the crasher config removed).
-        resumed = run_sweep(
-            {"base": {}},
-            workloads=["gzip", "eon", "vpr", "swim"],
-            length=LENGTH,
-            store=store,
-            resume=True,
-        )
-        assert not resumed.aborted
-        assert len(_cells(resumed)) == 4
-
-    def test_disabled_by_default(self):
-        report = run_sweep(
-            {"base": {}, "boom": {}},
-            workloads=["gzip", "eon"],
-            length=LENGTH,
-            fault_hook=_raise_config_error,
-        )
-        assert not report.aborted
-        assert len(report.failures) == 2
-
-    def test_rejects_invalid_rate(self):
-        with pytest.raises(SimulationError, match="max_failure_rate"):
-            run_sweep(CONFIGS, workloads=["gzip"], length=LENGTH,
-                      max_failure_rate=1.5)
-
 
 class TestAcceptanceScenario:
     """One raising cell + one timed-out cell, then resume re-runs only them."""
@@ -585,7 +516,6 @@ class TestAcceptanceScenario:
             timeout=30,
             store=store,
             resume=True,
-            retry_poisoned=True,
             fault_hook=_count_executions,
         )
         executed = sorted(log.read_text().splitlines())

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.common.errors import ConfigError
+from repro.faults import FaultInjector, FaultPlan
 from repro.obs.progress import SweepObserver
 from repro.obs.tracing import MAIN_TID, build_sweep_trace
 from repro.sim.runner import run_sweep
@@ -31,11 +31,6 @@ _LOG_ENV = "REPRO_TEST_POOL_LOG"
 def _log_attempt(workload, config, attempt):
     with open(os.environ[_LOG_ENV], "a") as fh:
         fh.write(f"{os.getpid()} {workload} {config} {attempt}\n")
-
-
-def _raise_config_error(workload, config, attempt):
-    if config == "boom":
-        raise ConfigError("injected permanent fault")
 
 
 def _stress_hook(workload, config, attempt):
@@ -112,13 +107,18 @@ class TestNoLeakedWorkers:
         assert not report.failures
         assert _new_children(before) == []
 
-    def test_no_children_alive_after_breaker_abort(self, tmp_path):
+    def test_no_children_alive_after_a_raise_mid_sweep(self, tmp_path):
+        # The second cell record's store write raises in the parent, so
+        # the sweep leaves the pool's result loop before it finishes.
+        plan = FaultPlan(seed=0).add("store.append", "raise", at=2,
+                                     match={"kind": "cell"})
         before = multiprocessing.active_children()
-        report = run_sweep({"base": {}, "boom": {}}, workloads=WORKLOADS,
-                           length=LENGTH, workers=2, max_failure_rate=0.25,
-                           fault_hook=_raise_config_error,
-                           trace_cache=tmp_path / "cache")
-        assert report.aborted
+        with FaultInjector(plan) as injector:
+            with pytest.raises(OSError):
+                run_sweep(CONFIGS, workloads=WORKLOADS, length=LENGTH,
+                          workers=2, store=tmp_path / "run.jsonl",
+                          trace_cache=tmp_path / "cache")
+        assert len(injector.records) == 1
         assert _new_children(before) == []
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
