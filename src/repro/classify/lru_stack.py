@@ -28,6 +28,7 @@ class LRUStack:
     """
 
     def __init__(self) -> None:
+        """An empty stack."""
         self._stack: List[int] = []
 
     def reference(self, block: int) -> Optional[int]:
@@ -99,6 +100,7 @@ class BoundedLRU:
     __slots__ = ("capacity", "_blocks")
 
     def __init__(self, capacity: int) -> None:
+        """An empty cache of *capacity* blocks (at least 1)."""
         if capacity < 1:
             raise ConfigError(f"BoundedLRU capacity must be >= 1, got {capacity}")
         self.capacity = capacity

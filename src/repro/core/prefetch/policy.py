@@ -23,15 +23,16 @@ without it runs on the scalar loop.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ...cache.block import Frame
 
 
-@dataclass(frozen=True)
-class ScheduledPrefetch:
+class ScheduledPrefetch(NamedTuple):
     """A request to arm one frame's prefetch timer.
+
+    Immutable; a named tuple, because the prefetch engines build one per
+    prediction and a tuple is the cheapest record to build.
 
     Attributes:
         frame_key: Identifies the L1 frame (set * assoc + way).

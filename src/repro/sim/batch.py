@@ -51,8 +51,9 @@ two engines cell by cell.  The invariants the reconstruction leans on:
 - the 3C shadow and seen set evolve the same way on hits and misses,
   so each access's class flags depend only on the rows, the L1
   geometry and the classifier's state at entry: :func:`_classify`
-  memoizes one replay on the trace, and every configuration samples
-  it at its own misses;
+  memoizes one replay on the trace, every configuration samples it at
+  its own misses, and a classifier that enters in the replay's entry
+  state takes its exit state by reference, built only if read;
 - the core clock is ``gap prefix-sum + stall prefix-sum``, and stalls
   depend only on bus/L2/victim-cache state, never on L1 frame metadata;
 - a victim cache never changes L1 contents: the direct-mapped L1
@@ -104,6 +105,16 @@ per hit where the policy acts; the hit runs between them stay columns:
   and rebuilds the open generations and the closed ones' maximum
   access intervals from columns.
 
+The rest of the per-trace work is memoized on the trace as well
+(``trace.memo``, keyed by the L1 offset bits, the L1 set count and the
+row range, read-only): the opening pass's columns
+(:func:`_opening_columns`: blocks, store flags, the gap prefix sum, the
+set order and its runs) and the event loop's Python columns
+(:func:`_loop_columns`).  A campaign runs a workload's seven
+configurations on one trace, so the first configuration builds them
+and the other six read them; only what depends on the entry state or
+the clock (the static hit rule, the base clock) is per batch.
+
 Nothing observable reads frame fields of either cache during a run, so
 neither is rebuilt as :class:`Frame` objects at the end of a batch:
 the engine hands the L2 a :class:`_DeferredL2State` installer (its
@@ -121,7 +132,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from itertools import repeat
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -512,34 +523,48 @@ def _transfer_cycles(bus, num_bytes: int) -> int:
 class _ShadowReplay:
     """One replay of the 3C shadow over rows [start:stop) of a trace.
 
-    ``cold`` and ``in_shadow`` hold each access's flags, ``entry_*`` the
-    classifier state the replay started from, ``exit_shadow`` the
-    shadow's keys in LRU order after it and ``new_blocks`` the blocks
-    it added to the seen set.
+    ``cold`` and ``in_shadow`` hold each access's flags; ``entry_state``
+    is the classifier's state token at entry (see
+    :attr:`~repro.classify.three_c.ThreeCClassifier.state`), and
+    ``entry_shadow`` and ``entry_seen`` its shadow and seen set;
+    ``exit_shadow`` holds the shadow's keys in LRU order after the
+    replay and ``new_blocks`` the blocks it added to the seen set.  The
+    replay doubles as the installer of the classifier state it leaves
+    (:meth:`~repro.classify.three_c.ThreeCClassifier.defer`).
     """
 
-    __slots__ = ("entry_shadow", "entry_seen", "cold", "in_shadow",
+    __slots__ = ("entry_state", "entry_shadow", "entry_seen", "cold", "in_shadow",
                  "exit_shadow", "new_blocks")
 
-    def matches(self, classifier) -> bool:
-        """Whether *classifier* is in the state this replay started from."""
-        shadow = classifier._shadow_blocks
-        seen = classifier._seen
+    def matches(self, shadow, seen) -> bool:
+        """Whether *shadow* and *seen* are the state this replay started
+        from."""
         return (
             len(shadow) == len(self.entry_shadow)
             and tuple(shadow) == self.entry_shadow
             and seen == self.entry_seen
         )
 
+    def __call__(self, shadow, seen) -> None:
+        """Rebuild *shadow* and *seen* as this replay's exit state (the
+        thaw path): the exit shadow in LRU order, and the entry seen set
+        plus the blocks the replay added."""
+        shadow.clear()
+        shadow.update(zip(self.exit_shadow, repeat(None)))
+        seen.clear()
+        seen.update(self.entry_seen)
+        seen.update(self.new_blocks)
+
 
 def _replay_shadow(classifier, blocks: np.ndarray,
-                   blocks_l: Optional[List[int]]) -> _ShadowReplay:
+                   blocks_l: Optional[Sequence[int]] = None) -> _ShadowReplay:
     """Run *blocks* through *classifier*'s shadow and seen set, recording
     each access's cold and in-shadow flags as the scalar classify reads
-    them (before the access updates the state)."""
-    shadow = classifier._shadow_blocks
-    seen = classifier._seen
+    them (before the access updates the state).  The classifier's token
+    becomes the replay, whose exit state it now holds."""
+    shadow, seen = classifier.contents()
     replay = _ShadowReplay()
+    replay.entry_state = classifier.state
     replay.entry_shadow = tuple(shadow)
     replay.entry_seen = frozenset(seen)
     # Cold: the rows' first touch of a block the seen set lacks.
@@ -554,7 +579,7 @@ def _replay_shadow(classifier, blocks: np.ndarray,
     # sequential: one lean pass in original order.
     shadow_move = shadow.move_to_end
     shadow_popitem = shadow.popitem
-    shadow_cap = classifier.shadow.capacity
+    shadow_cap = classifier.capacity
     in_shadow: List[bool] = []
     in_shadow_append = in_shadow.append
     shadow_len = len(shadow)
@@ -574,11 +599,13 @@ def _replay_shadow(classifier, blocks: np.ndarray,
     replay.in_shadow = np.array(in_shadow, dtype=bool)
     replay.exit_shadow = tuple(shadow)
     seen.update(replay.new_blocks)
+    classifier.state = replay
     return replay
 
 
 def _classify(sim, trace, start: int, stop: int, blocks: np.ndarray,
-              miss_pos: np.ndarray, blocks_l: Optional[List[int]] = None) -> np.ndarray:
+              miss_pos: np.ndarray,
+              blocks_l: Optional[Sequence[int]] = None) -> np.ndarray:
     """3C class of each miss at *miss_pos* in rows [start:stop), folded
     into ``sim.classifier``.
 
@@ -590,23 +617,29 @@ def _classify(sim, trace, start: int, stop: int, blocks: np.ndarray,
     rows, the L1 geometry and the classifier's state at entry — not on
     the configuration.  One replay is therefore memoized on *trace*
     (``trace.memo``, keyed by the L1 offset bits, the shadow capacity
-    and the row range) and every later batch over those rows that
-    enters in the replay's entry state samples its flags at its own
-    misses and installs its exit state.  Any other entry state
-    replays.  *blocks_l* is ``blocks.tolist()`` when the caller
-    already has it.
+    and the row range).  A later batch over those rows reads it when
+    the classifier enters in the replay's entry state: at once when its
+    state token is the replay's entry token (a fresh classifier, or
+    one that took the previous row range's replay), else after
+    comparing the shadows.  It samples the flags at its own misses and
+    defers the classifier to the replay's exit state, which is built
+    only if something reads it.  Any other entry state replays.
+    *blocks_l* is ``blocks.tolist()`` when the caller already has it.
     """
     classifier = sim.classifier
-    key = ("3c", sim._offset_bits, classifier.shadow.capacity, start, stop)
+    key = ("3c", sim._offset_bits, classifier.capacity, start, stop)
     replay = trace.memo.get(key)
-    if replay is not None and replay.matches(classifier):
-        shadow = classifier._shadow_blocks
-        shadow.clear()
-        shadow.update(zip(replay.exit_shadow, repeat(None)))
-        classifier._seen.update(replay.new_blocks)
+    state = classifier.state
+    if replay is not None and (
+        (state is not None and replay.entry_state is state)
+        or replay.matches(*classifier.contents())
+    ):
+        classifier.defer(replay)
     else:
         fresh = _replay_shadow(classifier, blocks, blocks_l)
         if replay is None:
+            fresh.cold.flags.writeable = False
+            fresh.in_shadow.flags.writeable = False
             trace.memo[key] = fresh
         replay = fresh
     cold = replay.cold[miss_pos]
@@ -619,6 +652,89 @@ def _classify(sim, trace, start: int, stop: int, blocks: np.ndarray,
     return cls
 
 
+def _memoize(trace, key: tuple, cols: tuple) -> tuple:
+    """Keep *cols* in ``trace.memo`` under *key*, each array made
+    read-only: every batch over the same rows shares them."""
+    for col in cols:
+        if isinstance(col, np.ndarray):
+            col.flags.writeable = False
+    trace.memo[key] = cols
+    return cols
+
+
+def _opening_columns(trace, offset_bits: int, num_sets: int, start: int,
+                     stop: int) -> tuple:
+    """The opening pass's columns over rows [start:stop) that depend
+    only on the rows and the L1 geometry, memoized on *trace*.
+
+    Returns ``(blocks, stores, gap_cs, gap_total, order, ss, sb, heads,
+    head_pos, head_sets, head_blocks, same_block)``: each access's block
+    and store flag, the prefix sum of the compute gaps and its total,
+    the stable set order with the sets and blocks in it, the run heads
+    with their sorted indices, sets and blocks, and whether each
+    access in set order touches its set predecessor's block (False at a
+    head).
+    """
+    key = ("open", offset_bits, num_sets, start, stop)
+    cols = trace.memo.get(key)
+    if cols is not None:
+        return cols
+    addresses, kinds, gaps = trace.scan_columns(start, stop)
+    n = len(addresses)
+    blocks = addresses >> offset_bits
+    sets = blocks & (num_sets - 1)
+    gap_cs = np.cumsum(gaps, dtype=np.int64)
+    order = _set_order(sets, num_sets)
+    ss = sets[order]
+    sb = blocks[order]
+    heads = np.empty(n, dtype=bool)
+    heads[0] = True
+    heads[1:] = ss[1:] != ss[:-1]
+    head_pos = np.flatnonzero(heads)
+    # Different sets hold different blocks, so no head matches its
+    # sorted predecessor.
+    same_block = np.zeros(n, dtype=bool)
+    same_block[1:] = sb[1:] == sb[:-1]
+    return _memoize(trace, key, (
+        blocks, kinds == _STORE, gap_cs, int(gap_cs[-1]), order, ss, sb, heads,
+        head_pos, ss[head_pos], sb[head_pos], same_block,
+    ))
+
+
+def _loop_columns(trace, bt: "_Batch", start: int, stop: int) -> tuple:
+    """The prefetch event loop's columns over rows [start:stop) that
+    depend only on the rows and the L1 geometry, memoized on *trace*
+    next to the opening columns *bt* read.
+
+    Returns ``(rank, run_end, store_cs, run_start_l, run_end_l,
+    store_cs_l, order_l, rank_l, blocks_l, stores_l, pcs_l)``: each
+    access's sorted index, each set's run end in set order, the stores'
+    prefix sum in set order (read-only arrays), then as tuples of ints
+    each set's run bounds, the store prefix sum, the set order and its
+    inverse, and each access's block, store flag and PC.
+    """
+    num_sets = bt.sim.l1.num_sets
+    key = ("loop", bt.sim._offset_bits, num_sets, start, stop)
+    cols = trace.memo.get(key)
+    if cols is not None:
+        return cols
+    n = bt.n
+    order = bt.order
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    set_ids = np.arange(num_sets)
+    run_start = np.searchsorted(bt.ss, set_ids, side="left")
+    run_end = np.searchsorted(bt.ss, set_ids, side="right")
+    store_cs = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(bt.stores[order], out=store_cs[1:])
+    return _memoize(trace, key, (rank, run_end, store_cs) + tuple(
+        tuple(column.tolist()) for column in (
+            run_start, run_end, store_cs, order, rank, bt.blocks, bt.stores,
+            trace.pcs[start:stop],
+        )
+    ))
+
+
 class _Batch:
     """One batch's shared passes: the opening pass both engines start
     from (the constructor), and the post-pass they end with
@@ -629,44 +745,35 @@ class _Batch:
     order (``order``; ``ss``/``sb`` are the sets and blocks in it) with
     its run ``heads``, the static hit rule (``hit_sorted``: an access
     hits iff its set predecessor, or at a run head the set's entry
-    resident, is the same block) and both caches' entry state.  A
-    deferred L1 is the entry ``l1_state`` as it is (``l1_thaw`` keeps
-    it for an engine that needs frames); any other L1 is snapshotted.
+    resident, is the same block) and both caches' entry state.  All but
+    the base clock, the hit rule and the entry state depend only on the
+    rows and the L1 geometry, so they come from the trace's memo
+    (:func:`_opening_columns`), read-only.  A deferred L1 is the entry
+    ``l1_state`` as it is (``l1_thaw`` keeps it for an engine that
+    needs frames); any other L1 is snapshotted.
     """
 
     __slots__ = (
-        "sim", "n", "gaps", "blocks", "stores", "base_now", "order", "ss", "sb",
-        "heads", "hit_sorted", "l1_state", "l1_thaw", "l2_state", "now_eff",
-        "now_s", "pre_now",
+        "sim", "n", "gap_total", "blocks", "stores", "base_now", "order", "ss",
+        "sb", "heads", "head_pos", "head_sets", "hit_sorted", "l1_state",
+        "l1_thaw", "l2_state", "now_eff", "now_s", "pre_now",
     )
 
-    def __init__(self, sim, addresses: np.ndarray, kinds: np.ndarray,
-                 gaps: np.ndarray) -> None:
+    def __init__(self, sim, trace, start: int, stop: int) -> None:
         l1 = sim.l1
-        num_sets = l1.num_sets
-        n = self.n = int(len(addresses))
+        (self.blocks, self.stores, gap_cs, self.gap_total, self.order, self.ss,
+         self.sb, self.heads, self.head_pos, self.head_sets, head_blocks, same_block,
+         ) = _opening_columns(trace, sim._offset_bits, l1.num_sets, start, stop)
+        self.n = int(gap_cs.size)
         self.sim = sim
-        self.gaps = gaps
-        blocks = self.blocks = addresses >> sim._offset_bits
-        sets = blocks & (num_sets - 1)
-        self.stores = kinds == _STORE
-        self.base_now = sim.now + np.cumsum(gaps, dtype=np.int64)
+        self.base_now = sim.now + gap_cs
         thaw = self.l1_thaw = l1.deferred_contents()
         l1_state = self.l1_state = (
             thaw if thaw is not None else _DeferredL1State(l1, sim.generations)
         )
-        l2 = sim.hierarchy.l2
-        self.l2_state = _DeferredL2State(l2)
-        order = self.order = _set_order(sets, num_sets)
-        ss = self.ss = sets[order]
-        sb = self.sb = blocks[order]
-        heads = self.heads = np.empty(n, dtype=bool)
-        heads[0] = True
-        heads[1:] = ss[1:] != ss[:-1]
-        prev_blk = np.empty(n, dtype=np.int64)
-        prev_blk[1:] = sb[:-1]
-        prev_blk[heads] = l1_state.block[ss[heads]]
-        self.hit_sorted = sb == prev_blk
+        self.l2_state = _DeferredL2State(sim.hierarchy.l2)
+        hit_sorted = self.hit_sorted = same_block.copy()
+        hit_sorted[self.head_pos] = l1_state.block[self.head_sets] == head_blocks
 
     def clocks(self, miss_pos: np.ndarray, m_stall: np.ndarray) -> None:
         """The clock pass: from *m_stall*, each miss's clock stall (every
@@ -689,10 +796,9 @@ class _Batch:
         *arrivals* the set-order indices and times of prefetch fills
         that restart an access's interval."""
         now_s = self.now_s
-        heads = self.heads
         prev_now = np.empty(self.n, dtype=np.int64)
         prev_now[1:] = now_s[:-1]
-        prev_now[heads] = self.l1_state.last[self.ss[heads]]
+        prev_now[self.head_pos] = self.l1_state.last[self.head_sets]
         if arrivals is not None:
             prev_now[arrivals[0]] = arrivals[1]
         intervals = now_s - prev_now
@@ -863,7 +969,7 @@ class _Batch:
             bus.prefetch_transfers += pf_transfers
             bus.prefetch_wait_cycles += pf_wait
 
-        timing.compute_cycles += int(self.gaps.sum(dtype=np.int64))
+        timing.compute_cycles += self.gap_total
         timing._accesses += n
         # The batch's stall is how far its clock ran ahead of the base.
         timing.stall_cycles += int(self.now_eff[-1] - self.base_now[-1])
@@ -898,10 +1004,9 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     :meth:`MemorySimulator.run`) has already verified
     :func:`batch_fallback_reason` returned None.
     """
-    addresses, kinds, gaps = trace.scan_columns(start, stop)
-    if not len(addresses):
+    if not len(trace.scan_columns(start, stop)[0]):
         return
-    bt = _Batch(sim, addresses, kinds, gaps)
+    bt = _Batch(sim, trace, start, stop)
     if sim.policy is not None:
         _consume_prefetch(sim, trace, start, stop, bt)
         return
@@ -951,11 +1056,9 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
     gen_set = ss[gen_starts]
     gen_block = bt.sb[gen_starts]
     gen_is_entry = heads[gen_starts] & hit_sorted[gen_starts]
-    gen_batch_hits = np.add.reduceat(hit_sorted.astype(np.int64), gen_starts)
     gen_dirty = np.logical_or.reduceat(store_sorted, gen_starts) | (
         gen_is_entry & entry_dirty[gen_set]
     )
-    gen_hits_total = gen_batch_hits + np.where(gen_is_entry, entry_hits[gen_set], 0)
     # Last access of each generation: the position just before the next
     # generation start (or the batch end).
     gen_last_pos = np.append(gen_starts[1:] - 1, n - 1)
@@ -1174,25 +1277,41 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
 
     # ---- POST: clocks, then generations and correlations with a bank ------
     bt.clocks(miss_pos, stalls_np)
-    gen_last_now = bt.now_s[gen_last_pos]
-    gen_fill = np.where(gen_is_entry, entry_fill[gen_set], bt.now_s[gen_starts])
-    gen_lt = np.where(
-        gen_batch_hits > 0,
-        gen_last_now - gen_fill,
-        np.where(gen_is_entry, entry_lt[gen_set], 0),
+    now_s = bt.now_s
+    tail_pos = np.append(bt.head_pos[1:] - 1, n - 1)  # each set's last access
+    f_set = ss[tail_pos]
+    f_gid = gen_id[tail_pos]
+    # Each generation's hit count, fill time, last access time and
+    # live-time register.  A bank reads every closed generation's;
+    # without one only each set's last generation is read, as the set's
+    # final state.  A generation's accesses after its first all hit, and
+    # so does the first of one that continues the entry resident.
+    g = slice(None) if tracker is not None else f_gid
+    g_entry = gen_is_entry[g]
+    g_set = gen_set[g]
+    g_start = gen_starts[g]
+    g_batch_hits = gen_last_pos[g] - g_start + g_entry
+    g_hits = g_batch_hits + np.where(g_entry, entry_hits[g_set], 0)
+    g_fill = np.where(g_entry, entry_fill[g_set], now_s[g_start])
+    g_last = now_s[gen_last_pos[g]]
+    g_lt = np.where(
+        g_batch_hits > 0, g_last - g_fill, np.where(g_entry, entry_lt[g_set], 0)
     )
-    if tracker is not None:
+    if tracker is None:
+        f_max = entry_maxiv[f_set]
+        f_gen = slice(None)
+    else:
         seg_max = bt.intervals(gen_starts, hit_sorted)
         gen_max = np.where(
             gen_is_entry, np.maximum(seg_max, entry_maxiv[gen_set]), seg_max
         )
-        gen_live = np.where(gen_hits_total > 0, gen_lt, 0)
+        gen_live = np.where(g_hits > 0, g_lt, 0)
         # Each miss closes its valid victim's generation, in miss order,
         # at the clock after its demand stall and before any fill penalty.
         entry_live = np.where(entry_hits > 0, entry_lt, 0)
-        v_start = np.where(m_is_head, entry_fill[m_set], gen_fill[g_prev])
+        v_start = np.where(m_is_head, entry_fill[m_set], g_fill[g_prev])
         v_live = np.where(m_is_head, entry_live[m_set], gen_live[g_prev])
-        v_hits = np.where(m_is_head, entry_hits[m_set], gen_hits_total[g_prev])
+        v_hits = np.where(m_is_head, entry_hits[m_set], g_hits[g_prev])
         v_max = np.where(m_is_head, entry_maxiv[m_set], gen_max[g_prev])
         val_mask = v_valid[perm]
         e_block, e_start, e_live, e_hits, e_max = np.stack(
@@ -1200,25 +1319,23 @@ def consume_batch(sim, trace, start: int, stop: int) -> None:
         e_dead = (bt.pre_now + demand_stalls)[val_mask] - (e_start + e_live)
         bt.close(cls, m_blocks, (e_block, e_start, e_live, e_dead, e_hits, e_max,
                                  np.flatnonzero(val_mask) + 1))
+        f_max = gen_max[f_gid]
+        f_gen = f_gid
 
     # ---- L1 final state (deferred) ----------------------------------------
     # Each touched set ends in the generation of its last access.  One
     # that began at a miss carries that miss's prev_tag; one that
     # continued the entry resident keeps the entry's.
-    tail_pos = np.append(np.flatnonzero(heads[1:]), n - 1)  # each set's last
-    f_set = ss[tail_pos]
-    f_gid = gen_id[tail_pos]
-    f_last = gen_last_now[f_gid]
-    f_max = gen_max[f_gid] if tracker is not None else entry_maxiv[f_set]
+    f_last = g_last[f_gen]
     f_prev = l1_state.prev_tag[f_set]
     missed = ~gen_is_entry[f_gid]
     gen_missrank = np.empty(gen_starts.size, dtype=np.int64)
     gen_missrank[m_gid] = np.arange(nm)
     f_prev[missed] = v_tag[gen_missrank[f_gid[missed]]]
     l1.defer_contents(l1_state.with_tails(
-        f_set, gen_block[f_gid], gen_fill[f_gid], f_last,
-        gen_hits_total[f_gid], gen_lt[f_gid], gen_dirty[f_gid], f_prev,
-        l1._clock + order[tail_pos] + 1, f_max,
+        f_set, gen_block[f_gid], g_fill[f_gen], f_last, g_hits[f_gen],
+        g_lt[f_gen], gen_dirty[f_gid], f_prev, l1._clock + order[tail_pos] + 1,
+        f_max,
     ))
     if tracker is not None:
         f_set_l = f_set.tolist()
@@ -1297,11 +1414,10 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
     # ---- PRE: the loop's columns -------------------------------------------
     blocks = bt.blocks
     order = bt.order
-    ss = bt.ss
     heads = bt.heads
     entry_maxiv = bt.l1_state.maxiv
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64)
+    (rank, run_end, store_cs, run_start_l, run_end_l, store_cs_l, order_l, rank_l,
+     blocks_l, stores_l, pcs_l) = _loop_columns(trace, bt, start, stop)
     # The loop works on real frames: thaw an L1 that a base batch left
     # as columns.
     if bt.l1_thaw is not None:
@@ -1319,20 +1435,8 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
     next_miss_l = np.minimum.accumulate(
         np.where(static_miss_sorted, np.arange(n), n)[::-1]
     )[::-1].tolist()
-    set_ids = np.arange(num_sets)
-    run_start_l = np.searchsorted(ss, set_ids, side="left").tolist()
-    run_end = np.searchsorted(ss, set_ids, side="right")
-    run_end_l = run_end.tolist()
-    store_cs = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(bt.stores[order], out=store_cs[1:])
-    store_cs_l = store_cs.tolist()
-    order_l = order.tolist()
-    rank_l = rank.tolist()
     base_l = bt.base_now.tolist()
     base_l.append(base_l[-1])  # sentinel: position n is never due
-    blocks_l = blocks.tolist()
-    stores_l = bt.stores.tolist()
-    pcs_l = trace.pcs[start:stop].tolist()
 
     # ---- L2, buses ---------------------------------------------------------
     l2_access = bt.l2_state.access
@@ -1366,6 +1470,10 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
     scheduled = bookkeeper.scheduled
     pending_for = bookkeeper.pending_for
     demand_miss = bookkeeper.demand_miss
+    # A demand miss resolves something only for a frame with a pending
+    # prediction or a block a prefetch displaced.
+    pending_frames = bookkeeper._pending
+    displaced_blocks = bookkeeper._displaced
     on_miss = policy.on_miss
     on_hit = policy.on_hit
     on_prefetch_fill = policy.on_prefetch_fill
@@ -1413,8 +1521,8 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
     # Sets whose run starts with a hit on the entry resident: a
     # prefetched block's first use, or a hit the policy waits for, may
     # fall in this batch.
-    head_hits = np.flatnonzero(heads & bt.hit_sorted)
-    for j, s in zip(head_hits.tolist(), ss[head_hits].tolist()):
+    head_hits = bt.hit_sorted[bt.head_pos]
+    for j, s in zip(bt.head_pos[head_hits].tolist(), bt.head_sets[head_hits].tolist()):
         frame = frames[s]
         if frame.prefetched and frame.hit_count == 0:
             heappush(visits, order_l[j])
@@ -1645,7 +1753,8 @@ def _consume_prefetch(sim, trace, start: int, stop: int, bt: _Batch) -> None:
                 # materialize (one way, frame key = set index).
                 frame = frames[s] = Frame(s, 0, s)
                 l1_sets[s] = [frame]
-            demand_miss(s, b, now)
+            if s in pending_frames or b in displaced_blocks:
+                demand_miss(s, b, now)
             valid = frame.valid
             if valid:
                 old = frame.block_addr

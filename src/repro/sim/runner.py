@@ -287,7 +287,8 @@ class _TraceSource:
     so holding one trace at a time serves every configuration and every
     retry of a workload from one load — one digest-verified cache read,
     or one synthesis without a cache — and one :class:`Trace` object,
-    whose memoized 3C shadow replay (see :func:`repro.sim.batch._classify`)
+    whose memoized batch-engine work (the 3C shadow replay and the
+    opening pass's and event loop's columns, see :mod:`repro.sim.batch`)
     the configurations then share as well.  The cache is opened once
     per root.  The previous workload's trace is dropped before the next
     one loads, and :meth:`close` drops the last.

@@ -71,9 +71,12 @@ class Trace:
     ``ValueError``.  An array a caller passed in is not copied and stays
     writable through the caller's own reference; do not write to it
     once the trace holds it.  Because the columns cannot change, data
-    derived from them alone may be cached in :attr:`memo` (the batch
-    engine keeps its 3C shadow replay there, see
-    :func:`repro.sim.batch._classify`).
+    derived from them alone may be cached in :attr:`memo`.  The batch
+    engine keeps its per-trace work there, once per L1 geometry and row
+    range: the 3C shadow replay (:func:`repro.sim.batch._classify`),
+    the opening pass's columns and the prefetch event loop's columns,
+    as read-only arrays and tuples, so every configuration run on this
+    trace shares them.
     """
 
     __slots__ = ("addresses", "pcs", "kinds", "gaps", "name", "_total_gap", "memo")

@@ -22,7 +22,7 @@ import pytest
 from repro.cache.block import Frame
 from repro.common.config import paper_machine, small_test_machine
 from repro.common.errors import SimulationError
-from repro.common.types import AccessOutcome, PrefetchTimeliness
+from repro.common.types import AccessOutcome, MissClass, PrefetchTimeliness
 from repro.core.decay import DecayPolicy
 from repro.core.generations import GenerationRecord
 from repro.core.metrics import MissCorrelation
@@ -584,11 +584,29 @@ class TestNoBankNoGenerations:
 
 def classifier_state(sim):
     """The 3C classifier's counts, shadow (contents and LRU order) and
-    seen set."""
-    classifier = sim.classifier
-    counts = classifier.counts
+    seen set, read through the accessor that installs a deferred
+    state."""
+    counts = sim.classifier.counts
+    shadow, seen = sim.classifier.contents()
     return ((counts.cold, counts.conflict, counts.capacity),
-            tuple(classifier._shadow_blocks), frozenset(classifier._seen))
+            tuple(shadow), frozenset(seen))
+
+
+def memo_keys(machine, ranges, prefetch=False):
+    """The ``trace.memo`` keys a batch run on *machine* builds over each
+    (start, stop) row range in *ranges*: the 3C replay and the opening
+    columns, plus the event loop's columns with a prefetcher."""
+    l1 = machine.l1d
+    offset_bits = l1.block_size.bit_length() - 1
+    kinds = (("3c", l1.num_blocks), ("open", l1.num_sets))
+    if prefetch:
+        kinds += (("loop", l1.num_sets),)
+    return {(kind, offset_bits, size, start, stop)
+            for start, stop in ranges for kind, size in kinds}
+
+
+#: The two row ranges of a 3000-access run with a 1000-access warm-up.
+RANGES = ((0, 1000), (1000, 3000))
 
 
 @pytest.fixture
@@ -615,11 +633,12 @@ class TestShadowReplayMemo:
         first = make_simulator()
         first.run(trace, warmup=1000)
         assert len(replays) == 2  # the warm-up batch and the measured one
-        assert len(trace.memo) == 2
+        assert set(trace.memo) == memo_keys(paper_machine(), RANGES)
         for config in ({"victim_filter": "timekeeping"}, {"prefetcher": "dbcp"},
                        {"perfect_non_cold": True}):
             make_simulator(**config).run(trace, warmup=1000)
         assert len(replays) == 2
+        assert set(trace.memo) == memo_keys(paper_machine(), RANGES, prefetch=True)
 
     def test_alternating_geometries_match_fresh_traces(self):
         """One trace run alternately under machines with different L1
@@ -639,8 +658,10 @@ class TestShadowReplayMemo:
                     assert sims[0].engine_used == "batch"
                     assert digest(sims[0], got) == digest(sims[1], want)
                     assert classifier_state(sims[0]) == classifier_state(sims[1])
-        # Two row ranges per geometry, each replayed once.
-        assert len(shared.memo) == 2 * len(machines)
+        # Two row ranges per geometry, each memoized once.
+        assert set(shared.memo) == set().union(*(
+            memo_keys(machine, RANGES, prefetch=True) for machine in machines
+        ))
 
     #: 33 blocks through a 32-block shadow: block 1 is seen but evicted.
     PRIMED = list(range(1, 34))
@@ -670,3 +691,119 @@ class TestShadowReplayMemo:
         assert run(prior, trace) == run(prior, small_trace(n=600))
         assert len(replays) == 4
         assert trace.memo == memoized
+
+
+@pytest.fixture
+def memoized(monkeypatch):
+    """Record the key of every column set the batch engine memoizes."""
+    keys = []
+    real = batch_module._memoize
+
+    def recording(trace, key, cols):
+        keys.append(key)
+        return real(trace, key, cols)
+
+    monkeypatch.setattr(batch_module, "_memoize", recording)
+    return keys
+
+
+class TestTraceMemo:
+    """One trace run under all seven paper configs does each piece of
+    per-trace work once per row range, and shares it read-only."""
+
+    def run_paper_configs(self, trace):
+        for name, config in FIGURE_CONFIGS.items():
+            sim = make_simulator(**config)
+            sim.run(trace, warmup=1000)
+            assert sim.engine_used == "batch", (name, sim.batch_fallback)
+
+    def test_each_memo_built_once_per_row_range(self, replays, memoized):
+        trace = build_workload("gcc", length=3000)
+        self.run_paper_configs(trace)
+        expected = memo_keys(paper_machine(), RANGES, prefetch=True)
+        # The opening columns and, for both prefetchers together, the
+        # event loop's columns: one build per row range ...
+        assert sorted(memoized) == sorted(k for k in expected if k[0] != "3c")
+        # ... and one 3C replay per row range.
+        assert len(replays) == 2
+        assert set(trace.memo) == expected
+
+    def test_memoized_arrays_are_read_only(self):
+        trace = build_workload("gcc", length=3000)
+        self.run_paper_configs(trace)
+        arrays = []
+        for key, value in trace.memo.items():
+            if key[0] == "3c":
+                arrays += [value.cold, value.in_shadow]
+                continue
+            for col in value:
+                # Memoized sequences are tuples, scalars ints.
+                assert isinstance(col, (np.ndarray, tuple, int)), (key, type(col))
+                if isinstance(col, np.ndarray):
+                    arrays.append(col)
+        assert len(arrays) == 2 * (2 + 11 + 3)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+
+class TestDeferredClassifier:
+    """A memo hit defers the classifier to the replay's exit state; it
+    is installed, the same as a scalar run's, when something reads it."""
+
+    @pytest.fixture
+    def installs(self, monkeypatch):
+        calls = []
+        real = batch_module._ShadowReplay.__call__
+
+        def counting(self, shadow, seen):
+            calls.append(self)
+            real(self, shadow, seen)
+
+        monkeypatch.setattr(batch_module._ShadowReplay, "__call__", counting)
+        return calls
+
+    def pair(self):
+        """A batch run that read both replays another config memoized,
+        and a scalar run of the same config on a fresh trace."""
+        trace = build_workload("gcc", length=3000)
+        make_simulator().run(trace, warmup=1000)
+        batch = make_simulator(victim_filter="timekeeping")
+        batch.run(trace, warmup=1000)
+        assert batch.classifier.state is trace.memo[("3c", 5, 1024, 1000, 3000)]
+        scalar = make_simulator(victim_filter="timekeeping")
+        scalar.run(build_workload("gcc", length=3000), warmup=1000, engine="scalar")
+        return batch, scalar
+
+    def test_accessor_installs_the_exit_state_once(self, installs):
+        batch, scalar = self.pair()
+        assert installs == []  # neither batch built the classifier's state
+        assert classifier_state(batch) == classifier_state(scalar)
+        assert installs == [batch.classifier.state]
+        batch.classifier.contents()
+        assert len(installs) == 1
+
+    def test_record_access_thaws_first(self, installs):
+        batch, scalar = self.pair()
+        shadow, seen = scalar.classifier.contents()
+        lru = next(iter(shadow))
+        evicted = next(b for b in sorted(seen) if b not in shadow)
+        unseen = max(seen) + 1
+        for block in (lru, evicted, unseen):
+            for sim in (batch, scalar):
+                sim.classifier.record_access(block)
+        assert len(installs) == 1
+        assert batch.classifier.state is None
+        assert classifier_state(batch) == classifier_state(scalar)
+
+    def test_classify_miss_thaws_first(self, installs):
+        batch, scalar = self.pair()
+        shadow, seen = scalar.classifier.contents()
+        evicted = next(b for b in sorted(seen) if b not in shadow)
+        blocks = (next(iter(shadow)), evicted, max(seen) + 1)
+        got = [batch.classifier.classify_miss(b) for b in blocks]
+        assert len(installs) == 1
+        assert got == [scalar.classifier.classify_miss(b) for b in blocks] == [
+            MissClass.CONFLICT, MissClass.CAPACITY, MissClass.COLD,
+        ]
+        assert classifier_state(batch) == classifier_state(scalar)

@@ -251,9 +251,12 @@ def state_digest(sim: MemorySimulator) -> Dict[str, Any]:
     breakdown's key order, the closed and open generations (None for a
     machine without a metric bank, which tracks none), the prefetch
     engine (bookkeeper, queue, MSHRs, events, tables) with both buses,
-    and the metric banks.
+    the metric banks, and the 3C classifier's shadow in LRU order and
+    seen set (read through ``contents``, which thaws a state the batch
+    engine deferred to a memoized replay).
     """
     l1, l2 = sim.l1, sim.hierarchy.l2
+    shadow, seen = sim.classifier.contents()
     frames = {}
     for tag, cache in (("l1", l1), ("l2", l2)):
         for f in cache.frames():
@@ -325,6 +328,10 @@ def state_digest(sim: MemorySimulator) -> Dict[str, Any]:
             ),
         },
         "metrics": sim.metrics.to_dict() if sim.metrics is not None else None,
+        # Keyed, so a mismatch diffs entry by entry: LRU rank -> block,
+        # and each seen block.
+        "3c_shadow": dict(enumerate(shadow)),
+        "3c_seen": dict.fromkeys(seen, True),
     }
 
 
@@ -403,8 +410,10 @@ def run_cell(workload: str, length: int, config_name: str,
 
     *traces* maps (workload, total length) to a trace already built;
     the cell reuses it, or builds and adds its own.  Cells sharing one
-    trace object share its memoized 3C shadow replay, so every batch
-    run after the first on a trace reads a replay another config made.
+    trace object share what the batch engine memoizes on it (the 3C
+    shadow replay, the opening pass's and the prefetch loop's columns),
+    so every batch run after the first on a trace reads what another
+    config built, and defers its classifier to that config's replay.
     """
     config = dict(CONFIGS[config_name])
     warmup = int(length * config.pop("warmup_frac", 0.0))

@@ -36,6 +36,7 @@ from typing import Iterator, List, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 
 DEFAULT_PACKAGES = [
+    ROOT / "src" / "repro" / "classify",
     ROOT / "src" / "repro" / "core",
     ROOT / "src" / "repro" / "figures",
     ROOT / "src" / "repro" / "sim",
